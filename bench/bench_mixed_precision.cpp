@@ -35,20 +35,19 @@ MixedResult run_mixed(unsigned in_bits, unsigned w_bits,
   spec.w_bits = w_bits;
   spec.out_bits = 8;  // shift/clip output path; accumulators stay i32
   const auto data = kernels::ConvLayerData::random(spec, kSeed);
-  const auto res =
-      kernels::run_conv_layer(data, ConvVariant::kXpulpNN_Mixed, cfg);
+  MixedResult r;
+  const auto res = run_profiled(data, ConvVariant::kXpulpNN_Mixed, cfg,
+                                r.plat.quant_cycles);
   const auto gold = data.golden();
   bool ok = true;
   for (int i = 0; i < gold.elems() && ok; ++i) {
     ok = gold.flat(i) == res.output.flat(i);
   }
-  MixedResult r;
   r.plat.platform = cfg.name + "/xpulpnn-mixed";
   r.plat.bits = in_bits;
   r.plat.cycles = res.perf.cycles;
   r.plat.macs = res.macs;
   r.plat.freq_hz = power::OperatingPoint{}.freq_hz;
-  r.plat.quant_cycles = res.quant_cycles;
   r.plat.qnt_stall_cycles = res.perf.qnt_stall_cycles;
   r.plat.output_ok = ok;
   r.sel = kernels::mixed_sel_for(in_bits, w_bits);

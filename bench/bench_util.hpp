@@ -4,10 +4,12 @@
 #pragma once
 
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "armv7e/cmsis_conv.hpp"
 #include "kernels/conv_layer.hpp"
+#include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "power/power_model.hpp"
 
@@ -39,6 +41,24 @@ struct PlatformResult {
   }
 };
 
+/// run_conv_layer with an obs::Profiler attached through the runner's
+/// hooks; `quant_cycles` receives the cycles attributed to re-quantization
+/// code (the Fig. 6 quantization share).
+inline kernels::ConvRunResult run_profiled(const kernels::ConvLayerData& data,
+                                           kernels::ConvVariant v,
+                                           const sim::CoreConfig& cfg,
+                                           cycles_t& quant_cycles) {
+  std::optional<obs::Profiler> prof;
+  kernels::ConvRunResult res = kernels::run_conv_layer(
+      data, v, cfg, {},
+      [&](sim::Core& core, const kernels::ConvKernel& k) {
+        prof.emplace(core, k.regions, obs::Profiler::Options{.track_pc = false});
+      },
+      [&](sim::Core&, const kernels::ConvKernel&) { prof->finalize(); });
+  quant_cycles = prof->region_cycles("quant");
+  return res;
+}
+
 /// Run the paper layer at `bits` with a RISC-V kernel variant on a core
 /// configuration; fills power from the activity-based model.
 inline PlatformResult run_riscv(unsigned bits, kernels::ConvVariant v,
@@ -46,7 +66,8 @@ inline PlatformResult run_riscv(unsigned bits, kernels::ConvVariant v,
                                 power::OperatingPoint op = {}) {
   const auto spec = qnn::ConvSpec::paper_layer(bits);
   const auto data = kernels::ConvLayerData::random(spec, kSeed);
-  const auto res = kernels::run_conv_layer(data, v, cfg);
+  PlatformResult r;
+  const auto res = run_profiled(data, v, cfg, r.quant_cycles);
   const auto gold = data.golden();
   bool ok = true;
   for (int i = 0; i < gold.elems() && ok; ++i) {
@@ -54,14 +75,12 @@ inline PlatformResult run_riscv(unsigned bits, kernels::ConvVariant v,
   }
   const auto p =
       power::estimate_power(res.perf, res.activity, res.mem_stats, cfg, op);
-  PlatformResult r;
   r.platform = cfg.name + "/" + kernels::variant_name(v);
   r.bits = bits;
   r.cycles = res.perf.cycles;
   r.macs = res.macs;
   r.freq_hz = op.freq_hz;
   r.power_mw = p.soc_mw();
-  r.quant_cycles = res.quant_cycles;
   r.qnt_stall_cycles = res.perf.qnt_stall_cycles;
   r.output_ok = ok;
   return r;

@@ -11,8 +11,10 @@
 //       build/examples/conv_layer 4 sub ri5cy
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
 #include "kernels/conv_layer.hpp"
+#include "obs/profiler.hpp"
 #include "power/power_model.hpp"
 
 using namespace xpulp;
@@ -46,7 +48,16 @@ int main(int argc, char** argv) {
               cfg.name.c_str());
 
   const auto data = kernels::ConvLayerData::random(spec, 42);
-  const auto res = kernels::run_conv_layer(data, variant, cfg);
+  // Attribute cycles to the kernel's regions (the re-quantization share
+  // below) with a profiler attached through the runner's hooks.
+  std::optional<obs::Profiler> prof;
+  const auto res = kernels::run_conv_layer(
+      data, variant, cfg, {},
+      [&](sim::Core& core, const kernels::ConvKernel& k) {
+        prof.emplace(core, k.regions);
+      },
+      [&](sim::Core&, const kernels::ConvKernel&) { prof->finalize(); });
+  const u64 quant_cycles = prof->region_cycles("quant");
   const auto gold = data.golden();
 
   int mismatches = 0;
@@ -70,8 +81,8 @@ int main(int argc, char** argv) {
   std::printf("  hw-loop back-edges   : %llu\n",
               static_cast<unsigned long long>(res.perf.hwloop_backedges));
   std::printf("  re-quantization      : %llu cycles (%.1f%% of total)\n",
-              static_cast<unsigned long long>(res.quant_cycles),
-              100.0 * static_cast<double>(res.quant_cycles) / res.perf.cycles);
+              static_cast<unsigned long long>(quant_cycles),
+              100.0 * static_cast<double>(quant_cycles) / res.perf.cycles);
   std::printf("  generated code       : %u bytes\n", res.code_bytes);
   std::printf("  SoC power            : %.2f mW   (core %.2f mW)\n",
               p.soc_mw(), p.core.core_mw());

@@ -26,64 +26,18 @@ namespace {
 
 constexpr unsigned kBits = 4;
 
-/// Build layer data for a *given* input: random weights plus per-channel
-/// thresholds at the accumulator quantiles of this input (what a trained
-/// batch-norm-folding pipeline produces).
+/// Build layer data for a *given* input: random weights plus thresholds at
+/// the accumulator quantiles of this input (what a trained
+/// batch-norm-folding pipeline produces; shared layer-global thresholds
+/// when a channel has too few positions, e.g. the FC layer).
 ConvLayerData make_layer(const qnn::Tensor& input, const qnn::ConvSpec& spec,
                          u64 seed) {
-  // Reuse the generator for weights/thresholds shape, then recompute
-  // thresholds against the real input.
-  ConvLayerData d = ConvLayerData::random(spec, seed);
+  ConvLayerData d;
+  d.spec = spec;
   d.input = input;
-
-  std::vector<qnn::Thresholds> per_channel;
-  const int levels = 1 << spec.out_bits;
-  const int positions = spec.out_h() * spec.out_w();
-  // With few spatial positions per channel (e.g. the FC layer's single
-  // output), per-channel quantiles degenerate; use quantiles of the whole
-  // layer's accumulator distribution instead (shared thresholds).
-  const bool global = positions < 2 * levels;
-  auto quantile_thresholds = [&](std::vector<i32>& accs) {
-    std::sort(accs.begin(), accs.end());
-    std::vector<i16> th(static_cast<size_t>(levels - 1));
-    i32 prev = -40000;
-    for (int i = 1; i < levels; ++i) {
-      i32 t = accs[std::min(accs.size() - 1,
-                            static_cast<size_t>(i) * accs.size() / levels)];
-      if (t <= prev) t = prev + 1;
-      th[static_cast<size_t>(i - 1)] = static_cast<i16>(
-          std::clamp<i32>(t, -32768, 32767));
-      prev = th[static_cast<size_t>(i - 1)];
-    }
-    return qnn::Thresholds(spec.out_bits, std::move(th));
-  };
-
-  if (global) {
-    std::vector<i32> accs;
-    for (int oc = 0; oc < spec.out_c; ++oc) {
-      for (int oy = 0; oy < spec.out_h(); ++oy) {
-        for (int ox = 0; ox < spec.out_w(); ++ox) {
-          accs.push_back(
-              qnn::conv_accumulate(input, d.weights, spec, oy, ox, oc));
-        }
-      }
-    }
-    const auto shared = quantile_thresholds(accs);
-    per_channel.assign(static_cast<size_t>(spec.out_c), shared);
-  } else {
-    for (int oc = 0; oc < spec.out_c; ++oc) {
-      std::vector<i32> accs;
-      accs.reserve(static_cast<size_t>(positions));
-      for (int oy = 0; oy < spec.out_h(); ++oy) {
-        for (int ox = 0; ox < spec.out_w(); ++ox) {
-          accs.push_back(
-              qnn::conv_accumulate(input, d.weights, spec, oy, ox, oc));
-        }
-      }
-      per_channel.push_back(quantile_thresholds(accs));
-    }
-  }
-  d.thresholds = qnn::LayerThresholds(spec.out_bits, std::move(per_channel));
+  d.weights = ConvLayerData::random_weights(spec, seed);
+  qnn::calibrate(qnn::conv_accumulators(d.input, d.weights, spec), d.spec,
+                 d.thresholds);
   return d;
 }
 

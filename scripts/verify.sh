@@ -52,6 +52,10 @@ step "configure (default preset)" cmake --preset default
 step "build (default preset)" cmake --build --preset default -j "$(nproc)"
 step "ctest (default preset)" ctest --preset default -j "$(nproc)"
 
+# Short runs of every BENCHMARK.json workload through qnnbench/run.py:
+# result contract, correctness, metric coverage, exact guest cycles.
+step "qnnbench: benchmark self-test" python3 qnnbench/selftest.py
+
 step "xlint: encoding-space audit + kernel sweep" \
   ./build/tools/xlint --audit --kernels
 

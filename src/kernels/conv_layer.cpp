@@ -1,12 +1,7 @@
 #include "kernels/conv_layer.hpp"
 
-#include <algorithm>
-#include <cassert>
-#include <limits>
-
 #include "common/bitops.hpp"
 #include "common/error.hpp"
-#include "obs/profiler.hpp"
 #include "qnn/pack.hpp"
 
 namespace xpulp::kernels {
@@ -112,114 +107,49 @@ ConvMemLayout ConvMemLayout::plan(const qnn::ConvSpec& spec, ConvVariant v,
   return l;
 }
 
-ConvLayerData ConvLayerData::random(const qnn::ConvSpec& spec, u64 seed) {
-  Rng rng(seed);
-  ConvLayerData d;
-  d.spec = spec;
-
-  d.input = qnn::Tensor({spec.in_h, spec.in_w, spec.in_c});
-  const i32 act_max = static_cast<i32>((1u << spec.in_bits) - 1);
-  for (int i = 0; i < d.input.elems(); ++i) {
-    d.input.flat(i) = rng.uniform(0, act_max);
-  }
-
-  d.weights = qnn::FilterBank(spec.out_c, {spec.k_h, spec.k_w, spec.in_c});
-  const auto [wlo, whi] = weight_range(spec.w_bits);
-  for (auto& w : d.weights.data()) w = rng.uniform(wlo, whi);
-
-  if (spec.out_bits == 8) {
-    // Pick the requantization shift so the largest accumulator maps near
-    // the top of the 8-bit output range.
-    i32 max_acc = 1;
-    for (int oy = 0; oy < spec.out_h(); ++oy) {
-      for (int ox = 0; ox < spec.out_w(); ++ox) {
-        for (int oc = 0; oc < spec.out_c; ++oc) {
-          max_acc = std::max(
-              max_acc, qnn::conv_accumulate(d.input, d.weights, spec, oy, ox, oc));
-        }
-      }
-    }
-    u32 shift = 0;
-    while ((max_acc >> shift) > 255) ++shift;
-    d.spec.requant_shift = shift;
-    return d;
-  }
-
-  // Per-channel thresholds from accumulator quantiles: this is what trained
-  // thresholds (absorbing bias + batchnorm) look like, and it exercises
-  // every output code.
-  std::vector<qnn::Thresholds> per_channel;
-  per_channel.reserve(static_cast<size_t>(spec.out_c));
-  const int n_pos = spec.out_h() * spec.out_w();
-  const int levels = 1 << spec.out_bits;
-  for (int oc = 0; oc < spec.out_c; ++oc) {
-    std::vector<i32> accs(static_cast<size_t>(n_pos));
-    for (int oy = 0; oy < spec.out_h(); ++oy) {
-      for (int ox = 0; ox < spec.out_w(); ++ox) {
-        const i32 acc =
-            qnn::conv_accumulate(d.input, d.weights, spec, oy, ox, oc);
-        if (acc < -32768 || acc > 32767) {
-          throw SimError("accumulator exceeds 16-bit pre-activation range");
-        }
-        accs[static_cast<size_t>(oy * spec.out_w() + ox)] = acc;
-      }
-    }
-    std::sort(accs.begin(), accs.end());
-    std::vector<i16> th(static_cast<size_t>(levels - 1));
-    i32 prev = std::numeric_limits<i32>::min();
-    for (int i = 1; i < levels; ++i) {
-      const size_t idx = std::min<size_t>(
-          accs.size() - 1, static_cast<size_t>(i) * accs.size() / levels);
-      i32 t = accs[idx];
-      if (t <= prev) t = prev + 1;
-      t = std::clamp<i32>(t, -32768, 32767);
-      if (t <= prev) t = prev;  // saturated top: duplicates are harmless
-      th[static_cast<size_t>(i - 1)] = static_cast<i16>(t);
-      prev = t;
-    }
-    // Restore ascending order if clamping flattened the top (duplicates at
-    // the extremes are tolerated by the tree walk; see thresholds tests).
-    for (int i = levels - 3; i >= 0; --i) {
-      if (th[static_cast<size_t>(i)] > th[static_cast<size_t>(i + 1)]) {
-        th[static_cast<size_t>(i)] = th[static_cast<size_t>(i + 1)];
-      }
-    }
-    per_channel.emplace_back(spec.out_bits, std::move(th));
-  }
-  d.thresholds = qnn::LayerThresholds(spec.out_bits, std::move(per_channel));
-  return d;
-}
-
 namespace {
 
-/// Shared tail of run_conv_layer: halt check, output unpack, stats.
-ConvRunResult finish_conv_run(sim::Core& core, mem::Memory& mem,
-                              const ConvKernel& kernel,
-                              const qnn::ConvSpec& spec, ConvRunResult& res) {
-  if (core.halt_reason() != sim::HaltReason::kEcall) {
-    throw SimError("kernel stopped for an unexpected reason");
+/// Draw a layer's synthetic input codes, then its weights, from one RNG
+/// stream. `input` may be null: the input draws still advance the stream,
+/// so the weights do not depend on whether the input is kept.
+qnn::FilterBank draw_layer(const qnn::ConvSpec& spec, u64 seed,
+                           qnn::Tensor* input) {
+  Rng rng(seed);
+  const i32 act_max = static_cast<i32>((1u << spec.in_bits) - 1);
+  const int in_elems = spec.in_h * spec.in_w * spec.in_c;
+  if (input != nullptr) *input = qnn::Tensor({spec.in_h, spec.in_w, spec.in_c});
+  for (int i = 0; i < in_elems; ++i) {
+    const i32 v = rng.uniform(0, act_max);
+    if (input != nullptr) input->flat(i) = v;
   }
-
-  std::vector<u8> out_bytes(kernel.layout.output_bytes);
-  mem.read_block(kernel.layout.output, out_bytes);
-  res.output = qnn::unpack_tensor(
-      out_bytes, {spec.out_h(), spec.out_w(), spec.out_c}, spec.out_bits,
-      /*is_signed=*/false);
-  res.perf = core.perf();
-  res.activity = core.dotp_unit().activity();
-  res.mem_stats = mem.stats();
-  res.code_bytes = kernel.program.size_bytes();
-  res.macs = spec.macs();
-  return res;
+  qnn::FilterBank weights(spec.out_c, {spec.k_h, spec.k_w, spec.in_c});
+  const auto [wlo, whi] = weight_range(spec.w_bits);
+  for (auto& w : weights.data()) w = rng.uniform(wlo, whi);
+  return weights;
 }
 
 }  // namespace
 
+ConvLayerData ConvLayerData::random(const qnn::ConvSpec& spec, u64 seed) {
+  ConvLayerData d;
+  d.spec = spec;
+  d.weights = draw_layer(spec, seed, &d.input);
+  // Calibrate on the layer's own input: the requantization shift for
+  // 8-bit outputs, trained-style thresholds (which absorb bias + batchnorm
+  // and exercise every output code) for sub-byte outputs.
+  qnn::calibrate(qnn::conv_accumulators(d.input, d.weights, spec), d.spec,
+                 d.thresholds);
+  return d;
+}
+
+qnn::FilterBank ConvLayerData::random_weights(const qnn::ConvSpec& spec,
+                                              u64 seed) {
+  return draw_layer(spec, seed, nullptr);
+}
+
 qnn::Tensor ConvLayerData::golden() const {
-  if (spec.out_bits == 8) {
-    return qnn::conv2d_ref_u8(input, weights, spec);
-  }
-  return qnn::conv2d_ref(input, weights, thresholds, spec);
+  return qnn::requantize(qnn::conv_accumulators(input, weights, spec), spec,
+                         thresholds);
 }
 
 void load_conv_data(const ConvLayerData& data, const ConvMemLayout& layout,
@@ -245,7 +175,9 @@ void load_conv_data(const ConvLayerData& data, const ConvMemLayout& layout,
 
 ConvRunResult run_conv_layer(const ConvLayerData& data, ConvVariant v,
                              const sim::CoreConfig& cfg,
-                             const ConvGenOptions& opts) {
+                             const ConvGenOptions& opts,
+                             const ConvInstrument& instrument,
+                             const ConvInstrument& after_run) {
   if (!variant_supported(v, cfg)) {
     throw SimError(std::string("variant ") + variant_name(v) +
                    " is not supported by core " + cfg.name);
@@ -261,39 +193,34 @@ ConvRunResult run_conv_layer(const ConvLayerData& data, ConvVariant v,
   core.reset(kernel.program.entry(),
              kernel.program.base() + kernel.program.size_bytes());
 
+  if (instrument) instrument(core, kernel);
+  try {
+    core.run(600'000'000);
+  } catch (...) {
+    // A guest fault: hooks still detach before the core goes away.
+    if (after_run) after_run(core, kernel);
+    throw;
+  }
+  if (after_run) after_run(core, kernel);
+  if (core.halt_reason() == sim::HaltReason::kInstrLimit) {
+    throw SimError("kernel did not terminate");
+  }
+  if (core.halt_reason() != sim::HaltReason::kEcall) {
+    throw SimError("kernel stopped for an unexpected reason");
+  }
+
+  std::vector<u8> out_bytes(kernel.layout.output_bytes);
+  mem.read_block(kernel.layout.output, out_bytes);
   ConvRunResult res;
-  const u64 max_instr = 600'000'000;
-
-  if (kernel.quant_ranges.empty()) {
-    // No quantization ranges to attribute: run untraced (zero profiling
-    // overhead on the fast path).
-    core.run(max_instr);
-    if (core.halt_reason() == sim::HaltReason::kInstrLimit) {
-      throw SimError("kernel did not terminate");
-    }
-    return finish_conv_run(core, mem, kernel, spec, res);
-  }
-
-  // Attribute cycles spent in re-quantization code via the profiler
-  // (Fig. 6 reports the quantization share). Attribution is identical to
-  // stepping manually and diffing the cycle counter around each
-  // quant-range instruction: the hook fires before an instruction's
-  // stalls are charged, so each counter delta covers exactly one
-  // instruction.
-  {
-    obs::Profiler::Options popts;
-    popts.track_pc = false;  // only the region split is needed here
-    obs::Profiler prof(core, kernel.regions, popts);
-    core.run(max_instr);
-    if (core.halt_reason() == sim::HaltReason::kInstrLimit) {
-      throw SimError("kernel did not terminate");
-    }
-    prof.finalize();
-    for (const obs::RegionStat& r : prof.region_stats()) {
-      if (r.name == "quant") res.quant_cycles += r.stat.cycles;
-    }
-  }
-  return finish_conv_run(core, mem, kernel, spec, res);
+  res.output = qnn::unpack_tensor(
+      out_bytes, {spec.out_h(), spec.out_w(), spec.out_c}, spec.out_bits,
+      /*is_signed=*/false);
+  res.perf = core.perf();
+  res.activity = core.dotp_unit().activity();
+  res.mem_stats = mem.stats();
+  res.code_bytes = kernel.program.size_bytes();
+  res.macs = spec.macs();
+  return res;
 }
 
 }  // namespace xpulp::kernels

@@ -24,7 +24,7 @@
 // output pixels).
 #pragma once
 
-#include <optional>
+#include <functional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -69,8 +69,14 @@ struct ConvLayerData {
   qnn::LayerThresholds thresholds;  // empty for 8-bit outputs
 
   /// Deterministic synthetic data with ranges chosen so sub-byte
-  /// accumulators fit the 16-bit pre-activation constraint.
+  /// accumulators fit the 16-bit pre-activation constraint, calibrated on
+  /// its own input (qnn::calibrate).
   static ConvLayerData random(const qnn::ConvSpec& spec, u64 seed);
+
+  /// Exactly the weights random(spec, seed) draws, without the input or
+  /// the calibration: for a layer whose input comes from elsewhere (a
+  /// network), calibrated on that input by the caller.
+  static qnn::FilterBank random_weights(const qnn::ConvSpec& spec, u64 seed);
 
   /// Golden output via the reference layers.
   qnn::Tensor golden() const;
@@ -159,7 +165,6 @@ struct ConvRunResult {
   sim::PerfCounters perf;
   sim::DotpActivity activity;  // dot-product-unit switching, for the power model
   mem::MemStats mem_stats;
-  cycles_t quant_cycles = 0;  // cycles attributed to re-quantization code
   u32 code_bytes = 0;
   u64 macs = 0;
 
@@ -173,11 +178,23 @@ struct ConvRunResult {
 void load_conv_data(const ConvLayerData& data, const ConvMemLayout& layout,
                     mem::Memory& mem);
 
+/// Observability hook of run_conv_layer: `instrument` is invoked after the
+/// program and data are loaded and the core reset, immediately before the
+/// run; attach an obs::Profiler (cycle attribution per kernel.regions, e.g.
+/// the Fig. 6 "quant" share) or a trace hook there. `after_run` fires
+/// right after the run (also when it throws), while the core is still
+/// alive: finalize profilers there, NOT after the call returns. The runner
+/// itself attributes nothing, so an unhooked run stays on the fused path.
+using ConvInstrument =
+    std::function<void(sim::Core&, const ConvKernel& kernel)>;
+
 /// Load data + kernel into a fresh memory image and run to completion on a
 /// core with the given configuration. Throws SimError on guest faults.
 ConvRunResult run_conv_layer(const ConvLayerData& data, ConvVariant v,
                              const sim::CoreConfig& cfg,
-                             const ConvGenOptions& opts = {});
+                             const ConvGenOptions& opts = {},
+                             const ConvInstrument& instrument = {},
+                             const ConvInstrument& after_run = {});
 
 /// True if `v` is legal on a core configuration (sub-byte XpulpNN variants
 /// need cfg.xpulpnn).

@@ -1,64 +1,9 @@
 #include "kernels/network.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "qnn/ref_layers.hpp"
 
 namespace xpulp::kernels {
-
-namespace {
-
-/// Threshold construction against the layer's actual input: per-channel
-/// accumulator quantiles, falling back to layer-global quantiles when a
-/// channel has too few spatial positions (e.g. fully-connected layers).
-qnn::LayerThresholds trained_thresholds(const qnn::Tensor& input,
-                                        const qnn::FilterBank& weights,
-                                        const qnn::ConvSpec& spec) {
-  const int levels = 1 << spec.out_bits;
-  const int positions = spec.out_h() * spec.out_w();
-  auto from_accs = [&](std::vector<i32>& accs) {
-    std::sort(accs.begin(), accs.end());
-    std::vector<i16> th(static_cast<size_t>(levels - 1));
-    i32 prev = -40000;
-    for (int i = 1; i < levels; ++i) {
-      i32 t = accs[std::min(accs.size() - 1,
-                            static_cast<size_t>(i) * accs.size() / levels)];
-      if (t <= prev) t = prev + 1;
-      t = std::clamp<i32>(t, -32768, 32767);
-      th[static_cast<size_t>(i - 1)] = static_cast<i16>(t);
-      prev = t;
-    }
-    return th;
-  };
-
-  std::vector<qnn::Thresholds> per_channel;
-  if (positions < 2 * levels) {
-    std::vector<i32> accs;
-    for (int oc = 0; oc < spec.out_c; ++oc) {
-      for (int oy = 0; oy < spec.out_h(); ++oy) {
-        for (int ox = 0; ox < spec.out_w(); ++ox) {
-          accs.push_back(qnn::conv_accumulate(input, weights, spec, oy, ox, oc));
-        }
-      }
-    }
-    const qnn::Thresholds shared(spec.out_bits, from_accs(accs));
-    per_channel.assign(static_cast<size_t>(spec.out_c), shared);
-  } else {
-    for (int oc = 0; oc < spec.out_c; ++oc) {
-      std::vector<i32> accs;
-      for (int oy = 0; oy < spec.out_h(); ++oy) {
-        for (int ox = 0; ox < spec.out_w(); ++ox) {
-          accs.push_back(qnn::conv_accumulate(input, weights, spec, oy, ox, oc));
-        }
-      }
-      per_channel.emplace_back(spec.out_bits, from_accs(accs));
-    }
-  }
-  return qnn::LayerThresholds(spec.out_bits, std::move(per_channel));
-}
-
-}  // namespace
 
 Network::Network(qnn::Shape input_shape, unsigned bits, u64 seed)
     : bits_(bits), cur_bits_(bits), seed_(seed), shape_(input_shape) {
@@ -162,18 +107,21 @@ NetworkResult Network::run(const qnn::Tensor& input,
     switch (step.kind) {
       case Step::Kind::kConv:
       case Step::Kind::kLinear: {
-        ConvLayerData data = ConvLayerData::random(step.spec, step.seed);
+        // Weights as ConvLayerData::random draws them; calibration and
+        // the golden output both come from one accumulator pass over the
+        // layer's actual input.
+        ConvLayerData data;
+        data.spec = step.spec;
         if (step.kind == Step::Kind::kLinear) {
-          qnn::Tensor flat({1, 1, act.elems()});
-          flat.data() = act.data();
-          data.input = flat;
+          data.input = qnn::Tensor({1, 1, act.elems()});
+          data.input.data() = std::move(act.data());
         } else {
-          data.input = act;
+          data.input = std::move(act);
         }
-        if (step.spec.out_bits != 8) {
-          data.thresholds =
-              trained_thresholds(data.input, data.weights, step.spec);
-        }
+        data.weights = ConvLayerData::random_weights(step.spec, step.seed);
+        const qnn::Tensor acc = qnn::conv_accumulators(
+            data.input, data.weights, data.spec, step.name);
+        qnn::calibrate(acc, data.spec, data.thresholds);
         ConvGenOptions opts;
         opts.pixel_block = (step.spec.out_w() % 2 == 0) ? 2 : 1;
         // Mixed-precision layers always dispatch to the virtual-SIMD
@@ -181,13 +129,13 @@ NetworkResult Network::run(const qnn::Tensor& input,
         const ConvVariant v = step.spec.in_bits != step.spec.w_bits
                                   ? ConvVariant::kXpulpNN_Mixed
                                   : variant;
-        const ConvRunResult r = run_conv_layer(data, v, cfg, opts);
-        const qnn::Tensor gold = data.golden();
-        st.matched_golden = (r.output == gold);
+        ConvRunResult r = run_conv_layer(data, v, cfg, opts);
+        st.matched_golden =
+            r.output == qnn::requantize(acc, data.spec, data.thresholds);
         st.cycles = r.perf.cycles;
         st.macs = r.macs;
         st.out_shape = r.output.shape();
-        act = r.output;
+        act = std::move(r.output);
         break;
       }
       case Step::Kind::kMaxPool:

@@ -41,10 +41,12 @@ struct LayerPrecision {
   unsigned out_bits;
 };
 
-/// A feed-forward stack of quantized layers. Weights/thresholds are
-/// generated per layer: random weights, thresholds at the accumulator
-/// quantiles of the layer's *actual* input (what threshold training
-/// produces). Build once, then run() against any core configuration.
+/// A feed-forward stack of quantized layers. Each conv/linear layer gets
+/// random weights (those ConvLayerData::random draws for its spec and
+/// seed) and is calibrated on its *actual* input (qnn::calibrate): the
+/// requantization shift for 8-bit outputs, thresholds at the accumulator
+/// quantiles for sub-byte outputs (what threshold training produces).
+/// Build once, then run() against any core configuration.
 class Network {
  public:
   /// `bits` applies to every tensor in the network (uniform quantization,
@@ -73,7 +75,9 @@ class Network {
   /// Run the whole network on-device for `input` (unsigned codes of the
   /// declared shape). Each layer's device output is checked against the
   /// golden model of that layer; the golden pipeline continues from the
-  /// device output so a single mismatch cannot cascade silently.
+  /// device output so a single mismatch cannot cascade silently. Throws
+  /// SimError, naming the layer, when a sub-byte layer's pre-activation
+  /// leaves the 16-bit range of the quantization unit.
   NetworkResult run(const qnn::Tensor& input, const sim::CoreConfig& cfg,
                     ConvVariant variant = ConvVariant::kXpulpNN_HwQ) const;
 

@@ -170,6 +170,14 @@ std::vector<RegionStat> Profiler::region_stats() const {
   return out;
 }
 
+u64 Profiler::region_cycles(std::string_view name) const {
+  u64 cycles = 0;
+  for (size_t i = 0; i < region_stats_.size(); ++i) {
+    if (region_names_[i] == name) cycles += region_stats_[i].cycles;
+  }
+  return cycles;
+}
+
 std::vector<PcStat> Profiler::hotspots(size_t top_n) const {
   std::vector<PcStat> all;
   for (size_t parcel = 0; parcel < pc_stats_.size(); ++parcel) {

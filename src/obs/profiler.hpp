@@ -99,6 +99,8 @@ class Profiler {
   /// Per-region totals in RegionMap order plus a final "other" bucket.
   /// The cycle fields partition total().cycles exactly.
   std::vector<RegionStat> region_stats() const;
+  /// Cycles attributed to the regions named `name` (0 when none).
+  u64 region_cycles(std::string_view name) const;
 
   const std::array<SiteStat, static_cast<size_t>(isa::Mnemonic::kCount)>&
   by_mnemonic() const {

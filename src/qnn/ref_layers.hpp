@@ -6,11 +6,13 @@
 //   - weights: signed two's complement, `w_bits` wide;
 //   - convolution accumulates act * weight in 32 bits; for sub-byte outputs
 //     the accumulator must fit in int16 (the quantization unit consumes
-//     16-bit pre-activations) — the reference asserts this;
+//     16-bit pre-activations) — the reference throws SimError otherwise;
 //   - sub-byte outputs re-quantize through per-channel staircase
 //     thresholds; 8-bit outputs use the PULP-NN scale path
 //     out = clamp((acc + bias) >> shift, 0, 255).
 #pragma once
+
+#include <string_view>
 
 #include "qnn/tensor.hpp"
 #include "qnn/thresholds.hpp"
@@ -49,9 +51,28 @@ struct ConvSpec {
   }
 };
 
-/// 32-bit pre-activation (accumulator) of one output element.
-i32 conv_accumulate(const Tensor& in, const FilterBank& w, const ConvSpec& s,
-                    int oy, int ox, int oc);
+/// 32-bit pre-activations (accumulators) of a whole layer in HWC order
+/// (out_h x out_w x out_c): one host convolution pass with the padding
+/// bounds hoisted per kernel tap. The calibration and the golden output
+/// of a layer both derive from this one pass. Layers with sub-byte outputs
+/// feed the 16-bit quantization unit, so there an accumulator outside
+/// int16 throws SimError naming `layer` (the geometry when empty), the
+/// coordinate (oy, ox, oc) and the value.
+Tensor conv_accumulators(const Tensor& in, const FilterBank& w,
+                         const ConvSpec& s, std::string_view layer = {});
+
+/// Output codes from a layer's accumulators: per-channel staircase
+/// thresholds for sub-byte outputs, the scale/clamp path for 8-bit ones.
+Tensor requantize(const Tensor& acc, const ConvSpec& s,
+                  const LayerThresholds& th);
+
+/// Calibrate a layer on its accumulators, as scale selection and threshold
+/// training would. 8-bit outputs get the smallest `s.requant_shift` that
+/// maps the largest accumulator into 0..255. Sub-byte outputs get `th`:
+/// staircase thresholds at the accumulator quantiles, per channel, or
+/// shared layer-global ones when a channel has fewer than 2 * 2^out_bits
+/// positions (e.g. fully-connected layers).
+void calibrate(const Tensor& acc, ConvSpec& s, LayerThresholds& th);
 
 /// Full conv layer with staircase re-quantization (out_bits in {2, 4}).
 Tensor conv2d_ref(const Tensor& in, const FilterBank& w,

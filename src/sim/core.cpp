@@ -350,10 +350,9 @@ void Core::hwloop_backedge(addr_t after) {
         next_pc_ = hwl_start_[l];
         perf_.hwloop_backedges += 1;
         if (cfg_.superblock && !ref_dispatch_) {
-          // The loop body is hot by definition; try to fuse the remaining
-          // iterations at the next instruction boundary.
-          sb_candidate_ = hwl_start_[l];
-          sb_candidate_branch_ = 0;
+          // Promote on backedge heat like branch loops, so one-shot loops
+          // with a few trips never compile a plan.
+          sb_note_backedge(0, hwl_start_[l]);
         }
       } else {
         hwl_count_[l] = 0;  // final iteration: fall through
@@ -464,7 +463,7 @@ u64 Core::run_burst(cycles_t horizon, u64 max_instructions) {
   // first instruction boundary at or past `horizon`. The horizon is
   // published through burst_due_ so fused superblock bursts stop at the
   // same boundary a per-instruction run would (armed single-step plus the
-  // prefix repair tables — see sb_execute_impl). The burst_due_ reset must
+  // prefix repair — see sb_execute_impl). The burst_due_ reset must
   // survive guest faults: a dangling horizon would silently truncate every
   // later superblock burst.
   u64 executed = 0;
@@ -1016,9 +1015,10 @@ void Core::exec_hwloop(const Instr& in) {
       hwl_end_[l] = pc_ + static_cast<u32>(in.imm);
       // lp_setupi carries a 5-bit immediate count in the rs1 field.
       hwl_count_[l] = in.op == M::kLpSetup ? reg(in.rs1) : in.rs1;
-      if (cfg_.superblock && !ref_dispatch_ && hwl_count_[l] > 1) {
-        // The next instruction is the loop start: fuse the whole loop from
-        // iteration one instead of waiting for the first backedge.
+      if (cfg_.superblock && !ref_dispatch_ && hwl_count_[l] > 1 &&
+          sb_find(hwl_start_[l]) != nullptr) {
+        // The next instruction is the start of a loop that already has a
+        // plan: fuse it from iteration one.
         sb_candidate_ = hwl_start_[l];
         sb_candidate_branch_ = 0;
       }

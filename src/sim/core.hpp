@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -147,7 +148,7 @@ struct SuperblockStats {
   u64 mpc_evictions = 0;
   /// Bursts repaired to an exact instruction boundary because the cycle
   /// counter crossed a sampling deadline mid-burst (xtel). Uses the same
-  /// prefix-delta repair tables as smc_bails, so the surfaced counters are
+  /// prefix-delta repair as smc_bails, so the surfaced counters are
   /// bit-identical to the interpreter's at that boundary.
   u64 sample_flushes = 0;
   /// Bursts repaired to an exact instruction boundary because the cycle
@@ -466,12 +467,13 @@ class Core {
   SuperblockPlan* sb_compile(addr_t start, addr_t branch_pc);
   u64 sb_execute(SuperblockPlan& plan, u64 budget);
   /// `Sampled` arms per-iteration/per-op sampling-deadline checks that
-  /// repair the burst to an exact boundary via the plan's prefix tables.
+  /// repair the burst to an exact boundary via the plan's op prefixes.
   template <bool Sampled>
   u64 sb_execute_impl(SuperblockPlan& plan, u64 budget);
   void sb_exit(SuperblockPlan& plan);
-  /// Heat counter for taken backward conditional branches; promotes the
-  /// target to a superblock candidate past the threshold.
+  /// Heat counter for loop backedges: taken backward conditional branches
+  /// (`branch_pc` != 0) and hardware-loop backedges (`branch_pc` == 0).
+  /// Promotes the target to a superblock candidate past the threshold.
   void sb_note_backedge(addr_t branch_pc, addr_t target);
   void sb_invalidate_range(addr_t a, unsigned size);
   void sb_recompute_extent();
@@ -564,10 +566,12 @@ class Core {
   };
 
   /// Block start the run loop should try to fuse at the next instruction
-  /// boundary (set by hwloop setup/backedges and hot backward branches).
+  /// boundary (set by hot loop backedges, and by hwloop setup when the
+  /// loop already has a plan).
   addr_t sb_candidate_ = kNoSbCandidate;
   addr_t sb_candidate_branch_ = 0;  // backedge pc for branch candidates
-  std::vector<std::unique_ptr<SuperblockPlan>> sb_plans_;
+  /// Compiled plans indexed by start pc (at most one plan per start).
+  std::unordered_map<addr_t, std::unique_ptr<SuperblockPlan>> sb_plans_;
   /// Regions that failed static eligibility, so hot-but-uncompilable
   /// loops don't re-walk the block on every backedge. Range-keyed: a
   /// store into the region clears the record (the patched code may now

@@ -78,11 +78,12 @@ void add_counters(PerfCounters& dst, const PerfCounters& d) {
 }
 
 /// Static per-op accounting, batched into the per-iteration delta (and the
-/// repair prefixes). Must mirror the fused op bodies in sb_execute():
-/// fully-inlined kinds batch their class counter here; kAluImm/kAluReg/
-/// kHandler ops run the existing exec helpers, which charge class counters
-/// and static stalls (mulh latency, qnt compare cycles) eagerly, so only
-/// the base cycle/instruction and intra-block hazard are batched for them.
+/// mid-iteration repair, add_prefix). Must mirror the fused op bodies in
+/// sb_execute(): fully-inlined kinds batch their class counter here;
+/// kAluImm/kAluReg/kHandler ops run the existing exec helpers, which charge
+/// class counters and static stalls (mulh latency, qnt compare cycles)
+/// eagerly, so only the base cycle/instruction and intra-block hazard are
+/// batched for them.
 void op_static_delta(const SbOp& o, PerfCounters& d, mem::MemStats& m) {
   d.instructions += 1;
   d.cycles += 1 + o.hazard;
@@ -119,6 +120,16 @@ void op_static_delta(const SbOp& o, PerfCounters& d, mem::MemStats& m) {
     default:
       break;
   }
+}
+
+/// Batched static deltas of ops [0, k) into the live counters: the repair
+/// a mid-iteration exit applies. Rare, so recomputed from the ops instead
+/// of tabled per op.
+void add_prefix(PerfCounters& perf, mem::Memory& mem,
+                const SuperblockPlan& plan, size_t k) {
+  mem::MemStats m{};
+  for (size_t j = 0; j < k; ++j) op_static_delta(plan.ops[j], perf, m);
+  mem.add_counts(m);
 }
 
 #ifdef XPULP_SB_HOST_SIMD
@@ -243,9 +254,20 @@ bool is_conditional_branch(Mnemonic op) {
 }  // namespace
 
 void Core::sb_note_backedge(addr_t branch_pc, addr_t target) {
-  SbHeatEntry& e = sb_heat_[(branch_pc >> 1) & (kSbHeatSize - 1)];
-  if (e.pc != branch_pc) {
-    e.pc = branch_pc;
+  // One promotion rule for both loop kinds: kSbHeatThreshold backedges,
+  // counted across entries of the loop. Branch loops are keyed by the
+  // branch pc, hardware loops (branch_pc == 0) by their start pc with the
+  // low bit set (pcs are even), so the two kinds never share a counter.
+  // A hardware loop that already has a plan re-enters it directly.
+  if (branch_pc == 0 && sb_find(target) != nullptr) {
+    sb_candidate_ = target;
+    sb_candidate_branch_ = 0;
+    return;
+  }
+  const addr_t key = branch_pc != 0 ? branch_pc : target | 1u;
+  SbHeatEntry& e = sb_heat_[(key >> 1) & (kSbHeatSize - 1)];
+  if (e.pc != key) {
+    e.pc = key;
     e.count = 1;
     return;
   }
@@ -257,18 +279,15 @@ void Core::sb_note_backedge(addr_t branch_pc, addr_t target) {
 }
 
 SuperblockPlan* Core::sb_find(addr_t start) {
-  // Linear scan: a program has a handful of hot loops, not hundreds.
-  for (const auto& p : sb_plans_) {
-    if (p->start == start) return p.get();
-  }
-  return nullptr;
+  const auto it = sb_plans_.find(start);
+  return it != sb_plans_.end() ? it->second.get() : nullptr;
 }
 
 void Core::sb_recompute_extent() {
   sb_lo_ = ~addr_t{0};
   sb_hi_ = 0;
-  for (const auto& p : sb_plans_) {
-    sb_lo_ = std::min(sb_lo_, p->start);
+  for (const auto& [start, p] : sb_plans_) {
+    sb_lo_ = std::min(sb_lo_, start);
     sb_hi_ = std::max(sb_hi_, p->end);
   }
   if (sb_plans_.empty()) sb_lo_ = sb_hi_ = 0;
@@ -279,7 +298,7 @@ void Core::sb_invalidate_range(addr_t a, unsigned size) {
   const u64 se = sa + size;
   bool changed = false;
   for (auto it = sb_plans_.begin(); it != sb_plans_.end();) {
-    SuperblockPlan& p = **it;
+    SuperblockPlan& p = *it->second;
     if (se > p.start && sa < p.end) {
       sb_stats_.invalidations += 1;
       changed = true;
@@ -317,7 +336,7 @@ void Core::sb_evict_mixed_plans() {
   // live-plan handling for safety.
   bool changed = false;
   for (auto it = sb_plans_.begin(); it != sb_plans_.end();) {
-    SuperblockPlan& p = **it;
+    SuperblockPlan& p = *it->second;
     if (p.uses_mixed) {
       sb_stats_.invalidations += 1;
       sb_stats_.mpc_evictions += 1;
@@ -540,20 +559,17 @@ SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
     plan->max_dyn_iter = dyn;
   }
 
-  // Batched static accounting: per-op prefixes for mid-iteration repair,
-  // plus the full-iteration deltas the fused loop applies.
+  // Batched static accounting: per-op cycle prefixes for boundary
+  // coordinates, plus the full-iteration deltas the fused loop applies.
   const size_t n = plan->ops.size();
-  plan->perf_prefix.resize(n + 1);
-  plan->mem_prefix.resize(n + 1);
+  plan->cycle_prefix.resize(n + 1);
   PerfCounters pacc{};
   mem::MemStats macc{};
   for (size_t i = 0; i < n; ++i) {
-    plan->perf_prefix[i] = pacc;
-    plan->mem_prefix[i] = macc;
+    plan->cycle_prefix[i] = pacc.cycles;
     op_static_delta(plan->ops[i], pacc, macc);
   }
-  plan->perf_prefix[n] = pacc;
-  plan->mem_prefix[n] = macc;
+  plan->cycle_prefix[n] = pacc.cycles;
   plan->iter_mem = macc;
   if (is_hwloop) {
     plan->iter_perf = pacc;
@@ -586,8 +602,8 @@ SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
   }
 
   sb_stats_.blocks_compiled += 1;
-  sb_plans_.push_back(std::move(plan));
-  SuperblockPlan* out = sb_plans_.back().get();
+  SuperblockPlan* out = plan.get();
+  sb_plans_.emplace(start, std::move(plan));
   sb_recompute_extent();
   return out;
 }
@@ -611,12 +627,8 @@ u64 Core::superblock_enter(addr_t start, addr_t branch_pc, u64 budget) {
 void Core::sb_exit(SuperblockPlan& plan) {
   sb_active_ = nullptr;
   if (plan.dead) {
-    for (auto it = sb_plans_.begin(); it != sb_plans_.end(); ++it) {
-      if (it->get() == &plan) {
-        sb_plans_.erase(it);
-        break;
-      }
-    }
+    const addr_t start = plan.start;  // the key must outlive the plan
+    sb_plans_.erase(start);
     sb_recompute_extent();
   }
   sb_active_dirty_ = false;
@@ -727,7 +739,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
   // every access flows through access_stalls()/the handler's access_cycles.
   // Latch the exact reference coordinates (pc, instruction-start cycle,
   // access cycle) the hook reads via access_pc()/access_start()/
-  // access_cycle() — the same prefix arithmetic as the repair tables, plus
+  // access_cycle() — the same cycle-prefix arithmetic as the repair, plus
   // the op's own hazard, which the step paths charge before the access.
   const bool latch = mem_.has_access_hook();
 
@@ -735,7 +747,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
   // a burst, so cycles < due here. The true cycle count at any boundary
   // inside the burst is perf_.cycles (entry value + eager dynamic charges)
   // + done * iter_cycles (batched statics of completed iterations)
-  // + the current iteration's static prefix — exactly the repair-table
+  // + the current iteration's static cycle prefix — exactly the repair
   // arithmetic, so a deadline crossing is detected at the same boundary
   // the interpreter would sample at. An iteration whose worst-case end
   // cannot reach the deadline ("unarmed") runs at full fused speed; with
@@ -850,7 +862,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
             if (latch) {
               hook_pc_ = plan.op_pc[i];
               hook_start_ = perf_.cycles + done * c_iter +
-                            plan.perf_prefix[i].cycles - (i == 0 ? hz : 0);
+                            plan.cycle_prefix[i] - (i == 0 ? hz : 0);
               hook_cycle_ = hook_start_ + (i == 0 ? hz : o.hazard);
             }
             const unsigned stalls = mem_.access_stalls(base, 4, false);
@@ -860,7 +872,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
             }
           } else if (sink_log) {
             const cycles_t s = perf_.cycles + done * c_iter +
-                               plan.perf_prefix[i].cycles -
+                               plan.cycle_prefix[i] -
                                (i == 0 ? hz : 0);
             burst_sink_->push_back(
                 {s, plan.op_pc[i], base,
@@ -965,7 +977,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
               if (latch) {
                 hook_pc_ = plan.op_pc[i];
                 hook_start_ = perf_.cycles + done * c_iter +
-                              plan.perf_prefix[i].cycles - (i == 0 ? hz : 0);
+                              plan.cycle_prefix[i] - (i == 0 ? hz : 0);
                 hook_cycle_ = hook_start_ + (i == 0 ? hz : o.hazard);
               }
               const unsigned stalls = mem_.access_stalls(addr, o.aux, store);
@@ -979,7 +991,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
               // accesses took the access_stalls branch, whose hook call
               // appends to the same log — program order is preserved).
               const cycles_t s = perf_.cycles + done * c_iter +
-                                 plan.perf_prefix[i].cycles -
+                                 plan.cycle_prefix[i] -
                                  (i == 0 ? hz : 0);
               burst_sink_->push_back(
                   {s, plan.op_pc[i], addr,
@@ -1056,7 +1068,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
             if (latch) [[unlikely]] {
               hook_pc_ = plan.op_pc[i];
               hook_start_ = perf_.cycles + done * c_iter +
-                            plan.perf_prefix[i].cycles - (i == 0 ? hz : 0);
+                            plan.cycle_prefix[i] - (i == 0 ? hz : 0);
               hook_cycle_ = hook_start_ + (i == 0 ? hz : o.hazard);
             }
             (this->*kExecTable[static_cast<size_t>(o.cls)])(plan.instrs[i]);
@@ -1070,7 +1082,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
           // boundary is the same and the repair identical).
           if (armed && completed == n &&
               perf_.cycles + done * c_iter +
-                      plan.perf_prefix[i + 1].cycles >= due) [[unlikely]] {
+                      plan.cycle_prefix[i + 1] >= due) [[unlikely]] {
             if (i + 1 < n) {
               completed = i + 1;
               sample_break = true;
@@ -1092,8 +1104,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
         // batched statics for the completed ops (the iteration-entry
         // hazard was charged eagerly above), pc at the next op, last-load
         // tracking from the op before it.
-        add_counters(perf_, plan.perf_prefix[completed]);
-        mem_.add_counts(plan.mem_prefix[completed]);
+        add_prefix(perf_, mem_, plan, completed);
         pc_ = plan.op_pc[completed];
         last_load_rd_ = load_dest(ops[completed - 1]);
         retired += completed;
@@ -1122,8 +1133,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
           // sampling deadline landed on the pre-branch boundary. Bail at
           // the branch boundary so it re-runs interpreted (from fresh
           // decode / after the sample fires).
-          add_counters(perf_, plan.perf_prefix[n]);
-          mem_.add_counts(plan.mem_prefix[n]);
+          add_prefix(perf_, mem_, plan, n);
           pc_ = plan.op_pc[n];
           if (n != 0) last_load_rd_ = load_dest(ops[n - 1]);
           retired += n;
@@ -1181,8 +1191,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
     add_scaled(perf_, plan.iter_perf, done);
     mem_.add_counts(plan.iter_mem, done);
     if (plan.is_hwloop) hwl_count_[l] -= static_cast<u32>(done);
-    add_counters(perf_, plan.perf_prefix[i]);
-    mem_.add_counts(plan.mem_prefix[i]);
+    add_prefix(perf_, mem_, plan, i);
     if (i > 0) {
       const unsigned hzf = ops[i].hazard;
       if (hzf != 0) {

@@ -92,10 +92,12 @@ struct SuperblockPlan {
   std::vector<addr_t> op_pc;
   SbOp branch{};  // branch plans: the terminal conditional branch
 
-  /// prefix[i] = batched static deltas of ops [0, i) — the repair applied
-  /// when a memory fault or self-modifying store exits mid-iteration.
-  std::vector<PerfCounters> perf_prefix;
-  std::vector<mem::MemStats> mem_prefix;
+  /// cycle_prefix[i] = batched static cycles of ops [0, i) (ops.size()+1
+  /// entries): the exact cycle of every op boundary inside an iteration,
+  /// for deadline checks and access-hook coordinates. The full counter
+  /// prefix a mid-iteration exit repairs with (fault, self-modifying
+  /// store, deadline) is recomputed from the ops on that rare path.
+  std::vector<u64> cycle_prefix;
   PerfCounters iter_perf;  // one full iteration (hwloop body / branch taken)
   PerfCounters exit_perf;  // branch plans: final, not-taken iteration
   mem::MemStats iter_mem;

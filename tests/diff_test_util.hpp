@@ -51,10 +51,12 @@ inline FinalState run_mode(const xasm::Program& prog, sim::CoreConfig cfg,
 }
 
 /// Third dispatch mode: the fast path with the superblock engine forced
-/// on, regardless of the XPULP_SUPERBLOCK environment default.
+/// on, regardless of the XPULP_SUPERBLOCK environment default. `stats`,
+/// when given, receives the engine's coverage counters.
 inline FinalState run_mode_superblock(const xasm::Program& prog,
                                       sim::CoreConfig cfg,
-                                      u64 max_instr = 2'000'000) {
+                                      u64 max_instr = 2'000'000,
+                                      sim::SuperblockStats* stats = nullptr) {
   cfg.reference_dispatch = false;
   cfg.superblock = true;
   mem::Memory mem;
@@ -62,6 +64,7 @@ inline FinalState run_mode_superblock(const xasm::Program& prog,
   sim::Core core(mem, std::move(cfg));
   core.reset(prog.entry(), prog.base() + prog.size_bytes());
   core.run(max_instr);
+  if (stats != nullptr) *stats = core.superblock_stats();
   return final_state_of(core, mem);
 }
 
@@ -165,6 +168,8 @@ inline void random_op(xasm::Assembler& a, Rng& rng) {
 /// A random but always-terminating program: straight-line blocks mixed
 /// with forward branches, immediate-compare branches and nested hardware
 /// loops (the structures whose dispatch differs most between the modes).
+/// Short loops entered once stay interpreted under the superblock heat
+/// rule; the long and the re-entered hardware loops get hot and fuse.
 inline xasm::Program random_program(u64 seed) {
   Rng rng(seed);
   xasm::Assembler a(0);
@@ -173,7 +178,7 @@ inline xasm::Program random_program(u64 seed) {
 
   const int blocks = 12;
   for (int b = 0; b < blocks; ++b) {
-    switch (rng.uniform(0, 3)) {
+    switch (rng.uniform(0, 5)) {
       case 0: {  // plain straight-line block
         for (int i = 0; i < 12; ++i) random_op(a, rng);
         break;
@@ -204,6 +209,24 @@ inline xasm::Program random_program(u64 seed) {
         const xasm::Assembler::Label end0 = a.new_label();
         a.lp_setup(1, xasm::reg::s1, end1);
         a.lp_setupi(0, static_cast<u32>(rng.uniform(2, 4)), end0);
+        for (int i = 0; i < 3; ++i) random_op(a, rng);
+        a.bind(end0);
+        random_op(a, rng);
+        a.bind(end1);
+        break;
+      }
+      case 4: {  // hot hardware loop: more trips than the heat threshold
+        const xasm::Assembler::Label end = a.new_label();
+        a.lp_setupi(0, static_cast<u32>(rng.uniform(17, 31)), end);
+        for (int i = 0; i < 4; ++i) random_op(a, rng);
+        a.bind(end);
+        break;
+      }
+      case 5: {  // short inner loop re-entered until it gets hot
+        const xasm::Assembler::Label end1 = a.new_label();
+        const xasm::Assembler::Label end0 = a.new_label();
+        a.lp_setup(1, xasm::reg::s1, end1);
+        a.lp_setupi(0, static_cast<u32>(rng.uniform(7, 12)), end0);
         for (int i = 0; i < 3; ++i) random_op(a, rng);
         a.bind(end0);
         random_op(a, rng);

@@ -2,6 +2,9 @@
 // per-layer golden checks, across bitwidths, variants, and cores.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "kernels/network.hpp"
 
@@ -146,6 +149,25 @@ TEST(Network, PrecisionFlowsToFollowingLayers) {
   EXPECT_EQ(net.activation_bits(), 4u);
   // 4-bit activations x 8-bit weights is not an mpc pair.
   EXPECT_THROW(net.linear(10, {/*w_bits=*/8, /*out_bits=*/8}), SimError);
+}
+
+TEST(Network, OverRangePreActivationThrowsNamingLayer) {
+  // 8-bit activations and weights into a 4-bit output overflow the 16-bit
+  // pre-activation range of the quantization unit. The runner must refuse
+  // the layer, naming it, instead of golden-checking a clamped staircase.
+  Network net({4, 4, 32}, 8, 3);
+  net.conv(8, 3, 1, {/*w_bits=*/8, /*out_bits=*/4});
+  qnn::Tensor in({4, 4, 32});
+  for (i32& v : in.data()) v = 255;
+  try {
+    (void)net.run(in, sim::CoreConfig::extended());
+    FAIL() << "over-range layer ran";
+  } catch (const SimError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("conv0"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("(oy, ox, oc) = ("), std::string::npos) << msg;
+    EXPECT_NE(msg.find("pre-activation"), std::string::npos) << msg;
+  }
 }
 
 }  // namespace

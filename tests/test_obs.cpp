@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -256,11 +257,17 @@ TEST(Profiler, ReconcilesOnConvKernelBothDispatchPaths) {
     }
     EXPECT_EQ(sum, core.perf().cycles);
 
-    // Cross-check against run_conv_layer's quant attribution (which uses
-    // its own Profiler internally): the same workload must agree.
-    const auto res = kernels::run_conv_layer(data, ConvVariant::kXpulpNN_HwQ,
-                                             cfg);
-    EXPECT_EQ(quant, res.quant_cycles);
+    // Cross-check against a profiler attached through run_conv_layer's
+    // hooks: the same workload must attribute the same quant cycles.
+    std::optional<Profiler> hooked;
+    kernels::run_conv_layer(
+        data, ConvVariant::kXpulpNN_HwQ, cfg, {},
+        [&](sim::Core& c, const kernels::ConvKernel& k) {
+          hooked.emplace(c, k.regions);
+        },
+        [&](sim::Core&, const kernels::ConvKernel&) { hooked->finalize(); });
+    EXPECT_EQ(quant, hooked->region_cycles("quant"));
+    EXPECT_EQ(quant, prof.region_cycles("quant"));
     EXPECT_GT(quant, 0u);
   }
 }

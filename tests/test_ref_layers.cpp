@@ -1,5 +1,5 @@
 // Golden reference layers: internal consistency (im2col x filter ==
-// accumulate), pooling/ReLU semantics, and the layer-data generator's
+// accumulators), pooling/ReLU semantics, and the layer-data generator's
 // invariants.
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@ ConvSpec small_spec(unsigned bits) {
 TEST(RefLayers, Im2colMatchesAccumulate) {
   const ConvSpec s = small_spec(4);
   auto data = kernels::ConvLayerData::random(s, 1);
+  const Tensor acc = conv_accumulators(data.input, data.weights, s);
   for (int oy : {0, 2, 5}) {
     for (int ox : {0, 3, 5}) {
       const auto col = im2col_ref(data.input, s, oy, ox);
@@ -30,7 +31,7 @@ TEST(RefLayers, Im2colMatchesAccumulate) {
         for (int i = 0; i < s.filter_elems(); ++i) {
           dot += col[static_cast<size_t>(i)] * data.weights.flat(oc, i);
         }
-        EXPECT_EQ(dot, conv_accumulate(data.input, data.weights, s, oy, ox, oc));
+        EXPECT_EQ(dot, acc.at(oy, ox, oc));
       }
     }
   }
@@ -65,10 +66,11 @@ TEST(RefLayers, ConvRefAppliesPerChannelThresholds) {
   const ConvSpec s = small_spec(2);
   auto data = kernels::ConvLayerData::random(s, 2);
   const Tensor out = conv2d_ref(data.input, data.weights, data.thresholds, s);
+  const Tensor accs = conv_accumulators(data.input, data.weights, s);
   for (int oy = 0; oy < s.out_h(); ++oy) {
     for (int ox = 0; ox < s.out_w(); ++ox) {
       for (int oc = 0; oc < s.out_c; ++oc) {
-        const i32 acc = conv_accumulate(data.input, data.weights, s, oy, ox, oc);
+        const i32 acc = accs.at(oy, ox, oc);
         EXPECT_EQ(out.at(oy, ox, oc),
                   static_cast<i32>(data.thresholds.channel(oc).quantize(acc)));
       }

@@ -350,5 +350,123 @@ TEST(Superblock, CsrWriteInsideHotLoopNeverFuses) {
   expect_identical(ref, sb);
 }
 
+// ---- plan cache: heat-gated promotion and the start-pc index ----
+
+TEST(SuperblockPlanCache, OneShotHwloopsCompileNoPlans) {
+  // Many distinct hardware loops, each entered once for a few trips (the
+  // shape of the conv generator's per-pixel im2col loops): none gets hot,
+  // so none compiles, and the result is still bit-identical.
+  xasm::Assembler a(0);
+  a.li(r::s0, kData);
+  a.li(r::a0, 0);
+  for (int k = 0; k < 200; ++k) {
+    const xasm::Assembler::Label end = a.new_label();
+    a.lp_setupi(0, 6, end);
+    a.lbu(r::t0, r::s0, k);
+    a.add(r::a0, r::a0, r::t0);
+    a.bind(end);
+  }
+  a.ecall();
+  const xasm::Program prog = a.finish();
+
+  sim::SuperblockStats stats;
+  const FinalState ref = run_prog(prog, true, false);
+  const FinalState fast = run_prog(prog, false, false);
+  const FinalState sb = run_prog(prog, false, true, &stats);
+  ASSERT_EQ(ref.reason, sim::HaltReason::kEcall);
+  EXPECT_EQ(stats.blocks_compiled, 0u);
+  EXPECT_EQ(stats.entries, 0u);
+  expect_identical(ref, fast);
+  expect_identical(ref, sb);
+}
+
+/// An outer branch loop entering the same 24-trip hardware loop `passes`
+/// times. With `patch`, every pass ends by storing the loop's first
+/// instruction word back over itself: a self-modifying store that changes
+/// no behaviour but evicts the compiled plan.
+xasm::Program reentry_program(int passes, bool patch) {
+  const auto build = [&](addr_t target_guess, addr_t* target_out) {
+    xasm::Assembler a(0);
+    a.li(r::s5, passes);
+    a.li(r::a0, 0);
+    a.li(r::t2, static_cast<i32>(target_guess));
+    const xasm::Assembler::Label outer = a.here();
+    a.li(r::s0, kData);
+    const xasm::Assembler::Label end = a.new_label();
+    a.lp_setupi(0, 24, end);
+    *target_out = a.current_addr();
+    a.p_lw_post(r::t0, r::s0, 4);
+    a.add(r::a0, r::a0, r::t0);
+    a.bind(end);
+    if (patch) {
+      a.lw(r::t1, r::t2, 0);
+      a.sw(r::t1, r::t2, 0);
+    }
+    a.addi(r::s5, r::s5, -1);
+    a.bne(r::s5, r::zero, outer);
+    a.ecall();
+    return a.finish();
+  };
+  // Two-pass assembly: guess and target both fit the 12-bit li form, so
+  // the layout is identical across passes.
+  addr_t target = 0;
+  build(64, &target);
+  addr_t check = 0;
+  const xasm::Program prog = build(target, &check);
+  EXPECT_EQ(check, target);
+  return prog;
+}
+
+TEST(SuperblockPlanCache, ReenteredHwloopReusesItsPlan) {
+  // The first pass promotes the loop on backedge heat and compiles it;
+  // every later pass finds the plan through the index at lp.setup and
+  // fuses all 24 iterations.
+  const xasm::Program prog = reentry_program(5, false);
+  sim::SuperblockStats stats;
+  const FinalState ref = run_prog(prog, true, false);
+  const FinalState fast = run_prog(prog, false, false);
+  const FinalState sb = run_prog(prog, false, true, &stats);
+  ASSERT_EQ(ref.reason, sim::HaltReason::kEcall);
+  EXPECT_EQ(stats.blocks_compiled, 1u);
+  EXPECT_EQ(stats.entries, 5u);
+  EXPECT_EQ(stats.fused_iterations, (24u - 16u) + 4u * 24u);
+  expect_identical(ref, fast);
+  expect_identical(ref, sb);
+}
+
+TEST(SuperblockPlanCache, SmcInvalidatedPlanRecompilesOnNextHotEntry) {
+  // The self-modifying store after each pass drops the plan from the
+  // index; the next pass interprets until the loop is hot again and
+  // recompiles it, rather than finding a stale plan.
+  const xasm::Program prog = reentry_program(3, true);
+  sim::SuperblockStats stats;
+  const FinalState ref = run_prog(prog, true, false);
+  const FinalState fast = run_prog(prog, false, false);
+  const FinalState sb = run_prog(prog, false, true, &stats);
+  ASSERT_EQ(ref.reason, sim::HaltReason::kEcall);
+  EXPECT_EQ(stats.blocks_compiled, 3u);
+  EXPECT_EQ(stats.invalidations, 3u);
+  EXPECT_EQ(stats.fused_iterations, 3u * (24u - 16u));
+  expect_identical(ref, fast);
+  expect_identical(ref, sb);
+}
+
+TEST(SuperblockPlanCache, MpcEvictedPlanRecompilesOnNextHotEntry) {
+  // Each pass of the mpc-flip program ends with a selector write that
+  // evicts the plan baked with the old selector; every pass recompiles
+  // once the loop is hot again.
+  const xasm::Program prog = mpc_flip_program();
+  sim::SuperblockStats stats;
+  const FinalState ref = run_prog(prog, true, false);
+  const FinalState fast = run_prog(prog, false, false);
+  const FinalState sb = run_prog(prog, false, true, &stats);
+  ASSERT_EQ(ref.reason, sim::HaltReason::kEcall);
+  EXPECT_EQ(stats.blocks_compiled, 3u);
+  EXPECT_EQ(stats.mpc_evictions, 3u);
+  EXPECT_EQ(stats.fused_iterations, 3u * (24u - 16u));
+  expect_identical(ref, fast);
+  expect_identical(ref, sb);
+}
+
 }  // namespace
 }  // namespace xpulp
