@@ -1,7 +1,8 @@
 // Host-throughput benchmark of the interpreter itself: simulated MIPS
-// (million instructions per host second) for the paper's convolution layer,
-// comparing the legacy switch-on-mnemonic reference interpreter against the
-// predecoded handler-table fast path. Both modes are cycle-identical by
+// (million instructions per host second) for the paper's convolution layer
+// (8-bit RI5CY; 4-bit, 2-bit and mixed 8x4 / 4x2 XpulpNN), comparing the
+// legacy switch-on-mnemonic reference interpreter against the predecoded
+// handler-table fast path and the superblock engine. Both modes are cycle-identical by
 // construction (see test_dispatch_diff); this bench quantifies the host
 // speed gained by moving classification work to decode time.
 //
@@ -19,7 +20,6 @@
 #include "mem/memory.hpp"
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
-#include "qnn/pack.hpp"
 #include "sim/core.hpp"
 
 using namespace xpulp;
@@ -30,8 +30,8 @@ namespace {
 
 struct Workload {
   std::string platform;
-  std::string variant;
-  unsigned bits = 0;
+  std::string variant;  // kernel variant, plus its width if not the default
+  unsigned bits = 0;    // activation width
   kernels::ConvKernel kernel;
   mem::Memory pristine;  // loaded program + layer data, untouched by runs
   sim::CoreConfig cfg;
@@ -47,25 +47,28 @@ struct Measurement {
   }
 };
 
-Workload make_workload(unsigned bits, ConvVariant v, sim::CoreConfig cfg) {
-  const auto data =
-      kernels::ConvLayerData::random(qnn::ConvSpec::paper_layer(bits), kSeed);
-  const qnn::ConvSpec& spec = data.spec;  // requant_shift calibrated
+/// The paper layer with `in_bits` activations and `w_bits` weights; the
+/// mixed pairs keep 8-bit outputs (shift/clip path), as bench_mixed does.
+Workload make_workload(unsigned in_bits, unsigned w_bits, ConvVariant v,
+                       sim::CoreConfig cfg) {
+  qnn::ConvSpec spec = qnn::ConvSpec::paper_layer(in_bits);
+  std::string variant = kernels::variant_name(v);
+  if (w_bits != in_bits) {
+    spec.w_bits = w_bits;
+    spec.out_bits = 8;
+    variant += "-" + std::to_string(in_bits) + "x" + std::to_string(w_bits);
+  } else if (v == ConvVariant::kXpulpNN_HwQ && in_bits != 4) {
+    variant += "-" + std::to_string(in_bits) + "b";
+  }
+  const auto data = kernels::ConvLayerData::random(spec, kSeed);
   Workload w{cfg.name,
-             kernels::variant_name(v),
-             bits,
-             kernels::generate_conv_kernel(spec, v, 0x40000),
+             std::move(variant),
+             in_bits,
+             kernels::generate_conv_kernel(data.spec, v, 0x40000),
              mem::Memory{},
              std::move(cfg)};
   w.kernel.program.load(w.pristine);
-  w.pristine.write_block(w.kernel.layout.input,
-                         qnn::pack_tensor(data.input, spec.in_bits));
-  w.pristine.write_block(w.kernel.layout.weights,
-                         qnn::pack_filter_bank(data.weights, spec.w_bits));
-  if (spec.out_bits != 8) {
-    w.pristine.write_block(w.kernel.layout.thresholds,
-                           data.thresholds.serialize());
-  }
+  kernels::load_conv_data(data, w.kernel.layout, w.pristine);
   return w;
 }
 
@@ -208,9 +211,15 @@ int main(int argc, char** argv) {
               "ref MIPS", "fast MIPS", "sb MIPS", "fast x", "sb x", "fused");
 
   std::vector<Workload> workloads;
-  workloads.push_back(
-      make_workload(8, ConvVariant::kXpulpV2_8b, sim::CoreConfig::ri5cy()));
-  workloads.push_back(make_workload(4, ConvVariant::kXpulpNN_HwQ,
+  workloads.push_back(make_workload(8, 8, ConvVariant::kXpulpV2_8b,
+                                    sim::CoreConfig::ri5cy()));
+  workloads.push_back(make_workload(4, 4, ConvVariant::kXpulpNN_HwQ,
+                                    sim::CoreConfig::extended()));
+  workloads.push_back(make_workload(2, 2, ConvVariant::kXpulpNN_HwQ,
+                                    sim::CoreConfig::extended()));
+  workloads.push_back(make_workload(8, 4, ConvVariant::kXpulpNN_Mixed,
+                                    sim::CoreConfig::extended()));
+  workloads.push_back(make_workload(4, 2, ConvVariant::kXpulpNN_Mixed,
                                     sim::CoreConfig::extended()));
 
   obs::Registry reg;
@@ -261,8 +270,8 @@ int main(int argc, char** argv) {
 
   bool guard_ok = true;
   if (guard_sampler) {
-    // Guard on the extended-core workload (the hot configuration).
-    const GuardResult g = measure_sampler_guard(workloads.back());
+    // Guard on the 4-bit extended-core workload (the hot configuration).
+    const GuardResult g = measure_sampler_guard(workloads[1]);
     std::printf("idle-sampler guard: detached %.2f MIPS, idle %.2f MIPS "
                 "(%.1f%% retained, cycles %s)\n",
                 g.detached.mips(), g.idle.mips(), 100 * g.ratio(),

@@ -543,7 +543,15 @@ struct Gen {
   }
 
   void emit_pair_setup() {
-    a.addi(r::a1, r::a0, static_cast<i32>(lay.filter_stride));
+    // a1 = a0 + filter_stride; strides of 2048 bytes or more do not fit
+    // addi's 12-bit immediate.
+    const i32 stride = static_cast<i32>(lay.filter_stride);
+    if (stride < 2048) {
+      a.addi(r::a1, r::a0, stride);
+    } else {
+      a.li(r::a1, stride);
+      a.add(r::a1, r::a0, r::a1);
+    }
     a.li(r::a2, static_cast<i32>(buf0_addr()));
     if (two_pixels()) a.li(r::a3, static_cast<i32>(buf1_addr()));
     emit_acc_clear();

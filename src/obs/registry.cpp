@@ -250,6 +250,7 @@ void add_superblock_stats(Registry& r, std::string_view prefix,
   r.counter(pre + "entries", s.entries);
   r.counter(pre + "entry_rejects", s.entry_rejects);
   r.counter(pre + "fused_iterations", s.fused_iterations);
+  r.counter(pre + "macro_iterations", s.macro_iterations);
   r.counter(pre + "fused_instructions", s.fused_instructions);
   r.counter(pre + "smc_bails", s.smc_bails);
   r.counter(pre + "trap_bails", s.trap_bails);

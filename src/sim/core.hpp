@@ -138,6 +138,9 @@ struct SuperblockStats {
   u64 entries = 0;           // fused bursts entered
   u64 entry_rejects = 0;     // guard failures at entry (interpreter ran)
   u64 fused_iterations = 0;  // whole loop iterations retired fused
+  /// Of fused_iterations, those retired by a whole-iteration macro-op
+  /// (SbShape::kConvInner) instead of the generic op loop.
+  u64 macro_iterations = 0;
   u64 fused_instructions = 0;
   u64 smc_bails = 0;   // self-modifying store hit the live block
   u64 trap_bails = 0;  // memory fault repaired to an exact boundary

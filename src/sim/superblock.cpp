@@ -11,6 +11,7 @@
 #include "sim/superblock.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/bitops.hpp"
 #include "common/error.hpp"
@@ -132,73 +133,216 @@ void add_prefix(PerfCounters& perf, mem::Memory& mem,
   mem.add_counts(m);
 }
 
-#ifdef XPULP_SB_HOST_SIMD
-/// Host-SIMD dot kernels for the two hot SIMD widths (bytes and nibbles),
-/// bit-identical to dotp_lanes<W, false>: widen every lane to 16 bits with
-/// its operand's signedness, multiply-accumulate pairs into 32-bit lanes
-/// (a sum of <=8 products of 16-bit values cannot overflow 32 bits — this
-/// is why pmaddwd is used and not the saturating pmaddubsw), and fold.
-/// Lane sums wrap mod 2^32 exactly like the scalar kernel's u32 adds.
+/// The four dot products of the 2x2-blocked MatMul body (SbShape::
+/// kConvInner), [x0.w0, x1.w0, x0.w1, x1.w1]: rs1 words x0/x1 of WA-bit
+/// lanes against rs2 words w0/w1 of WB-bit lanes (conv_block below).
+using ConvDots = std::array<i32, 4>;
 
-inline i32 host_dot8(u32 a, u32 b, u32 sum, bool sa, bool sb) {
-  const __m128i va = _mm_cvtsi32_si128(static_cast<int>(a));
-  const __m128i vb = _mm_cvtsi32_si128(static_cast<int>(b));
-  const __m128i wa = sa ? _mm_cvtepi8_epi16(va) : _mm_cvtepu8_epi16(va);
-  const __m128i wb = sb ? _mm_cvtepi8_epi16(vb) : _mm_cvtepu8_epi16(vb);
-  const u64 q =
-      static_cast<u64>(_mm_cvtsi128_si64(_mm_madd_epi16(wa, wb)));
-  return static_cast<i32>(sum + static_cast<u32>(q) +
-                          static_cast<u32>(q >> 32));
+#ifdef XPULP_SB_HOST_SIMD
+/// Host-SIMD dot products, bit-identical to dotp_lanes/dotp_lanes_mixed
+/// for every lane width and signedness: each operand word expands once
+/// into byte lanes in ISA lane order (lanes<W>), whose products are summed
+/// in pairs into 16-bit lanes (pmaddubsw, sub-byte lanes) or into 32-bit
+/// lanes after sign extension to 16 bits (pmaddwd). Neither can overflow
+/// (or saturate) on these operand ranges; lane sums wrap mod 2^32 like
+/// the scalar kernels'.
+
+/// Lane i of the W-bit lanes packed in `v` as byte i (16 lanes at most:
+/// 64 bits of bytes or nibbles, 32 bits of crumbs). Sub-byte lanes are
+/// sign-extended into their byte via (x ^ h) - h where signed; byte lanes
+/// keep their raw bits (widen() applies the signedness).
+template <unsigned W>
+inline __m128i lanes(u64 v, bool sgn) {
+  const __m128i r = _mm_cvtsi64_si128(static_cast<long long>(v));
+  if constexpr (W == 8) {
+    return r;
+  } else {
+    const __m128i m = _mm_set1_epi8(static_cast<char>(low_mask(W)));
+    const auto field = [&](int shift) {
+      return _mm_and_si128(_mm_srli_epi16(r, shift), m);
+    };
+    __m128i l;
+    if constexpr (W == 4) {
+      l = _mm_unpacklo_epi8(field(0), field(4));
+    } else {
+      l = _mm_unpacklo_epi16(_mm_unpacklo_epi8(field(0), field(2)),
+                             _mm_unpacklo_epi8(field(4), field(6)));
+    }
+    if (sgn) {
+      const __m128i h = _mm_set1_epi8(static_cast<char>(1u << (W - 1)));
+      l = _mm_sub_epi8(_mm_xor_si128(l, h), h);
+    }
+    return l;
+  }
 }
 
-inline i32 host_dot4(u32 a, u32 b, u32 sum, bool sa, bool sb) {
-  // Spread the eight nibbles into eight bytes (even nibbles in the low
-  // half, odd in the high — lane order is irrelevant to a dot product as
-  // long as both operands use the same one), then sign-extend
-  // nibble-in-byte via the (x ^ 8) - 8 identity where signed.
-  const auto expand = [](u32 v) {
-    const u64 lo = v & 0x0F0F0F0Fu;
-    const u64 hi = (static_cast<u64>(v) >> 4) & 0x0F0F0F0Fu;
-    return _mm_cvtsi64_si128(static_cast<long long>(lo | hi << 32));
-  };
-  const __m128i k8 = _mm_set1_epi8(8);
-  __m128i va = expand(a);
-  __m128i vb = expand(b);
-  if (sa) va = _mm_sub_epi8(_mm_xor_si128(va, k8), k8);
-  if (sb) vb = _mm_sub_epi8(_mm_xor_si128(vb, k8), k8);
-  const __m128i wa = sa ? _mm_cvtepi8_epi16(va) : _mm_cvtepu8_epi16(va);
-  const __m128i wb = sb ? _mm_cvtepi8_epi16(vb) : _mm_cvtepu8_epi16(vb);
-  __m128i p = _mm_madd_epi16(wa, wb);
+inline __m128i widen(__m128i v, bool sgn) {
+  return sgn ? _mm_cvtepi8_epi16(v) : _mm_cvtepu8_epi16(v);
+}
+
+inline __m128i high_half(__m128i v) { return _mm_unpackhi_epi64(v, v); }
+
+/// The rs2 bits a WA x WB dot reads: mixed formats pack the 32/WA weights
+/// in the low (32/WA)*WB bits and ignore the rest.
+template <unsigned WA, unsigned WB>
+constexpr u32 weight_bits(u32 w) {
+  if constexpr (WB < WA) return w & low_mask(32 / WA * WB);
+  return w;
+}
+
+template <unsigned WA, unsigned WB = WA>
+inline i32 host_dot(u32 a, u32 b, u32 sum, bool sa, bool sb) {
+  const __m128i la = lanes<WA>(a, sa);
+  const __m128i lb = lanes<WB>(weight_bits<WA, WB>(b), sb);
+  __m128i p = _mm_madd_epi16(widen(la, sa), widen(lb, sb));
+  if constexpr (WA == 2) {
+    p = _mm_add_epi32(p, _mm_madd_epi16(widen(high_half(la), sa),
+                                        widen(high_half(lb), sb)));
+  }
   p = _mm_add_epi32(p, _mm_shuffle_epi32(p, 0xEE));
   const u64 q = static_cast<u64>(_mm_cvtsi128_si64(p));
   return static_cast<i32>(sum + static_cast<u32>(q) +
                           static_cast<u32>(q >> 32));
 }
 
-/// Raw lane-0 replication turning a .sc operand into a full vector. Lane
-/// extension happens inside the kernels, so replicating the unextended
-/// bits is exactly the dotp_lanes<W, true> semantics.
-inline u32 rep8(u32 b) { return (b & 0xFFu) * 0x01010101u; }
-inline u32 rep4(u32 b) { return (b & 0xFu) * 0x11111111u; }
+/// Pair sums of lane products of two sub-byte operands expanded to bytes,
+/// as eight s16 lanes: pmaddubsw with the operands arranged so its first
+/// (unsigned) one is non-negative — for two signed operands via
+/// |a| * (b with a's sign). Sub-byte products are small enough that its
+/// s16 saturation is unreachable.
+template <bool SA, bool SB>
+inline __m128i madd_bytes(__m128i a, __m128i b) {
+  if constexpr (!SA) {
+    return _mm_maddubs_epi16(a, b);
+  } else if constexpr (!SB) {
+    return _mm_maddubs_epi16(b, a);
+  } else {
+    return _mm_maddubs_epi16(_mm_abs_epi8(a), _mm_sign_epi8(b, a));
+  }
+}
 
-/// Nibbles of `v` spread into eight bytes (even nibbles in the low four,
-/// odd in the high four) for the kConvInner nibble kernel.
-inline u64 spread4(u32 v) {
-  return (v & 0x0F0F0F0Fu) |
-         ((static_cast<u64>(v) >> 4) & 0x0F0F0F0F) << 32;
+inline ConvDots to_dots(__m128i v) {
+  ConvDots d;
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(d.data()), v);
+  return d;
+}
+
+/// conv_block in host SIMD. Where both words of an operand fit one
+/// register (N <= 8 lanes each) they expand together, word 0's lanes then
+/// word 1's.
+template <unsigned WA, unsigned WB, bool SA, bool SB>
+[[gnu::always_inline]] inline ConvDots conv_block(u32 x0, u32 x1, u32 w0,
+                                                  u32 w1) {
+  constexpr unsigned N = 32 / WA;
+  const __m128i ones = _mm_set1_epi16(1);
+  const auto hsum = [&](__m128i p00, __m128i p10, __m128i p01, __m128i p11) {
+    return _mm_hadd_epi32(
+        _mm_hadd_epi32(_mm_madd_epi16(p00, ones), _mm_madd_epi16(p10, ones)),
+        _mm_hadd_epi32(_mm_madd_epi16(p01, ones), _mm_madd_epi16(p11, ones)));
+  };
+  if constexpr (N == 16) {
+    const __m128i a0 = lanes<WA>(x0, SA), a1 = lanes<WA>(x1, SA);
+    const __m128i b0 = lanes<WB>(w0, SB), b1 = lanes<WB>(w1, SB);
+    return to_dots(
+        hsum(madd_bytes<SA, SB>(a0, b0), madd_bytes<SA, SB>(a1, b0),
+             madd_bytes<SA, SB>(a0, b1), madd_bytes<SA, SB>(a1, b1)));
+  } else {
+    const __m128i pa = lanes<WA>(x0 | u64{x1} << 32, SA);
+    const __m128i pb =
+        lanes<WB>(weight_bits<WA, WB>(w0) |
+                      u64{weight_bits<WA, WB>(w1)} << (N * WB),
+                  SB);
+    if constexpr (N == 4) {
+      // [x0 | x1] against [w0 | w0] and [w1 | w1] in 16-bit lanes.
+      const __m128i a = widen(pa, SA);
+      const __m128i bd = _mm_unpacklo_epi32(pb, pb);
+      return to_dots(
+          _mm_hadd_epi32(_mm_madd_epi16(a, widen(bd, SB)),
+                         _mm_madd_epi16(a, widen(high_half(bd), SB))));
+    } else {
+      // [x0 | x1] against [w0 | w0] and [w1 | w1] in byte lanes.
+      const __m128i p0 =
+          _mm_madd_epi16(madd_bytes<SA, SB>(pa, _mm_unpacklo_epi64(pb, pb)),
+                         ones);
+      const __m128i p1 =
+          _mm_madd_epi16(madd_bytes<SA, SB>(pa, high_half(pb)), ones);
+      return to_dots(_mm_hadd_epi32(p0, p1));
+    }
+  }
+}
+
+#else
+template <unsigned WA, unsigned WB = WA>
+inline i32 host_dot(u32 a, u32 b, u32 sum, bool sa, bool sb) {
+  if constexpr (WA == WB) {
+    return dotp_lanes<WA, false>(a, b, sum, sa, sb);
+  } else {
+    return dotp_lanes_mixed<WA, WB>(a, b, sum, sa, sb);
+  }
+}
+
+template <unsigned WA, unsigned WB, bool SA, bool SB>
+ConvDots conv_block(u32 x0, u32 x1, u32 w0, u32 w1) {
+  return {host_dot<WA, WB>(x0, w0, 0, SA, SB),
+          host_dot<WA, WB>(x1, w0, 0, SA, SB),
+          host_dot<WA, WB>(x0, w1, 0, SA, SB),
+          host_dot<WA, WB>(x1, w1, 0, SA, SB)};
+}
+#endif  // XPULP_SB_HOST_SIMD
+
+/// Lane widths of a matched body's dots: uniform formats by element width,
+/// mixed ones by their baked mpc selector.
+enum class ConvLanes : u8 { k8, k4, k2, k8x4, k8x2, k4x2 };
+
+ConvLanes conv_lanes(const SbOp& d) {
+  if (d.flags & iflag::kDotMixed) {
+    return static_cast<ConvLanes>(static_cast<unsigned>(ConvLanes::k8x4) +
+                                  static_cast<unsigned>(d.imm));
+  }
+  switch (d.fmt) {
+    case isa::SimdFmt::kB: return ConvLanes::k8;
+    case isa::SimdFmt::kN: return ConvLanes::k4;
+    default: return ConvLanes::k2;
+  }
+}
+
+template <unsigned WA, unsigned WB>
+[[gnu::always_inline]] inline ConvDots conv_block(unsigned sign, u32 x0,
+                                                  u32 x1, u32 w0, u32 w1) {
+  switch (sign) {
+    case 0: return conv_block<WA, WB, false, false>(x0, x1, w0, w1);
+    case 1: return conv_block<WA, WB, false, true>(x0, x1, w0, w1);
+    case 2: return conv_block<WA, WB, true, false>(x0, x1, w0, w1);
+    default: return conv_block<WA, WB, true, true>(x0, x1, w0, w1);
+  }
+}
+
+/// conv_block for lane widths `l` and signedness `sign` (2*sa + sb),
+/// dispatched inline: a call through a table of the 24 instantiations
+/// measured ~5% slower on byte and nibble bodies.
+[[gnu::always_inline]] inline ConvDots conv_block(ConvLanes l, unsigned sign,
+                                                  u32 x0, u32 x1, u32 w0,
+                                                  u32 w1) {
+  switch (l) {
+    case ConvLanes::k8: return conv_block<8, 8>(sign, x0, x1, w0, w1);
+    case ConvLanes::k4: return conv_block<4, 4>(sign, x0, x1, w0, w1);
+    case ConvLanes::k2: return conv_block<2, 2>(sign, x0, x1, w0, w1);
+    case ConvLanes::k8x4: return conv_block<8, 4>(sign, x0, x1, w0, w1);
+    case ConvLanes::k8x2: return conv_block<8, 2>(sign, x0, x1, w0, w1);
+    default: return conv_block<4, 2>(sign, x0, x1, w0, w1);
+  }
 }
 
 /// Recognize the 2x2-blocked MatMul inner body (SbShape::kConvInner):
 ///   ops[0..3]  post-increment word loads (any registers, any order);
-///   ops[4..7]  same-format byte/nibble dot products over two activation
-///              words x two weight words, one accumulator each.
+///   ops[4..7]  four dot products of one uniform format (byte, nibble,
+///              crumb) or one baked mixed selector, over two rs1 words x
+///              two rs2 words, one accumulator each.
 /// The structural requirements are exactly what makes the batched
 /// macro-op handler equivalent to executing the four dots in sequence:
 /// identical format/sign flags, the 2x2 operand pattern, and destination
 /// registers that are distinct and never read as dot operands (loads need
 /// no constraints — the handler sequences them like the generic loop).
-/// The nibble kernel multiplies via pmaddubsw, so its first operand must
-/// be unsigned; signed-by-signed nibble blocks stay on the generic path.
 bool matches_conv_inner(const SuperblockPlan& p) {
   if (!p.is_hwloop || p.ops.size() != 8) return false;
   for (size_t k = 0; k < 4; ++k) {
@@ -211,15 +355,17 @@ bool matches_conv_inner(const SuperblockPlan& p) {
     }
   }
   const SbOp& d0 = p.ops[4];
-  if (d0.fmt != isa::SimdFmt::kB && d0.fmt != isa::SimdFmt::kN) return false;
-  if (d0.fmt == isa::SimdFmt::kN && (d0.flags & iflag::kDotSignedA)) {
+  if (!(d0.flags & iflag::kDotMixed) && d0.fmt != isa::SimdFmt::kB &&
+      d0.fmt != isa::SimdFmt::kN && d0.fmt != isa::SimdFmt::kC) {
     return false;
   }
-  constexpr u16 kDotMask =
-      iflag::kDotAccum | iflag::kDotSignedA | iflag::kDotSignedB;
+  constexpr u16 kDotMask = iflag::kDotAccum | iflag::kDotSignedA |
+                           iflag::kDotSignedB | iflag::kDotMixed;
   for (size_t k = 4; k < 8; ++k) {
     const SbOp& o = p.ops[k];
-    if (o.kind != SbKind::kDotp || o.fmt != d0.fmt) return false;
+    if (o.kind != SbKind::kDotp || o.fmt != d0.fmt || o.imm != d0.imm) {
+      return false;
+    }
     if ((o.flags & kDotMask) != (d0.flags & kDotMask)) return false;
   }
   if (p.ops[4].rs1 != p.ops[6].rs1 || p.ops[5].rs1 != p.ops[7].rs1) {
@@ -238,7 +384,14 @@ bool matches_conv_inner(const SuperblockPlan& p) {
   }
   return true;
 }
-#endif  // XPULP_SB_HOST_SIMD
+
+/// A .sc operand as a full vector: lane 0's raw bits replicated (lane
+/// extension happens inside host_dot, so this is exactly dotp_lanes<W,
+/// true>).
+template <unsigned W>
+constexpr u32 replicate(u32 b) {
+  return (b & low_mask(W)) * (~0u / low_mask(W));
+}
 
 bool is_conditional_branch(Mnemonic op) {
   using M = Mnemonic;
@@ -538,9 +691,7 @@ SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
     }
     plan->dotp_region = mixed ? u8{0xff} : dr;
   }
-#ifdef XPULP_SB_HOST_SIMD
   if (matches_conv_inner(*plan)) plan->shape = SbShape::kConvInner;
-#endif
 
   // Worst-case dynamic cycles per iteration in slim memory mode, for the
   // sampled-burst arming check. Conservative per class: a memory op can
@@ -779,26 +930,25 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
     }
   };
 
-#ifdef XPULP_SB_HOST_SIMD
   // The kConvInner macro-op handler needs the slim memory path (an access
   // hook or contention injector must observe every access in order) and
   // the hoisted dot latches; otherwise the generic op loop serves.
   const bool use_conv =
       plan.shape == SbShape::kConvInner && mem_slim && hoist_dotp;
   u8 cx0 = 0, cx1 = 0, cw0 = 0, cw1 = 0;
-  bool conv_bytes = false, conv_sa = false, conv_sb = false,
-       conv_acc = false;
+  bool conv_acc = false;
+  ConvLanes conv_l = ConvLanes::k8;
+  unsigned conv_sign = 0;
   if (use_conv) {
     cx0 = ops[4].rs1;
     cx1 = ops[5].rs1;
     cw0 = ops[4].rs2;
     cw1 = ops[6].rs2;
-    conv_bytes = ops[4].fmt == isa::SimdFmt::kB;
-    conv_sa = (ops[4].flags & iflag::kDotSignedA) != 0;
-    conv_sb = (ops[4].flags & iflag::kDotSignedB) != 0;
     conv_acc = (ops[4].flags & iflag::kDotAccum) != 0;
+    conv_l = conv_lanes(ops[4]);
+    conv_sign = (ops[4].flags & iflag::kDotSignedA ? 2u : 0u) +
+                (ops[4].flags & iflag::kDotSignedB ? 1u : 0u);
   }
-#endif
 
   // The static accounting of completed iterations is applied ONCE at burst
   // exit, scaled by `done` (it is linear in the iteration count); only
@@ -807,6 +957,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
   // register. Every exit path below — completion, budget, SMC bail, trap —
   // therefore finishes with the batched add before leaving.
   u64 done = 0;      // completed iterations (incl. a final not-taken one)
+  u64 macro_done = 0;  // of which retired by the kConvInner handler
   u64 retired = 0;   // instructions retired by this burst
   size_t i = 0;      // op cursor, read by the trap-repair path
   bool fell_through = false;  // branch plans: exited via the not-taken side
@@ -850,7 +1001,6 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
       bool sample_break = false;
 
       size_t completed = n;
-#ifdef XPULP_SB_HOST_SIMD
       if (use_conv && !armed) {
         // Loads first, sequenced exactly like the generic loop (`i` stays
         // the op cursor so a faulting load repairs identically).
@@ -884,48 +1034,13 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
           set_reg(o.rd, v);
           set_reg(o.rs1, base + static_cast<u32>(o.imm));
         }
-        // All four dots in two SIMD multiply-accumulate steps over the
-        // 2x2 operand block; nothing past the loads can fault.
+        // All four dots as one macro-op over the 2x2 operand block;
+        // nothing past the loads can fault.
         const u32 x0 = regs_[cx0];
         const u32 x1 = regs_[cx1];
         const u32 w0 = regs_[cw0];
         const u32 w1 = regs_[cw1];
-        __m128i s;  // [x0.w0, x1.w0, x0.w1, x1.w1]
-        if (conv_bytes) {
-          const __m128i va = _mm_cvtsi64_si128(static_cast<long long>(
-              static_cast<u64>(x0) | static_cast<u64>(x1) << 32));
-          const __m128i vb0 = _mm_cvtsi64_si128(static_cast<long long>(
-              static_cast<u64>(w0) | static_cast<u64>(w0) << 32));
-          const __m128i vb1 = _mm_cvtsi64_si128(static_cast<long long>(
-              static_cast<u64>(w1) | static_cast<u64>(w1) << 32));
-          const __m128i wa =
-              conv_sa ? _mm_cvtepi8_epi16(va) : _mm_cvtepu8_epi16(va);
-          const __m128i wb0 =
-              conv_sb ? _mm_cvtepi8_epi16(vb0) : _mm_cvtepu8_epi16(vb0);
-          const __m128i wb1 =
-              conv_sb ? _mm_cvtepi8_epi16(vb1) : _mm_cvtepu8_epi16(vb1);
-          s = _mm_hadd_epi32(_mm_madd_epi16(wa, wb0),
-                             _mm_madd_epi16(wa, wb1));
-        } else {
-          // Nibbles: unsigned-first pmaddubsw (compile-time guaranteed),
-          // pair sums <= 2*15*15 so the s16 saturation is unreachable.
-          const __m128i a16 = _mm_set_epi64x(
-              static_cast<long long>(spread4(x1)),
-              static_cast<long long>(spread4(x0)));
-          __m128i b0 = _mm_set1_epi64x(static_cast<long long>(spread4(w0)));
-          __m128i b1 = _mm_set1_epi64x(static_cast<long long>(spread4(w1)));
-          if (conv_sb) {
-            const __m128i k8 = _mm_set1_epi8(8);
-            b0 = _mm_sub_epi8(_mm_xor_si128(b0, k8), k8);
-            b1 = _mm_sub_epi8(_mm_xor_si128(b1, k8), k8);
-          }
-          const __m128i ones = _mm_set1_epi16(1);
-          s = _mm_hadd_epi32(
-              _mm_madd_epi16(_mm_maddubs_epi16(a16, b0), ones),
-              _mm_madd_epi16(_mm_maddubs_epi16(a16, b1), ones));
-        }
-        alignas(16) i32 d[4];
-        _mm_store_si128(reinterpret_cast<__m128i*>(d), s);
+        const ConvDots d = conv_block(conv_l, conv_sign, x0, x1, w0, w1);
         for (unsigned k = 0; k < 4; ++k) {
           const SbOp& o = ops[4 + k];
           const u32 acc = conv_acc ? regs_[o.rd] : 0;
@@ -938,8 +1053,8 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
         dla = x1;
         dlb = w1;
         dops += 4;
+        macro_done += 1;
       } else
-#endif
       for (i = 0; i < n; ++i) {
         const SbOp& o = ops[i];
         switch (o.kind) {
@@ -1029,25 +1144,21 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
             i32 r = 0;
             if (f & iflag::kDotMixed) {
               // Baked selector (entry guard proved it still equals mpc_).
-              r = dotp_lanes_mixed_sel(static_cast<u32>(o.imm), a, b, acc,
-                                       sa, sb);
+              switch (o.imm) {
+                case 0: r = host_dot<8, 4>(a, b, acc, sa, sb); break;
+                case 1: r = host_dot<8, 2>(a, b, acc, sa, sb); break;
+                default: r = host_dot<4, 2>(a, b, acc, sa, sb); break;
+              }
             } else
             switch (o.fmt) {
               case isa::SimdFmt::kH: r = dotp_lanes<16, false>(a, b, acc, sa, sb); break;
               case isa::SimdFmt::kHSc: r = dotp_lanes<16, true>(a, b, acc, sa, sb); break;
-#ifdef XPULP_SB_HOST_SIMD
-              case isa::SimdFmt::kB: r = host_dot8(a, b, acc, sa, sb); break;
-              case isa::SimdFmt::kBSc: r = host_dot8(a, rep8(b), acc, sa, sb); break;
-              case isa::SimdFmt::kN: r = host_dot4(a, b, acc, sa, sb); break;
-              case isa::SimdFmt::kNSc: r = host_dot4(a, rep4(b), acc, sa, sb); break;
-#else
-              case isa::SimdFmt::kB: r = dotp_lanes<8, false>(a, b, acc, sa, sb); break;
-              case isa::SimdFmt::kBSc: r = dotp_lanes<8, true>(a, b, acc, sa, sb); break;
-              case isa::SimdFmt::kN: r = dotp_lanes<4, false>(a, b, acc, sa, sb); break;
-              case isa::SimdFmt::kNSc: r = dotp_lanes<4, true>(a, b, acc, sa, sb); break;
-#endif
-              case isa::SimdFmt::kC: r = dotp_lanes<2, false>(a, b, acc, sa, sb); break;
-              case isa::SimdFmt::kCSc: r = dotp_lanes<2, true>(a, b, acc, sa, sb); break;
+              case isa::SimdFmt::kB: r = host_dot<8>(a, b, acc, sa, sb); break;
+              case isa::SimdFmt::kBSc: r = host_dot<8>(a, replicate<8>(b), acc, sa, sb); break;
+              case isa::SimdFmt::kN: r = host_dot<4>(a, b, acc, sa, sb); break;
+              case isa::SimdFmt::kNSc: r = host_dot<4>(a, replicate<4>(b), acc, sa, sb); break;
+              case isa::SimdFmt::kC: r = host_dot<2>(a, b, acc, sa, sb); break;
+              case isa::SimdFmt::kCSc: r = host_dot<2>(a, replicate<2>(b), acc, sa, sb); break;
               default: break;  // unreachable: validated at compile time
             }
             if (hoist_dotp) {
@@ -1205,6 +1316,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
     pc_ = plan.op_pc[i];
     sb_stats_.trap_bails += 1;
     sb_stats_.fused_iterations += done;
+    sb_stats_.macro_iterations += macro_done;
     sb_stats_.fused_instructions += retired + i;
     sb_exit(plan);
     throw;
@@ -1224,6 +1336,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
     }
   }
   sb_stats_.fused_iterations += done;
+  sb_stats_.macro_iterations += macro_done;
   sb_stats_.fused_instructions += retired;
   sb_exit(plan);
   return retired;

@@ -43,10 +43,10 @@ enum class SbKind : u8 {
 
 /// Recognized whole-iteration shapes. kConvInner is the 2x2-blocked
 /// MatMul inner body every conv kernel in this repo emits (4 post-inc
-/// word loads feeding 4 accumulate-dots over 2 activation x 2 weight
-/// words); sb_execute runs it through a hand-fused macro-op handler that
-/// expands each operand word once and computes all four dot products in
-/// two SIMD multiply-accumulate steps.
+/// word loads feeding 4 dots over 2 activation x 2 weight words), at any
+/// uniform width (8/4/2-bit) or mixed mpc format; sb_execute runs it
+/// through one macro-op handler that expands each operand word once and
+/// computes all four dot products together.
 enum class SbShape : u8 {
   kGeneric = 0,
   kConvInner,

@@ -1,6 +1,7 @@
 // Broad property sweep: the kernel generators must stay bit-exact across a
 // grid of layer geometries, bitwidths, kernel sizes, strides and seeds --
-// the combinations a real network zoo would throw at the library.
+// the combinations a real network zoo would throw at the library -- and
+// their MatMul bodies must reach the superblock engine's macro-op.
 #include <gtest/gtest.h>
 
 #include "kernels/conv_layer.hpp"
@@ -28,6 +29,23 @@ qnn::ConvSpec to_spec(const SweepCase& c) {
   return s;
 }
 
+/// Run `data` with superblocks on, golden-check the output and return the
+/// kConvInner macro-op iterations read through the after_run hook: the
+/// generated MatMul body must reach the macro-op, not just the generic
+/// fused loop (a generator change that breaks the matched shape would
+/// still be bit-exact, only slow).
+u64 superblock_macro_iterations(const ConvLayerData& data, ConvVariant v) {
+  sim::CoreConfig cfg = sim::CoreConfig::extended();
+  cfg.superblock = true;
+  u64 macro = 0;
+  const auto res = run_conv_layer(
+      data, v, cfg, {}, {}, [&](sim::Core& core, const ConvKernel&) {
+        macro = core.superblock_stats().macro_iterations;
+      });
+  EXPECT_EQ(res.output, data.golden());
+  return macro;
+}
+
 class KernelSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(KernelSweep, ExtendedKernelBitExact) {
@@ -41,6 +59,7 @@ TEST_P(KernelSweep, ExtendedKernelBitExact) {
     ASSERT_EQ(res.output.flat(i), gold.flat(i))
         << "bits=" << spec.out_bits << " elem=" << i;
   }
+  EXPECT_GT(superblock_macro_iterations(data, v), 0u);
 }
 
 std::vector<SweepCase> grid() {
@@ -113,6 +132,8 @@ TEST_P(MixedKernelSweep, MixedKernelBitExact) {
         << "a" << spec.in_bits << "w" << spec.w_bits << "o" << spec.out_bits
         << " elem=" << i;
   }
+  EXPECT_GT(superblock_macro_iterations(data, ConvVariant::kXpulpNN_Mixed),
+            0u);
 }
 
 std::vector<MixedSweepCase> mixed_grid() {

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "kernels/linear.hpp"
 #include "kernels/network.hpp"
 
 namespace xpulp::kernels {
@@ -167,6 +170,53 @@ TEST(Network, OverRangePreActivationThrowsNamingLayer) {
     EXPECT_NE(msg.find("conv0"), std::string::npos) << msg;
     EXPECT_NE(msg.find("(oy, ox, oc) = ("), std::string::npos) << msg;
     EXPECT_NE(msg.find("pre-activation"), std::string::npos) << msg;
+  }
+}
+
+// ---- packed filters of 2048 bytes or more: the filter stride exceeds the
+// 12-bit immediate of the matmul's pair setup ----
+
+/// Reference, fast and superblock dispatch.
+std::vector<std::pair<const char*, sim::CoreConfig>> dispatch_modes() {
+  std::vector<std::pair<const char*, sim::CoreConfig>> modes;
+  for (const char* name : {"reference", "fast", "superblock"}) {
+    sim::CoreConfig cfg = sim::CoreConfig::extended();
+    cfg.reference_dispatch = name[0] == 'r';
+    cfg.superblock = name[0] == 's';
+    modes.emplace_back(name, cfg);
+  }
+  return modes;
+}
+
+TEST(LargeFilter, LinearLayerBitExactOnEveryDispatch) {
+  // 8-bit linear layer, 2048 inputs: 2048-byte filters.
+  const auto data = LinearLayerData::random(2048, 4, 8, 91);
+  Network net({1, 1, 2048}, 8, 92);
+  net.linear(4);
+  const auto in = random_input({1, 1, 2048}, 8, 93);
+  for (const auto& [mode, cfg] : dispatch_modes()) {
+    const auto res = run_linear_layer(data, ConvVariant::kXpulpV2_8b, cfg);
+    EXPECT_EQ(res.output, data.golden()) << mode;
+    const auto nres = net.run(in, cfg, ConvVariant::kXpulpV2_8b);
+    EXPECT_TRUE(nres.all_matched) << mode;
+  }
+}
+
+TEST(LargeFilter, Conv3x3BitExactOnEveryDispatch) {
+  // 8-bit 3x3 conv over 256 channels: 2304-byte filters.
+  qnn::ConvSpec s;
+  s.in_h = s.in_w = 4;
+  s.in_c = 256;
+  s.out_c = 4;
+  const auto data = ConvLayerData::random(s, 94);
+  Network net({4, 4, 256}, 8, 95);
+  net.conv(4);
+  const auto in = random_input({4, 4, 256}, 8, 96);
+  for (const auto& [mode, cfg] : dispatch_modes()) {
+    const auto res = run_conv_layer(data, ConvVariant::kXpulpV2_8b, cfg);
+    EXPECT_EQ(res.output, data.golden()) << mode;
+    const auto nres = net.run(in, cfg, ConvVariant::kXpulpV2_8b);
+    EXPECT_TRUE(nres.all_matched) << mode;
   }
 }
 

@@ -1,12 +1,14 @@
 // Superblock engine unit tests: coverage statistics, runtime toggling,
-// instruction-limit boundary exactness across fused bursts, and a
-// differential sweep over every dot-product mnemonic/format combination —
+// instruction-limit boundary exactness across fused bursts, and
+// differential sweeps over every dot-product mnemonic/format combination —
 // the combinations the fused loop routes through host-SIMD kernels
-// (8-bit, nibble) and the ones that stay on the scalar lane kernel
-// (16-bit, crumb) must all be bit-identical to the reference interpreter.
+// (byte, nibble, crumb, mixed) and the ones that stay on the scalar lane
+// kernel (16-bit) must all be bit-identical to the reference interpreter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -26,26 +28,32 @@ using test::FinalState;
 
 constexpr addr_t kData = 0x8000;
 
-/// Run `prog` with deterministic pseudo-random operand bytes mapped at
-/// kData (zero-filled memory would make every dot product and toggle
-/// count trivially zero).
+/// Deterministic pseudo-random operand bytes mapped at kData (zero-filled
+/// memory would make every dot product and toggle count trivially zero).
+std::vector<u8> operand_data() {
+  std::vector<u8> data(1024);
+  Rng rng(0x0ddba11);
+  for (auto& b : data) b = static_cast<u8>(rng.uniform(0, 255));
+  return data;
+}
+
+/// Run `prog` over operand_data().
 FinalState run_prog(const xasm::Program& prog, bool reference,
                     bool superblock,
                     sim::SuperblockStats* stats_out = nullptr,
-                    u64 max_instr = 2'000'000) {
+                    u64 max_instr = 2'000'000,
+                    sim::DotpActivity* activity_out = nullptr) {
   sim::CoreConfig cfg = sim::CoreConfig::extended();
   cfg.reference_dispatch = reference;
   cfg.superblock = superblock;
   mem::Memory mem;
   prog.load(mem);
-  std::vector<u8> data(1024);
-  Rng rng(0x0ddba11);
-  for (auto& b : data) b = static_cast<u8>(rng.uniform(0, 255));
-  mem.write_block(kData, data);
+  mem.write_block(kData, operand_data());
   sim::Core core(mem, cfg);
   core.reset(prog.entry(), prog.base() + prog.size_bytes());
   core.run(max_instr);
   if (stats_out) *stats_out = core.superblock_stats();
+  if (activity_out) *activity_out = core.dotp_unit().activity();
   return final_state_of(core, mem);
 }
 
@@ -92,10 +100,7 @@ TEST(Superblock, RuntimeToggleKeepsEngineCold) {
   cfg.superblock = true;
   mem::Memory mem;
   prog.load(mem);
-  std::vector<u8> data(1024);
-  Rng rng(0x0ddba11);
-  for (auto& b : data) b = static_cast<u8>(rng.uniform(0, 255));
-  mem.write_block(kData, data);
+  mem.write_block(kData, operand_data());
   sim::Core core(mem, cfg);
   core.reset(prog.entry(), prog.base() + prog.size_bytes());
   core.set_superblock(false);
@@ -129,8 +134,8 @@ TEST(Superblock, InstructionLimitSweepIsBoundaryExact) {
 TEST(Superblock, DotVariantSweepBitIdentical) {
   // Hot hwloop around [2 post-inc loads + 1 dot]: every mnemonic x format
   // combination, diffed fused-vs-reference. This walks every fused dot
-  // path: the host-SIMD byte and nibble kernels, the scalar-replicated
-  // expansions, and the generic lane kernel (16-bit, crumb).
+  // path: the host-SIMD byte, nibble and crumb kernels, the
+  // scalar-replicated expansions, and the generic lane kernel (16-bit).
   using isa::SimdFmt;
   struct OpCase {
     const char* name;
@@ -178,39 +183,72 @@ TEST(Superblock, DotVariantSweepBitIdentical) {
 TEST(Superblock, ConvInnerShapeBitIdentical) {
   // The exact 2x2-blocked MatMul inner body the conv generator emits
   // (4 post-inc word loads + 4 accumulate-dots in the 2x2 operand
-  // pattern): the shape the engine specializes into a single macro-op
-  // handler. Byte and nibble element widths, both rs2 signednesses —
-  // including the signed-activation nibble case that must fall back to
-  // the generic fused path.
+  // pattern): the shape the engine runs as one kConvInner macro-op. Every
+  // uniform width and mixed selector, with every signedness, must reach
+  // the macro-op and stay bit-identical to the reference interpreter —
+  // registers, memory, counters and the dot unit's switching activity.
   using isa::SimdFmt;
+  using UniformDot = void (xasm::Assembler::*)(SimdFmt, u8, u8, u8);
+  using MixedDot = void (xasm::Assembler::*)(u8, u8, u8);
   struct ShapeCase {
-    const char* name;
+    std::string name;
+    int sel;  // mpc selector of a mixed body, -1 for a uniform one
     SimdFmt fmt;
-    bool signed_a;  // rs1 (activation) operand signedness
+    UniformDot uniform;
+    MixedDot mixed;
   };
-  const ShapeCase cases[] = {
-      {"sdotusp.b", SimdFmt::kB, false},
-      {"sdotsp.b", SimdFmt::kB, true},
-      {"sdotusp.n", SimdFmt::kN, false},
-      {"sdotsp.n", SimdFmt::kN, true},
+  const std::pair<const char*, UniformDot> uniform_ops[] = {
+      {"sdotusp", &xasm::Assembler::pv_sdotusp},
+      {"sdotsp", &xasm::Assembler::pv_sdotsp},
+      {"sdotup", &xasm::Assembler::pv_sdotup},
   };
+  const std::pair<const char*, MixedDot> mixed_ops[] = {
+      {"mlsdotusp", &xasm::Assembler::pv_mlsdotusp},
+      {"mlsdotsp", &xasm::Assembler::pv_mlsdotsp},
+      {"mlsdotup", &xasm::Assembler::pv_mlsdotup},
+  };
+  std::vector<ShapeCase> cases;
+  for (const auto& [name, emit] : uniform_ops) {
+    for (const auto& [suffix, fmt] : {std::pair{".b", SimdFmt::kB},
+                                      {".n", SimdFmt::kN},
+                                      {".c", SimdFmt::kC}}) {
+      cases.push_back({std::string(name) + suffix, -1, fmt, emit, nullptr});
+    }
+  }
+  for (const auto& [name, emit] : mixed_ops) {
+    for (int sel = 0; sel < 3; ++sel) {
+      cases.push_back({std::string(name) + " sel " + std::to_string(sel),
+                       sel, SimdFmt::kNone, nullptr, emit});
+    }
+  }
+
+  // Weights come from kData + 0x100: random words, so a mixed body's
+  // weight words carry nonzero bits above the (32/WA)*WB the ISA reads,
+  // which the macro-op must ignore exactly like the interpreter.
+  const std::vector<u8> data = operand_data();
+  bool upper_bits = false;
+  for (size_t k = 0x100 + 2; k < 0x100 + 24 * 8; k += 4) {
+    upper_bits = upper_bits || data[k] != 0 || data[k + 1] != 0;
+  }
+  ASSERT_TRUE(upper_bits);
 
   for (const ShapeCase& c : cases) {
     xasm::Assembler a(0);
+    if (c.sel >= 0) a.csrrwi(r::zero, isa::kMpcCsr, static_cast<u32>(c.sel));
     a.li(r::s0, kData);
     a.li(r::s1, kData + 0x100);
-    for (u8 acc : {r::a4, r::a5, r::a6, r::a7}) a.li(acc, 0);
+    for (u8 acc : {r::a4, r::a5, r::a6, r::a7}) a.li(acc, 0x1234);
     const xasm::Assembler::Label end = a.new_label();
     a.lp_setupi(0, 24, end);
-    a.p_lw_post(r::t0, r::s0, 4);  // activation pixel 0
-    a.p_lw_post(r::t1, r::s0, 4);  // activation pixel 1
-    a.p_lw_post(r::t2, r::s1, 4);  // weight channel 0
-    a.p_lw_post(r::t3, r::s1, 4);  // weight channel 1
-    auto dot = [&](u8 rd, u8 w, u8 x) {
-      if (c.signed_a) {
-        a.pv_sdotsp(c.fmt, rd, w, x);
+    a.p_lw_post(r::t0, r::s1, 4);  // weight channel 0
+    a.p_lw_post(r::t1, r::s1, 4);  // weight channel 1
+    a.p_lw_post(r::t2, r::s0, 4);  // activation pixel 0
+    a.p_lw_post(r::t3, r::s0, 4);  // activation pixel 1
+    auto dot = [&](u8 rd, u8 x, u8 w) {
+      if (c.sel >= 0) {
+        (a.*(c.mixed))(rd, x, w);
       } else {
-        a.pv_sdotusp(c.fmt, rd, w, x);
+        (a.*(c.uniform))(c.fmt, rd, x, w);
       }
     };
     dot(r::a4, r::t2, r::t0);
@@ -222,11 +260,17 @@ TEST(Superblock, ConvInnerShapeBitIdentical) {
     const xasm::Program prog = a.finish();
 
     sim::SuperblockStats stats;
-    const FinalState ref = run_prog(prog, true, false);
-    const FinalState sb = run_prog(prog, false, true, &stats);
+    sim::DotpActivity ref_act, sb_act;
+    const FinalState ref =
+        run_prog(prog, true, false, nullptr, 2'000'000, &ref_act);
+    const FinalState sb =
+        run_prog(prog, false, true, &stats, 2'000'000, &sb_act);
     ASSERT_EQ(ref.reason, sim::HaltReason::kEcall) << c.name;
-    EXPECT_GT(stats.fused_iterations, 0u) << c.name;
+    EXPECT_GT(stats.macro_iterations, 0u) << c.name;
+    EXPECT_LE(stats.macro_iterations, stats.fused_iterations) << c.name;
     expect_identical(ref, sb);
+    EXPECT_EQ(ref_act.operand_toggles, sb_act.operand_toggles) << c.name;
+    EXPECT_EQ(ref_act.ops, sb_act.ops) << c.name;
     if (::testing::Test::HasFailure()) FAIL() << c.name;
   }
 }
