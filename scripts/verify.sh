@@ -77,7 +77,7 @@ step "xtel: cluster heatmap reconciliation + scheduler parity" \
 
 step "cluster: burst scheduler differential (2 + 8 cores)" \
   ./build/tests/test_cluster_sched \
-  --gtest_filter='*/b8_c2:*/b8_c8:*/b4_c2:*/b4_c8:BurstSchedDiff.Budget*:BurstSchedDiff.Sampled*'
+  --gtest_filter='*/b8_c2:*/b8_c8:*/b4_c2:*/b4_c8:*/b2_c8:BurstSchedDiff.Budget*:BurstSchedDiff.Sampled*'
 
 cluster_bench_step() {
   cmake --preset release-bench

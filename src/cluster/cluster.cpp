@@ -1,6 +1,7 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstring>
 
@@ -24,8 +25,10 @@ constexpr cycles_t kBurstOvershoot = 256;
 // an epoch could not burst every core — enough to carry a sampler-blocked
 // core across its deadline.
 constexpr u64 kRefChunk = 512;
+// Calendar merge window in cycles: covers one default-horizon epoch plus
+// burst overshoot, so an epoch merge usually walks a single window.
+constexpr cycles_t kCalendarSlots = 2048;
 constexpr u64 kInfKey = ~0ull;
-constexpr cycles_t kNoClock = ~0ull;
 
 double host_now() {
   return std::chrono::duration<double>(
@@ -72,6 +75,7 @@ Cluster::Cluster(ClusterConfig cfg)
     cores_.push_back(std::make_unique<sim::Core>(mem_, cfg_.core));
   }
   lanes_.resize(static_cast<size_t>(cfg_.num_cores));
+  calendar_.assign(kCalendarSlots, 0);
 }
 
 void Cluster::load(const std::vector<xasm::Program>& programs) {
@@ -96,8 +100,7 @@ void Cluster::load(const std::vector<xasm::Program>& programs) {
   mem_.reset_stats();
   // Fresh run: no deferred accesses carried over, burst counters zeroed,
   // and the cycle-CSR eligibility scan redone for the new program set.
-  for (auto& l : lanes_) l = BurstLane{};
-  lanes_pending_ = 0;
+  reset_lanes();
   burst_stats_ = ClusterBurstStats{};
   programs_use_cycle_csr_ = false;
   for (const auto& p : programs) {
@@ -185,12 +188,19 @@ bool Cluster::step_once() {
 // (issuing instruction's start clock, core index, within-core program
 // order). Burst mode reproduces that exact call sequence without stepping
 // per instruction: cores run bounded bursts at full dispatch speed while
-// their accesses are only logged, then a k-way merge replays the logs
+// their accesses are only logged, then a calendar merge replays the logs
 // through the arbiter in that same lexicographic order. Stalls the merge
 // assigns are kept as a per-lane offset (`assigned - folded`) and folded
 // into the core's counters only once its lane is drained, preserving the
 // invariant `true local clock = perf.cycles + pending_stalls`.
 // ---------------------------------------------------------------------------
+
+void Cluster::reset_lanes() {
+  for (auto& l : lanes_) l = BurstLane{};
+  lanes_pending_ = 0;
+  // A merge cut short by a throw leaves its bookings behind.
+  std::fill(calendar_.begin(), calendar_.end(), 0);
+}
 
 cycles_t Cluster::true_clock(int core) const {
   return cores_[static_cast<size_t>(core)]->perf().cycles +
@@ -231,74 +241,9 @@ void Cluster::fold_lane(int core) {
   }
 }
 
-void Cluster::pop_entry(int core) {
-  BurstLane& lane = lanes_[static_cast<size_t>(core)];
-  const LaneEntry& e = lane.log[lane.head];
-  if (e.start != lane.cur_start) {
-    // New instruction: latch its stall offset. The reference charges hook
-    // stalls at the issuing instruction's end, so accesses of one
-    // instruction share a cycle base; stalls assigned below shift only
-    // later instructions.
-    lane.cur_start = e.start;
-    lane.cur_offset = lane.pending_stalls();
-  }
-  const cycles_t cycle = e.start + e.cycle_delta + lane.cur_offset;
-  const unsigned stalls = arbiter_.access(core, cycle, e.addr);
-  if (observer_) {
-    observer_(core, cycle, e.pc, e.addr, e.size, e.is_store != 0, stalls);
-  }
-  lane.assigned += stalls;
-  lane.head += 1;
-  --lanes_pending_;
-  burst_stats_.replayed_accesses += 1;
-  burst_stats_.deferred_stall_cycles += stalls;
-  if (lane.drained()) fold_lane(core);
-}
-
-void Cluster::pop_ready() {
-  // Replay every logged access whose merge key lexicographically precedes
-  // the frontier — the smallest (true clock, core) over live cores, i.e.
-  // the earliest point at which a *new* access could still be issued. The
-  // frontier is recomputed every iteration: stalls assigned by a pop raise
-  // that lane's remaining keys and its true clock in lockstep, so a stale
-  // frontier could strand entries that are in fact ready.
-  while (lanes_pending_ != 0) {
-    u64 frontier = kInfKey;
-    for (size_t i = 0; i < cores_.size(); ++i) {
-      if (cores_[i]->halted()) continue;
-      frontier = std::min(
-          frontier, MinClockHeap::key(true_clock(static_cast<int>(i)),
-                                      static_cast<int>(i)));
-    }
-    u64 best = kInfKey;
-    int best_core = -1;
-    for (size_t i = 0; i < lanes_.size(); ++i) {
-      const BurstLane& lane = lanes_[i];
-      if (lane.head == lane.log.size()) continue;
-      const LaneEntry& e = lane.log[lane.head];
-      const u64 off = e.start == lane.cur_start ? lane.cur_offset
-                                                : lane.pending_stalls();
-      const u64 k = MinClockHeap::key(e.start + off, static_cast<int>(i));
-      if (k < best) {
-        best = k;
-        best_core = static_cast<int>(i);
-      }
-    }
-    if (best >= frontier) return;
-    pop_entry(best_core);
-  }
-}
-
-void Cluster::merge_epoch() {
-  // Epoch-granularity replay, the hot merge path of drive_burst. Unlike
-  // pop_ready() the frontier is computed ONCE: stalls assigned while
-  // popping only ever RAISE true clocks, so a frontier that goes stale is
-  // conservatively low — the merge under-pops and the leftover entries
-  // simply roll into the next epoch (or the closing reference segment,
-  // which uses the exact dynamic pop_ready). Per-lane head keys are
-  // cached and only the popped lane's key is recomputed, making a pop
-  // O(num_cores) over a contiguous u64 array instead of two full
-  // true-clock/log scans.
+u64 Cluster::frontier_key() const {
+  // The smallest (true clock, core) over live cores: the earliest point at
+  // which a new access could still be issued. kInfKey once all halted.
   u64 frontier = kInfKey;
   for (size_t i = 0; i < cores_.size(); ++i) {
     if (cores_[i]->halted()) continue;
@@ -306,61 +251,115 @@ void Cluster::merge_epoch() {
         frontier, MinClockHeap::key(true_clock(static_cast<int>(i)),
                                     static_cast<int>(i)));
   }
-  u64 keys[64];
-  const size_t n = lanes_.size();
-  const auto head_key = [&](size_t i) -> u64 {
+  return frontier;
+}
+
+u64 Cluster::merge(u64 frontier) {
+  // Calendar merge: replay every logged access whose merge key
+  // (true instruction start << 6 | core) precedes `frontier`, in key
+  // order. Each lane with pending entries books one event, its next
+  // instruction's true start, as bit `core` of a per-cycle mask; cycles
+  // are visited in ascending order and lanes within a cycle in ascending
+  // core order (ctz), which is exactly the key order. A visit replays the
+  // whole instruction under one latched offset, then re-books the lane —
+  // strictly later, since raw starts strictly increase within a lane and
+  // offsets never decrease — so the next lane is read off the calendar
+  // instead of found by comparing every lane's key after each arbiter
+  // call. Windows of kCalendarSlots cycles start at the earliest event,
+  // which bounds the walk for an infinite (all-halted) frontier. Returns
+  // the number of accesses replayed; the calendar is all-zero on return.
+  if (lanes_pending_ == 0) return 0;
+  const cycles_t fc = MinClockHeap::clock_of(frontier);
+  // Lanes that still precede the frontier at its own cycle `fc`.
+  const u64 fc_lanes = (1ull << MinClockHeap::core_of(frontier)) - 1;
+  cycles_t due[64];
+  u64 ready = 0;
+  for (size_t i = 0; i < lanes_.size(); ++i) {
     const BurstLane& lane = lanes_[i];
-    if (lane.head == lane.log.size()) return kInfKey;
-    const LaneEntry& e = lane.log[lane.head];
-    const u64 off = e.start == lane.cur_start ? lane.cur_offset
-                                              : lane.pending_stalls();
-    return MinClockHeap::key(e.start + off, static_cast<int>(i));
-  };
-  for (size_t i = 0; i < n; ++i) keys[i] = head_key(i);
-  // Inlined pop loop (pop_entry's body, minus the per-pop stat stores,
-  // which accumulate in locals): this runs once per logged access of the
-  // entire simulation, and a function call plus four counter stores per
-  // pop are measurable against the ~15ns budget.
+    if (lane.drained()) continue;
+    const cycles_t start = lane.log[lane.head].start;
+    due[i] = start + (start == lane.cur_start ? lane.cur_offset
+                                              : lane.pending_stalls());
+    ready |= 1ull << i;
+  }
   const bool observe = static_cast<bool>(observer_);
   u64 popped = 0;
   u64 stall_sum = 0;
-  for (;;) {
-    u64 best = keys[0];
-    size_t bi = 0;
-    for (size_t i = 1; i < n; ++i) {
-      if (keys[i] < best) {
-        best = keys[i];
-        bi = i;
+  // Replay lane i's next instruction at true start due[i]; returns false
+  // once the lane drained (and folded), else re-computes due[i]. All its
+  // accesses share one offset: the reference charges hook stalls at the
+  // issuing instruction's end, so they only shift later instructions.
+  const auto visit = [&](int i) -> bool {
+    BurstLane& lane = lanes_[static_cast<size_t>(i)];
+    const LaneEntry* e = lane.log.data() + lane.head;
+    const LaneEntry* const end = lane.log.data() + lane.log.size();
+    const cycles_t start = e->start;
+    const u64 off = due[i] - start;
+    lane.cur_start = start;
+    lane.cur_offset = off;
+    u64 stalls = 0;
+    do {
+      const cycles_t cycle = start + e->cycle_delta + off;
+      const unsigned s = arbiter_.access(i, cycle, e->addr);
+      if (observe) [[unlikely]] {
+        observer_(i, cycle, e->pc, e->addr, e->size, e->is_store != 0, s);
       }
-    }
-    if (best >= frontier) break;
-    BurstLane& lane = lanes_[bi];
-    const LaneEntry& e = lane.log[lane.head];
-    if (e.start != lane.cur_start) {
-      lane.cur_start = e.start;
-      lane.cur_offset = lane.pending_stalls();
-    }
-    const cycles_t cycle = e.start + e.cycle_delta + lane.cur_offset;
-    const unsigned stalls =
-        arbiter_.access(static_cast<int>(bi), cycle, e.addr);
-    if (observe) [[unlikely]] {
-      observer_(static_cast<int>(bi), cycle, e.pc, e.addr, e.size,
-                e.is_store != 0, stalls);
-    }
-    lane.assigned += stalls;
-    lane.head += 1;
+      stalls += s;
+      ++e;
+    } while (e != end && e->start == start);
+    const size_t head = static_cast<size_t>(e - lane.log.data());
+    popped += head - lane.head;
     stall_sum += stalls;
-    ++popped;
-    if (lane.head == lane.log.size()) {
-      fold_lane(static_cast<int>(bi));
-      keys[bi] = kInfKey;
-    } else {
-      keys[bi] = head_key(bi);
+    lane.head = head;
+    lane.assigned += stalls;
+    if (e == end) {
+      fold_lane(i);
+      return false;
+    }
+    due[i] = e->start + lane.pending_stalls();
+    return true;
+  };
+  while (ready != 0) {
+    if ((ready & (ready - 1)) == 0) {
+      // A single ready lane needs no ordering: drain it straight through.
+      const int i = std::countr_zero(ready);
+      while (MinClockHeap::key(due[i], i) < frontier && visit(i)) {}
+      break;
+    }
+    u64 first = kInfKey;
+    for (u64 m = ready; m != 0; m &= m - 1) {
+      const int i = std::countr_zero(m);
+      first = std::min(first, MinClockHeap::key(due[i], i));
+    }
+    if (first >= frontier) break;
+    const cycles_t base = MinClockHeap::clock_of(first);
+    const cycles_t end = std::min(base + kCalendarSlots, fc + 1);
+    u64* const cal = calendar_.data();
+    for (u64 m = ready; m != 0; m &= m - 1) {
+      const int i = std::countr_zero(m);
+      if (due[i] < end) cal[due[i] - base] |= 1ull << i;
+    }
+    for (cycles_t c = base; c < end; ++c) {
+      u64 m = cal[c - base];
+      if (m == 0) continue;
+      cal[c - base] = 0;
+      if (c == fc) m &= fc_lanes;  // the rest stay ready, unvisited
+      for (; m != 0; m &= m - 1) {
+        const int i = std::countr_zero(m);
+        if (!visit(i)) {
+          ready &= ~(1ull << i);
+        } else if (due[i] <= c) {
+          throw SimError("internal: burst lane re-booked out of order");
+        } else if (due[i] < end) {
+          cal[due[i] - base] |= 1ull << i;
+        }
+      }
     }
   }
   lanes_pending_ -= popped;
   burst_stats_.replayed_accesses += popped;
   burst_stats_.deferred_stall_cycles += stall_sum;
+  return popped;
 }
 
 u64 Cluster::reference_segment(u64 max_steps, u64 budget) {
@@ -371,22 +370,19 @@ u64 Cluster::reference_segment(u64 max_steps, u64 budget) {
   // hook — the global arbiter call sequence stays in lexicographic order
   // throughout. Used for sample deadlines, the band-closing tail of a
   // burst run, and the final drain (all cores halted makes the frontier
-  // infinite, so pop_ready flushes every lane).
+  // infinite, so the merge flushes every lane).
   u64 executed = 0;
   const u64 limit = std::min(max_steps, budget);
   while (executed < limit) {
-    pop_ready();
-    u64 frontier = kInfKey;
-    for (size_t i = 0; i < cores_.size(); ++i) {
-      if (cores_[i]->halted()) continue;
-      frontier = std::min(
-          frontier, MinClockHeap::key(true_clock(static_cast<int>(i)),
-                                      static_cast<int>(i)));
-    }
+    // Stalls the merge assigns raise true clocks and so the frontier;
+    // merging again under the recomputed frontier until nothing pops
+    // replays exactly the accesses a per-pop frontier would.
+    u64 frontier = frontier_key();
+    while (merge(frontier) != 0) frontier = frontier_key();
     if (frontier == kInfKey) break;  // all halted (lanes flushed)
     const int id = MinClockHeap::core_of(frontier);
     // All of this core's logged accesses order strictly before its next
-    // instruction, so pop_ready drained its lane; folding makes
+    // instruction, so the merge drained its lane; folding makes
     // perf.cycles the true clock before the step issues real accesses.
     fold_lane(id);
     active_core_ = cores_[static_cast<size_t>(id)].get();
@@ -424,13 +420,9 @@ u64 Cluster::drive_burst(u64 target) {
   };
   try {
   while (executed + slack < target) {
-    cycles_t min_true = kNoClock;
-    for (size_t i = 0; i < n_cores; ++i) {
-      if (cores_[i]->halted()) continue;
-      min_true = std::min(min_true, true_clock(static_cast<int>(i)));
-    }
-    if (min_true == kNoClock) break;  // all halted
-    cycles_t horizon = min_true + delta;
+    const u64 first = frontier_key();
+    if (first == kInfKey) break;  // all halted
+    cycles_t horizon = MinClockHeap::clock_of(first) + delta;
     // Sample boundaries must be crossed on reference steps with every
     // lane advanced in exact global key order: a Sample diffs the
     // *shared* TCDM stats, so if any other core had already burst past
@@ -478,7 +470,10 @@ u64 Cluster::drive_burst(u64 target) {
 
     // Phase 2: replay everything ordered before the new frontier.
     const double t1 = host_now();
-    merge_epoch();
+    // The frontier goes stale as stalls raise true clocks, but only ever
+    // conservatively low: leftover entries roll into the next epoch or
+    // the closing reference segment.
+    merge(frontier_key());
     burst_stats_.host_burst_seconds += t1 - t0;
     burst_stats_.host_merge_seconds += host_now() - t1;
     burst_stats_.epochs += 1;
@@ -615,8 +610,7 @@ void Cluster::restore_state(const ClusterState& s) {
   // the per-lane merge latches (cur_start in particular) assume raw start
   // cycles only ever increase, which restoring to an earlier point
   // violates. Reset them outright.
-  for (auto& l : lanes_) l = BurstLane{};
-  lanes_pending_ = 0;
+  reset_lanes();
 }
 
 ClusterStats Cluster::run(u64 max_total_instructions) {

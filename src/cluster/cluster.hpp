@@ -390,10 +390,10 @@ class Cluster {
   u64 drive_reference(u64 target);
   u64 drive_burst(u64 target);
   u64 reference_segment(u64 max_steps, u64 budget);
-  void pop_ready();
-  void merge_epoch();
-  void pop_entry(int core);
+  u64 frontier_key() const;
+  u64 merge(u64 frontier);
   void fold_lane(int core);
+  void reset_lanes();
   bool burst_eligible() const;
   cycles_t true_clock(int core) const;
 
@@ -413,6 +413,7 @@ class Cluster {
   // ---- Burst scheduling state ----
   std::vector<BurstLane> lanes_;
   u64 lanes_pending_ = 0;       // logged-but-unreplayed entries, all lanes
+  std::vector<u64> calendar_;   // merge(): per-cycle lane masks, kept zero
   // While true, the shared access hook logs instead of arbitrating (burst
   // phase 1); reference scheduling and reference segments run with it
   // false and arbitrate at access time.

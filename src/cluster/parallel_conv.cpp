@@ -65,12 +65,7 @@ ParallelConvResult run_parallel_conv(const ConvLayerData& data,
 
   Cluster cluster(cfg);
   mem::Memory& mem = cluster.memory();
-  mem.write_block(layout.input, qnn::pack_tensor(data.input, spec.in_bits));
-  mem.write_block(layout.weights,
-                  qnn::pack_filter_bank(data.weights, spec.w_bits));
-  if (spec.out_bits != 8) {
-    mem.write_block(layout.thresholds, data.thresholds.serialize());
-  }
+  kernels::load_conv_data(data, layout, mem);
   cluster.load(programs);
   if (instrument) instrument(cluster, kernels);
 

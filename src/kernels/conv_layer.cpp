@@ -152,20 +152,21 @@ qnn::Tensor ConvLayerData::golden() const {
                          thresholds);
 }
 
+std::vector<u8> pack_conv_weights(const ConvLayerData& data) {
+  // Only the kXpulpNN_Mixed variant accepts in_bits != w_bits.
+  const qnn::ConvSpec& spec = data.spec;
+  return spec.in_bits != spec.w_bits
+             ? qnn::pack_filter_bank_grouped(data.weights, spec.in_bits,
+                                             spec.w_bits)
+             : qnn::pack_filter_bank(data.weights, spec.w_bits);
+}
+
 void load_conv_data(const ConvLayerData& data, const ConvMemLayout& layout,
                     mem::Memory& mem) {
   const qnn::ConvSpec& spec = data.spec;
   const auto in_bytes = qnn::pack_tensor(data.input, spec.in_bits);
   mem.write_block(layout.input, in_bytes);
-  // Mixed-precision layers (in_bits != w_bits; only the kXpulpNN_Mixed
-  // variant accepts them) store weights lane-aligned grouped so one weight
-  // word covers one activation word. Uniform layers pack flat.
-  const auto w_bytes =
-      spec.in_bits != spec.w_bits
-          ? qnn::pack_filter_bank_grouped(data.weights, spec.in_bits,
-                                          spec.w_bits)
-          : qnn::pack_filter_bank(data.weights, spec.w_bits);
-  mem.write_block(layout.weights, w_bytes);
+  mem.write_block(layout.weights, pack_conv_weights(data));
   if (spec.out_bits != 8) {
     const auto t_bytes = data.thresholds.serialize();
     mem.write_block(layout.thresholds, t_bytes);

@@ -173,6 +173,12 @@ struct ConvRunResult {
   }
 };
 
+/// A layer's weight image as its kernels read it: mixed-precision layers
+/// (in_bits != w_bits) pack lane-aligned grouped, one weight word per
+/// activation word; uniform layers pack flat. Every runner loads weights
+/// through this.
+std::vector<u8> pack_conv_weights(const ConvLayerData& data);
+
 /// Pack and write a layer's tensors (input, weights, thresholds) into
 /// guest memory at the layout's addresses and reset the memory stats.
 void load_conv_data(const ConvLayerData& data, const ConvMemLayout& layout,

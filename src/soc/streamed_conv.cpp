@@ -62,7 +62,7 @@ StreamedConvResult run_conv_streamed(const ConvLayerData& data,
   }
 
   // External L2 holds the full packed weight image.
-  const auto w_bytes = qnn::pack_filter_bank(data.weights, spec.w_bits);
+  const auto w_bytes = kernels::pack_conv_weights(data);
   mem::Memory l2(static_cast<u32>((w_bytes.size() + 0xfffu) & ~0xfffu));
   l2.write_block(0, w_bytes);
 

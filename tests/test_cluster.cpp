@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "cluster/parallel_conv.hpp"
 #include "xasm/assembler.hpp"
@@ -233,6 +234,41 @@ INSTANTIATE_TEST_SUITE_P(
       return "b" + std::to_string(info.param.bits) + "_c" +
              std::to_string(info.param.cores);
     });
+
+qnn::ConvSpec mixed_spec(unsigned in_bits, unsigned w_bits) {
+  qnn::ConvSpec spec;
+  spec.in_h = spec.in_w = 6;
+  spec.in_c = 8;
+  spec.out_c = 16;
+  spec.in_bits = in_bits;
+  spec.w_bits = w_bits;
+  spec.out_bits = 8;
+  return spec;
+}
+
+TEST(ParallelConv, MixedPrecisionBitExactOnBothSchedulers) {
+  // Mixed layers read lane-aligned grouped weights; a flat weight image
+  // runs to completion and silently returns the wrong tensor.
+  for (const auto& [in_bits, w_bits] :
+       {std::pair{8u, 4u}, std::pair{4u, 2u}}) {
+    const auto data = ConvLayerData::random(mixed_spec(in_bits, w_bits),
+                                            0x3e7u + in_bits);
+    const auto gold = data.golden();
+    for (const int cores : {1, 2, 8}) {
+      for (const SchedulerMode mode :
+           {SchedulerMode::kReference, SchedulerMode::kBurst}) {
+        ClusterConfig cfg;
+        cfg.num_cores = cores;
+        cfg.scheduler = mode;
+        const auto res =
+            run_parallel_conv(data, ConvVariant::kXpulpNN_Mixed, cfg);
+        EXPECT_EQ(res.output == gold, true)
+            << in_bits << "x" << w_bits << ", " << cores << " cores, "
+            << (mode == SchedulerMode::kBurst ? "burst" : "reference");
+      }
+    }
+  }
+}
 
 TEST(ParallelConv, UnevenRowSplitCoversAllRows) {
   // 8 output rows over 3 cores: shares 3/3/2.

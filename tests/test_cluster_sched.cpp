@@ -154,24 +154,32 @@ void expect_captures_identical(const RunCapture& ref, const RunCapture& burst,
 }
 
 // ---------------------------------------------------------------------------
-// Paper conv workloads: 1/2/4/8 cores x {8-bit XpulpV2, 4-bit XpulpNN HwQ}
-// x {fast, superblock} dispatch. The reference scheduler steps per
+// Paper conv workloads: 1/2/4/8 cores x {8-bit XpulpV2, 4-bit XpulpNN HwQ},
+// plus 2-bit HwQ and an 8x4 mixed-precision layer, x {fast, superblock}
+// dispatch. The reference scheduler steps per
 // instruction, so its result is dispatch-independent (test_dispatch_diff);
 // one reference run per (bits, cores) serves both dispatch comparisons.
 
 struct ConvCase {
-  unsigned bits;
+  ConvCase(unsigned b, int c, unsigned w = 0)
+      : bits(static_cast<u16>(b)), w_bits(static_cast<u16>(w)), cores(c) {}
+  u16 bits;
+  u16 w_bits;  // nonzero: mixed-precision layer (bits x w_bits)
   int cores;
 };
 
 class BurstConvDiff : public ::testing::TestWithParam<ConvCase> {};
 
 TEST_P(BurstConvDiff, BitIdenticalAcrossSchedulers) {
-  const auto [bits, cores] = GetParam();
-  const auto spec = qnn::ConvSpec::paper_layer(bits);
+  const auto [bits, w_bits, cores] = GetParam();
+  auto spec = qnn::ConvSpec::paper_layer(bits);
+  ConvVariant v = (bits == 8) ? ConvVariant::kXpulpV2_8b
+                              : ConvVariant::kXpulpNN_HwQ;
+  if (w_bits != 0) {
+    spec.w_bits = w_bits;
+    v = ConvVariant::kXpulpNN_Mixed;
+  }
   const auto data = ConvLayerData::random(spec, 12345);
-  const ConvVariant v = (bits == 8) ? ConvVariant::kXpulpV2_8b
-                                    : ConvVariant::kXpulpNN_HwQ;
   const auto gold = data.golden();
 
   const auto run_one = [&](SchedulerMode mode, bool superblock,
@@ -223,10 +231,15 @@ INSTANTIATE_TEST_SUITE_P(
     PaperLayers, BurstConvDiff,
     ::testing::Values(ConvCase{8, 1}, ConvCase{8, 2}, ConvCase{8, 4},
                       ConvCase{8, 8}, ConvCase{4, 1}, ConvCase{4, 2},
-                      ConvCase{4, 4}, ConvCase{4, 8}),
+                      ConvCase{4, 4}, ConvCase{4, 8}, ConvCase{2, 2},
+                      ConvCase{2, 8}, ConvCase{8, 8, 4}),
     [](const ::testing::TestParamInfo<ConvCase>& info) {
-      return "b" + std::to_string(info.param.bits) + "_c" +
-             std::to_string(info.param.cores);
+      const auto& p = info.param;
+      const std::string layer =
+          p.w_bits != 0 ? "m" + std::to_string(p.bits) + "x" +
+                              std::to_string(p.w_bits)
+                        : "b" + std::to_string(p.bits);
+      return layer + "_c" + std::to_string(p.cores);
     });
 
 // ---------------------------------------------------------------------------
@@ -235,10 +248,12 @@ INSTANTIATE_TEST_SUITE_P(
 // deferred-stall bookkeeping (cascaded conflicts, per-instruction offset
 // latch, fold-on-drain).
 
+// Code sits at 1 kB per core and data from 0x30000, so up to 64 programs
+// fit the default memory.
 std::vector<xasm::Program> same_bank_programs(int cores, int rounds) {
   std::vector<xasm::Program> progs;
   for (int c = 0; c < cores; ++c) {
-    xasm::Assembler a(static_cast<addr_t>(c) * 0x1000);
+    xasm::Assembler a(static_cast<addr_t>(c) * 0x400);
     a.li(r::s0, 0x30000);  // one shared word: a single hot bank
     a.li(r::s1, 0x30100 + c * 0x40);  // plus a private spill slot
     a.li(r::t0, rounds + 7 * c);      // staggered runtimes
@@ -276,13 +291,17 @@ RunCapture run_programs(const std::vector<xasm::Program>& progs,
 }
 
 TEST(BurstSchedDiff, SameBankConflictStress) {
-  for (const int cores : {2, 4, 8}) {
+  // 3 and 5 cores give non-power-of-two bank counts (the arbiter's modulo
+  // path); 64 cores use the top bit of the merge's lane masks. Horizon 1
+  // leaves almost every step to reference segments, whose merges re-run
+  // under a recomputed frontier until nothing pops.
+  for (const int cores : {2, 3, 4, 5, 8, 64}) {
     const auto progs = same_bank_programs(cores, 600);
     ClusterConfig ref_cfg;
     const RunCapture ref = run_programs(progs, ref_cfg);
     ASSERT_GT(ref.stats.bank_conflicts, 100u) << cores << " cores";
 
-    for (const u32 horizon : {64u, 1536u}) {
+    for (const u32 horizon : {1u, 64u, 1536u}) {
       ClusterConfig burst_cfg;
       burst_cfg.scheduler = SchedulerMode::kBurst;
       burst_cfg.burst_horizon = horizon;

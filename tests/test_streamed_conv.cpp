@@ -2,6 +2,8 @@
 // makespan accounting, and the double-buffering benefit.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "kernels/linear.hpp"
 #include "soc/streamed_conv.hpp"
 
@@ -55,6 +57,29 @@ INSTANTIATE_TEST_SUITE_P(TileSizes, StreamedTiles,
                          [](const ::testing::TestParamInfo<int>& info) {
                            return "t" + std::to_string(info.param);
                          });
+
+TEST(StreamedConv, MixedPrecisionBitExact) {
+  // The L2 image must use the grouped weight packing the mixed kernels
+  // read; tiles then stream whole grouped filters.
+  for (const auto& [in_bits, w_bits] :
+       {std::pair{8u, 4u}, std::pair{4u, 2u}}) {
+    qnn::ConvSpec spec = small_spec(8);
+    spec.in_c = 8;
+    spec.in_bits = in_bits;
+    spec.w_bits = w_bits;
+    const auto data = ConvLayerData::random(spec, 0x3e7u + in_bits);
+    const auto gold = data.golden();
+    for (const int tile : {4, 8}) {
+      for (const bool dbuf : {false, true}) {
+        const auto res =
+            run_conv_streamed(data, ConvVariant::kXpulpNN_Mixed,
+                              sim::CoreConfig::extended(), tile, dbuf);
+        EXPECT_EQ(res.output == gold, true)
+            << in_bits << "x" << w_bits << ", tile " << tile;
+      }
+    }
+  }
+}
 
 TEST(StreamedConv, MatchesResidentKernelCycles) {
   // Per-tile compute sums to roughly the resident kernel (the channel loop
