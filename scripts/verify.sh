@@ -72,6 +72,9 @@ step "xrace: shadow-validated parallel conv" \
 
 step "xtel: sampled telemetry + energy reconciliation" \
   ./build/tools/xtel --small --mode superblock --json /tmp/xtel.json
+step "xtel: energy views on the fast path (xprof's CI layer)" \
+  ./build/tools/xtel --small --bits 4 --variant hwq --mode fast \
+  --json /tmp/xtel-small.json
 step "xtel: cluster heatmap reconciliation + scheduler parity" \
   ./build/tools/xtel --small --cores 4 --heatmap /tmp/xtel-heatmap.json
 

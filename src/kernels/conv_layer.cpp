@@ -1,5 +1,7 @@
 #include "kernels/conv_layer.hpp"
 
+#include <cstring>
+
 #include "common/bitops.hpp"
 #include "common/error.hpp"
 #include "qnn/pack.hpp"
@@ -16,6 +18,16 @@ const char* variant_name(ConvVariant v) {
     case ConvVariant::kXpulpNN_Mixed: return "xpulpnn-mixed";
   }
   return "?";
+}
+
+bool parse_variant(const char* s, ConvVariant& v) {
+  if (!std::strcmp(s, "8b")) v = ConvVariant::kXpulpV2_8b;
+  else if (!std::strcmp(s, "sub")) v = ConvVariant::kXpulpV2_Sub;
+  else if (!std::strcmp(s, "subshf")) v = ConvVariant::kXpulpV2_SubShf;
+  else if (!std::strcmp(s, "swq")) v = ConvVariant::kXpulpNN_SwQ;
+  else if (!std::strcmp(s, "hwq")) v = ConvVariant::kXpulpNN_HwQ;
+  else return false;
+  return true;
 }
 
 u32 mixed_sel_for(unsigned in_bits, unsigned w_bits) {

@@ -60,6 +60,10 @@ u32 mixed_sel_for(unsigned in_bits, unsigned w_bits);
 
 const char* variant_name(ConvVariant v);
 
+/// Parse a tool CLI variant name (8b | sub | subshf | swq | hwq) into `v`;
+/// returns false, leaving `v` untouched, for any other string.
+bool parse_variant(const char* s, ConvVariant& v);
+
 /// Host-side layer data (input codes, signed weights, per-channel
 /// thresholds for sub-byte outputs).
 struct ConvLayerData {

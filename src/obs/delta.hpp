@@ -1,5 +1,5 @@
 // Field-wise counter arithmetic over the simulator's stat structs, shared
-// by the xtel observers (sampler windows, energy attribution). Kept as
+// by the sampler windows and the profiler's region cells. Kept as
 // plain free functions instead of operators on the sim structs so the hot
 // simulator headers stay arithmetic-free.
 #pragma once

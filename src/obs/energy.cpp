@@ -7,181 +7,6 @@
 
 namespace xpulp::obs {
 
-EnergyProfiler::EnergyProfiler(sim::Core& core, const RegionMap& regions,
-                               const Options& opts)
-    : core_(core),
-      opts_(opts),
-      region_index_(regions.build_index()),
-      n_regions_(regions.size()) {
-  region_names_.reserve(static_cast<size_t>(n_regions_) + 1);
-  for (int i = 0; i < n_regions_; ++i) region_names_.push_back(regions.name(i));
-  region_names_.emplace_back("other");
-  region_cells_.resize(static_cast<size_t>(n_regions_) + 1);
-
-  last_ = snap();
-  core_.set_trace([this](addr_t pc, const isa::Instr& in) {
-    return on_instr(pc, in);
-  });
-  attached_ = true;
-}
-
-EnergyProfiler::~EnergyProfiler() { finalize(); }
-
-EnergyProfiler::Snapshot EnergyProfiler::snap() const {
-  return Snapshot{core_.perf(), core_.dotp_unit().activity(),
-                  core_.memory().stats()};
-}
-
-bool EnergyProfiler::on_instr(addr_t pc, const isa::Instr& in) {
-  // The hook fires before this instruction's stalls and base cycle are
-  // charged, so the delta since the previous firing is exactly the cost
-  // of the *previous* (pending) instruction.
-  const Snapshot now = snap();
-  if (pending_valid_) settle(now);
-  pending_region_ = region_of(pc);
-  pending_cls_ = in.cls;
-  pending_valid_ = true;
-  last_ = now;
-  return true;
-}
-
-void EnergyProfiler::settle(const Snapshot& now) {
-  const sim::PerfCounters dp = diff(now.perf, last_.perf);
-  const sim::DotpActivity dd = diff(now.dotp, last_.dotp);
-  const mem::MemStats dm = diff(now.mem, last_.mem);
-  const auto add = [&](EnergyCell& c) {
-    accumulate(c.perf, dp);
-    accumulate(c.dotp, dd);
-    accumulate(c.mem, dm);
-  };
-  add(total_);
-  add(region_cells_[static_cast<size_t>(pending_region_)]);
-  add(by_class_[static_cast<size_t>(pending_cls_)]);
-}
-
-void EnergyProfiler::finalize() {
-  if (finalized_) return;
-  const Snapshot now = snap();
-  if (pending_valid_) settle(now);
-  pending_valid_ = false;
-  if (attached_) {
-    core_.set_trace({});
-    attached_ = false;
-  }
-  const auto price = [&](EnergyCell& c) {
-    c.energy = power::estimate_energy(c.perf, c.dotp, c.mem, core_.config(),
-                                      opts_.op);
-  };
-  price(total_);
-  for (EnergyCell& c : region_cells_) price(c);
-  for (EnergyCell& c : by_class_) price(c);
-  finalized_ = true;
-}
-
-std::vector<RegionEnergy> EnergyProfiler::region_energies() const {
-  std::vector<RegionEnergy> out;
-  out.reserve(region_cells_.size());
-  for (size_t i = 0; i < region_cells_.size(); ++i) {
-    out.push_back({region_names_[i], region_cells_[i]});
-  }
-  return out;
-}
-
-std::string EnergyProfiler::reconciliation_violation() const {
-  sim::PerfCounters psum;
-  sim::DotpActivity dsum;
-  mem::MemStats msum;
-  for (const EnergyCell& c : region_cells_) {
-    accumulate(psum, c.perf);
-    accumulate(dsum, c.dotp);
-    accumulate(msum, c.mem);
-  }
-
-  // Layer 1: the integer counters partition the run totals exactly.
-#define XTEL_CHK(agg, tot, f)                                   \
-  if ((agg).f != (tot).f) {                                     \
-    return std::string("region partition mismatch: ") + #tot "." #f; \
-  }
-  XTEL_CHK(psum, total_.perf, cycles)
-  XTEL_CHK(psum, total_.perf, instructions)
-  XTEL_CHK(psum, total_.perf, taken_branches)
-  XTEL_CHK(psum, total_.perf, not_taken_branches)
-  XTEL_CHK(psum, total_.perf, jumps)
-  XTEL_CHK(psum, total_.perf, branch_stall_cycles)
-  XTEL_CHK(psum, total_.perf, load_use_stall_cycles)
-  XTEL_CHK(psum, total_.perf, mem_stall_cycles)
-  XTEL_CHK(psum, total_.perf, mul_div_stall_cycles)
-  XTEL_CHK(psum, total_.perf, qnt_stall_cycles)
-  XTEL_CHK(psum, total_.perf, hwloop_backedges)
-  XTEL_CHK(psum, total_.perf, loads)
-  XTEL_CHK(psum, total_.perf, stores)
-  XTEL_CHK(psum, total_.perf, scalar_alu_ops)
-  XTEL_CHK(psum, total_.perf, mul_ops)
-  XTEL_CHK(psum, total_.perf, mac_ops)
-  XTEL_CHK(psum, total_.perf, div_ops)
-  XTEL_CHK(psum, total_.perf, simd_alu_ops)
-  XTEL_CHK(psum, total_.perf, qnt_ops)
-  XTEL_CHK(psum, total_.perf, csr_ops)
-  XTEL_CHK(psum, total_.perf, sys_ops)
-  XTEL_CHK(psum, total_.perf, lsu_data_toggles)
-  for (unsigned i = 0; i < 3; ++i) {
-    if (psum.mixed_dotp_ops[i] != total_.perf.mixed_dotp_ops[i]) {
-      return "region partition mismatch: perf.mixed_dotp_ops";
-    }
-  }
-  for (unsigned i = 0; i < 4; ++i) {
-    if (psum.dotp_ops[i] != total_.perf.dotp_ops[i]) {
-      return "region partition mismatch: perf.dotp_ops";
-    }
-    if (dsum.operand_toggles[i] != total_.dotp.operand_toggles[i] ||
-        dsum.ops[i] != total_.dotp.ops[i]) {
-      return "region partition mismatch: dotp activity";
-    }
-  }
-  XTEL_CHK(msum, total_.mem, loads)
-  XTEL_CHK(msum, total_.mem, stores)
-  XTEL_CHK(msum, total_.mem, load_bytes)
-  XTEL_CHK(msum, total_.mem, store_bytes)
-  XTEL_CHK(msum, total_.mem, misaligned_accesses)
-  XTEL_CHK(msum, total_.mem, contention_stalls)
-#undef XTEL_CHK
-
-  // Layer 2: energy over the summed counters is bit-identical to energy
-  // over the run totals (same integers in, same doubles out).
-  const power::EnergyBreakdown esum =
-      power::estimate_energy(psum, dsum, msum, core_.config(), opts_.op);
-  const power::EnergyBreakdown etot = power::estimate_energy(
-      total_.perf, total_.dotp, total_.mem, core_.config(), opts_.op);
-#define XTEL_ECHK(f)                                      \
-  if (esum.f != etot.f) {                                 \
-    return std::string("energy identity violated: ") + #f; \
-  }
-  XTEL_ECHK(leak_pj)
-  XTEL_ECHK(base_pj)
-  XTEL_ECHK(alu_pj)
-  XTEL_ECHK(muldiv_pj)
-  XTEL_ECHK(dotp_pj)
-  XTEL_ECHK(dotp_toggle_pj)
-  XTEL_ECHK(qnt_pj)
-  XTEL_ECHK(lsu_pj)
-  XTEL_ECHK(sram_pj)
-  XTEL_ECHK(soc_static_pj)
-#undef XTEL_ECHK
-
-  // Layer 3 (FP-honest): the double sum of per-region energies matches
-  // the total to a relative epsilon (addition is not associative).
-  double region_sum = 0;
-  for (const EnergyCell& c : region_cells_) region_sum += c.energy.soc_pj();
-  const double tot = etot.soc_pj();
-  const double tol = 1e-9 * std::max(1.0, std::abs(tot));
-  if (std::abs(region_sum - tot) > tol) {
-    std::ostringstream os;
-    os << "per-region energy sum drifted: " << region_sum << " vs " << tot;
-    return os.str();
-  }
-  return {};
-}
-
 namespace {
 
 struct Component {
@@ -204,29 +29,137 @@ constexpr Component kComponents[] = {
 
 }  // namespace
 
-std::string EnergyProfiler::collapsed_stacks(std::string_view root) const {
+EnergyCell Profiler::priced(const CounterCell& c) const {
+  return {c, power::estimate_energy(c.perf, c.dotp, c.mem, cfg_)};
+}
+
+EnergyCell Profiler::energy_total() const {
+  return priced(CounterCell{diff(run_end_.perf, run_start_.perf),
+                            diff(run_end_.dotp, run_start_.dotp),
+                            diff(run_end_.mem, run_start_.mem)});
+}
+
+std::vector<RegionEnergy> Profiler::region_energies() const {
+  std::vector<RegionEnergy> out;
+  out.reserve(cells_.size());
+  for (size_t i = 0; i < cells_.size(); ++i) {
+    out.push_back({region_names_[i], priced(cells_[i])});
+  }
+  return out;
+}
+
+std::string Profiler::reconciliation_violation() const {
+  const EnergyCell total = energy_total();
+  sim::PerfCounters psum;
+  sim::DotpActivity dsum;
+  mem::MemStats msum;
+  for (const CounterCell& c : cells_) {
+    accumulate(psum, c.perf);
+    accumulate(dsum, c.dotp);
+    accumulate(msum, c.mem);
+  }
+
+  // Layer 1: the integer counters partition the run totals exactly.
+#define XTEL_CHK(agg, tot, f)                                   \
+  if ((agg).f != (tot).f) {                                     \
+    return std::string("region partition mismatch: ") + #tot "." #f; \
+  }
+  XTEL_CHK(psum, total.perf, cycles)
+  XTEL_CHK(psum, total.perf, instructions)
+  XTEL_CHK(psum, total.perf, taken_branches)
+  XTEL_CHK(psum, total.perf, not_taken_branches)
+  XTEL_CHK(psum, total.perf, jumps)
+  XTEL_CHK(psum, total.perf, branch_stall_cycles)
+  XTEL_CHK(psum, total.perf, load_use_stall_cycles)
+  XTEL_CHK(psum, total.perf, mem_stall_cycles)
+  XTEL_CHK(psum, total.perf, mul_div_stall_cycles)
+  XTEL_CHK(psum, total.perf, qnt_stall_cycles)
+  XTEL_CHK(psum, total.perf, hwloop_backedges)
+  XTEL_CHK(psum, total.perf, loads)
+  XTEL_CHK(psum, total.perf, stores)
+  XTEL_CHK(psum, total.perf, scalar_alu_ops)
+  XTEL_CHK(psum, total.perf, mul_ops)
+  XTEL_CHK(psum, total.perf, mac_ops)
+  XTEL_CHK(psum, total.perf, div_ops)
+  XTEL_CHK(psum, total.perf, simd_alu_ops)
+  XTEL_CHK(psum, total.perf, qnt_ops)
+  XTEL_CHK(psum, total.perf, csr_ops)
+  XTEL_CHK(psum, total.perf, sys_ops)
+  XTEL_CHK(psum, total.perf, lsu_data_toggles)
+  for (unsigned i = 0; i < 3; ++i) {
+    if (psum.mixed_dotp_ops[i] != total.perf.mixed_dotp_ops[i]) {
+      return "region partition mismatch: perf.mixed_dotp_ops";
+    }
+  }
+  for (unsigned i = 0; i < 4; ++i) {
+    if (psum.dotp_ops[i] != total.perf.dotp_ops[i]) {
+      return "region partition mismatch: perf.dotp_ops";
+    }
+    if (dsum.operand_toggles[i] != total.dotp.operand_toggles[i] ||
+        dsum.ops[i] != total.dotp.ops[i]) {
+      return "region partition mismatch: dotp activity";
+    }
+  }
+  XTEL_CHK(msum, total.mem, loads)
+  XTEL_CHK(msum, total.mem, stores)
+  XTEL_CHK(msum, total.mem, load_bytes)
+  XTEL_CHK(msum, total.mem, store_bytes)
+  XTEL_CHK(msum, total.mem, misaligned_accesses)
+  XTEL_CHK(msum, total.mem, contention_stalls)
+#undef XTEL_CHK
+
+  // Layer 2: energy over the summed counters is bit-identical to energy
+  // over the run totals (same integers in, same doubles out).
+  const power::EnergyBreakdown esum =
+      power::estimate_energy(psum, dsum, msum, cfg_);
+  const power::EnergyBreakdown& etot = total.energy;
+  for (const Component& c : kComponents) {
+    if (esum.*c.field != etot.*c.field) {
+      return std::string("energy identity violated: ") + c.name + "_pj";
+    }
+  }
+
+  // Layer 3 (FP-honest): the double sum of per-region energies matches
+  // the total to a relative epsilon (addition is not associative).
+  double region_sum = 0;
+  for (const RegionEnergy& r : region_energies()) {
+    region_sum += r.cell.energy.soc_pj();
+  }
+  const double tot = etot.soc_pj();
+  const double tol = 1e-9 * std::max(1.0, std::abs(tot));
+  if (std::abs(region_sum - tot) > tol) {
+    std::ostringstream os;
+    os << "per-region energy sum drifted: " << region_sum << " vs " << tot;
+    return os.str();
+  }
+  return {};
+}
+
+std::string Profiler::energy_stacks(std::string_view root) const {
   std::ostringstream os;
-  for (size_t r = 0; r < region_cells_.size(); ++r) {
+  for (const RegionEnergy& r : region_energies()) {
     for (const Component& c : kComponents) {
-      const long long pj = std::llround(region_cells_[r].energy.*c.field);
+      const long long pj = std::llround(r.cell.energy.*c.field);
       if (pj <= 0) continue;
       if (!root.empty()) os << root << ';';
-      os << region_names_[r] << ';' << c.name << ' ' << pj << '\n';
+      os << r.name << ';' << c.name << ' ' << pj << '\n';
     }
   }
   return os.str();
 }
 
-void EnergyProfiler::add_to_registry(Registry& r, std::string_view prefix) const {
+void Profiler::add_energy_to_registry(Registry& r,
+                                      std::string_view prefix) const {
   const std::string pre = std::string(prefix) + ".";
-  add_energy_breakdown(r, pre + "total", total_.energy);
-  r.counter(pre + "total.cycles", total_.perf.cycles);
-  r.counter(pre + "total.instructions", total_.perf.instructions);
-  for (size_t i = 0; i < region_cells_.size(); ++i) {
-    const std::string rp = pre + "regions." + region_names_[i];
-    add_energy_breakdown(r, rp, region_cells_[i].energy);
-    r.counter(rp + ".cycles", region_cells_[i].perf.cycles);
-    r.counter(rp + ".instructions", region_cells_[i].perf.instructions);
+  const EnergyCell total = energy_total();
+  add_energy_breakdown(r, pre + "total", total.energy);
+  r.counter(pre + "total.cycles", total.perf.cycles);
+  r.counter(pre + "total.instructions", total.perf.instructions);
+  for (const RegionEnergy& re : region_energies()) {
+    const std::string rp = pre + "regions." + re.name;
+    add_energy_breakdown(r, rp, re.cell.energy);
+    r.counter(rp + ".cycles", re.cell.perf.cycles);
+    r.counter(rp + ".instructions", re.cell.perf.instructions);
   }
 }
 

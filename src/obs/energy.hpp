@@ -1,15 +1,9 @@
-// Exactly-reconciled energy attribution (xtel, DESIGN.md §14).
+// Energy views of the attribution engine (obs::Profiler, DESIGN.md §10)
+// and the registry publishers xprof and xtel share for power figures.
 //
-// EnergyProfiler attaches to the core's trace hook (like obs::Profiler:
-// the hook fires at the start of each instruction, before its stalls are
-// charged, so the counter delta between firings is exactly the previous
-// instruction's cost) and partitions the run's *integer activity
-// counters* — PerfCounters, DotpActivity, MemStats — over the RegionMap
-// regions and over ExecClass. Energy is then computed per partition cell
-// with power::estimate_energy, which is linear in those counters.
-//
-// The reconciliation invariant has two exact layers and one FP-honest
-// layer:
+// Profiler prices its per-region counter cells with
+// power::estimate_energy, which is linear in those counters. The
+// reconciliation invariant has two exact layers and one FP-honest layer:
 //   1. counter partition: every u64 field of the per-region counter sums
 //      equals the run's total delta exactly (same style as xprof's cycle
 //      reconciliation);
@@ -19,126 +13,17 @@
 //   3. the *sum of per-region energies in double* matches the total only
 //      to a relative epsilon (floating-point addition is not
 //      associative), checked as a secondary sanity bound.
-// reconciliation_violation() checks all three and returns a diagnostic,
-// empty when they hold.
+// Profiler::reconciliation_violation() checks all three and returns a
+// diagnostic, empty when they hold.
 #pragma once
 
-#include <array>
-#include <string>
 #include <string_view>
-#include <vector>
 
-#include "isa/instruction.hpp"
-#include "mem/memory.hpp"
-#include "obs/region.hpp"
+#include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "power/power_model.hpp"
-#include "sim/core.hpp"
 
 namespace xpulp::obs {
-
-/// One attribution cell: the integer counters charged to it plus the
-/// energy those counters cost under the power model.
-struct EnergyCell {
-  sim::PerfCounters perf;
-  sim::DotpActivity dotp;
-  mem::MemStats mem;
-  power::EnergyBreakdown energy;  // filled by finalize()
-};
-
-struct RegionEnergy {
-  std::string name;
-  EnergyCell cell;
-};
-
-class EnergyProfiler {
- public:
-  struct Options {
-    /// Operating point the pJ figures are computed at.
-    power::OperatingPoint op{};
-  };
-
-  /// Attaches to `core`'s trace hook (displacing any other hook — one
-  /// owner at a time; don't combine with obs::Profiler on the same core).
-  /// `regions` maps pcs to named regions; unmatched pcs fall into the
-  /// trailing "other" bucket.
-  EnergyProfiler(sim::Core& core, const RegionMap& regions,
-                 const Options& opts);
-  EnergyProfiler(sim::Core& core, const RegionMap& regions)
-      : EnergyProfiler(core, regions, Options{}) {}
-  ~EnergyProfiler();
-
-  EnergyProfiler(const EnergyProfiler&) = delete;
-  EnergyProfiler& operator=(const EnergyProfiler&) = delete;
-
-  /// Settle the pending instruction, compute per-cell energies and detach
-  /// from the core. Idempotent; results are stable afterwards.
-  void finalize();
-
-  /// Counter deltas of the whole observed run plus their energy.
-  const EnergyCell& total() const { return total_; }
-
-  /// Per-region cells in RegionMap order plus a final "other" bucket.
-  /// Every integer counter field partitions the total exactly.
-  std::vector<RegionEnergy> region_energies() const;
-
-  /// Per-ExecClass cells; the same exact-partition property holds.
-  const std::array<EnergyCell, static_cast<size_t>(isa::ExecClass::kCount)>&
-  by_class() const {
-    return by_class_;
-  }
-
-  /// Check the three-layer reconciliation invariant (see file comment).
-  /// Returns an empty string when it holds, else a diagnostic naming the
-  /// first violated field. Call after finalize().
-  std::string reconciliation_violation() const;
-
-  /// Collapsed flamegraph stacks ("root;region;component picojoules"
-  /// lines, energy rounded to integer pJ), consumable by flamegraph.pl /
-  /// speedscope / inferno.
-  std::string collapsed_stacks(std::string_view root) const;
-
-  /// Publish total + per-region energies (pJ) and headline counters under
-  /// `prefix`.
-  void add_to_registry(Registry& r, std::string_view prefix) const;
-
- private:
-  struct Snapshot {
-    sim::PerfCounters perf;
-    sim::DotpActivity dotp;
-    mem::MemStats mem;
-  };
-
-  Snapshot snap() const;
-  bool on_instr(addr_t pc, const isa::Instr& in);
-  void settle(const Snapshot& now);
-  int region_of(addr_t pc) const {
-    const size_t parcel = pc >> 1;
-    if (parcel < region_index_.size() && region_index_[parcel] >= 0) {
-      return region_index_[parcel];
-    }
-    return n_regions_;  // "other"
-  }
-
-  sim::Core& core_;
-  Options opts_;
-  std::vector<int> region_index_;
-  int n_regions_;
-  std::vector<std::string> region_names_;  // includes "other"
-
-  bool attached_ = false;
-  bool finalized_ = false;
-
-  Snapshot last_{};
-  bool pending_valid_ = false;
-  int pending_region_ = 0;
-  isa::ExecClass pending_cls_ = isa::ExecClass::kIllegal;
-
-  EnergyCell total_;
-  std::vector<EnergyCell> region_cells_;  // n_regions_ + 1 ("other" last)
-  std::array<EnergyCell, static_cast<size_t>(isa::ExecClass::kCount)>
-      by_class_{};
-};
 
 /// Publish a SocPower breakdown under `prefix` ("<prefix>.core_mw",
 /// ".soc_mw", ".sram_mw", ".soc_static_mw" plus every core component).

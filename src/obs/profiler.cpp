@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "obs/delta.hpp"
+
 namespace xpulp::obs {
 
 Profiler::Profiler(sim::Core& core, const RegionMap& regions,
@@ -13,13 +15,13 @@ Profiler::Profiler(sim::Core& core, const RegionMap& regions,
       tl_(opts.timeline),
       track_(opts.track),
       track_pc_(opts.track_pc),
-      emit_stalls_(opts.emit_stalls),
       block_limit_(opts.block_instructions ? opts.block_instructions : 1) {
   region_names_.reserve(static_cast<size_t>(n_regions_) + 1);
   for (int i = 0; i < n_regions_; ++i) region_names_.push_back(regions.name(i));
   region_names_.emplace_back("other");
-  region_stats_.resize(static_cast<size_t>(n_regions_) + 1);
-  region_mnem_cycles_.resize(static_cast<size_t>(n_regions_) + 1);
+  cells_.resize(region_names_.size());
+  region_hooks_.resize(region_names_.size());
+  region_mnem_cycles_.resize(region_names_.size());
   for (auto& row : region_mnem_cycles_) row.fill(0);
 
   if (tl_) {
@@ -30,7 +32,6 @@ Profiler::Profiler(sim::Core& core, const RegionMap& regions,
     stall_name_id_ = tl_->intern("stall");
   }
 
-  last_ = snap();
   core_.set_trace([this](addr_t pc, const isa::Instr& in) {
     return on_instr(pc, in);
   });
@@ -49,6 +50,11 @@ Profiler::Snapshot Profiler::snap() const {
                   p.qnt_stall_cycles};
 }
 
+CounterCell Profiler::counters() const {
+  return CounterCell{core_.perf(), core_.dotp_unit().activity(),
+                     core_.memory().stats()};
+}
+
 bool Profiler::on_instr(addr_t pc, const isa::Instr& in) {
   // The hook fires before this instruction's stalls and base cycle are
   // charged, so the counter delta since the previous firing is exactly the
@@ -60,6 +66,7 @@ bool Profiler::on_instr(addr_t pc, const isa::Instr& in) {
   pending_cls_ = in.cls;
   pending_region_ = region_of(pc);
   pending_valid_ = true;
+  if (pending_region_ != cur_region_) enter_region(pending_region_);
   last_ = now;
   return true;
 }
@@ -78,10 +85,9 @@ void Profiler::settle(const Snapshot& now) {
     s.cycles += dc;
     s.stalls += d;
   };
-  add(total_);
   add(by_mnemonic_[static_cast<size_t>(pending_op_)]);
   add(by_class_[static_cast<size_t>(pending_cls_)]);
-  add(region_stats_[static_cast<size_t>(pending_region_)]);
+  region_hooks_[static_cast<size_t>(pending_region_)] += 1;
   region_mnem_cycles_[static_cast<size_t>(pending_region_)]
                      [static_cast<size_t>(pending_op_)] += dc;
   if (track_pc_) {
@@ -108,7 +114,7 @@ void Profiler::settle(const Snapshot& now) {
       tl_->record(e);
       open_region_ = pending_region_;
     }
-    if (emit_stalls_ && d.total() != 0) {
+    if (d.total() != 0) {
       Event e;
       e.kind = EventKind::kStall;
       e.track = track_;
@@ -120,6 +126,22 @@ void Profiler::settle(const Snapshot& now) {
     block_instrs_ += 1;
     if (block_instrs_ >= block_limit_) flush_block(now.cycles);
   }
+}
+
+void Profiler::enter_region(int region) {
+  // Close the open segment: its per-instruction deltas telescope to the
+  // difference of the counters at its first hook and at this one.
+  const CounterCell now = counters();
+  if (cur_region_ < 0) {
+    run_start_ = now;
+  } else {
+    CounterCell& c = cells_[static_cast<size_t>(cur_region_)];
+    accumulate(c.perf, diff(now.perf, seg_start_.perf));
+    accumulate(c.dotp, diff(now.dotp, seg_start_.dotp));
+    accumulate(c.mem, diff(now.mem, seg_start_.mem));
+  }
+  seg_start_ = now;
+  cur_region_ = region;
 }
 
 void Profiler::flush_block(u64 end_ts) {
@@ -142,6 +164,9 @@ void Profiler::finalize() {
   const Snapshot now = snap();
   if (pending_valid_) settle(now);
   pending_valid_ = false;
+  enter_region(-1);  // settles the open cell
+  run_end_ = seg_start_;
+  cfg_ = core_.config();
   if (tl_) {
     flush_block(now.cycles);
     if (open_region_ >= 0) {
@@ -161,19 +186,41 @@ void Profiler::finalize() {
   finalized_ = true;
 }
 
+namespace {
+
+SiteStat site(u64 hooks, const sim::PerfCounters& p) {
+  SiteStat s;
+  s.instructions = hooks;
+  s.cycles = p.cycles;
+  s.stalls.branch = p.branch_stall_cycles;
+  s.stalls.load_use = p.load_use_stall_cycles;
+  s.stalls.mem = p.mem_stall_cycles;
+  s.stalls.mul_div = p.mul_div_stall_cycles;
+  s.stalls.qnt = p.qnt_stall_cycles;
+  return s;
+}
+
+}  // namespace
+
+SiteStat Profiler::total() const {
+  u64 hooks = 0;
+  for (const u64 h : region_hooks_) hooks += h;
+  return site(hooks, diff(run_end_.perf, run_start_.perf));
+}
+
 std::vector<RegionStat> Profiler::region_stats() const {
   std::vector<RegionStat> out;
-  out.reserve(region_stats_.size());
-  for (size_t i = 0; i < region_stats_.size(); ++i) {
-    out.push_back({region_names_[i], region_stats_[i]});
+  out.reserve(cells_.size());
+  for (size_t i = 0; i < cells_.size(); ++i) {
+    out.push_back({region_names_[i], site(region_hooks_[i], cells_[i].perf)});
   }
   return out;
 }
 
 u64 Profiler::region_cycles(std::string_view name) const {
   u64 cycles = 0;
-  for (size_t i = 0; i < region_stats_.size(); ++i) {
-    if (region_names_[i] == name) cycles += region_stats_[i].cycles;
+  for (size_t i = 0; i < cells_.size(); ++i) {
+    if (region_names_[i] == name) cycles += cells_[i].perf.cycles;
   }
   return cycles;
 }
@@ -217,9 +264,9 @@ void Profiler::add_to_registry(Registry& r, std::string_view prefix) const {
     r.counter(p + ".stall_cycles.mul_div", s.stalls.mul_div);
     r.counter(p + ".stall_cycles.qnt", s.stalls.qnt);
   };
-  add_site(pre + "total", total_);
-  for (size_t i = 0; i < region_stats_.size(); ++i) {
-    add_site(pre + "regions." + region_names_[i], region_stats_[i]);
+  add_site(pre + "total", total());
+  for (const RegionStat& rs : region_stats()) {
+    add_site(pre + "regions." + rs.name, rs.stat);
   }
 }
 

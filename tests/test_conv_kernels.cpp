@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
 
 #include "common/error.hpp"
 #include "kernels/conv_layer.hpp"
@@ -143,6 +144,26 @@ TEST(ConvKernels, UnsupportedVariantThrows) {
   EXPECT_THROW(run_conv_layer(data, ConvVariant::kXpulpNN_HwQ,
                               sim::CoreConfig::ri5cy()),
                SimError);
+}
+
+TEST(ConvKernels, ParseVariantAcceptsExactlyTheCliNames) {
+  const std::pair<const char*, ConvVariant> names[] = {
+      {"8b", ConvVariant::kXpulpV2_8b},
+      {"sub", ConvVariant::kXpulpV2_Sub},
+      {"subshf", ConvVariant::kXpulpV2_SubShf},
+      {"swq", ConvVariant::kXpulpNN_SwQ},
+      {"hwq", ConvVariant::kXpulpNN_HwQ},
+  };
+  for (const auto& [name, want] : names) {
+    ConvVariant v = ConvVariant::kXpulpNN_Mixed;
+    EXPECT_TRUE(parse_variant(name, v)) << name;
+    EXPECT_EQ(v, want) << name;
+  }
+  for (const char* bad : {"", "mixed", "HWQ", "hwq "}) {
+    ConvVariant v = ConvVariant::kXpulpNN_Mixed;
+    EXPECT_FALSE(parse_variant(bad, v)) << '"' << bad << '"';
+    EXPECT_EQ(v, ConvVariant::kXpulpNN_Mixed) << '"' << bad << '"';
+  }
 }
 
 TEST(ConvKernels, ShuffleUnpackBeatsNaiveButNotTheExtension) {

@@ -13,7 +13,6 @@
 // campaign quality directly.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -61,16 +60,6 @@ void usage() {
       "  --json FILE        write the metrics registry as JSON\n"
       "  --min-detected R   exit 1 unless detection rate >= R (0..1)\n"
       "  --min-recovered R  exit 1 unless recovery rate >= R (0..1)");
-}
-
-bool parse_variant(const char* s, ConvVariant& v) {
-  if (!std::strcmp(s, "8b")) v = ConvVariant::kXpulpV2_8b;
-  else if (!std::strcmp(s, "sub")) v = ConvVariant::kXpulpV2_Sub;
-  else if (!std::strcmp(s, "subshf")) v = ConvVariant::kXpulpV2_SubShf;
-  else if (!std::strcmp(s, "swq")) v = ConvVariant::kXpulpNN_SwQ;
-  else if (!std::strcmp(s, "hwq")) v = ConvVariant::kXpulpNN_HwQ;
-  else return false;
-  return true;
 }
 
 bool parse_kinds(const char* s, std::vector<ckpt::FaultKind>& kinds) {
@@ -129,7 +118,7 @@ bool parse_args(int argc, char** argv, Args& a) {
       a.bits = static_cast<unsigned>(std::atoi(v));
     } else if (opt == "--variant") {
       const char* v = need_value();
-      if (!v || !parse_variant(v, a.variant)) return false;
+      if (!v || !kernels::parse_variant(v, a.variant)) return false;
     } else if (opt == "--kinds") {
       const char* v = need_value();
       if (!v || !parse_kinds(v, a.kinds)) return false;

@@ -80,16 +80,6 @@ void usage() {
       "  --no-check         skip golden-output and reconciliation checks");
 }
 
-bool parse_variant(const char* s, ConvVariant& v) {
-  if (!std::strcmp(s, "8b")) v = ConvVariant::kXpulpV2_8b;
-  else if (!std::strcmp(s, "sub")) v = ConvVariant::kXpulpV2_Sub;
-  else if (!std::strcmp(s, "subshf")) v = ConvVariant::kXpulpV2_SubShf;
-  else if (!std::strcmp(s, "swq")) v = ConvVariant::kXpulpNN_SwQ;
-  else if (!std::strcmp(s, "hwq")) v = ConvVariant::kXpulpNN_HwQ;
-  else return false;
-  return true;
-}
-
 bool parse_args(int argc, char** argv, Args& a) {
   for (int i = 1; i < argc; ++i) {
     const std::string opt = argv[i];
@@ -109,7 +99,7 @@ bool parse_args(int argc, char** argv, Args& a) {
       a.bits = static_cast<unsigned>(std::atoi(v));
     } else if (opt == "--variant") {
       const char* v = need_value();
-      if (!v || !parse_variant(v, a.variant)) return false;
+      if (!v || !kernels::parse_variant(v, a.variant)) return false;
     } else if (opt == "--core") {
       const char* v = need_value();
       if (!v) return false;

@@ -9,10 +9,11 @@
 // engine repairs mid-burst to the exact boundary, counted as
 // sim.superblock.sample_flushes).
 //
-// A second, traced pass attributes the power model's energy over the
-// kernel's regions with obs::EnergyProfiler and checks the exact
-// reconciliation invariant (see DESIGN.md §14); --folded exports the
-// energy flamegraph.
+// A second, traced pass attaches the attribution engine (obs::Profiler)
+// and reads its energy views: the power model's picojoules per kernel
+// region, checked against the exact reconciliation invariant (see
+// DESIGN.md §10); --folded exports the energy flamegraph. Its cycle
+// tables are the ones xprof prints for the same run.
 //
 // --cores N samples every core of a parallel cluster run (one counter
 // track set per core) and bins TCDM traffic into the per-bank heatmap,
@@ -30,6 +31,7 @@
 #include "kernels/conv_layer.hpp"
 #include "obs/energy.hpp"
 #include "obs/heatmap.hpp"
+#include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
 #include "obs/timeline.hpp"
@@ -90,16 +92,6 @@ void usage() {
       "  --no-check         skip golden-output and reconciliation checks");
 }
 
-bool parse_variant(const char* s, ConvVariant& v) {
-  if (!std::strcmp(s, "8b")) v = ConvVariant::kXpulpV2_8b;
-  else if (!std::strcmp(s, "sub")) v = ConvVariant::kXpulpV2_Sub;
-  else if (!std::strcmp(s, "subshf")) v = ConvVariant::kXpulpV2_SubShf;
-  else if (!std::strcmp(s, "swq")) v = ConvVariant::kXpulpNN_SwQ;
-  else if (!std::strcmp(s, "hwq")) v = ConvVariant::kXpulpNN_HwQ;
-  else return false;
-  return true;
-}
-
 bool parse_args(int argc, char** argv, Args& a) {
   for (int i = 1; i < argc; ++i) {
     const std::string opt = argv[i];
@@ -125,7 +117,7 @@ bool parse_args(int argc, char** argv, Args& a) {
       a.bits = static_cast<unsigned>(std::atoi(v));
     } else if (opt == "--variant") {
       const char* v = need_value();
-      if (!v || !parse_variant(v, a.variant)) return false;
+      if (!v || !kernels::parse_variant(v, a.variant)) return false;
     } else if (opt == "--core") {
       const char* v = need_value();
       if (!v) return false;
@@ -319,10 +311,11 @@ int run_single(const Args& args, const qnn::ConvSpec& spec,
     sim::Core ecore(emem, cfg);
     ecore.reset(kernel.program.entry(),
                 kernel.program.base() + kernel.program.size_bytes());
-    obs::EnergyProfiler eprof(ecore, kernel.regions);
+    obs::Profiler eprof(ecore, kernel.regions, {.track_pc = false});
     ecore.run(600'000'000);
     eprof.finalize();
 
+    const std::string rec = eprof.reconciliation_violation();
     if (args.check) {
       if (ecore.perf().cycles != perf.cycles ||
           ecore.perf().instructions != perf.instructions) {
@@ -333,7 +326,6 @@ int run_single(const Args& args, const qnn::ConvSpec& spec,
                      static_cast<unsigned long long>(perf.cycles));
         ok = false;
       }
-      const std::string rec = eprof.reconciliation_violation();
       if (!rec.empty()) {
         std::fprintf(stderr, "xtel: energy reconciliation failed: %s\n",
                      rec.c_str());
@@ -344,22 +336,21 @@ int run_single(const Args& args, const qnn::ConvSpec& spec,
     std::printf("\nper-region energy attribution:\n");
     std::printf("  %-12s %14s %14s %12s\n", "region", "soc_pj", "core_pj",
                 "cycles");
-    const double total_pj = eprof.total().energy.soc_pj();
+    const obs::EnergyCell total = eprof.energy_total();
     for (const obs::RegionEnergy& r : eprof.region_energies()) {
       if (r.cell.perf.instructions == 0) continue;
       std::printf("  %-12s %14.1f %14.1f %12llu\n", r.name.c_str(),
                   r.cell.energy.soc_pj(), r.cell.energy.core_pj(),
                   static_cast<unsigned long long>(r.cell.perf.cycles));
     }
-    std::printf("  %-12s %14.1f %14.1f %12llu  -> %s\n", "total", total_pj,
-                eprof.total().energy.core_pj(),
-                static_cast<unsigned long long>(eprof.total().perf.cycles),
-                eprof.reconciliation_violation().empty() ? "reconciled"
-                                                         : "MISMATCH");
-    eprof.add_to_registry(reg, "energy");
-    reg.flag("energy.reconciled", eprof.reconciliation_violation().empty());
+    std::printf("  %-12s %14.1f %14.1f %12llu  -> %s\n", "total",
+                total.energy.soc_pj(), total.energy.core_pj(),
+                static_cast<unsigned long long>(total.perf.cycles),
+                rec.empty() ? "reconciled" : "MISMATCH");
+    eprof.add_energy_to_registry(reg, "energy");
+    reg.flag("energy.reconciled", rec.empty());
     if (!args.folded_path.empty()) {
-      write_text_file(args.folded_path, eprof.collapsed_stacks("core0"),
+      write_text_file(args.folded_path, eprof.energy_stacks("core0"),
                       "energy flamegraph stacks");
     }
   }
