@@ -70,11 +70,10 @@ step "xrace: static race sweep" \
 step "xrace: shadow-validated parallel conv" \
   ./build/tools/xrace --shadow --cores 4 --json /tmp/xrace-shadow.json
 
-step "xtel: sampled telemetry + energy reconciliation" \
+# Sampled superblock pass + profiled pass of CI's layer: golden output,
+# region/cycle and energy reconciliation, pass agreement.
+step "xtel: sampled telemetry + cycle and energy attribution" \
   ./build/tools/xtel --small --mode superblock --json /tmp/xtel.json
-step "xtel: energy views on the fast path (xprof's CI layer)" \
-  ./build/tools/xtel --small --bits 4 --variant hwq --mode fast \
-  --json /tmp/xtel-small.json
 step "xtel: cluster heatmap reconciliation + scheduler parity" \
   ./build/tools/xtel --small --cores 4 --heatmap /tmp/xtel-heatmap.json
 

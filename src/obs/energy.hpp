@@ -1,11 +1,11 @@
 // Energy views of the attribution engine (obs::Profiler, DESIGN.md §10)
-// and the registry publishers xprof and xtel share for power figures.
+// and the registry publishers xtel uses for power figures.
 //
 // Profiler prices its per-region counter cells with
 // power::estimate_energy, which is linear in those counters. The
 // reconciliation invariant has two exact layers and one FP-honest layer:
 //   1. counter partition: every u64 field of the per-region counter sums
-//      equals the run's total delta exactly (same style as xprof's cycle
+//      equals the run's total delta exactly (same style as the cycle
 //      reconciliation);
 //   2. energy identity: estimate_energy(sum of per-region counters) is
 //      bit-identical to estimate_energy(run totals) — same integers in,
@@ -27,7 +27,6 @@ namespace xpulp::obs {
 
 /// Publish a SocPower breakdown under `prefix` ("<prefix>.core_mw",
 /// ".soc_mw", ".sram_mw", ".soc_static_mw" plus every core component).
-/// Shared by xprof and xtel so both publish the same "sim.power.*" keys.
 void add_soc_power(Registry& r, std::string_view prefix,
                    const power::SocPower& p);
 

@@ -1,6 +1,6 @@
 // Unified metrics registry: one insertion-ordered bag of named counters,
 // gauges, flags and text values with JSON and CSV exporters. Bench
-// binaries, xprof and tests publish PerfCounters / memory stats / power
+// binaries, xtel and tests publish PerfCounters / memory stats / power
 // numbers here instead of hand-rolling their own emission.
 //
 // Metric names are dotted paths ("workloads.conv4b.fast.mips"); the JSON

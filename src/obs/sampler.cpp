@@ -15,6 +15,7 @@ constexpr u64 kDotpMacs[4] = {2, 4, 8, 16};
 
 Sampler::Sampler(sim::Core& core, const Options& opts)
     : core_(core),
+      cfg_(core.config()),
       opts_(opts),
       capacity_(opts.capacity ? opts.capacity : 1),
       mem_src_(opts.mem_stats ? opts.mem_stats : &core.memory().stats()) {
@@ -102,6 +103,7 @@ void Sampler::finalize() {
       stream(s);
     }
     core_.set_sampler({}, 0);
+    cfg_ = core_.config();
     attached_ = false;
   }
 }
@@ -139,7 +141,7 @@ void Sampler::write_csv(std::ostream& os) const {
   os << "ts_cycles,cycles,instructions,ipc,stall_frac,macs_per_cycle,"
         "fused_frac,core_mw,soc_mw,loads,stores,contention_stalls\n";
   for (const Sample& s : samples()) {
-    const SampleMetrics m = derive(s, core_.config(), opts_.op);
+    const SampleMetrics m = derive(s, cfg_, opts_.op);
     char buf[160];
     std::snprintf(buf, sizeof buf, "%.6g,%.6g,%.6g,%.6g,%.6g,%.6g", m.ipc,
                   m.stall_frac, m.macs_per_cycle, m.fused_frac, m.core_mw,

@@ -86,7 +86,8 @@ class Sampler {
 
   /// Capture the trailing partial window (if any cycles elapsed past the
   /// last boundary) and detach from the core. Idempotent; the sample
-  /// series is stable afterwards.
+  /// series is stable afterwards and the views below no longer touch the
+  /// core, so the sampler may outlive it.
   void finalize();
 
   /// Retained windows, oldest first.
@@ -117,6 +118,7 @@ class Sampler {
   void stream(const Sample& s);
 
   sim::Core& core_;
+  sim::CoreConfig cfg_;  // the core's config at attach, then at finalize()
   Options opts_;
   size_t capacity_;
   const mem::MemStats* mem_src_;

@@ -120,7 +120,7 @@ void Timeline::write_chrome_json(std::ostream& os) const {
   }
 
   os << "{\"displayTimeUnit\":\"ns\",\"otherData\":{\"clock\":\"cycles\","
-        "\"tool\":\"xprof\",\"dropped_events\":"
+        "\"tool\":\"xtel\",\"dropped_events\":"
      << dropped();
   // Counter bookkeeping only appears when counters were recorded, so a
   // counter-free timeline (every pre-xtel caller) stays byte-identical.

@@ -254,7 +254,7 @@ TEST(Perfetto, GoldenSmallTrace) {
 
   const std::string expected =
       "{\"displayTimeUnit\":\"ns\",\"otherData\":{\"clock\":\"cycles\","
-      "\"tool\":\"xprof\",\"dropped_events\":0},\"traceEvents\":[\n"
+      "\"tool\":\"xtel\",\"dropped_events\":0},\"traceEvents\":[\n"
       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
       "\"args\":{\"name\":\"xpulpnn-sim\"}},\n"
       "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"

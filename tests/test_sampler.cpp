@@ -5,8 +5,11 @@
 // report drops exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "kernels/conv_layer.hpp"
@@ -194,6 +197,32 @@ TEST(Sampler, DerivedMetricsAreWellFormed) {
     total_fused_frac += m.fused_frac;
   }
   EXPECT_GT(total_fused_frac, 0.0);
+}
+
+// A finalized sampler no longer reads its core: reconfiguring the core
+// after finalize() must not change the export, and a sampler outliving
+// its core (run_conv_layer's hook pair finalizes it in after_run, then
+// the core dies) exports the CSV it exported while the core was alive.
+TEST(Sampler, CsvAfterTheCoreIsGoneMatchesTheLiveExport) {
+  const Workload& w = kWorkloads[1];
+  const auto data = kernels::ConvLayerData::random(small_spec(w.bits), 7);
+  std::optional<Sampler> sampler;
+  std::ostringstream live;
+  kernels::run_conv_layer(
+      data, w.variant, sim::CoreConfig::extended(), {},
+      [&](sim::Core& core, const kernels::ConvKernel&) {
+        sampler.emplace(core, Sampler::Options{.interval_cycles = 1024});
+      },
+      [&](sim::Core& core, const kernels::ConvKernel&) {
+        sampler->finalize();
+        sampler->write_csv(live);
+        core.set_isa_features(true, /*xpulpnn=*/false, true);  // repriced
+      });
+  std::ostringstream after;
+  sampler->write_csv(after);
+  const std::string csv = live.str();
+  EXPECT_EQ(after.str(), csv);
+  EXPECT_GT(std::count(csv.begin(), csv.end(), '\n'), 2);
 }
 
 }  // namespace
