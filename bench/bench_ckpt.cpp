@@ -13,14 +13,6 @@ namespace {
 
 using namespace xpulp;
 
-qnn::ConvSpec small_spec() {
-  qnn::ConvSpec spec = qnn::ConvSpec::paper_layer(4);
-  spec.in_h = spec.in_w = 6;
-  spec.in_c = 16;
-  spec.out_c = 8;
-  return spec;
-}
-
 /// A core paused mid-kernel, the state every benchmark below snapshots.
 struct PausedRun {
   mem::Memory mem;
@@ -28,10 +20,11 @@ struct PausedRun {
   sim::Core core;
 
   PausedRun()
-      : kernel(kernels::generate_conv_kernel(small_spec(),
-                                             kernels::ConvVariant::kXpulpNN_HwQ)),
+      : kernel(kernels::generate_conv_kernel(
+            qnn::ConvSpec::small_layer(4), kernels::ConvVariant::kXpulpNN_HwQ)),
         core(mem, sim::CoreConfig::extended()) {
-    const auto data = kernels::ConvLayerData::random(small_spec(), 11);
+    const auto data =
+        kernels::ConvLayerData::random(qnn::ConvSpec::small_layer(4), 11);
     kernel.program.load(mem);
     kernels::load_conv_data(data, kernel.layout, mem);
     core.reset(kernel.program.entry(),

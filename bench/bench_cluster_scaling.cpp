@@ -22,7 +22,6 @@
 
 #include "bench_util.hpp"
 #include "cluster/parallel_conv.hpp"
-#include "qnn/pack.hpp"
 
 using namespace xpulp;
 using namespace xpulp::bench;
@@ -51,10 +50,9 @@ struct Measurement {
 struct ClusterWorkload {
   unsigned bits = 0;
   int cores = 0;
-  qnn::ConvSpec spec;
+  const kernels::ConvLayerData* data = nullptr;
   std::vector<xasm::Program> programs;
   kernels::ConvMemLayout layout;
-  std::vector<u8> packed_input, packed_weights, packed_thresholds;
 };
 
 ClusterWorkload make_workload(const kernels::ConvLayerData& data,
@@ -62,23 +60,16 @@ ClusterWorkload make_workload(const kernels::ConvLayerData& data,
   ClusterWorkload w;
   w.bits = bits;
   w.cores = cores;
-  w.spec = data.spec;
-  const auto kernels = cluster::make_parallel_conv_kernels(w.spec, v, cores);
-  for (const auto& k : kernels) {
-    w.layout = k.layout;
-    w.programs.push_back(k.program);
-  }
-  w.packed_input = qnn::pack_tensor(data.input, w.spec.in_bits);
-  w.packed_weights = kernels::pack_conv_weights(data);
-  if (w.spec.out_bits != 8) {
-    w.packed_thresholds = data.thresholds.serialize();
-  }
+  w.data = &data;
+  const auto kernels = cluster::make_parallel_conv_kernels(data.spec, v, cores);
+  w.layout = kernels.front().layout;
+  for (const auto& k : kernels) w.programs.push_back(k.program);
   return w;
 }
 
 /// One timed repetition: fresh cluster, time only Cluster::run().
 /// Returns the run's ClusterStats; `out_burst` (optional) receives the
-/// burst-engine counters, `out_output` the unpacked result tensor.
+/// burst-engine counters, `out_output` the result tensor.
 cluster::ClusterStats one_rep(const ClusterWorkload& w,
                               cluster::SchedulerMode sched, Measurement& m,
                               cluster::ClusterBurstStats* out_burst = nullptr,
@@ -88,11 +79,7 @@ cluster::ClusterStats one_rep(const ClusterWorkload& w,
   cfg.core.superblock = true;
   cfg.scheduler = sched;
   cluster::Cluster cl(cfg);
-  cl.memory().write_block(w.layout.input, w.packed_input);
-  cl.memory().write_block(w.layout.weights, w.packed_weights);
-  if (!w.packed_thresholds.empty()) {
-    cl.memory().write_block(w.layout.thresholds, w.packed_thresholds);
-  }
+  kernels::load_conv_data(*w.data, w.layout, cl.memory());
   cl.load(w.programs);
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -106,11 +93,8 @@ cluster::ClusterStats one_rep(const ClusterWorkload& w,
   m.replayed_accesses += cl.burst_stats().replayed_accesses;
   if (out_burst) *out_burst = cl.burst_stats();
   if (out_output) {
-    std::vector<u8> out_bytes(w.layout.output_bytes);
-    cl.memory().read_block(w.layout.output, out_bytes);
-    *out_output = qnn::unpack_tensor(
-        out_bytes, {w.spec.out_h(), w.spec.out_w(), w.spec.out_c},
-        w.spec.out_bits, /*is_signed=*/false);
+    *out_output =
+        kernels::read_conv_output(w.data->spec, w.layout, cl.memory());
   }
   return stats;
 }

@@ -4,7 +4,6 @@
 // compute. DMA-bound layers (fully-connected: few MACs per weight byte)
 // show the benefit most clearly.
 #include "bench_util.hpp"
-#include "kernels/linear.hpp"
 #include "soc/streamed_conv.hpp"
 
 using namespace xpulp;
@@ -24,10 +23,7 @@ void report(const char* name, const kernels::ConvLayerData& data,
         soc::run_conv_streamed(data, ConvVariant::kXpulpNN_HwQ,
                                sim::CoreConfig::extended(), tile, dbuf,
                                dma_bpc);
-    bool ok = true;
-    for (int i = 0; i < gold.elems() && ok; ++i) {
-      ok = gold.flat(i) == res.output.flat(i);
-    }
+    const bool ok = !qnn::first_mismatch(res.output, gold);
     std::printf("%14s %12llu %12llu %12llu %9.1f%% %7s\n",
                 dbuf ? "double-buffer" : "serial",
                 static_cast<unsigned long long>(res.compute_cycles),
@@ -49,10 +45,10 @@ int main() {
 
   // A large fully-connected layer: DMA-bound at 1 B/cycle, the classic
   // double-buffering win.
-  const auto fc = kernels::LinearLayerData::random(1024, 128, 4, kSeed);
-  const auto fc_conv = fc.as_conv();
-  report("4-bit FC 1024 -> 128", fc_conv, fc.golden(), 32, 1);
-  report("4-bit FC 1024 -> 128", fc_conv, fc.golden(), 32, 4);
+  const auto fc =
+      kernels::ConvLayerData::random(qnn::ConvSpec::linear(1024, 128, 4), kSeed);
+  report("4-bit FC 1024 -> 128", fc, fc.golden(), 32, 1);
+  report("4-bit FC 1024 -> 128", fc, fc.golden(), 32, 4);
 
   std::printf("\n(weights stay in L2; the TCDM holds only the ping-pong tile\n");
   std::printf(" buffers, so layers larger than the 512 kB L1 stay runnable.)\n");

@@ -81,12 +81,9 @@ void one_rep(const Workload& w, sim::Core& core, mem::Memory& mem,
              w.kernel.program.base() + w.kernel.program.size_bytes());
   core.reset_perf();
   const auto t0 = std::chrono::steady_clock::now();
-  const sim::HaltReason r = core.run();
+  core.run();
   const auto t1 = std::chrono::steady_clock::now();
-  if (r != sim::HaltReason::kEcall) {
-    std::fprintf(stderr, "kernel did not complete\n");
-    std::exit(1);
-  }
+  kernels::require_ecall(core);
   m.host_seconds += std::chrono::duration<double>(t1 - t0).count();
   m.instructions += core.perf().instructions;
 }

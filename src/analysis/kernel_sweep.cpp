@@ -1,7 +1,6 @@
 #include "analysis/kernel_sweep.hpp"
 
 #include "kernels/conv_layer.hpp"
-#include "kernels/linear.hpp"
 #include "kernels/pool_gen.hpp"
 #include "qnn/ref_layers.hpp"
 
@@ -10,15 +9,6 @@ namespace xpulp::analysis {
 namespace {
 
 using kernels::ConvVariant;
-
-qnn::ConvSpec small_spec(unsigned bits) {
-  qnn::ConvSpec s;
-  s.in_h = s.in_w = 6;
-  s.in_c = 16;
-  s.out_c = 8;
-  s.in_bits = s.w_bits = s.out_bits = bits;
-  return s;
-}
 
 AnalyzerOptions options_for(bool xpulpnn, bool hwloops = true) {
   AnalyzerOptions o;
@@ -46,20 +36,21 @@ std::vector<KernelCheck> analyze_paper_kernels() {
   // ---- convolution variants, both ISAs ----
   // The XpulpV2 variants must verify against a core *without* XpulpNN:
   // this proves the baseline kernels never lean on sub-byte SIMD.
-  add_conv(out, small_spec(8), ConvVariant::kXpulpV2_8b, "conv/xpulpv2_8b",
-           options_for(/*xpulpnn=*/false));
+  add_conv(out, qnn::ConvSpec::small_layer(8), ConvVariant::kXpulpV2_8b,
+           "conv/xpulpv2_8b", options_for(/*xpulpnn=*/false));
   for (const unsigned bits : {4u, 2u}) {
-    add_conv(out, small_spec(bits), ConvVariant::kXpulpV2_Sub,
+    const qnn::ConvSpec spec = qnn::ConvSpec::small_layer(bits);
+    add_conv(out, spec, ConvVariant::kXpulpV2_Sub,
              "conv/xpulpv2_sub/" + std::to_string(bits) + "b",
              options_for(/*xpulpnn=*/false));
-    add_conv(out, small_spec(bits), ConvVariant::kXpulpNN_SwQ,
+    add_conv(out, spec, ConvVariant::kXpulpNN_SwQ,
              "conv/xpulpnn_swq/" + std::to_string(bits) + "b",
              options_for(/*xpulpnn=*/true));
-    add_conv(out, small_spec(bits), ConvVariant::kXpulpNN_HwQ,
+    add_conv(out, spec, ConvVariant::kXpulpNN_HwQ,
              "conv/xpulpnn_hwq/" + std::to_string(bits) + "b",
              options_for(/*xpulpnn=*/true));
   }
-  add_conv(out, small_spec(4), ConvVariant::kXpulpV2_SubShf,
+  add_conv(out, qnn::ConvSpec::small_layer(4), ConvVariant::kXpulpV2_SubShf,
            "conv/xpulpv2_subshf/4b", options_for(/*xpulpnn=*/false));
 
   // The paper's benchmark layer (16x16x32 -> 64), headline variant.
@@ -70,7 +61,7 @@ std::vector<KernelCheck> analyze_paper_kernels() {
   // analyzer's mixed-mpc rule must see the generated csrrwi prologue
   // dominating every pv.mlsdot, so these also verify clean.
   for (const auto& [a, w] : {std::pair{8u, 4u}, {8u, 2u}, {4u, 2u}}) {
-    qnn::ConvSpec mixed = small_spec(8);
+    qnn::ConvSpec mixed = qnn::ConvSpec::small_layer(8);
     mixed.in_c = a == 8 ? 16 : 24;  // keep in_c * in_bits word-aligned
     mixed.in_bits = a;
     mixed.w_bits = w;
@@ -86,7 +77,7 @@ std::vector<KernelCheck> analyze_paper_kernels() {
   {
     kernels::ConvGenOptions gen;
     gen.use_hwloops = false;
-    add_conv(out, small_spec(4), ConvVariant::kXpulpNN_HwQ,
+    add_conv(out, qnn::ConvSpec::small_layer(4), ConvVariant::kXpulpNN_HwQ,
              "conv/xpulpnn_hwq/4b_no_hwloops",
              options_for(/*xpulpnn=*/true, /*hwloops=*/false), gen);
   }
@@ -112,26 +103,18 @@ std::vector<KernelCheck> analyze_paper_kernels() {
   }
 
   // ---- linear layers (1x1 "convolution", 2x1 blocking) ----
-  {
-    kernels::ConvGenOptions gen;
-    gen.pixel_block = 1;
-    qnn::ConvSpec lin;
-    lin.in_h = lin.in_w = lin.k_h = lin.k_w = 1;
-    lin.pad = 0;
-    lin.in_c = 64;
-    lin.out_c = 8;
-    lin.in_bits = lin.w_bits = lin.out_bits = 8;
-    add_conv(out, lin, ConvVariant::kXpulpV2_8b, "linear/xpulpv2_8b",
+  kernels::ConvGenOptions gen;
+  gen.pixel_block = 1;
+  add_conv(out, qnn::ConvSpec::linear(64, 8, 8), ConvVariant::kXpulpV2_8b,
+           "linear/xpulpv2_8b", options_for(false), gen);
+  for (const unsigned bits : {4u, 2u}) {
+    const qnn::ConvSpec lin = qnn::ConvSpec::linear(64, 8, bits);
+    add_conv(out, lin, ConvVariant::kXpulpV2_Sub,
+             "linear/xpulpv2_sub/" + std::to_string(bits) + "b",
              options_for(false), gen);
-    for (const unsigned bits : {4u, 2u}) {
-      lin.in_bits = lin.w_bits = lin.out_bits = bits;
-      add_conv(out, lin, ConvVariant::kXpulpV2_Sub,
-               "linear/xpulpv2_sub/" + std::to_string(bits) + "b",
-               options_for(false), gen);
-      add_conv(out, lin, ConvVariant::kXpulpNN_HwQ,
-               "linear/xpulpnn_hwq/" + std::to_string(bits) + "b",
-               options_for(true), gen);
-    }
+    add_conv(out, lin, ConvVariant::kXpulpNN_HwQ,
+             "linear/xpulpnn_hwq/" + std::to_string(bits) + "b",
+             options_for(true), gen);
   }
 
   return out;

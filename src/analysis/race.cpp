@@ -238,15 +238,6 @@ using kernels::ConvGenOptions;
 using kernels::ConvKernel;
 using kernels::ConvVariant;
 
-qnn::ConvSpec small_spec(unsigned bits) {
-  qnn::ConvSpec s;
-  s.in_h = s.in_w = 6;
-  s.in_c = 16;
-  s.out_c = 8;
-  s.in_bits = s.w_bits = s.out_bits = bits;
-  return s;
-}
-
 std::vector<xasm::Program> kernel_programs(const std::vector<ConvKernel>& ks) {
   std::vector<xasm::Program> ps;
   for (const ConvKernel& k : ks) ps.push_back(k.program);
@@ -294,18 +285,20 @@ std::vector<RaceCheck> analyze_parallel_kernels(
   std::vector<RaceCheck> out;
 
   // ---- convolution variants, row-partitioned ----
-  add_conv_checks(out, small_spec(8), ConvVariant::kXpulpV2_8b,
+  const qnn::ConvSpec small4 = qnn::ConvSpec::small_layer(4);
+  add_conv_checks(out, qnn::ConvSpec::small_layer(8), ConvVariant::kXpulpV2_8b,
                   "conv/xpulpv2_8b", core_counts);
   for (const unsigned bits : {4u, 2u}) {
     const std::string b = std::to_string(bits) + "b";
-    add_conv_checks(out, small_spec(bits), ConvVariant::kXpulpV2_Sub,
+    const qnn::ConvSpec spec = qnn::ConvSpec::small_layer(bits);
+    add_conv_checks(out, spec, ConvVariant::kXpulpV2_Sub,
                     "conv/xpulpv2_sub/" + b, core_counts);
-    add_conv_checks(out, small_spec(bits), ConvVariant::kXpulpNN_SwQ,
+    add_conv_checks(out, spec, ConvVariant::kXpulpNN_SwQ,
                     "conv/xpulpnn_swq/" + b, core_counts);
-    add_conv_checks(out, small_spec(bits), ConvVariant::kXpulpNN_HwQ,
+    add_conv_checks(out, spec, ConvVariant::kXpulpNN_HwQ,
                     "conv/xpulpnn_hwq/" + b, core_counts);
   }
-  add_conv_checks(out, small_spec(4), ConvVariant::kXpulpV2_SubShf,
+  add_conv_checks(out, small4, ConvVariant::kXpulpV2_SubShf,
                   "conv/xpulpv2_subshf/4b", core_counts);
   add_conv_checks(out, qnn::ConvSpec::paper_layer(4), ConvVariant::kXpulpNN_HwQ,
                   "conv/xpulpnn_hwq/paper_layer_4b", core_counts);
@@ -314,19 +307,14 @@ std::vector<RaceCheck> analyze_parallel_kernels(
     // summarization path instead of hardware-loop trip counts.
     ConvGenOptions gen;
     gen.use_hwloops = false;
-    add_conv_checks(out, small_spec(4), ConvVariant::kXpulpNN_HwQ,
+    add_conv_checks(out, small4, ConvVariant::kXpulpNN_HwQ,
                     "conv/xpulpnn_hwq/4b_no_hwloops", core_counts, gen);
   }
 
   // ---- linear layers, channel-tiled ----
   {
-    qnn::ConvSpec lin;
-    lin.in_h = lin.in_w = lin.k_h = lin.k_w = 1;
-    lin.pad = 0;
-    lin.in_c = 64;
-    lin.out_c = 32;
     for (const unsigned bits : {8u, 4u, 2u}) {
-      lin.in_bits = lin.w_bits = lin.out_bits = bits;
+      const qnn::ConvSpec lin = qnn::ConvSpec::linear(64, 32, bits);
       const ConvVariant v =
           bits == 8 ? ConvVariant::kXpulpV2_8b : ConvVariant::kXpulpNN_HwQ;
       const std::string name = bits == 8 ? "linear/xpulpv2_8b"

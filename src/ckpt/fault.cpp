@@ -3,7 +3,6 @@
 #include <array>
 
 #include "common/rng.hpp"
-#include "qnn/pack.hpp"
 
 namespace xpulp::ckpt {
 
@@ -80,30 +79,23 @@ Workload make_workload(const CampaignConfig& cfg) {
   return wl;
 }
 
+/// The fault-free run, through the layer pipeline (which checks the
+/// halt); after_run captures the final image while the core is alive.
 ReferenceRun make_reference(const Workload& wl, const CampaignConfig& cfg) {
-  mem::Memory mem;
-  sim::Core core(mem, cfg.core);
-  load_workload(wl, mem);
-  reset_core(wl, core);
-  core.run(600'000'000);
-  if (core.halt_reason() != sim::HaltReason::kEcall) {
-    throw CkptError("reference run halted abnormally");
-  }
   ReferenceRun ref;
-  ref.instructions = core.perf().instructions;
-  ref.final_image.resize(mem.size());
-  mem.read_block(0, ref.final_image);
-  ref.output_bytes.resize(wl.kernel.layout.output_bytes);
-  mem.read_block(wl.kernel.layout.output, ref.output_bytes);
-
+  const kernels::ConvRunResult res = kernels::run_conv_layer(
+      wl.data, cfg.variant, cfg.core, {}, {},
+      [&ref](sim::Core& core, const kernels::ConvKernel&) {
+        ref.final_image.resize(core.memory().size());
+        core.memory().read_block(0, ref.final_image);
+      });
   // The campaign's ground truth must itself be correct.
-  const qnn::ConvSpec& spec = wl.data.spec;
-  const qnn::Tensor out = qnn::unpack_tensor(
-      ref.output_bytes, {spec.out_h(), spec.out_w(), spec.out_c},
-      spec.out_bits, /*is_signed=*/false);
-  if (out != wl.golden) {
+  if (res.output != wl.golden) {
     throw CkptError("reference run output disagrees with golden model");
   }
+  ref.instructions = res.perf.instructions;
+  const auto out = ref.final_image.begin() + wl.kernel.layout.output;
+  ref.output_bytes.assign(out, out + wl.kernel.layout.output_bytes);
   return ref;
 }
 

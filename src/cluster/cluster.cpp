@@ -617,6 +617,7 @@ ClusterStats Cluster::run(u64 max_total_instructions) {
   const u64 base_conflicts = arbiter_.conflicts();
   const u64 base_accesses = arbiter_.accesses();
 
+  faulted_core_ = -1;
   begin_run();
   // The hook must come down on *every* exit path: a guest fault escaping
   // a step would otherwise leave the arbiter hook (and its dangling
@@ -635,6 +636,7 @@ ClusterStats Cluster::run(u64 max_total_instructions) {
       throw SimError("cluster instruction budget exceeded");
     }
   } catch (...) {
+    faulted_core_ = active_core_id_;
     end_run();
     throw;
   }

@@ -317,6 +317,10 @@ class Cluster {
 
   const ClusterBurstStats& burst_stats() const { return burst_stats_; }
 
+  /// The core that was stepping when the last run() threw, or -1 (no
+  /// throw, or one no single core raised).
+  int faulted_core() const { return faulted_core_; }
+
   // ---- Incremental stepping (checkpointing, fault injection) ----
   // run() is begin_run(); while (step_once()) ...; end_run(); plus budget
   // and halt-reason policy. External drivers use the pieces directly to
@@ -406,6 +410,7 @@ class Cluster {
   // these instead of run() rebuilding a std::function closure every step.
   sim::Core* active_core_ = nullptr;
   int active_core_id_ = -1;
+  int faulted_core_ = -1;
 
   PreLoadGate pre_load_gate_;
   AccessObserver observer_;

@@ -1,7 +1,6 @@
 #include "cluster/parallel_conv.hpp"
 
 #include "common/error.hpp"
-#include "qnn/pack.hpp"
 
 namespace xpulp::cluster {
 
@@ -50,35 +49,37 @@ ParallelConvResult run_parallel_conv(const ConvLayerData& data,
                                      ConvVariant v, const ClusterConfig& cfg,
                                      const ClusterInstrument& instrument,
                                      const ClusterInstrument& after_run) {
+  kernels::require_variant(v, cfg.core);
   const qnn::ConvSpec& spec = data.spec;
+  Cluster cluster(cfg);  // rejects an out-of-range core count
 
   // Generate one program per core over its row slice. The kernels stay
   // alive so the instrument hook can read their region maps.
-  std::vector<ConvKernel> kernels =
+  const std::vector<ConvKernel> kernels =
       make_parallel_conv_kernels(spec, v, cfg.num_cores);
+  const ConvMemLayout& layout = kernels.front().layout;
   std::vector<xasm::Program> programs;
-  ConvMemLayout layout{};
-  for (const ConvKernel& k : kernels) {
-    layout = k.layout;
-    programs.push_back(k.program);
-  }
+  for (const ConvKernel& k : kernels) programs.push_back(k.program);
 
-  Cluster cluster(cfg);
-  mem::Memory& mem = cluster.memory();
-  kernels::load_conv_data(data, layout, mem);
+  kernels::load_conv_data(data, layout, cluster.memory());
   cluster.load(programs);
   if (instrument) instrument(cluster, kernels);
 
   ParallelConvResult res;
-  res.stats = cluster.run();
+  kernels::run_checked(
+      v, [&] { res.stats = cluster.run(kernels::kLayerInstrBudget); },
+      [&] {
+        const int c = cluster.faulted_core();
+        if (c < 0) return kernels::GuestSite{"cluster"};
+        return kernels::GuestSite{"cluster core " + std::to_string(c),
+                                  &cluster.core(c),
+                                  &kernels[static_cast<size_t>(c)]};
+      },
+      [&] {
+        if (after_run) after_run(cluster, kernels);
+      });
   res.macs = spec.macs();
-  if (after_run) after_run(cluster, kernels);
-
-  std::vector<u8> out_bytes(layout.output_bytes);
-  mem.read_block(layout.output, out_bytes);
-  res.output = qnn::unpack_tensor(
-      out_bytes, {spec.out_h(), spec.out_w(), spec.out_c}, spec.out_bits,
-      /*is_signed=*/false);
+  res.output = kernels::read_conv_output(spec, layout, cluster.memory());
   return res;
 }
 

@@ -48,7 +48,6 @@ struct Gen {
   ConvVariant variant;
   ConvGenOptions opts;
   ConvMemLayout lay;
-  std::vector<std::pair<addr_t, addr_t>> quant_ranges;
   obs::RegionMap regions;
 
   Gen(const qnn::ConvSpec& s, ConvVariant v, addr_t data_base,
@@ -57,8 +56,9 @@ struct Gen {
         spec(s),
         variant(v),
         opts(o),
-        lay(o.layout ? *o.layout
-                     : ConvMemLayout::plan(s, v, data_base, o.buffer_slots)) {}
+        lay(ConvMemLayout::plan(
+            s, v, data_base, o.buffer_slots,
+            o.stream_weights ? ch_end() - ch_begin() : 0)) {}
 
   addr_t buf0_addr() const {
     return lay.buf0 + lay.buffer_slot_stride() *
@@ -435,7 +435,6 @@ struct Gen {
   /// Begin/end markers for quantization-cycle attribution.
   void quant_begin() { quant_start_ = a.current_addr(); }
   void quant_end() {
-    quant_ranges.emplace_back(quant_start_, a.current_addr());
     regions.add_range("quant", quant_start_, a.current_addr());
   }
   addr_t quant_start_ = 0;
@@ -580,12 +579,7 @@ struct Gen {
       a.li(r::s10, 0x00040004);  // left shifts (4, 0, 4, 0)
       a.li(r::s11, 4);           // arithmetic right shift
     }
-    const addr_t wbase = opts.weights_base_override
-                             ? opts.weights_base_override
-                             : lay.weights +
-                                   static_cast<u32>(ch_begin()) *
-                                       lay.filter_stride;
-    a.li(r::a0, static_cast<i32>(wbase));
+    a.li(r::a0, static_cast<i32>(lay.filter_addr(ch_begin())));
     if (out_bits() != 8) {
       a.li(r::s0, static_cast<i32>(lay.thresholds +
                                    static_cast<u32>(ch_begin()) *
@@ -705,8 +699,7 @@ struct Gen {
     if (opts.buffer_slot < 0 || opts.buffer_slot >= opts.buffer_slots) {
       throw SimError("buffer_slot out of range");
     }
-    return ConvKernel{std::move(prog), lay, std::move(quant_ranges),
-                      std::move(regions)};
+    return ConvKernel{std::move(prog), lay, std::move(regions)};
   }
 };
 

@@ -1,5 +1,6 @@
 #include "kernels/conv_layer.hpp"
 
+#include <cstdio>
 #include <cstring>
 
 #include "common/bitops.hpp"
@@ -82,9 +83,9 @@ std::pair<i32, i32> weight_range(unsigned bits) {
 }  // namespace
 
 ConvMemLayout ConvMemLayout::plan(const qnn::ConvSpec& spec, ConvVariant v,
-                                  addr_t data_base, int buffer_slots) {
+                                  addr_t data_base, int buffer_slots,
+                                  int tile_channels) {
   ConvMemLayout l;
-  l.code = 0;
   l.filter_stride =
       v == ConvVariant::kXpulpNN_Mixed
           ? qnn::packed_filter_stride_grouped(spec.filter_elems(),
@@ -116,6 +117,18 @@ ConvMemLayout ConvMemLayout::plan(const qnn::ConvSpec& spec, ConvVariant v,
   l.output = cursor;
   l.output_bytes = qnn::packed_bytes(
       spec.out_h() * spec.out_w() * spec.out_c, spec.out_bits);
+
+  // Streamed: the weight region shrinks to the ping-pong tile buffers.
+  l.tile_channels = tile_channels;
+  const u32 resident = l.filter_stride * static_cast<u32>(spec.out_c);
+  const u32 pingpong = 2 * l.tile_bytes();
+  if (tile_channels != 0 && pingpong < resident) {
+    const u32 saved = align16(resident - pingpong);
+    l.thresholds -= saved;
+    l.buf0 -= saved;
+    l.buf1 -= saved;
+    l.output -= saved;
+  }
   return l;
 }
 
@@ -174,16 +187,83 @@ std::vector<u8> pack_conv_weights(const ConvLayerData& data) {
 }
 
 void load_conv_data(const ConvLayerData& data, const ConvMemLayout& layout,
-                    mem::Memory& mem) {
+                    mem::Memory& mem, mem::Memory* l2) {
   const qnn::ConvSpec& spec = data.spec;
-  const auto in_bytes = qnn::pack_tensor(data.input, spec.in_bits);
-  mem.write_block(layout.input, in_bytes);
-  mem.write_block(layout.weights, pack_conv_weights(data));
+  mem.write_block(layout.input, qnn::pack_tensor(data.input, spec.in_bits));
+  if (layout.tile_channels == 0) {
+    mem.write_block(layout.weights, pack_conv_weights(data));
+  } else if (l2 != nullptr) {
+    l2->write_block(0, pack_conv_weights(data));
+  } else {
+    throw SimError("a streamed layout loads its weights into L2");
+  }
   if (spec.out_bits != 8) {
-    const auto t_bytes = data.thresholds.serialize();
-    mem.write_block(layout.thresholds, t_bytes);
+    mem.write_block(layout.thresholds, data.thresholds.serialize());
   }
   mem.reset_stats();
+}
+
+qnn::Tensor read_conv_output(const qnn::ConvSpec& spec,
+                             const ConvMemLayout& layout,
+                             const mem::Memory& mem) {
+  std::vector<u8> bytes(layout.output_bytes);
+  mem.read_block(layout.output, bytes);
+  return qnn::unpack_tensor(bytes, {spec.out_h(), spec.out_w(), spec.out_c},
+                            spec.out_bits, /*is_signed=*/false);
+}
+
+void require_variant(ConvVariant v, const sim::CoreConfig& cfg) {
+  if (!variant_supported(v, cfg)) {
+    throw SimError(std::string("variant ") + variant_name(v) +
+                   " is not supported by core " + cfg.name);
+  }
+}
+
+void require_ecall(const sim::Core& core) {
+  if (core.halt_reason() == sim::HaltReason::kInstrLimit) {
+    throw SimError("kernel did not terminate");
+  }
+  if (core.halt_reason() != sim::HaltReason::kEcall) {
+    throw SimError("kernel stopped for an unexpected reason");
+  }
+}
+
+namespace {
+
+/// "<target> (<variant>) faulted at pc 0x... in region <r>: <what>"; the
+/// pc part is left out when no single core faulted.
+std::string fault_report(const SimError& e, const GuestSite& site,
+                         ConvVariant v) {
+  std::string msg = site.target + " (" + variant_name(v) + ")";
+  if (site.core != nullptr) {
+    const auto* illegal = dynamic_cast<const IllegalInstruction*>(&e);
+    const addr_t pc = illegal != nullptr ? illegal->pc() : site.core->pc();
+    const int region = site.kernel->regions.lookup(pc);
+    char at[32];
+    std::snprintf(at, sizeof at, " faulted at pc 0x%08x", pc);
+    msg += at + (region == obs::RegionMap::kNone
+                     ? std::string(" outside the kernel regions")
+                     : " in region " + site.kernel->regions.name(region));
+  }
+  return msg + ": " + e.what();
+}
+
+}  // namespace
+
+void run_checked(ConvVariant v, const std::function<void()>& execute,
+                 const std::function<GuestSite()>& locate,
+                 const std::function<void()>& after_run) {
+  try {
+    execute();
+  } catch (const SimError& e) {
+    const std::string msg = fault_report(e, locate(), v);
+    if (after_run) after_run();
+    throw SimError(msg);
+  } catch (...) {
+    if (after_run) after_run();
+    throw;
+  }
+  if (after_run) after_run();
 }
 
 ConvRunResult run_conv_layer(const ConvLayerData& data, ConvVariant v,
@@ -191,12 +271,11 @@ ConvRunResult run_conv_layer(const ConvLayerData& data, ConvVariant v,
                              const ConvGenOptions& opts,
                              const ConvInstrument& instrument,
                              const ConvInstrument& after_run) {
-  if (!variant_supported(v, cfg)) {
-    throw SimError(std::string("variant ") + variant_name(v) +
-                   " is not supported by core " + cfg.name);
-  }
+  require_variant(v, cfg);
   const qnn::ConvSpec& spec = data.spec;
-  ConvKernel kernel = generate_conv_kernel(spec, v, 0x40000, opts);
+  ConvGenOptions o = opts;
+  if (spec.out_w() % 2 != 0) o.pixel_block = 1;  // 4x2 needs pixel pairs
+  const ConvKernel kernel = generate_conv_kernel(spec, v, 0x40000, o);
 
   mem::Memory mem;
   kernel.program.load(mem);
@@ -207,27 +286,19 @@ ConvRunResult run_conv_layer(const ConvLayerData& data, ConvVariant v,
              kernel.program.base() + kernel.program.size_bytes());
 
   if (instrument) instrument(core, kernel);
-  try {
-    core.run(600'000'000);
-  } catch (...) {
-    // A guest fault: hooks still detach before the core goes away.
-    if (after_run) after_run(core, kernel);
-    throw;
-  }
-  if (after_run) after_run(core, kernel);
-  if (core.halt_reason() == sim::HaltReason::kInstrLimit) {
-    throw SimError("kernel did not terminate");
-  }
-  if (core.halt_reason() != sim::HaltReason::kEcall) {
-    throw SimError("kernel stopped for an unexpected reason");
-  }
+  run_checked(
+      v,
+      [&] {
+        core.run(kLayerInstrBudget);
+        require_ecall(core);
+      },
+      [&] { return GuestSite{"core", &core, &kernel}; },
+      [&] {
+        if (after_run) after_run(core, kernel);
+      });
 
-  std::vector<u8> out_bytes(kernel.layout.output_bytes);
-  mem.read_block(kernel.layout.output, out_bytes);
   ConvRunResult res;
-  res.output = qnn::unpack_tensor(
-      out_bytes, {spec.out_h(), spec.out_w(), spec.out_c}, spec.out_bits,
-      /*is_signed=*/false);
+  res.output = read_conv_output(spec, kernel.layout, mem);
   res.perf = core.perf();
   res.activity = core.dotp_unit().activity();
   res.mem_stats = mem.stats();

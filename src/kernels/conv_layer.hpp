@@ -25,6 +25,7 @@
 #pragma once
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -88,7 +89,6 @@ struct ConvLayerData {
 
 /// Guest memory placement of one layer.
 struct ConvMemLayout {
-  addr_t code = 0;
   addr_t input = 0;
   addr_t weights = 0;
   addr_t thresholds = 0;
@@ -98,24 +98,39 @@ struct ConvMemLayout {
   u32 filter_stride = 0;  // bytes between packed filters
   u32 buf_bytes = 0;      // size of one im2col buffer
   u32 output_bytes = 0;
+  /// Output channels per µDMA weight tile; 0 = the weights are resident.
+  int tile_channels = 0;
 
   /// `buffer_slots` reserves im2col buffer pairs for that many cores.
+  /// A nonzero `tile_channels` plans the streamed layout: `weights` holds
+  /// only the ping-pong pair of tile buffers (the full image stays in L2),
+  /// and everything after it moves down by the bytes that saves.
   static ConvMemLayout plan(const qnn::ConvSpec& spec, ConvVariant v,
-                            addr_t data_base, int buffer_slots = 1);
+                            addr_t data_base, int buffer_slots = 1,
+                            int tile_channels = 0);
 
   /// Byte offset between consecutive buffer slots.
   u32 buffer_slot_stride() const { return ((buf_bytes + 15u) & ~15u) * 2; }
+  /// Bytes of one streamed weight tile.
+  u32 tile_bytes() const {
+    return static_cast<u32>(tile_channels) * filter_stride;
+  }
+  /// Where filter `oc`'s packed weights sit while its kernel runs: its
+  /// resident slot, or its slot in the ping-pong buffer its tile streams
+  /// into (even tiles in the first buffer, odd tiles in the second).
+  addr_t filter_addr(int oc) const {
+    const int tile = tile_channels ? oc / tile_channels : 0;
+    return weights + static_cast<u32>(oc + (tile % 2 - tile) * tile_channels) *
+                         filter_stride;
+  }
 };
 
 /// A generated kernel: the program plus instrumentation metadata.
 struct ConvKernel {
   xasm::Program program;
   ConvMemLayout layout;
-  /// PC ranges [lo, hi) of re-quantization code, for cycle attribution
+  /// Named phase regions ("im2col", "matmul", "quant") for the profiler
   /// (Fig. 6 reports the quantization share of total cycles).
-  std::vector<std::pair<addr_t, addr_t>> quant_ranges;
-  /// Named phase regions ("im2col", "matmul", "quant") for the profiler;
-  /// the quant ranges above are also registered here.
   obs::RegionMap regions;
 };
 
@@ -147,14 +162,10 @@ struct ConvGenOptions {
   /// all channels.
   int ch_begin = 0;
   int ch_end = -1;
-  /// When nonzero, the matmul reads weights from this TCDM address (a DMA
-  /// tile buffer holding the tile's filters back to back) instead of the
-  /// layout's resident weight region.
-  addr_t weights_base_override = 0;
-  /// Use a caller-provided memory layout instead of planning one (weight
-  /// streaming shrinks the resident weight region to the ping-pong
-  /// buffer). Must outlive the generate call.
-  const ConvMemLayout* layout = nullptr;
+  /// Stream the tile's weights: plan the layout with ch_end - ch_begin
+  /// channels per tile (ConvMemLayout::plan), and read the filters from
+  /// the ping-pong buffer the µDMA fills for this tile.
+  bool stream_weights = false;
 };
 
 /// Generate the kernel program for a layer/variant. `data_base` is where
@@ -184,9 +195,41 @@ struct ConvRunResult {
 std::vector<u8> pack_conv_weights(const ConvLayerData& data);
 
 /// Pack and write a layer's tensors (input, weights, thresholds) into
-/// guest memory at the layout's addresses and reset the memory stats.
+/// guest memory at the layout's addresses and reset the memory stats; a
+/// streamed layout puts the weight image at address 0 of `l2` instead.
+/// Every runner loads its tensors through this.
 void load_conv_data(const ConvLayerData& data, const ConvMemLayout& layout,
-                    mem::Memory& mem);
+                    mem::Memory& mem, mem::Memory* l2 = nullptr);
+
+/// Unpack a layer's output from guest memory; every runner reads it so.
+qnn::Tensor read_conv_output(const qnn::ConvSpec& spec,
+                             const ConvMemLayout& layout,
+                             const mem::Memory& mem);
+
+/// Instruction budget of one guest run: a core, a cluster or a tile.
+inline constexpr u64 kLayerInstrBudget = 600'000'000;
+
+/// Throws SimError unless `v` runs on `cfg`; runners call it before codegen.
+void require_variant(ConvVariant v, const sim::CoreConfig& cfg);
+
+/// Throws SimError unless `core` halted on its ecall.
+void require_ecall(const sim::Core& core);
+
+/// Where a guest run faulted: the target ("core", "cluster core <i>",
+/// "streamed tile <t>"), its core and its kernel (null: no single core).
+struct GuestSite {
+  std::string target;
+  const sim::Core* core = nullptr;
+  const ConvKernel* kernel = nullptr;
+};
+
+/// The run-and-check step of every runner: `execute` runs the guest and
+/// checks its halt, `after_run` fires on every exit. A SimError escaping
+/// `execute` is rethrown naming the site `locate` reports, the variant,
+/// the faulting pc and the ConvKernel::regions region holding it.
+void run_checked(ConvVariant v, const std::function<void()>& execute,
+                 const std::function<GuestSite()>& locate,
+                 const std::function<void()>& after_run);
 
 /// Observability hook of run_conv_layer: `instrument` is invoked after the
 /// program and data are loaded and the core reset, immediately before the
@@ -199,7 +242,10 @@ using ConvInstrument =
     std::function<void(sim::Core&, const ConvKernel& kernel)>;
 
 /// Load data + kernel into a fresh memory image and run to completion on a
-/// core with the given configuration. Throws SimError on guest faults.
+/// core with the given configuration: plan, load, run_checked,
+/// read_conv_output. Throws SimError on an unsupported variant or a guest
+/// fault. Layers with an odd output width run 2x1 (pixel_block 1), so a
+/// linear layer runs here too, as its qnn::ConvSpec::linear spec.
 ConvRunResult run_conv_layer(const ConvLayerData& data, ConvVariant v,
                              const sim::CoreConfig& cfg,
                              const ConvGenOptions& opts = {},

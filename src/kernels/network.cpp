@@ -78,12 +78,7 @@ Network& Network::linear(int out_features, LayerPrecision p) {
   }
   Step s;
   s.kind = Step::Kind::kLinear;
-  s.spec.in_h = s.spec.in_w = 1;
-  s.spec.k_h = s.spec.k_w = 1;
-  s.spec.pad = 0;
-  s.spec.in_c = shape_.elems();
-  s.spec.out_c = out_features;
-  s.spec.in_bits = cur_bits_;
+  s.spec = qnn::ConvSpec::linear(shape_.elems(), out_features, cur_bits_);
   s.spec.w_bits = p.w_bits;
   s.spec.out_bits = p.out_bits;
   s.bits = cur_bits_;
@@ -122,16 +117,14 @@ NetworkResult Network::run(const qnn::Tensor& input,
         const qnn::Tensor acc = qnn::conv_accumulators(
             data.input, data.weights, data.spec, step.name);
         qnn::calibrate(acc, data.spec, data.thresholds);
-        ConvGenOptions opts;
-        opts.pixel_block = (step.spec.out_w() % 2 == 0) ? 2 : 1;
         // Mixed-precision layers always dispatch to the virtual-SIMD
         // kernel; the variant parameter only selects among uniform ones.
         const ConvVariant v = step.spec.in_bits != step.spec.w_bits
                                   ? ConvVariant::kXpulpNN_Mixed
                                   : variant;
-        ConvRunResult r = run_conv_layer(data, v, cfg, opts);
-        st.matched_golden =
-            r.output == qnn::requantize(acc, data.spec, data.thresholds);
+        ConvRunResult r = run_conv_layer(data, v, cfg);
+        st.mismatch = qnn::first_mismatch(
+            r.output, qnn::requantize(acc, data.spec, data.thresholds));
         st.cycles = r.perf.cycles;
         st.macs = r.macs;
         st.out_shape = r.output.shape();
@@ -146,7 +139,7 @@ NetworkResult Network::run(const qnn::Tensor& input,
         const qnn::Tensor gold = (op == PoolOp::kMax)
                                      ? qnn::maxpool2x2_ref(act)
                                      : qnn::avgpool2x2_ref(act);
-        st.matched_golden = (r.output == gold);
+        st.mismatch = qnn::first_mismatch(r.output, gold);
         st.cycles = r.perf.cycles;
         st.macs = 0;
         st.out_shape = r.output.shape();
@@ -156,7 +149,7 @@ NetworkResult Network::run(const qnn::Tensor& input,
     }
     res.total_cycles += st.cycles;
     res.total_macs += st.macs;
-    res.all_matched = res.all_matched && st.matched_golden;
+    res.all_matched = res.all_matched && !st.mismatch;
     res.layers.push_back(std::move(st));
   }
   res.output = std::move(act);

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,7 +20,9 @@ struct LayerStats {
   qnn::Shape out_shape;
   cycles_t cycles = 0;
   u64 macs = 0;
-  bool matched_golden = false;
+  /// The golden check's verdict: the first element where the device
+  /// output differs from the layer's golden model, or nullopt on a match.
+  std::optional<qnn::Mismatch> mismatch;
 };
 
 struct NetworkResult {

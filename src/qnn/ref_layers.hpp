@@ -49,6 +49,29 @@ struct ConvSpec {
     s.in_bits = s.w_bits = s.out_bits = bits;
     return s;
   }
+
+  /// The paper layer cut down to 6x6x16 -> 8: the workload tests, tools
+  /// and sweeps use where the paper layer would be slow.
+  static ConvSpec small_layer(unsigned bits) {
+    ConvSpec s = paper_layer(bits);
+    s.in_h = s.in_w = 6;
+    s.in_c = 16;
+    s.out_c = 8;
+    return s;
+  }
+
+  /// A fully-connected layer: the 1x1 convolution of a 1 x 1 x in_features
+  /// input, uniform at `bits` (set w_bits / out_bits after for mixed
+  /// layers). in_features * bits must be word-aligned, out_features a
+  /// multiple of the output pack group.
+  static ConvSpec linear(int in_features, int out_features, unsigned bits) {
+    ConvSpec s = paper_layer(bits);
+    s.in_h = s.in_w = s.k_h = s.k_w = 1;
+    s.pad = 0;
+    s.in_c = in_features;
+    s.out_c = out_features;
+    return s;
+  }
 };
 
 /// 32-bit pre-activations (accumulators) of a whole layer in HWC order

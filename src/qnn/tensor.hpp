@@ -8,8 +8,11 @@
 #pragma once
 
 #include <cassert>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/types.hpp"
 
 namespace xpulp::qnn {
@@ -58,6 +61,40 @@ class Tensor {
   Shape shape_;
   std::vector<i32> data_;
 };
+
+/// The first element, in HWC order, where a device output differs from
+/// its golden model.
+struct Mismatch {
+  int oy = 0, ox = 0, oc = 0;
+  i32 device = 0, golden = 0;
+
+  bool operator==(const Mismatch&) const = default;
+  std::string to_string() const {
+    return "(oy " + std::to_string(oy) + ", ox " + std::to_string(ox) +
+           ", oc " + std::to_string(oc) + "): device " +
+           std::to_string(device) + ", golden " + std::to_string(golden);
+  }
+};
+
+/// The verdict of a golden check: nullopt when `device` equals `golden`,
+/// else their first mismatching element. Throws SimError when the shapes
+/// differ.
+inline std::optional<Mismatch> first_mismatch(const Tensor& device,
+                                              const Tensor& golden) {
+  if (device.shape() != golden.shape()) {
+    throw SimError("golden check: device and golden shapes differ");
+  }
+  if (device.data() == golden.data()) return std::nullopt;
+  for (int i = 0; i < golden.elems(); ++i) {
+    if (device.flat(i) != golden.flat(i)) {
+      const int c = golden.shape().c;
+      const int w = golden.shape().w;
+      return Mismatch{i / c / w, i / c % w, i % c, device.flat(i),
+                      golden.flat(i)};
+    }
+  }
+  return std::nullopt;
+}
 
 /// A set of convolution filters: `count` filters of shape kh x kw x c each,
 /// stored filter-major with HWC inside a filter — the exact order the

@@ -1,7 +1,6 @@
 #include "soc/streamed_conv.hpp"
 
 #include "common/error.hpp"
-#include "qnn/pack.hpp"
 
 namespace xpulp::soc {
 
@@ -15,9 +14,12 @@ StreamedConvResult run_conv_streamed(const ConvLayerData& data,
                                      ConvVariant v, const sim::CoreConfig& cfg,
                                      int tile_channels, bool double_buffered,
                                      u32 dma_bytes_per_cycle,
-                                     obs::Timeline* timeline) {
+                                     obs::Timeline* timeline,
+                                     const kernels::ConvInstrument& instrument,
+                                     const kernels::ConvInstrument& after_run) {
   const qnn::ConvSpec& spec = data.spec;
-  if (tile_channels <= 0 || spec.out_c % tile_channels != 0) {
+  if (tile_channels <= 0 || spec.out_c < tile_channels ||
+      spec.out_c % tile_channels != 0) {
     throw SimError("tile_channels must divide out_c");
   }
   const int tiles = spec.out_c / tile_channels;
@@ -26,51 +28,33 @@ StreamedConvResult run_conv_streamed(const ConvLayerData& data,
   if (static_cast<u32>(tiles) * kCodeRegion > kDataBase) {
     throw SimError("too many tiles for the code region layout");
   }
+  kernels::require_variant(v, cfg);
 
-  // Compact layout: unlike the resident plan, the TCDM only holds the
-  // ping-pong tile buffers -- the full weight image stays in L2. This is
-  // what makes layers whose weights exceed the 512 kB TCDM runnable.
-  ConvMemLayout layout = ConvMemLayout::plan(spec, v, kDataBase);
-  const u32 tile_bytes = static_cast<u32>(tile_channels) * layout.filter_stride;
-  {
-    const u32 resident = layout.filter_stride * static_cast<u32>(spec.out_c);
-    const u32 pingpong = 2 * tile_bytes;
-    const u32 saved = (resident - pingpong + 15u) & ~15u;
-    if (pingpong < resident) {
-      layout.thresholds -= saved;
-      layout.buf0 -= saved;
-      layout.buf1 -= saved;
-      layout.output -= saved;
-    }
-  }
-  const addr_t buf[2] = {layout.weights, layout.weights + tile_bytes};
-  if (layout.output + layout.output_bytes > mem::Memory::kDefaultSize) {
-    throw SimError("layer does not fit the TCDM even when streamed");
-  }
-
-  // Generate one program per tile, reading weights from its buffer.
+  // One program per tile, each reading its filters from the ping-pong
+  // buffer its tile streams into. They share one streamed layout: the
+  // TCDM holds only the tile buffers, the full weight image stays in L2,
+  // which is what makes layers whose weights exceed the 512 kB TCDM
+  // runnable.
   std::vector<ConvKernel> programs;
   for (int t = 0; t < tiles; ++t) {
     ConvGenOptions o;
     o.code_base = static_cast<addr_t>(t) * kCodeRegion;
     o.ch_begin = t * tile_channels;
     o.ch_end = (t + 1) * tile_channels;
-    o.weights_base_override = buf[t % 2];
-    o.layout = &layout;
+    o.stream_weights = true;
     o.pixel_block = (spec.out_w() % 2 == 0) ? 2 : 1;
     programs.push_back(kernels::generate_conv_kernel(spec, v, kDataBase, o));
   }
-
-  // External L2 holds the full packed weight image.
-  const auto w_bytes = kernels::pack_conv_weights(data);
-  mem::Memory l2(static_cast<u32>((w_bytes.size() + 0xfffu) & ~0xfffu));
-  l2.write_block(0, w_bytes);
-
-  mem::Memory tcdm;
-  tcdm.write_block(layout.input, qnn::pack_tensor(data.input, spec.in_bits));
-  if (spec.out_bits != 8) {
-    tcdm.write_block(layout.thresholds, data.thresholds.serialize());
+  const ConvMemLayout& layout = programs.front().layout;
+  if (layout.output + layout.output_bytes > mem::Memory::kDefaultSize) {
+    throw SimError("layer does not fit the TCDM even when streamed");
   }
+
+  const u32 tile_bytes = layout.tile_bytes();
+  const u32 l2_bytes = layout.filter_stride * static_cast<u32>(spec.out_c);
+  mem::Memory l2((l2_bytes + 0xfffu) & ~0xfffu);
+  mem::Memory tcdm;
+  kernels::load_conv_data(data, layout, tcdm, &l2);
   for (const auto& k : programs) k.program.load(tcdm);
 
   Udma dma(l2, tcdm, dma_bytes_per_cycle);
@@ -87,16 +71,29 @@ StreamedConvResult run_conv_streamed(const ConvLayerData& data,
     // Functionally: transfer tile t, then run its program. (With double
     // buffering the transfer of tile t overlaps tile t-1's compute; the
     // ping-pong buffers make the functional order equivalent.)
+    const int oc = t * tile_channels;
     dma_dur[static_cast<size_t>(t)] =
-        dma.copy_in(static_cast<u32>(t * tile_channels) * layout.filter_stride,
-                    buf[t % 2], tile_bytes);
+        dma.copy_in(static_cast<u32>(oc) * layout.filter_stride,
+                    layout.filter_addr(oc), tile_bytes);
     const cycles_t before = core.perf().cycles;
     const u64 instrs_before = core.perf().instructions;
-    const xasm::Program& tp = programs[static_cast<size_t>(t)].program;
-    core.reset(tp.entry(), tp.base() + tp.size_bytes());
-    if (core.run() != sim::HaltReason::kEcall) {
-      throw SimError("streamed tile did not complete");
-    }
+    const ConvKernel& tk = programs[static_cast<size_t>(t)];
+    core.reset(tk.program.entry(),
+               tk.program.base() + tk.program.size_bytes());
+    if (instrument) instrument(core, tk);
+    kernels::run_checked(
+        v,
+        [&] {
+          core.run(kernels::kLayerInstrBudget);
+          kernels::require_ecall(core);
+        },
+        [&] {
+          return kernels::GuestSite{"streamed tile " + std::to_string(t),
+                                    &core, &tk};
+        },
+        [&] {
+          if (after_run) after_run(core, tk);
+        });
     compute[static_cast<size_t>(t)] = core.perf().cycles - before;
     tile_instrs[static_cast<size_t>(t)] =
         core.perf().instructions - instrs_before;
@@ -197,11 +194,7 @@ StreamedConvResult run_conv_streamed(const ConvLayerData& data,
     }
   }
 
-  std::vector<u8> out_bytes(layout.output_bytes);
-  tcdm.read_block(layout.output, out_bytes);
-  res.output = qnn::unpack_tensor(
-      out_bytes, {spec.out_h(), spec.out_w(), spec.out_c}, spec.out_bits,
-      /*is_signed=*/false);
+  res.output = kernels::read_conv_output(spec, layout, tcdm);
   return res;
 }
 

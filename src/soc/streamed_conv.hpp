@@ -47,12 +47,16 @@ struct StreamedConvResult {
 /// Each schedule slot additionally emits "soc/compute_busy" and
 /// "soc/dma_busy" counter-track points (busy fraction of the slot, 0..1),
 /// the streamed path's sampled-telemetry view (xtel, DESIGN.md §14).
-StreamedConvResult run_conv_streamed(const kernels::ConvLayerData& data,
-                                     kernels::ConvVariant v,
-                                     const sim::CoreConfig& cfg,
-                                     int tile_channels,
-                                     bool double_buffered = true,
-                                     u32 dma_bytes_per_cycle = 4,
-                                     obs::Timeline* timeline = nullptr);
+///
+/// `instrument` and `after_run` are run_conv_layer's hooks, fired per
+/// tile with that tile's kernel: `instrument` right before the tile runs,
+/// `after_run` right after it (also when it throws).
+StreamedConvResult run_conv_streamed(
+    const kernels::ConvLayerData& data, kernels::ConvVariant v,
+    const sim::CoreConfig& cfg, int tile_channels,
+    bool double_buffered = true, u32 dma_bytes_per_cycle = 4,
+    obs::Timeline* timeline = nullptr,
+    const kernels::ConvInstrument& instrument = {},
+    const kernels::ConvInstrument& after_run = {});
 
 }  // namespace xpulp::soc

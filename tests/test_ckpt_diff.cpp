@@ -17,7 +17,6 @@
 #include "kernels/conv_layer.hpp"
 #include "kernels/gp_workload.hpp"
 #include "mem/memory.hpp"
-#include "qnn/pack.hpp"
 #include "sim/core.hpp"
 #include "xasm/assembler.hpp"
 
@@ -536,10 +535,7 @@ TEST(CkptDiff, ClusterMidBurstSnapshotsWithSuperblockConv) {
   // The full stack crossing a mid-burst checkpoint: superblock dispatch
   // inside cluster bursts on a parallel conv layer, snapshotted at an
   // index chosen to fall inside a fused hot loop.
-  qnn::ConvSpec spec = qnn::ConvSpec::paper_layer(4);
-  spec.in_h = spec.in_w = 6;
-  spec.in_c = 16;
-  spec.out_c = 8;
+  const qnn::ConvSpec spec = qnn::ConvSpec::small_layer(4);
   const auto data = kernels::ConvLayerData::random(spec, 0x5eed);
   const auto kernels = cluster::make_parallel_conv_kernels(
       spec, kernels::ConvVariant::kXpulpNN_HwQ, 4);
@@ -556,13 +552,7 @@ TEST(CkptDiff, ClusterMidBurstSnapshotsWithSuperblockConv) {
   ref_cfg.scheduler = cluster::SchedulerMode::kReference;
 
   const auto load_cluster = [&](cluster::Cluster& cl) {
-    cl.memory().write_block(layout.input,
-                            qnn::pack_tensor(data.input, spec.in_bits));
-    cl.memory().write_block(layout.weights,
-                            qnn::pack_filter_bank(data.weights, spec.w_bits));
-    if (spec.out_bits != 8) {
-      cl.memory().write_block(layout.thresholds, data.thresholds.serialize());
-    }
+    kernels::load_conv_data(data, layout, cl.memory());
     cl.load(progs);
   };
 

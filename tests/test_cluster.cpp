@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "cluster/parallel_conv.hpp"
+#include "common/error.hpp"
+#include "obs/profiler.hpp"
 #include "xasm/assembler.hpp"
 
 namespace xpulp::cluster {
@@ -302,6 +305,31 @@ TEST(ParallelConv, MoreCoresThanRows) {
   for (int i = 0; i < gold.elems(); ++i) {
     ASSERT_EQ(res.output.flat(i), gold.flat(i));
   }
+}
+
+TEST(ParallelConv, AfterRunFiresWhenTheClusterThrows) {
+  // A caller-owned profiler attached in `instrument` must be finalized by
+  // `after_run` while the cores are alive, on the fault path too; else
+  // its destructor reads a destroyed core.
+  const auto data = ConvLayerData::random(qnn::ConvSpec::small_layer(4), 11);
+  ClusterConfig cfg;
+  cfg.num_cores = 2;
+  std::optional<obs::Profiler> prof;
+  bool after_fired = false;
+  EXPECT_THROW(
+      run_parallel_conv(
+          data, ConvVariant::kXpulpNN_HwQ, cfg,
+          [&](Cluster& cl, const std::vector<kernels::ConvKernel>& ks) {
+            prof.emplace(cl.core(0), ks[0].regions);
+            cl.memory().store_u32(ks[0].program.entry(), 0xffffffffu);
+            cl.core(0).invalidate_decode_cache();
+          },
+          [&](Cluster&, const std::vector<kernels::ConvKernel>&) {
+            after_fired = true;
+            prof->finalize();
+          }),
+      SimError);
+  EXPECT_TRUE(after_fired);
 }
 
 }  // namespace

@@ -38,19 +38,21 @@ ConvSpec spec(unsigned bits, int h, int w, int cin, int cout, int k = 3,
 
 std::vector<Case> cases() {
   std::vector<Case> v;
+  const ConvSpec n4 = ConvSpec::small_layer(4);
+  const ConvSpec c2 = ConvSpec::small_layer(2);
   // 8-bit on both cores.
   v.push_back({spec(8, 6, 6, 8, 4), ConvVariant::kXpulpV2_8b, true, "v8_ext"});
   v.push_back({spec(8, 6, 6, 8, 4), ConvVariant::kXpulpV2_8b, false, "v8_base"});
   v.push_back({spec(8, 4, 4, 4, 2), ConvVariant::kXpulpV2_8b, true, "v8_tiny"});
   // 4-bit, all three kernel flavours.
-  v.push_back({spec(4, 6, 6, 16, 8), ConvVariant::kXpulpNN_HwQ, true, "n4_hw"});
-  v.push_back({spec(4, 6, 6, 16, 8), ConvVariant::kXpulpNN_SwQ, true, "n4_sw"});
-  v.push_back({spec(4, 6, 6, 16, 8), ConvVariant::kXpulpV2_Sub, false, "n4_basesub"});
-  v.push_back({spec(4, 6, 6, 16, 8), ConvVariant::kXpulpV2_SubShf, false, "n4_baseshf"});
+  v.push_back({n4, ConvVariant::kXpulpNN_HwQ, true, "n4_hw"});
+  v.push_back({n4, ConvVariant::kXpulpNN_SwQ, true, "n4_sw"});
+  v.push_back({n4, ConvVariant::kXpulpV2_Sub, false, "n4_basesub"});
+  v.push_back({n4, ConvVariant::kXpulpV2_SubShf, false, "n4_baseshf"});
   // 2-bit.
-  v.push_back({spec(2, 6, 6, 16, 8), ConvVariant::kXpulpNN_HwQ, true, "c2_hw"});
-  v.push_back({spec(2, 6, 6, 16, 8), ConvVariant::kXpulpNN_SwQ, true, "c2_sw"});
-  v.push_back({spec(2, 6, 6, 16, 8), ConvVariant::kXpulpV2_Sub, false, "c2_basesub"});
+  v.push_back({c2, ConvVariant::kXpulpNN_HwQ, true, "c2_hw"});
+  v.push_back({c2, ConvVariant::kXpulpNN_SwQ, true, "c2_sw"});
+  v.push_back({c2, ConvVariant::kXpulpV2_Sub, false, "c2_basesub"});
   // Pointwise (1x1, no padding) and larger channel counts.
   v.push_back({spec(4, 4, 4, 32, 8, 1, 0), ConvVariant::kXpulpNN_HwQ, true, "n4_1x1"});
   v.push_back({spec(2, 4, 4, 32, 8, 1, 0), ConvVariant::kXpulpNN_HwQ, true, "c2_1x1"});
@@ -68,13 +70,8 @@ TEST_P(ConvKernelMatchesGolden, BitExact) {
                                    : sim::CoreConfig::ri5cy();
   const auto data = ConvLayerData::random(c.spec, 0xfeed + c.spec.in_bits);
   const auto res = run_conv_layer(data, c.variant, cfg);
-  const auto gold = data.golden();
-  ASSERT_EQ(res.output.shape(), gold.shape());
-  int mismatches = 0;
-  for (int i = 0; i < gold.elems(); ++i) {
-    if (res.output.flat(i) != gold.flat(i)) ++mismatches;
-  }
-  EXPECT_EQ(mismatches, 0);
+  const auto m = qnn::first_mismatch(res.output, data.golden());
+  EXPECT_FALSE(m) << m->to_string();
   EXPECT_EQ(res.macs, c.spec.macs());
   EXPECT_GT(res.perf.cycles, 0u);
 }
@@ -85,8 +82,29 @@ INSTANTIATE_TEST_SUITE_P(AllVariants, ConvKernelMatchesGolden,
                            return std::string(info.param.name);
                          });
 
+TEST(ConvKernels, FirstMismatchNamesTheCorruptedElement) {
+  // after_run flips one output byte while the core is alive: the verdict
+  // must name that element's coordinate and both values.
+  const ConvSpec s = ConvSpec::small_layer(8);  // one byte per element
+  const auto data = ConvLayerData::random(s, 21);
+  const int oy = 4, ox = 1, oc = 5;
+  const auto res = run_conv_layer(
+      data, ConvVariant::kXpulpV2_8b, sim::CoreConfig::extended(), {}, {},
+      [&](sim::Core& c, const ConvKernel& k) {
+        const int i = (oy * s.out_w() + ox) * s.out_c + oc;
+        const addr_t a = k.layout.output + static_cast<addr_t>(i);
+        c.memory().store_u8(a, c.memory().load_u8(a) ^ 0x10);
+      });
+  const auto gold = data.golden();
+  const auto m = qnn::first_mismatch(res.output, gold);
+  ASSERT_TRUE(m);
+  EXPECT_EQ(*m, (qnn::Mismatch{oy, ox, oc, gold.at(oy, ox, oc) ^ 0x10,
+                               gold.at(oy, ox, oc)}));
+  EXPECT_FALSE(qnn::first_mismatch(gold, gold));
+}
+
 TEST(ConvKernels, HwQuantIsFasterThanSwQuant) {
-  const auto s = spec(4, 6, 6, 16, 8);
+  const auto s = ConvSpec::small_layer(4);
   const auto data = ConvLayerData::random(s, 9);
   // Re-quantization cycles, attributed by a profiler attached through the
   // runner's hooks.
@@ -113,9 +131,9 @@ TEST(ConvKernels, HwQuantIsFasterThanSwQuant) {
 TEST(ConvKernels, ExtensionSpeedupOrdering) {
   // XpulpNN sub-byte kernels must beat the packed baseline by a wide
   // margin, and 2-bit must beat 4-bit which must beat 8-bit (Fig. 6).
-  const auto d8 = ConvLayerData::random(spec(8, 6, 6, 16, 8), 1);
-  const auto d4 = ConvLayerData::random(spec(4, 6, 6, 16, 8), 1);
-  const auto d2 = ConvLayerData::random(spec(2, 6, 6, 16, 8), 1);
+  const auto d8 = ConvLayerData::random(ConvSpec::small_layer(8), 1);
+  const auto d4 = ConvLayerData::random(ConvSpec::small_layer(4), 1);
+  const auto d2 = ConvLayerData::random(ConvSpec::small_layer(2), 1);
   const auto ext = sim::CoreConfig::extended();
   const auto base = sim::CoreConfig::ri5cy();
   const auto c8 = run_conv_layer(d8, ConvVariant::kXpulpV2_8b, ext).perf.cycles;
@@ -167,7 +185,7 @@ TEST(ConvKernels, ParseVariantAcceptsExactlyTheCliNames) {
 }
 
 TEST(ConvKernels, ShuffleUnpackBeatsNaiveButNotTheExtension) {
-  const auto data = ConvLayerData::random(spec(4, 6, 6, 16, 8), 12);
+  const auto data = ConvLayerData::random(ConvSpec::small_layer(4), 12);
   const auto ext = run_conv_layer(data, ConvVariant::kXpulpNN_HwQ,
                                   sim::CoreConfig::extended());
   const auto naive = run_conv_layer(data, ConvVariant::kXpulpV2_Sub,
@@ -178,7 +196,7 @@ TEST(ConvKernels, ShuffleUnpackBeatsNaiveButNotTheExtension) {
   EXPECT_GT(static_cast<double>(shf.perf.cycles),
             2.0 * static_cast<double>(ext.perf.cycles));
   // The ablation is 4-bit only.
-  const auto d2 = ConvLayerData::random(spec(2, 6, 6, 16, 8), 13);
+  const auto d2 = ConvLayerData::random(ConvSpec::small_layer(2), 13);
   EXPECT_THROW(run_conv_layer(d2, ConvVariant::kXpulpV2_SubShf,
                               sim::CoreConfig::ri5cy()),
                SimError);

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -37,14 +38,6 @@ const Workload kWorkloads[] = {
 
 const char* const kModes[] = {"reference", "fast", "superblock"};
 
-qnn::ConvSpec small_spec(unsigned bits) {
-  qnn::ConvSpec spec = qnn::ConvSpec::paper_layer(bits);
-  spec.in_h = spec.in_w = 6;
-  spec.in_c = 16;
-  spec.out_c = 8;
-  return spec;
-}
-
 /// A finalized profiler (its views outlive the core) plus the run's own
 /// counters.
 struct ProfiledRun {
@@ -54,28 +47,21 @@ struct ProfiledRun {
 };
 
 ProfiledRun run_profiled(const Workload& w, const char* mode) {
-  const auto data = kernels::ConvLayerData::random(small_spec(w.bits), 7);
-  const qnn::ConvSpec& spec = data.spec;
-  kernels::ConvKernel kernel =
-      kernels::generate_conv_kernel(spec, w.variant, 0x40000);
-
-  mem::Memory mem;
-  kernel.program.load(mem);
-  kernels::load_conv_data(data, kernel.layout, mem);
-
-  sim::CoreConfig cfg = sim::CoreConfig::extended();
-  cfg.reference_dispatch = !strcmp(mode, "reference");
-  cfg.superblock = !strcmp(mode, "superblock");
-  sim::Core core(mem, cfg);
-  core.reset(kernel.program.entry(),
-             kernel.program.base() + kernel.program.size_bytes());
-
+  const auto data =
+      kernels::ConvLayerData::random(qnn::ConvSpec::small_layer(w.bits), 7);
   ProfiledRun r;
-  r.prof = std::make_unique<Profiler>(core, kernel.regions);
-  EXPECT_EQ(core.run(600'000'000), sim::HaltReason::kEcall);
-  r.prof->finalize();
-  r.perf = core.perf();
-  r.cfg = cfg;
+  r.cfg = sim::CoreConfig::extended();
+  r.cfg.reference_dispatch = !strcmp(mode, "reference");
+  r.cfg.superblock = !strcmp(mode, "superblock");
+  r.perf = kernels::run_conv_layer(
+               data, w.variant, r.cfg, {},
+               [&](sim::Core& core, const kernels::ConvKernel& k) {
+                 r.prof = std::make_unique<Profiler>(core, k.regions);
+               },
+               [&](sim::Core&, const kernels::ConvKernel&) {
+                 r.prof->finalize();
+               })
+               .perf;
   return r;
 }
 
@@ -199,27 +185,24 @@ TEST(EnergyViews, CycleTablesAndEnergyCellsAgreeInOneRun) {
 }
 
 TEST(EnergyViews, AttachingMidRunPartitionsTheObservedRun) {
-  const auto data = kernels::ConvLayerData::random(small_spec(4), 7);
-  kernels::ConvKernel kernel = kernels::generate_conv_kernel(
-      data.spec, ConvVariant::kXpulpNN_HwQ, 0x40000);
-  mem::Memory mem;
-  kernel.program.load(mem);
-  kernels::load_conv_data(data, kernel.layout, mem);
-  sim::Core core(mem, sim::CoreConfig::extended());
-  core.reset(kernel.program.entry(),
-             kernel.program.base() + kernel.program.size_bytes());
-
-  ASSERT_EQ(core.run_steps(5000), 5000u);
-  const sim::PerfCounters before = core.perf();
+  const auto data =
+      kernels::ConvLayerData::random(qnn::ConvSpec::small_layer(4), 7);
+  sim::PerfCounters before;
+  std::optional<Profiler> attached;
+  const auto res = kernels::run_conv_layer(
+      data, ConvVariant::kXpulpNN_HwQ, sim::CoreConfig::extended(), {},
+      [&](sim::Core& core, const kernels::ConvKernel& k) {
+        EXPECT_EQ(core.run_steps(5000), 5000u);
+        before = core.perf();
+        attached.emplace(core, k.regions);
+      },
+      [&](sim::Core&, const kernels::ConvKernel&) { attached->finalize(); });
   ASSERT_GT(before.cycles, 0u);
-  Profiler prof(core, kernel.regions);
-  ASSERT_EQ(core.run(600'000'000), sim::HaltReason::kEcall);
-  prof.finalize();
+  const Profiler& prof = *attached;
 
   const SiteStat total = prof.total();
-  EXPECT_EQ(total.cycles, core.perf().cycles - before.cycles);
-  EXPECT_EQ(total.instructions,
-            core.perf().instructions - before.instructions);
+  EXPECT_EQ(total.cycles, res.perf.cycles - before.cycles);
+  EXPECT_EQ(total.instructions, res.perf.instructions - before.instructions);
   u64 cycles = 0, stalls = 0, instrs = 0;
   for (const RegionStat& rs : prof.region_stats()) {
     cycles += rs.stat.cycles;

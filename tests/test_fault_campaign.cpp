@@ -13,9 +13,7 @@ namespace {
 /// Small layer so a hundred trials stay fast; everything else defaults.
 CampaignConfig small_config() {
   CampaignConfig cfg;
-  cfg.spec.in_h = cfg.spec.in_w = 6;
-  cfg.spec.in_c = 16;
-  cfg.spec.out_c = 8;
+  cfg.spec = qnn::ConvSpec::small_layer(4);
   cfg.ckpt_every = 500;
   return cfg;
 }

@@ -164,13 +164,9 @@ TEST(Footprint, UnboundedAddressIsUnprovableNotWrong) {
 // ---- generated kernels: the acceptance property ----
 
 TEST(Footprint, GeneratedConvKernelFullyProvable) {
-  qnn::ConvSpec s;
-  s.in_h = s.in_w = 6;
-  s.in_c = 16;
-  s.out_c = 8;
-  s.in_bits = s.w_bits = s.out_bits = 4;
   const auto k = kernels::generate_conv_kernel(
-      s, kernels::ConvVariant::kXpulpNN_HwQ, 0x40000);
+      qnn::ConvSpec::small_layer(4), kernels::ConvVariant::kXpulpNN_HwQ,
+      0x40000);
   const Footprint fp = FootprintAnalyzer().analyze(k.program);
   EXPECT_EQ(fp.unprovable(), 0u);
   EXPECT_EQ(fp.unsummarized, 0u);

@@ -17,11 +17,7 @@ namespace {
 using kernels::ConvVariant;
 
 kernels::ConvLayerData small_layer(unsigned bits) {
-  qnn::ConvSpec spec = qnn::ConvSpec::paper_layer(bits);
-  spec.in_h = spec.in_w = 6;
-  spec.in_c = 16;
-  spec.out_c = 8;
-  return kernels::ConvLayerData::random(spec, 7);
+  return kernels::ConvLayerData::random(qnn::ConvSpec::small_layer(bits), 7);
 }
 
 TEST(BankHeatmap, TotalsMatchBankArbiterExactly) {

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "kernels/conv_layer.hpp"
-#include "qnn/pack.hpp"
 
 namespace xpulp::kernels {
 namespace {
@@ -175,32 +174,18 @@ INSTANTIATE_TEST_SUITE_P(
 // corruption (a test of the tests). ----
 
 TEST(FailureInjection, CorruptedThresholdsChangeTheOutput) {
-  qnn::ConvSpec s;
-  s.in_h = s.in_w = 6;
-  s.in_c = 16;
-  s.out_c = 8;
-  s.in_bits = s.w_bits = s.out_bits = 4;
+  const qnn::ConvSpec s = qnn::ConvSpec::small_layer(4);
   const auto data = ConvLayerData::random(s, 77);
   const auto gold = data.golden();
 
   // Run with a corrupted threshold image: flip the root node of channel 3.
-  ConvKernel kernel = generate_conv_kernel(s, ConvVariant::kXpulpNN_HwQ);
-  mem::Memory mem;
-  kernel.program.load(mem);
-  mem.write_block(kernel.layout.input, qnn::pack_tensor(data.input, 4));
-  mem.write_block(kernel.layout.weights,
-                  qnn::pack_filter_bank(data.weights, 4));
-  auto tbytes = data.thresholds.serialize();
-  tbytes[3 * 32 + 1] ^= 0x40;  // channel 3, root node, high byte
-  mem.write_block(kernel.layout.thresholds, tbytes);
-
-  sim::Core core(mem);
-  core.reset(kernel.program.entry());
-  core.run();
-  std::vector<u8> out(kernel.layout.output_bytes);
-  mem.read_block(kernel.layout.output, out);
-  const auto t = qnn::unpack_tensor(out, {s.out_h(), s.out_w(), s.out_c}, 4,
-                                    false);
+  const auto flip = [](sim::Core& core, const ConvKernel& k) {
+    const addr_t a = k.layout.thresholds + 3 * 32 + 1;  // high byte
+    core.memory().store_u8(a, core.memory().load_u8(a) ^ 0x40);
+  };
+  const qnn::Tensor t = run_conv_layer(data, ConvVariant::kXpulpNN_HwQ,
+                                       sim::CoreConfig::extended(), {}, flip)
+                            .output;
   int diffs = 0;
   for (int i = 0; i < gold.elems(); ++i) {
     if (t.flat(i) != gold.flat(i)) ++diffs;
@@ -219,34 +204,18 @@ TEST(FailureInjection, CorruptedThresholdsChangeTheOutput) {
 }
 
 TEST(FailureInjection, MemoryContentionChangesTimingNotResults) {
-  qnn::ConvSpec s;
-  s.in_h = s.in_w = 6;
-  s.in_c = 16;
-  s.out_c = 8;
-  s.in_bits = s.w_bits = s.out_bits = 4;
+  const qnn::ConvSpec s = qnn::ConvSpec::small_layer(4);
   const auto data = ConvLayerData::random(s, 78);
   const auto gold = data.golden();
 
-  ConvKernel kernel = generate_conv_kernel(s, ConvVariant::kXpulpNN_HwQ);
-  mem::Memory mem;
-  kernel.program.load(mem);
-  mem.write_block(kernel.layout.input, qnn::pack_tensor(data.input, 4));
-  mem.write_block(kernel.layout.weights, qnn::pack_filter_bank(data.weights, 4));
-  mem.write_block(kernel.layout.thresholds, data.thresholds.serialize());
-  mem.set_contention_period(3);  // heavy interconnect pressure
-
-  sim::Core core(mem);
-  core.reset(kernel.program.entry());
-  core.run();
-  EXPECT_GT(core.perf().mem_stall_cycles, 1000u);
-
-  std::vector<u8> out(kernel.layout.output_bytes);
-  mem.read_block(kernel.layout.output, out);
-  const auto t = qnn::unpack_tensor(out, {s.out_h(), s.out_w(), s.out_c}, 4,
-                                    false);
-  for (int i = 0; i < gold.elems(); ++i) {
-    ASSERT_EQ(t.flat(i), gold.flat(i));
-  }
+  const auto res = run_conv_layer(
+      data, ConvVariant::kXpulpNN_HwQ, sim::CoreConfig::extended(), {},
+      [](sim::Core& core, const ConvKernel&) {
+        core.memory().set_contention_period(3);  // heavy interconnect pressure
+      });
+  EXPECT_GT(res.perf.mem_stall_cycles, 1000u);
+  const auto m = qnn::first_mismatch(res.output, gold);
+  EXPECT_FALSE(m) << m->to_string();
 }
 
 TEST(FailureInjection, TruncatedProgramFaults) {

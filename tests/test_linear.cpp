@@ -1,7 +1,8 @@
-// Fully-connected layer kernels vs the golden model.
+// Fully-connected layer kernels vs the golden model: a linear layer is the
+// conv pipeline run on a qnn::ConvSpec::linear spec.
 #include <gtest/gtest.h>
 
-#include "kernels/linear.hpp"
+#include "kernels/conv_layer.hpp"
 
 namespace xpulp::kernels {
 namespace {
@@ -17,15 +18,14 @@ class Linear : public ::testing::TestWithParam<LinCase> {};
 
 TEST_P(Linear, BitExact) {
   const auto [in_f, out_f, bits, v, ext] = GetParam();
-  const auto data = LinearLayerData::random(in_f, out_f, bits, 0x11 + bits);
+  const auto data = ConvLayerData::random(
+      qnn::ConvSpec::linear(in_f, out_f, bits), 0x11 + bits);
   const auto cfg =
       ext ? sim::CoreConfig::extended() : sim::CoreConfig::ri5cy();
-  const auto res = run_linear_layer(data, v, cfg);
-  const auto gold = data.golden();
+  const auto res = run_conv_layer(data, v, cfg);
   ASSERT_EQ(res.output.shape(), (qnn::Shape{1, 1, out_f}));
-  for (int i = 0; i < gold.elems(); ++i) {
-    ASSERT_EQ(res.output.flat(i), gold.flat(i)) << i;
-  }
+  const auto m = qnn::first_mismatch(res.output, data.golden());
+  ASSERT_FALSE(m) << m->to_string();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -49,18 +49,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Linear, MatchesLinearRef) {
   // The linear golden path and the conv golden path agree on a 1x1 layer.
-  const auto data = LinearLayerData::random(64, 8, 4, 3);
-  const auto via_linear = data.golden();
-  const auto via_conv = data.as_conv().golden();
-  EXPECT_EQ(via_linear, via_conv);
+  const auto data = ConvLayerData::random(qnn::ConvSpec::linear(64, 8, 4), 3);
+  EXPECT_EQ(qnn::linear_ref(data.input, data.weights, data.thresholds),
+            data.golden());
 }
 
 TEST(Linear, SubByteSpeedupHoldsForFcLayers) {
-  const auto data = LinearLayerData::random(512, 32, 2, 5);
-  const auto ext = run_linear_layer(data, ConvVariant::kXpulpNN_HwQ,
-                                    sim::CoreConfig::extended());
-  const auto base = run_linear_layer(data, ConvVariant::kXpulpV2_Sub,
-                                     sim::CoreConfig::ri5cy());
+  const auto data =
+      ConvLayerData::random(qnn::ConvSpec::linear(512, 32, 2), 5);
+  const auto ext = run_conv_layer(data, ConvVariant::kXpulpNN_HwQ,
+                                  sim::CoreConfig::extended());
+  const auto base = run_conv_layer(data, ConvVariant::kXpulpV2_Sub,
+                                   sim::CoreConfig::ri5cy());
   EXPECT_GT(static_cast<double>(base.perf.cycles) /
                 static_cast<double>(ext.perf.cycles),
             4.0);

@@ -8,7 +8,6 @@
 
 #include "common/error.hpp"
 #include "kernels/conv_layer.hpp"
-#include "kernels/linear.hpp"
 #include "sim_test_util.hpp"
 
 namespace xpulp::kernels {
@@ -111,21 +110,21 @@ TEST(MixedLinear, BitExactOnAllDispatchModes) {
   for (const Case c : {Case{64, 8, 8, 4, 8}, Case{64, 8, 8, 2, 8},
                        Case{64, 8, 4, 2, 8}, Case{16, 8, 8, 4, 4},
                        Case{16, 8, 8, 2, 2}, Case{64, 8, 4, 2, 4}}) {
-    const auto data = LinearLayerData::random_mixed(
-        c.in_f, c.out_f, c.in_bits, c.w_bits, c.out_bits, seed++);
+    qnn::ConvSpec spec = qnn::ConvSpec::linear(c.in_f, c.out_f, c.in_bits);
+    spec.w_bits = c.w_bits;
+    spec.out_bits = c.out_bits;
+    const auto data = ConvLayerData::random(spec, seed++);
     const auto gold = data.golden();
     for (const bool reference : {true, false}) {
       for (const bool superblock : {false, true}) {
         if (reference && superblock) continue;
         const auto res =
-            run_linear_layer(data, ConvVariant::kXpulpNN_Mixed,
-                             dispatch_cfg(reference, superblock));
-        for (int i = 0; i < gold.elems(); ++i) {
-          ASSERT_EQ(res.output.flat(i), gold.flat(i))
-              << "a" << c.in_bits << "w" << c.w_bits << "o" << c.out_bits
-              << " ref=" << reference << " sb=" << superblock
-              << " elem=" << i;
-        }
+            run_conv_layer(data, ConvVariant::kXpulpNN_Mixed,
+                           dispatch_cfg(reference, superblock));
+        const auto m = qnn::first_mismatch(res.output, gold);
+        ASSERT_FALSE(m) << "a" << c.in_bits << "w" << c.w_bits << "o"
+                        << c.out_bits << " ref=" << reference
+                        << " sb=" << superblock << " " << m->to_string();
       }
     }
   }

@@ -8,7 +8,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "kernels/linear.hpp"
 #include "kernels/network.hpp"
 
 namespace xpulp::kernels {
@@ -43,7 +42,7 @@ TEST_P(NetworkBits, FiveLayerStackBitExact) {
   EXPECT_TRUE(res.all_matched);
   ASSERT_EQ(res.layers.size(), 5u);
   for (const auto& l : res.layers) {
-    EXPECT_TRUE(l.matched_golden) << l.name;
+    EXPECT_FALSE(l.mismatch) << l.name << " " << l.mismatch->to_string();
     EXPECT_GT(l.cycles, 0u);
   }
   EXPECT_EQ(res.output.shape(), (qnn::Shape{1, 1, 12}));
@@ -123,7 +122,7 @@ TEST(Network, MixedPrecisionStackBitExact) {
   EXPECT_TRUE(res.all_matched);
   ASSERT_EQ(res.layers.size(), 4u);
   for (const auto& l : res.layers) {
-    EXPECT_TRUE(l.matched_golden) << l.name;
+    EXPECT_FALSE(l.mismatch) << l.name << " " << l.mismatch->to_string();
   }
   EXPECT_EQ(res.output.shape(), (qnn::Shape{1, 1, 12}));
 }
@@ -138,7 +137,7 @@ TEST(Network, MixedSubByteOutputLayer) {
   const auto res = net.run(in, sim::CoreConfig::extended());
   EXPECT_TRUE(res.all_matched);
   for (const auto& l : res.layers) {
-    EXPECT_TRUE(l.matched_golden) << l.name;
+    EXPECT_FALSE(l.mismatch) << l.name << " " << l.mismatch->to_string();
   }
 }
 
@@ -190,12 +189,13 @@ std::vector<std::pair<const char*, sim::CoreConfig>> dispatch_modes() {
 
 TEST(LargeFilter, LinearLayerBitExactOnEveryDispatch) {
   // 8-bit linear layer, 2048 inputs: 2048-byte filters.
-  const auto data = LinearLayerData::random(2048, 4, 8, 91);
+  const auto data =
+      ConvLayerData::random(qnn::ConvSpec::linear(2048, 4, 8), 91);
   Network net({1, 1, 2048}, 8, 92);
   net.linear(4);
   const auto in = random_input({1, 1, 2048}, 8, 93);
   for (const auto& [mode, cfg] : dispatch_modes()) {
-    const auto res = run_linear_layer(data, ConvVariant::kXpulpV2_8b, cfg);
+    const auto res = run_conv_layer(data, ConvVariant::kXpulpV2_8b, cfg);
     EXPECT_EQ(res.output, data.golden()) << mode;
     const auto nres = net.run(in, cfg, ConvVariant::kXpulpV2_8b);
     EXPECT_TRUE(nres.all_matched) << mode;

@@ -224,73 +224,49 @@ TEST(Profiler, AttributesHandWrittenRegions) {
   EXPECT_EQ(sum, perf.cycles);
 }
 
-TEST(Profiler, ReconcilesOnConvKernelBothDispatchPaths) {
-  qnn::ConvSpec s;
-  s.in_h = s.in_w = 6;
-  s.in_c = 16;
-  s.out_c = 8;
-  s.in_bits = s.w_bits = s.out_bits = 4;
-  const auto data = kernels::ConvLayerData::random(s, 7);
+/// Run `data` through run_conv_layer with a profiler attached by its
+/// hooks; the profiler is finalized while the core is alive.
+kernels::ConvRunResult run_profiled(const kernels::ConvLayerData& data,
+                                    const sim::CoreConfig& cfg,
+                                    std::optional<Profiler>& prof) {
+  return kernels::run_conv_layer(
+      data, ConvVariant::kXpulpNN_HwQ, cfg, {},
+      [&](sim::Core& c, const kernels::ConvKernel& k) {
+        prof.emplace(c, k.regions);
+      },
+      [&](sim::Core&, const kernels::ConvKernel&) { prof->finalize(); });
+}
 
+TEST(Profiler, ReconcilesOnConvKernelBothDispatchPaths) {
+  const auto data =
+      kernels::ConvLayerData::random(qnn::ConvSpec::small_layer(4), 7);
+  u64 quant[2] = {};
   for (const bool reference : {false, true}) {
     auto cfg = sim::CoreConfig::extended();
     cfg.reference_dispatch = reference;
-    kernels::ConvKernel kernel =
-        kernels::generate_conv_kernel(s, ConvVariant::kXpulpNN_HwQ, 0x40000);
+    std::optional<Profiler> prof;
+    const auto res = run_profiled(data, cfg, prof);
 
-    mem::Memory mem;
-    kernel.program.load(mem);
-    kernels::load_conv_data(data, kernel.layout, mem);
-    sim::Core core(mem, cfg);
-    core.reset(kernel.program.entry(),
-               kernel.program.base() + kernel.program.size_bytes());
-
-    Profiler prof(core, kernel.regions);
-    ASSERT_EQ(core.run(), sim::HaltReason::kEcall);
-    prof.finalize();
-
-    EXPECT_EQ(prof.total().cycles, core.perf().cycles);
-    u64 sum = 0, quant = 0;
-    for (const auto& rs : prof.region_stats()) {
-      sum += rs.stat.cycles;
-      if (rs.name == "quant") quant = rs.stat.cycles;
-    }
-    EXPECT_EQ(sum, core.perf().cycles);
-
-    // Cross-check against a profiler attached through run_conv_layer's
-    // hooks: the same workload must attribute the same quant cycles.
-    std::optional<Profiler> hooked;
-    kernels::run_conv_layer(
-        data, ConvVariant::kXpulpNN_HwQ, cfg, {},
-        [&](sim::Core& c, const kernels::ConvKernel& k) {
-          hooked.emplace(c, k.regions);
-        },
-        [&](sim::Core&, const kernels::ConvKernel&) { hooked->finalize(); });
-    EXPECT_EQ(quant, hooked->region_cycles("quant"));
-    EXPECT_EQ(quant, prof.region_cycles("quant"));
-    EXPECT_GT(quant, 0u);
+    EXPECT_EQ(prof->total().cycles, res.perf.cycles);
+    u64 sum = 0;
+    for (const auto& rs : prof->region_stats()) sum += rs.stat.cycles;
+    EXPECT_EQ(sum, res.perf.cycles);
+    quant[reference] = prof->region_cycles("quant");
+    EXPECT_GT(quant[reference], 0u);
   }
+  // The same workload attributes the same quant cycles on both paths.
+  EXPECT_EQ(quant[0], quant[1]);
 }
 
 TEST(Profiler, MnemonicAndHotspotTablesPartitionCycles) {
-  qnn::ConvSpec s;
+  qnn::ConvSpec s = qnn::ConvSpec::small_layer(4);
   s.in_h = s.in_w = 4;
   s.in_c = 8;
   s.out_c = 4;
-  s.in_bits = s.w_bits = s.out_bits = 4;
-  const auto data = kernels::ConvLayerData::random(s, 7);
-  kernels::ConvKernel kernel =
-      kernels::generate_conv_kernel(s, ConvVariant::kXpulpNN_HwQ, 0x40000);
-
-  mem::Memory mem;
-  kernel.program.load(mem);
-  kernels::load_conv_data(data, kernel.layout, mem);
-  sim::Core core(mem);
-  core.reset(kernel.program.entry(),
-             kernel.program.base() + kernel.program.size_bytes());
-  Profiler prof(core, kernel.regions);
-  ASSERT_EQ(core.run(), sim::HaltReason::kEcall);
-  prof.finalize();
+  std::optional<Profiler> opt;
+  run_profiled(kernels::ConvLayerData::random(s, 7),
+               sim::CoreConfig::extended(), opt);
+  const Profiler& prof = *opt;
 
   u64 by_op = 0;
   for (const auto& st : prof.by_mnemonic()) by_op += st.cycles;

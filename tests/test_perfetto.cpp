@@ -7,6 +7,7 @@
 
 #include <cctype>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -269,29 +270,20 @@ TEST(Perfetto, GoldenSmallTrace) {
 }
 
 TEST(Perfetto, ProfiledConvTraceIsSchemaValid) {
-  qnn::ConvSpec s;
-  s.in_h = s.in_w = 6;
-  s.in_c = 16;
-  s.out_c = 8;
-  s.in_bits = s.w_bits = s.out_bits = 4;
-  const auto data = kernels::ConvLayerData::random(s, 7);
-  kernels::ConvKernel kernel = kernels::generate_conv_kernel(
-      s, kernels::ConvVariant::kXpulpNN_HwQ, 0x40000);
-
-  mem::Memory mem;
-  kernel.program.load(mem);
-  kernels::load_conv_data(data, kernel.layout, mem);
-  sim::Core core(mem);
-  core.reset(kernel.program.entry(),
-             kernel.program.base() + kernel.program.size_bytes());
-
+  const auto data =
+      kernels::ConvLayerData::random(qnn::ConvSpec::small_layer(4), 7);
   Timeline tl;
   tl.set_track_name(0, "core0");
-  Profiler::Options o;
-  o.timeline = &tl;
-  Profiler prof(core, kernel.regions, o);
-  ASSERT_EQ(core.run(), sim::HaltReason::kEcall);
-  prof.finalize();
+  std::optional<Profiler> prof;
+  kernels::run_conv_layer(
+      data, kernels::ConvVariant::kXpulpNN_HwQ, sim::CoreConfig::extended(),
+      {},
+      [&](sim::Core& core, const kernels::ConvKernel& k) {
+        Profiler::Options o;
+        o.timeline = &tl;
+        prof.emplace(core, k.regions, o);
+      },
+      [&](sim::Core&, const kernels::ConvKernel&) { prof->finalize(); });
 
   std::vector<JValue> evs;
   check_trace(tl.chrome_json(), &evs);
@@ -307,12 +299,8 @@ TEST(Perfetto, ProfiledConvTraceIsSchemaValid) {
 }
 
 TEST(Perfetto, ClusterLanesHaveStableTids) {
-  qnn::ConvSpec s;
-  s.in_h = s.in_w = 6;
-  s.in_c = 16;
-  s.out_c = 8;
-  s.in_bits = s.w_bits = s.out_bits = 4;
-  const auto data = kernels::ConvLayerData::random(s, 7);
+  const auto data =
+      kernels::ConvLayerData::random(qnn::ConvSpec::small_layer(4), 7);
 
   cluster::ClusterConfig ccfg;
   ccfg.num_cores = 2;
@@ -509,30 +497,21 @@ TEST(Perfetto, CounterRingOverflowIsReportedAndOutputStaysValid) {
 }
 
 TEST(Perfetto, SampledConvTraceHasMonotonicCounterTracks) {
-  qnn::ConvSpec s;
-  s.in_h = s.in_w = 6;
-  s.in_c = 16;
-  s.out_c = 8;
-  s.in_bits = s.w_bits = s.out_bits = 4;
-  const auto data = kernels::ConvLayerData::random(s, 7);
-  kernels::ConvKernel kernel = kernels::generate_conv_kernel(
-      s, kernels::ConvVariant::kXpulpNN_HwQ, 0x40000);
-
-  mem::Memory mem;
-  kernel.program.load(mem);
-  kernels::load_conv_data(data, kernel.layout, mem);
-  sim::Core core(mem, sim::CoreConfig::extended());
-  core.reset(kernel.program.entry(),
-             kernel.program.base() + kernel.program.size_bytes());
-
+  const auto data =
+      kernels::ConvLayerData::random(qnn::ConvSpec::small_layer(4), 7);
   Timeline tl;
   tl.set_track_name(0, "core0");
-  Sampler::Options o;
-  o.interval_cycles = 512;
-  o.timeline = &tl;
-  Sampler sampler(core, o);
-  ASSERT_EQ(core.run(), sim::HaltReason::kEcall);
-  sampler.finalize();
+  std::optional<Sampler> sampler;
+  kernels::run_conv_layer(
+      data, kernels::ConvVariant::kXpulpNN_HwQ, sim::CoreConfig::extended(),
+      {},
+      [&](sim::Core& core, const kernels::ConvKernel&) {
+        Sampler::Options o;
+        o.interval_cycles = 512;
+        o.timeline = &tl;
+        sampler.emplace(core, o);
+      },
+      [&](sim::Core&, const kernels::ConvKernel&) { sampler->finalize(); });
 
   // check_trace verifies per-(tid, name) counter monotonicity.
   std::vector<JValue> evs;
@@ -550,7 +529,7 @@ TEST(Perfetto, SampledConvTraceHasMonotonicCounterTracks) {
                         "core0/ipc", "core0/stall_frac",
                         "core0/macs_per_cycle", "core0/fused_frac",
                         "core0/core_mw", "core0/soc_mw"}));
-  EXPECT_EQ(counters, static_cast<int>(6 * sampler.recorded()));
+  EXPECT_EQ(counters, static_cast<int>(6 * sampler->recorded()));
 }
 
 }  // namespace

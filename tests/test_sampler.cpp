@@ -40,44 +40,30 @@ const Workload kWorkloads[] = {
     {4, ConvVariant::kXpulpNN_HwQ},
 };
 
-qnn::ConvSpec small_spec(unsigned bits) {
-  qnn::ConvSpec spec = qnn::ConvSpec::paper_layer(bits);
-  spec.in_h = spec.in_w = 6;
-  spec.in_c = 16;
-  spec.out_c = 8;
-  return spec;
-}
-
 SampledRun run_sampled(const Workload& w, const char* mode,
                        cycles_t interval, size_t capacity = 1u << 16) {
-  const auto data = kernels::ConvLayerData::random(small_spec(w.bits), 7);
-  const qnn::ConvSpec& spec = data.spec;
-  kernels::ConvKernel kernel =
-      kernels::generate_conv_kernel(spec, w.variant, 0x40000);
-
-  mem::Memory mem;
-  kernel.program.load(mem);
-  kernels::load_conv_data(data, kernel.layout, mem);
-
+  const auto data =
+      kernels::ConvLayerData::random(qnn::ConvSpec::small_layer(w.bits), 7);
   sim::CoreConfig cfg = sim::CoreConfig::extended();
   cfg.reference_dispatch = !std::strcmp(mode, "reference");
   cfg.superblock = !std::strcmp(mode, "superblock");
-  sim::Core core(mem, cfg);
-  core.reset(kernel.program.entry(),
-             kernel.program.base() + kernel.program.size_bytes());
 
   Sampler::Options opts;
   opts.interval_cycles = interval;
   opts.capacity = capacity;
-  Sampler sampler(core, opts);
-  EXPECT_EQ(core.run(600'000'000), sim::HaltReason::kEcall);
-  sampler.finalize();
+  std::optional<Sampler> sampler;
+  const kernels::ConvRunResult res = kernels::run_conv_layer(
+      data, w.variant, cfg, {},
+      [&](sim::Core& core, const kernels::ConvKernel&) {
+        sampler.emplace(core, opts);
+      },
+      [&](sim::Core&, const kernels::ConvKernel&) { sampler->finalize(); });
 
   SampledRun r;
-  r.samples = sampler.samples();
-  r.recorded = sampler.recorded();
-  r.dropped = sampler.dropped();
-  r.final_cycles = core.perf().cycles;
+  r.samples = sampler->samples();
+  r.recorded = sampler->recorded();
+  r.dropped = sampler->dropped();
+  r.final_cycles = res.perf.cycles;
   return r;
 }
 
@@ -167,7 +153,8 @@ TEST(Sampler, RingOverflowKeepsNewestWindows) {
 TEST(Sampler, IdleSamplerLeavesSimulatedCostUntouched) {
   const Workload& w = kWorkloads[1];
   // Baseline without any sampler.
-  const auto data = kernels::ConvLayerData::random(small_spec(w.bits), 7);
+  const auto data =
+      kernels::ConvLayerData::random(qnn::ConvSpec::small_layer(w.bits), 7);
   const auto res =
       kernels::run_conv_layer(data, w.variant, sim::CoreConfig::extended());
 
@@ -205,7 +192,8 @@ TEST(Sampler, DerivedMetricsAreWellFormed) {
 // the core dies) exports the CSV it exported while the core was alive.
 TEST(Sampler, CsvAfterTheCoreIsGoneMatchesTheLiveExport) {
   const Workload& w = kWorkloads[1];
-  const auto data = kernels::ConvLayerData::random(small_spec(w.bits), 7);
+  const auto data =
+      kernels::ConvLayerData::random(qnn::ConvSpec::small_layer(w.bits), 7);
   std::optional<Sampler> sampler;
   std::ostringstream live;
   kernels::run_conv_layer(

@@ -4,7 +4,6 @@
 
 #include <utility>
 
-#include "kernels/linear.hpp"
 #include "soc/streamed_conv.hpp"
 
 namespace xpulp::soc {
@@ -14,11 +13,8 @@ using kernels::ConvLayerData;
 using kernels::ConvVariant;
 
 qnn::ConvSpec small_spec(unsigned bits) {
-  qnn::ConvSpec s;
-  s.in_h = s.in_w = 6;
-  s.in_c = 16;
+  qnn::ConvSpec s = qnn::ConvSpec::small_layer(bits);
   s.out_c = 16;
-  s.in_bits = s.w_bits = s.out_bits = bits;
   return s;
 }
 
@@ -98,8 +94,8 @@ TEST(StreamedConv, MatchesResidentKernelCycles) {
 TEST(StreamedConv, DoubleBufferingHidesDmaTime) {
   // A DMA-heavy fully-connected layer (many weight bytes per MAC) at 1
   // byte/cycle: the ping-pong scheme must hide most of the transfer time.
-  const auto fc = kernels::LinearLayerData::random(512, 64, 4, 9);
-  const auto data = fc.as_conv();
+  const auto data =
+      ConvLayerData::random(qnn::ConvSpec::linear(512, 64, 4), 9);
   const auto serial = run_conv_streamed(data, ConvVariant::kXpulpNN_HwQ,
                                         sim::CoreConfig::extended(), 16,
                                         /*double_buffered=*/false,
@@ -115,7 +111,7 @@ TEST(StreamedConv, DoubleBufferingHidesDmaTime) {
   EXPECT_LT(dbuf.makespan, serial.makespan);
   EXPECT_GT(dbuf.overlap_efficiency(), 0.2);
   // Output identical and correct.
-  const auto gold = fc.golden();
+  const auto gold = data.golden();
   for (int i = 0; i < gold.elems(); ++i) {
     ASSERT_EQ(dbuf.output.flat(i), gold.flat(i));
   }

@@ -121,14 +121,7 @@ TEST(XlintKernels, GateOptionsMirrorCoreConfig) {
 // Regression for the bug the kernel sweep surfaced: with use_hwloops=false
 // the im2col helpers (zero-fill / copy / unpack) still emitted lp.setupi.
 TEST(XlintKernels, NoHwloopOptionEmitsNoHwloopInstructions) {
-  qnn::ConvSpec spec;
-  spec.in_h = spec.in_w = 6;
-  spec.in_c = 16;
-  spec.out_c = 8;
-  spec.k_h = spec.k_w = 3;
-  spec.pad = 1;
-  spec.stride = 1;
-  spec.in_bits = spec.w_bits = spec.out_bits = 4;
+  const qnn::ConvSpec spec = qnn::ConvSpec::small_layer(4);
 
   auto count_hwloop_ops = [](const xasm::Program& p) {
     size_t n = 0;

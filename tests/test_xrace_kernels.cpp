@@ -12,7 +12,6 @@
 #include "analysis/race.hpp"
 #include "analysis/shadow.hpp"
 #include "cluster/parallel_conv.hpp"
-#include "qnn/pack.hpp"
 
 namespace xpulp::analysis {
 namespace {
@@ -21,15 +20,6 @@ using kernels::ConvGenOptions;
 using kernels::ConvKernel;
 using kernels::ConvLayerData;
 using kernels::ConvVariant;
-
-qnn::ConvSpec spec4() {
-  qnn::ConvSpec s;
-  s.in_h = s.in_w = 6;
-  s.in_c = 16;
-  s.out_c = 8;
-  s.in_bits = s.w_bits = s.out_bits = 4;
-  return s;
-}
 
 std::vector<xasm::Program> programs_of(const std::vector<ConvKernel>& ks) {
   std::vector<xasm::Program> ps;
@@ -40,7 +30,7 @@ std::vector<xasm::Program> programs_of(const std::vector<ConvKernel>& ks) {
 /// Two cores, both generated over ALL output rows: their packed output
 /// stores collide byte for byte — the canonical injected race.
 std::vector<ConvKernel> overlapping_kernels() {
-  const qnn::ConvSpec s = spec4();
+  const qnn::ConvSpec s = qnn::ConvSpec::small_layer(4);
   std::vector<ConvKernel> ks;
   for (int c = 0; c < 2; ++c) {
     ConvGenOptions o;
@@ -104,7 +94,7 @@ TEST(XraceStatic, InjectedRowOverlapCaughtAtStorePcs) {
 
 TEST(XraceStatic, ReadOnlyRangeViolationFlagged) {
   const auto ks = cluster::make_parallel_conv_kernels(
-      spec4(), ConvVariant::kXpulpNN_HwQ, 2);
+      qnn::ConvSpec::small_layer(4), ConvVariant::kXpulpNN_HwQ, 2);
   RaceOptions opt;
   // Declare the output region read-only: every output store becomes a
   // violation against the declaration.
@@ -123,7 +113,7 @@ TEST(XraceGate, CleanDeploymentLoads) {
   cluster::Cluster cl(cfg);
   cl.set_pre_load_gate(make_race_gate());
   const auto ks = cluster::make_parallel_conv_kernels(
-      spec4(), ConvVariant::kXpulpNN_HwQ, 4);
+      qnn::ConvSpec::small_layer(4), ConvVariant::kXpulpNN_HwQ, 4);
   EXPECT_NO_THROW(cl.load(programs_of(ks)));
 }
 
@@ -145,7 +135,7 @@ TEST(XraceGate, RacyDeploymentRejectedBeforeAnyStateMutates) {
 // ---- shadow phase on real cluster runs ----
 
 TEST(XraceShadow, CleanParallelRunObservesNoConflicts) {
-  const auto data = ConvLayerData::random(spec4(), 42);
+  const auto data = ConvLayerData::random(qnn::ConvSpec::small_layer(4), 42);
   ShadowMemory shadow;
   cluster::ClusterConfig cfg;
   cfg.num_cores = 4;
@@ -160,7 +150,7 @@ TEST(XraceShadow, CleanParallelRunObservesNoConflicts) {
 
   // Cross-validation against the static report of the same deployment.
   const auto ks = cluster::make_parallel_conv_kernels(
-      spec4(), ConvVariant::kXpulpNN_HwQ, 4);
+      qnn::ConvSpec::small_layer(4), ConvVariant::kXpulpNN_HwQ, 4);
   std::string why;
   EXPECT_TRUE(
       validate_against_shadow(analyze_races(programs_of(ks)), shadow, &why))
@@ -168,7 +158,7 @@ TEST(XraceShadow, CleanParallelRunObservesNoConflicts) {
 }
 
 TEST(XraceShadow, InjectedOverlapCaughtAtExactPcPairAndCycle) {
-  const qnn::ConvSpec s = spec4();
+  const qnn::ConvSpec s = qnn::ConvSpec::small_layer(4);
   const auto data = ConvLayerData::random(s, 43);
   const auto ks = overlapping_kernels();
   const auto ps = programs_of(ks);
@@ -177,12 +167,7 @@ TEST(XraceShadow, InjectedOverlapCaughtAtExactPcPairAndCycle) {
   cluster::ClusterConfig cfg;
   cfg.num_cores = 2;
   cluster::Cluster cl(cfg);
-  cl.memory().write_block(ks[0].layout.input,
-                          qnn::pack_tensor(data.input, s.in_bits));
-  cl.memory().write_block(ks[0].layout.weights,
-                          qnn::pack_filter_bank(data.weights, s.w_bits));
-  cl.memory().write_block(ks[0].layout.thresholds,
-                          data.thresholds.serialize());
+  kernels::load_conv_data(data, ks[0].layout, cl.memory());
   ShadowMemory shadow;
   attach_shadow(cl, shadow);
   cl.load(ps);

@@ -192,12 +192,8 @@ int main(int argc, char** argv) {
   cfg.fallback_isa = args.fallback_isa;
   cfg.persistent_chance = args.persistent_chance;
   if (!args.kinds.empty()) cfg.kinds = args.kinds;
-  cfg.spec = qnn::ConvSpec::paper_layer(args.bits);
-  if (args.small) {
-    cfg.spec.in_h = cfg.spec.in_w = 6;
-    cfg.spec.in_c = 16;
-    cfg.spec.out_c = 8;
-  }
+  cfg.spec = args.small ? qnn::ConvSpec::small_layer(args.bits)
+                        : qnn::ConvSpec::paper_layer(args.bits);
   cfg.variant = args.variant;
 
   try {

@@ -77,11 +77,7 @@ int run_static(const std::vector<int>& core_counts, obs::Registry& reg) {
 }
 
 int run_shadow(int cores, obs::Registry& reg) {
-  qnn::ConvSpec spec;
-  spec.in_h = spec.in_w = 6;
-  spec.in_c = 16;
-  spec.out_c = 8;
-  spec.in_bits = spec.w_bits = spec.out_bits = 4;
+  const qnn::ConvSpec spec = qnn::ConvSpec::small_layer(4);
   const auto v = kernels::ConvVariant::kXpulpNN_HwQ;
 
   // Static prediction for the exact programs the cluster will run.

@@ -750,19 +750,11 @@ int main(int argc, char** argv) {
   cfg.superblock = (args.mode == "superblock");
   cfg.hwloops = args.hwloops;
 
-  qnn::ConvSpec spec = qnn::ConvSpec::paper_layer(args.bits);
-  if (args.small) {
-    spec.in_h = spec.in_w = 6;
-    spec.in_c = 16;
-    spec.out_c = 8;
-  }
+  const qnn::ConvSpec spec = args.small
+                                ? qnn::ConvSpec::small_layer(args.bits)
+                                : qnn::ConvSpec::paper_layer(args.bits);
 
   try {
-    if (!kernels::variant_supported(args.variant, cfg)) {
-      std::fprintf(stderr, "xtel: variant %s is not supported on core %s\n",
-                   kernels::variant_name(args.variant), cfg.name.c_str());
-      return 2;
-    }
     // random() calibrates the spec's requant_shift for 8-bit outputs; the
     // runners generate the kernel from data.spec.
     const auto data = kernels::ConvLayerData::random(spec, /*seed=*/7);
