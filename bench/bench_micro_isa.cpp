@@ -1,13 +1,15 @@
 // google-benchmark micro suite: host-side throughput of the simulator
-// building blocks (decode, SIMD dot products, quantization walk, full-core
-// stepping) plus simulated-cycle counts of the key inner loops. Useful for
-// keeping the simulator itself fast and for documenting per-instruction
-// costs.
+// building blocks (decode and encode over the paper-layer kernels, SIMD
+// dot products, quantization walk, full-core stepping) plus
+// simulated-cycle counts of the key inner loops. Useful for keeping the
+// simulator itself fast and for documenting per-instruction costs.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
 #include "isa/decoder.hpp"
 #include "isa/encoding.hpp"
+#include "kernels/conv_layer.hpp"
+#include "qnn/ref_layers.hpp"
 #include "qnn/thresholds.hpp"
 #include "sim/core.hpp"
 #include "sim/dotp_unit.hpp"
@@ -19,25 +21,28 @@ namespace {
 using namespace xpulp;
 namespace r = xasm::reg;
 
-void BM_Decode(benchmark::State& state) {
-  // A mix of base-ISA and extension encodings.
-  std::vector<u32> words;
-  xasm::Assembler a(0);
-  a.addi(r::a0, r::a1, 5);
-  a.lw(r::a2, r::a0, 8);
-  a.pv_sdotusp(isa::SimdFmt::kN, r::a4, r::a2, r::a3);
-  a.p_lw_post(r::a5, r::a0, 4);
-  a.mul(r::a6, r::a0, r::a1);
-  auto prog = a.finish();
-  for (const u32 w : prog.words()) words.push_back(w);
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(isa::decode(words[i % words.size()], 0));
-    ++i;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+/// Words of the paper-layer conv kernel at `bits` (the XpulpNN kernel for
+/// the sub-byte widths): every layer run decodes such a program once per
+/// core.
+std::vector<u32> paper_kernel_words(unsigned bits) {
+  const auto v = bits == 8 ? kernels::ConvVariant::kXpulpV2_8b
+                           : kernels::ConvVariant::kXpulpNN_HwQ;
+  const auto k =
+      kernels::generate_conv_kernel(qnn::ConvSpec::paper_layer(bits), v);
+  const auto w = k.program.words();
+  return {w.begin(), w.end()};
 }
-BENCHMARK(BM_Decode);
+
+void BM_Decode(benchmark::State& state) {
+  const std::vector<u32> words =
+      paper_kernel_words(static_cast<unsigned>(state.range(0)));
+  for (auto _ : state) {
+    for (const u32 w : words) benchmark::DoNotOptimize(isa::decode(w, 0));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(words.size()));
+}
+BENCHMARK(BM_Decode)->Arg(8)->Arg(4)->Arg(2);
 
 void BM_DotpUnit(benchmark::State& state) {
   const auto fmt = static_cast<isa::SimdFmt>(state.range(0));
@@ -114,17 +119,20 @@ void BM_CoreStepLoop(benchmark::State& state) {
 BENCHMARK(BM_CoreStepLoop);
 
 void BM_Encode(benchmark::State& state) {
-  isa::Instr in;
-  in.op = isa::Mnemonic::kPvSdotsp;
-  in.fmt = isa::SimdFmt::kC;
-  in.rd = 4;
-  in.rs1 = 5;
-  in.rs2 = 6;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(isa::encode(in));
+  std::vector<isa::Instr> instrs;
+  const auto bits = static_cast<unsigned>(state.range(0));
+  for (const u32 w : paper_kernel_words(bits)) {
+    instrs.push_back(isa::decode(w, 0));
   }
+  for (auto _ : state) {
+    for (const isa::Instr& in : instrs) {
+      benchmark::DoNotOptimize(isa::encode(in));
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(instrs.size()));
 }
-BENCHMARK(BM_Encode);
+BENCHMARK(BM_Encode)->Arg(8)->Arg(4)->Arg(2);
 
 }  // namespace
 

@@ -25,14 +25,8 @@ std::string hex32(u32 w) {
 }
 
 std::string entry_name(const IsaTableEntry& e) {
-  std::string n{isa::mnemonic_name(e.op)};
-  if (e.fmt != isa::SimdFmt::kNone) {
-    static constexpr const char* kSuffix[] = {"",      ".b",    ".sc.b",
-                                              ".h",    ".sc.h", ".n",
-                                              ".sc.n", ".c",    ".sc.c"};
-    n += kSuffix[static_cast<unsigned>(e.fmt)];
-  }
-  return n;
+  return std::string(isa::mnemonic_name(e.op)) +
+         std::string(isa::simd_fmt_suffix(e.fmt));
 }
 
 /// Compare the operand fields two decodes agree on, consulting the

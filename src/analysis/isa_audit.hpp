@@ -1,12 +1,16 @@
-// Encoding-space auditor: machine-checks the declarative ISA table in
-// src/isa/isa_table.hpp against the real encoder/decoder/disassembler.
+// Encoding-space auditor over the declarative ISA table in
+// src/isa/isa_table.hpp, from which encoder, decoder and disassembler all
+// work. It cannot tell a wrong table entry from a right one (the golden
+// words in test_encoding pin the table itself); it proves the table and
+// the routines built on it are consistent:
 //
 //   - audit_table_disjoint(): every (mask, match) pair is pairwise
 //     non-overlapping — no word can match two table entries;
 //   - audit_table_roundtrip(): operand-varied canonical samples of every
 //     entry encode to a word matching the entry's (mask, match), decode
 //     back to the same mnemonic/operands, re-encode bit-identically, and
-//     disassemble to non-empty text;
+//     disassemble to non-empty text — every shape's pack and unpack are
+//     mutually inverse and the decode index finds every entry;
 //   - audit_compressed_space(): exhaustive sweep of all 3 * 2^14 16-bit
 //     parcels — every parcel either raises IllegalInstruction or expands
 //     to a 32-bit instruction whose re-encoding decodes equivalently;

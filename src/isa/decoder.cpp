@@ -1,469 +1,223 @@
 #include "isa/decoder.hpp"
 
+#include <array>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "common/bitops.hpp"
 #include "common/error.hpp"
-#include "isa/encoding.hpp"
+#include "isa/isa_table.hpp"
 
 namespace xpulp::isa {
 
 namespace {
 
-struct Fields {
-  u32 opcode, rd, funct3, rs1, rs2, funct7;
-  i32 imm_i, imm_s, imm_b, imm_u, imm_j;
+[[noreturn]] void illegal(addr_t pc, u32 raw) {
+  throw IllegalInstruction(pc, raw);
+}
+
+// Decode index over isa_table(), built once. A word's opcode and funct3
+// pick a slot; where the slot's entries differ in further bits, the slot
+// names one more field (funct7, or rs2 for ecall/ebreak) whose value picks
+// the leaf. Every lookup is two array reads, then the leaf entry's decode
+// mask confirms the match.
+struct DecodeIndex {
+  struct Slot {
+    u16 base = 0;  // first leaf of the slot
+    u8 shift = 0;  // sub-index field: (raw >> shift) & mask
+    u8 mask = 0;
+  };
+  const IsaTableEntry* table = nullptr;
+  std::array<Slot, 1024> slots{};  // by (funct3 << 7) | opcode
+  std::vector<u16> leaves{0};      // table index + 1; 0 = illegal
+
+  static size_t slot_of(u32 raw) {
+    return (raw & 0x7fu) | ((raw >> 5) & 0x380u);
+  }
 };
 
-Fields split(u32 raw) {
-  Fields f{};
-  f.opcode = bits(raw, 6, 0);
-  f.rd = bits(raw, 11, 7);
-  f.funct3 = bits(raw, 14, 12);
-  f.rs1 = bits(raw, 19, 15);
-  f.rs2 = bits(raw, 24, 20);
-  f.funct7 = bits(raw, 31, 25);
-  f.imm_i = sign_extend(bits(raw, 31, 20), 12);
-  f.imm_s = sign_extend((bits(raw, 31, 25) << 5) | bits(raw, 11, 7), 12);
-  f.imm_b = sign_extend((bit(raw, 31) << 12) | (bit(raw, 7) << 11) |
-                            (bits(raw, 30, 25) << 5) | (bits(raw, 11, 8) << 1),
-                        13);
-  f.imm_u = static_cast<i32>(raw & 0xfffff000u);
-  f.imm_j = sign_extend((bit(raw, 31) << 20) | (bits(raw, 19, 12) << 12) |
-                            (bit(raw, 20) << 11) | (bits(raw, 30, 21) << 1),
-                        21);
-  return f;
-}
-
-Instr make(Mnemonic op, const Fields& f, u32 raw) {
-  Instr in;
-  in.op = op;
-  in.rd = static_cast<u8>(f.rd);
-  in.rs1 = static_cast<u8>(f.rs1);
-  in.rs2 = static_cast<u8>(f.rs2);
-  in.raw = raw;
-  return in;
-}
-
-[[noreturn]] void illegal(addr_t pc, u32 raw) { throw IllegalInstruction(pc, raw); }
-
-Instr decode_load(const Fields& f, u32 raw, addr_t pc) {
-  Mnemonic m;
-  switch (f.funct3) {
-    case 0: m = Mnemonic::kLb; break;
-    case 1: m = Mnemonic::kLh; break;
-    case 2: m = Mnemonic::kLw; break;
-    case 4: m = Mnemonic::kLbu; break;
-    case 5: m = Mnemonic::kLhu; break;
-    default: illegal(pc, raw);
-  }
-  Instr in = make(m, f, raw);
-  in.imm = f.imm_i;
-  return in;
-}
-
-Instr decode_pulp_load_post(const Fields& f, u32 raw, addr_t pc) {
-  Mnemonic m;
-  switch (f.funct3) {
-    case 0: m = Mnemonic::kPLbPostImm; break;
-    case 1: m = Mnemonic::kPLhPostImm; break;
-    case 2: m = Mnemonic::kPLwPostImm; break;
-    case 4: m = Mnemonic::kPLbuPostImm; break;
-    case 5: m = Mnemonic::kPLhuPostImm; break;
-    default: illegal(pc, raw);
-  }
-  Instr in = make(m, f, raw);
-  in.imm = f.imm_i;
-  return in;
-}
-
-Instr decode_store(const Fields& f, u32 raw, addr_t pc, bool post_inc) {
-  Mnemonic m;
-  switch (f.funct3) {
-    case 0: m = post_inc ? Mnemonic::kPSbPostImm : Mnemonic::kSb; break;
-    case 1: m = post_inc ? Mnemonic::kPShPostImm : Mnemonic::kSh; break;
-    case 2: m = post_inc ? Mnemonic::kPSwPostImm : Mnemonic::kSw; break;
-    default: illegal(pc, raw);
-  }
-  Instr in = make(m, f, raw);
-  in.imm = f.imm_s;
-  in.rd = 0;
-  return in;
-}
-
-Instr decode_op_imm(const Fields& f, u32 raw, addr_t pc) {
-  Mnemonic m;
-  i32 imm = f.imm_i;
-  switch (f.funct3) {
-    case 0: m = Mnemonic::kAddi; break;
-    case 2: m = Mnemonic::kSlti; break;
-    case 3: m = Mnemonic::kSltiu; break;
-    case 4: m = Mnemonic::kXori; break;
-    case 6: m = Mnemonic::kOri; break;
-    case 7: m = Mnemonic::kAndi; break;
-    case 1:
-      if (f.funct7 != 0) illegal(pc, raw);
-      m = Mnemonic::kSlli;
-      imm = static_cast<i32>(f.rs2);
-      break;
-    case 5:
-      if (f.funct7 == 0x00) m = Mnemonic::kSrli;
-      else if (f.funct7 == 0x20) m = Mnemonic::kSrai;
-      else illegal(pc, raw);
-      imm = static_cast<i32>(f.rs2);
-      break;
-    default: illegal(pc, raw);
-  }
-  Instr in = make(m, f, raw);
-  in.imm = imm;
-  return in;
-}
-
-Instr decode_op(const Fields& f, u32 raw, addr_t pc) {
-  Mnemonic m = Mnemonic::kInvalid;
-  if (f.funct7 == 0x00) {
-    switch (f.funct3) {
-      case 0: m = Mnemonic::kAdd; break;
-      case 1: m = Mnemonic::kSll; break;
-      case 2: m = Mnemonic::kSlt; break;
-      case 3: m = Mnemonic::kSltu; break;
-      case 4: m = Mnemonic::kXor; break;
-      case 5: m = Mnemonic::kSrl; break;
-      case 6: m = Mnemonic::kOr; break;
-      case 7: m = Mnemonic::kAnd; break;
-    }
-  } else if (f.funct7 == 0x20) {
-    if (f.funct3 == 0) m = Mnemonic::kSub;
-    else if (f.funct3 == 5) m = Mnemonic::kSra;
-  } else if (f.funct7 == 0x01) {
-    switch (f.funct3) {
-      case 0: m = Mnemonic::kMul; break;
-      case 1: m = Mnemonic::kMulh; break;
-      case 2: m = Mnemonic::kMulhsu; break;
-      case 3: m = Mnemonic::kMulhu; break;
-      case 4: m = Mnemonic::kDiv; break;
-      case 5: m = Mnemonic::kDivu; break;
-      case 6: m = Mnemonic::kRem; break;
-      case 7: m = Mnemonic::kRemu; break;
-    }
-  }
-  if (m == Mnemonic::kInvalid) illegal(pc, raw);
-  return make(m, f, raw);
-}
-
-Instr decode_branch(const Fields& f, u32 raw, addr_t pc) {
-  Mnemonic m;
-  switch (f.funct3) {
-    case 0: m = Mnemonic::kBeq; break;
-    case 1: m = Mnemonic::kBne; break;
-    case 2: m = Mnemonic::kPBeqimm; break;  // XpulpV2 immediate compare
-    case 3: m = Mnemonic::kPBneimm; break;
-    case 4: m = Mnemonic::kBlt; break;
-    case 5: m = Mnemonic::kBge; break;
-    case 6: m = Mnemonic::kBltu; break;
-    case 7: m = Mnemonic::kBgeu; break;
-    default: illegal(pc, raw);
-  }
-  Instr in = make(m, f, raw);
-  in.imm = f.imm_b;
-  in.rd = 0;
-  if (m == Mnemonic::kPBeqimm || m == Mnemonic::kPBneimm) {
-    in.imm2 = static_cast<u8>(f.rs2);  // raw imm5 bits
-    in.rs2 = 0;
-  }
-  return in;
-}
-
-Instr decode_system(const Fields& f, u32 raw, addr_t pc) {
-  if (f.funct3 == 0) {
-    if (raw == 0x00000073u) return make(Mnemonic::kEcall, f, raw);
-    if (raw == 0x00100073u) return make(Mnemonic::kEbreak, f, raw);
-    illegal(pc, raw);
-  }
-  Mnemonic m;
-  switch (f.funct3) {
-    case 1: m = Mnemonic::kCsrrw; break;
-    case 2: m = Mnemonic::kCsrrs; break;
-    case 3: m = Mnemonic::kCsrrc; break;
-    case 5: m = Mnemonic::kCsrrwi; break;
-    case 6: m = Mnemonic::kCsrrsi; break;
-    case 7: m = Mnemonic::kCsrrci; break;
-    default: illegal(pc, raw);
-  }
-  Instr in = make(m, f, raw);
-  in.imm = static_cast<i32>(bits(raw, 31, 20));  // CSR address, zero-extended
-  if (f.funct3 >= 5) {
-    in.imm2 = static_cast<u8>(f.rs1);  // uimm5
-    in.rs1 = 0;
-  }
-  return in;
-}
-
-Instr decode_pulp_scalar(const Fields& f, u32 raw, addr_t pc) {
-  auto mem_mn = [&](u32 subclass) -> Mnemonic {
-    const auto size = static_cast<MemSizeCode>(f.funct7);
-    switch (subclass) {
-      case kScalarLoadPostReg:
-        switch (size) {
-          case MemSizeCode::kLb: return Mnemonic::kPLbPostReg;
-          case MemSizeCode::kLh: return Mnemonic::kPLhPostReg;
-          case MemSizeCode::kLw: return Mnemonic::kPLwPostReg;
-          case MemSizeCode::kLbu: return Mnemonic::kPLbuPostReg;
-          case MemSizeCode::kLhu: return Mnemonic::kPLhuPostReg;
-        }
-        break;
-      case kScalarLoadRegReg:
-        switch (size) {
-          case MemSizeCode::kLb: return Mnemonic::kPLbRegReg;
-          case MemSizeCode::kLh: return Mnemonic::kPLhRegReg;
-          case MemSizeCode::kLw: return Mnemonic::kPLwRegReg;
-          case MemSizeCode::kLbu: return Mnemonic::kPLbuRegReg;
-          case MemSizeCode::kLhu: return Mnemonic::kPLhuRegReg;
-        }
-        break;
-      case kScalarStorePostReg:
-        switch (size) {
-          case MemSizeCode::kLb: return Mnemonic::kPSbPostReg;
-          case MemSizeCode::kLh: return Mnemonic::kPShPostReg;
-          case MemSizeCode::kLw: return Mnemonic::kPSwPostReg;
-          default: break;
-        }
-        break;
-      case kScalarStoreRegReg:
-        switch (size) {
-          case MemSizeCode::kLb: return Mnemonic::kPSbRegReg;
-          case MemSizeCode::kLh: return Mnemonic::kPShRegReg;
-          case MemSizeCode::kLw: return Mnemonic::kPSwRegReg;
-          default: break;
-        }
-        break;
-    }
-    return Mnemonic::kInvalid;
+DecodeIndex build_index() {
+  const std::vector<IsaTableEntry>& table = isa_table();
+  DecodeIndex ix;
+  ix.table = table.data();
+  // Entry i is compatible with `word` on the bits of `field`.
+  const auto fits = [&](size_t i, u32 word, u32 field) {
+    return ((word ^ table[i].match) & table[i].decode_mask & field) == 0;
   };
-
-  switch (f.funct3) {
-    case kScalarLoadPostReg:
-    case kScalarLoadRegReg:
-    case kScalarStorePostReg:
-    case kScalarStoreRegReg: {
-      const Mnemonic m = mem_mn(f.funct3);
-      if (m == Mnemonic::kInvalid) illegal(pc, raw);
-      return make(m, f, raw);
-    }
-    case kScalarAlu: {
-      Mnemonic m;
-      switch (static_cast<ScalarAluFunct7>(f.funct7)) {
-        case ScalarAluFunct7::kAbs: m = Mnemonic::kPAbs; break;
-        case ScalarAluFunct7::kMin: m = Mnemonic::kPMin; break;
-        case ScalarAluFunct7::kMinu: m = Mnemonic::kPMinu; break;
-        case ScalarAluFunct7::kMax: m = Mnemonic::kPMax; break;
-        case ScalarAluFunct7::kMaxu: m = Mnemonic::kPMaxu; break;
-        case ScalarAluFunct7::kExths: m = Mnemonic::kPExths; break;
-        case ScalarAluFunct7::kExthz: m = Mnemonic::kPExthz; break;
-        case ScalarAluFunct7::kExtbs: m = Mnemonic::kPExtbs; break;
-        case ScalarAluFunct7::kExtbz: m = Mnemonic::kPExtbz; break;
-        case ScalarAluFunct7::kCnt: m = Mnemonic::kPCnt; break;
-        case ScalarAluFunct7::kFf1: m = Mnemonic::kPFf1; break;
-        case ScalarAluFunct7::kFl1: m = Mnemonic::kPFl1; break;
-        case ScalarAluFunct7::kClb: m = Mnemonic::kPClb; break;
-        case ScalarAluFunct7::kRor: m = Mnemonic::kPRor; break;
-        case ScalarAluFunct7::kClip: {
-          Instr in = make(Mnemonic::kPClip, f, raw);
-          in.imm = static_cast<i32>(f.rs2);
-          in.rs2 = 0;
-          return in;
-        }
-        case ScalarAluFunct7::kClipu: {
-          Instr in = make(Mnemonic::kPClipu, f, raw);
-          in.imm = static_cast<i32>(f.rs2);
-          in.rs2 = 0;
-          return in;
-        }
-        case ScalarAluFunct7::kMac: m = Mnemonic::kPMac; break;
-        case ScalarAluFunct7::kMsu: m = Mnemonic::kPMsu; break;
-        default: illegal(pc, raw);
-      }
-      return make(m, f, raw);
-    }
-    case kScalarBitmanipA:
-    case kScalarBitmanipB: {
-      const u32 op2 = f.funct7 >> 5;
-      const u32 is3 = f.funct7 & 0x1f;
-      Mnemonic m = Mnemonic::kInvalid;
-      if (f.funct3 == kScalarBitmanipA) {
-        switch (static_cast<BitmanipA>(op2)) {
-          case BitmanipA::kExtract: m = Mnemonic::kPExtract; break;
-          case BitmanipA::kExtractu: m = Mnemonic::kPExtractu; break;
-          case BitmanipA::kInsert: m = Mnemonic::kPInsert; break;
-          case BitmanipA::kBclr: m = Mnemonic::kPBclr; break;
-        }
-      } else if (op2 == static_cast<u32>(BitmanipB::kBset)) {
-        m = Mnemonic::kPBset;
-      }
-      if (m == Mnemonic::kInvalid) illegal(pc, raw);
-      // The field [Is2 + Is3 : Is2] must fit in 32 bits.
-      if (f.rs2 + is3 + 1 > 32) illegal(pc, raw);
-      Instr in = make(m, f, raw);
-      in.imm = static_cast<i32>(f.rs2);  // Is2 = bit position
-      in.imm2 = static_cast<u8>(is3);    // Is3 = width - 1
-      in.rs2 = 0;
-      return in;
-    }
-    default:
-      illegal(pc, raw);
+  constexpr u32 kFunct3 = 7u << 12;
+  constexpr std::array<std::pair<u8, u8>, 2> kSubFields = {
+      std::pair<u8, u8>{25, 7}, {20, 5}};  // (shift, width)
+  // Every entry fixes its opcode.
+  std::array<std::vector<u16>, 128> by_opcode;
+  for (size_t i = 0; i < table.size(); ++i) {
+    by_opcode[table[i].match & 0x7fu].push_back(static_cast<u16>(i));
   }
+  for (u32 key = 0; key < ix.slots.size(); ++key) {
+    const u32 word = (key & 0x7fu) | ((key >> 7) << 12);
+    std::vector<u16> cands;
+    for (const u16 i : by_opcode[key & 0x7fu]) {
+      if (fits(i, word, kFunct3)) cands.push_back(i);
+    }
+    if (cands.empty()) continue;  // slot 0 -> leaf 0: illegal
+    DecodeIndex::Slot& slot = ix.slots[key];
+    slot.base = static_cast<u16>(ix.leaves.size());
+    if (cands.size() == 1) {
+      ix.leaves.push_back(static_cast<u16>(cands[0] + 1));
+      continue;
+    }
+    bool placed = false;
+    for (const auto& [shift, width] : kSubFields) {
+      const u32 n = 1u << width;
+      std::vector<u16> leaves(n, 0);
+      bool unique = true;
+      for (u32 v = 0; v < n && unique; ++v) {
+        for (const u16 c : cands) {
+          if (!fits(c, v << shift, (n - 1) << shift)) continue;
+          if (leaves[v] != 0) {
+            unique = false;
+            break;
+          }
+          leaves[v] = static_cast<u16>(c + 1);
+        }
+      }
+      if (!unique) continue;
+      slot.shift = shift;
+      slot.mask = static_cast<u8>(n - 1);
+      ix.leaves.insert(ix.leaves.end(), leaves.begin(), leaves.end());
+      placed = true;
+      break;
+    }
+    if (!placed) {
+      throw std::logic_error("isa_table: no decode field separates a slot");
+    }
+  }
+  return ix;
 }
 
-Instr decode_hwloop(const Fields& f, u32 raw, addr_t pc) {
+i32 imm_s(u32 raw) {
+  return sign_extend((bits(raw, 31, 25) << 5) | bits(raw, 11, 7), 12);
+}
+
+i32 imm_b(u32 raw) {
+  return sign_extend((bit(raw, 31) << 12) | (bit(raw, 7) << 11) |
+                         (bits(raw, 30, 25) << 5) | (bits(raw, 11, 8) << 1),
+                     13);
+}
+
+i32 imm_j(u32 raw) {
+  return sign_extend((bit(raw, 31) << 20) | (bits(raw, 19, 12) << 12) |
+                         (bit(raw, 20) << 11) | (bits(raw, 30, 21) << 1),
+                     21);
+}
+
+// The operands of `raw` read back per its entry's shape (the inverse of
+// encode's pack), rejecting words that break a shape constraint.
+Instr unpack(const IsaTableEntry& e, u32 raw, addr_t pc) {
+  using S = EncShape;
+  const u8 rd = static_cast<u8>(bits(raw, 11, 7));
+  const u8 rs1 = static_cast<u8>(bits(raw, 19, 15));
+  const u8 rs2 = static_cast<u8>(bits(raw, 24, 20));
+  const i32 imm_i = sign_extend(bits(raw, 31, 20), 12);
+  const auto uimm12 = static_cast<i32>(bits(raw, 31, 20));
   Instr in;
+  in.op = e.op;
+  in.fmt = e.fmt;
   in.raw = raw;
-  in.imm2 = static_cast<u8>(f.rd & 1u);  // loop index L
-  in.rd = 0;
-  switch (static_cast<HwloopFunct3>(f.funct3)) {
-    case HwloopFunct3::kStarti:
-      in.op = Mnemonic::kLpStarti;
-      in.imm = f.imm_i << 1;
-      return in;
-    case HwloopFunct3::kEndi:
-      in.op = Mnemonic::kLpEndi;
-      in.imm = f.imm_i << 1;
-      return in;
-    case HwloopFunct3::kCount:
-      in.op = Mnemonic::kLpCount;
-      in.rs1 = static_cast<u8>(f.rs1);
-      return in;
-    case HwloopFunct3::kCounti:
-      in.op = Mnemonic::kLpCounti;
-      in.imm = static_cast<i32>(bits(raw, 31, 20));  // unsigned count
-      return in;
-    case HwloopFunct3::kSetup:
-      in.op = Mnemonic::kLpSetup;
-      in.rs1 = static_cast<u8>(f.rs1);
-      in.imm = f.imm_i << 1;
-      return in;
-    case HwloopFunct3::kSetupi:
-      in.op = Mnemonic::kLpSetupi;
-      in.rs1 = static_cast<u8>(f.rs1);  // immediate count (uimm5)
-      in.imm = f.imm_i << 1;
-      return in;
-    default:
-      illegal(pc, raw);
-  }
-}
-
-Instr decode_simd(const Fields& f, u32 raw, addr_t pc) {
-  Mnemonic m;
-  switch (static_cast<SimdFunct7>(f.funct7)) {
-    case SimdFunct7::kAdd: m = Mnemonic::kPvAdd; break;
-    case SimdFunct7::kSub: m = Mnemonic::kPvSub; break;
-    case SimdFunct7::kAvg: m = Mnemonic::kPvAvg; break;
-    case SimdFunct7::kAvgu: m = Mnemonic::kPvAvgu; break;
-    case SimdFunct7::kMax: m = Mnemonic::kPvMax; break;
-    case SimdFunct7::kMaxu: m = Mnemonic::kPvMaxu; break;
-    case SimdFunct7::kMin: m = Mnemonic::kPvMin; break;
-    case SimdFunct7::kMinu: m = Mnemonic::kPvMinu; break;
-    case SimdFunct7::kSrl: m = Mnemonic::kPvSrl; break;
-    case SimdFunct7::kSra: m = Mnemonic::kPvSra; break;
-    case SimdFunct7::kSll: m = Mnemonic::kPvSll; break;
-    case SimdFunct7::kAbs: m = Mnemonic::kPvAbs; break;
-    case SimdFunct7::kAnd: m = Mnemonic::kPvAnd; break;
-    case SimdFunct7::kOr: m = Mnemonic::kPvOr; break;
-    case SimdFunct7::kXor: m = Mnemonic::kPvXor; break;
-    case SimdFunct7::kDotup: m = Mnemonic::kPvDotup; break;
-    case SimdFunct7::kDotusp: m = Mnemonic::kPvDotusp; break;
-    case SimdFunct7::kDotsp: m = Mnemonic::kPvDotsp; break;
-    case SimdFunct7::kSdotup: m = Mnemonic::kPvSdotup; break;
-    case SimdFunct7::kSdotusp: m = Mnemonic::kPvSdotusp; break;
-    case SimdFunct7::kSdotsp: m = Mnemonic::kPvSdotsp; break;
-    case SimdFunct7::kElemExtract: m = Mnemonic::kPvElemExtract; break;
-    case SimdFunct7::kElemExtractu: m = Mnemonic::kPvElemExtractu; break;
-    case SimdFunct7::kElemInsert: m = Mnemonic::kPvElemInsert; break;
-    case SimdFunct7::kShuffle: m = Mnemonic::kPvShuffle; break;
-    case SimdFunct7::kPack: m = Mnemonic::kPvPackH; break;
-    case SimdFunct7::kQnt: m = Mnemonic::kPvQnt; break;
-    case SimdFunct7::kMldotup: m = Mnemonic::kPvMldotup; break;
-    case SimdFunct7::kMldotusp: m = Mnemonic::kPvMldotusp; break;
-    case SimdFunct7::kMldotsp: m = Mnemonic::kPvMldotsp; break;
-    case SimdFunct7::kMlsdotup: m = Mnemonic::kPvMlsdotup; break;
-    case SimdFunct7::kMlsdotusp: m = Mnemonic::kPvMlsdotusp; break;
-    case SimdFunct7::kMlsdotsp: m = Mnemonic::kPvMlsdotsp; break;
-    default: illegal(pc, raw);
-  }
-  if (is_mixed_dotp(m)) {
-    // Mixed virtual dot products carry no format; funct3 must be zero so
-    // the encoding stays a single canonical word per mnemonic.
-    if (f.funct3 != 0) illegal(pc, raw);
-    Instr in = make(m, f, raw);
-    in.fmt = SimdFmt::kNone;
-    return in;
-  }
-  Instr in = make(m, f, raw);
-  in.fmt = simd_fmt_from_funct3(f.funct3);
-  if (m == Mnemonic::kPvQnt &&
-      (!simd_is_subbyte(in.fmt) || simd_is_scalar_rep(in.fmt))) {
-    illegal(pc, raw);
-  }
-  if (is_elem_manip(m)) {
-    if (simd_is_subbyte(in.fmt) || simd_is_scalar_rep(in.fmt)) {
-      illegal(pc, raw);
-    }
-    if (m == Mnemonic::kPvPackH && in.fmt != SimdFmt::kH) illegal(pc, raw);
-    if (m != Mnemonic::kPvShuffle && m != Mnemonic::kPvPackH) {
-      // Lane immediate lives in the rs2 field.
-      if (f.rs2 >= simd_elem_count(in.fmt)) illegal(pc, raw);
-      in.imm = static_cast<i32>(f.rs2);
+  in.rd = rd;
+  in.rs1 = rs1;
+  in.rs2 = rs2;
+  switch (e.shape) {
+    case S::kR:
+    case S::kRUnary:
+    case S::kRLoad:
+    case S::kRStore:
+    case S::kSimdQnt:
+    case S::kFixedWord:
+      break;
+    case S::kU:
+      in.imm = static_cast<i32>(raw & 0xfffff000u);
+      break;
+    case S::kJ:
+      in.imm = imm_j(raw);
+      break;
+    case S::kI:
+    case S::kIAddr:
+      in.imm = imm_i;
+      break;
+    case S::kShift:
+      in.imm = rs2;
+      break;
+    case S::kB:
+      in.rd = 0;
+      in.imm = imm_b(raw);
+      break;
+    case S::kBImm5:
+      in.rd = 0;
+      in.imm = imm_b(raw);
+      in.imm2 = rs2;  // raw imm5 bits
       in.rs2 = 0;
+      break;
+    case S::kS:
+      in.rd = 0;
+      in.imm = imm_s(raw);
+      break;
+    case S::kClipImm:
+      in.imm = rs2;
+      in.rs2 = 0;
+      break;
+    case S::kCsr:
+      in.imm = uimm12;
+      break;
+    case S::kCsrImm:
+      in.imm = uimm12;
+      in.imm2 = rs1;
+      in.rs1 = 0;
+      break;
+    case S::kBitmanip: {
+      const u8 is3 = static_cast<u8>(bits(raw, 29, 25));
+      // The field [Is2 + Is3 : Is2] must fit in 32 bits.
+      if (rs2 + is3 + 1 > 32) illegal(pc, raw);
+      in.imm = rs2;
+      in.imm2 = is3;
+      in.rs2 = 0;
+      break;
     }
+    case S::kSimdLane:
+      if (rs2 >= simd_elem_count(e.fmt)) illegal(pc, raw);
+      in.imm = rs2;
+      in.rs2 = 0;
+      break;
+    // Hardware loops keep the loop index L = rd[0] and their own fields.
+    case S::kHwBound:
+    case S::kHwCounti:
+      in.rs1 = 0;
+      [[fallthrough]];
+    case S::kHwCount:
+    case S::kHwSetup:
+    case S::kHwSetupi:
+      in.imm2 = static_cast<u8>(rd & 1u);
+      in.rd = 0;
+      in.rs2 = 0;
+      in.imm = e.shape == S::kHwCount    ? 0
+               : e.shape == S::kHwCounti ? uimm12
+                                         : imm_i * 2;
+      break;
   }
   return in;
-}
-
-// Raw 32-bit decode without the derived-field pass; decode() below
-// finalizes the result.
-Instr decode32(u32 raw, addr_t pc) {
-  const Fields f = split(raw);
-  switch (f.opcode) {
-    case kOpLui: {
-      Instr in = make(Mnemonic::kLui, f, raw);
-      in.imm = f.imm_u;
-      return in;
-    }
-    case kOpAuipc: {
-      Instr in = make(Mnemonic::kAuipc, f, raw);
-      in.imm = f.imm_u;
-      return in;
-    }
-    case kOpJal: {
-      Instr in = make(Mnemonic::kJal, f, raw);
-      in.imm = f.imm_j;
-      return in;
-    }
-    case kOpJalr: {
-      if (f.funct3 != 0) illegal(pc, raw);
-      Instr in = make(Mnemonic::kJalr, f, raw);
-      in.imm = f.imm_i;
-      return in;
-    }
-    case kOpBranch: return decode_branch(f, raw, pc);
-    case kOpLoad: return decode_load(f, raw, pc);
-    case kOpStore: return decode_store(f, raw, pc, /*post_inc=*/false);
-    case kOpOpImm: return decode_op_imm(f, raw, pc);
-    case kOpOp: return decode_op(f, raw, pc);
-    case kOpMiscMem: return make(Mnemonic::kFence, f, raw);
-    case kOpSystem: return decode_system(f, raw, pc);
-    case kOpPulpLoadPost: return decode_pulp_load_post(f, raw, pc);
-    case kOpPulpStorePost: return decode_store(f, raw, pc, /*post_inc=*/true);
-    case kOpPulpScalar: return decode_pulp_scalar(f, raw, pc);
-    case kOpPulpHwloop: return decode_hwloop(f, raw, pc);
-    case kOpPulpSimd: return decode_simd(f, raw, pc);
-    default:
-      illegal(pc, raw);
-  }
 }
 
 }  // namespace
 
 Instr decode(u32 raw, addr_t pc) {
   if (is_compressed(raw)) return decode_compressed(static_cast<u16>(raw), pc);
-  Instr in = decode32(raw, pc);
+  static const DecodeIndex ix = build_index();
+  const DecodeIndex::Slot s = ix.slots[DecodeIndex::slot_of(raw)];
+  const u16 leaf = ix.leaves[s.base + ((raw >> s.shift) & s.mask)];
+  if (leaf == 0) illegal(pc, raw);
+  const IsaTableEntry& e = ix.table[leaf - 1];
+  if ((raw & e.decode_mask) != (e.match & e.decode_mask)) illegal(pc, raw);
+  Instr in = unpack(e, raw, pc);
   finalize_decode(in);
   return in;
 }

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/bitops.hpp"
+#include "isa/isa_table.hpp"
 
 namespace xpulp::isa {
 
@@ -13,20 +14,6 @@ constexpr std::array<std::string_view, 32> kRegNames = {
     "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0",
     "a1",   "a2", "a3", "a4", "a5", "a6", "a7", "s2", "s3", "s4", "s5",
     "s6",   "s7", "s8", "s9", "s10", "s11", "t3", "t4", "t5", "t6"};
-
-std::string_view fmt_suffix(SimdFmt f) {
-  switch (f) {
-    case SimdFmt::kB: return ".b";
-    case SimdFmt::kBSc: return ".sc.b";
-    case SimdFmt::kH: return ".h";
-    case SimdFmt::kHSc: return ".sc.h";
-    case SimdFmt::kN: return ".n";
-    case SimdFmt::kNSc: return ".sc.n";
-    case SimdFmt::kC: return ".c";
-    case SimdFmt::kCSc: return ".sc.c";
-    default: return "";
-  }
-}
 
 std::string hex(u32 v) {
   std::ostringstream os;
@@ -39,124 +26,87 @@ std::string hex(u32 v) {
 std::string_view reg_name(unsigned r) { return kRegNames[r & 31u]; }
 
 std::string disassemble(const Instr& in, addr_t pc) {
-  using M = Mnemonic;
-  std::ostringstream os;
+  using S = EncShape;
+  // Instructions absent from the table print in register form.
+  const IsaTableEntry* e = isa_table_lookup(in.op, in.fmt);
+  const S shape = e != nullptr ? e->shape : S::kR;
   const auto rd = reg_name(in.rd);
   const auto rs1 = reg_name(in.rs1);
   const auto rs2 = reg_name(in.rs2);
-  const std::string name{mnemonic_name(in.op)};
+  const auto target = [&] { return hex(pc + static_cast<u32>(in.imm)); };
+  const std::string_view close = is_mem_post_increment(in.op) ? "!)" : ")";
+  const int loop = in.imm2;
 
-  switch (in.op) {
-    case M::kLui:
-    case M::kAuipc:
-      os << name << ' ' << rd << ", " << hex(static_cast<u32>(in.imm) >> 12);
+  std::ostringstream os;
+  os << mnemonic_name(in.op) << simd_fmt_suffix(e != nullptr ? e->fmt : in.fmt);
+  switch (shape) {
+    case S::kU:
+      os << ' ' << rd << ", " << hex(static_cast<u32>(in.imm) >> 12);
       break;
-    case M::kJal:
-      os << name << ' ' << rd << ", " << hex(pc + static_cast<u32>(in.imm));
+    case S::kJ:
+      os << ' ' << rd << ", " << target();
       break;
-    case M::kJalr:
-      os << name << ' ' << rd << ", " << in.imm << '(' << rs1 << ')';
+    case S::kI:
+    case S::kShift:
+    case S::kClipImm:
+    case S::kSimdLane:
+      os << ' ' << rd << ", " << rs1 << ", " << in.imm;
       break;
-    case M::kBeq: case M::kBne: case M::kBlt: case M::kBge:
-    case M::kBltu: case M::kBgeu:
-      os << name << ' ' << rs1 << ", " << rs2 << ", "
-         << hex(pc + static_cast<u32>(in.imm));
+    case S::kIAddr:
+      os << ' ' << rd << ", " << in.imm << '(' << rs1 << close;
       break;
-    case M::kPBeqimm: case M::kPBneimm:
-      os << name << ' ' << rs1 << ", " << sign_extend(in.imm2, 5) << ", "
-         << hex(pc + static_cast<u32>(in.imm));
+    case S::kB:
+      os << ' ' << rs1 << ", " << rs2 << ", " << target();
       break;
-    case M::kLb: case M::kLh: case M::kLw: case M::kLbu: case M::kLhu:
-      os << name << ' ' << rd << ", " << in.imm << '(' << rs1 << ')';
+    case S::kBImm5:
+      os << ' ' << rs1 << ", " << sign_extend(in.imm2, 5) << ", " << target();
       break;
-    case M::kSb: case M::kSh: case M::kSw:
-      os << name << ' ' << rs2 << ", " << in.imm << '(' << rs1 << ')';
+    case S::kS:
+      os << ' ' << rs2 << ", " << in.imm << '(' << rs1 << close;
       break;
-    case M::kPLbPostImm: case M::kPLhPostImm: case M::kPLwPostImm:
-    case M::kPLbuPostImm: case M::kPLhuPostImm:
-      os << name << ' ' << rd << ", " << in.imm << '(' << rs1 << "!)";
+    case S::kR:
+      os << ' ' << rd << ", " << rs1 << ", " << rs2;
       break;
-    case M::kPSbPostImm: case M::kPShPostImm: case M::kPSwPostImm:
-      os << name << ' ' << rs2 << ", " << in.imm << '(' << rs1 << "!)";
+    case S::kRUnary:
+      os << ' ' << rd << ", " << rs1;
       break;
-    case M::kPLbPostReg: case M::kPLhPostReg: case M::kPLwPostReg:
-    case M::kPLbuPostReg: case M::kPLhuPostReg:
-      os << name << ' ' << rd << ", " << rs2 << '(' << rs1 << "!)";
+    case S::kRLoad:
+      os << ' ' << rd << ", " << rs2 << '(' << rs1 << close;
       break;
-    case M::kPLbRegReg: case M::kPLhRegReg: case M::kPLwRegReg:
-    case M::kPLbuRegReg: case M::kPLhuRegReg:
-      os << name << ' ' << rd << ", " << rs2 << '(' << rs1 << ')';
+    case S::kRStore:
+      os << ' ' << rs2 << ", " << rd << '(' << rs1 << close;
       break;
-    case M::kPSbPostReg: case M::kPShPostReg: case M::kPSwPostReg:
-      os << name << ' ' << rs2 << ", " << rd << '(' << rs1 << "!)";
+    case S::kCsr:
+      os << ' ' << rd << ", " << hex(static_cast<u32>(in.imm)) << ", " << rs1;
       break;
-    case M::kPSbRegReg: case M::kPShRegReg: case M::kPSwRegReg:
-      os << name << ' ' << rs2 << ", " << rd << '(' << rs1 << ')';
-      break;
-    case M::kAddi: case M::kSlti: case M::kSltiu: case M::kXori:
-    case M::kOri: case M::kAndi: case M::kSlli: case M::kSrli:
-    case M::kSrai:
-      os << name << ' ' << rd << ", " << rs1 << ", " << in.imm;
-      break;
-    case M::kPClip: case M::kPClipu:
-      os << name << ' ' << rd << ", " << rs1 << ", " << in.imm;
-      break;
-    case M::kPExtract: case M::kPExtractu: case M::kPInsert:
-    case M::kPBclr: case M::kPBset:
-      os << name << ' ' << rd << ", " << rs1 << ", "
-         << static_cast<int>(in.imm2) << ", " << in.imm;
-      break;
-    case M::kPAbs: case M::kPExths: case M::kPExthz: case M::kPExtbs:
-    case M::kPExtbz: case M::kPCnt: case M::kPFf1: case M::kPFl1:
-    case M::kPClb:
-      os << name << ' ' << rd << ", " << rs1;
-      break;
-    case M::kFence: case M::kEcall: case M::kEbreak:
-      os << name;
-      break;
-    case M::kCsrrw: case M::kCsrrs: case M::kCsrrc:
-      os << name << ' ' << rd << ", " << hex(static_cast<u32>(in.imm)) << ", "
-         << rs1;
-      break;
-    case M::kCsrrwi: case M::kCsrrsi: case M::kCsrrci:
-      os << name << ' ' << rd << ", " << hex(static_cast<u32>(in.imm)) << ", "
+    case S::kCsrImm:
+      os << ' ' << rd << ", " << hex(static_cast<u32>(in.imm)) << ", "
          << static_cast<int>(in.imm2);
       break;
-    case M::kLpStarti: case M::kLpEndi:
-      os << name << " x" << static_cast<int>(in.imm2) << ", "
-         << hex(pc + static_cast<u32>(in.imm));
+    case S::kFixedWord:
       break;
-    case M::kLpCount:
-      os << name << " x" << static_cast<int>(in.imm2) << ", " << rs1;
+    case S::kBitmanip:
+      os << ' ' << rd << ", " << rs1 << ", " << static_cast<int>(in.imm2)
+         << ", " << in.imm;
       break;
-    case M::kLpCounti:
-      os << name << " x" << static_cast<int>(in.imm2) << ", " << in.imm;
+    case S::kHwBound:
+      os << " x" << loop << ", " << target();
       break;
-    case M::kLpSetup:
-      os << name << " x" << static_cast<int>(in.imm2) << ", " << rs1 << ", "
-         << hex(pc + static_cast<u32>(in.imm));
+    case S::kHwCount:
+      os << " x" << loop << ", " << rs1;
       break;
-    case M::kLpSetupi:
-      os << name << " x" << static_cast<int>(in.imm2) << ", "
-         << static_cast<int>(in.rs1) << ", "
-         << hex(pc + static_cast<u32>(in.imm));
+    case S::kHwCounti:
+      os << " x" << loop << ", " << in.imm;
       break;
-    case M::kPvQnt:
-      os << name << (simd_elem_bits(in.fmt) == 4 ? ".n " : ".c ") << rd << ", "
-         << rs1 << ", (" << rs2 << ')';
+    case S::kHwSetup:
+      os << " x" << loop << ", " << rs1 << ", " << target();
       break;
-    case M::kPvElemExtract: case M::kPvElemExtractu: case M::kPvElemInsert:
-      os << name << fmt_suffix(in.fmt) << ' ' << rd << ", " << rs1 << ", "
-         << in.imm;
+    case S::kHwSetupi:
+      os << " x" << loop << ", " << static_cast<int>(in.rs1) << ", "
+         << target();
       break;
-    default:
-      if (is_simd(in.op)) {
-        os << name << fmt_suffix(in.fmt) << ' ' << rd << ", " << rs1;
-        if (in.op != M::kPvAbs) os << ", " << rs2;
-      } else {
-        // R-type scalar ops (add..and, mul.., p.min.., p.mac..)
-        os << name << ' ' << rd << ", " << rs1 << ", " << rs2;
-      }
+    case S::kSimdQnt:
+      os << ' ' << rd << ", " << rs1 << ", (" << rs2 << ')';
       break;
   }
   return os.str();

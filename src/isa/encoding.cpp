@@ -4,36 +4,42 @@
 
 #include "common/bitops.hpp"
 #include "common/error.hpp"
+#include "isa/isa_table.hpp"
 
 namespace xpulp::isa {
 
 namespace {
 
+// The checks inline to a compare; the message is built out of line.
+[[noreturn, gnu::cold, gnu::noinline]] void reject(const char* what,
+                                                   const char* problem, i64 v) {
+  throw AsmError(std::string(what) + problem + std::to_string(v));
+}
+
+[[noreturn, gnu::cold, gnu::noinline]] void no_encoding(const Instr& in) {
+  throw AsmError("no encoding for '" + std::string(mnemonic_name(in.op)) +
+                 std::string(simd_fmt_suffix(in.fmt)) + "'");
+}
+
 void check_range_signed(i64 v, unsigned bits, const char* what) {
   const i64 hi = (i64{1} << (bits - 1)) - 1;
   const i64 lo = -(i64{1} << (bits - 1));
-  if (v < lo || v > hi) {
-    throw AsmError(std::string(what) + " immediate out of range: " +
-                   std::to_string(v));
-  }
+  if (v < lo || v > hi) reject(what, " immediate out of range: ", v);
 }
 
 void check_range_unsigned(i64 v, unsigned bits, const char* what) {
   const i64 hi = (i64{1} << bits) - 1;
-  if (v < 0 || v > hi) {
-    throw AsmError(std::string(what) + " immediate out of range: " +
-                   std::to_string(v));
-  }
+  if (v < 0 || v > hi) reject(what, " immediate out of range: ", v);
 }
 
 void check_reg(u32 r, const char* what) {
-  if (r > 31) throw AsmError(std::string(what) + " register out of range");
+  if (r > 31) reject(what, " register out of range: ", r);
 }
 
 // Branch/jump byte offsets must be even (we do not generate 16-bit-aligned
 // targets from compressed code in the assembler).
 void check_even(i64 v, const char* what) {
-  if (v & 1) throw AsmError(std::string(what) + " offset must be even");
+  if (v & 1) reject(what, " offset must be even: ", v);
 }
 
 // Re-interpret an unsigned 12-bit field (CSR address, lp.counti count) as
@@ -124,38 +130,9 @@ u32 enc_j(u32 opcode, u32 rd, i32 imm21) {
 
 namespace {
 
-u32 enc_scalar_mem(u32 funct3, MemSizeCode size, u32 rd, u32 rs1, u32 rs2) {
-  return enc_r(kOpPulpScalar, funct3, static_cast<u32>(size), rd, rs1, rs2);
-}
-
-u32 enc_scalar_alu(ScalarAluFunct7 op, u32 rd, u32 rs1, u32 rs2) {
-  return enc_r(kOpPulpScalar, kScalarAlu, static_cast<u32>(op), rd, rs1, rs2);
-}
-
-u32 enc_bitmanip(u32 funct3, u32 op2, u32 is3, u32 rd, u32 rs1, u32 is2) {
-  check_range_unsigned(is3, 5, "Is3");
-  check_range_unsigned(is2, 5, "Is2");
-  return enc_r(kOpPulpScalar, funct3, (op2 << 5) | is3, rd, rs1, is2);
-}
-
-u32 enc_hwloop(HwloopFunct3 f3, u32 loop_idx, u32 rs1_field, i32 imm12) {
-  check_range_unsigned(loop_idx, 1, "hw-loop index");
-  return enc_i(kOpPulpHwloop, static_cast<u32>(f3), loop_idx, rs1_field,
-               imm12);
-}
-
-u32 enc_simd(SimdFunct7 op, SimdFmt fmt, u32 rd, u32 rs1, u32 rs2) {
-  return enc_r(kOpPulpSimd, simd_fmt_to_funct3(fmt), static_cast<u32>(op), rd,
-               rs1, rs2);
-}
-
-// Mixed virtual dot products carry no format in the encoding (the mpc CSR
-// supplies it at run time); funct3 is fixed to 0 and fmt must be kNone.
-u32 enc_simd_mixed(SimdFunct7 op, SimdFmt fmt, u32 rd, u32 rs1, u32 rs2) {
-  if (fmt != SimdFmt::kNone) {
-    throw AsmError("mixed dot products take no static format");
-  }
-  return enc_r(kOpPulpSimd, 0, static_cast<u32>(op), rd, rs1, rs2);
+u32 loop_index(u32 l) {
+  check_range_unsigned(l, 1, "hw-loop index");
+  return l;
 }
 
 i32 hwloop_offset_field(i32 byte_offset) {
@@ -163,258 +140,78 @@ i32 hwloop_offset_field(i32 byte_offset) {
   return byte_offset >> 1;
 }
 
+// An instruction's operands packed into the free bits of its entry's word,
+// each field range-checked; the entry's match supplies the fixed bits.
+u32 pack(const IsaTableEntry& e, const Instr& in) {
+  using S = EncShape;
+  switch (e.shape) {
+    case S::kU:
+      return e.match |
+             enc_u(0, in.rd, static_cast<i32>(static_cast<u32>(in.imm) >> 12));
+    case S::kJ:
+      return e.match | enc_j(0, in.rd, in.imm);
+    case S::kI:
+    case S::kIAddr:
+      return e.match | enc_i(0, 0, in.rd, in.rs1, in.imm);
+    case S::kShift:
+    case S::kClipImm:
+      check_range_unsigned(in.imm, 5, "shift/clip");
+      return e.match |
+             enc_r(0, 0, 0, in.rd, in.rs1, static_cast<u32>(in.imm));
+    case S::kB:
+      return e.match | enc_b(0, 0, in.rs1, in.rs2, in.imm);
+    case S::kBImm5:
+      check_range_unsigned(in.imm2, 5, "branch compare");
+      return e.match | enc_b(0, 0, in.rs1, in.imm2, in.imm);
+    case S::kS:
+      return e.match | enc_s(0, 0, in.rs1, in.rs2, in.imm);
+    case S::kR:
+    case S::kRLoad:
+    case S::kRStore:
+    case S::kSimdQnt:
+      return e.match | enc_r(0, 0, 0, in.rd, in.rs1, in.rs2);
+    case S::kRUnary:
+      return e.match | enc_r(0, 0, 0, in.rd, in.rs1, 0);
+    case S::kCsr:
+      return e.match | enc_i(0, 0, in.rd, in.rs1, as_i12(in.imm, "csr"));
+    case S::kCsrImm:
+      return e.match | enc_i(0, 0, in.rd, in.imm2, as_i12(in.imm, "csr"));
+    case S::kFixedWord:
+      return e.match;
+    case S::kBitmanip:
+      check_range_unsigned(in.imm2, 5, "Is3");
+      check_range_unsigned(static_cast<u32>(in.imm), 5, "Is2");
+      return e.match |
+             enc_r(0, 0, in.imm2, in.rd, in.rs1, static_cast<u32>(in.imm));
+    case S::kHwBound:
+      return e.match | enc_i(0, 0, loop_index(in.imm2), 0,
+                             hwloop_offset_field(in.imm));
+    case S::kHwCount:
+      return e.match | enc_i(0, 0, loop_index(in.imm2), in.rs1, 0);
+    case S::kHwCounti:
+      // L is range-checked as the rd field it occupies.
+      return e.match | enc_i(0, 0, in.imm2, 0, as_i12(in.imm, "lp.counti"));
+    case S::kHwSetup:
+    case S::kHwSetupi:
+      return e.match | enc_i(0, 0, loop_index(in.imm2), in.rs1,
+                             hwloop_offset_field(in.imm));
+    case S::kSimdLane:
+      check_range_unsigned(in.imm, 5, "lane");
+      if (static_cast<u32>(in.imm) >= simd_elem_count(e.fmt)) {
+        throw AsmError("lane index out of range");
+      }
+      return e.match |
+             enc_r(0, 0, 0, in.rd, in.rs1, static_cast<u32>(in.imm));
+  }
+  throw AsmError("unknown encoding shape");
+}
+
 }  // namespace
 
 u32 encode(const Instr& in) {
-  using M = Mnemonic;
-  switch (in.op) {
-    // ---- RV32I ----
-    case M::kLui:
-      return enc_u(kOpLui, in.rd, static_cast<i32>(static_cast<u32>(in.imm) >> 12));
-    case M::kAuipc:
-      return enc_u(kOpAuipc, in.rd, static_cast<i32>(static_cast<u32>(in.imm) >> 12));
-    case M::kJal: return enc_j(kOpJal, in.rd, in.imm);
-    case M::kJalr: return enc_i(kOpJalr, 0, in.rd, in.rs1, in.imm);
-    case M::kBeq: return enc_b(kOpBranch, 0, in.rs1, in.rs2, in.imm);
-    case M::kBne: return enc_b(kOpBranch, 1, in.rs1, in.rs2, in.imm);
-    case M::kBlt: return enc_b(kOpBranch, 4, in.rs1, in.rs2, in.imm);
-    case M::kBge: return enc_b(kOpBranch, 5, in.rs1, in.rs2, in.imm);
-    case M::kBltu: return enc_b(kOpBranch, 6, in.rs1, in.rs2, in.imm);
-    case M::kBgeu: return enc_b(kOpBranch, 7, in.rs1, in.rs2, in.imm);
-    // Immediate-compare branches: the rs2 field holds a signed 5-bit
-    // immediate (raw two's-complement bits live in imm2).
-    case M::kPBeqimm:
-      check_range_unsigned(in.imm2, 5, "p.beqimm");
-      return enc_b(kOpBranch, 2, in.rs1, in.imm2, in.imm);
-    case M::kPBneimm:
-      check_range_unsigned(in.imm2, 5, "p.bneimm");
-      return enc_b(kOpBranch, 3, in.rs1, in.imm2, in.imm);
-    case M::kLb: return enc_i(kOpLoad, 0, in.rd, in.rs1, in.imm);
-    case M::kLh: return enc_i(kOpLoad, 1, in.rd, in.rs1, in.imm);
-    case M::kLw: return enc_i(kOpLoad, 2, in.rd, in.rs1, in.imm);
-    case M::kLbu: return enc_i(kOpLoad, 4, in.rd, in.rs1, in.imm);
-    case M::kLhu: return enc_i(kOpLoad, 5, in.rd, in.rs1, in.imm);
-    case M::kSb: return enc_s(kOpStore, 0, in.rs1, in.rs2, in.imm);
-    case M::kSh: return enc_s(kOpStore, 1, in.rs1, in.rs2, in.imm);
-    case M::kSw: return enc_s(kOpStore, 2, in.rs1, in.rs2, in.imm);
-    case M::kAddi: return enc_i(kOpOpImm, 0, in.rd, in.rs1, in.imm);
-    case M::kSlti: return enc_i(kOpOpImm, 2, in.rd, in.rs1, in.imm);
-    case M::kSltiu: return enc_i(kOpOpImm, 3, in.rd, in.rs1, in.imm);
-    case M::kXori: return enc_i(kOpOpImm, 4, in.rd, in.rs1, in.imm);
-    case M::kOri: return enc_i(kOpOpImm, 6, in.rd, in.rs1, in.imm);
-    case M::kAndi: return enc_i(kOpOpImm, 7, in.rd, in.rs1, in.imm);
-    case M::kSlli:
-      check_range_unsigned(in.imm, 5, "shamt");
-      return enc_i(kOpOpImm, 1, in.rd, in.rs1, in.imm);
-    case M::kSrli:
-      check_range_unsigned(in.imm, 5, "shamt");
-      return enc_i(kOpOpImm, 5, in.rd, in.rs1, in.imm);
-    case M::kSrai:
-      check_range_unsigned(in.imm, 5, "shamt");
-      return enc_i(kOpOpImm, 5, in.rd, in.rs1, in.imm | 0x400);
-    case M::kAdd: return enc_r(kOpOp, 0, 0x00, in.rd, in.rs1, in.rs2);
-    case M::kSub: return enc_r(kOpOp, 0, 0x20, in.rd, in.rs1, in.rs2);
-    case M::kSll: return enc_r(kOpOp, 1, 0x00, in.rd, in.rs1, in.rs2);
-    case M::kSlt: return enc_r(kOpOp, 2, 0x00, in.rd, in.rs1, in.rs2);
-    case M::kSltu: return enc_r(kOpOp, 3, 0x00, in.rd, in.rs1, in.rs2);
-    case M::kXor: return enc_r(kOpOp, 4, 0x00, in.rd, in.rs1, in.rs2);
-    case M::kSrl: return enc_r(kOpOp, 5, 0x00, in.rd, in.rs1, in.rs2);
-    case M::kSra: return enc_r(kOpOp, 5, 0x20, in.rd, in.rs1, in.rs2);
-    case M::kOr: return enc_r(kOpOp, 6, 0x00, in.rd, in.rs1, in.rs2);
-    case M::kAnd: return enc_r(kOpOp, 7, 0x00, in.rd, in.rs1, in.rs2);
-    case M::kFence: return enc_i(kOpMiscMem, 0, 0, 0, 0);
-    case M::kEcall: return enc_i(kOpSystem, 0, 0, 0, 0);
-    case M::kEbreak: return enc_i(kOpSystem, 0, 0, 0, 1);
-    case M::kCsrrw: return enc_i(kOpSystem, 1, in.rd, in.rs1, as_i12(in.imm, "csr"));
-    case M::kCsrrs: return enc_i(kOpSystem, 2, in.rd, in.rs1, as_i12(in.imm, "csr"));
-    case M::kCsrrc: return enc_i(kOpSystem, 3, in.rd, in.rs1, as_i12(in.imm, "csr"));
-    case M::kCsrrwi: return enc_i(kOpSystem, 5, in.rd, in.imm2, as_i12(in.imm, "csr"));
-    case M::kCsrrsi: return enc_i(kOpSystem, 6, in.rd, in.imm2, as_i12(in.imm, "csr"));
-    case M::kCsrrci: return enc_i(kOpSystem, 7, in.rd, in.imm2, as_i12(in.imm, "csr"));
-
-    // ---- RV32M ----
-    case M::kMul: return enc_r(kOpOp, 0, 0x01, in.rd, in.rs1, in.rs2);
-    case M::kMulh: return enc_r(kOpOp, 1, 0x01, in.rd, in.rs1, in.rs2);
-    case M::kMulhsu: return enc_r(kOpOp, 2, 0x01, in.rd, in.rs1, in.rs2);
-    case M::kMulhu: return enc_r(kOpOp, 3, 0x01, in.rd, in.rs1, in.rs2);
-    case M::kDiv: return enc_r(kOpOp, 4, 0x01, in.rd, in.rs1, in.rs2);
-    case M::kDivu: return enc_r(kOpOp, 5, 0x01, in.rd, in.rs1, in.rs2);
-    case M::kRem: return enc_r(kOpOp, 6, 0x01, in.rd, in.rs1, in.rs2);
-    case M::kRemu: return enc_r(kOpOp, 7, 0x01, in.rd, in.rs1, in.rs2);
-
-    // ---- XpulpV2 memory ----
-    case M::kPLbPostImm: return enc_i(kOpPulpLoadPost, 0, in.rd, in.rs1, in.imm);
-    case M::kPLhPostImm: return enc_i(kOpPulpLoadPost, 1, in.rd, in.rs1, in.imm);
-    case M::kPLwPostImm: return enc_i(kOpPulpLoadPost, 2, in.rd, in.rs1, in.imm);
-    case M::kPLbuPostImm: return enc_i(kOpPulpLoadPost, 4, in.rd, in.rs1, in.imm);
-    case M::kPLhuPostImm: return enc_i(kOpPulpLoadPost, 5, in.rd, in.rs1, in.imm);
-    case M::kPSbPostImm: return enc_s(kOpPulpStorePost, 0, in.rs1, in.rs2, in.imm);
-    case M::kPShPostImm: return enc_s(kOpPulpStorePost, 1, in.rs1, in.rs2, in.imm);
-    case M::kPSwPostImm: return enc_s(kOpPulpStorePost, 2, in.rs1, in.rs2, in.imm);
-    case M::kPLbPostReg:
-      return enc_scalar_mem(kScalarLoadPostReg, MemSizeCode::kLb, in.rd, in.rs1, in.rs2);
-    case M::kPLhPostReg:
-      return enc_scalar_mem(kScalarLoadPostReg, MemSizeCode::kLh, in.rd, in.rs1, in.rs2);
-    case M::kPLwPostReg:
-      return enc_scalar_mem(kScalarLoadPostReg, MemSizeCode::kLw, in.rd, in.rs1, in.rs2);
-    case M::kPLbuPostReg:
-      return enc_scalar_mem(kScalarLoadPostReg, MemSizeCode::kLbu, in.rd, in.rs1, in.rs2);
-    case M::kPLhuPostReg:
-      return enc_scalar_mem(kScalarLoadPostReg, MemSizeCode::kLhu, in.rd, in.rs1, in.rs2);
-    case M::kPLbRegReg:
-      return enc_scalar_mem(kScalarLoadRegReg, MemSizeCode::kLb, in.rd, in.rs1, in.rs2);
-    case M::kPLhRegReg:
-      return enc_scalar_mem(kScalarLoadRegReg, MemSizeCode::kLh, in.rd, in.rs1, in.rs2);
-    case M::kPLwRegReg:
-      return enc_scalar_mem(kScalarLoadRegReg, MemSizeCode::kLw, in.rd, in.rs1, in.rs2);
-    case M::kPLbuRegReg:
-      return enc_scalar_mem(kScalarLoadRegReg, MemSizeCode::kLbu, in.rd, in.rs1, in.rs2);
-    case M::kPLhuRegReg:
-      return enc_scalar_mem(kScalarLoadRegReg, MemSizeCode::kLhu, in.rd, in.rs1, in.rs2);
-    case M::kPSbPostReg:
-      return enc_scalar_mem(kScalarStorePostReg, MemSizeCode::kLb, in.rd, in.rs1, in.rs2);
-    case M::kPShPostReg:
-      return enc_scalar_mem(kScalarStorePostReg, MemSizeCode::kLh, in.rd, in.rs1, in.rs2);
-    case M::kPSwPostReg:
-      return enc_scalar_mem(kScalarStorePostReg, MemSizeCode::kLw, in.rd, in.rs1, in.rs2);
-    case M::kPSbRegReg:
-      return enc_scalar_mem(kScalarStoreRegReg, MemSizeCode::kLb, in.rd, in.rs1, in.rs2);
-    case M::kPShRegReg:
-      return enc_scalar_mem(kScalarStoreRegReg, MemSizeCode::kLh, in.rd, in.rs1, in.rs2);
-    case M::kPSwRegReg:
-      return enc_scalar_mem(kScalarStoreRegReg, MemSizeCode::kLw, in.rd, in.rs1, in.rs2);
-
-    // ---- XpulpV2 scalar ALU ----
-    case M::kPAbs: return enc_scalar_alu(ScalarAluFunct7::kAbs, in.rd, in.rs1, 0);
-    case M::kPMin: return enc_scalar_alu(ScalarAluFunct7::kMin, in.rd, in.rs1, in.rs2);
-    case M::kPMinu: return enc_scalar_alu(ScalarAluFunct7::kMinu, in.rd, in.rs1, in.rs2);
-    case M::kPMax: return enc_scalar_alu(ScalarAluFunct7::kMax, in.rd, in.rs1, in.rs2);
-    case M::kPMaxu: return enc_scalar_alu(ScalarAluFunct7::kMaxu, in.rd, in.rs1, in.rs2);
-    case M::kPExths: return enc_scalar_alu(ScalarAluFunct7::kExths, in.rd, in.rs1, 0);
-    case M::kPExthz: return enc_scalar_alu(ScalarAluFunct7::kExthz, in.rd, in.rs1, 0);
-    case M::kPExtbs: return enc_scalar_alu(ScalarAluFunct7::kExtbs, in.rd, in.rs1, 0);
-    case M::kPExtbz: return enc_scalar_alu(ScalarAluFunct7::kExtbz, in.rd, in.rs1, 0);
-    case M::kPCnt: return enc_scalar_alu(ScalarAluFunct7::kCnt, in.rd, in.rs1, 0);
-    case M::kPFf1: return enc_scalar_alu(ScalarAluFunct7::kFf1, in.rd, in.rs1, 0);
-    case M::kPFl1: return enc_scalar_alu(ScalarAluFunct7::kFl1, in.rd, in.rs1, 0);
-    case M::kPClb: return enc_scalar_alu(ScalarAluFunct7::kClb, in.rd, in.rs1, 0);
-    case M::kPRor: return enc_scalar_alu(ScalarAluFunct7::kRor, in.rd, in.rs1, in.rs2);
-    case M::kPClip:
-      check_range_unsigned(in.imm, 5, "clip");
-      return enc_scalar_alu(ScalarAluFunct7::kClip, in.rd, in.rs1,
-                            static_cast<u32>(in.imm));
-    case M::kPClipu:
-      check_range_unsigned(in.imm, 5, "clipu");
-      return enc_scalar_alu(ScalarAluFunct7::kClipu, in.rd, in.rs1,
-                            static_cast<u32>(in.imm));
-    case M::kPMac: return enc_scalar_alu(ScalarAluFunct7::kMac, in.rd, in.rs1, in.rs2);
-    case M::kPMsu: return enc_scalar_alu(ScalarAluFunct7::kMsu, in.rd, in.rs1, in.rs2);
-
-    // ---- XpulpV2 bit manipulation ----
-    case M::kPExtract:
-      return enc_bitmanip(kScalarBitmanipA, static_cast<u32>(BitmanipA::kExtract),
-                          in.imm2, in.rd, in.rs1, static_cast<u32>(in.imm));
-    case M::kPExtractu:
-      return enc_bitmanip(kScalarBitmanipA, static_cast<u32>(BitmanipA::kExtractu),
-                          in.imm2, in.rd, in.rs1, static_cast<u32>(in.imm));
-    case M::kPInsert:
-      return enc_bitmanip(kScalarBitmanipA, static_cast<u32>(BitmanipA::kInsert),
-                          in.imm2, in.rd, in.rs1, static_cast<u32>(in.imm));
-    case M::kPBclr:
-      return enc_bitmanip(kScalarBitmanipA, static_cast<u32>(BitmanipA::kBclr),
-                          in.imm2, in.rd, in.rs1, static_cast<u32>(in.imm));
-    case M::kPBset:
-      return enc_bitmanip(kScalarBitmanipB, static_cast<u32>(BitmanipB::kBset),
-                          in.imm2, in.rd, in.rs1, static_cast<u32>(in.imm));
-
-    // ---- Hardware loops ----
-    case M::kLpStarti:
-      return enc_hwloop(HwloopFunct3::kStarti, in.imm2, 0,
-                        hwloop_offset_field(in.imm));
-    case M::kLpEndi:
-      return enc_hwloop(HwloopFunct3::kEndi, in.imm2, 0,
-                        hwloop_offset_field(in.imm));
-    case M::kLpCount:
-      return enc_hwloop(HwloopFunct3::kCount, in.imm2, in.rs1, 0);
-    case M::kLpCounti:
-      return enc_i(kOpPulpHwloop, static_cast<u32>(HwloopFunct3::kCounti),
-                   in.imm2, 0, as_i12(in.imm, "lp.counti"));
-    case M::kLpSetup:
-      return enc_hwloop(HwloopFunct3::kSetup, in.imm2, in.rs1,
-                        hwloop_offset_field(in.imm));
-    case M::kLpSetupi:
-      // rs1 field carries the 5-bit immediate iteration count.
-      check_range_unsigned(in.rs1, 5, "lp.setupi count");
-      return enc_hwloop(HwloopFunct3::kSetupi, in.imm2, in.rs1,
-                        hwloop_offset_field(in.imm));
-
-    // ---- SIMD ----
-    case M::kPvAdd: return enc_simd(SimdFunct7::kAdd, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvSub: return enc_simd(SimdFunct7::kSub, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvAvg: return enc_simd(SimdFunct7::kAvg, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvAvgu: return enc_simd(SimdFunct7::kAvgu, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvMax: return enc_simd(SimdFunct7::kMax, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvMaxu: return enc_simd(SimdFunct7::kMaxu, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvMin: return enc_simd(SimdFunct7::kMin, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvMinu: return enc_simd(SimdFunct7::kMinu, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvSrl: return enc_simd(SimdFunct7::kSrl, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvSra: return enc_simd(SimdFunct7::kSra, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvSll: return enc_simd(SimdFunct7::kSll, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvAbs: return enc_simd(SimdFunct7::kAbs, in.fmt, in.rd, in.rs1, 0);
-    case M::kPvAnd: return enc_simd(SimdFunct7::kAnd, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvOr: return enc_simd(SimdFunct7::kOr, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvXor: return enc_simd(SimdFunct7::kXor, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvDotup: return enc_simd(SimdFunct7::kDotup, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvDotusp: return enc_simd(SimdFunct7::kDotusp, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvDotsp: return enc_simd(SimdFunct7::kDotsp, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvSdotup: return enc_simd(SimdFunct7::kSdotup, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvSdotusp: return enc_simd(SimdFunct7::kSdotusp, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvSdotsp: return enc_simd(SimdFunct7::kSdotsp, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvMldotup: return enc_simd_mixed(SimdFunct7::kMldotup, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvMldotusp: return enc_simd_mixed(SimdFunct7::kMldotusp, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvMldotsp: return enc_simd_mixed(SimdFunct7::kMldotsp, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvMlsdotup: return enc_simd_mixed(SimdFunct7::kMlsdotup, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvMlsdotusp: return enc_simd_mixed(SimdFunct7::kMlsdotusp, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvMlsdotsp: return enc_simd_mixed(SimdFunct7::kMlsdotsp, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvElemExtract:
-    case M::kPvElemExtractu:
-    case M::kPvElemInsert: {
-      if (simd_is_subbyte(in.fmt) || simd_is_scalar_rep(in.fmt)) {
-        throw AsmError("element manipulation supports plain b/h formats");
-      }
-      const unsigned lanes = simd_elem_count(in.fmt);
-      check_range_unsigned(in.imm, 5, "lane");
-      if (static_cast<u32>(in.imm) >= lanes) {
-        throw AsmError("lane index out of range");
-      }
-      const SimdFunct7 op7 = in.op == M::kPvElemExtract ? SimdFunct7::kElemExtract
-                             : in.op == M::kPvElemExtractu
-                                 ? SimdFunct7::kElemExtractu
-                                 : SimdFunct7::kElemInsert;
-      return enc_simd(op7, in.fmt, in.rd, in.rs1, static_cast<u32>(in.imm));
-    }
-    case M::kPvShuffle:
-      if (simd_is_subbyte(in.fmt) || simd_is_scalar_rep(in.fmt)) {
-        throw AsmError("pv.shuffle supports plain b/h formats");
-      }
-      return enc_simd(SimdFunct7::kShuffle, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvPackH:
-      if (in.fmt != SimdFmt::kH) throw AsmError("pv.pack is h-format only");
-      return enc_simd(SimdFunct7::kPack, in.fmt, in.rd, in.rs1, in.rs2);
-    case M::kPvQnt:
-      if (simd_elem_bits(in.fmt) != 4 && simd_elem_bits(in.fmt) != 2) {
-        throw AsmError("pv.qnt supports only nibble/crumb formats");
-      }
-      if (simd_is_scalar_rep(in.fmt)) {
-        throw AsmError("pv.qnt has no .sc variant");
-      }
-      return enc_simd(SimdFunct7::kQnt, in.fmt, in.rd, in.rs1, in.rs2);
-
-    case M::kInvalid:
-    case M::kCount:
-      break;
-  }
-  throw AsmError("cannot encode invalid instruction");
+  const IsaTableEntry* e = isa_table_lookup(in.op, in.fmt);
+  if (e == nullptr) no_encoding(in);
+  return pack(*e, in);
 }
 
 }  // namespace xpulp::isa

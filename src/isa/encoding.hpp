@@ -19,7 +19,9 @@
 //   0x57           packed SIMD: funct3 = format (b/b.sc/h/h.sc/n/n.sc/c/c.sc),
 //                  funct7 = operation (see SimdFunct7)
 //
-// Encoder and decoder are round-trip tested over the whole instruction set.
+// The bit layout of every instruction lives in one place, the table in
+// isa_table.hpp; encoder, decoder, disassembler and text assembler all work
+// from its entries.
 #pragma once
 
 #include "common/types.hpp"
@@ -107,9 +109,10 @@ u32 enc_u(u32 opcode, u32 rd, i32 imm20_upper);  // imm = value for bits 31:12
 u32 enc_j(u32 opcode, u32 rd, i32 imm21);
 
 // ---- Whole-instruction encoder ----
-// Encodes a decoded Instr back into its 32-bit word. Branch/jump immediates
+// Encodes a decoded Instr back into its 32-bit word: the operands packed per
+// the shape of the instruction's isa_table entry. Branch/jump immediates
 // are the *byte offsets* held in Instr::imm. Throws AsmError on out-of-range
-// fields. This is the single source of truth used by the assembler.
+// fields and on (mnemonic, format) pairs the table does not hold.
 u32 encode(const Instr& in);
 
 }  // namespace xpulp::isa

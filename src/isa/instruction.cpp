@@ -1,5 +1,7 @@
 #include "isa/instruction.hpp"
 
+#include <iterator>
+
 namespace xpulp::isa {
 
 std::string_view mnemonic_name(Mnemonic m) {
@@ -150,6 +152,13 @@ std::string_view mnemonic_name(Mnemonic m) {
     case Mnemonic::kCount: return "<count>";
   }
   return "<unknown>";
+}
+
+std::string_view simd_fmt_suffix(SimdFmt f) {
+  static constexpr std::string_view kSuffix[] = {
+      "", ".b", ".sc.b", ".h", ".sc.h", ".n", ".sc.n", ".c", ".sc.c"};
+  const auto i = static_cast<size_t>(f);
+  return i < std::size(kSuffix) ? kSuffix[i] : "";
 }
 
 bool is_load(Mnemonic m) {

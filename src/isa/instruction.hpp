@@ -232,6 +232,9 @@ void finalize_decode(Instr& in);
 /// appended by the disassembler, not included here.
 std::string_view mnemonic_name(Mnemonic m);
 
+/// Assembly suffix of a SIMD format (".b", ".sc.n", ...; "" for kNone).
+std::string_view simd_fmt_suffix(SimdFmt f);
+
 /// Classification helpers used by the timing model and the power model.
 bool is_load(Mnemonic m);
 bool is_store(Mnemonic m);

@@ -1,7 +1,7 @@
 #include "isa/isa_table.hpp"
 
-#include <map>
-#include <utility>
+#include <algorithm>
+#include <array>
 
 #include "isa/encoding.hpp"
 
@@ -17,7 +17,7 @@ constexpr u32 kMaskRs2 = 0x1fu << 20;
 constexpr u32 kMaskImmI = 0xfffu << 20;
 // Hardware loops: the decoder uses only rd bit 0 (the loop index); the
 // encoder always emits rd[4:1] = 0, so those bits are part of the
-// canonical match.
+// canonical match but not of the decode mask.
 constexpr u32 kMaskHwRdHigh = 0xfu << 8;
 // Bit manipulation: funct7[6:5] selects the op, funct7[4:0] is the free
 // Is3 operand.
@@ -35,6 +35,8 @@ IsaTableEntry ent(Mnemonic op, EncShape shape, u32 mask, u32 match,
   e.shape = shape;
   e.mask = mask;
   e.match = match;
+  // Unary ops ignore their rs2 field when decoding.
+  e.decode_mask = shape == EncShape::kRUnary ? mask & ~kMaskRs2 : mask;
   return e;
 }
 
@@ -68,8 +70,11 @@ void add_r(std::vector<IsaTableEntry>& t, Mnemonic op, u32 opcode, u32 f3,
   t.push_back(ent(op, shape, mask, base_match(opcode, f3, f7)));
 }
 
-void add_fixed(std::vector<IsaTableEntry>& t, Mnemonic op, u32 word) {
-  t.push_back(ent(op, EncShape::kFixedWord, 0xffffffffu, word));
+void add_fixed(std::vector<IsaTableEntry>& t, Mnemonic op, u32 word,
+               u32 decode_mask = 0xffffffffu) {
+  IsaTableEntry e = ent(op, EncShape::kFixedWord, 0xffffffffu, word);
+  e.decode_mask = decode_mask;
+  t.push_back(e);
 }
 
 void add_alu(std::vector<IsaTableEntry>& t, Mnemonic op, ScalarAluFunct7 f7,
@@ -79,7 +84,9 @@ void add_alu(std::vector<IsaTableEntry>& t, Mnemonic op, ScalarAluFunct7 f7,
 
 void add_scalar_mem(std::vector<IsaTableEntry>& t, Mnemonic op, u32 f3,
                     MemSizeCode size) {
-  add_r(t, op, kOpPulpScalar, f3, static_cast<u32>(size));
+  const bool store = f3 == kScalarStorePostReg || f3 == kScalarStoreRegReg;
+  add_r(t, op, kOpPulpScalar, f3, static_cast<u32>(size),
+        store ? EncShape::kRStore : EncShape::kRLoad);
 }
 
 void add_bitmanip(std::vector<IsaTableEntry>& t, Mnemonic op, u32 f3, u32 op2) {
@@ -97,14 +104,18 @@ void add_hwloop(std::vector<IsaTableEntry>& t, Mnemonic op, HwloopFunct3 f3,
     mask |= kMaskRs1;
   }
   if (shape == EncShape::kHwCount) mask |= kMaskImmI;
-  t.push_back(ent(op, shape, mask,
-                  base_match(kOpPulpHwloop, static_cast<u32>(f3))));
+  IsaTableEntry e =
+      ent(op, shape, mask, base_match(kOpPulpHwloop, static_cast<u32>(f3)));
+  // The decoder reads only the fields of the loop form; the rest may hold
+  // anything.
+  e.decode_mask = kMaskOpc | kMaskF3;
+  t.push_back(e);
 }
 
 void add_simd(std::vector<IsaTableEntry>& t, Mnemonic op, SimdFunct7 f7,
-              SimdFmt fmt, EncShape shape = EncShape::kSimdR) {
+              SimdFmt fmt, EncShape shape = EncShape::kR) {
   u32 mask = kMaskOpc | kMaskF3 | kMaskF7;
-  if (shape == EncShape::kSimdUnary) mask |= kMaskRs2;
+  if (shape == EncShape::kRUnary) mask |= kMaskRs2;
   t.push_back(ent(op, shape, mask,
                   base_match(kOpPulpSimd, simd_fmt_to_funct3(fmt),
                              static_cast<u32>(f7)),
@@ -115,7 +126,7 @@ void add_simd(std::vector<IsaTableEntry>& t, Mnemonic op, SimdFunct7 f7,
 // add_simd's simd_fmt_to_funct3 path does not apply.
 void add_simd_mixed(std::vector<IsaTableEntry>& t, Mnemonic op,
                     SimdFunct7 f7) {
-  t.push_back(ent(op, EncShape::kSimdR, kMaskOpc | kMaskF3 | kMaskF7,
+  t.push_back(ent(op, EncShape::kR, kMaskOpc | kMaskF3 | kMaskF7,
                   base_match(kOpPulpSimd, 0, static_cast<u32>(f7))));
 }
 
@@ -124,7 +135,7 @@ constexpr SimdFmt kAllFmts[] = {SimdFmt::kB, SimdFmt::kBSc, SimdFmt::kH,
                                 SimdFmt::kC, SimdFmt::kCSc};
 
 void add_simd_all(std::vector<IsaTableEntry>& t, Mnemonic op, SimdFunct7 f7,
-                  EncShape shape = EncShape::kSimdR) {
+                  EncShape shape = EncShape::kR) {
   for (SimdFmt f : kAllFmts) add_simd(t, op, f7, f, shape);
 }
 
@@ -137,7 +148,7 @@ std::vector<IsaTableEntry> build_table() {
   add_u(t, M::kLui, kOpLui);
   add_u(t, M::kAuipc, kOpAuipc);
   t.push_back(ent(M::kJal, S::kJ, kMaskOpc, base_match(kOpJal)));
-  add_i(t, M::kJalr, kOpJalr, 0);
+  add_i(t, M::kJalr, kOpJalr, 0, S::kIAddr);
   add_b(t, M::kBeq, 0);
   add_b(t, M::kBne, 1);
   add_b(t, M::kPBeqimm, 2, S::kBImm5);
@@ -146,11 +157,11 @@ std::vector<IsaTableEntry> build_table() {
   add_b(t, M::kBge, 5);
   add_b(t, M::kBltu, 6);
   add_b(t, M::kBgeu, 7);
-  add_i(t, M::kLb, kOpLoad, 0);
-  add_i(t, M::kLh, kOpLoad, 1);
-  add_i(t, M::kLw, kOpLoad, 2);
-  add_i(t, M::kLbu, kOpLoad, 4);
-  add_i(t, M::kLhu, kOpLoad, 5);
+  add_i(t, M::kLb, kOpLoad, 0, S::kIAddr);
+  add_i(t, M::kLh, kOpLoad, 1, S::kIAddr);
+  add_i(t, M::kLw, kOpLoad, 2, S::kIAddr);
+  add_i(t, M::kLbu, kOpLoad, 4, S::kIAddr);
+  add_i(t, M::kLhu, kOpLoad, 5, S::kIAddr);
   add_s(t, M::kSb, kOpStore, 0);
   add_s(t, M::kSh, kOpStore, 1);
   add_s(t, M::kSw, kOpStore, 2);
@@ -173,7 +184,8 @@ std::vector<IsaTableEntry> build_table() {
   add_r(t, M::kSra, kOpOp, 5, 0x20);
   add_r(t, M::kOr, kOpOp, 6, 0x00);
   add_r(t, M::kAnd, kOpOp, 7, 0x00);
-  add_fixed(t, M::kFence, 0x0000000fu);
+  // Single hart: every MISC-MEM word decodes as fence.
+  add_fixed(t, M::kFence, 0x0000000fu, kMaskOpc);
   add_fixed(t, M::kEcall, 0x00000073u);
   add_fixed(t, M::kEbreak, 0x00100073u);
   add_i(t, M::kCsrrw, kOpSystem, 1, S::kCsr);
@@ -194,11 +206,11 @@ std::vector<IsaTableEntry> build_table() {
   add_r(t, M::kRemu, kOpOp, 7, 0x01);
 
   // ---- XpulpV2 post-increment immediate memory ----
-  add_i(t, M::kPLbPostImm, kOpPulpLoadPost, 0);
-  add_i(t, M::kPLhPostImm, kOpPulpLoadPost, 1);
-  add_i(t, M::kPLwPostImm, kOpPulpLoadPost, 2);
-  add_i(t, M::kPLbuPostImm, kOpPulpLoadPost, 4);
-  add_i(t, M::kPLhuPostImm, kOpPulpLoadPost, 5);
+  add_i(t, M::kPLbPostImm, kOpPulpLoadPost, 0, S::kIAddr);
+  add_i(t, M::kPLhPostImm, kOpPulpLoadPost, 1, S::kIAddr);
+  add_i(t, M::kPLwPostImm, kOpPulpLoadPost, 2, S::kIAddr);
+  add_i(t, M::kPLbuPostImm, kOpPulpLoadPost, 4, S::kIAddr);
+  add_i(t, M::kPLhuPostImm, kOpPulpLoadPost, 5, S::kIAddr);
   add_s(t, M::kPSbPostImm, kOpPulpStorePost, 0);
   add_s(t, M::kPShPostImm, kOpPulpStorePost, 1);
   add_s(t, M::kPSwPostImm, kOpPulpStorePost, 2);
@@ -273,7 +285,7 @@ std::vector<IsaTableEntry> build_table() {
   add_simd_all(t, M::kPvSrl, SimdFunct7::kSrl);
   add_simd_all(t, M::kPvSra, SimdFunct7::kSra);
   add_simd_all(t, M::kPvSll, SimdFunct7::kSll);
-  add_simd_all(t, M::kPvAbs, SimdFunct7::kAbs, S::kSimdUnary);
+  add_simd_all(t, M::kPvAbs, SimdFunct7::kAbs, S::kRUnary);
   add_simd_all(t, M::kPvAnd, SimdFunct7::kAnd);
   add_simd_all(t, M::kPvOr, SimdFunct7::kOr);
   add_simd_all(t, M::kPvXor, SimdFunct7::kXor);
@@ -301,8 +313,8 @@ std::vector<IsaTableEntry> build_table() {
     add_simd(t, M::kPvShuffle, SimdFunct7::kShuffle, f);
   }
   add_simd(t, M::kPvPackH, SimdFunct7::kPack, SimdFmt::kH);
-  add_simd(t, M::kPvQnt, SimdFunct7::kQnt, SimdFmt::kN);
-  add_simd(t, M::kPvQnt, SimdFunct7::kQnt, SimdFmt::kC);
+  add_simd(t, M::kPvQnt, SimdFunct7::kQnt, SimdFmt::kN, S::kSimdQnt);
+  add_simd(t, M::kPvQnt, SimdFunct7::kQnt, SimdFmt::kC, S::kSimdQnt);
 
   return t;
 }
@@ -314,14 +326,37 @@ const std::vector<IsaTableEntry>& isa_table() {
   return table;
 }
 
+namespace {
+
+constexpr size_t kOps = static_cast<size_t>(Mnemonic::kCount);
+constexpr size_t kFmts = static_cast<size_t>(SimdFmt::kCSc) + 1;
+using LookupIndex = std::array<const IsaTableEntry*, kOps * kFmts>;
+
+// Dense (mnemonic, format) index; a scalar mnemonic has no format field,
+// so its one entry fills its whole row. Not inlined: it runs once, and
+// keeping it out of isa_table_lookup keeps the lookup a leaf.
+[[gnu::noinline]] LookupIndex build_lookup_index() {
+  LookupIndex ix{};
+  for (const IsaTableEntry& e : isa_table()) {
+    const size_t row = static_cast<size_t>(e.op) * kFmts;
+    if (is_simd(e.op)) {
+      ix[row + static_cast<size_t>(e.fmt)] = &e;
+    } else {
+      std::fill_n(ix.begin() + static_cast<ptrdiff_t>(row), kFmts, &e);
+    }
+  }
+  return ix;
+}
+
+}  // namespace
+
 const IsaTableEntry* isa_table_lookup(Mnemonic op, SimdFmt fmt) {
-  static const auto index = [] {
-    std::map<std::pair<Mnemonic, SimdFmt>, const IsaTableEntry*> m;
-    for (const IsaTableEntry& e : isa_table()) m.emplace(std::pair{e.op, e.fmt}, &e);
-    return m;
-  }();
-  const auto it = index.find({op, fmt});
-  return it == index.end() ? nullptr : it->second;
+  static const LookupIndex index = build_lookup_index();
+  const auto o = static_cast<size_t>(op);
+  const auto f = static_cast<size_t>(fmt);
+  if (o >= kOps) return nullptr;
+  if (f >= kFmts) return is_simd(op) ? nullptr : index[o * kFmts];
+  return index[o * kFmts + f];
 }
 
 std::vector<Instr> canonical_samples(const IsaTableEntry& e) {
@@ -350,6 +385,7 @@ std::vector<Instr> canonical_samples(const IsaTableEntry& e) {
         in.imm = j == 0 ? 0 : j == 1 ? 2048 : -4096;
         break;
       case EncShape::kI:
+      case EncShape::kIAddr:
         in.rd = kRd[j];
         in.rs1 = kRs1[j];
         in.imm = j == 0 ? 0 : j == 1 ? -4 : 2047;
@@ -375,6 +411,9 @@ std::vector<Instr> canonical_samples(const IsaTableEntry& e) {
         in.imm = j == 0 ? 0 : j == 1 ? -4 : 2047;
         break;
       case EncShape::kR:
+      case EncShape::kRLoad:
+      case EncShape::kRStore:
+      case EncShape::kSimdQnt:
         in.rd = kRd[j];
         in.rs1 = kRs1[j];
         in.rs2 = kRs2[j];
@@ -428,15 +467,6 @@ std::vector<Instr> canonical_samples(const IsaTableEntry& e) {
         in.imm2 = static_cast<u8>(j & 1);
         in.rs1 = static_cast<u8>(j == 0 ? 1 : j == 1 ? 31 : 16);  // count
         in.imm = j == 0 ? 8 : j == 1 ? 60 : 1000;
-        break;
-      case EncShape::kSimdR:
-        in.rd = kRd[j];
-        in.rs1 = kRs1[j];
-        in.rs2 = kRs2[j];
-        break;
-      case EncShape::kSimdUnary:
-        in.rd = kRd[j];
-        in.rs1 = kRs1[j];
         break;
       case EncShape::kSimdLane: {
         const unsigned lanes = simd_elem_count(e.fmt);

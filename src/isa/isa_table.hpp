@@ -1,15 +1,20 @@
 // Declarative table of every canonical instruction encoding the simulator
 // implements: one (mask, match) pair per mnemonic (per SIMD format for the
-// packed ops). The table is the machine-checkable description of the
-// encoding space documented in encoding.hpp; the auditor in src/analysis
-// proves it pairwise non-overlapping and round-trip exact against the real
-// encoder/decoder, so table and implementation cannot drift apart.
+// packed ops), plus the entry's encoding shape. The table is the only
+// description of the encoding space: encode() packs an entry's operands by
+// its shape, decode() finds the entry through an index built from the
+// table and unpacks by shape, disassemble() prints by shape and the text
+// assembler parses by shape. The auditor in src/analysis proves the
+// entries pairwise non-overlapping and every shape's pack/unpack pair
+// mutually inverse; the golden-word and digest tests in test_encoding pin
+// the table's contents.
 //
 // "Canonical" means the bit pattern the encoder emits. The decoder is
 // deliberately lenient in a few places (ignored rs2 bits of unary ops,
-// ignored rd[4:1] of hardware loops, any funct3 under MISC-MEM); such
-// words decode but do not match any table entry, which is exactly what the
-// analyzer's non-canonical-encoding diagnostic keys off.
+// ignored rd[4:1] and unused fields of hardware loops, any funct3 under
+// MISC-MEM): `decode_mask` is the subset of `mask` it checks. Such words
+// decode but do not match any entry's (mask, match), which is exactly what
+// the analyzer's non-canonical-encoding diagnostic keys off.
 #pragma once
 
 #include <vector>
@@ -19,40 +24,47 @@
 
 namespace xpulp::isa {
 
-/// Encoding shape of a table entry: which fields are free (encodable
-/// operands) and what constraints they carry. Drives canonical sample
-/// generation for the round-trip audit.
+/// Encoding shape of a table entry: which bits carry which operand, the
+/// operand syntax in assembly text, and the field constraints. Two entries
+/// share a shape only if they share both layout and syntax. `[!]` marks
+/// the post-increment base register of the mnemonics ending in '!'; L is
+/// the hardware-loop index (x0/x1); targets are labels in source text and
+/// absolute addresses in disassembly.
 enum class EncShape : u8 {
-  kU,         // rd, 20-bit upper immediate
-  kJ,         // rd, 21-bit even jump offset
-  kI,         // rd, rs1, signed 12-bit immediate
-  kShift,     // rd, rs1, 5-bit shamt (funct7 fixed)
-  kB,         // rs1, rs2, 13-bit even branch offset
-  kBImm5,     // rs1, raw imm5 in the rs2 field, branch offset (p.beqimm)
-  kS,         // rs1, rs2, signed 12-bit immediate
-  kR,         // rd, rs1, rs2
-  kRUnary,    // rd, rs1 (rs2 field fixed 0)
-  kClipImm,   // rd, rs1, 5-bit immediate in the rs2 field
-  kCsr,       // rd, rs1, 12-bit CSR address
-  kCsrImm,    // rd, uimm5 in the rs1 field, 12-bit CSR address
-  kFixedWord, // no operands (ecall/ebreak/fence)
-  kBitmanip,  // rd, rs1, Is2 in rs2 field, Is3 in funct7[4:0]
-  kHwBound,   // lp.starti/lp.endi: loop index L, even 13-bit offset
-  kHwCount,   // lp.count: L, rs1
-  kHwCounti,  // lp.counti: L, unsigned 12-bit count
-  kHwSetup,   // lp.setup: L, rs1, even offset
-  kHwSetupi,  // lp.setupi: L, uimm5 count in the rs1 field, even offset
-  kSimdR,     // rd, rs1, rs2 (format from the entry)
-  kSimdUnary, // rd, rs1 (rs2 field fixed 0)
-  kSimdLane,  // rd, rs1, lane index in the rs2 field (< element count)
+  kU,         // rd, upper20            imm = upper20 << 12
+  kJ,         // rd, target             21-bit even offset
+  kI,         // rd, rs1, simm12
+  kIAddr,     // rd, simm12(rs1[!])     loads, p.l*!, jalr
+  kShift,     // rd, rs1, shamt5        shamt in the rs2 field
+  kB,         // rs1, rs2, target       13-bit even offset
+  kBImm5,     // rs1, simm5, target     imm5 in the rs2 field (p.beqimm)
+  kS,         // rs2, simm12(rs1[!])    stores, p.s*!
+  kR,         // rd, rs1, rs2           scalar and pv.* register ops
+  kRUnary,    // rd, rs1                rs2 field 0
+  kRLoad,     // rd, rs2(rs1[!])        p.l*.r!, p.l*.rr
+  kRStore,    // rs2, rd(rs1[!])        p.s*.r!, p.s*.rr (offset reg in rd)
+  kClipImm,   // rd, rs1, uimm5         in the rs2 field
+  kCsr,       // rd, csr12, rs1
+  kCsrImm,    // rd, csr12, uimm5       uimm5 in the rs1 field
+  kFixedWord, // no operands            ecall/ebreak/fence
+  kBitmanip,  // rd, rs1, Is3, Is2      Is2 in rs2, Is3 in funct7[4:0];
+              //                        Is2 + Is3 + 1 <= 32
+  kHwBound,   // L, target              lp.starti/lp.endi
+  kHwCount,   // L, rs1                 lp.count
+  kHwCounti,  // L, uimm12              lp.counti
+  kHwSetup,   // L, rs1, target         lp.setup
+  kHwSetupi,  // L, uimm5, target       lp.setupi, count in the rs1 field
+  kSimdLane,  // rd, rs1, lane          lane < element count, in rs2
+  kSimdQnt,   // rd, rs1, (rs2)         pv.qnt, rs2 = threshold base
 };
 
 struct IsaTableEntry {
   Mnemonic op = Mnemonic::kInvalid;
   SimdFmt fmt = SimdFmt::kNone;
   EncShape shape = EncShape::kR;
-  u32 mask = 0;
-  u32 match = 0;
+  u32 mask = 0;         // bits fixed in the canonical encoding
+  u32 match = 0;        // their values
+  u32 decode_mask = 0;  // the subset of `mask` the decoder checks
 };
 
 /// The full table: RV32IM + XpulpV2 + XpulpNN, one entry per canonical
@@ -65,7 +77,9 @@ const std::vector<IsaTableEntry>& isa_table();
 /// encoder->decoder->disassembler property test.
 std::vector<Instr> canonical_samples(const IsaTableEntry& e);
 
-/// Table lookup by decoded instruction (op + fmt); nullptr if absent.
+/// Entry an instruction encodes through, by op + fmt; nullptr if absent.
+/// Scalar mnemonics carry no format field, so their `fmt` is ignored.
+/// Constant time (a dense index).
 const IsaTableEntry* isa_table_lookup(Mnemonic op, SimdFmt fmt);
 
 }  // namespace xpulp::isa

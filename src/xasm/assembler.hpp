@@ -17,6 +17,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -222,6 +223,10 @@ class Assembler {
   Program finish();
 
  private:
+  // The text front end emits the instructions it parses from the ISA
+  // table (text_asm.hpp).
+  friend Program assemble_text(std::string_view source, addr_t base);
+
   static constexpr i64 kUnbound = -1;
 
   enum class FixKind { kBranch, kJal, kHwloopEnd, kHwloopStart };

@@ -3,18 +3,23 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <limits>
 #include <map>
 #include <optional>
 #include <vector>
 
+#include "isa/decoder.hpp"
 #include "isa/disasm.hpp"
+#include "isa/encoding.hpp"
+#include "isa/isa_table.hpp"
 
 namespace xpulp::xasm {
 
 namespace {
 
-using isa::Mnemonic;
-using isa::SimdFmt;
+using isa::EncShape;
+using isa::Instr;
+using isa::IsaTableEntry;
 
 std::string_view trim(std::string_view s) {
   while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
@@ -68,6 +73,9 @@ std::optional<i64> parse_int(std::string_view tok) {
   const auto [p, ec] =
       std::from_chars(tok.data(), tok.data() + tok.size(), v, bases);
   if (ec != std::errc{} || p != tok.data() + tok.size()) return std::nullopt;
+  if (v > static_cast<u64>(std::numeric_limits<i64>::max())) {
+    return std::nullopt;
+  }
   const i64 sv = static_cast<i64>(v);
   return neg ? -sv : sv;
 }
@@ -76,9 +84,17 @@ struct Ctx {
   Assembler& a;
   unsigned line;
   std::map<std::string, Assembler::Label, std::less<>>& labels;
+  std::string mnem;  // lower-cased
 
   [[noreturn]] void fail(const std::string& what) const {
     throw TextAsmError(line, what);
+  }
+
+  void need(const std::vector<std::string_view>& ops, size_t n) const {
+    if (ops.size() != n) {
+      fail("'" + mnem + "' expects " + std::to_string(n) + " operands, got " +
+           std::to_string(ops.size()));
+    }
   }
 
   u8 reg(std::string_view tok) const {
@@ -89,10 +105,31 @@ struct Ctx {
     }
   }
 
-  i32 imm(std::string_view tok) const {
+  /// An integer operand in [lo, hi].
+  i64 ranged(std::string_view tok, i64 lo, i64 hi, const char* what) const {
     const auto v = parse_int(tok);
     if (!v) fail("expected an integer, got '" + std::string(tok) + "'");
-    return static_cast<i32>(*v);
+    if (*v < lo || *v > hi) {
+      fail(std::string(what) + " '" + std::string(trim(tok)) +
+           "' out of range [" + std::to_string(lo) + ", " +
+           std::to_string(hi) + "]");
+    }
+    return *v;
+  }
+
+  /// A 32-bit immediate, signed or written as an unsigned bit pattern.
+  i32 imm(std::string_view tok) const {
+    return static_cast<i32>(static_cast<u32>(
+        ranged(tok, std::numeric_limits<i32>::min(),
+               std::numeric_limits<u32>::max(), "integer")));
+  }
+
+  /// Hardware-loop index: "x0" / "x1" or 0 / 1.
+  u8 loop(std::string_view tok) const {
+    const std::string t = lower(trim(tok));
+    if (t == "x0" || t == "0") return 0;
+    if (t == "x1" || t == "1") return 1;
+    fail("hardware-loop index must be 0 or 1");
   }
 
   /// Branch/jump/loop target: a named label (forward references allowed).
@@ -108,357 +145,221 @@ struct Ctx {
     return it->second;
   }
 
-  /// Memory operand "imm(reg)" or "imm(reg!)"; returns {reg, imm, postinc}.
-  struct MemOp {
-    u8 base;
-    i32 offset;
-    bool post_increment;
-  };
-  MemOp mem(std::string_view tok) const {
+  /// Address operand "off(base)", written "off(base!)" exactly when the
+  /// mnemonic post-increments; returns the offset token and the base.
+  std::pair<std::string_view, u8> addr(std::string_view tok, bool post) const {
     const size_t open = tok.find('(');
     const size_t close = tok.rfind(')');
     if (open == std::string_view::npos || close == std::string_view::npos ||
         close < open) {
-      fail("expected 'imm(reg)' memory operand, got '" + std::string(tok) + "'");
+      fail("expected 'off(reg)' address operand, got '" + std::string(tok) +
+           "'");
     }
     std::string_view inner = trim(tok.substr(open + 1, close - open - 1));
-    bool post = false;
-    if (!inner.empty() && inner.back() == '!') {
-      post = true;
-      inner = trim(inner.substr(0, inner.size() - 1));
+    const bool bang = !inner.empty() && inner.back() == '!';
+    if (bang != post) {
+      fail(post ? "'" + mnem + "' post-increments: write 'off(reg!)'"
+                : "'" + mnem + "' does not post-increment its base");
     }
-    const std::string_view off = trim(tok.substr(0, open));
-    return {reg(inner), off.empty() ? 0 : imm(off), post};
+    if (bang) inner = trim(inner.substr(0, inner.size() - 1));
+    return {trim(tok.substr(0, open)), reg(inner)};
   }
 };
 
-/// SIMD format suffix: ".b", ".sc.b", ".h", ".n", ".c", ...
-std::optional<SimdFmt> parse_fmt_suffix(std::string_view suffix) {
-  if (suffix == ".b") return SimdFmt::kB;
-  if (suffix == ".sc.b") return SimdFmt::kBSc;
-  if (suffix == ".h") return SimdFmt::kH;
-  if (suffix == ".sc.h") return SimdFmt::kHSc;
-  if (suffix == ".n") return SimdFmt::kN;
-  if (suffix == ".sc.n") return SimdFmt::kNSc;
-  if (suffix == ".c") return SimdFmt::kC;
-  if (suffix == ".sc.c") return SimdFmt::kCSc;
-  return std::nullopt;
-}
-
-std::optional<Mnemonic> parse_pv_op(std::string_view name) {
-  static const std::map<std::string_view, Mnemonic> kOps = {
-      {"add", Mnemonic::kPvAdd},       {"sub", Mnemonic::kPvSub},
-      {"avg", Mnemonic::kPvAvg},       {"avgu", Mnemonic::kPvAvgu},
-      {"max", Mnemonic::kPvMax},       {"maxu", Mnemonic::kPvMaxu},
-      {"min", Mnemonic::kPvMin},       {"minu", Mnemonic::kPvMinu},
-      {"srl", Mnemonic::kPvSrl},       {"sra", Mnemonic::kPvSra},
-      {"sll", Mnemonic::kPvSll},       {"abs", Mnemonic::kPvAbs},
-      {"and", Mnemonic::kPvAnd},       {"or", Mnemonic::kPvOr},
-      {"xor", Mnemonic::kPvXor},       {"dotup", Mnemonic::kPvDotup},
-      {"dotusp", Mnemonic::kPvDotusp}, {"dotsp", Mnemonic::kPvDotsp},
-      {"sdotup", Mnemonic::kPvSdotup}, {"sdotusp", Mnemonic::kPvSdotusp},
-      {"sdotsp", Mnemonic::kPvSdotsp},
-  };
-  const auto it = kOps.find(name);
-  if (it == kOps.end()) return std::nullopt;
-  return it->second;
-}
-
-void emit_instruction(Ctx& c, std::string_view mnem_raw,
-                      const std::vector<std::string_view>& ops) {
+/// Pseudo-instructions; false if the mnemonic is not one.
+bool emit_pseudo(Ctx& c, const std::vector<std::string_view>& ops) {
   Assembler& a = c.a;
-  const std::string m = lower(mnem_raw);
-  auto need = [&](size_t n) {
-    if (ops.size() != n) {
-      c.fail("'" + m + "' expects " + std::to_string(n) + " operands, got " +
-             std::to_string(ops.size()));
+  const std::string& m = c.mnem;
+  if (m == "nop" || m == "fence") {  // single hart: fence is a nop
+    c.need(ops, 0);
+    a.nop();
+  } else if (m == "halt") {
+    c.need(ops, 0);
+    a.halt();
+  } else if (m == "ret") {
+    c.need(ops, 0);
+    a.ret();
+  } else if (m == "li") {
+    c.need(ops, 2);
+    a.li(c.reg(ops[0]), c.imm(ops[1]));
+  } else if (m == "mv") {
+    c.need(ops, 2);
+    a.mv(c.reg(ops[0]), c.reg(ops[1]));
+  } else if (m == "j") {
+    c.need(ops, 1);
+    a.j(c.target(ops[0]));
+  } else {
+    return false;
+  }
+  return true;
+}
+
+/// Table entry by assembly name: mnemonic plus format suffix.
+const IsaTableEntry* find_entry(std::string_view name) {
+  static const auto index = [] {
+    std::map<std::string, const IsaTableEntry*, std::less<>> m;
+    for (const IsaTableEntry& e : isa::isa_table()) {
+      m.emplace(std::string(isa::mnemonic_name(e.op)) +
+                    std::string(isa::simd_fmt_suffix(e.fmt)),
+                &e);
     }
-  };
+    return m;
+  }();
+  const auto it = index.find(name);
+  return it == index.end() ? nullptr : it->second;
+}
 
-  // ---- pseudo-instructions ----
-  if (m == "nop") { need(0); a.nop(); return; }
-  if (m == "ecall" || m == "halt") { need(0); a.ecall(); return; }
-  if (m == "ebreak") { need(0); a.ebreak(); return; }
-  if (m == "fence") { need(0); a.nop(); return; }  // single hart
-  if (m == "ret") { need(0); a.ret(); return; }
-  if (m == "li") { need(2); a.li(c.reg(ops[0]), c.imm(ops[1])); return; }
-  if (m == "mv") { need(2); a.mv(c.reg(ops[0]), c.reg(ops[1])); return; }
-  if (m == "j") { need(1); a.j(c.target(ops[0])); return; }
+struct Parsed {
+  Instr in;
+  std::string_view target;  // label operand; empty if none
+};
 
-  // ---- register-register ALU / mul-div / pulp scalar ----
-  using RRR = void (Assembler::*)(u8, u8, u8);
-  static const std::map<std::string, RRR> kRRR = {
-      {"add", &Assembler::add},       {"sub", &Assembler::sub},
-      {"sll", &Assembler::sll},       {"slt", &Assembler::slt},
-      {"sltu", &Assembler::sltu},     {"xor", &Assembler::xor_},
-      {"srl", &Assembler::srl},       {"sra", &Assembler::sra},
-      {"or", &Assembler::or_},        {"and", &Assembler::and_},
-      {"mul", &Assembler::mul},       {"mulh", &Assembler::mulh},
-      {"mulhu", &Assembler::mulhu},   {"div", &Assembler::div},
-      {"divu", &Assembler::divu},     {"rem", &Assembler::rem},
-      {"remu", &Assembler::remu},     {"p.min", &Assembler::p_min},
-      {"p.minu", &Assembler::p_minu}, {"p.max", &Assembler::p_max},
-      {"p.maxu", &Assembler::p_maxu}, {"p.ror", &Assembler::p_ror},
-      {"p.mac", &Assembler::p_mac},   {"p.msu", &Assembler::p_msu},
-  };
-  if (const auto it = kRRR.find(m); it != kRRR.end()) {
-    need(3);
-    (a.*it->second)(c.reg(ops[0]), c.reg(ops[1]), c.reg(ops[2]));
-    return;
-  }
-
-  // ---- unary pulp scalar ----
-  using RR = void (Assembler::*)(u8, u8);
-  static const std::map<std::string, RR> kRR = {
-      {"p.abs", &Assembler::p_abs},     {"p.exths", &Assembler::p_exths},
-      {"p.exthz", &Assembler::p_exthz}, {"p.extbs", &Assembler::p_extbs},
-      {"p.extbz", &Assembler::p_extbz}, {"p.cnt", &Assembler::p_cnt},
-      {"p.ff1", &Assembler::p_ff1},     {"p.fl1", &Assembler::p_fl1},
-      {"p.clb", &Assembler::p_clb},
-  };
-  if (const auto it = kRR.find(m); it != kRR.end()) {
-    need(2);
-    (a.*it->second)(c.reg(ops[0]), c.reg(ops[1]));
-    return;
-  }
-
-  // ---- immediate ALU ----
-  using RRI = void (Assembler::*)(u8, u8, i32);
-  static const std::map<std::string, RRI> kRRI = {
-      {"addi", &Assembler::addi},   {"slti", &Assembler::slti},
-      {"sltiu", &Assembler::sltiu}, {"xori", &Assembler::xori},
-      {"ori", &Assembler::ori},     {"andi", &Assembler::andi},
-  };
-  if (const auto it = kRRI.find(m); it != kRRI.end()) {
-    need(3);
-    (a.*it->second)(c.reg(ops[0]), c.reg(ops[1]), c.imm(ops[2]));
-    return;
-  }
-  if (m == "slli") { need(3); a.slli(c.reg(ops[0]), c.reg(ops[1]), static_cast<u32>(c.imm(ops[2]))); return; }
-  if (m == "srli") { need(3); a.srli(c.reg(ops[0]), c.reg(ops[1]), static_cast<u32>(c.imm(ops[2]))); return; }
-  if (m == "srai") { need(3); a.srai(c.reg(ops[0]), c.reg(ops[1]), static_cast<u32>(c.imm(ops[2]))); return; }
-  if (m == "p.clip") { need(3); a.p_clip(c.reg(ops[0]), c.reg(ops[1]), static_cast<u32>(c.imm(ops[2]))); return; }
-  if (m == "p.clipu") { need(3); a.p_clipu(c.reg(ops[0]), c.reg(ops[1]), static_cast<u32>(c.imm(ops[2]))); return; }
-  if (m == "lui") {
-    need(2);
-    a.lui(c.reg(ops[0]), static_cast<u32>(c.imm(ops[1])) << 12);
-    return;
-  }
-  if (m == "auipc") {
-    need(2);
-    a.auipc(c.reg(ops[0]), static_cast<u32>(c.imm(ops[1])) << 12);
-    return;
-  }
-  if (m == "csrrs") {
-    need(3);
-    a.csrrs(c.reg(ops[0]), static_cast<u32>(c.imm(ops[1])), c.reg(ops[2]));
-    return;
-  }
-  if (m == "csrrw") {
-    need(3);
-    a.csrrw(c.reg(ops[0]), static_cast<u32>(c.imm(ops[1])), c.reg(ops[2]));
-    return;
-  }
-  if (m == "csrrwi") {
-    need(3);
-    a.csrrwi(c.reg(ops[0]), static_cast<u32>(c.imm(ops[1])),
-             static_cast<u32>(c.imm(ops[2])));
-    return;
-  }
-
-  // ---- bit manipulation: p.extract rd, rs1, Is3, Is2 ----
-  if (m == "p.extract" || m == "p.extractu" || m == "p.insert" ||
-      m == "p.bclr" || m == "p.bset") {
-    need(4);
-    const u32 is3 = static_cast<u32>(c.imm(ops[2]));
-    const u32 is2 = static_cast<u32>(c.imm(ops[3]));
-    const u32 width = is3 + 1;
-    if (m == "p.extract") a.p_extract(c.reg(ops[0]), c.reg(ops[1]), width, is2);
-    else if (m == "p.extractu") a.p_extractu(c.reg(ops[0]), c.reg(ops[1]), width, is2);
-    else if (m == "p.insert") a.p_insert(c.reg(ops[0]), c.reg(ops[1]), width, is2);
-    else if (m == "p.bclr") a.p_bclr(c.reg(ops[0]), c.reg(ops[1]), width, is2);
-    else a.p_bset(c.reg(ops[0]), c.reg(ops[1]), width, is2);
-    return;
-  }
-
-  // ---- branches ----
-  using BR = void (Assembler::*)(u8, u8, Assembler::Label);
-  static const std::map<std::string, BR> kBranches = {
-      {"beq", &Assembler::beq},   {"bne", &Assembler::bne},
-      {"blt", &Assembler::blt},   {"bge", &Assembler::bge},
-      {"bltu", &Assembler::bltu}, {"bgeu", &Assembler::bgeu},
-  };
-  if (const auto it = kBranches.find(m); it != kBranches.end()) {
-    need(3);
-    (a.*it->second)(c.reg(ops[0]), c.reg(ops[1]), c.target(ops[2]));
-    return;
-  }
-  if (m == "p.beqimm" || m == "p.bneimm") {
-    need(3);
-    if (m == "p.beqimm") {
-      a.p_beqimm(c.reg(ops[0]), c.imm(ops[1]), c.target(ops[2]));
-    } else {
-      a.p_bneimm(c.reg(ops[0]), c.imm(ops[1]), c.target(ops[2]));
+/// One table instruction: its operands read per the entry's shape, then
+/// encoded and decoded once (a label operand as offset 0) so field errors
+/// carry the source line.
+Parsed parse_instruction(const Ctx& c,
+                         const std::vector<std::string_view>& ops) {
+  using S = EncShape;
+  const IsaTableEntry* e = find_entry(c.mnem);
+  if (e == nullptr) c.fail("unknown mnemonic '" + c.mnem + "'");
+  Parsed p;
+  Instr& in = p.in;
+  in.op = e->op;
+  in.fmt = e->fmt;
+  const bool post = isa::is_mem_post_increment(e->op);
+  switch (e->shape) {
+    case S::kU:
+      c.need(ops, 2);
+      in.rd = c.reg(ops[0]);
+      in.imm = static_cast<i32>(
+          static_cast<u32>(c.ranged(ops[1], -0x80000, 0xfffff, "upper20"))
+          << 12);
+      break;
+    case S::kJ:
+      c.need(ops, 2);
+      in.rd = c.reg(ops[0]);
+      p.target = ops[1];
+      break;
+    case S::kI:
+    case S::kShift:
+    case S::kClipImm:
+    case S::kSimdLane:
+      c.need(ops, 3);
+      in.rd = c.reg(ops[0]);
+      in.rs1 = c.reg(ops[1]);
+      in.imm = c.imm(ops[2]);
+      break;
+    case S::kIAddr:
+    case S::kS: {
+      c.need(ops, 2);
+      // Loads name their destination rd, stores their data register rs2.
+      (e->shape == S::kIAddr ? in.rd : in.rs2) = c.reg(ops[0]);
+      const auto [off, base] = c.addr(ops[1], post);
+      in.rs1 = base;
+      in.imm = off.empty() ? 0 : c.imm(off);
+      break;
     }
-    return;
-  }
-  if (m == "jal") {
-    need(2);
-    a.jal(c.reg(ops[0]), c.target(ops[1]));
-    return;
-  }
-  if (m == "jalr") {
-    need(2);
-    const auto mo = c.mem(ops[1]);
-    a.jalr(c.reg(ops[0]), mo.base, mo.offset);
-    return;
-  }
-
-  // ---- loads / stores (plain and post-increment) ----
-  static const std::map<std::string, int> kLoads = {
-      {"lb", 0}, {"lh", 1}, {"lw", 2}, {"lbu", 3}, {"lhu", 4},
-      {"p.lb!", 5}, {"p.lh!", 6}, {"p.lw!", 7}, {"p.lbu!", 8}, {"p.lhu!", 9}};
-  if (const auto it = kLoads.find(m); it != kLoads.end()) {
-    need(2);
-    const u8 rd = c.reg(ops[0]);
-    const auto mo = c.mem(ops[1]);
-    switch (it->second) {
-      case 0: a.lb(rd, mo.base, mo.offset); break;
-      case 1: a.lh(rd, mo.base, mo.offset); break;
-      case 2: a.lw(rd, mo.base, mo.offset); break;
-      case 3: a.lbu(rd, mo.base, mo.offset); break;
-      case 4: a.lhu(rd, mo.base, mo.offset); break;
-      case 5: a.p_lb_post(rd, mo.base, mo.offset); break;
-      case 6: a.p_lh_post(rd, mo.base, mo.offset); break;
-      case 7: a.p_lw_post(rd, mo.base, mo.offset); break;
-      case 8: a.p_lbu_post(rd, mo.base, mo.offset); break;
-      case 9: a.p_lhu_post(rd, mo.base, mo.offset); break;
-    }
-    return;
-  }
-  static const std::map<std::string, int> kStores = {
-      {"sb", 0}, {"sh", 1}, {"sw", 2},
-      {"p.sb!", 3}, {"p.sh!", 4}, {"p.sw!", 5}};
-  if (const auto it = kStores.find(m); it != kStores.end()) {
-    need(2);
-    const u8 data = c.reg(ops[0]);
-    const auto mo = c.mem(ops[1]);
-    switch (it->second) {
-      case 0: a.sb(data, mo.base, mo.offset); break;
-      case 1: a.sh(data, mo.base, mo.offset); break;
-      case 2: a.sw(data, mo.base, mo.offset); break;
-      case 3: a.p_sb_post(data, mo.base, mo.offset); break;
-      case 4: a.p_sh_post(data, mo.base, mo.offset); break;
-      case 5: a.p_sw_post(data, mo.base, mo.offset); break;
-    }
-    return;
-  }
-
-  // ---- hardware loops: the loop index is "x0" / "x1" or 0 / 1 ----
-  auto loop_idx = [&](std::string_view tok) -> unsigned {
-    std::string t = lower(tok);
-    if (t == "x0" || t == "0") return 0;
-    if (t == "x1" || t == "1") return 1;
-    c.fail("hardware-loop index must be 0 or 1");
-  };
-  if (m == "lp.setupi") {
-    need(3);
-    a.lp_setupi(loop_idx(ops[0]), static_cast<u32>(c.imm(ops[1])),
-                c.target(ops[2]));
-    return;
-  }
-  if (m == "lp.setup") {
-    need(3);
-    a.lp_setup(loop_idx(ops[0]), c.reg(ops[1]), c.target(ops[2]));
-    return;
-  }
-  if (m == "lp.starti") { need(2); a.lp_starti(loop_idx(ops[0]), c.target(ops[1])); return; }
-  if (m == "lp.endi") { need(2); a.lp_endi(loop_idx(ops[0]), c.target(ops[1])); return; }
-  if (m == "lp.count") { need(2); a.lp_count(loop_idx(ops[0]), c.reg(ops[1])); return; }
-  if (m == "lp.counti") {
-    need(2);
-    a.lp_counti(loop_idx(ops[0]), static_cast<u32>(c.imm(ops[1])));
-    return;
-  }
-
-  // ---- packed SIMD: pv.<op>[.sc].{b,h,n,c} ----
-  if (m.rfind("pv.qnt", 0) == 0) {
-    need(3);
-    const unsigned q = (m == "pv.qnt.n") ? 4 : (m == "pv.qnt.c") ? 2 : 0;
-    if (q == 0) c.fail("pv.qnt needs a .n or .c suffix");
-    // Third operand printed as "(reg)" by the disassembler.
-    std::string_view rs2 = trim(ops[2]);
-    if (!rs2.empty() && rs2.front() == '(' && rs2.back() == ')') {
-      rs2 = trim(rs2.substr(1, rs2.size() - 2));
-    }
-    a.pv_qnt(q, c.reg(ops[0]), c.reg(ops[1]), c.reg(rs2));
-    return;
-  }
-  // Element manipulation: "pv.extract.b rd, rs1, lane" etc.
-  if (m == "pv.extract.b" || m == "pv.extract.h" || m == "pv.extractu.b" ||
-      m == "pv.extractu.h" || m == "pv.insert.b" || m == "pv.insert.h") {
-    need(3);
-    const SimdFmt f = (m.back() == 'b') ? SimdFmt::kB : SimdFmt::kH;
-    const u32 lane = static_cast<u32>(c.imm(ops[2]));
-    if (m.rfind("pv.extractu", 0) == 0) {
-      a.pv_extractu(f, c.reg(ops[0]), c.reg(ops[1]), lane);
-    } else if (m.rfind("pv.extract", 0) == 0) {
-      a.pv_extract(f, c.reg(ops[0]), c.reg(ops[1]), lane);
-    } else {
-      a.pv_insert(f, c.reg(ops[0]), c.reg(ops[1]), lane);
-    }
-    return;
-  }
-  if (m == "pv.shuffle.b" || m == "pv.shuffle.h") {
-    need(3);
-    a.pv_shuffle(m.back() == 'b' ? SimdFmt::kB : SimdFmt::kH, c.reg(ops[0]),
-                 c.reg(ops[1]), c.reg(ops[2]));
-    return;
-  }
-  if (m == "pv.pack.h") {
-    need(3);
-    a.pv_pack_h(c.reg(ops[0]), c.reg(ops[1]), c.reg(ops[2]));
-    return;
-  }
-  // Mixed virtual dot products carry no format suffix (widths come from
-  // the mpc CSR at run time).
-  {
-    static const std::map<std::string, Mnemonic> kMixed = {
-        {"pv.mldotup", Mnemonic::kPvMldotup},
-        {"pv.mldotusp", Mnemonic::kPvMldotusp},
-        {"pv.mldotsp", Mnemonic::kPvMldotsp},
-        {"pv.mlsdotup", Mnemonic::kPvMlsdotup},
-        {"pv.mlsdotusp", Mnemonic::kPvMlsdotusp},
-        {"pv.mlsdotsp", Mnemonic::kPvMlsdotsp},
-    };
-    if (const auto it = kMixed.find(m); it != kMixed.end()) {
-      need(3);
-      a.pv_op(it->second, SimdFmt::kNone, c.reg(ops[0]), c.reg(ops[1]),
-              c.reg(ops[2]));
-      return;
-    }
-  }
-  if (m.rfind("pv.", 0) == 0) {
-    // Find the format suffix: the last 1 or 2 dot-components.
-    for (const size_t cut : {m.rfind(".sc."), m.rfind('.')}) {
-      if (cut == std::string::npos || cut < 3) continue;
-      const auto fmt = parse_fmt_suffix(std::string_view(m).substr(cut));
-      if (!fmt) continue;
-      const auto op = parse_pv_op(std::string_view(m).substr(3, cut - 3));
-      if (!op) break;
-      if (*op == Mnemonic::kPvAbs) {
-        need(2);
-        a.pv_abs(*fmt, c.reg(ops[0]), c.reg(ops[1]));
-      } else {
-        need(3);
-        a.pv_op(*op, *fmt, c.reg(ops[0]), c.reg(ops[1]), c.reg(ops[2]));
+    case S::kB:
+      c.need(ops, 3);
+      in.rs1 = c.reg(ops[0]);
+      in.rs2 = c.reg(ops[1]);
+      p.target = ops[2];
+      break;
+    case S::kBImm5:
+      c.need(ops, 3);
+      in.rs1 = c.reg(ops[0]);
+      in.imm2 = static_cast<u8>(c.ranged(ops[1], -16, 15, "imm5") & 0x1f);
+      p.target = ops[2];
+      break;
+    case S::kR:
+    case S::kSimdQnt: {
+      c.need(ops, 3);
+      in.rd = c.reg(ops[0]);
+      in.rs1 = c.reg(ops[1]);
+      std::string_view rs2 = trim(ops[2]);  // pv.qnt prints "(reg)"
+      if (e->shape == S::kSimdQnt && rs2.size() > 1 && rs2.front() == '(' &&
+          rs2.back() == ')') {
+        rs2 = rs2.substr(1, rs2.size() - 2);
       }
-      return;
+      in.rs2 = c.reg(rs2);
+      break;
     }
-    c.fail("unknown SIMD instruction '" + m + "'");
+    case S::kRUnary:
+      c.need(ops, 2);
+      in.rd = c.reg(ops[0]);
+      in.rs1 = c.reg(ops[1]);
+      break;
+    case S::kRLoad:
+    case S::kRStore: {
+      c.need(ops, 2);
+      const u8 r = c.reg(ops[0]);
+      const auto [off, base] = c.addr(ops[1], post);
+      in.rs1 = base;
+      if (e->shape == S::kRLoad) {
+        in.rd = r;
+        in.rs2 = c.reg(off);
+      } else {
+        in.rs2 = r;
+        in.rd = c.reg(off);
+      }
+      break;
+    }
+    case S::kCsr:
+    case S::kCsrImm:
+      c.need(ops, 3);
+      in.rd = c.reg(ops[0]);
+      in.imm = c.imm(ops[1]);
+      if (e->shape == S::kCsr) {
+        in.rs1 = c.reg(ops[2]);
+      } else {
+        in.imm2 = static_cast<u8>(c.ranged(ops[2], 0, 31, "uimm5"));
+      }
+      break;
+    case S::kFixedWord:
+      c.need(ops, 0);
+      break;
+    case S::kBitmanip:
+      c.need(ops, 4);
+      in.rd = c.reg(ops[0]);
+      in.rs1 = c.reg(ops[1]);
+      in.imm2 = static_cast<u8>(c.ranged(ops[2], 0, 31, "Is3"));
+      in.imm = c.imm(ops[3]);
+      break;
+    case S::kHwBound:
+      c.need(ops, 2);
+      in.imm2 = c.loop(ops[0]);
+      p.target = ops[1];
+      break;
+    case S::kHwCount:
+      c.need(ops, 2);
+      in.imm2 = c.loop(ops[0]);
+      in.rs1 = c.reg(ops[1]);
+      break;
+    case S::kHwCounti:
+      c.need(ops, 2);
+      in.imm2 = c.loop(ops[0]);
+      in.imm = c.imm(ops[1]);
+      break;
+    case S::kHwSetup:
+    case S::kHwSetupi:
+      c.need(ops, 3);
+      in.imm2 = c.loop(ops[0]);
+      in.rs1 = e->shape == S::kHwSetup
+                   ? c.reg(ops[1])
+                   : static_cast<u8>(c.ranged(ops[1], 0, 31, "loop count"));
+      p.target = ops[2];
+      break;
   }
-
-  c.fail("unknown mnemonic '" + m + "'");
+  Instr probe = in;
+  if (!p.target.empty()) probe.imm = 0;
+  try {
+    (void)isa::decode(isa::encode(probe), 0);
+  } catch (const AsmError& err) {
+    c.fail(err.what());
+  } catch (const IllegalInstruction&) {
+    c.fail("'" + c.mnem + "' operands do not form a legal encoding");
+  }
+  return p;
 }
 
 }  // namespace
@@ -497,7 +398,7 @@ Program assemble_text(std::string_view source, addr_t base) {
     line = trim(line);
     if (line.empty()) continue;
 
-    Ctx ctx{a, line_no, labels};
+    Ctx ctx{a, line_no, labels, {}};
 
     // Leading labels ("name:"), possibly followed by an instruction.
     while (true) {
@@ -529,8 +430,19 @@ Program assemble_text(std::string_view source, addr_t base) {
         sp == std::string_view::npos ? line : line.substr(0, sp);
     const std::string_view rest =
         sp == std::string_view::npos ? std::string_view{} : trim(line.substr(sp));
+    ctx.mnem = lower(mnem);
+    const std::vector<std::string_view> ops = split_operands(rest);
     try {
-      emit_instruction(ctx, mnem, split_operands(rest));
+      if (!emit_pseudo(ctx, ops)) {
+        const Parsed p = parse_instruction(ctx, ops);
+        if (p.target.empty()) {
+          a.emit(p.in);
+        } else {
+          // finish() resolves every fixup kind to the offset target - pc.
+          a.emit_fixup(p.in, ctx.target(p.target),
+                       Assembler::FixKind::kBranch);
+        }
+      }
     } catch (const TextAsmError&) {
       throw;
     } catch (const AsmError& e) {

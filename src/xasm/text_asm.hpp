@@ -1,12 +1,13 @@
 // Text-based assembler front end.
 //
 // Accepts one instruction or label per line, `#` / `//` comments, ABI or
-// xN register names, decimal/hex immediates, and named labels for
-// branch/jump/hardware-loop targets (forward references allowed). The
-// accepted operand syntax matches the disassembler's output for every
-// instruction whose operands are registers/immediates, so
-// assemble(disassemble(word)) round-trips for the non-control-flow ISA;
-// branch targets must be labels.
+// xN register names, decimal/hex immediates that fit 32 bits, and named
+// labels for branch/jump/hardware-loop targets (forward references
+// allowed). Every instruction of the ISA table is accepted by mnemonic plus
+// format suffix, with the operand syntax the disassembler prints for its
+// shape, so assemble(disassemble(word)) round-trips for every word but
+// control flow (whose targets must be labels) and fence (a nop here). The
+// pseudo-instructions are nop, halt, ret, li, mv, j and fence.
 //
 //   loop:
 //     p.lw!      t1, 4(a0!)        # post-increment load

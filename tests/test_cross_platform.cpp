@@ -101,8 +101,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---- the layer-pipeline grid ----
 
+// The name is held inline, not as a pointer: gtest prints the parameter's
+// bytes into the discovered test name, and a pointer there would make the
+// name differ on every run under address-space randomisation.
 struct Format {
-  const char* name;
+  char name[12];
   unsigned in_bits, w_bits, out_bits;
 };
 

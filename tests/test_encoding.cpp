@@ -7,6 +7,7 @@
 #include "common/rng.hpp"
 #include "isa/decoder.hpp"
 #include "isa/encoding.hpp"
+#include "isa/isa_table.hpp"
 
 namespace xpulp::isa {
 namespace {
@@ -190,6 +191,81 @@ TEST(Encoding, GoldenRv32iWords) {
   EXPECT_EQ(encode(mk(M::kEbreak, 0, 0, 0)), 0x00100073u);
   EXPECT_EQ(encode(mk(M::kMul, 5, 6, 7)), 0x027302b3u);       // mul t0,t1,t2
   EXPECT_EQ(encode(mk(M::kSrai, 1, 2, 0, 3)), 0x40315093u);   // srai ra,sp,3
+}
+
+// Golden words for one entry of every custom-space shape. The PULP layout
+// is this repository's own design (see encoding.hpp), so these literals are
+// its specification: any change to a table entry or to a shape's bit
+// packing shows up here.
+TEST(Encoding, GoldenPulpWords) {
+  // Post-increment immediate load / store.
+  EXPECT_EQ(encode(mk(M::kPLwPostImm, 10, 11, 0, 4)), 0x0045a50bu);
+  EXPECT_EQ(encode(mk(M::kPSwPostImm, 0, 12, 10, -4)), 0xfea62e2bu);
+  // Register-addressed memory: .r! and .rr, loads and stores (stores carry
+  // the increment/index register in the rd field).
+  EXPECT_EQ(encode(mk(M::kPLwPostReg, 10, 11, 12)), 0x04c5855bu);
+  EXPECT_EQ(encode(mk(M::kPLbuRegReg, 10, 11, 12)), 0x06c5955bu);
+  EXPECT_EQ(encode(mk(M::kPSwPostReg, 13, 11, 10)), 0x04a5a6dbu);
+  EXPECT_EQ(encode(mk(M::kPShRegReg, 13, 11, 10)), 0x02a5b6dbu);
+  // Scalar ALU (binary and unary), p.clip, bit manipulation.
+  EXPECT_EQ(encode(mk(M::kPMac, 5, 6, 7)), 0x207342dbu);
+  EXPECT_EQ(encode(mk(M::kPAbs, 5, 6, 0)), 0x000342dbu);
+  EXPECT_EQ(encode(mk(M::kPClip, 10, 11, 0, 8)), 0x1c85c55bu);
+  EXPECT_EQ(encode(mk(M::kPExtract, 10, 11, 0, /*Is2=*/12, /*Is3=*/7)),
+            0x0ec5e55bu);
+  EXPECT_EQ(encode(mk(M::kPBset, 10, 11, 0, 3, 4)), 0x0835f55bu);
+  // All six hardware-loop forms and an immediate-compare branch.
+  EXPECT_EQ(encode(mk(M::kLpStarti, 0, 0, 0, 64, 0)), 0x0200007bu);
+  EXPECT_EQ(encode(mk(M::kLpEndi, 0, 0, 0, 128, 1)), 0x040010fbu);
+  EXPECT_EQ(encode(mk(M::kLpCount, 0, 9, 0, 0, 0)), 0x0004a07bu);
+  EXPECT_EQ(encode(mk(M::kLpCounti, 0, 0, 0, 4095, 1)), 0xfff030fbu);
+  EXPECT_EQ(encode(mk(M::kLpSetup, 0, 9, 0, 40, 0)), 0x0144c07bu);
+  EXPECT_EQ(encode(mk(M::kLpSetupi, 0, 31, 0, 40, 1)), 0x014fd0fbu);
+  EXPECT_EQ(encode(mk(M::kPBeqimm, 0, 11, 0, 16, /*imm5=-3*/ 29)),
+            0x01d5a863u);
+  // Packed SIMD: register, unary and lane forms.
+  EXPECT_EQ(encode(mk(M::kPvSdotusp, 14, 12, 10, 0, 0, SimdFmt::kN)),
+            0x28a64757u);
+  EXPECT_EQ(encode(mk(M::kPvAdd, 5, 6, 7, 0, 0, SimdFmt::kCSc)),
+            0x007372d7u);
+  EXPECT_EQ(encode(mk(M::kPvAbs, 5, 6, 0, 0, 0, SimdFmt::kH)), 0x160322d7u);
+  EXPECT_EQ(encode(mk(M::kPvElemExtract, 10, 11, 0, 3, 0, SimdFmt::kB)),
+            0x2c358557u);
+  EXPECT_EQ(encode(mk(M::kPvElemInsert, 10, 11, 0, 1, 0, SimdFmt::kH)),
+            0x3015a557u);
+  // pv.qnt in both sub-byte formats and a mixed virtual dot product.
+  EXPECT_EQ(encode(mk(M::kPvQnt, 14, 12, 10, 0, 0, SimdFmt::kN)),
+            0x40a64757u);
+  EXPECT_EQ(encode(mk(M::kPvQnt, 14, 12, 10, 0, 0, SimdFmt::kC)),
+            0x40a66757u);
+  EXPECT_EQ(encode(mk(M::kPvMlsdotsp, 14, 12, 10)), 0x46a60757u);
+}
+
+// One digest over the whole encoding space: every table entry's
+// (op, fmt, mask, match) and the encoded words of its canonical samples.
+// A change to any entry, to sample generation, or to any shape's packing
+// moves it.
+TEST(Encoding, TableDigestIsPinned) {
+  u64 h = 0xcbf29ce484222325ull;  // FNV-1a, byte at a time
+  const auto mix = [&h](u32 v) {
+    for (int i = 0; i < 4; ++i, v >>= 8) {
+      h = (h ^ (v & 0xffu)) * 0x100000001b3ull;
+    }
+  };
+  size_t words = 0;
+  for (const IsaTableEntry& e : isa_table()) {
+    mix(static_cast<u32>(e.op));
+    mix(static_cast<u32>(e.fmt));
+    mix(e.mask);
+    mix(e.match);
+    for (const Instr& s : canonical_samples(e)) {
+      mix(encode(s));
+      ++words;
+    }
+  }
+  EXPECT_EQ(isa_table().size(), 294u);
+  EXPECT_EQ(words, 876u);
+  EXPECT_EQ(h, 0xc153c96c626383c6ull);
 }
 
 TEST(Encoding, RangeChecksThrow) {

@@ -1,8 +1,8 @@
 // Encoding-space audit as a test-suite gate: the declarative ISA table
-// must be pairwise non-overlapping and round-trip exact against the real
-// encoder/decoder/disassembler, the full 16-bit compressed space must
-// decode or reject cleanly, and every generated illegal encoding must trap
-// both in the decoder and on a live core.
+// must be pairwise non-overlapping and round-trip exact through the
+// encoder/decoder/disassembler built on it, the full 16-bit compressed
+// space must decode or reject cleanly, and every generated illegal
+// encoding must trap both in the decoder and on a live core.
 #include <gtest/gtest.h>
 
 #include "analysis/isa_audit.hpp"
@@ -87,37 +87,21 @@ TEST(IsaAudit, IllegalCompressedBankRejected) {
 }
 
 // Property over the whole table: encoder -> decoder -> disassembler ->
-// text assembler is the identity on canonical words, for every entry whose
-// textual form the front end covers (control flow and CSR forms use
-// labels/absolute addresses and are exercised by test_text_asm instead).
+// text assembler is the identity on canonical words, for every entry but
+// control flow (its text carries absolute target addresses; the source
+// form takes labels, exercised by test_text_asm) and fence (a nop in text).
 TEST(IsaAudit, TableSamplesSurviveTextAssemblerRoundTrip) {
-  using M = isa::Mnemonic;
   using S = isa::EncShape;
   int checked = 0;
   for (const isa::IsaTableEntry& e : isa::isa_table()) {
     switch (e.shape) {
       case S::kJ: case S::kB: case S::kBImm5:
-      case S::kHwBound: case S::kHwCount: case S::kHwCounti:
-      case S::kHwSetup: case S::kHwSetupi:
-      case S::kCsr: case S::kCsrImm:
-      case S::kU:
-        continue;  // label/address/CSR-name operands
-      default:
-        break;
-    }
-    switch (e.op) {
-      case M::kJalr: case M::kFence: case M::kMulhsu:
-      // Register-addressed memory forms have no textual syntax yet.
-      case M::kPLbPostReg: case M::kPLhPostReg: case M::kPLwPostReg:
-      case M::kPLbuPostReg: case M::kPLhuPostReg:
-      case M::kPLbRegReg: case M::kPLhRegReg: case M::kPLwRegReg:
-      case M::kPLbuRegReg: case M::kPLhuRegReg:
-      case M::kPSbPostReg: case M::kPShPostReg: case M::kPSwPostReg:
-      case M::kPSbRegReg: case M::kPShRegReg: case M::kPSwRegReg:
+      case S::kHwBound: case S::kHwSetup: case S::kHwSetupi:
         continue;
       default:
         break;
     }
+    if (e.op == isa::Mnemonic::kFence) continue;
     for (const isa::Instr& sample : isa::canonical_samples(e)) {
       const u32 w = isa::encode(sample);
       const isa::Instr in = isa::decode(w, 0);
@@ -130,7 +114,7 @@ TEST(IsaAudit, TableSamplesSurviveTextAssemblerRoundTrip) {
       ++checked;
     }
   }
-  EXPECT_GT(checked, 300);
+  EXPECT_GT(checked, 800);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "isa/decoder.hpp"
 #include "isa/disasm.hpp"
 #include "isa/encoding.hpp"
+#include "isa/isa_table.hpp"
 #include "mem/memory.hpp"
 #include "sim/core.hpp"
 #include "xasm/text_asm.hpp"
@@ -125,6 +126,35 @@ TEST(TextAsm, ErrorsCarryLineNumbers) {
   EXPECT_THROW(assemble_text("lw a0, a1\n"), TextAsmError);          // operand
   EXPECT_THROW(assemble_text("beq a0, a1, nowhere\n"), AsmError);    // label
   EXPECT_THROW(assemble_text("lp.setupi x2, 1, l\nl:\n"), TextAsmError);
+  // Integers that do not fit 32 bits are rejected, not wrapped.
+  for (const char* src : {"addi a0, a0, 0x100000000", "lw a0, 0x100000004(a1)",
+                          "li a0, 0x1ffffffff",
+                          "p.extract a0, a1, 7, 4294967308"}) {
+    try {
+      assemble_text(std::string("nop\n") + src + "\n");
+      ADD_FAILURE() << src << " assembled";
+    } catch (const TextAsmError& e) {
+      EXPECT_EQ(e.line(), 2u) << src;
+    }
+  }
+}
+
+TEST(TextAsm, RegisterAddressedMemory) {
+  const auto p = assemble_text(R"(
+    p.lw.r! a0, a2(a1!)
+    p.lbu.rr a0, a2(a1)
+    p.sw.r! a0, a3(a1!)
+    p.sh.rr a0, a3(a1)
+  )");
+  EXPECT_EQ(p.words()[0], 0x04c5855bu);
+  EXPECT_EQ(p.words()[1], 0x06c5955bu);
+  EXPECT_EQ(p.words()[2], 0x04a5a6dbu);
+  EXPECT_EQ(p.words()[3], 0x02a5b6dbu);
+  // The '!' on the base register is written exactly when the mnemonic
+  // post-increments.
+  EXPECT_THROW(assemble_text("p.lw.r! a0, a2(a1)\n"), TextAsmError);
+  EXPECT_THROW(assemble_text("p.lw! a0, 4(a1)\n"), TextAsmError);
+  EXPECT_THROW(assemble_text("lw a0, 4(a1!)\n"), TextAsmError);
 }
 
 TEST(TextAsm, AssembledProgramRuns) {
@@ -164,9 +194,10 @@ TEST(TextAsm, HardwareLoopProgramRuns) {
 }
 
 // Round-trip property: disassembler output reassembles to the same word for
-// the whole register/immediate instruction set (control flow excluded --
-// its textual form uses absolute addresses).
+// the whole table, except control flow (its text carries absolute target
+// addresses, the source form takes labels) and fence (a nop in text).
 TEST(TextAsm, DisassembleReassembleRoundTrip) {
+  using S = isa::EncShape;
   Rng rng(0x7e57);
   int checked = 0;
   for (int i = 0; i < 40'000; ++i) {
@@ -177,27 +208,10 @@ TEST(TextAsm, DisassembleReassembleRoundTrip) {
     } catch (const IllegalInstruction&) {
       continue;
     }
-    if (in.size != 4) continue;
-    // Skip control flow / system / loop ops whose text uses addresses, and
-    // ops the text front end intentionally does not cover.
-    using M = isa::Mnemonic;
-    switch (in.op) {
-      case M::kJal: case M::kJalr: case M::kBeq: case M::kBne:
-      case M::kPBeqimm: case M::kPBneimm:
-      case M::kBlt: case M::kBge: case M::kBltu: case M::kBgeu:
-      case M::kLpStarti: case M::kLpEndi: case M::kLpCount:
-      case M::kLpCounti: case M::kLpSetup: case M::kLpSetupi:
-      case M::kCsrrw: case M::kCsrrs: case M::kCsrrc:
-      case M::kCsrrwi: case M::kCsrrsi: case M::kCsrrci:
-      case M::kFence: case M::kAuipc: case M::kLui:
-      case M::kMulhsu:
-      // Register-addressed memory ops have no textual form yet.
-      case M::kPLbPostReg: case M::kPLhPostReg: case M::kPLwPostReg:
-      case M::kPLbuPostReg: case M::kPLhuPostReg:
-      case M::kPLbRegReg: case M::kPLhRegReg: case M::kPLwRegReg:
-      case M::kPLbuRegReg: case M::kPLhuRegReg:
-      case M::kPSbPostReg: case M::kPShPostReg: case M::kPSwPostReg:
-      case M::kPSbRegReg: case M::kPShRegReg: case M::kPSwRegReg:
+    if (in.size != 4 || in.op == isa::Mnemonic::kFence) continue;
+    switch (isa::isa_table_lookup(in.op, in.fmt)->shape) {
+      case S::kJ: case S::kB: case S::kBImm5:
+      case S::kHwBound: case S::kHwSetup: case S::kHwSetupi:
         continue;
       default:
         break;
