@@ -189,8 +189,8 @@ u32 pack(const IsaTableEntry& e, const Instr& in) {
     case S::kHwCount:
       return e.match | enc_i(0, 0, loop_index(in.imm2), in.rs1, 0);
     case S::kHwCounti:
-      // L is range-checked as the rd field it occupies.
-      return e.match | enc_i(0, 0, in.imm2, 0, as_i12(in.imm, "lp.counti"));
+      return e.match | enc_i(0, 0, loop_index(in.imm2), 0,
+                             as_i12(in.imm, "lp.counti"));
     case S::kHwSetup:
     case S::kHwSetupi:
       return e.match | enc_i(0, 0, loop_index(in.imm2), in.rs1,

@@ -84,15 +84,15 @@ void Core::reset(addr_t pc, addr_t code_end) {
   mpc_ = 0;
   icache_.clear();
   icache_valid_.clear();
+  icache_base_ = pc & ~addr_t{1};
   decode_gen_ += 1;
   sb_clear();
   sb_stats_ = SuperblockStats{};
-  if (code_end != 0) {
-    // Pre-size the decode cache to the loaded image so the run loop never
-    // pays a resize, and stores beyond the code range cost one compare.
+  if (code_end > icache_base_ && icache_base_ < mem_.size()) {
+    // Pre-size the decode cache to the program's span so the run loop
+    // never pays a resize, and stores outside it cost a compare or two.
     const u32 parcels = static_cast<u32>(
-        std::min<u64>((static_cast<u64>(code_end) + 1) >> 1,
-                      (static_cast<u64>(mem_.size()) + 1) >> 1));
+        (std::min<u64>(code_end, mem_.size()) - icache_base_ + 1) >> 1);
     icache_.resize(parcels);
     icache_valid_.assign(parcels, 0);
   }
@@ -102,7 +102,7 @@ void Core::reset(addr_t pc, addr_t code_end) {
 }
 
 const Instr& Core::fetch_decode(addr_t pc) {
-  const u32 idx = pc >> 1;
+  u32 idx = (pc - icache_base_) >> 1;
   if (idx < icache_valid_.size() && icache_valid_[idx]) return icache_[idx];
 
   // Cold path. Fetch the parcels first so a wild pc faults before the
@@ -112,12 +112,29 @@ const Instr& Core::fetch_decode(addr_t pc) {
   u32 raw = low;
   if (!isa::is_compressed(low)) raw |= static_cast<u32>(mem_.load_u16(pc + 2)) << 16;
 
+  // Both resizes grow geometrically: resizing to just cover pc would
+  // re-copy the whole cache on every miss outside it (O(n^2) in fetched
+  // code size).
+  const u32 parcels = static_cast<u32>(icache_valid_.size());
+  if (parcels == 0) {
+    // An empty cache (fresh core, restored state) starts at this fetch.
+    icache_base_ = pc & ~addr_t{1};
+  } else if (pc < icache_base_) {
+    // A fetch below the span (a callee placed under the entry) moves the
+    // base down, keeping every cached decode at its address.
+    const u32 need = (icache_base_ - (pc & ~addr_t{1})) >> 1;
+    const u32 shift =
+        std::min(std::max({need, parcels, 4096u}), icache_base_ >> 1);
+    icache_.insert(icache_.begin(), shift, isa::Instr{});
+    icache_valid_.insert(icache_valid_.begin(), shift, u8{0});
+    icache_base_ -= shift * 2;
+  }
+  idx = (pc - icache_base_) >> 1;
   if (idx >= icache_valid_.size()) {
-    // Geometric growth; the old resize-to-idx+1 policy re-copied the whole
-    // cache on every miss past the end (O(n^2) in fetched code size).
-    const u32 cap = (mem_.size() + 1) >> 1;  // every in-bounds pc fits
-    u32 new_size = std::max<u32>(4096, static_cast<u32>(icache_valid_.size()) * 2);
-    new_size = std::min(std::max(new_size, idx + 1), cap);
+    // Every in-bounds pc at or above the base fits under the cap.
+    const u32 cap = (mem_.size() - icache_base_ + 1) >> 1;
+    const u32 new_size =
+        std::min(std::max({4096u, parcels * 2, idx + 1}), cap);
     icache_.resize(new_size);
     icache_valid_.resize(new_size, 0);
   }
@@ -135,12 +152,14 @@ void Core::icache_invalidate(addr_t a, unsigned size) {
   }
   const u32 limit = static_cast<u32>(icache_valid_.size());
   if (limit == 0) return;
+  const addr_t last = a + size - 1;
+  if (last < icache_base_) return;  // wholly below the span
   // A 32-bit instruction starting one parcel below the store covers the
   // stored parcel too.
-  const u32 first = a >> 1;
+  const u32 first = a > icache_base_ ? (a - icache_base_) >> 1 : 0;
   const u32 lo = first == 0 ? 0 : first - 1;
   if (lo >= limit) return;
-  const u32 hi = std::min((a + size - 1) >> 1, limit - 1);
+  const u32 hi = std::min((last - icache_base_) >> 1, limit - 1);
   for (u32 i = lo; i <= hi; ++i) icache_valid_[i] = 0;
 }
 

@@ -213,9 +213,10 @@ class Core {
   ~Core();  // out of line: SuperblockPlan is incomplete here
 
   /// Reset architectural state and start executing at `pc`. Clears the
-  /// decode cache (call after loading a new program image). When
-  /// `code_end` (one past the last code byte) is nonzero the decode cache
-  /// is pre-sized to cover [0, code_end) so the hot loop never resizes.
+  /// decode cache (call after loading a new program image) and rebases it
+  /// at `pc`. When `code_end` (one past the last code byte) lies above
+  /// `pc` the cache is pre-sized to cover [pc, code_end) so the hot loop
+  /// never resizes; fetches outside that span rebase or grow it.
   void reset(addr_t pc, addr_t code_end = 0);
 
   u32 reg(unsigned r) const { return regs_[r & 31]; }
@@ -371,6 +372,10 @@ class Core {
   /// core has seen — diagnostic for checkpoint/fault reports.
   u64 decode_generation() const { return decode_gen_; }
 
+  /// Parcels (2-byte slots) the decode cache currently spans: the code
+  /// the core has fetched or was reset over, plus growth slack.
+  size_t decode_cache_parcels() const { return icache_valid_.size(); }
+
   /// Degrade (or re-enable) ISA tiers at run time — the fault-injection
   /// model of a failing XpulpNN/XpulpV2 functional unit, and the hook the
   /// recovery path uses to fall back to a lower-tier kernel. Takes effect
@@ -385,7 +390,8 @@ class Core {
   /// path keeps calling fetch_decode() directly, preserving the pre-PR
   /// per-step call.
   const isa::Instr& fetch_decode_fast(addr_t pc) {
-    const u32 idx = pc >> 1;
+    // Below the base the subtraction wraps past every valid index.
+    const u32 idx = (pc - icache_base_) >> 1;
     if (idx < icache_valid_.size() && icache_valid_[idx]) [[likely]] {
       return icache_[idx];
     }
@@ -552,9 +558,11 @@ class Core {
   cycles_t hook_start_ = 0;
   cycles_t hook_cycle_ = 0;
 
-  // Direct-mapped decode cache indexed by pc >> 1.
+  // Decode cache over the program's code span: slot i holds the decode
+  // at icache_base_ + 2i. The base is always even.
   std::vector<isa::Instr> icache_;
   std::vector<u8> icache_valid_;
+  addr_t icache_base_ = 0;
   u64 decode_gen_ = 0;
 
   // ---- Superblock engine state (host-side, never serialized) ----

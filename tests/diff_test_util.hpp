@@ -39,15 +39,27 @@ inline FinalState final_state_of(const sim::Core& core,
   return s;
 }
 
-inline FinalState run_mode(const xasm::Program& prog, sim::CoreConfig cfg,
-                           bool reference, u64 max_instr = 2'000'000) {
-  cfg.reference_dispatch = reference;
+/// Run `prog` from `entry` under `cfg`. `code_end` is handed to reset();
+/// 0 leaves the decode cache to its growth path. `stats`, when given,
+/// receives the superblock engine's coverage counters.
+inline FinalState run_from(const xasm::Program& prog, sim::CoreConfig cfg,
+                           addr_t entry, addr_t code_end,
+                           u64 max_instr = 2'000'000,
+                           sim::SuperblockStats* stats = nullptr) {
   mem::Memory mem;
   prog.load(mem);
   sim::Core core(mem, std::move(cfg));
-  core.reset(prog.entry(), prog.base() + prog.size_bytes());
+  core.reset(entry, code_end);
   core.run(max_instr);
+  if (stats != nullptr) *stats = core.superblock_stats();
   return final_state_of(core, mem);
+}
+
+inline FinalState run_mode(const xasm::Program& prog, sim::CoreConfig cfg,
+                           bool reference, u64 max_instr = 2'000'000) {
+  cfg.reference_dispatch = reference;
+  return run_from(prog, std::move(cfg), prog.entry(),
+                  prog.base() + prog.size_bytes(), max_instr);
 }
 
 /// Third dispatch mode: the fast path with the superblock engine forced
@@ -59,13 +71,8 @@ inline FinalState run_mode_superblock(const xasm::Program& prog,
                                       sim::SuperblockStats* stats = nullptr) {
   cfg.reference_dispatch = false;
   cfg.superblock = true;
-  mem::Memory mem;
-  prog.load(mem);
-  sim::Core core(mem, std::move(cfg));
-  core.reset(prog.entry(), prog.base() + prog.size_bytes());
-  core.run(max_instr);
-  if (stats != nullptr) *stats = core.superblock_stats();
-  return final_state_of(core, mem);
+  return run_from(prog, std::move(cfg), prog.entry(),
+                  prog.base() + prog.size_bytes(), max_instr, stats);
 }
 
 /// Every field must match: the fast path / a restored checkpoint is an
@@ -170,9 +177,10 @@ inline void random_op(xasm::Assembler& a, Rng& rng) {
 /// loops (the structures whose dispatch differs most between the modes).
 /// Short loops entered once stay interpreted under the superblock heat
 /// rule; the long and the re-entered hardware loops get hot and fuse.
-inline xasm::Program random_program(u64 seed) {
+/// `base` places the code; the data region stays at 0x8000.
+inline xasm::Program random_program(u64 seed, addr_t base = 0) {
   Rng rng(seed);
-  xasm::Assembler a(0);
+  xasm::Assembler a(base);
   a.li(xasm::reg::s0, 0x8000);  // data pointer (mapped, far from code)
   a.li(xasm::reg::s1, 3);       // small loop count
 
@@ -237,6 +245,111 @@ inline xasm::Program random_program(u64 seed) {
   }
   a.ecall();
   return a.finish();
+}
+
+/// `li` with a fixed two-instruction expansion, so a program that embeds
+/// its own addresses keeps the same layout on its second assembly pass.
+inline void li32(xasm::Assembler& a, u8 rd, u32 v) {
+  const u32 hi = (v + 0x800) & ~0xfffu;
+  a.lui(rd, hi);
+  a.addi(rd, rd, static_cast<i32>(v - hi));
+}
+
+/// A program whose entry pc sits above code it calls into, and which
+/// patches its own instructions around the span the core was reset over.
+/// Stresses the decode cache's span rules: the first call below the entry
+/// rebases the cache (`filler` spaces the second, farther callee so that
+/// its rebase needs more than the minimum step), and the patching pass
+/// stores just below the entry, straddling it, inside [entry, code_end)
+/// and past code_end, over code the core then executes again.
+struct BelowEntryProgram {
+  xasm::Program prog;
+  addr_t entry;
+  addr_t code_end;  // one past the last assembled byte
+  /// a0..a4 after a correct run.
+  static constexpr std::array<u32, 5> kExpected = {1001, 2, 101, 101, 20};
+};
+
+inline BelowEntryProgram below_entry_program(addr_t base, int filler) {
+  namespace r = xasm::reg;
+  const auto word = [](isa::Mnemonic op, u8 rd, u8 rs1, i32 imm) {
+    isa::Instr in;
+    in.op = op;
+    in.rd = rd;
+    in.rs1 = rs1;
+    in.imm = imm;
+    return isa::encode(in);
+  };
+  const u32 ret_word = word(isa::Mnemonic::kJalr, 0, r::ra, 0);
+  struct Layout {
+    addr_t below = 0, entry = 0, in_span = 0, past_end = 0;
+  };
+  const auto build = [&](const Layout& in, Layout& out) {
+    xasm::Assembler a(base);
+    // Far callee: a hot hardware loop, so fused bursts run below the
+    // entry once the cache has been rebased over it.
+    const xasm::Assembler::Label far = a.here();
+    const xasm::Assembler::Label far_end = a.new_label();
+    a.lp_setupi(0, 20, far_end);
+    a.addi(r::a4, r::a4, 1);
+    a.bind(far_end);
+    a.ret();
+    for (int i = 0; i < filler; ++i) a.nop();
+    // Near callee: its addi is patched before the first call reaches it.
+    out.below = a.current_addr();
+    const xasm::Assembler::Label near = a.here();
+    a.addi(r::a0, r::a0, 1);  // patched to +1000
+    a.ret();
+
+    out.entry = a.current_addr();
+    const xasm::Assembler::Label entry = a.here();
+    a.addi(r::a0, r::a0, 1);  // low half patched: becomes a1 = a0 + 1
+    out.in_span = a.current_addr();
+    a.addi(r::a2, r::a2, 1);  // patched to +100
+    const xasm::Assembler::Label pass2 = a.new_label();
+    a.bne(r::t2, r::zero, pass2);
+
+    a.addi(r::t2, r::zero, 1);
+    // Wholly below the entry: the cache does not cover it yet.
+    li32(a, r::t0, in.below);
+    li32(a, r::t1, word(isa::Mnemonic::kAddi, r::a0, r::a0, 1000));
+    a.sw(r::t1, r::t0, 0);
+    // Straddling the entry: keeps the high half of the near callee's ret,
+    // rewrites the low half (rd) of the executed entry instruction.
+    const u32 entry_patched = word(isa::Mnemonic::kAddi, r::a1, r::a0, 1);
+    li32(a, r::t0, in.entry - 2);
+    li32(a, r::t1, (ret_word >> 16) | (entry_patched << 16));
+    a.sw(r::t1, r::t0, 0);
+    // Inside the span, over an executed instruction.
+    li32(a, r::t0, in.in_span);
+    li32(a, r::t1, word(isa::Mnemonic::kAddi, r::a2, r::a2, 100));
+    a.sw(r::t1, r::t0, 0);
+    // Past code_end: write a two-instruction function, run it, patch it.
+    li32(a, r::t0, in.past_end);
+    li32(a, r::t1, word(isa::Mnemonic::kAddi, r::a3, r::a3, 1));
+    a.sw(r::t1, r::t0, 0);
+    li32(a, r::t1, ret_word);
+    a.sw(r::t1, r::t0, 4);
+    a.jalr(r::ra, r::t0, 0);
+    li32(a, r::t1, word(isa::Mnemonic::kAddi, r::a3, r::a3, 100));
+    a.sw(r::t1, r::t0, 0);
+    a.j(entry);
+
+    a.bind(pass2);
+    a.jal(r::ra, near);
+    a.jal(r::ra, far);
+    li32(a, r::t0, in.past_end);
+    a.jalr(r::ra, r::t0, 0);
+    a.ecall();
+    out.past_end = a.current_addr() + 16;
+    return a.finish();
+  };
+
+  Layout guess, real, check;
+  build(guess, real);
+  xasm::Program prog = build(real, check);
+  const addr_t code_end = prog.base() + prog.size_bytes();
+  return {std::move(prog), real.entry, code_end};
 }
 
 }  // namespace xpulp::test

@@ -3,6 +3,8 @@
 // machine state.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <functional>
 
 #include "mem/memory.hpp"
@@ -40,6 +42,14 @@ inline RunResult run_program(
   r.perf = core.perf();
   r.activity = core.dotp_unit().activity();
   return r;
+}
+
+/// Most decode-cache parcels a core that ran `prog` from its entry may
+/// hold: the program's span, grown at most one geometric step (the cache
+/// spans the code it runs, not every address below it).
+inline size_t decode_cache_bound(const xasm::Program& prog) {
+  const size_t span = prog.size_bytes() / 2;
+  return std::max<size_t>(2 * span, 4096);
 }
 
 }  // namespace xpulp::test

@@ -36,11 +36,12 @@ constexpr u64 kBudget = 2'000'000;
 /// binary serialize/deserialize path, restore into a brand-new core and
 /// memory, and run that machine to completion.
 FinalState run_with_restore(const xasm::Program& prog, sim::CoreConfig cfg,
-                            u64 snap_at, u64 max_instr = kBudget) {
+                            addr_t entry, addr_t code_end, u64 snap_at,
+                            u64 max_instr = kBudget) {
   mem::Memory mem;
   prog.load(mem);
   sim::Core core(mem, cfg);
-  core.reset(prog.entry(), prog.base() + prog.size_bytes());
+  core.reset(entry, code_end);
   for (u64 n = 0; n < snap_at && !core.halted(); ++n) core.step();
 
   const ckpt::Snapshot snap =
@@ -51,6 +52,13 @@ FinalState run_with_restore(const xasm::Program& prog, sim::CoreConfig cfg,
   ckpt::apply(snap, fresh, fresh_mem);
   for (u64 n = 0; n < max_instr && !fresh.halted(); ++n) fresh.step();
   return final_state_of(fresh, fresh_mem);
+}
+
+FinalState run_with_restore(const xasm::Program& prog, sim::CoreConfig cfg,
+                            u64 snap_at, u64 max_instr = kBudget) {
+  return run_with_restore(prog, std::move(cfg), prog.entry(),
+                          prog.base() + prog.size_bytes(), snap_at,
+                          max_instr);
 }
 
 TEST(CkptDiff, RandomProgramsRestoreBitIdentical) {
@@ -124,6 +132,33 @@ TEST(CkptDiff, SnapshotsAreDispatchAgnostic) {
     ckpt::apply(snap, fresh, fresh_mem);
     while (!fresh.halted()) fresh.step();
     expect_identical(base, final_state_of(fresh, fresh_mem));
+  }
+}
+
+TEST(CkptDiff, RestoreBelowEntryProgramAtHighBase) {
+  // The restored core starts with an empty decode cache at a pc in the
+  // middle of a high-placed program; it must rebuild the span around that
+  // pc, rebase below it for the callees under the entry, and still see
+  // every self-modifying store the program makes around the span.
+  const test::BelowEntryProgram p = test::below_entry_program(0x30000, 6000);
+  for (const bool reference : {false, true}) {
+    sim::CoreConfig cfg = sim::CoreConfig::extended();
+    cfg.reference_dispatch = reference;
+    const FinalState base =
+        test::run_from(p.prog, cfg, p.entry, p.code_end, kBudget);
+    ASSERT_EQ(base.reason, sim::HaltReason::kEcall);
+    for (unsigned i = 0; i < 5; ++i) {
+      ASSERT_EQ(base.regs[10 + i], test::BelowEntryProgram::kExpected[i]);
+    }
+    const u64 instr = base.perf.instructions;
+    for (const u64 snap_at : {u64{1}, instr / 4, instr / 2, instr - 2}) {
+      expect_identical(base, run_with_restore(p.prog, cfg, p.entry,
+                                              p.code_end, snap_at));
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "diverged: snap_at " << snap_at
+               << (reference ? " reference" : " fast");
+      }
+    }
   }
 }
 

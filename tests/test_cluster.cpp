@@ -9,6 +9,7 @@
 #include "cluster/parallel_conv.hpp"
 #include "common/error.hpp"
 #include "obs/profiler.hpp"
+#include "sim_test_util.hpp"
 #include "xasm/assembler.hpp"
 
 namespace xpulp::cluster {
@@ -305,6 +306,36 @@ TEST(ParallelConv, MoreCoresThanRows) {
   for (int i = 0; i < gold.elems(); ++i) {
     ASSERT_EQ(res.output.flat(i), gold.flat(i));
   }
+}
+
+TEST(ParallelConv, DecodeCacheSpansEachCoresProgram) {
+  // Core c's program sits at c x 16 kB; its decode cache covers that
+  // program, not [0, code_end) (core 7 once zero-filled 57k parcels).
+  qnn::ConvSpec spec;
+  spec.in_h = spec.in_w = 8;
+  spec.in_c = 16;
+  spec.out_c = 8;
+  spec.in_bits = spec.w_bits = spec.out_bits = 4;
+  const auto data = ConvLayerData::random(spec, 12);
+  ClusterConfig cfg;
+  cfg.num_cores = 8;
+  std::vector<size_t> parcels, bound;
+  std::vector<addr_t> bases;
+  run_parallel_conv(
+      data, ConvVariant::kXpulpNN_HwQ, cfg, {},
+      [&](Cluster& cl, const std::vector<kernels::ConvKernel>& ks) {
+        for (int c = 0; c < cl.num_cores(); ++c) {
+          parcels.push_back(cl.core(c).decode_cache_parcels());
+          bound.push_back(test::decode_cache_bound(ks[c].program));
+          bases.push_back(ks[c].program.base());
+        }
+      });
+  ASSERT_EQ(parcels.size(), 8u);
+  for (size_t c = 0; c < parcels.size(); ++c) {
+    EXPECT_GT(parcels[c], 0u) << "core " << c;
+    EXPECT_LE(parcels[c], bound[c]) << "core " << c;
+  }
+  EXPECT_LT(bound[7], bases[7] / 2);
 }
 
 TEST(ParallelConv, AfterRunFiresWhenTheClusterThrows) {

@@ -25,8 +25,25 @@ namespace {
 using test::expect_identical;
 using test::FinalState;
 using test::random_program;
+using test::run_from;
 using test::run_mode;
 using test::run_mode_superblock;
+
+/// Run `prog` from `entry` on the reference, fast (superblock engine per
+/// the XPULP_SUPERBLOCK default) and forced-superblock dispatch paths,
+/// require bit-identical final states and return the reference one.
+FinalState expect_modes_agree(const xasm::Program& prog, addr_t entry,
+                              addr_t code_end) {
+  sim::CoreConfig ref_cfg = sim::CoreConfig::extended();
+  ref_cfg.reference_dispatch = true;
+  sim::CoreConfig sb_cfg = sim::CoreConfig::extended();
+  sb_cfg.superblock = true;
+  const FinalState ref = run_from(prog, ref_cfg, entry, code_end);
+  expect_identical(
+      ref, run_from(prog, sim::CoreConfig::extended(), entry, code_end));
+  expect_identical(ref, run_from(prog, sb_cfg, entry, code_end));
+  return ref;
+}
 
 TEST(DispatchDiff, RandomProgramsBitIdentical) {
   u64 entries = 0, fused = 0;
@@ -299,6 +316,60 @@ TEST(DispatchDiff, DecodeCacheGrowthCoversWidePrograms) {
   core.reset(prog.entry());  // no code_end: exercise growth, not pre-size
   ASSERT_EQ(core.run(1000), sim::HaltReason::kEcall);
   EXPECT_EQ(core.reg(10), 42u);
+}
+
+TEST(DispatchDiff, RandomProgramsAtHighCodeBase) {
+  // The decode cache spans the program, not [0, code_end): random programs
+  // placed high in the TCDM, above their data, pre-sized and grow-only.
+  for (u64 trial = 0; trial < 6; ++trial) {
+    const addr_t base = 0x30000 + static_cast<addr_t>(trial) * 0x2a04;
+    const xasm::Program prog = random_program(0x41b5 + trial * 389, base);
+    for (const addr_t code_end : {base + prog.size_bytes(), addr_t{0}}) {
+      const FinalState ref = expect_modes_agree(prog, prog.entry(), code_end);
+      ASSERT_EQ(ref.reason, sim::HaltReason::kEcall) << "trial " << trial;
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "diverged at trial " << trial << " code_end " << code_end;
+      }
+    }
+  }
+}
+
+TEST(DispatchDiff, CodeBelowEntryAndStoresAroundTheSpan) {
+  // Entry above its callees (the call down rebases the cache), and
+  // self-modifying stores below, across, inside and past the span the core
+  // was reset over. The low base clamps the first rebase at address 0; the
+  // filler makes the far call need more than one minimum rebase step.
+  for (const auto& [base, filler] :
+       {std::pair<addr_t, int>{0x100, 0}, std::pair<addr_t, int>{0x30000, 6000}}) {
+    const test::BelowEntryProgram p = test::below_entry_program(base, filler);
+    ASSERT_GT(p.entry, p.prog.base());
+    for (const addr_t code_end : {p.code_end, addr_t{0}}) {
+      const FinalState ref = expect_modes_agree(p.prog, p.entry, code_end);
+      ASSERT_EQ(ref.reason, sim::HaltReason::kEcall);
+      for (unsigned i = 0; i < 5; ++i) {
+        EXPECT_EQ(ref.regs[10 + i], test::BelowEntryProgram::kExpected[i])
+            << "a" << i << ", base " << base << ", code_end " << code_end;
+      }
+    }
+  }
+}
+
+TEST(DispatchDiff, DecodeCacheSpansTheProgramNotItsAddress) {
+  // A short program at a high base holds a cache the size of its own code,
+  // both pre-sized and grown from an unsized reset.
+  xasm::Assembler a(0x3c000);
+  for (int i = 0; i < 100; ++i) a.addi(5, 5, 1);
+  a.ecall();
+  const xasm::Program prog = a.finish();
+  mem::Memory mem;
+  prog.load(mem);
+  sim::Core core(mem);
+  core.reset(prog.entry(), prog.base() + prog.size_bytes());
+  ASSERT_EQ(core.run(1000), sim::HaltReason::kEcall);
+  EXPECT_EQ(core.decode_cache_parcels(), prog.size_bytes() / 2);
+  core.reset(prog.entry());
+  ASSERT_EQ(core.run(1000), sim::HaltReason::kEcall);
+  EXPECT_EQ(core.decode_cache_parcels(), 4096u);
 }
 
 }  // namespace

@@ -3,11 +3,14 @@
 // output) to pin our base-ISA encoder to the official layout.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "isa/decoder.hpp"
 #include "isa/encoding.hpp"
 #include "isa/isa_table.hpp"
+#include "xasm/assembler.hpp"
 
 namespace xpulp::isa {
 namespace {
@@ -279,6 +282,40 @@ TEST(Encoding, RangeChecksThrow) {
   EXPECT_THROW(encode(mk(M::kPvQnt, 1, 2, 3, 0, 0, SimdFmt::kB)), AsmError);
   EXPECT_THROW(encode(mk(M::kPvQnt, 1, 2, 3, 0, 0, SimdFmt::kNSc)), AsmError);
   EXPECT_THROW(encode(Instr{}), AsmError);
+}
+
+TEST(Encoding, HwLoopIndexRangeCheckedForCounti) {
+  // lp.counti once packed L straight into rd: L = 2 assembled silently and
+  // decoded as L = 0, L = 3 as L = 1. Every lp.* form rejects L > 1 alike.
+  const auto error_of = [](auto emit) -> std::string {
+    xasm::Assembler a(0);
+    emit(a);
+    a.ecall();
+    try {
+      a.finish();
+    } catch (const AsmError& e) {
+      return e.what();
+    }
+    return "assembled";
+  };
+  for (const unsigned l : {2u, 3u}) {
+    const std::string setupi = error_of([l](xasm::Assembler& a) {
+      const xasm::Assembler::Label end = a.new_label();
+      a.lp_setupi(l, 4, end);
+      a.nop();
+      a.bind(end);
+    });
+    EXPECT_NE(setupi, "assembled");
+    EXPECT_EQ(error_of([l](xasm::Assembler& a) { a.lp_counti(l, 5); }),
+              setupi);
+  }
+  // L = 1 still round-trips.
+  xasm::Assembler a(0);
+  a.lp_counti(1, 5);
+  const Instr in = decode(a.finish().words().front(), 0);
+  EXPECT_EQ(in.op, M::kLpCounti);
+  EXPECT_EQ(in.imm2, 1u);
+  EXPECT_EQ(in.imm, 5);
 }
 
 TEST(Decoder, IllegalEncodingsThrow) {

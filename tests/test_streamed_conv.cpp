@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <utility>
+#include <vector>
 
+#include "sim_test_util.hpp"
 #include "soc/streamed_conv.hpp"
 
 namespace xpulp::soc {
@@ -123,6 +125,28 @@ TEST(StreamedConv, MakespanNeverBeatsComputeAlone) {
                                      sim::CoreConfig::extended(), 4);
   EXPECT_GE(res.makespan, res.compute_cycles);
   EXPECT_LE(res.makespan, res.compute_cycles + res.dma_cycles);
+}
+
+TEST(StreamedConv, DecodeCacheSpansEachTilesProgram) {
+  // Tile t's program sits at t x 24 kB; each reset sizes the decode cache
+  // to that program, not to [0, code_end) (tile 7 once zero-filled 86k
+  // parcels).
+  const auto data = ConvLayerData::random(small_spec(4), 0x5eed);
+  std::vector<size_t> parcels, bound;
+  std::vector<addr_t> bases;
+  run_conv_streamed(data, ConvVariant::kXpulpNN_HwQ,
+                    sim::CoreConfig::extended(), 2, true, 4, nullptr, {},
+                    [&](sim::Core& core, const kernels::ConvKernel& k) {
+                      parcels.push_back(core.decode_cache_parcels());
+                      bound.push_back(test::decode_cache_bound(k.program));
+                      bases.push_back(k.program.base());
+                    });
+  ASSERT_EQ(parcels.size(), 8u);
+  for (size_t t = 0; t < parcels.size(); ++t) {
+    EXPECT_GT(parcels[t], 0u) << "tile " << t;
+    EXPECT_LE(parcels[t], bound[t]) << "tile " << t;
+  }
+  EXPECT_LT(bound[7], bases[7] / 2);
 }
 
 TEST(StreamedConv, RejectsBadTiling) {
