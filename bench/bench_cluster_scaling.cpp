@@ -242,18 +242,10 @@ int main(int argc, char** argv) {
       reg.gauge(p + ".burst.host_seconds", r.burst.host_seconds);
       reg.gauge(p + ".burst.mips", r.burst.mips());
       reg.gauge(p + ".burst.speedup", speedup);
-      reg.counter(p + ".burst.epochs", r.burst_stats.epochs);
-      reg.counter(p + ".burst.bursts", r.burst_stats.bursts);
-      reg.counter(p + ".burst.burst_instructions",
-                  r.burst_stats.burst_instructions);
-      reg.counter(p + ".burst.reference_instructions",
-                  r.burst_stats.reference_instructions);
-      reg.counter(p + ".burst.replayed_accesses",
-                  r.burst_stats.replayed_accesses);
+      cluster::add_burst_stats(reg, p + ".burst", r.burst_stats);
       reg.gauge(p + ".burst.merge_seconds", r.burst.merge_seconds);
       reg.gauge(p + ".burst.merge_ns_per_access",
                 r.burst.merge_ns_per_access());
-      reg.counter(p + ".burst.fallback_runs", r.burst_stats.fallback_runs);
       reg.flag(p + ".exact", r.exact);
       reg.flag(p + ".output_ok", r.output_ok);
     }

@@ -24,6 +24,11 @@ class Writer {
   void u16v(u16 v) { put(v); }
   void u32v(u32 v) { put(v); }
   void u64v(u64 v) { put(v); }
+  /// Every slot of a counter struct, in field-list order.
+  template <CounterStruct S>
+  void counters(const S& s) {
+    for_each_counter([this](const char*, u64 v) { u64v(v); }, s);
+  }
   void bytes(std::span<const u8> b) {
     buf_.insert(buf_.end(), b.begin(), b.end());
   }
@@ -62,6 +67,10 @@ class Reader {
   u16 u16v() { return take<u16>(); }
   u32 u32v() { return take<u32>(); }
   u64 u64v() { return take<u64>(); }
+  template <CounterStruct S>
+  void counters(S& s) {
+    for_each_counter([this](const char*, u64& v) { v = u64v(); }, s);
+  }
   void bytes(std::span<u8> out) {
     need(out.size());
     std::memcpy(out.data(), buf_.data() + pos_, out.size());
@@ -106,37 +115,10 @@ void write_core(Writer& w, const sim::CoreState& s) {
   w.u32v(s.mscratch);
   w.u32v(s.mpc);
 
-  const sim::PerfCounters& p = s.perf;
-  w.u64v(p.cycles);
-  w.u64v(p.instructions);
-  w.u64v(p.taken_branches);
-  w.u64v(p.not_taken_branches);
-  w.u64v(p.jumps);
-  w.u64v(p.branch_stall_cycles);
-  w.u64v(p.load_use_stall_cycles);
-  w.u64v(p.mem_stall_cycles);
-  w.u64v(p.mul_div_stall_cycles);
-  w.u64v(p.hwloop_backedges);
-  w.u64v(p.loads);
-  w.u64v(p.stores);
-  w.u64v(p.scalar_alu_ops);
-  w.u64v(p.mul_ops);
-  w.u64v(p.div_ops);
-  w.u64v(p.simd_alu_ops);
-  w.u64v(p.qnt_ops);
-  w.u64v(p.qnt_stall_cycles);
-  w.u64v(p.csr_ops);
-  w.u64v(p.sys_ops);
-  w.u64v(p.mac_ops);
-  for (u64 v : p.dotp_ops) w.u64v(v);
-  for (u64 v : p.mixed_dotp_ops) w.u64v(v);
-  w.u64v(p.lsu_data_toggles);
-
-  const sim::DotpState& d = s.dotp;
-  for (u64 v : d.activity.operand_toggles) w.u64v(v);
-  for (u64 v : d.activity.ops) w.u64v(v);
-  for (u32 v : d.last_a) w.u32v(v);
-  for (u32 v : d.last_b) w.u32v(v);
+  w.counters(s.perf);
+  w.counters(s.dotp.activity);
+  for (u32 v : s.dotp.last_a) w.u32v(v);
+  for (u32 v : s.dotp.last_b) w.u32v(v);
 }
 
 sim::CoreState read_core(Reader& r) {
@@ -156,47 +138,15 @@ sim::CoreState read_core(Reader& r) {
   s.mscratch = r.u32v();
   s.mpc = r.u32v();
 
-  sim::PerfCounters& p = s.perf;
-  p.cycles = r.u64v();
-  p.instructions = r.u64v();
-  p.taken_branches = r.u64v();
-  p.not_taken_branches = r.u64v();
-  p.jumps = r.u64v();
-  p.branch_stall_cycles = r.u64v();
-  p.load_use_stall_cycles = r.u64v();
-  p.mem_stall_cycles = r.u64v();
-  p.mul_div_stall_cycles = r.u64v();
-  p.hwloop_backedges = r.u64v();
-  p.loads = r.u64v();
-  p.stores = r.u64v();
-  p.scalar_alu_ops = r.u64v();
-  p.mul_ops = r.u64v();
-  p.div_ops = r.u64v();
-  p.simd_alu_ops = r.u64v();
-  p.qnt_ops = r.u64v();
-  p.qnt_stall_cycles = r.u64v();
-  p.csr_ops = r.u64v();
-  p.sys_ops = r.u64v();
-  p.mac_ops = r.u64v();
-  for (u64& v : p.dotp_ops) v = r.u64v();
-  for (u64& v : p.mixed_dotp_ops) v = r.u64v();
-  p.lsu_data_toggles = r.u64v();
-
-  sim::DotpState& d = s.dotp;
-  for (u64& v : d.activity.operand_toggles) v = r.u64v();
-  for (u64& v : d.activity.ops) v = r.u64v();
-  for (u32& v : d.last_a) v = r.u32v();
-  for (u32& v : d.last_b) v = r.u32v();
+  r.counters(s.perf);
+  r.counters(s.dotp.activity);
+  for (u32& v : s.dotp.last_a) v = r.u32v();
+  for (u32& v : s.dotp.last_b) v = r.u32v();
   return s;
 }
 
 void write_mem(Writer& w, const MemSnapshot& m) {
-  w.u64v(m.stats.loads);
-  w.u64v(m.stats.stores);
-  w.u64v(m.stats.load_bytes);
-  w.u64v(m.stats.store_bytes);
-  w.u64v(m.stats.misaligned_accesses);
-  w.u64v(m.stats.contention_stalls);
+  w.counters(m.stats);
   w.u64v(m.access_counter);
   w.u32v(m.contention_period);
   w.u64v(m.bytes.size());
@@ -205,12 +155,7 @@ void write_mem(Writer& w, const MemSnapshot& m) {
 
 MemSnapshot read_mem(Reader& r) {
   MemSnapshot m;
-  m.stats.loads = r.u64v();
-  m.stats.stores = r.u64v();
-  m.stats.load_bytes = r.u64v();
-  m.stats.store_bytes = r.u64v();
-  m.stats.misaligned_accesses = r.u64v();
-  m.stats.contention_stalls = r.u64v();
+  r.counters(m.stats);
   m.access_counter = r.u64v();
   m.contention_period = r.u32v();
   const u64 n = r.u64v();

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "obs/registry.hpp"
 
 namespace xpulp::cluster {
 
@@ -648,6 +649,11 @@ ClusterStats Cluster::run(u64 max_total_instructions) {
     }
   }
   return stats_since(base_conflicts, base_accesses);
+}
+
+void add_burst_stats(obs::Registry& r, std::string_view prefix,
+                     const ClusterBurstStats& s) {
+  obs::add_counters(r, prefix, s);
 }
 
 }  // namespace xpulp::cluster

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -24,6 +25,10 @@
 #include "mem/memory.hpp"
 #include "sim/core.hpp"
 #include "xasm/program.hpp"
+
+namespace xpulp::obs {
+class Registry;
+}
 
 namespace xpulp::cluster {
 
@@ -67,6 +72,27 @@ struct ClusterBurstStats {
   double host_burst_seconds = 0;  // host time inside core bursts (phase 1)
   double host_merge_seconds = 0;  // host time replaying logs (phase 2)
 };
+
+/// The field list of ClusterBurstStats (common/counters.hpp).
+template <typename F, CounterRef<ClusterBurstStats>... S>
+constexpr void for_each_counter(F&& f, S&&... s) {
+  f("epochs", s.epochs...);
+  f("bursts", s.bursts...);
+  f("burst_instructions", s.burst_instructions...);
+  f("reference_instructions", s.reference_instructions...);
+  f("replayed_accesses", s.replayed_accesses...);
+  f("deferred_stall_cycles", s.deferred_stall_cycles...);
+  f("fallback_runs", s.fallback_runs...);
+  f("host_burst_seconds", s.host_burst_seconds...);
+  f("host_merge_seconds", s.host_merge_seconds...);
+}
+static_assert(counter_slots<ClusterBurstStats>() * 8 ==
+              sizeof(ClusterBurstStats));
+
+/// Publish every ClusterBurstStats field under `prefix` (e.g.
+/// "cluster.burst"): counts as counters, host seconds as gauges.
+void add_burst_stats(obs::Registry& r, std::string_view prefix,
+                     const ClusterBurstStats& s);
 
 struct ClusterStats {
   cycles_t makespan = 0;           // cycles until the last core halted

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/bitops.hpp"
+#include "common/counters.hpp"
 #include "common/error.hpp"
 #include "common/types.hpp"
 
@@ -31,6 +32,19 @@ struct MemStats {
   u64 misaligned_accesses = 0;
   u64 contention_stalls = 0;
 };
+
+/// The field list of MemStats (common/counters.hpp): declaration order,
+/// which is also the XCKP MEM payload order.
+template <typename F, CounterRef<MemStats>... S>
+constexpr void for_each_counter(F&& f, S&&... s) {
+  f("loads", s.loads...);
+  f("stores", s.stores...);
+  f("load_bytes", s.load_bytes...);
+  f("store_bytes", s.store_bytes...);
+  f("misaligned_accesses", s.misaligned_accesses...);
+  f("contention_stalls", s.contention_stalls...);
+}
+static_assert(counter_slots<MemStats>() * 8 == sizeof(MemStats));
 
 class Memory {
  public:

@@ -60,53 +60,18 @@ std::string Profiler::reconciliation_violation() const {
   }
 
   // Layer 1: the integer counters partition the run totals exactly.
-#define XTEL_CHK(agg, tot, f)                                   \
-  if ((agg).f != (tot).f) {                                     \
-    return std::string("region partition mismatch: ") + #tot "." #f; \
+  const auto partition = [](const char* group, const char* field) {
+    return std::string("region partition mismatch: ") + group + field;
+  };
+  if (const char* f = first_difference(psum, total.perf)) {
+    return partition("perf.", f);
   }
-  XTEL_CHK(psum, total.perf, cycles)
-  XTEL_CHK(psum, total.perf, instructions)
-  XTEL_CHK(psum, total.perf, taken_branches)
-  XTEL_CHK(psum, total.perf, not_taken_branches)
-  XTEL_CHK(psum, total.perf, jumps)
-  XTEL_CHK(psum, total.perf, branch_stall_cycles)
-  XTEL_CHK(psum, total.perf, load_use_stall_cycles)
-  XTEL_CHK(psum, total.perf, mem_stall_cycles)
-  XTEL_CHK(psum, total.perf, mul_div_stall_cycles)
-  XTEL_CHK(psum, total.perf, qnt_stall_cycles)
-  XTEL_CHK(psum, total.perf, hwloop_backedges)
-  XTEL_CHK(psum, total.perf, loads)
-  XTEL_CHK(psum, total.perf, stores)
-  XTEL_CHK(psum, total.perf, scalar_alu_ops)
-  XTEL_CHK(psum, total.perf, mul_ops)
-  XTEL_CHK(psum, total.perf, mac_ops)
-  XTEL_CHK(psum, total.perf, div_ops)
-  XTEL_CHK(psum, total.perf, simd_alu_ops)
-  XTEL_CHK(psum, total.perf, qnt_ops)
-  XTEL_CHK(psum, total.perf, csr_ops)
-  XTEL_CHK(psum, total.perf, sys_ops)
-  XTEL_CHK(psum, total.perf, lsu_data_toggles)
-  for (unsigned i = 0; i < 3; ++i) {
-    if (psum.mixed_dotp_ops[i] != total.perf.mixed_dotp_ops[i]) {
-      return "region partition mismatch: perf.mixed_dotp_ops";
-    }
+  if (const char* f = first_difference(dsum, total.dotp)) {
+    return partition("dotp.", f);
   }
-  for (unsigned i = 0; i < 4; ++i) {
-    if (psum.dotp_ops[i] != total.perf.dotp_ops[i]) {
-      return "region partition mismatch: perf.dotp_ops";
-    }
-    if (dsum.operand_toggles[i] != total.dotp.operand_toggles[i] ||
-        dsum.ops[i] != total.dotp.ops[i]) {
-      return "region partition mismatch: dotp activity";
-    }
+  if (const char* f = first_difference(msum, total.mem)) {
+    return partition("mem.", f);
   }
-  XTEL_CHK(msum, total.mem, loads)
-  XTEL_CHK(msum, total.mem, stores)
-  XTEL_CHK(msum, total.mem, load_bytes)
-  XTEL_CHK(msum, total.mem, store_bytes)
-  XTEL_CHK(msum, total.mem, misaligned_accesses)
-  XTEL_CHK(msum, total.mem, contention_stalls)
-#undef XTEL_CHK
 
   // Layer 2: energy over the summed counters is bit-identical to energy
   // over the run totals (same integers in, same doubles out).

@@ -195,70 +195,12 @@ bool Registry::save_csv(const std::string& path) const {
   return static_cast<bool>(f);
 }
 
-void add_perf_counters(Registry& r, std::string_view prefix,
-                       const sim::PerfCounters& p) {
-  const std::string pre = std::string(prefix) + ".";
-  r.counter(pre + "cycles", p.cycles);
-  r.counter(pre + "instructions", p.instructions);
-  r.counter(pre + "taken_branches", p.taken_branches);
-  r.counter(pre + "not_taken_branches", p.not_taken_branches);
-  r.counter(pre + "jumps", p.jumps);
-  r.counter(pre + "branch_stall_cycles", p.branch_stall_cycles);
-  r.counter(pre + "load_use_stall_cycles", p.load_use_stall_cycles);
-  r.counter(pre + "mem_stall_cycles", p.mem_stall_cycles);
-  r.counter(pre + "mul_div_stall_cycles", p.mul_div_stall_cycles);
-  r.counter(pre + "qnt_stall_cycles", p.qnt_stall_cycles);
-  r.counter(pre + "hwloop_backedges", p.hwloop_backedges);
-  r.counter(pre + "loads", p.loads);
-  r.counter(pre + "stores", p.stores);
-  r.counter(pre + "scalar_alu_ops", p.scalar_alu_ops);
-  r.counter(pre + "mul_ops", p.mul_ops);
-  r.counter(pre + "mac_ops", p.mac_ops);
-  r.counter(pre + "div_ops", p.div_ops);
-  r.counter(pre + "simd_alu_ops", p.simd_alu_ops);
-  r.counter(pre + "qnt_ops", p.qnt_ops);
-  r.counter(pre + "csr_ops", p.csr_ops);
-  r.counter(pre + "sys_ops", p.sys_ops);
-  static const char* kRegion[4] = {"16b", "8b", "4b", "2b"};
-  for (unsigned i = 0; i < 4; ++i) {
-    r.counter(pre + "dotp_ops." + kRegion[i], p.dotp_ops[i]);
-  }
-  static const char* kMixed[3] = {"8x4", "8x2", "4x2"};
-  for (unsigned i = 0; i < 3; ++i) {
-    r.counter(pre + "mixed_dotp_ops." + kMixed[i], p.mixed_dotp_ops[i]);
-  }
-  r.counter(pre + "lsu_data_toggles", p.lsu_data_toggles);
-}
-
-void add_mem_stats(Registry& r, std::string_view prefix,
-                   const mem::MemStats& s) {
-  const std::string pre = std::string(prefix) + ".";
-  r.counter(pre + "loads", s.loads);
-  r.counter(pre + "stores", s.stores);
-  r.counter(pre + "load_bytes", s.load_bytes);
-  r.counter(pre + "store_bytes", s.store_bytes);
-  r.counter(pre + "misaligned_accesses", s.misaligned_accesses);
-  r.counter(pre + "contention_stalls", s.contention_stalls);
-}
-
 void add_superblock_stats(Registry& r, std::string_view prefix,
                           const sim::SuperblockStats& s,
                           u64 total_instructions) {
-  const std::string pre = std::string(prefix) + ".";
-  r.counter(pre + "blocks_compiled", s.blocks_compiled);
-  r.counter(pre + "compile_rejects", s.compile_rejects);
-  r.counter(pre + "entries", s.entries);
-  r.counter(pre + "entry_rejects", s.entry_rejects);
-  r.counter(pre + "fused_iterations", s.fused_iterations);
-  r.counter(pre + "macro_iterations", s.macro_iterations);
-  r.counter(pre + "fused_instructions", s.fused_instructions);
-  r.counter(pre + "smc_bails", s.smc_bails);
-  r.counter(pre + "trap_bails", s.trap_bails);
-  r.counter(pre + "sample_flushes", s.sample_flushes);
-  r.counter(pre + "burst_flushes", s.burst_flushes);
-  r.counter(pre + "invalidations", s.invalidations);
+  add_counters(r, prefix, s);
   if (total_instructions != 0) {
-    r.gauge(pre + "fused_fraction",
+    r.gauge(std::string(prefix) + ".fused_fraction",
             static_cast<double>(s.fused_instructions) /
                 static_cast<double>(total_instructions));
   }

@@ -14,6 +14,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/types.hpp"
 #include "mem/memory.hpp"
 #include "sim/core.hpp"
@@ -73,13 +74,30 @@ class Registry {
   std::vector<Metric> metrics_;
 };
 
-/// Publish every PerfCounters field under `prefix` (e.g. "perf").
-void add_perf_counters(Registry& r, std::string_view prefix,
-                       const sim::PerfCounters& p);
+/// Publish every slot of a counter struct under `prefix`, one leaf per
+/// entry of its field list (common/counters.hpp): integer slots as
+/// counters, floating-point slots as gauges.
+template <CounterStruct S>
+void add_counters(Registry& r, std::string_view prefix, const S& s) {
+  const std::string pre = std::string(prefix) + ".";
+  for_each_counter(
+      [&](const char* name, const auto& v) {
+        r.set(pre + name, Registry::Value(v));
+      },
+      s);
+}
 
-/// Publish MemStats fields under `prefix` (e.g. "mem").
-void add_mem_stats(Registry& r, std::string_view prefix,
-                   const mem::MemStats& s);
+/// Publish every PerfCounters field under `prefix` (e.g. "perf").
+inline void add_perf_counters(Registry& r, std::string_view prefix,
+                              const sim::PerfCounters& p) {
+  add_counters(r, prefix, p);
+}
+
+/// Publish every MemStats field under `prefix` (e.g. "mem").
+inline void add_mem_stats(Registry& r, std::string_view prefix,
+                          const mem::MemStats& s) {
+  add_counters(r, prefix, s);
+}
 
 /// Publish superblock-engine coverage/fallback counters under `prefix`
 /// (e.g. "sim.superblock"), plus the derived fused-instruction fraction

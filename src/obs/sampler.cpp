@@ -158,27 +158,17 @@ void Sampler::add_to_registry(Registry& r, std::string_view prefix) const {
   r.counter(pre + "windows", recorded_);
   r.counter(pre + "dropped", dropped());
   sim::PerfCounters sum;
-  u64 fused = 0;
-  u64 flushes = 0;
-  sim::DotpActivity dsum;
+  sim::SuperblockStats sb;
   mem::MemStats msum;
   for (const Sample& s : samples()) {
-    sum.cycles += s.perf.cycles;
-    sum.instructions += s.perf.instructions;
-    fused += s.sb.fused_instructions;
-    flushes += s.sb.sample_flushes;
-    for (unsigned i = 0; i < 4; ++i) {
-      sum.dotp_ops[i] += s.perf.dotp_ops[i];
-      dsum.operand_toggles[i] += s.dotp.operand_toggles[i];
-    }
-    sum.mac_ops += s.perf.mac_ops;
-    msum.loads += s.mem.loads;
-    msum.stores += s.mem.stores;
+    accumulate(sum, s.perf);
+    accumulate(sb, s.sb);
+    accumulate(msum, s.mem);
   }
   r.counter(pre + "retained.cycles", sum.cycles);
   r.counter(pre + "retained.instructions", sum.instructions);
-  r.counter(pre + "retained.fused_instructions", fused);
-  r.counter(pre + "retained.sample_flushes", flushes);
+  r.counter(pre + "retained.fused_instructions", sb.fused_instructions);
+  r.counter(pre + "retained.sample_flushes", sb.sample_flushes);
   r.counter(pre + "retained.mem_loads", msum.loads);
   r.counter(pre + "retained.mem_stores", msum.stores);
 }

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "common/types.hpp"
 #include "isa/instruction.hpp"
 #include "mem/memory.hpp"
@@ -106,6 +107,42 @@ struct PerfCounters {
   u64 lsu_data_toggles = 0;
 };
 
+/// The field list of PerfCounters (common/counters.hpp): declaration order,
+/// which is also the XCKP CORE payload order.
+template <typename F, CounterRef<PerfCounters>... S>
+constexpr void for_each_counter(F&& f, S&&... s) {
+  f("cycles", s.cycles...);
+  f("instructions", s.instructions...);
+  f("taken_branches", s.taken_branches...);
+  f("not_taken_branches", s.not_taken_branches...);
+  f("jumps", s.jumps...);
+  f("branch_stall_cycles", s.branch_stall_cycles...);
+  f("load_use_stall_cycles", s.load_use_stall_cycles...);
+  f("mem_stall_cycles", s.mem_stall_cycles...);
+  f("mul_div_stall_cycles", s.mul_div_stall_cycles...);
+  f("hwloop_backedges", s.hwloop_backedges...);
+  f("loads", s.loads...);
+  f("stores", s.stores...);
+  f("scalar_alu_ops", s.scalar_alu_ops...);
+  f("mul_ops", s.mul_ops...);
+  f("div_ops", s.div_ops...);
+  f("simd_alu_ops", s.simd_alu_ops...);
+  f("qnt_ops", s.qnt_ops...);
+  f("qnt_stall_cycles", s.qnt_stall_cycles...);
+  f("csr_ops", s.csr_ops...);
+  f("sys_ops", s.sys_ops...);
+  f("mac_ops", s.mac_ops...);
+  f("dotp_ops.16b", s.dotp_ops[0]...);
+  f("dotp_ops.8b", s.dotp_ops[1]...);
+  f("dotp_ops.4b", s.dotp_ops[2]...);
+  f("dotp_ops.2b", s.dotp_ops[3]...);
+  f("mixed_dotp_ops.8x4", s.mixed_dotp_ops[0]...);
+  f("mixed_dotp_ops.8x2", s.mixed_dotp_ops[1]...);
+  f("mixed_dotp_ops.4x2", s.mixed_dotp_ops[2]...);
+  f("lsu_data_toggles", s.lsu_data_toggles...);
+}
+static_assert(counter_slots<PerfCounters>() * 8 == sizeof(PerfCounters));
+
 /// Sum of the per-cause stall counters.
 inline u64 perf_stall_cycles(const PerfCounters& p) {
   return p.branch_stall_cycles + p.load_use_stall_cycles +
@@ -160,6 +197,25 @@ struct SuperblockStats {
   /// stats don't pollute telemetry flush counts.
   u64 burst_flushes = 0;
 };
+
+/// The field list of SuperblockStats (common/counters.hpp).
+template <typename F, CounterRef<SuperblockStats>... S>
+constexpr void for_each_counter(F&& f, S&&... s) {
+  f("blocks_compiled", s.blocks_compiled...);
+  f("compile_rejects", s.compile_rejects...);
+  f("entries", s.entries...);
+  f("entry_rejects", s.entry_rejects...);
+  f("fused_iterations", s.fused_iterations...);
+  f("macro_iterations", s.macro_iterations...);
+  f("fused_instructions", s.fused_instructions...);
+  f("smc_bails", s.smc_bails...);
+  f("trap_bails", s.trap_bails...);
+  f("invalidations", s.invalidations...);
+  f("mpc_evictions", s.mpc_evictions...);
+  f("sample_flushes", s.sample_flushes...);
+  f("burst_flushes", s.burst_flushes...);
+}
+static_assert(counter_slots<SuperblockStats>() * 8 == sizeof(SuperblockStats));
 
 enum class HaltReason { kRunning, kEcall, kEbreak, kInstrLimit };
 

@@ -15,6 +15,7 @@
 #include <array>
 
 #include "common/bitops.hpp"
+#include "common/counters.hpp"
 #include "common/types.hpp"
 #include "isa/instruction.hpp"
 
@@ -35,6 +36,20 @@ struct DotpActivity {
   /// Dot-product operations executed per region.
   std::array<u64, 4> ops{};
 };
+
+/// The field list of DotpActivity (common/counters.hpp).
+template <typename F, CounterRef<DotpActivity>... S>
+constexpr void for_each_counter(F&& f, S&&... s) {
+  f("operand_toggles.16b", s.operand_toggles[0]...);
+  f("operand_toggles.8b", s.operand_toggles[1]...);
+  f("operand_toggles.4b", s.operand_toggles[2]...);
+  f("operand_toggles.2b", s.operand_toggles[3]...);
+  f("ops.16b", s.ops[0]...);
+  f("ops.8b", s.ops[1]...);
+  f("ops.4b", s.ops[2]...);
+  f("ops.2b", s.ops[3]...);
+}
+static_assert(counter_slots<DotpActivity>() * 8 == sizeof(DotpActivity));
 
 /// Complete serializable unit state: the activity counters plus the
 /// per-region operand registers they are diffed against. Snapshot/restore

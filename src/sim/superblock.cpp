@@ -44,38 +44,7 @@ bool reads_reg(const SbOp& o, u8 r) {
 /// iterations, so a whole burst's static accounting is one scaled add
 /// instead of one add per iteration.
 void add_scaled(PerfCounters& dst, const PerfCounters& d, u64 k) {
-  dst.cycles += d.cycles * k;
-  dst.instructions += d.instructions * k;
-  dst.taken_branches += d.taken_branches * k;
-  dst.not_taken_branches += d.not_taken_branches * k;
-  dst.jumps += d.jumps * k;
-  dst.branch_stall_cycles += d.branch_stall_cycles * k;
-  dst.load_use_stall_cycles += d.load_use_stall_cycles * k;
-  dst.mem_stall_cycles += d.mem_stall_cycles * k;
-  dst.mul_div_stall_cycles += d.mul_div_stall_cycles * k;
-  dst.hwloop_backedges += d.hwloop_backedges * k;
-  dst.loads += d.loads * k;
-  dst.stores += d.stores * k;
-  dst.scalar_alu_ops += d.scalar_alu_ops * k;
-  dst.mul_ops += d.mul_ops * k;
-  dst.div_ops += d.div_ops * k;
-  dst.simd_alu_ops += d.simd_alu_ops * k;
-  dst.qnt_ops += d.qnt_ops * k;
-  dst.qnt_stall_cycles += d.qnt_stall_cycles * k;
-  dst.csr_ops += d.csr_ops * k;
-  dst.sys_ops += d.sys_ops * k;
-  dst.mac_ops += d.mac_ops * k;
-  for (unsigned i = 0; i < d.dotp_ops.size(); ++i) {
-    dst.dotp_ops[i] += d.dotp_ops[i] * k;
-  }
-  for (unsigned i = 0; i < d.mixed_dotp_ops.size(); ++i) {
-    dst.mixed_dotp_ops[i] += d.mixed_dotp_ops[i] * k;
-  }
-  dst.lsu_data_toggles += d.lsu_data_toggles * k;
-}
-
-void add_counters(PerfCounters& dst, const PerfCounters& d) {
-  add_scaled(dst, d, 1);
+  for_each_counter([k](const char*, u64& a, u64 b) { a += b * k; }, dst, d);
 }
 
 /// Static per-op accounting, batched into the per-iteration delta (and the
@@ -1325,7 +1294,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
   // Batched static accounting of the completed iterations.
   flush();
   add_scaled(perf_, plan.iter_perf, done - (fell_through ? 1 : 0));
-  if (fell_through) add_counters(perf_, plan.exit_perf);
+  if (fell_through) add_scaled(perf_, plan.exit_perf, 1);
   mem_.add_counts(plan.iter_mem, done);
   if (plan.is_hwloop) {
     hwl_count_[l] -= static_cast<u32>(done);

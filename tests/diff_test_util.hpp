@@ -1,12 +1,13 @@
 // Shared helpers for the differential test suites (dispatch diff, snapshot
 // diff): a complete final-machine-state record, an exhaustive equality
-// check over every PerfCounters field, and the random always-terminating
-// program generator.
+// check over every slot of a counter struct, and the random
+// always-terminating program generator.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -75,6 +76,17 @@ inline FinalState run_mode_superblock(const xasm::Program& prog,
                   prog.base() + prog.size_bytes(), max_instr, stats);
 }
 
+/// Every counter slot of `a` and `b` matches (any struct with a
+/// for_each_counter field list); a mismatch names its field.
+template <CounterStruct S>
+void expect_same_counters(const S& a, const S& b, std::string_view what = {}) {
+  for_each_counter(
+      [what](const char* name, const auto& x, const auto& y) {
+        EXPECT_EQ(x, y) << what << (what.empty() ? "" : ": ") << name;
+      },
+      a, b);
+}
+
 /// Every field must match: the fast path / a restored checkpoint is an
 /// optimization of the host interpreter, never of the modelled timing.
 inline void expect_identical(const FinalState& ref, const FinalState& fast) {
@@ -84,33 +96,7 @@ inline void expect_identical(const FinalState& ref, const FinalState& fast) {
   EXPECT_EQ(ref.pc, fast.pc);
   EXPECT_EQ(ref.reason, fast.reason);
   EXPECT_EQ(ref.mem, fast.mem);
-
-  const sim::PerfCounters& a = ref.perf;
-  const sim::PerfCounters& b = fast.perf;
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.taken_branches, b.taken_branches);
-  EXPECT_EQ(a.not_taken_branches, b.not_taken_branches);
-  EXPECT_EQ(a.jumps, b.jumps);
-  EXPECT_EQ(a.branch_stall_cycles, b.branch_stall_cycles);
-  EXPECT_EQ(a.load_use_stall_cycles, b.load_use_stall_cycles);
-  EXPECT_EQ(a.mem_stall_cycles, b.mem_stall_cycles);
-  EXPECT_EQ(a.mul_div_stall_cycles, b.mul_div_stall_cycles);
-  EXPECT_EQ(a.hwloop_backedges, b.hwloop_backedges);
-  EXPECT_EQ(a.loads, b.loads);
-  EXPECT_EQ(a.stores, b.stores);
-  EXPECT_EQ(a.scalar_alu_ops, b.scalar_alu_ops);
-  EXPECT_EQ(a.mul_ops, b.mul_ops);
-  EXPECT_EQ(a.div_ops, b.div_ops);
-  EXPECT_EQ(a.simd_alu_ops, b.simd_alu_ops);
-  EXPECT_EQ(a.qnt_ops, b.qnt_ops);
-  EXPECT_EQ(a.qnt_stall_cycles, b.qnt_stall_cycles);
-  EXPECT_EQ(a.csr_ops, b.csr_ops);
-  EXPECT_EQ(a.sys_ops, b.sys_ops);
-  EXPECT_EQ(a.mac_ops, b.mac_ops);
-  EXPECT_EQ(a.dotp_ops, b.dotp_ops);
-  EXPECT_EQ(a.mixed_dotp_ops, b.mixed_dotp_ops);
-  EXPECT_EQ(a.lsu_data_toggles, b.lsu_data_toggles);
+  expect_same_counters(ref.perf, fast.perf, "perf");
 }
 
 /// One random instruction into the current basic block. Destinations avoid

@@ -4,7 +4,10 @@
 // mismatches on apply).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <span>
+#include <type_traits>
 
 #include "ckpt/snapshot.hpp"
 #include "xasm/assembler.hpp"
@@ -216,6 +219,55 @@ TEST(Ckpt, FileSaveLoadRoundtrip) {
   const Snapshot back = load_file(path);
   EXPECT_EQ(serialize(back), serialize(snap));
   EXPECT_THROW(load_file(path + ".does-not-exist"), CkptError);
+}
+
+/// Fill every 8-byte counter slot of `s` with a distinct nonzero value
+/// taken from `next`, without naming a single field: a layout pin must not
+/// share its field list with the codec it pins.
+template <typename S>
+void fill_slots(S& s, u64& next) {
+  static_assert(std::is_trivially_copyable_v<S>);
+  static_assert(sizeof(S) % sizeof(u64) == 0);
+  std::array<u64, sizeof(S) / sizeof(u64)> slots;
+  for (u64& v : slots) v = next++ * 0x0101010101010101ull;
+  std::memcpy(static_cast<void*>(&s), slots.data(), sizeof(S));
+}
+
+TEST(Ckpt, ImageLayoutIsPinned) {
+  // Every counter slot holds a distinct value, so swapping, dropping or
+  // reordering any field in the CORE/MEM payloads moves the checksum.
+  Snapshot s;
+  u64 next = 1;
+  for (int c = 0; c < 2; ++c) {
+    sim::CoreState cs;
+    for (unsigned i = 0; i < 32; ++i) cs.regs[i] = 0x1000u * c + i + 1;
+    cs.pc = 0x4000u + 4u * c;
+    cs.hwl_start = {0x100u, 0x200u};
+    cs.hwl_end = {0x140u, 0x240u};
+    cs.hwl_count = {7u, 9u};
+    cs.last_load_rd = 11;
+    cs.last_load_data = 0xdeadbeefu;
+    cs.halt = sim::HaltReason::kEcall;
+    cs.mscratch = 0x5a5a5a5au;
+    cs.mpc = 2;
+    fill_slots(cs.perf, next);
+    fill_slots(cs.dotp.activity, next);
+    cs.dotp.last_a = {1u, 2u, 3u, 4u};
+    cs.dotp.last_b = {5u, 6u, 7u, 8u};
+    s.cores.push_back(cs);
+  }
+  fill_slots(s.mem.stats, next);
+  s.mem.access_counter = 12345;
+  s.mem.contention_period = 3;
+  s.mem.bytes.resize(64);
+  for (size_t i = 0; i < s.mem.bytes.size(); ++i) {
+    s.mem.bytes[i] = static_cast<u8>(i * 7 + 1);
+  }
+  const std::vector<u8> image = serialize(s);
+  // The checksum of the body, not of the whole image: a CRC-32 over a
+  // message plus its own appended CRC is the same constant for any message.
+  EXPECT_EQ(crc32(std::span(image).first(image.size() - 4)), 0x3940e72au);
+  EXPECT_EQ(serialize(deserialize(image)), image);
 }
 
 TEST(Ckpt, EmptySnapshotRejected) {

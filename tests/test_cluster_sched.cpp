@@ -8,11 +8,12 @@
 // trap, and the automatic demotion to reference scheduling.
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <string>
 #include <vector>
 
 #include "cluster/parallel_conv.hpp"
 #include "common/rng.hpp"
+#include "diff_test_util.hpp"
 #include "obs/sampler.hpp"
 #include "xasm/assembler.hpp"
 
@@ -131,16 +132,12 @@ void expect_captures_identical(const RunCapture& ref, const RunCapture& burst,
                                const char* what) {
   ASSERT_EQ(ref.perf.size(), burst.perf.size()) << what;
   for (size_t c = 0; c < ref.perf.size(); ++c) {
-    EXPECT_EQ(std::memcmp(&ref.perf[c], &burst.perf[c],
-                          sizeof(sim::PerfCounters)),
-              0)
-        << what << ": PerfCounters of core " << c << " diverged (cycles "
-        << ref.perf[c].cycles << " vs " << burst.perf[c].cycles
-        << ", mem stalls " << ref.perf[c].mem_stall_cycles << " vs "
-        << burst.perf[c].mem_stall_cycles << ")";
+    test::expect_same_counters(
+        ref.perf[c], burst.perf[c],
+        std::string(what) + ": PerfCounters of core " + std::to_string(c));
   }
-  EXPECT_EQ(std::memcmp(&ref.mem, &burst.mem, sizeof(mem::MemStats)), 0)
-      << what << ": shared MemStats diverged";
+  test::expect_same_counters(ref.mem, burst.mem,
+                             std::string(what) + ": shared MemStats");
   EXPECT_EQ(ref.stats.makespan, burst.stats.makespan) << what;
   EXPECT_EQ(ref.stats.core_cycles, burst.stats.core_cycles) << what;
   EXPECT_EQ(ref.stats.bank_conflicts, burst.stats.bank_conflicts) << what;
@@ -466,18 +463,14 @@ TEST(BurstSchedDiff, SampledCounterTracksAreSchedulerExact) {
       for (size_t i = 0; i < ref[c].size(); ++i) {
         EXPECT_EQ(burst[c][i].ts_cycles, ref[c][i].ts_cycles)
             << "core " << c << " window " << i;
-        EXPECT_EQ(std::memcmp(&burst[c][i].perf, &ref[c][i].perf,
-                              sizeof(sim::PerfCounters)),
-                  0)
-            << "core " << c << " window " << i << " perf";
-        EXPECT_EQ(std::memcmp(&burst[c][i].mem, &ref[c][i].mem,
-                              sizeof(mem::MemStats)),
-                  0)
-            << "core " << c << " window " << i << " shared mem stats";
-        EXPECT_EQ(std::memcmp(&burst[c][i].dotp, &ref[c][i].dotp,
-                              sizeof(sim::DotpActivity)),
-                  0)
-            << "core " << c << " window " << i << " dotp activity";
+        const std::string at =
+            "core " + std::to_string(c) + " window " + std::to_string(i);
+        test::expect_same_counters(ref[c][i].perf, burst[c][i].perf,
+                                   at + " perf");
+        test::expect_same_counters(ref[c][i].mem, burst[c][i].mem,
+                                   at + " shared mem stats");
+        test::expect_same_counters(ref[c][i].dotp, burst[c][i].dotp,
+                                   at + " dotp activity");
       }
     }
     if (::testing::Test::HasFailure()) {

@@ -163,14 +163,10 @@ TEST(DispatchDiff, ConvKernelVariantsBitIdentical) {
     EXPECT_EQ(ref_quant, quant_cycles(sb_cfg)) << kernels::variant_name(v);
 
     for (const auto* r : {&fast, &sb}) {
-      EXPECT_EQ(ref.perf.cycles, r->perf.cycles) << kernels::variant_name(v);
-      EXPECT_EQ(ref.perf.instructions, r->perf.instructions);
-      EXPECT_EQ(ref.perf.hwloop_backedges, r->perf.hwloop_backedges);
-      EXPECT_EQ(ref.perf.load_use_stall_cycles,
-                r->perf.load_use_stall_cycles);
-      EXPECT_EQ(ref.perf.qnt_stall_cycles, r->perf.qnt_stall_cycles);
-      EXPECT_EQ(ref.perf.dotp_ops, r->perf.dotp_ops);
-      EXPECT_EQ(ref.perf.lsu_data_toggles, r->perf.lsu_data_toggles);
+      const std::string name = kernels::variant_name(v);
+      test::expect_same_counters(ref.perf, r->perf, name + " perf");
+      test::expect_same_counters(ref.mem_stats, r->mem_stats, name + " mem");
+      test::expect_same_counters(ref.activity, r->activity, name + " dotp");
       EXPECT_EQ(ref.output.data(), r->output.data())
           << kernels::variant_name(v);
     }

@@ -7,9 +7,13 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <string>
+#include <type_traits>
 
+#include "cluster/cluster.hpp"
 #include "common/error.hpp"
 #include "kernels/conv_layer.hpp"
+#include "obs/delta.hpp"
 #include "obs/profiler.hpp"
 #include "obs/region.hpp"
 #include "obs/registry.hpp"
@@ -173,6 +177,91 @@ TEST(Registry, NonFiniteDoublesSerializeAsQuotedStrings) {
   EXPECT_NE(csv.find("nan,NaN"), std::string::npos);
   EXPECT_NE(csv.find("pinf,Infinity"), std::string::npos);
   EXPECT_NE(csv.find("ninf,-Infinity"), std::string::npos);
+}
+
+// ----------------------------------------------------------- Counter lists
+
+/// An S whose slots hold base, base + 1, ... in field-list order.
+template <typename S>
+S distinct_counters(u64 base) {
+  S s;
+  for_each_counter(
+      [&base](const char*, auto& v) {
+        v = static_cast<std::remove_reference_t<decltype(v)>>(base++);
+      },
+      s);
+  return s;
+}
+
+template <typename S>
+void expect_diff_accumulate_roundtrip() {
+  const S a = distinct_counters<S>(1000);
+  const S b = distinct_counters<S>(1);
+  const S d = diff(a, b);
+  for_each_counter(
+      [](const char* name, const auto& v) { EXPECT_EQ(v, 999) << name; }, d);
+  S sum = b;
+  accumulate(sum, d);
+  EXPECT_EQ(first_difference(sum, a), nullptr);
+}
+
+TEST(CounterFields, DiffAndAccumulateCoverEverySlot) {
+  expect_diff_accumulate_roundtrip<sim::PerfCounters>();
+  expect_diff_accumulate_roundtrip<sim::SuperblockStats>();
+  expect_diff_accumulate_roundtrip<sim::DotpActivity>();
+  expect_diff_accumulate_roundtrip<mem::MemStats>();
+  expect_diff_accumulate_roundtrip<cluster::ClusterBurstStats>();
+}
+
+TEST(CounterFields, SuperblockDiffCarriesMpcEvictions) {
+  sim::SuperblockStats now, before;
+  now.mpc_evictions = 5;
+  before.mpc_evictions = 2;
+  EXPECT_EQ(diff(now, before).mpc_evictions, 3u);
+}
+
+TEST(CounterFields, FirstDifferenceNamesTheFirstDifferingSlot) {
+  sim::PerfCounters a, b;
+  EXPECT_EQ(first_difference(a, b), nullptr);
+  b.lsu_data_toggles = 1;
+  b.mixed_dotp_ops[1] = 1;
+  EXPECT_STREQ(first_difference(a, b), "mixed_dotp_ops.8x2");
+}
+
+/// The CSV row `key,value` is present in `reg`.
+bool has_row(const Registry& reg, const std::string& key, u64 value) {
+  return reg.csv().find("\n" + key + "," + std::to_string(value) + "\n") !=
+         std::string::npos;
+}
+
+TEST(Registry, PublishersEmitOneLeafPerSlot) {
+  const auto perf = distinct_counters<sim::PerfCounters>(1);
+  Registry p;
+  add_perf_counters(p, "perf", perf);
+  EXPECT_EQ(p.size(), 29u);
+  EXPECT_TRUE(has_row(p, "perf.sys_ops", perf.sys_ops));
+  EXPECT_TRUE(has_row(p, "perf.dotp_ops.2b", perf.dotp_ops[3]));
+  EXPECT_TRUE(has_row(p, "perf.mixed_dotp_ops.4x2", perf.mixed_dotp_ops[2]));
+
+  const auto mem = distinct_counters<mem::MemStats>(1);
+  Registry m;
+  add_mem_stats(m, "mem", mem);
+  EXPECT_EQ(m.size(), 6u);
+  EXPECT_TRUE(has_row(m, "mem.contention_stalls", mem.contention_stalls));
+
+  const auto sb = distinct_counters<sim::SuperblockStats>(1);
+  Registry s;
+  add_superblock_stats(s, "sb", sb);
+  EXPECT_EQ(s.size(), 13u);
+  EXPECT_TRUE(has_row(s, "sb.mpc_evictions", sb.mpc_evictions));
+
+  const auto burst = distinct_counters<cluster::ClusterBurstStats>(1);
+  Registry b;
+  cluster::add_burst_stats(b, "burst", burst);
+  EXPECT_EQ(b.size(), 9u);
+  EXPECT_TRUE(
+      has_row(b, "burst.deferred_stall_cycles", burst.deferred_stall_cycles));
+  EXPECT_TRUE(b.contains("burst.host_merge_seconds"));
 }
 
 // ----------------------------------------------------------------- Profiler

@@ -15,6 +15,7 @@
 #include "diff_test_util.hpp"
 #include "isa/instruction.hpp"
 #include "mem/memory.hpp"
+#include "obs/registry.hpp"
 #include "sim/core.hpp"
 #include "xasm/assembler.hpp"
 
@@ -510,6 +511,17 @@ TEST(SuperblockPlanCache, MpcEvictedPlanRecompilesOnNextHotEntry) {
   EXPECT_EQ(stats.fused_iterations, 3u * (24u - 16u));
   expect_identical(ref, fast);
   expect_identical(ref, sb);
+}
+
+TEST(SuperblockPlanCache, PublishesMpcEvictions) {
+  sim::SuperblockStats stats;
+  run_prog(mpc_flip_program(), false, true, &stats);
+  ASSERT_GT(stats.mpc_evictions, 0u);
+  obs::Registry reg;
+  obs::add_superblock_stats(reg, "sb", stats);
+  EXPECT_NE(reg.csv().find("sb.mpc_evictions," +
+                           std::to_string(stats.mpc_evictions) + "\n"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -692,18 +692,7 @@ int run_cluster(const Args& args, const kernels::ConvLayerData& data,
   reg.counter("cluster.bank_conflicts", res.stats.bank_conflicts);
   reg.counter("cluster.data_accesses", res.stats.data_accesses);
   reg.text("cluster.scheduler", args.scheduler);
-  if (burst_primary) {
-    const cluster::ClusterBurstStats& b = pass.burst;
-    using Field = std::pair<const char*, u64>;
-    for (const auto& [key, value] :
-         {Field{"epochs", b.epochs}, Field{"bursts", b.bursts},
-          Field{"burst_instructions", b.burst_instructions},
-          Field{"reference_instructions", b.reference_instructions},
-          Field{"replayed_accesses", b.replayed_accesses},
-          Field{"fallback_runs", b.fallback_runs}}) {
-      reg.counter(std::string("cluster.burst.") + key, value);
-    }
-  }
+  if (burst_primary) cluster::add_burst_stats(reg, "cluster.burst", pass.burst);
   heatmap.add_to_registry(reg, "xtel.heatmap");
   reg.flag("xtel.heatmap.reconciled",
            heatmap.total_conflicts() == res.stats.bank_conflicts);
