@@ -1,10 +1,12 @@
 // Host-throughput benchmark of the interpreter itself: simulated MIPS
 // (million instructions per host second) for the paper's convolution layer
-// (8-bit RI5CY; 4-bit, 2-bit and mixed 8x4 / 4x2 XpulpNN), comparing the
-// legacy switch-on-mnemonic reference interpreter against the predecoded
-// handler-table fast path and the superblock engine. Both modes are cycle-identical by
-// construction (see test_dispatch_diff); this bench quantifies the host
-// speed gained by moving classification work to decode time.
+// (8-bit RI5CY; 4-bit, 2-bit and mixed 8x4 / 4x2 XpulpNN) and two layers of
+// the qnnbench net-mixed stack (32x32x8->16 8x4 and 16x16x32->32 2-bit,
+// tagged net1 / net4), comparing the legacy switch-on-mnemonic reference
+// interpreter against the predecoded handler-table fast path and the
+// superblock engine. All modes are cycle-identical by construction (see
+// test_dispatch_diff); this bench quantifies the host speed gained by
+// moving classification work to decode time.
 //
 // Emits BENCH_throughput.json (obs::Registry JSON) next to the binary's
 // working directory.
@@ -47,29 +49,51 @@ struct Measurement {
   }
 };
 
-/// The paper layer with `in_bits` activations and `w_bits` weights; the
-/// mixed pairs keep 8-bit outputs (shift/clip path), as bench_mixed does.
-Workload make_workload(unsigned in_bits, unsigned w_bits, ConvVariant v,
-                       sim::CoreConfig cfg) {
-  qnn::ConvSpec spec = qnn::ConvSpec::paper_layer(in_bits);
+/// `spec` under variant `v`; `tag` names a layer other than the paper
+/// layer in the variant label.
+Workload make_workload(const qnn::ConvSpec& spec, ConvVariant v,
+                       sim::CoreConfig cfg, const std::string& tag = "") {
   std::string variant = kernels::variant_name(v);
-  if (w_bits != in_bits) {
-    spec.w_bits = w_bits;
-    spec.out_bits = 8;
-    variant += "-" + std::to_string(in_bits) + "x" + std::to_string(w_bits);
-  } else if (v == ConvVariant::kXpulpNN_HwQ && in_bits != 4) {
-    variant += "-" + std::to_string(in_bits) + "b";
+  if (spec.w_bits != spec.in_bits) {
+    variant += "-" + std::to_string(spec.in_bits) + "x" +
+               std::to_string(spec.w_bits);
+  } else if (v == ConvVariant::kXpulpNN_HwQ && spec.in_bits != 4) {
+    variant += "-" + std::to_string(spec.in_bits) + "b";
   }
+  if (!tag.empty()) variant += "-" + tag;
   const auto data = kernels::ConvLayerData::random(spec, kSeed);
   Workload w{cfg.name,
              std::move(variant),
-             in_bits,
+             spec.in_bits,
              kernels::generate_conv_kernel(data.spec, v, 0x40000),
              mem::Memory{},
              std::move(cfg)};
   w.kernel.program.load(w.pristine);
   kernels::load_conv_data(data, w.kernel.layout, w.pristine);
   return w;
+}
+
+/// The paper layer with `in_bits` activations and `w_bits` weights; the
+/// mixed pairs keep 8-bit outputs (shift/clip path), as bench_mixed does.
+qnn::ConvSpec paper_layer(unsigned in_bits, unsigned w_bits) {
+  qnn::ConvSpec spec = qnn::ConvSpec::paper_layer(in_bits);
+  if (w_bits != in_bits) {
+    spec.w_bits = w_bits;
+    spec.out_bits = 8;
+  }
+  return spec;
+}
+
+/// A 3x3 pad-1 conv layer of the qnnbench net-mixed stack.
+qnn::ConvSpec net_layer(int hw, int in_c, int out_c, unsigned in_bits,
+                        unsigned w_bits, unsigned out_bits) {
+  qnn::ConvSpec s = qnn::ConvSpec::paper_layer(in_bits);
+  s.in_h = s.in_w = hw;
+  s.in_c = in_c;
+  s.out_c = out_c;
+  s.w_bits = w_bits;
+  s.out_bits = out_bits;
+  return s;
 }
 
 /// One timed repetition: restore memory from the pristine image, reset and
@@ -181,49 +205,66 @@ GuardResult measure_sampler_guard(const Workload& w,
 int main(int argc, char** argv) {
   // --min-speedup X: exit nonzero when the superblock-over-reference
   // speedup of any workload falls below X (the CI regression gate).
+  // --min-fused F: exit nonzero when the superblock engine retires less
+  // than fraction F of any workload's instructions (deterministic, unlike
+  // the speedup).
   // --guard-sampler [R]: also measure the idle-sampler cost and exit
   // nonzero when it retains less than R of the detached throughput
   // (default 0.98) or when the simulated cycle count changes at all.
   double required_speedup = 0;
+  double required_fused = 0;
   bool guard_sampler = false;
   double guard_ratio = 0.98;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--min-speedup" && i + 1 < argc) {
       required_speedup = std::strtod(argv[++i], nullptr);
+    } else if (arg == "--min-fused" && i + 1 < argc) {
+      required_fused = std::strtod(argv[++i], nullptr);
     } else if (arg == "--guard-sampler") {
       guard_sampler = true;
       if (i + 1 < argc && argv[i + 1][0] != '-') {
         guard_ratio = std::strtod(argv[++i], nullptr);
       }
     } else {
-      std::fprintf(stderr, "usage: %s [--min-speedup X] [--guard-sampler [R]]\n",
+      std::fprintf(stderr,
+                   "usage: %s [--min-speedup X] [--min-fused F] "
+                   "[--guard-sampler [R]]\n",
                    argv[0]);
       return 2;
     }
   }
 
   std::printf("interpreter host throughput -- paper conv layer\n");
-  std::printf("%-28s %10s %10s %10s %10s %7s %7s %7s\n", "workload", "minstr",
+  std::printf("%-32s %10s %10s %10s %10s %7s %7s %7s\n", "workload", "minstr",
               "ref MIPS", "fast MIPS", "sb MIPS", "fast x", "sb x", "fused");
 
   std::vector<Workload> workloads;
-  workloads.push_back(make_workload(8, 8, ConvVariant::kXpulpV2_8b,
-                                    sim::CoreConfig::ri5cy()));
-  workloads.push_back(make_workload(4, 4, ConvVariant::kXpulpNN_HwQ,
-                                    sim::CoreConfig::extended()));
-  workloads.push_back(make_workload(2, 2, ConvVariant::kXpulpNN_HwQ,
-                                    sim::CoreConfig::extended()));
-  workloads.push_back(make_workload(8, 4, ConvVariant::kXpulpNN_Mixed,
-                                    sim::CoreConfig::extended()));
-  workloads.push_back(make_workload(4, 2, ConvVariant::kXpulpNN_Mixed,
-                                    sim::CoreConfig::extended()));
+  const sim::CoreConfig ext = sim::CoreConfig::extended();
+  workloads.push_back(make_workload(
+      paper_layer(8, 8), ConvVariant::kXpulpV2_8b, sim::CoreConfig::ri5cy()));
+  workloads.push_back(
+      make_workload(paper_layer(4, 4), ConvVariant::kXpulpNN_HwQ, ext));
+  workloads.push_back(
+      make_workload(paper_layer(2, 2), ConvVariant::kXpulpNN_HwQ, ext));
+  workloads.push_back(
+      make_workload(paper_layer(8, 4), ConvVariant::kXpulpNN_Mixed, ext));
+  workloads.push_back(
+      make_workload(paper_layer(4, 2), ConvVariant::kXpulpNN_Mixed, ext));
+  // net-mixed's short-inner-loop layers: few input channels, so the
+  // channel-pair loop around the MatMul loop carries a large share of the
+  // instructions.
+  workloads.push_back(make_workload(net_layer(32, 8, 16, 8, 4, 4),
+                                    ConvVariant::kXpulpNN_Mixed, ext, "net1"));
+  workloads.push_back(make_workload(net_layer(16, 32, 32, 2, 2, 2),
+                                    ConvVariant::kXpulpNN_HwQ, ext, "net4"));
 
   obs::Registry reg;
   reg.text("bench", "sim_throughput");
   reg.text("unit", "host MIPS");
   double min_fast_speedup = 1e30;
   double min_sb_speedup = 1e30;
+  double min_fused = 1;
 
   const auto add_measurement = [&reg](const std::string& prefix,
                                       const Measurement& m) {
@@ -243,9 +284,10 @@ int main(int argc, char** argv) {
             ? static_cast<double>(r.coverage.fused_instructions) /
                   static_cast<double>(r.coverage_instructions)
             : 0;
+    min_fused = std::min(min_fused, fused);
 
     const std::string name = w.platform + "/" + w.variant;
-    std::printf("%-28s %10.2f %10.2f %10.2f %10.2f %6.2fx %6.2fx %6.1f%%\n",
+    std::printf("%-32s %10.2f %10.2f %10.2f %10.2f %6.2fx %6.2fx %6.1f%%\n",
                 name.c_str(), static_cast<double>(r.ref.instructions) / 1e6,
                 r.ref.mips(), r.fast.mips(), r.superblock.mips(), fast_speedup,
                 sb_speedup, 100 * fused);
@@ -264,6 +306,7 @@ int main(int argc, char** argv) {
   }
   reg.gauge("min_speedup", min_fast_speedup);
   reg.gauge("min_superblock_speedup", min_sb_speedup);
+  reg.gauge("min_fused_fraction", min_fused);
 
   bool guard_ok = true;
   if (guard_sampler) {
@@ -298,6 +341,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "FAIL: superblock speedup %.2fx below required %.2fx\n",
                  min_sb_speedup, required_speedup);
+    return 1;
+  }
+  if (min_fused < required_fused) {
+    std::fprintf(stderr, "FAIL: fused fraction %.3f below required %.3f\n",
+                 min_fused, required_fused);
     return 1;
   }
   return guard_ok ? 0 : 1;

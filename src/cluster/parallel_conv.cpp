@@ -13,9 +13,9 @@ using kernels::ConvVariant;
 namespace {
 
 /// Per-core code region: kernels with runtime channel loops are a few kB
-/// per output row; 16 kB per core leaves ample margin and lets up to 16
-/// cores fit below the 256 kB data base. The generator still checks each
-/// program against the data region.
+/// per output row; 16 kB per core lets up to 16 cores fit below the 256 kB
+/// data base. Programs that outgrow it (the baseline sub-byte kernels
+/// unroll their weight unpack per pixel) are refused at load time.
 constexpr addr_t kCodeRegion = 0x4000;
 constexpr addr_t kDataBase = 0x40000;
 
@@ -61,6 +61,7 @@ ParallelConvResult run_parallel_conv(const ConvLayerData& data,
   std::vector<xasm::Program> programs;
   for (const ConvKernel& k : kernels) programs.push_back(k.program);
 
+  kernels::require_disjoint_programs(kernels, kDataBase, "core");
   kernels::load_conv_data(data, layout, cluster.memory());
   cluster.load(programs);
   if (instrument) instrument(cluster, kernels);

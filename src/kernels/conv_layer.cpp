@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "common/bitops.hpp"
 #include "common/error.hpp"
@@ -216,6 +217,37 @@ void require_variant(ConvVariant v, const sim::CoreConfig& cfg) {
   if (!variant_supported(v, cfg)) {
     throw SimError(std::string("variant ") + variant_name(v) +
                    " is not supported by core " + cfg.name);
+  }
+}
+
+void require_disjoint_programs(const std::vector<ConvKernel>& kernels,
+                               addr_t data_base, const char* unit) {
+  const auto range = [&](size_t k) {
+    const xasm::Program& p = kernels[k].program;
+    return std::pair<u64, u64>{p.base(), u64{p.base()} + p.size_bytes()};
+  };
+  const auto name = [&](size_t k) {
+    const auto [lo, hi] = range(k);
+    char buf[80];
+    std::snprintf(buf, sizeof buf, "%s %zu program [0x%llx, 0x%llx)", unit, k,
+                  static_cast<unsigned long long>(lo),
+                  static_cast<unsigned long long>(hi));
+    return std::string(buf);
+  };
+  for (size_t a = 0; a < kernels.size(); ++a) {
+    const auto [lo, hi] = range(a);
+    if (hi > data_base) {
+      char at[32];
+      std::snprintf(at, sizeof at, "0x%x", data_base);
+      throw SimError(name(a) + " overlaps the data region at " + at);
+    }
+    for (size_t b = 0; b < a; ++b) {
+      const auto [blo, bhi] = range(b);
+      if (lo < bhi && blo < hi) {
+        throw SimError("program images overlap: " + name(b) + " and " +
+                       name(a));
+      }
+    }
   }
 }
 

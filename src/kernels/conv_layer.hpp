@@ -215,6 +215,13 @@ void require_variant(ConvVariant v, const sim::CoreConfig& cfg);
 /// Throws SimError unless `core` halted on its ecall.
 void require_ecall(const sim::Core& core);
 
+/// Throws SimError, naming both programs and their address ranges, unless
+/// the program images of `kernels` are pairwise disjoint and all end at or
+/// below `data_base`; `unit` names one program ("core", "tile"). Runners
+/// that place one program per core or tile call it before loading any.
+void require_disjoint_programs(const std::vector<ConvKernel>& kernels,
+                               addr_t data_base, const char* unit);
+
 /// Where a guest run faulted: the target ("core", "cluster core <i>",
 /// "streamed tile <t>"), its core and its kernel (null: no single core).
 struct GuestSite {

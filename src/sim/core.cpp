@@ -66,6 +66,7 @@ void Core::set_superblock(bool on) {
   if (!on) {
     sb_candidate_ = kNoSbCandidate;
     sb_candidate_branch_ = 0;
+    sb_fallin_ = kNoSbCandidate;
   }
 }
 
@@ -319,6 +320,12 @@ bool Core::step_fast() {
     // skip the out-of-line backedge handler on the common path.
     const addr_t after = pc_ + in.size;
     if (after == hwl_end_[0] || after == hwl_end_[1]) hwloop_backedge(after);
+  }
+  // A do-while loop's first iteration arrives by falling into its start,
+  // not by a backedge: enter the latest branch plan that way too.
+  if (next_pc_ == sb_fallin_) [[unlikely]] {
+    sb_candidate_ = sb_fallin_;
+    sb_candidate_branch_ = sb_fallin_branch_;
   }
 
   pc_ = next_pc_;

@@ -173,6 +173,8 @@ struct SuperblockStats {
   u64 blocks_compiled = 0;
   u64 compile_rejects = 0;   // regions that failed static eligibility
   u64 entries = 0;           // fused bursts entered
+  /// Of entries, inner hardware loops run from inside a branch plan.
+  u64 nested_entries = 0;
   u64 entry_rejects = 0;     // guard failures at entry (interpreter ran)
   u64 fused_iterations = 0;  // whole loop iterations retired fused
   /// Of fused_iterations, those retired by a whole-iteration macro-op
@@ -204,6 +206,7 @@ constexpr void for_each_counter(F&& f, S&&... s) {
   f("blocks_compiled", s.blocks_compiled...);
   f("compile_rejects", s.compile_rejects...);
   f("entries", s.entries...);
+  f("nested_entries", s.nested_entries...);
   f("entry_rejects", s.entry_rejects...);
   f("fused_iterations", s.fused_iterations...);
   f("macro_iterations", s.macro_iterations...);
@@ -530,15 +533,23 @@ class Core {
   u64 superblock_enter(addr_t start, addr_t branch_pc, u64 budget);
   SuperblockPlan* sb_find(addr_t start);
   SuperblockPlan* sb_compile(addr_t start, addr_t branch_pc);
+  /// Compile the region [start, end) into `plan`: a hardware-loop body
+  /// (`branch_pc` == 0) or the body of the backward branch at `branch_pc`
+  /// (== end), which may contain hardware loops one level deep. False
+  /// when the region is not eligible.
+  bool sb_build(SuperblockPlan& plan, addr_t start, addr_t end,
+                addr_t branch_pc);
   u64 sb_execute(SuperblockPlan& plan, u64 budget);
   /// `Sampled` arms per-iteration/per-op sampling-deadline checks that
   /// repair the burst to an exact boundary via the plan's op prefixes.
+  /// `nested` runs an inner loop of the active branch plan.
   template <bool Sampled>
-  u64 sb_execute_impl(SuperblockPlan& plan, u64 budget);
+  u64 sb_execute_impl(SuperblockPlan& plan, u64 budget, bool nested = false);
   void sb_exit(SuperblockPlan& plan);
   /// Heat counter for loop backedges: taken backward conditional branches
   /// (`branch_pc` != 0) and hardware-loop backedges (`branch_pc` == 0).
-  /// Promotes the target to a superblock candidate past the threshold.
+  /// Promotes the target to a superblock candidate past the threshold, or
+  /// at once when it already has a plan.
   void sb_note_backedge(addr_t branch_pc, addr_t target);
   void sb_invalidate_range(addr_t a, unsigned size);
   void sb_recompute_extent();
@@ -637,6 +648,10 @@ class Core {
   /// loop already has a plan).
   addr_t sb_candidate_ = kNoSbCandidate;
   addr_t sb_candidate_branch_ = 0;  // backedge pc for branch candidates
+  /// Start and backedge of the latest compiled branch plan: the fast step
+  /// makes it the candidate whenever execution reaches its start.
+  addr_t sb_fallin_ = kNoSbCandidate;
+  addr_t sb_fallin_branch_ = 0;
   /// Compiled plans indexed by start pc (at most one plan per start).
   std::unordered_map<addr_t, std::unique_ptr<SuperblockPlan>> sb_plans_;
   /// Regions that failed static eligibility, so hot-but-uncompilable

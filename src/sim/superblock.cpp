@@ -5,9 +5,10 @@
 //
 // Bit-exactness contract (enforced by the three-way differential tests):
 // every exit from a fused burst — normal completion, budget exhaustion,
-// self-modifying-store bail, memory fault — leaves registers, pc,
-// hardware-loop state, last-load tracking, PerfCounters and MemStats
-// exactly as if the interpreter had stepped each instruction.
+// self-modifying-store bail, memory fault, also from inside an inner loop
+// of a loop nest — leaves registers, pc, hardware-loop state, last-load
+// tracking, PerfCounters and MemStats exactly as if the interpreter had
+// stepped each instruction.
 #include "sim/superblock.hpp"
 
 #include <algorithm>
@@ -30,7 +31,10 @@ namespace iflag = isa::iflag;
 
 namespace {
 
+/// The last-load register the op leaves for the next one's hazard check;
+/// for an inner loop, its body's last op's.
 u8 load_dest(const SbOp& o) {
+  if (o.kind == SbKind::kInnerLoop) return o.rd;
   return (o.flags & iflag::kIsLoad) ? o.rd : u8{0};
 }
 
@@ -61,6 +65,7 @@ void op_static_delta(const SbOp& o, PerfCounters& d, mem::MemStats& m) {
   switch (o.kind) {
     case SbKind::kConst:
     case SbKind::kAddImm:
+    case SbKind::kInnerLoop:  // the lp.setup; its body accounts eagerly
       d.scalar_alu_ops += 1;
       break;
     case SbKind::kMac:
@@ -380,10 +385,10 @@ void Core::sb_note_backedge(addr_t branch_pc, addr_t target) {
   // counted across entries of the loop. Branch loops are keyed by the
   // branch pc, hardware loops (branch_pc == 0) by their start pc with the
   // low bit set (pcs are even), so the two kinds never share a counter.
-  // A hardware loop that already has a plan re-enters it directly.
-  if (branch_pc == 0 && sb_find(target) != nullptr) {
+  // A loop that already has a plan re-enters it directly.
+  if (sb_find(target) != nullptr) {
     sb_candidate_ = target;
-    sb_candidate_branch_ = 0;
+    sb_candidate_branch_ = branch_pc;
     return;
   }
   const addr_t key = branch_pc != 0 ? branch_pc : target | 1u;
@@ -413,6 +418,10 @@ void Core::sb_recompute_extent() {
     sb_hi_ = std::max(sb_hi_, p->end);
   }
   if (sb_plans_.empty()) sb_lo_ = sb_hi_ = 0;
+  // An evicted plan recompiles on heat again, not on the next fall-in.
+  if (sb_fallin_ != kNoSbCandidate && sb_find(sb_fallin_) == nullptr) {
+    sb_fallin_ = kNoSbCandidate;
+  }
 }
 
 void Core::sb_invalidate_range(addr_t a, unsigned size) {
@@ -483,6 +492,7 @@ void Core::sb_clear() {
   sb_heat_.fill({});
   sb_candidate_ = kNoSbCandidate;
   sb_candidate_branch_ = 0;
+  sb_fallin_ = kNoSbCandidate;
   sb_active_ = nullptr;
   sb_active_dirty_ = false;
   sb_lo_ = sb_hi_ = 0;
@@ -492,31 +502,39 @@ SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
   // Block bounds from the trigger: a hardware loop whose start register
   // equals `start` gives exact bounds; otherwise the heat counter recorded
   // the backward branch that targets `start`.
-  const bool is_hwloop = branch_pc == 0;
-  addr_t end = 0;  // one past the last *body* byte
-  if (is_hwloop) {
+  addr_t end = branch_pc;  // one past the last *body* byte
+  if (branch_pc == 0) {
     for (unsigned l = 0; l < 2; ++l) {
       if (hwl_count_[l] > 0 && hwl_start_[l] == start) {
         end = hwl_end_[l];
         break;
       }
     }
-  } else {
-    end = branch_pc;
   }
-
-  const auto reject = [&]() -> SuperblockPlan* {
+  auto plan = std::make_unique<SuperblockPlan>();
+  if (!sb_build(*plan, start, end, branch_pc)) {
     sb_stats_.compile_rejects += 1;
     if (sb_rejects_.size() >= 64) sb_rejects_.clear();  // bounded memory
     sb_rejects_.emplace_back(start, std::max(end, start) + 4);
     return nullptr;
-  };
+  }
+  sb_stats_.blocks_compiled += 1;
+  SuperblockPlan* out = plan.get();
+  sb_plans_.emplace(start, std::move(plan));
+  if (branch_pc != 0) {
+    sb_fallin_ = start;
+    sb_fallin_branch_ = branch_pc;
+  }
+  sb_recompute_extent();
+  return out;
+}
 
-  if (end < start || end - start > 4 * kSbMaxOps) return reject();
-
-  auto plan = std::make_unique<SuperblockPlan>();
-  plan->start = start;
-  plan->is_hwloop = is_hwloop;
+bool Core::sb_build(SuperblockPlan& plan, addr_t start, addr_t end,
+                    addr_t branch_pc) {
+  const bool is_hwloop = branch_pc == 0;
+  if (end < start || end - start > 4 * kSbMaxOps) return false;
+  plan.start = start;
+  plan.is_hwloop = is_hwloop;
 
   u8 prev_load_rd = 0;  // op[0]'s entry hazard is dynamic, not static
   try {
@@ -524,9 +542,9 @@ SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
       // Copy: fetch_decode returns a reference into the decode cache,
       // which later fetches may reallocate.
       const Instr in = fetch_decode(pc);
-      if (pc + in.size > end) return reject();  // straddles the boundary
-      if (in.flags & feature_guard_) return reject();  // would trap
-      if (plan->ops.size() >= kSbMaxOps) return reject();
+      if (pc + in.size > end) return false;  // straddles the boundary
+      if (in.flags & feature_guard_) return false;  // would trap
+      if (plan.ops.size() >= kSbMaxOps) return false;
 
       SbOp o{};
       o.rd = in.rd;
@@ -537,6 +555,7 @@ SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
       o.cls = in.cls;
       o.op = in.op;
       o.imm = in.imm;
+      addr_t next = pc + in.size;
       using C = isa::ExecClass;
       switch (in.cls) {
         case C::kLui:
@@ -563,11 +582,11 @@ SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
             // status CSR. Bake the current selector into the plan (imm is
             // unused by dot ops); any later mpc write evicts the plan. The
             // reserved selector would trap, so it never compiles.
-            if (mpc_ >= isa::kMpcSelCount) return reject();
+            if (mpc_ >= isa::kMpcSelCount) return false;
             o.aux = static_cast<u8>(mixed_region(mpc_));
             o.imm = static_cast<i32>(mpc_);
-            plan->uses_mixed = true;
-            plan->baked_mpc = static_cast<u8>(mpc_);
+            plan.uses_mixed = true;
+            plan.baked_mpc = static_cast<u8>(mpc_);
           } else {
             o.aux = static_cast<u8>(region_for(in.fmt));
           }
@@ -584,7 +603,7 @@ SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
             // instead of repairing a stale pc at run time.
             const unsigned width = static_cast<unsigned>(in.imm2) + 1;
             const unsigned pos = static_cast<unsigned>(in.imm);
-            if (pos + width > 32) return reject();
+            if (pos + width > 32) return false;
             o.kind = SbKind::kHandler;
           } else {
             o.kind = SbKind::kHandler;
@@ -596,10 +615,33 @@ SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
         case C::kSimdQnt:
           o.kind = SbKind::kHandler;
           break;
+        case C::kHwloop: {
+          // A counted loop inside a backward-branch region, one level
+          // deep: its body compiles as an ordinary hardware-loop plan
+          // owned by this one, and the walk resumes at the loop end.
+          if (is_hwloop ||
+              (in.op != Mnemonic::kLpSetup && in.op != Mnemonic::kLpSetupi)) {
+            return false;
+          }
+          next = pc + static_cast<u32>(in.imm);
+          if (next <= pc + in.size || next > end) return false;
+          SuperblockPlan body;
+          if (!sb_build(body, pc + in.size, next, 0)) return false;
+          if (body.uses_mixed) {
+            plan.uses_mixed = true;
+            plan.baked_mpc = body.baked_mpc;
+          }
+          o.kind = SbKind::kInnerLoop;
+          o.aux = in.imm2 & 1u;
+          o.imm = static_cast<i32>(plan.inner.size());
+          o.rd = body.exit_last_load_rd;
+          plan.inner.push_back(std::move(body));
+          break;
+        }
         default:
-          // Control flow, hwloop setup, CSR (reads live cycle counters),
-          // fence/ecall/ebreak, illegal: never fused.
-          return reject();
+          // Control flow, CSR (reads live cycle counters), fence/ecall/
+          // ebreak, illegal: never fused.
+          return false;
       }
 
       if (prev_load_rd != 0 && reads_reg(o, prev_load_rd)) {
@@ -607,17 +649,17 @@ SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
       }
       prev_load_rd = load_dest(o);
 
-      plan->op_pc.push_back(pc);
-      plan->ops.push_back(o);
-      plan->instrs.push_back(in);
-      pc += in.size;
+      plan.op_pc.push_back(pc);
+      plan.ops.push_back(o);
+      plan.instrs.push_back(in);
+      pc = next;
     }
 
     if (!is_hwloop) {
       const Instr in = fetch_decode(branch_pc);
-      if (!is_conditional_branch(in.op)) return reject();
-      if (in.flags & feature_guard_) return reject();
-      if (branch_pc + static_cast<u32>(in.imm) != start) return reject();
+      if (!is_conditional_branch(in.op)) return false;
+      if (in.flags & feature_guard_) return false;
+      if (branch_pc + static_cast<u32>(in.imm) != start) return false;
       SbOp b{};
       b.kind = SbKind::kBranch;
       b.op = in.op;
@@ -630,18 +672,18 @@ SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
       if (prev_load_rd != 0 && reads_reg(b, prev_load_rd)) {
         b.hazard = static_cast<u8>(timing_.load_use_penalty);
       }
-      plan->branch = b;
-      plan->end = branch_pc + in.size;
-      plan->op_pc.push_back(branch_pc);
+      plan.branch = b;
+      plan.end = branch_pc + in.size;
+      plan.op_pc.push_back(branch_pc);
     } else {
-      if (plan->ops.empty()) return reject();
-      plan->end = end;
-      plan->op_pc.push_back(end);
+      if (plan.ops.empty()) return false;
+      plan.end = end;
+      plan.op_pc.push_back(end);
     }
   } catch (...) {
     // Decode walked off mapped memory; the interpreter will fault at the
     // precise instruction if execution ever reaches it.
-    return reject();
+    return false;
   }
 
   // Single-region dot-product blocks let the fused loop keep that region's
@@ -650,7 +692,7 @@ SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
   {
     u8 dr = 0xff;
     bool mixed = false;
-    for (const SbOp& o : plan->ops) {
+    for (const SbOp& o : plan.ops) {
       if (o.kind != SbKind::kDotp) continue;
       if (dr == 0xff) {
         dr = o.aux;
@@ -658,9 +700,9 @@ SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
         mixed = true;
       }
     }
-    plan->dotp_region = mixed ? u8{0xff} : dr;
+    plan.dotp_region = mixed ? u8{0xff} : dr;
   }
-  if (matches_conv_inner(*plan)) plan->shape = SbShape::kConvInner;
+  if (matches_conv_inner(plan)) plan.shape = SbShape::kConvInner;
 
   // Worst-case dynamic cycles per iteration in slim memory mode, for the
   // sampled-burst arming check. Conservative per class: a memory op can
@@ -668,7 +710,7 @@ SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
   // latency, a quantization op its threshold walk plus fetch stalls.
   {
     u64 dyn = 0;
-    for (const SbOp& o : plan->ops) {
+    for (const SbOp& o : plan.ops) {
       switch (o.cls) {
         case isa::ExecClass::kMem: dyn += 2; break;
         case isa::ExecClass::kMulDiv: dyn += 40; break;
@@ -676,34 +718,34 @@ SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
         default: break;
       }
     }
-    plan->max_dyn_iter = dyn;
+    plan.max_dyn_iter = dyn;
   }
 
   // Batched static accounting: per-op cycle prefixes for boundary
   // coordinates, plus the full-iteration deltas the fused loop applies.
-  const size_t n = plan->ops.size();
-  plan->cycle_prefix.resize(n + 1);
+  const size_t n = plan.ops.size();
+  plan.cycle_prefix.resize(n + 1);
   PerfCounters pacc{};
   mem::MemStats macc{};
   for (size_t i = 0; i < n; ++i) {
-    plan->cycle_prefix[i] = pacc.cycles;
-    op_static_delta(plan->ops[i], pacc, macc);
+    plan.cycle_prefix[i] = pacc.cycles;
+    op_static_delta(plan.ops[i], pacc, macc);
   }
-  plan->cycle_prefix[n] = pacc.cycles;
-  plan->iter_mem = macc;
+  plan.cycle_prefix[n] = pacc.cycles;
+  plan.iter_mem = macc;
   if (is_hwloop) {
-    plan->iter_perf = pacc;
+    plan.iter_perf = pacc;
     // All but the final iteration charge a hardware-loop backedge; the
     // burst exit subtracts the final one when the count is exhausted.
-    plan->iter_perf.hwloop_backedges = 1;
-    plan->exit_perf = pacc;  // unused: hwloop exits need no extra delta
-    plan->exit_last_load_rd = load_dest(plan->ops[n - 1]);
-    if (plan->exit_last_load_rd != 0 &&
-        reads_reg(plan->ops[0], plan->exit_last_load_rd)) {
-      plan->wrap_hazard = static_cast<u8>(timing_.load_use_penalty);
+    plan.iter_perf.hwloop_backedges = 1;
+    plan.exit_perf = pacc;  // unused: hwloop exits need no extra delta
+    plan.exit_last_load_rd = load_dest(plan.ops[n - 1]);
+    if (plan.exit_last_load_rd != 0 &&
+        reads_reg(plan.ops[0], plan.exit_last_load_rd)) {
+      plan.wrap_hazard = static_cast<u8>(timing_.load_use_penalty);
     }
   } else {
-    const SbOp& b = plan->branch;
+    const SbOp& b = plan.branch;
     PerfCounters taken = pacc;
     taken.instructions += 1;
     taken.cycles += 1 + b.hazard + timing_.taken_branch_penalty;
@@ -715,17 +757,12 @@ SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
     fall.cycles += 1 + b.hazard;
     fall.load_use_stall_cycles += b.hazard;
     fall.not_taken_branches += 1;
-    plan->iter_perf = taken;
-    plan->exit_perf = fall;
+    plan.iter_perf = taken;
+    plan.exit_perf = fall;
     // The op before op[0] on later iterations is the branch — never a
     // load — so both wrap_hazard and the exit last-load slot stay 0.
   }
-
-  sb_stats_.blocks_compiled += 1;
-  SuperblockPlan* out = plan.get();
-  sb_plans_.emplace(start, std::move(plan));
-  sb_recompute_extent();
-  return out;
+  return true;
 }
 
 u64 Core::superblock_enter(addr_t start, addr_t branch_pc, u64 budget) {
@@ -765,7 +802,7 @@ u64 Core::sb_execute(SuperblockPlan& plan, u64 budget) {
 }
 
 template <bool Sampled>
-u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
+u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget, bool nested) {
   const size_t n = plan.ops.size();
   const u64 per_iter = n + (plan.is_hwloop ? 0 : 1);
 
@@ -820,8 +857,14 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
   if (iters == 0) return 0;  // budget smaller than one iteration
 
   sb_stats_.entries += 1;
-  sb_active_ = &plan;
-  sb_active_dirty_ = false;
+  if (nested) {
+    // An inner loop of the active plan: that plan stays the one stores
+    // and evictions check against, and it owns this plan's storage.
+    sb_stats_.nested_entries += 1;
+  } else {
+    sb_active_ = &plan;
+    sb_active_dirty_ = false;
+  }
 
   // op[0]'s load-use hazard against the live entry context (first
   // iteration only; afterwards it wraps around statically).
@@ -837,7 +880,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
   // compiles to kHandler, note_dotp is only called from the dotp fast
   // path, and broadcast_operands only runs ungated — excluded at entry),
   // so they can live in host registers for the whole burst and be flushed
-  // once at every exit:
+  // once at every exit (and around every inner loop):
   //   - the LSU data latch and its toggle count;
   //   - the operand latches of the block's single dot-product region.
   // The memory model's dynamic stall sources are loop-invariant too: with
@@ -886,18 +929,24 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
   const bool hoist_dotp = dr != 0xff && dotp_.clock_gating();
   u32 dla = 0, dlb = 0;
   u64 dtog = 0, dops = 0;
-  if (hoist_dotp) {
-    dla = dotp_.latch_a(dr);
-    dlb = dotp_.latch_b(dr);
-  }
+  const auto load_latches = [&]() {
+    lld = last_load_data_;
+    if (hoist_dotp) {
+      dla = dotp_.latch_a(dr);
+      dlb = dotp_.latch_b(dr);
+    }
+  };
   const auto flush = [&]() {
     last_load_data_ = lld;
     perf_.lsu_data_toggles += toggles;
+    toggles = 0;
     if (hoist_dotp) {
       dotp_.set_latches(dr, dla, dlb);
       dotp_.add_activity(dr, dtog, dops);
+      dtog = dops = 0;
     }
   };
+  load_latches();
 
   // The kConvInner macro-op handler needs the slim memory path (an access
   // hook or contention injector must observe every access in order) and
@@ -921,16 +970,30 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
 
   // The static accounting of completed iterations is applied ONCE at burst
   // exit, scaled by `done` (it is linear in the iteration count); only
-  // dynamic effects (memory stalls, toggles, handler-internal latencies)
-  // touch the counters inside the loop. Same for the hardware-loop count
-  // register. Every exit path below — completion, budget, SMC bail, trap —
-  // therefore finishes with the batched add before leaving.
+  // dynamic effects (memory stalls, toggles, handler-internal latencies,
+  // inner loops) touch the counters inside the loop. Same for the
+  // hardware-loop count register. Every exit path below — completion,
+  // budget, SMC bail, trap — therefore finishes with the batched add
+  // before leaving.
   u64 done = 0;      // completed iterations (incl. a final not-taken one)
   u64 macro_done = 0;  // of which retired by the kConvInner handler
-  u64 retired = 0;   // instructions retired by this burst
+  u64 retired = 0;   // instructions retired by this plan's own ops
+  u64 inner_retired = 0;  // and by its inner loops
   size_t i = 0;      // op cursor, read by the trap-repair path
   bool fell_through = false;  // branch plans: exited via the not-taken side
   bool exhausted = false;     // hwloop plans: final iteration retired
+  // Batched static cycles lent to perf_.cycles while an inner loop's
+  // burst runs (nonzero only then: it includes the lp.setup's cycle).
+  u64 lent = 0;
+  // The cycle count at the start of the current iteration, and at the
+  // boundary before its op k.
+  const auto iter_start = [&] { return perf_.cycles + done * c_iter; };
+  const auto cycle_at = [&](size_t k) {
+    return iter_start() + plan.cycle_prefix[k];
+  };
+  const auto leave = [&]() {
+    if (!nested) sb_exit(plan);
+  };
   try {
     for (;;) {
       // Per-iteration guards, checked at the block-start boundary: a
@@ -946,7 +1009,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
         // Iteration-start boundary: the previous iteration's final op or
         // backedge crossed the deadline. Identical repair to the dirty
         // bail above — the run loop fires the sample at this boundary.
-        if (done != 0 && perf_.cycles + done * c_iter >= due) [[unlikely]] {
+        if (done != 0 && iter_start() >= due) [[unlikely]] {
           pc_ = plan.start;
           last_load_rd_ = plan.is_hwloop ? plan.exit_last_load_rd : 0;
           (burst_bound ? sb_stats_.burst_flushes : sb_stats_.sample_flushes) +=
@@ -965,9 +1028,10 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
       // macro-op path (whose intermediate boundaries are not visible).
       bool armed = false;
       if constexpr (Sampled) {
-        armed = perf_.cycles + done * c_iter + c_iter + max_dyn >= due;
+        armed = iter_start() + c_iter + max_dyn >= due;
       }
       bool sample_break = false;
+      bool inner_stop = false;  // an inner loop's burst stopped early
 
       size_t completed = n;
       if (use_conv && !armed) {
@@ -980,8 +1044,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
                 static_cast<u64>(base) + 4 <= msize)) [[unlikely]] {
             if (latch) {
               hook_pc_ = plan.op_pc[i];
-              hook_start_ = perf_.cycles + done * c_iter +
-                            plan.cycle_prefix[i] - (i == 0 ? hz : 0);
+              hook_start_ = cycle_at(i) - (i == 0 ? hz : 0);
               hook_cycle_ = hook_start_ + (i == 0 ? hz : o.hazard);
             }
             const unsigned stalls = mem_.access_stalls(base, 4, false);
@@ -990,11 +1053,8 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
               perf_.mem_stall_cycles += stalls;
             }
           } else if (sink_log) {
-            const cycles_t s = perf_.cycles + done * c_iter +
-                               plan.cycle_prefix[i] -
-                               (i == 0 ? hz : 0);
             burst_sink_->push_back(
-                {s, plan.op_pc[i], base,
+                {cycle_at(i) - (i == 0 ? hz : 0), plan.op_pc[i], base,
                  static_cast<u16>(i == 0 ? hz : o.hazard), 4, 0});
           }
           const u32 v = mem_.load_unchecked(base, 4);
@@ -1060,8 +1120,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
                   static_cast<u64>(addr) + o.aux <= msize)) [[unlikely]] {
               if (latch) {
                 hook_pc_ = plan.op_pc[i];
-                hook_start_ = perf_.cycles + done * c_iter +
-                              plan.cycle_prefix[i] - (i == 0 ? hz : 0);
+                hook_start_ = cycle_at(i) - (i == 0 ? hz : 0);
                 hook_cycle_ = hook_start_ + (i == 0 ? hz : o.hazard);
               }
               const unsigned stalls = mem_.access_stalls(addr, o.aux, store);
@@ -1074,11 +1133,8 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
               // with the exact hook coordinates (misaligned/out-of-range
               // accesses took the access_stalls branch, whose hook call
               // appends to the same log — program order is preserved).
-              const cycles_t s = perf_.cycles + done * c_iter +
-                                 plan.cycle_prefix[i] -
-                                 (i == 0 ? hz : 0);
               burst_sink_->push_back(
-                  {s, plan.op_pc[i], addr,
+                  {cycle_at(i) - (i == 0 ? hz : 0), plan.op_pc[i], addr,
                    static_cast<u16>(i == 0 ? hz : o.hazard),
                    static_cast<u8>(o.aux), static_cast<u8>(store)});
             }
@@ -1147,22 +1203,74 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
             // plus its hazard, before any latency is charged.
             if (latch) [[unlikely]] {
               hook_pc_ = plan.op_pc[i];
-              hook_start_ = perf_.cycles + done * c_iter +
-                            plan.cycle_prefix[i] - (i == 0 ? hz : 0);
+              hook_start_ = cycle_at(i) - (i == 0 ? hz : 0);
               hook_cycle_ = hook_start_ + (i == 0 ? hz : o.hazard);
             }
             (this->*kExecTable[static_cast<size_t>(o.cls)])(plan.instrs[i]);
             break;
+          case SbKind::kInnerLoop: {
+            // lp.setup's architectural effect (its static cost is batched
+            // like any op's), then the loop's iterations as a nested burst
+            // that charges its own accounting to the counters eagerly, with
+            // the budget left after this iteration's ops. This plan's
+            // pending static cycles through the lp.setup are lent to
+            // perf_.cycles meanwhile, so the nested burst's deadlines and
+            // access coordinates see the true cycle count.
+            SuperblockPlan& body = plan.inner[static_cast<size_t>(o.imm)];
+            hwl_start_[o.aux] = body.start;
+            hwl_end_[o.aux] = body.end;
+            hwl_count_[o.aux] =
+                o.op == Mnemonic::kLpSetup ? regs_[o.rs1] : o.rs1;
+            update_hwl_active();
+            pc_ = body.start;
+            last_load_rd_ = 0;
+            if constexpr (Sampled) {
+              // The boundary after the lp.setup: a burst never checks the
+              // one it starts at, so check it here.
+              if (cycle_at(i + 1) >= due) {
+                (burst_bound ? sb_stats_.burst_flushes
+                             : sb_stats_.sample_flushes) += 1;
+                inner_stop = true;
+                break;
+              }
+            }
+            if (hwl_count_[o.aux] == 0) {
+              // A zero count runs the body once with no live loop: leave
+              // that to the interpreter.
+              inner_stop = true;
+              break;
+            }
+            flush();
+            lent = done * c_iter + plan.cycle_prefix[i + 1];
+            perf_.cycles += lent;
+            inner_retired += sb_execute_impl<Sampled>(
+                body, budget - retired - inner_retired - per_iter, true);
+            perf_.cycles -= lent;
+            lent = 0;
+            load_latches();
+            if (pc_ != body.end) {
+              // Budget, deadline or an SMC bail stopped it inside the
+              // loop: leave this plan right there.
+              inner_stop = true;
+            } else if (sb_active_dirty_) [[unlikely]] {
+              // Its last store hit this plan: stop after the loop.
+              completed = i + 1;
+            } else if constexpr (Sampled) {
+              // The loop's cycles were not in the arming bound.
+              armed = armed || iter_start() + c_iter + max_dyn >= due;
+            }
+            break;
+          }
           case SbKind::kBranch:
             break;  // unreachable: the terminal branch is not in ops
         }
+        if (inner_stop) break;
         if constexpr (Sampled) {
           // Boundary after op i: armed iterations check every one against
           // the deadline (an SMC bail this op takes precedence — its
           // boundary is the same and the repair identical).
-          if (armed && completed == n &&
-              perf_.cycles + done * c_iter +
-                      plan.cycle_prefix[i + 1] >= due) [[unlikely]] {
+          if (armed && completed == n && cycle_at(i + 1) >= due)
+              [[unlikely]] {
             if (i + 1 < n) {
               completed = i + 1;
               sample_break = true;
@@ -1179,6 +1287,14 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
         if (completed != n) break;
       }
 
+      if (inner_stop) [[unlikely]] {
+        // The inner burst left pc, hardware-loop state and last-load
+        // tracking at its exact exit boundary (and counted its cause);
+        // add the statics of this iteration's ops through the lp.setup.
+        add_prefix(perf_, mem_, plan, i + 1);
+        retired += i + 1;
+        break;
+      }
       if (completed != n) [[unlikely]] {
         // Mid-iteration SMC or sample-deadline bail at an exact boundary:
         // batched statics for the completed ops (the iteration-entry
@@ -1252,7 +1368,9 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
           pc_ = plan.end;
           break;
         }
-        if (done == iters) {
+        // Inner loops make an iteration's length dynamic: go on while the
+        // budget still covers this plan's own ops of one more iteration.
+        if (budget - retired - inner_retired < per_iter) {
           pc_ = plan.start;
           break;
         }
@@ -1267,27 +1385,37 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
     // taken, for branch plans) and the completed ops of this one, the
     // faulting op's own hazard (the step paths charge it before
     // executing), pc at the op, last-load tracking from its predecessor.
-    flush();
+    // A fault inside an inner loop was repaired by its burst, which
+    // flushed this plan's latches before it started; only the statics of
+    // the ops through its lp.setup remain, and the lent cycles come back.
+    const bool in_inner = lent != 0;
+    perf_.cycles -= lent;
+    if (!in_inner) flush();
     add_scaled(perf_, plan.iter_perf, done);
     mem_.add_counts(plan.iter_mem, done);
     if (plan.is_hwloop) hwl_count_[l] -= static_cast<u32>(done);
-    add_prefix(perf_, mem_, plan, i);
-    if (i > 0) {
-      const unsigned hzf = ops[i].hazard;
-      if (hzf != 0) {
-        perf_.cycles += hzf;
-        perf_.load_use_stall_cycles += hzf;
-      }
-      last_load_rd_ = load_dest(ops[i - 1]);
-    } else if (done > 0) {
-      last_load_rd_ = plan.is_hwloop ? plan.exit_last_load_rd : 0;
-    }  // else: entry value, untouched by the burst, is already correct
-    pc_ = plan.op_pc[i];
-    sb_stats_.trap_bails += 1;
+    add_prefix(perf_, mem_, plan, in_inner ? i + 1 : i);
+    if (in_inner) {
+      retired += i + 1;
+    } else {
+      if (i > 0) {
+        const unsigned hzf = ops[i].hazard;
+        if (hzf != 0) {
+          perf_.cycles += hzf;
+          perf_.load_use_stall_cycles += hzf;
+        }
+        last_load_rd_ = load_dest(ops[i - 1]);
+      } else if (done > 0) {
+        last_load_rd_ = plan.is_hwloop ? plan.exit_last_load_rd : 0;
+      }  // else: entry value, untouched by the burst, is already correct
+      pc_ = plan.op_pc[i];
+      sb_stats_.trap_bails += 1;
+      retired += i;
+    }
     sb_stats_.fused_iterations += done;
     sb_stats_.macro_iterations += macro_done;
-    sb_stats_.fused_instructions += retired + i;
-    sb_exit(plan);
+    sb_stats_.fused_instructions += retired;
+    leave();
     throw;
   }
 
@@ -1307,8 +1435,8 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget) {
   sb_stats_.fused_iterations += done;
   sb_stats_.macro_iterations += macro_done;
   sb_stats_.fused_instructions += retired;
-  sb_exit(plan);
-  return retired;
+  leave();
+  return retired + inner_retired;
 }
 
 }  // namespace xpulp::sim

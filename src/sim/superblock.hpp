@@ -9,7 +9,11 @@
 // PerfCounters/MemStats accounting applied as one batched per-iteration
 // delta. Dynamic effects (memory stalls, load-data toggles, division
 // latency, dot-product activity, self-modifying-store invalidation) stay
-// eager so every exit lands on a bit-exact instruction boundary.
+// eager so every exit lands on a bit-exact instruction boundary. A
+// backward-branch region may also hold counted hardware loops (a loop
+// nest such as the conv kernels' channel-pair loop around the MatMul
+// loop): each body is a hardware-loop plan the branch plan owns and runs
+// as a nested burst.
 //
 // Detection, compilation, execution and invalidation live in
 // superblock.cpp as Core member functions; this header only defines the
@@ -39,6 +43,11 @@ enum class SbKind : u8 {
   kDotp,     // pv.dotp/sdot families via the dotp_lanes kernel
   kHandler,  // muldiv / pulp-scalar / simd-alu / simd-elem / pv.qnt
   kBranch,   // terminal conditional branch (backward-branch plans only)
+  /// lp.setup/lp.setupi of a counted loop nested in a backward-branch
+  /// plan: `imm` indexes SuperblockPlan::inner, `aux` is the loop index,
+  /// `rs1` the count register (lp.setup) or immediate count (lp.setupi)
+  /// and `rd` the load destination of the loop body's last op.
+  kInnerLoop,
 };
 
 /// Recognized whole-iteration shapes. kConvInner is the 2x2-blocked
@@ -69,7 +78,8 @@ struct SbOp {
   isa::ExecClass cls = isa::ExecClass::kIllegal;
   isa::Mnemonic op{};
   /// Immediate operand; kConst: the precomputed result value; kBranch
-  /// p.beqimm/p.bneimm: the sign-extended compare immediate.
+  /// p.beqimm/p.bneimm: the sign-extended compare immediate; kInnerLoop:
+  /// the index of its body plan.
   i32 imm = 0;
 };
 
@@ -125,12 +135,20 @@ struct SuperblockPlan {
 
   /// Upper bound on the *dynamic* cycles one iteration can add in slim
   /// memory mode (no access hook, no contention injector): misaligned
-  /// access penalties, divide latency, quantization threshold walks.
+  /// access penalties, divide latency, quantization threshold walks. The
+  /// inner loops of a branch plan are not bounded here: the burst re-arms
+  /// after each of them.
   /// Sampled bursts use it to prove an iteration cannot cross the
   /// sampling deadline and skip the per-op boundary checks (an
   /// over-estimate only costs a checked iteration, never a missed
   /// sample).
   u64 max_dyn_iter = 0;
+
+  /// Branch plans: the bodies of the hardware loops the region contains
+  /// (one kInnerLoop op each), compiled as hardware-loop plans. Owned
+  /// here, never indexed in the plan cache: [start, end) covers them, so
+  /// invalidation and eviction of this plan drop them too.
+  std::vector<SuperblockPlan> inner;
 };
 
 }  // namespace xpulp::sim

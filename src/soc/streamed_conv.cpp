@@ -45,6 +45,7 @@ StreamedConvResult run_conv_streamed(const ConvLayerData& data,
     o.pixel_block = (spec.out_w() % 2 == 0) ? 2 : 1;
     programs.push_back(kernels::generate_conv_kernel(spec, v, kDataBase, o));
   }
+  kernels::require_disjoint_programs(programs, kDataBase, "tile");
   const ConvMemLayout& layout = programs.front().layout;
   if (layout.output + layout.output_bytes > mem::Memory::kDefaultSize) {
     throw SimError("layer does not fit the TCDM even when streamed");

@@ -23,11 +23,14 @@ struct FinalState {
   addr_t pc = 0;
   sim::HaltReason reason = sim::HaltReason::kRunning;
   sim::PerfCounters perf;
+  mem::MemStats mem_stats;
+  sim::DotpActivity dotp;
   std::vector<u8> mem;
 };
 
 /// Snapshot the observable machine state (registers, pc, halt reason, perf
-/// counters, full memory image) of a core that has finished running.
+/// counters, memory and dot-product activity counters, full memory image)
+/// of a core that has finished running.
 inline FinalState final_state_of(const sim::Core& core,
                                  const mem::Memory& mem) {
   FinalState s;
@@ -35,6 +38,8 @@ inline FinalState final_state_of(const sim::Core& core,
   s.pc = core.pc();
   for (unsigned i = 0; i < 32; ++i) s.regs[i] = core.reg(i);
   s.perf = core.perf();
+  s.mem_stats = mem.stats();
+  s.dotp = core.dotp_unit().activity();
   s.mem.resize(mem.size());
   mem.read_block(0, s.mem);
   return s;
@@ -97,6 +102,28 @@ inline void expect_identical(const FinalState& ref, const FinalState& fast) {
   EXPECT_EQ(ref.reason, fast.reason);
   EXPECT_EQ(ref.mem, fast.mem);
   expect_same_counters(ref.perf, fast.perf, "perf");
+  expect_same_counters(ref.mem_stats, fast.mem_stats, "mem");
+  expect_same_counters(ref.dotp, fast.dotp, "dotp");
+}
+
+/// Every field of two boundary states matches: registers, pc, hardware-
+/// loop and hazard tracking, CSRs and all counter slots.
+inline void expect_same_core_state(const sim::CoreState& a,
+                                   const sim::CoreState& b) {
+  for (unsigned i = 0; i < 32; ++i) EXPECT_EQ(a.regs[i], b.regs[i]) << "x" << i;
+  EXPECT_EQ(a.pc, b.pc);
+  EXPECT_EQ(a.hwl_start, b.hwl_start);
+  EXPECT_EQ(a.hwl_end, b.hwl_end);
+  EXPECT_EQ(a.hwl_count, b.hwl_count);
+  EXPECT_EQ(a.last_load_rd, b.last_load_rd);
+  EXPECT_EQ(a.last_load_data, b.last_load_data);
+  EXPECT_EQ(a.halt, b.halt);
+  EXPECT_EQ(a.mscratch, b.mscratch);
+  EXPECT_EQ(a.mpc, b.mpc);
+  expect_same_counters(a.perf, b.perf, "perf");
+  expect_same_counters(a.dotp.activity, b.dotp.activity, "dotp");
+  EXPECT_EQ(a.dotp.last_a, b.dotp.last_a);
+  EXPECT_EQ(a.dotp.last_b, b.dotp.last_b);
 }
 
 /// One random instruction into the current basic block. Destinations avoid
@@ -158,12 +185,54 @@ inline void random_op(xasm::Assembler& a, Rng& rng) {
   }
 }
 
+/// Registers random_op never writes: the loop-nest blocks' counters.
+namespace nest_reg {
+inline constexpr u8 kTrips = 18;   // s2: backward-branch loop counter
+inline constexpr u8 kCount = 19;   // s3: inner hardware-loop count
+inline constexpr u8 kCodePtr = 20; // s4: code-address scratch
+inline constexpr u8 kWord = 21;    // s5: code word scratch
+}  // namespace nest_reg
+
+/// A backward-branch loop of `trips` iterations whose body holds one or
+/// two register-count hardware loops among random straight-line ops: the
+/// shape the superblock engine fuses as one plan with inner loops. Counts
+/// run 0..4 (0 and 1 both execute the body once). With `smc`, the first
+/// inner body stores the loop's first instruction word back over itself
+/// — no change in behaviour, but a store into the outer body while an
+/// inner loop runs.
+inline void random_loop_nest(xasm::Assembler& a, Rng& rng, int trips,
+                             bool smc) {
+  namespace n = nest_reg;
+  a.li(n::kTrips, trips);
+  const addr_t top_addr = a.current_addr();
+  const xasm::Assembler::Label top = a.here();
+  for (int i = rng.uniform(0, 2); i > 0; --i) random_op(a, rng);
+  for (int l = rng.uniform(1, 2); l > 0; --l) {
+    a.li(n::kCount, rng.uniform(0, 4));
+    const xasm::Assembler::Label end = a.new_label();
+    a.lp_setup(static_cast<unsigned>(rng.uniform(0, 1)), n::kCount, end);
+    for (int i = rng.uniform(2, 4); i > 0; --i) random_op(a, rng);
+    if (smc) {
+      const i32 off = static_cast<i32>(top_addr - a.current_addr());
+      a.auipc(n::kCodePtr, 0);
+      a.lw(n::kWord, n::kCodePtr, off);
+      a.sw(n::kWord, n::kCodePtr, off);
+      smc = false;
+    }
+    a.bind(end);
+    for (int i = rng.uniform(0, 3); i > 0; --i) random_op(a, rng);
+  }
+  a.addi(n::kTrips, n::kTrips, -1);
+  a.bne(n::kTrips, 0, top);
+}
+
 /// A random but always-terminating program: straight-line blocks mixed
-/// with forward branches, immediate-compare branches and nested hardware
-/// loops (the structures whose dispatch differs most between the modes).
-/// Short loops entered once stay interpreted under the superblock heat
-/// rule; the long and the re-entered hardware loops get hot and fuse.
-/// `base` places the code; the data region stays at 0x8000.
+/// with forward branches, immediate-compare branches, nested hardware
+/// loops and backward-branch loops around hardware loops (the structures
+/// whose dispatch differs most between the modes). Short loops entered
+/// once stay interpreted under the superblock heat rule; the long and the
+/// re-entered loops get hot and fuse. `base` places the code; the data
+/// region stays at 0x8000.
 inline xasm::Program random_program(u64 seed, addr_t base = 0) {
   Rng rng(seed);
   xasm::Assembler a(base);
@@ -172,7 +241,7 @@ inline xasm::Program random_program(u64 seed, addr_t base = 0) {
 
   const int blocks = 12;
   for (int b = 0; b < blocks; ++b) {
-    switch (rng.uniform(0, 5)) {
+    switch (rng.uniform(0, 6)) {
       case 0: {  // plain straight-line block
         for (int i = 0; i < 12; ++i) random_op(a, rng);
         break;
@@ -227,8 +296,58 @@ inline xasm::Program random_program(u64 seed, addr_t base = 0) {
         a.bind(end1);
         break;
       }
+      case 6:  // hot backward-branch loop around hardware loops
+        random_loop_nest(a, rng, rng.uniform(17, 40), rng.uniform(0, 3) == 0);
+        break;
     }
   }
+  a.ecall();
+  return a.finish();
+}
+
+/// A deterministic loop nest shaped like the conv kernels' channel-pair
+/// loop: `trips` iterations of a backward-branch loop holding a register-
+/// count hardware loop of dot products (count trips & 3, so 0 and 1 occur)
+/// and an immediate-count loop ending in a load the next op consumes,
+/// with a packed store per iteration. Operands are read from the code
+/// itself; results go to 0x8000. With `smc`, the first inner body stores
+/// the loop's first instruction word back over itself.
+inline xasm::Program loop_nest_program(int trips, bool smc = false,
+                                       addr_t base = 0) {
+  namespace r = xasm::reg;
+  namespace n = nest_reg;
+  xasm::Assembler a(base);
+  a.li(r::s0, static_cast<i32>(base));  // operand pointer: the code
+  a.li(r::s1, 0x8000);                   // output pointer
+  a.li(n::kTrips, trips);
+  const addr_t top_addr = a.current_addr();
+  const xasm::Assembler::Label top = a.here();
+  a.mv(r::a0, r::s0);
+  a.mv(r::a4, r::zero);
+  a.andi(n::kCount, n::kTrips, 3);
+  const xasm::Assembler::Label end0 = a.new_label();
+  a.lp_setup(0, n::kCount, end0);
+  a.p_lw_post(r::t0, r::a0, 4);
+  a.p_lw_post(r::t1, r::a0, 4);
+  a.pv_sdotsp(isa::SimdFmt::kB, r::a4, r::t0, r::t1);
+  if (smc) {
+    const i32 off = static_cast<i32>(top_addr - a.current_addr());
+    a.auipc(n::kCodePtr, 0);
+    a.lw(n::kWord, n::kCodePtr, off);
+    a.sw(n::kWord, n::kCodePtr, off);
+  }
+  a.add(r::a5, r::a5, r::t0);
+  a.bind(end0);
+  a.srai(r::t2, r::a4, 3);
+  a.p_sb_post(r::t2, r::s1, 1);
+  const xasm::Assembler::Label end1 = a.new_label();
+  a.lp_setupi(1, 3, end1);
+  a.addi(r::a1, r::a1, 4);
+  a.lw(r::t3, r::a1, 0);
+  a.bind(end1);
+  a.p_mac(r::a6, r::t3, r::t3);  // load-use hazard across the loop exit
+  a.addi(n::kTrips, n::kTrips, -1);
+  a.bne(n::kTrips, r::zero, top);
   a.ecall();
   return a.finish();
 }

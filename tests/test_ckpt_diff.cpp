@@ -5,6 +5,7 @@
 // tiers (RV32IM, XpulpV2, XpulpNN) and for mid-run cluster snapshots.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
 #include <vector>
@@ -385,6 +386,60 @@ TEST(CkptDiff, RandomProgramSnapshotsWithSuperblockActive) {
       FAIL() << "diverged: trial " << trial << " snap_at " << snap_at;
     }
   }
+}
+
+TEST(CkptDiff, LoopNestBudgetsStopAtEveryBoundary) {
+  // A budget that ends at any instruction boundary of a fused loop nest —
+  // inside an inner loop's burst, between its iterations, on the lp.setup
+  // or the branch — must leave exactly the interpreter's state there, and
+  // a snapshot taken at that point must resume to the same final state.
+  const xasm::Program prog = test::loop_nest_program(40);
+  const auto load = [&](mem::Memory& mem, sim::Core& core) {
+    prog.load(mem);
+    core.reset(prog.entry(), prog.base() + prog.size_bytes());
+  };
+
+  // Reference interpreter: the state at every boundary.
+  sim::CoreConfig ref_cfg = sim::CoreConfig::extended();
+  ref_cfg.reference_dispatch = true;
+  std::vector<sim::CoreState> ref_states;
+  std::vector<mem::MemStats> ref_mem;
+  FinalState base;
+  {
+    mem::Memory mem(0x10000);
+    sim::Core core(mem, ref_cfg);
+    load(mem, core);
+    while (!core.halted()) {
+      ref_states.push_back(core.save_state());
+      ref_mem.push_back(mem.stats());
+      core.step();
+    }
+    base = final_state_of(core, mem);
+  }
+  ASSERT_EQ(base.reason, sim::HaltReason::kEcall);
+
+  sim::CoreConfig cfg = sim::CoreConfig::extended();
+  cfg.superblock = true;
+  u64 nested = 0;
+  for (u64 k = 1; k < ref_states.size(); ++k) {
+    mem::Memory mem(0x10000);
+    sim::Core core(mem, cfg);
+    load(mem, core);
+    ASSERT_EQ(core.run_steps(k), k);
+    test::expect_same_core_state(ref_states[k], core.save_state());
+    test::expect_same_counters(ref_mem[k], mem.stats(), "mem");
+    nested = std::max(nested, core.superblock_stats().nested_entries);
+
+    const ckpt::Snapshot snap = ckpt::capture(core, mem);
+    mem::Memory fresh_mem(mem.size());
+    sim::Core fresh(fresh_mem, cfg);
+    ckpt::apply(snap, fresh, fresh_mem);
+    fresh.run(kBudget);
+    expect_identical(base, final_state_of(fresh, fresh_mem));
+    if (::testing::Test::HasFailure()) FAIL() << "budget " << k;
+  }
+  // The budgets reach into nested bursts, not only the interpreter.
+  EXPECT_GT(nested, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "cluster/parallel_conv.hpp"
@@ -336,6 +337,34 @@ TEST(ParallelConv, DecodeCacheSpansEachCoresProgram) {
     EXPECT_LE(parcels[c], bound[c]) << "core " << c;
   }
   EXPECT_LT(bound[7], bases[7] / 2);
+}
+
+TEST(ParallelConv, OverlappingProgramImagesAreADiagnostic) {
+  // The baseline sub-byte kernel unrolls its weight unpack per output
+  // pixel, so on the paper layer one core's program outgrows the per-core
+  // code slot and runs into the next core's. Loading them would put one
+  // image over the other and return a wrong tensor; the runner must name
+  // the two programs and their ranges instead.
+  const auto data = ConvLayerData::random(qnn::ConvSpec::paper_layer(4), 11);
+  for (const int cores : {2, 4}) {
+    ClusterConfig cfg;
+    cfg.num_cores = cores;
+    std::string msg;
+    try {
+      const auto r = run_parallel_conv(data, ConvVariant::kXpulpV2_Sub, cfg);
+      ADD_FAILURE() << cores << " cores: no diagnostic; the output "
+                    << (qnn::first_mismatch(r.output, data.golden())
+                            ? "differs from"
+                            : "matches")
+                    << " the golden model";
+      continue;
+    } catch (const SimError& e) {
+      msg = e.what();
+    }
+    EXPECT_NE(msg.find("core 0 program [0x0, 0x"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("core 1 program [0x4000, 0x"), std::string::npos)
+        << msg;
+  }
 }
 
 TEST(ParallelConv, AfterRunFiresWhenTheClusterThrows) {

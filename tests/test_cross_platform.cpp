@@ -7,8 +7,9 @@
 //
 // The pipeline grid then runs one small layer through every target of the
 // shared layer pipeline (core, cluster at 1/2/4/8 cores, µDMA-streamed) in
-// every format and dispatch mode, and the fault test checks that a guest
-// trap reads the same way from each of them.
+// every format, kernel variant and dispatch mode; the layout test checks
+// that programs too large for their code slots are refused by name, and
+// the fault test that a guest trap reads the same way from each target.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -114,9 +115,17 @@ constexpr Format kFormats[] = {
     {"m8x4", 8, 4, 4}, {"m8x2", 8, 2, 2}, {"m4x2", 4, 2, 2},
 };
 
-ConvVariant variant_for(const qnn::ConvSpec& s) {
-  if (s.in_bits != s.w_bits) return ConvVariant::kXpulpNN_Mixed;
-  return s.in_bits == 8 ? ConvVariant::kXpulpV2_8b : ConvVariant::kXpulpNN_HwQ;
+/// Every kernel variant the extended core runs `s` with: the mixed kernel
+/// for mixed formats, the byte kernel at 8 bits, and at 4 and 2 bits the
+/// baseline unpack kernels and both XpulpNN quantization flavours.
+std::vector<ConvVariant> variants_for(const qnn::ConvSpec& s) {
+  if (s.in_bits != s.w_bits) return {ConvVariant::kXpulpNN_Mixed};
+  if (s.in_bits == 8) return {ConvVariant::kXpulpV2_8b};
+  std::vector<ConvVariant> v = {ConvVariant::kXpulpV2_Sub,
+                                ConvVariant::kXpulpNN_SwQ,
+                                ConvVariant::kXpulpNN_HwQ};
+  if (s.in_bits == 4) v.push_back(ConvVariant::kXpulpV2_SubShf);
+  return v;
 }
 
 class PipelineGrid
@@ -129,22 +138,25 @@ TEST_P(PipelineGrid, EveryTargetBitExact) {
   spec.out_bits = f.out_bits;
   const auto data = ConvLayerData::random(spec, 0x9d + f.in_bits * f.w_bits);
   const auto gold = data.golden();
-  const ConvVariant v = variant_for(spec);
   sim::CoreConfig cfg = sim::CoreConfig::extended();
   cfg.superblock = superblock;
 
-  expect_golden(kernels::run_conv_layer(data, v, cfg).output, gold, "core");
-  for (const int cores : {1, 2, 4, 8}) {
-    cluster::ClusterConfig ccfg;
-    ccfg.num_cores = cores;
-    ccfg.core = cfg;
-    ccfg.scheduler = superblock ? cluster::SchedulerMode::kBurst
-                                : cluster::SchedulerMode::kReference;
-    expect_golden(cluster::run_parallel_conv(data, v, ccfg).output, gold,
-                  "cluster x" + std::to_string(cores));
+  for (const ConvVariant v : variants_for(spec)) {
+    const std::string name = kernels::variant_name(v);
+    expect_golden(kernels::run_conv_layer(data, v, cfg).output, gold,
+                  name + " core");
+    for (const int cores : {1, 2, 4, 8}) {
+      cluster::ClusterConfig ccfg;
+      ccfg.num_cores = cores;
+      ccfg.core = cfg;
+      ccfg.scheduler = superblock ? cluster::SchedulerMode::kBurst
+                                  : cluster::SchedulerMode::kReference;
+      expect_golden(cluster::run_parallel_conv(data, v, ccfg).output, gold,
+                    name + " cluster x" + std::to_string(cores));
+    }
+    expect_golden(soc::run_conv_streamed(data, v, cfg, 4).output, gold,
+                  name + " streamed");
   }
-  expect_golden(soc::run_conv_streamed(data, v, cfg, 4).output, gold,
-                "streamed");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -174,6 +186,32 @@ std::string fault_message(const std::function<void()>& run) {
     return e.what();
   }
   return "no fault";
+}
+
+TEST(LayerPipeline, ProgramsOutgrowingTheirSlotsAreRefusedByName) {
+  // The 2-bit baseline kernel of the paper layer is too large for the
+  // per-core and per-tile code slots: each multi-program runner names the
+  // first two images that collide instead of loading one over the other.
+  const auto data = ConvLayerData::random(qnn::ConvSpec::paper_layer(2), 9);
+  const auto v = ConvVariant::kXpulpV2_Sub;
+  for (const int cores : {2, 4}) {
+    cluster::ClusterConfig ccfg;
+    ccfg.num_cores = cores;
+    const std::string msg =
+        fault_message([&] { cluster::run_parallel_conv(data, v, ccfg); });
+    EXPECT_EQ(msg.find("program images overlap: core 0 program [0x0, 0x"),
+              0u)
+        << msg;
+    EXPECT_NE(msg.find("and core 1 program [0x4000, 0x"), std::string::npos)
+        << msg;
+  }
+  const std::string msg = fault_message([&] {
+    soc::run_conv_streamed(data, v, sim::CoreConfig::extended(), 16);
+  });
+  EXPECT_EQ(msg.find("program images overlap: tile 0 program [0x0, 0x"), 0u)
+      << msg;
+  EXPECT_NE(msg.find("and tile 1 program [0x6000, 0x"), std::string::npos)
+      << msg;
 }
 
 TEST(LayerPipeline, GuestFaultNamesTargetVariantPcAndRegion) {

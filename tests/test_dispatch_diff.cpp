@@ -46,7 +46,7 @@ FinalState expect_modes_agree(const xasm::Program& prog, addr_t entry,
 }
 
 TEST(DispatchDiff, RandomProgramsBitIdentical) {
-  u64 entries = 0, fused = 0;
+  u64 entries = 0, fused = 0, nested = 0;
   for (u64 trial = 0; trial < 25; ++trial) {
     const xasm::Program prog = random_program(0xd15b07c4 + trial * 977);
     const auto ref = run_mode(prog, sim::CoreConfig::extended(), true);
@@ -60,11 +60,14 @@ TEST(DispatchDiff, RandomProgramsBitIdentical) {
     if (::testing::Test::HasFailure()) FAIL() << "diverged at trial " << trial;
     entries += stats.entries;
     fused += stats.fused_instructions;
+    nested += stats.nested_entries;
   }
-  // The generator's hot and re-entered hardware loops keep the fused
-  // engine inside the differential comparison.
+  // The generator's hot and re-entered loops keep the fused engine inside
+  // the differential comparison, including the inner hardware loops of
+  // backward-branch plans.
   EXPECT_GT(entries, 0u);
   EXPECT_GT(fused, 0u);
+  EXPECT_GT(nested, 0u);
 }
 
 TEST(DispatchDiff, Ri5cyConfigBitIdentical) {

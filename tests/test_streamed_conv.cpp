@@ -2,6 +2,7 @@
 // makespan accounting, and the double-buffering benefit.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -157,6 +158,31 @@ TEST(StreamedConv, RejectsBadTiling) {
   EXPECT_THROW(run_conv_streamed(data, ConvVariant::kXpulpNN_HwQ,
                                  sim::CoreConfig::extended(), 0),
                SimError);
+}
+
+TEST(StreamedConv, OverlappingProgramImagesAreADiagnostic) {
+  // As for the cluster: the baseline sub-byte kernel's per-tile program
+  // outgrows the per-tile code slot on the paper layer. The runner must
+  // refuse the layout by name, not run tile 1's image over tile 0's.
+  const auto data = ConvLayerData::random(qnn::ConvSpec::paper_layer(4), 12);
+  for (const int tile : {8, 16}) {
+    std::string msg;
+    try {
+      const auto r = run_conv_streamed(data, ConvVariant::kXpulpV2_Sub,
+                                       sim::CoreConfig::extended(), tile);
+      ADD_FAILURE() << tile << "-channel tiles: no diagnostic; the output "
+                    << (qnn::first_mismatch(r.output, data.golden())
+                            ? "differs from"
+                            : "matches")
+                    << " the golden model";
+      continue;
+    } catch (const SimError& e) {
+      msg = e.what();
+    }
+    EXPECT_NE(msg.find("tile 0 program [0x0, 0x"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("tile 1 program [0x6000, 0x"), std::string::npos)
+        << msg;
+  }
 }
 
 }  // namespace

@@ -11,11 +11,13 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "diff_test_util.hpp"
 #include "isa/instruction.hpp"
 #include "mem/memory.hpp"
 #include "obs/registry.hpp"
+#include "obs/sampler.hpp"
 #include "sim/core.hpp"
 #include "xasm/assembler.hpp"
 
@@ -24,8 +26,10 @@ namespace {
 
 namespace r = xasm::reg;
 using test::expect_identical;
+using test::expect_same_core_state;
 using test::final_state_of;
 using test::FinalState;
+using test::loop_nest_program;
 
 constexpr addr_t kData = 0x8000;
 
@@ -522,6 +526,172 @@ TEST(SuperblockPlanCache, PublishesMpcEvictions) {
   EXPECT_NE(reg.csv().find("sb.mpc_evictions," +
                            std::to_string(stats.mpc_evictions) + "\n"),
             std::string::npos);
+}
+
+
+// ---- loop-nest plans: backward-branch loops around hardware loops ----
+
+TEST(SuperblockLoopNest, FusesAsOnePlanBitIdentically) {
+  // The channel-pair shape: once the branch loop is hot it compiles with
+  // both inner loops (one with a dynamic count of 0..3) inside, and later
+  // visits run their inner iterations as nested bursts.
+  const xasm::Program prog = loop_nest_program(40);
+  sim::SuperblockStats stats;
+  const FinalState ref = run_prog(prog, true, false);
+  const FinalState fast = run_prog(prog, false, false);
+  const FinalState sb = run_prog(prog, false, true, &stats);
+  ASSERT_EQ(ref.reason, sim::HaltReason::kEcall);
+  expect_identical(ref, fast);
+  expect_identical(ref, sb);
+  EXPECT_EQ(stats.compile_rejects, 0u);
+  EXPECT_GT(stats.nested_entries, 0u);
+  EXPECT_EQ(stats.smc_bails, 0u);
+  // Most of what runs after the first 16 backedges fuses; a zero count
+  // sends the rest of its iteration back to the interpreter.
+  EXPECT_GT(stats.fused_instructions * 2, sb.perf.instructions);
+  EXPECT_EQ(stats.entry_rejects, 0u);
+}
+
+TEST(SuperblockLoopNest, StoreIntoOuterBodyWhileInnerLoopRuns) {
+  // The first inner body stores the outer loop's first instruction word
+  // back over itself: the store hits the live outer plan from inside a
+  // nested burst, which must stop right after the store, and the outer
+  // plan must be evicted rather than run on.
+  // 61 trips: the plan compiles, and recompiles after each eviction, 16
+  // backedges later at a count of 1, so the store runs nested.
+  const xasm::Program prog = loop_nest_program(61, /*smc=*/true);
+  sim::SuperblockStats stats;
+  const FinalState ref = run_prog(prog, true, false);
+  const FinalState fast = run_prog(prog, false, false);
+  const FinalState sb = run_prog(prog, false, true, &stats);
+  ASSERT_EQ(ref.reason, sim::HaltReason::kEcall);
+  expect_identical(ref, fast);
+  expect_identical(ref, sb);
+  EXPECT_GT(stats.nested_entries, 0u);
+  EXPECT_GT(stats.smc_bails, 0u);
+  EXPECT_GT(stats.invalidations, 0u);
+}
+
+TEST(SuperblockLoopNest, StoreInLastInnerIterationPatchesTheNextOuterOp) {
+  // A one-trip inner loop ends with a store that rewrites the outer op
+  // right after the loop (a different immediate every pass). The store
+  // retires in the loop's final iteration, so the nested burst completes
+  // normally — the outer plan must still stop there and let the patched
+  // op run from fresh decode, not run its stale copy.
+  namespace n = test::nest_reg;
+  isa::Instr addi;
+  addi.op = isa::Mnemonic::kAddi;
+  addi.rd = r::a0;
+  addi.rs1 = r::a0;
+  xasm::Assembler a(0);
+  test::li32(a, r::s6, isa::encode(addi));
+  a.li(n::kTrips, 40);
+  const xasm::Assembler::Label top = a.here();
+  const xasm::Assembler::Label end = a.new_label();
+  a.lp_setupi(0, 1, end);
+  a.addi(r::s7, r::s7, 1);
+  a.slli(r::t4, r::s7, 20);     // the immediate field
+  a.add(r::t5, r::s6, r::t4);   // addi a0, a0, <pass>
+  a.auipc(n::kCodePtr, 0);
+  a.sw(r::t5, n::kCodePtr, 8);  // over the op after the loop
+  a.bind(end);
+  a.addi(r::a0, r::a0, 0);      // patched every pass
+  a.addi(n::kTrips, n::kTrips, -1);
+  a.bne(n::kTrips, r::zero, top);
+  a.ecall();
+  const xasm::Program prog = a.finish();
+
+  sim::SuperblockStats stats;
+  const FinalState ref = run_prog(prog, true, false);
+  const FinalState sb = run_prog(prog, false, true, &stats);
+  ASSERT_EQ(ref.reason, sim::HaltReason::kEcall);
+  EXPECT_EQ(ref.regs[r::a0], 40u * 41u / 2);
+  expect_identical(ref, run_prog(prog, false, false));
+  expect_identical(ref, sb);
+  EXPECT_GT(stats.nested_entries, 0u);
+  EXPECT_GT(stats.smc_bails, 0u);
+}
+
+TEST(SuperblockLoopNest, SampledSeriesMatchTheReference) {
+  // Sampling deadlines land inside nested bursts, between them and on the
+  // pre-branch boundary; every window must match the reference run's.
+  const xasm::Program prog = loop_nest_program(40);
+  for (const cycles_t interval : {5u, 17u, 64u}) {
+    std::vector<obs::Sample> series[2];
+    sim::SuperblockStats stats;
+    for (int mode = 0; mode < 2; ++mode) {
+      sim::CoreConfig cfg = sim::CoreConfig::extended();
+      cfg.reference_dispatch = mode == 0;
+      cfg.superblock = mode == 1;
+      mem::Memory mem;
+      prog.load(mem);
+      sim::Core core(mem, cfg);
+      core.reset(prog.entry(), prog.base() + prog.size_bytes());
+      obs::Sampler::Options opts;
+      opts.interval_cycles = interval;
+      obs::Sampler sampler(core, opts);
+      ASSERT_EQ(core.run(2'000'000), sim::HaltReason::kEcall);
+      sampler.finalize();
+      series[mode] = sampler.samples();
+      if (mode == 1) stats = core.superblock_stats();
+    }
+    ASSERT_EQ(series[0].size(), series[1].size()) << interval;
+    for (size_t k = 0; k < series[0].size(); ++k) {
+      const obs::Sample& a = series[0][k];
+      const obs::Sample& b = series[1][k];
+      EXPECT_EQ(a.ts_cycles, b.ts_cycles) << interval << " window " << k;
+      test::expect_same_counters(a.perf, b.perf, "perf");
+      test::expect_same_counters(a.mem, b.mem, "mem");
+      test::expect_same_counters(a.dotp, b.dotp, "dotp");
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "interval " << interval << " window " << k;
+      }
+    }
+    EXPECT_GT(stats.nested_entries, 0u) << interval;
+    EXPECT_GT(stats.sample_flushes, 0u) << interval;
+  }
+}
+
+TEST(SuperblockLoopNest, FaultInsideInnerLoopRepairsExactly) {
+  // The inner loop's post-increment pointer walks off the end of memory
+  // in a late outer iteration, mid inner loop: the fused run must trap at
+  // the same instruction with the same state as the interpreter.
+  constexpr u32 kMem = 0x10000;
+  xasm::Assembler a(0);
+  a.li(r::s0, static_cast<i32>(kMem - 16 * 30 + 8));
+  a.li(test::nest_reg::kTrips, 40);
+  const xasm::Assembler::Label top = a.here();
+  a.li(test::nest_reg::kCount, 4);
+  const xasm::Assembler::Label end = a.new_label();
+  a.lp_setup(0, test::nest_reg::kCount, end);
+  a.p_lw_post(r::t0, r::s0, 4);
+  a.add(r::a5, r::a5, r::t0);
+  a.bind(end);
+  a.addi(test::nest_reg::kTrips, test::nest_reg::kTrips, -1);
+  a.bne(test::nest_reg::kTrips, r::zero, top);
+  a.ecall();
+  const xasm::Program prog = a.finish();
+
+  sim::CoreState states[2];
+  mem::MemStats mem_stats[2];
+  sim::SuperblockStats stats;
+  for (int mode = 0; mode < 2; ++mode) {
+    sim::CoreConfig cfg = sim::CoreConfig::extended();
+    cfg.reference_dispatch = mode == 0;
+    cfg.superblock = mode == 1;
+    mem::Memory mem(kMem);
+    prog.load(mem);
+    sim::Core core(mem, cfg);
+    core.reset(prog.entry(), prog.base() + prog.size_bytes());
+    EXPECT_THROW(core.run(2'000'000), MemoryFault);
+    states[mode] = core.save_state();
+    mem_stats[mode] = mem.stats();
+    if (mode == 1) stats = core.superblock_stats();
+  }
+  expect_same_core_state(states[0], states[1]);
+  test::expect_same_counters(mem_stats[0], mem_stats[1], "mem");
+  EXPECT_GT(stats.nested_entries, 0u);
+  EXPECT_EQ(stats.trap_bails, 1u);
 }
 
 }  // namespace
