@@ -11,8 +11,9 @@
 //      superblocks (DESIGN.md §15). Both are bit-identical by construction
 //      (test_cluster_sched); this section quantifies the host speed bought
 //      by bursts, records the burst merge's host cost (seconds and ns per
-//      replayed access) per width and core count, and gates CI on the
-//      8-core paper-layer speedup.
+//      replayed access) and the largest burst lane log against its bound
+//      per width and core count, and gates CI on the 8-core paper-layer
+//      speedup.
 //
 // Emits BENCH_cluster.json (obs::Registry JSON). --min-speedup X exits
 // nonzero when the 8-core burst speedup falls below X.
@@ -67,12 +68,19 @@ ClusterWorkload make_workload(const kernels::ConvLayerData& data,
   return w;
 }
 
+struct BurstCapture {
+  cluster::ClusterBurstStats stats;
+  size_t log_capacity = 0;  // Cluster::burst_log_capacity() after the run
+  size_t log_bound = 0;     // Cluster::burst_log_capacity_bound()
+};
+
 /// One timed repetition: fresh cluster, time only Cluster::run().
 /// Returns the run's ClusterStats; `out_burst` (optional) receives the
-/// burst-engine counters, `out_output` the result tensor.
+/// burst-engine counters and lane-log sizes, `out_output` the result
+/// tensor.
 cluster::ClusterStats one_rep(const ClusterWorkload& w,
                               cluster::SchedulerMode sched, Measurement& m,
-                              cluster::ClusterBurstStats* out_burst = nullptr,
+                              BurstCapture* out_burst = nullptr,
                               qnn::Tensor* out_output = nullptr) {
   cluster::ClusterConfig cfg;
   cfg.num_cores = w.cores;
@@ -91,7 +99,10 @@ cluster::ClusterStats one_rep(const ClusterWorkload& w,
   }
   m.merge_seconds += cl.burst_stats().host_merge_seconds;
   m.replayed_accesses += cl.burst_stats().replayed_accesses;
-  if (out_burst) *out_burst = cl.burst_stats();
+  if (out_burst) {
+    *out_burst = {cl.burst_stats(), cl.burst_log_capacity(),
+                  cl.burst_log_capacity_bound()};
+  }
   if (out_output) {
     *out_output =
         kernels::read_conv_output(w.data->spec, w.layout, cl.memory());
@@ -101,7 +112,7 @@ cluster::ClusterStats one_rep(const ClusterWorkload& w,
 
 struct SchedResults {
   Measurement ref, burst;
-  cluster::ClusterBurstStats burst_stats;
+  BurstCapture burst_capture;
   bool exact = false;      // both schedulers produced identical stats
   bool output_ok = false;  // burst output matches the golden tensor
 };
@@ -124,7 +135,7 @@ SchedResults measure_schedulers(const ClusterWorkload& w,
       if (mode == 0) {
         ref_stats = one_rep(w, sched, warm);
       } else {
-        burst_stats = one_rep(w, sched, warm, &out.burst_stats, &burst_out);
+        burst_stats = one_rep(w, sched, warm, &out.burst_capture, &burst_out);
       }
       Measurement round;
       while (round.host_seconds < round_seconds) one_rep(w, sched, round);
@@ -205,33 +216,35 @@ int main(int argc, char** argv) {
     const ConvVariant v = (bits == 8) ? ConvVariant::kXpulpV2_8b
                                       : ConvVariant::kXpulpNN_HwQ;
     std::printf("\n%u-bit kernel:\n", bits);
-    std::printf("%7s %11s %9s %11s %9s %9s %8s %9s %8s %7s\n", "cores",
+    std::printf("%7s %11s %9s %11s %9s %9s %8s %9s %8s %8s %7s\n", "cores",
                 "ref-MIPS", "ref-s", "burst-MIPS", "burst-s", "speedup",
-                "burst%", "merge-s", "ns/acc", "check");
+                "burst%", "merge-s", "ns/acc", "log-cap", "check");
     for (const int n : {1, 2, 4, 8, 16}) {
       const ClusterWorkload w = make_workload(data, v, bits, n);
       const SchedResults r = measure_schedulers(w, gold);
       const double speedup =
           r.ref.mips() > 0 ? r.burst.mips() / r.ref.mips() : 0;
-      const u64 total_instr = r.burst_stats.burst_instructions +
-                              r.burst_stats.reference_instructions;
+      const BurstCapture& b = r.burst_capture;
+      const u64 total_instr =
+          b.stats.burst_instructions + b.stats.reference_instructions;
       const double burst_frac =
           total_instr ? 100.0 *
-                            static_cast<double>(
-                                r.burst_stats.burst_instructions) /
+                            static_cast<double>(b.stats.burst_instructions) /
                             static_cast<double>(total_instr)
                       : 0;
-      const bool ok =
-          r.exact && r.output_ok && r.burst_stats.fallback_runs == 0;
+      const bool log_bounded = b.log_capacity <= b.log_bound;
+      const bool ok = r.exact && r.output_ok && log_bounded &&
+                      b.stats.fallback_runs == 0;
       all_ok = all_ok && ok;
       if (n == 8 && bits != 2) {
         speedup_8core = std::min(speedup_8core, speedup);
       }
       std::printf(
-          "%7d %11.2f %8.3fs %11.2f %8.3fs %8.2fx %7.1f%% %8.3fs %8.2f %7s\n",
+          "%7d %11.2f %8.3fs %11.2f %8.3fs %8.2fx %7.1f%% %8.3fs %8.2f "
+          "%8zu %7s\n",
           n, r.ref.mips(), r.ref.host_seconds, r.burst.mips(),
           r.burst.host_seconds, speedup, burst_frac, r.burst.merge_seconds,
-          r.burst.merge_ns_per_access(), okstr(ok));
+          r.burst.merge_ns_per_access(), b.log_capacity, okstr(ok));
 
       const std::string p =
           "host.b" + std::to_string(bits) + ".c" + std::to_string(n);
@@ -242,12 +255,14 @@ int main(int argc, char** argv) {
       reg.gauge(p + ".burst.host_seconds", r.burst.host_seconds);
       reg.gauge(p + ".burst.mips", r.burst.mips());
       reg.gauge(p + ".burst.speedup", speedup);
-      cluster::add_burst_stats(reg, p + ".burst", r.burst_stats);
+      cluster::add_burst_stats(reg, p + ".burst", b.stats);
       reg.gauge(p + ".burst.merge_seconds", r.burst.merge_seconds);
       reg.gauge(p + ".burst.merge_ns_per_access",
                 r.burst.merge_ns_per_access());
       reg.flag(p + ".exact", r.exact);
       reg.flag(p + ".output_ok", r.output_ok);
+      reg.counter(p + ".burst_log_capacity", b.log_capacity);
+      reg.counter(p + ".burst_log_capacity_bound", b.log_bound);
     }
   }
 

@@ -22,6 +22,20 @@ namespace {
 // cycles, fused ops <= 64) with generous headroom.
 constexpr cycles_t kSampleMargin = 2048;
 constexpr cycles_t kBurstOvershoot = 256;
+// Lane-log capacity bound (Cluster::burst_log_capacity_bound). One burst
+// runs at most burst_horizon + kBurstOvershoot instructions (each costs at
+// least one cycle) and each logs at most kMaxAccessesPerInstruction
+// accesses: pv.qnt walks two threshold trees of up to 4 levels. A lane's
+// log holds the entries still pending from the previous epoch (at most one
+// epoch's pushes while an epoch's arbiter stalls stay below burst_horizon
+// - kBurstOvershoot, so everything logged two epochs back lies behind the
+// frontier), a replayed prefix no longer than that pending tail
+// (compact_lanes drops it once it reaches half the log), and this epoch's
+// pushes: kBurstLogEpochs epochs. std::vector growth at most doubles
+// capacity past the largest size reached.
+constexpr u64 kMaxAccessesPerInstruction = 2 * 4;
+constexpr u64 kBurstLogEpochs = 3;
+constexpr u64 kBurstLogGrowth = 2;
 // Reference-segment chunk (in scheduler steps, times num_cores) used when
 // an epoch could not burst every core — enough to carry a sampler-blocked
 // core across its deadline.
@@ -197,7 +211,15 @@ bool Cluster::step_once() {
 // ---------------------------------------------------------------------------
 
 void Cluster::reset_lanes() {
-  for (auto& l : lanes_) l = BurstLane{};
+  // Clear in place rather than assign a fresh lane: a reloaded cluster
+  // keeps each log's buffer instead of regrowing it.
+  for (auto& l : lanes_) {
+    l.log.clear();
+    l.head = 0;
+    l.assigned = l.folded = 0;
+    l.cur_start = ~0ull;
+    l.cur_offset = 0;
+  }
   lanes_pending_ = 0;
   // A merge cut short by a throw leaves its bookings behind.
   std::fill(calendar_.begin(), calendar_.end(), 0);
@@ -240,6 +262,36 @@ void Cluster::fold_lane(int core) {
         "burst scheduling overshot a sample boundary; lower burst_horizon "
         "or raise the sample interval");
   }
+}
+
+void Cluster::compact_lanes() {
+  // A core running ahead of the frontier never drains its lane, so
+  // fold_lane never clears its log; without this the replayed prefix
+  // [0, head) would keep every access of the run. Dropping it once half
+  // the log is replayed moves each pending entry at most once per
+  // doubling, and keeps a lane's log within kBurstLogEpochs epochs of
+  // pushes. Only indices into the log change: merge keys, offsets and
+  // stall bookkeeping are untouched, and the burst sinks point at the
+  // vector object, not its storage.
+  for (auto& l : lanes_) {
+    if (l.head == 0 || l.head * 2 < l.log.size()) continue;
+    l.log.erase(l.log.begin(),
+                l.log.begin() + static_cast<std::ptrdiff_t>(l.head));
+    l.head = 0;
+  }
+}
+
+size_t Cluster::burst_log_capacity() const {
+  size_t cap = 0;
+  for (const auto& l : lanes_) cap = std::max(cap, l.log.capacity());
+  return cap;
+}
+
+size_t Cluster::burst_log_capacity_bound() const {
+  const u64 per_epoch =
+      (std::max<u64>(cfg_.burst_horizon, 1) + kBurstOvershoot) *
+      kMaxAccessesPerInstruction;
+  return static_cast<size_t>(kBurstLogGrowth * kBurstLogEpochs * per_epoch);
 }
 
 u64 Cluster::frontier_key() const {
@@ -475,6 +527,7 @@ u64 Cluster::drive_burst(u64 target) {
     // conservatively low: leftover entries roll into the next epoch or
     // the closing reference segment.
     merge(frontier_key());
+    compact_lanes();
     burst_stats_.host_burst_seconds += t1 - t0;
     burst_stats_.host_merge_seconds += host_now() - t1;
     burst_stats_.epochs += 1;

@@ -343,6 +343,14 @@ class Cluster {
 
   const ClusterBurstStats& burst_stats() const { return burst_stats_; }
 
+  /// The largest deferred-access log buffer over all burst lanes, in
+  /// entries (std::vector capacity: what the log keeps allocated).
+  size_t burst_log_capacity() const;
+  /// What burst_log_capacity() stays within, whatever the run length:
+  /// derived from burst_horizon, the burst overshoot and the most accesses
+  /// one instruction can log (DESIGN.md §15, "Lane-log lifecycle").
+  size_t burst_log_capacity_bound() const;
+
   /// The core that was stepping when the last run() threw, or -1 (no
   /// throw, or one no single core raised).
   int faulted_core() const { return faulted_core_; }
@@ -393,7 +401,9 @@ class Cluster {
   // `folded` the part already added to the core's counters. Folding only
   // happens when the lane is drained (head == log.size()), because
   // advancing perf.cycles while logged accesses still await replay would
-  // corrupt their merge keys.
+  // corrupt their merge keys. `log[0, head)` is the replayed prefix;
+  // compact_lanes() drops it at the epoch boundary, so a lane that never
+  // drains still holds only about one epoch's accesses.
   //
   // `cur_start`/`cur_offset` latch the stall offset once per instruction:
   // the reference charges hook stalls at the end of the issuing
@@ -423,6 +433,7 @@ class Cluster {
   u64 frontier_key() const;
   u64 merge(u64 frontier);
   void fold_lane(int core);
+  void compact_lanes();
   void reset_lanes();
   bool burst_eligible() const;
   cycles_t true_clock(int core) const;

@@ -662,7 +662,11 @@ class Core {
   addr_t sb_lo_ = 0, sb_hi_ = 0;  // union extent of plans (store filter)
   SuperblockPlan* sb_active_ = nullptr;  // plan a burst is executing now
   bool sb_active_dirty_ = false;  // live plan was stored into (SMC bail)
-  std::array<SbHeatEntry, kSbHeatSize> sb_heat_{};
+  /// Backedge heat, one direct-mapped table per loop kind: [0] branch
+  /// loops keyed by the branch pc, [1] hardware loops by their start pc.
+  /// Separate tables keep the one-shot per-pixel hardware loops (im2col)
+  /// from evicting the counter of a branch loop re-entered between them.
+  std::array<std::array<SbHeatEntry, kSbHeatSize>, 2> sb_heat_{};
   SuperblockStats sb_stats_;
 };
 

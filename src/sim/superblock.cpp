@@ -383,16 +383,17 @@ bool is_conditional_branch(Mnemonic op) {
 void Core::sb_note_backedge(addr_t branch_pc, addr_t target) {
   // One promotion rule for both loop kinds: kSbHeatThreshold backedges,
   // counted across entries of the loop. Branch loops are keyed by the
-  // branch pc, hardware loops (branch_pc == 0) by their start pc with the
-  // low bit set (pcs are even), so the two kinds never share a counter.
+  // branch pc, hardware loops (branch_pc == 0) by their start pc, each in
+  // its own table, so the two kinds never share or evict a counter.
   // A loop that already has a plan re-enters it directly.
   if (sb_find(target) != nullptr) {
     sb_candidate_ = target;
     sb_candidate_branch_ = branch_pc;
     return;
   }
-  const addr_t key = branch_pc != 0 ? branch_pc : target | 1u;
-  SbHeatEntry& e = sb_heat_[(key >> 1) & (kSbHeatSize - 1)];
+  const bool hwloop = branch_pc == 0;
+  const addr_t key = hwloop ? target : branch_pc;
+  SbHeatEntry& e = sb_heat_[hwloop][(key >> 1) & (kSbHeatSize - 1)];
   if (e.pc != key) {
     e.pc = key;
     e.count = 1;
@@ -489,7 +490,7 @@ void Core::sb_evict_mixed_plans() {
 void Core::sb_clear() {
   sb_plans_.clear();
   sb_rejects_.clear();
-  sb_heat_.fill({});
+  sb_heat_ = {};
   sb_candidate_ = kNoSbCandidate;
   sb_candidate_branch_ = 0;
   sb_fallin_ = kNoSbCandidate;

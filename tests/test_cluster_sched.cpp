@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cluster/parallel_conv.hpp"
@@ -238,6 +239,75 @@ INSTANTIATE_TEST_SUITE_P(
                         : "b" + std::to_string(p.bits);
       return layer + "_c" + std::to_string(p.cores);
     });
+
+// ---------------------------------------------------------------------------
+// Lane-log bound: a core running ahead of the frontier never drains its
+// lane, so its log must be compacted at each epoch boundary instead of
+// keeping every access of the run. The 2-core runs are four times longer
+// per core than the 8-core ones; growth with run length would show there.
+
+class BurstLaneLog
+    : public ::testing::TestWithParam<std::tuple<unsigned, int>> {};
+
+TEST_P(BurstLaneLog, CapacityStaysWithinEpochBound) {
+  const auto [bits, cores] = GetParam();
+  const auto data =
+      ConvLayerData::random(qnn::ConvSpec::paper_layer(bits), 12345);
+  const ConvVariant v = (bits == 8) ? ConvVariant::kXpulpV2_8b
+                                    : ConvVariant::kXpulpNN_HwQ;
+  ClusterConfig cfg;
+  cfg.num_cores = cores;
+  cfg.scheduler = SchedulerMode::kBurst;
+  cfg.core.superblock = true;
+  size_t capacity = 0, bound = 0;
+  u64 replayed = 0;
+  const auto res = run_parallel_conv(
+      data, v, cfg, {}, [&](Cluster& cl, const auto&) {
+        capacity = cl.burst_log_capacity();
+        bound = cl.burst_log_capacity_bound();
+        replayed = cl.burst_stats().replayed_accesses;
+      });
+  EXPECT_TRUE(res.output == data.golden());
+  ASSERT_GT(capacity, 0u) << "the lanes logged nothing";
+  EXPECT_LE(capacity, bound) << replayed << " accesses replayed";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperLayers, BurstLaneLog,
+    ::testing::Combine(::testing::Values(8u, 4u, 2u), ::testing::Values(8, 2)),
+    [](const auto& info) {
+      return "b" + std::to_string(std::get<0>(info.param)) + "_c" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+TEST(BurstLaneLog, ReloadKeepsLaneBuffers) {
+  const auto data = ConvLayerData::random(qnn::ConvSpec::paper_layer(4), 7);
+  ClusterConfig cfg;
+  cfg.num_cores = 4;
+  cfg.scheduler = SchedulerMode::kBurst;
+  cfg.core.superblock = true;
+  const auto kernels =
+      make_parallel_conv_kernels(data.spec, ConvVariant::kXpulpNN_HwQ, 4);
+  const kernels::ConvMemLayout& layout = kernels.front().layout;
+  std::vector<xasm::Program> programs;
+  for (const auto& k : kernels) programs.push_back(k.program);
+  Cluster cl(cfg);
+  const auto load_and_run = [&](size_t expect_capacity_after_load) {
+    kernels::load_conv_data(data, layout, cl.memory());
+    cl.load(programs);
+    // load() clears the logs in place: a reloaded cluster keeps the
+    // buffers the previous run grew instead of growing fresh ones.
+    EXPECT_EQ(cl.burst_log_capacity(), expect_capacity_after_load);
+    const cycles_t makespan = cl.run().makespan;
+    EXPECT_TRUE(kernels::read_conv_output(data.spec, layout, cl.memory()) ==
+                data.golden());
+    return makespan;
+  };
+  const cycles_t first = load_and_run(0);
+  const size_t capacity = cl.burst_log_capacity();
+  ASSERT_GT(capacity, 0u);
+  EXPECT_EQ(load_and_run(capacity), first);
+}
 
 // ---------------------------------------------------------------------------
 // Conflict stress: every core hammers the same bank, so nearly every

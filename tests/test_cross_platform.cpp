@@ -167,6 +167,40 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(info.param) ? "_superblock" : "_fast");
     });
 
+// The channel-pair loop is entered once per output pixel pair and runs
+// one backedge per call at 2-bit outputs, so its heat counter has to
+// survive the one-shot im2col hardware loops that run between calls. Each
+// format's XpulpNN kernel must end up running it as a loop nest.
+class PipelineNesting : public ::testing::TestWithParam<Format> {};
+
+TEST_P(PipelineNesting, ChannelLoopFusesAroundInnerLoops) {
+  const Format f = GetParam();
+  qnn::ConvSpec spec = qnn::ConvSpec::small_layer(f.in_bits);
+  spec.w_bits = f.w_bits;
+  spec.out_bits = f.out_bits;
+  const auto data = ConvLayerData::random(spec, 0x9d + f.in_bits * f.w_bits);
+  const ConvVariant v = spec.in_bits != spec.w_bits
+                            ? ConvVariant::kXpulpNN_Mixed
+                        : spec.in_bits == 8 ? ConvVariant::kXpulpV2_8b
+                                            : ConvVariant::kXpulpNN_HwQ;
+  sim::CoreConfig cfg = sim::CoreConfig::extended();
+  cfg.superblock = true;
+  sim::SuperblockStats sb;
+  const auto res = kernels::run_conv_layer(
+      data, v, cfg, {}, {},
+      [&](sim::Core& core, const ConvKernel&) {
+        sb = core.superblock_stats();
+      });
+  expect_golden(res.output, data.golden(), kernels::variant_name(v));
+  EXPECT_GT(sb.nested_entries, 0u) << kernels::variant_name(v);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Formats, PipelineNesting, ::testing::ValuesIn(kFormats),
+    [](const ::testing::TestParamInfo<Format>& info) {
+      return std::string(info.param.name);
+    });
+
 // ---- one fault diagnostic ----
 
 /// Overwrite the first word of `k`'s matmul region with an illegal

@@ -3,6 +3,8 @@
 // and memory-stall behaviour on misaligned trees.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.hpp"
 #include "qnn/thresholds.hpp"
 #include "sim_test_util.hpp"
@@ -154,6 +156,152 @@ TEST(QuantUnit, PvQntIllegalOnBaselineCore) {
                    },
                    sim::CoreConfig::ri5cy()),
                IllegalInstruction);
+}
+
+// ---- single-walk execute vs the two-walk routine it replaced ----
+
+/// The pre-single-walk QuantUnit::quantize_one and execute, kept verbatim
+/// as the oracle: execute walked both trees through quantize_one for the
+/// result, then walked them again in its timing loop.
+u32 quantize_one_walk(const mem::Memory& mem, addr_t tree, i16 x,
+                      unsigned q_bits) {
+  u32 idx = 0;
+  u32 code = 0;
+  for (unsigned level = 0; level < q_bits; ++level) {
+    const i16 t = static_cast<i16>(mem.load_u16(tree + idx * 2));
+    const u32 b = (x >= t) ? 1u : 0u;
+    code = (code << 1) | b;
+    idx = 2 * idx + 1 + b;
+  }
+  return code;
+}
+
+sim::QuantResult execute_two_walks(mem::Memory& mem, u32 rs1, addr_t rs2,
+                                   unsigned q_bits) {
+  const i16 act0 = static_cast<i16>(rs1 & 0xffffu);
+  const i16 act1 = static_cast<i16>(rs1 >> 16);
+  const addr_t tree0 = rs2;
+  const addr_t tree1 = rs2 + sim::QuantUnit::tree_stride_bytes(q_bits);
+
+  sim::QuantResult res{};
+  // Functional result.
+  const u32 q0 = quantize_one_walk(mem, tree0, act0, q_bits);
+  const u32 q1 = quantize_one_walk(mem, tree1, act1, q_bits);
+  res.rd = (q1 << 16) | q0;
+
+  res.cycles = 1 + 2 * q_bits;
+  res.mem_loads = 2 * q_bits;
+
+  u32 idx0 = 0, idx1 = 0;
+  for (unsigned level = 0; level < q_bits; ++level) {
+    res.mem_stalls += mem.access_cycles(tree0 + idx0 * 2, 2, /*is_store=*/false);
+    res.mem_stalls += mem.access_cycles(tree1 + idx1 * 2, 2, /*is_store=*/false);
+    const u32 b0 = (act0 >= static_cast<i16>(mem.load_u16(tree0 + idx0 * 2))) ? 1u : 0u;
+    const u32 b1 = (act1 >= static_cast<i16>(mem.load_u16(tree1 + idx1 * 2))) ? 1u : 0u;
+    idx0 = 2 * idx0 + 1 + b0;
+    idx1 = 2 * idx1 + 1 + b1;
+  }
+  return res;
+}
+
+/// Every field of a QuantResult plus the memory's full MemStats, or the
+/// fault text when the call trapped.
+struct QntOutcome {
+  sim::QuantResult res{};
+  mem::MemStats stats;
+  std::string fault;
+};
+
+template <typename Fn>
+QntOutcome run_qnt(mem::Memory& mem, Fn&& fn) {
+  QntOutcome o;
+  try {
+    o.res = fn(mem);
+  } catch (const MemoryFault& f) {
+    o.fault = f.what();
+  }
+  o.stats = mem.stats();
+  return o;
+}
+
+void expect_same(const QntOutcome& a, const QntOutcome& b,
+                 const std::string& who) {
+  EXPECT_EQ(a.fault, b.fault) << who;
+  EXPECT_EQ(a.res.rd, b.res.rd) << who;
+  EXPECT_EQ(a.res.cycles, b.res.cycles) << who;
+  EXPECT_EQ(a.res.mem_stalls, b.res.mem_stalls) << who;
+  EXPECT_EQ(a.res.mem_loads, b.res.mem_loads) << who;
+  for_each_counter(
+      [&](const char* name, u64 x, u64 y) { EXPECT_EQ(x, y) << who << name; },
+      a.stats, b.stats);
+}
+
+TEST_P(QuantProperty, SingleWalkMatchesTwoWalkOracle) {
+  const unsigned q = GetParam();
+  const u32 stride = sim::QuantUnit::tree_stride_bytes(q);
+  Rng rng(0x9a7 + q);
+  sim::QuantUnit unit;
+  for (int trial = 0; trial < 300; ++trial) {
+    // Aligned and misaligned tree bases; an injected contention period
+    // every few trials makes the stall count depend on access order.
+    mem::Memory mem(4096);
+    const addr_t base = static_cast<addr_t>(rng.uniform(0, 1000)) * 2 +
+                        static_cast<addr_t>(trial % 3 == 0 ? 1 : 0);
+    write_tree(mem, base, qnn::Thresholds::random(rng, q, -3000, 3000));
+    write_tree(mem, base + stride,
+               qnn::Thresholds::random(rng, q, -3000, 3000));
+    if (trial % 4 == 1) {
+      mem.set_contention_period(static_cast<u32>(rng.uniform(2, 5)));
+    }
+    const u32 rs1 = static_cast<u32>(rng.uniform(0, 0xffff)) << 16 |
+                    static_cast<u32>(rng.uniform(0, 0xffff));
+    mem::Memory twin = mem;
+    const std::string who = "trial " + std::to_string(trial) + " base " +
+                            std::to_string(base) + ": ";
+    expect_same(run_qnt(twin, [&](mem::Memory& m) {
+                  return execute_two_walks(m, rs1, base, q);
+                }),
+                run_qnt(mem, [&](mem::Memory& m) {
+                  return unit.execute(m, rs1, base, q);
+                }),
+                who);
+  }
+}
+
+TEST_P(QuantProperty, TreeLeavingMemoryTrapsBeforeAnyCharge) {
+  // Tree 0 fits; tree 1 straddles the end of memory, so some of its paths
+  // read past it. Both routines must trap on the same address with
+  // MemStats untouched, and agree on every path that stays inside.
+  const unsigned q = GetParam();
+  const u32 stride = sim::QuantUnit::tree_stride_bytes(q);
+  Rng rng(0x7ab + q);
+  sim::QuantUnit unit;
+  int traps = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    mem::Memory mem(1024);
+    const addr_t base = 1024 - stride - stride / 2 +
+                        static_cast<addr_t>(trial % 2);
+    write_tree(mem, base, qnn::Thresholds::random(rng, q, -300, 300));
+    for (addr_t a = base + stride; a + 1 < 1024; a += 2) {
+      mem.store_u16(a, static_cast<u16>(rng.uniform(-300, 300)));
+    }
+    const u32 rs1 = static_cast<u32>(rng.uniform(0, 0xffff)) << 16 |
+                    static_cast<u32>(rng.uniform(0, 0xffff));
+    mem::Memory twin = mem;
+    const QntOutcome oracle = run_qnt(twin, [&](mem::Memory& m) {
+      return execute_two_walks(m, rs1, base, q);
+    });
+    const QntOutcome got = run_qnt(
+        mem, [&](mem::Memory& m) { return unit.execute(m, rs1, base, q); });
+    expect_same(oracle, got, "trial " + std::to_string(trial) + ": ");
+    if (!got.fault.empty()) {
+      ++traps;
+      EXPECT_EQ(got.stats.loads, 0u);
+      EXPECT_EQ(got.stats.misaligned_accesses, 0u);
+    }
+  }
+  EXPECT_GT(traps, 0) << "no path left memory";
+  EXPECT_LT(traps, 200) << "every path left memory";
 }
 
 TEST(QuantUnit, TreeStride) {
