@@ -131,12 +131,19 @@ ModeResults measure_modes(const Workload& w, double round_seconds = 0.25,
                           int rounds = 5) {
   ModeResults out;
   mem::Memory mem;
-  sim::Core core(mem, w.cfg);
+  // One core per mode (reference, fast, superblock) over the shared
+  // memory, which one_rep restores before every run.
+  std::unique_ptr<sim::Core> cores[3];
+  for (int mode = 0; mode < 3; ++mode) {
+    sim::CoreConfig cfg = w.cfg;
+    cfg.reference_dispatch = mode == 0;
+    cfg.superblock = mode == 2;
+    cores[mode] = std::make_unique<sim::Core>(mem, cfg);
+  }
 
   for (int r = 0; r < rounds; ++r) {
     for (int mode = 0; mode < 3; ++mode) {
-      core.set_reference_dispatch(mode == 0);
-      core.set_superblock(mode == 2);
+      sim::Core& core = *cores[mode];
       Measurement warm;
       one_rep(w, core, mem, warm);
       Measurement round;
@@ -147,11 +154,9 @@ ModeResults measure_modes(const Workload& w, double round_seconds = 0.25,
     }
   }
 
-  core.set_reference_dispatch(false);
-  core.set_superblock(true);
   Measurement cov;
-  one_rep(w, core, mem, cov);
-  out.coverage = core.superblock_stats();
+  one_rep(w, *cores[2], mem, cov);
+  out.coverage = cores[2]->superblock_stats();
   out.coverage_instructions = cov.instructions;
   return out;
 }

@@ -1,5 +1,6 @@
 #include "ckpt/fault.hpp"
 
+#include <algorithm>
 #include <array>
 
 #include "common/rng.hpp"
@@ -138,11 +139,13 @@ void inject(const FaultSpec& fs, sim::Core& core, mem::Memory& mem) {
   }
 }
 
-/// Step the core to completion (or the watchdog budget), checkpointing
+/// Run the core to completion (or the watchdog budget), checkpointing
 /// every `ckpt_every` instructions while still before the injection point.
-/// `fault` == nullptr runs plain (retry attempts). Returns the detector
-/// that fired during execution, or kNone if the run ended in a clean
-/// ecall.
+/// `fault` == nullptr runs plain (retry attempts). The core advances with
+/// run_steps, which pauses on exact instruction indices with the
+/// superblock engine active, so trials fuse hot loops like any other run.
+/// Returns the detector that fired during execution, or kNone if the run
+/// ended in a clean ecall.
 Detector execute(sim::Core& core, mem::Memory& mem, u64 budget,
                  const FaultSpec* fault, u64 ckpt_every,
                  Snapshot* pre_fault_ckpt) {
@@ -160,7 +163,17 @@ Detector execute(sim::Core& core, mem::Memory& mem, u64 budget,
         }
       }
       if (n >= budget) return Detector::kWatchdog;
-      core.step();
+      // Pause at the next index the checks above act on.
+      u64 next_stop = budget;
+      if (fault != nullptr) {
+        if (fault->at_instruction > n) {
+          next_stop = std::min(next_stop, fault->at_instruction);
+        }
+        if (ckpt_every != 0 && pre_fault_ckpt != nullptr) {
+          next_stop = std::min(next_stop, (n / ckpt_every + 1) * ckpt_every);
+        }
+      }
+      core.run_steps(next_stop - n);
     }
   } catch (const SimError&) {
     // Guest trap: memory fault, illegal instruction, …
@@ -208,13 +221,10 @@ bool run_fallback(const Workload& wl, const CampaignConfig& cfg) {
   }
 }
 
-FaultRecord run_trial(const Workload& wl, const ReferenceRun& ref,
-                      const CampaignConfig& cfg, const FaultSpec& fs) {
-  mem::Memory mem;
-  sim::Core core(mem, cfg.core);
-  load_workload(wl, mem);
-  reset_core(wl, core);
-
+/// One trial on a freshly loaded `core`: inject, detect, recover.
+FaultRecord run_trial(sim::Core& core, mem::Memory& mem, const Workload& wl,
+                      const ReferenceRun& ref, const CampaignConfig& cfg,
+                      const FaultSpec& fs) {
   FaultRecord rec;
   rec.spec = fs;
   const u64 budget = 4 * ref.instructions + 10'000;
@@ -332,6 +342,7 @@ void CampaignReport::publish(obs::Registry& reg, std::string_view prefix) const 
   reg.gauge(p + ".detection_rate", detection_rate());
   reg.gauge(p + ".recovery_rate", recovery_rate());
   reg.counter(p + ".reference_instructions", reference_instructions);
+  reg.counter(p + ".fused_instructions", fused_instructions);
 
   u64 by_detector[6] = {};
   u64 by_kind[4] = {};
@@ -370,7 +381,12 @@ CampaignReport run_campaign(const CampaignConfig& cfg) {
 
   for (int i = 0; i < cfg.num_faults; ++i) {
     const FaultSpec fs = make_fault(cfg, wl, ref, i);
-    rep.records.push_back(run_trial(wl, ref, cfg, fs));
+    mem::Memory mem;
+    sim::Core core(mem, cfg.core);
+    load_workload(wl, mem);
+    reset_core(wl, core);
+    rep.records.push_back(run_trial(core, mem, wl, ref, cfg, fs));
+    rep.fused_instructions += core.superblock_stats().fused_instructions;
     const FaultRecord& r = rep.records.back();
     rep.injected += 1;
     switch (r.outcome) {

@@ -141,6 +141,9 @@ struct CampaignReport {
 
   /// Instructions the fault-free reference run retires.
   u64 reference_instructions = 0;
+  /// Instructions the trials retired inside fused superblock bursts,
+  /// retries included (0 with CoreConfig::superblock off).
+  u64 fused_instructions = 0;
 
   double detection_rate() const {
     const int effective = injected - masked;

@@ -82,7 +82,7 @@ bool reads_cycle_csr(const xasm::Program& p) {
 
 Cluster::Cluster(ClusterConfig cfg)
     : cfg_(cfg),
-      arbiter_(static_cast<u32>(cfg.num_cores) * cfg.banks_per_core) {
+      arbiter_(static_cast<u32>(cfg.num_cores) * kBanksPerCore) {
   if (cfg_.num_cores < 1 || cfg_.num_cores > 64) {
     throw SimError("cluster size out of range");
   }
@@ -175,25 +175,6 @@ void Cluster::end_run() {
   active_core_ = nullptr;
   active_core_id_ = -1;
   logging_ = false;
-}
-
-bool Cluster::step_once() {
-  // Pick the non-halted core with the smallest local time.
-  sim::Core* next = nullptr;
-  int next_id = -1;
-  for (size_t i = 0; i < cores_.size(); ++i) {
-    if (cores_[i]->halted()) continue;
-    if (next == nullptr || cores_[i]->perf().cycles < next->perf().cycles) {
-      next = cores_[i].get();
-      next_id = static_cast<int>(i);
-    }
-  }
-  if (next == nullptr) return false;  // all halted
-
-  active_core_ = next;
-  active_core_id_ = next_id;
-  next->step();
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -300,9 +281,9 @@ u64 Cluster::frontier_key() const {
   u64 frontier = kInfKey;
   for (size_t i = 0; i < cores_.size(); ++i) {
     if (cores_[i]->halted()) continue;
-    frontier = std::min(
-        frontier, MinClockHeap::key(true_clock(static_cast<int>(i)),
-                                    static_cast<int>(i)));
+    frontier = std::min(frontier,
+                        ClockCoreKey::pack(true_clock(static_cast<int>(i)),
+                                           static_cast<int>(i)));
   }
   return frontier;
 }
@@ -322,9 +303,9 @@ u64 Cluster::merge(u64 frontier) {
   // which bounds the walk for an infinite (all-halted) frontier. Returns
   // the number of accesses replayed; the calendar is all-zero on return.
   if (lanes_pending_ == 0) return 0;
-  const cycles_t fc = MinClockHeap::clock_of(frontier);
+  const cycles_t fc = ClockCoreKey::clock(frontier);
   // Lanes that still precede the frontier at its own cycle `fc`.
-  const u64 fc_lanes = (1ull << MinClockHeap::core_of(frontier)) - 1;
+  const u64 fc_lanes = (1ull << ClockCoreKey::core(frontier)) - 1;
   cycles_t due[64];
   u64 ready = 0;
   for (size_t i = 0; i < lanes_.size(); ++i) {
@@ -376,16 +357,16 @@ u64 Cluster::merge(u64 frontier) {
     if ((ready & (ready - 1)) == 0) {
       // A single ready lane needs no ordering: drain it straight through.
       const int i = std::countr_zero(ready);
-      while (MinClockHeap::key(due[i], i) < frontier && visit(i)) {}
+      while (ClockCoreKey::pack(due[i], i) < frontier && visit(i)) {}
       break;
     }
     u64 first = kInfKey;
     for (u64 m = ready; m != 0; m &= m - 1) {
       const int i = std::countr_zero(m);
-      first = std::min(first, MinClockHeap::key(due[i], i));
+      first = std::min(first, ClockCoreKey::pack(due[i], i));
     }
     if (first >= frontier) break;
-    const cycles_t base = MinClockHeap::clock_of(first);
+    const cycles_t base = ClockCoreKey::clock(first);
     const cycles_t end = std::min(base + kCalendarSlots, fc + 1);
     u64* const cal = calendar_.data();
     for (u64 m = ready; m != 0; m &= m - 1) {
@@ -433,7 +414,7 @@ u64 Cluster::reference_segment(u64 max_steps, u64 budget) {
     u64 frontier = frontier_key();
     while (merge(frontier) != 0) frontier = frontier_key();
     if (frontier == kInfKey) break;  // all halted (lanes flushed)
-    const int id = MinClockHeap::core_of(frontier);
+    const int id = ClockCoreKey::core(frontier);
     // All of this core's logged accesses order strictly before its next
     // instruction, so the merge drained its lane; folding makes
     // perf.cycles the true clock before the step issues real accesses.
@@ -475,7 +456,7 @@ u64 Cluster::drive_burst(u64 target) {
   while (executed + slack < target) {
     const u64 first = frontier_key();
     if (first == kInfKey) break;  // all halted
-    cycles_t horizon = MinClockHeap::clock_of(first) + delta;
+    cycles_t horizon = ClockCoreKey::clock(first) + delta;
     // Sample boundaries must be crossed on reference steps with every
     // lane advanced in exact global key order: a Sample diffs the
     // *shared* TCDM stats, so if any other core had already burst past
@@ -553,68 +534,40 @@ u64 Cluster::drive_burst(u64 target) {
 }
 
 u64 Cluster::drive_reference(u64 target) {
-  // Small clusters: cached-key argmin over a contiguous array. The scan
-  // is branch-predictable and touches one cache line, which beats the
-  // heap's data-dependent sift until the core count grows well past
-  // hardware cluster sizes (measured on the paper deployment: the scan
-  // is ~25% faster at 8 cores). Keys pack (clock, core) exactly like the
-  // heap so the pick order is identical.
-  if (cores_.size() <= 16) {
-    u64 keys[16];
-    size_t live = 0;
-    for (size_t i = 0; i < cores_.size(); ++i) {
-      keys[i] = cores_[i]->halted()
-                    ? ~0ull
-                    : MinClockHeap::key(cores_[i]->perf().cycles,
-                                        static_cast<int>(i));
-      if (keys[i] != ~0ull) ++live;
-    }
-    u64 executed = 0;
-    while (executed < target && live != 0) {
-      u64 best = keys[0];
-      size_t bi = 0;
-      for (size_t i = 1; i < cores_.size(); ++i) {
-        if (keys[i] < best) {
-          best = keys[i];
-          bi = i;
-        }
-      }
-      sim::Core& c = *cores_[bi];
-      active_core_ = &c;
-      active_core_id_ = static_cast<int>(bi);
-      c.step();
-      ++executed;
-      if (c.halted()) {
-        keys[bi] = ~0ull;
-        --live;
-      } else {
-        keys[bi] = MinClockHeap::key(c.perf().cycles,
-                                     static_cast<int>(bi));
-      }
-    }
-    return executed;
-  }
-  // Large clusters: O(log N) pick via the min-heap. The key packs
-  // (local clock, core index), so the top is exactly the argmin
-  // step_once() computes — smallest clock, ties to the lowest index.
-  MinClockHeap heap;
+  // Cached-key argmin over a contiguous array: pick the core with the
+  // smallest (local clock, core index). The scan is branch-predictable and
+  // touches a cache line or two, which beat a min-heap's data-dependent
+  // sift on the paper deployment (~25% faster at 8 cores). Halted cores
+  // hold the never-picked key ~0.
+  u64 keys[64];
+  size_t live = 0;
   for (size_t i = 0; i < cores_.size(); ++i) {
-    if (cores_[i]->halted()) continue;
-    heap.push(MinClockHeap::key(cores_[i]->perf().cycles,
-                                static_cast<int>(i)));
+    keys[i] = cores_[i]->halted()
+                  ? ~0ull
+                  : ClockCoreKey::pack(cores_[i]->perf().cycles,
+                                       static_cast<int>(i));
+    if (keys[i] != ~0ull) ++live;
   }
   u64 executed = 0;
-  while (executed < target && !heap.empty()) {
-    const int id = MinClockHeap::core_of(heap.top());
-    sim::Core& c = *cores_[static_cast<size_t>(id)];
+  while (executed < target && live != 0) {
+    u64 best = keys[0];
+    size_t bi = 0;
+    for (size_t i = 1; i < cores_.size(); ++i) {
+      if (keys[i] < best) {
+        best = keys[i];
+        bi = i;
+      }
+    }
+    sim::Core& c = *cores_[bi];
     active_core_ = &c;
-    active_core_id_ = id;
+    active_core_id_ = static_cast<int>(bi);
     c.step();
     ++executed;
     if (c.halted()) {
-      heap.pop_top();
+      keys[bi] = ~0ull;
+      --live;
     } else {
-      heap.update_top(MinClockHeap::key(c.perf().cycles, id));
+      keys[bi] = ClockCoreKey::pack(c.perf().cycles, static_cast<int>(bi));
     }
   }
   return executed;
@@ -678,13 +631,13 @@ ClusterStats Cluster::run(u64 max_total_instructions) {
   // active-core latch) installed on the shared memory.
   u64 executed = 0;
   try {
-    // Asking the driver for budget+1 steps reproduces the historical
-    // `while (step_once()) if (++executed > max) throw;` semantics
-    // exactly: a run needing more than the budget executes precisely
-    // max+1 instructions — reaching the same state the reference loop
-    // trapped in — and then throws. Under burst scheduling drive()
-    // guarantees that stopping state is bit-identical to the reference
-    // scheduler paused at the same index.
+    // Asking drive() for budget+1 steps reproduces the per-instruction
+    // "step, count, throw once past the budget" semantics exactly: a run
+    // needing more than the budget executes precisely max+1 instructions
+    // — reaching the same state the reference loop trapped in — and then
+    // throws. Under burst scheduling drive() guarantees that stopping
+    // state is bit-identical to the reference scheduler paused at the
+    // same index.
     executed = drive(max_total_instructions + 1);
     if (executed > max_total_instructions) {
       throw SimError("cluster instruction budget exceeded");

@@ -48,9 +48,12 @@ namespace xpulp::cluster {
 ///    demote the run to kReference automatically).
 enum class SchedulerMode { kReference, kBurst };
 
+/// PULP TCDM banking factor: the arbiter has num_cores * kBanksPerCore
+/// word-interleaved banks.
+inline constexpr u32 kBanksPerCore = 2;
+
 struct ClusterConfig {
   int num_cores = 8;
-  u32 banks_per_core = 2;  // PULP TCDM banking factor
   sim::CoreConfig core = sim::CoreConfig::extended();
   SchedulerMode scheduler = SchedulerMode::kReference;
   /// Burst scheduling epoch width in cycles: each epoch advances every
@@ -199,68 +202,16 @@ struct ClusterState {
   BankArbiterState arbiter;
 };
 
-/// Binary min-heap of (clock, core) pairs ordered lexicographically —
-/// smallest clock first, ties broken by the smaller core index, which is
-/// exactly the reference scheduler's first-lowest-index argmin. Replaces
-/// the O(N) per-step scan in step_once() with O(log N) sift operations.
-/// Keys are packed as (clock << 6) | core so the comparison is a single
-/// u64 compare; clocks stay far below 2^58 under the 2e9-instruction
-/// budget.
-class MinClockHeap {
- public:
-  static u64 key(cycles_t clock, int core) {
+/// Scheduler pick key: a (clock, core) pair packed as (clock << 6) | core,
+/// so one u64 compare orders picks exactly like the reference scheduler —
+/// smallest clock first, ties to the lower core index. Clocks stay far
+/// below 2^58 under the 2e9-instruction budget.
+struct ClockCoreKey {
+  static u64 pack(cycles_t clock, int core) {
     return (clock << 6) | static_cast<u64>(core);
   }
-  static cycles_t clock_of(u64 k) { return k >> 6; }
-  static int core_of(u64 k) { return static_cast<int>(k & 63); }
-
-  void clear() { heap_.clear(); }
-  bool empty() const { return heap_.empty(); }
-  size_t size() const { return heap_.size(); }
-  u64 top() const { return heap_[0]; }
-
-  void push(u64 k) {
-    heap_.push_back(k);
-    size_t i = heap_.size() - 1;
-    while (i > 0) {
-      const size_t p = (i - 1) / 2;
-      if (heap_[p] <= heap_[i]) break;
-      std::swap(heap_[p], heap_[i]);
-      i = p;
-    }
-  }
-
-  void pop_top() {
-    heap_[0] = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down();
-  }
-
-  /// Replace the top element's clock (its core just stepped and advanced)
-  /// and restore the heap property. The common per-step operation: one
-  /// sift-down instead of pop+push.
-  void update_top(u64 k) {
-    heap_[0] = k;
-    sift_down();
-  }
-
- private:
-  void sift_down() {
-    size_t i = 0;
-    const size_t n = heap_.size();
-    while (true) {
-      const size_t l = 2 * i + 1;
-      const size_t r = l + 1;
-      size_t m = i;
-      if (l < n && heap_[l] < heap_[m]) m = l;
-      if (r < n && heap_[r] < heap_[m]) m = r;
-      if (m == i) return;
-      std::swap(heap_[i], heap_[m]);
-      i = m;
-    }
-  }
-
-  std::vector<u64> heap_;
+  static cycles_t clock(u64 k) { return k >> 6; }
+  static int core(u64 k) { return static_cast<int>(k & 63); }
 };
 
 class Cluster {
@@ -328,10 +279,10 @@ class Cluster {
   /// cores, in reference interleaving order), or fewer if every core
   /// halts first. Returns the number actually executed. Under burst
   /// scheduling the stopping state is bit-identical to a reference run
-  /// paused at the same index — mid-burst checkpoints are exact. Must be
-  /// bracketed by begin_run()/end_run() like step_once(); guest faults
-  /// propagate with the hook still installed (call end_run() to clean
-  /// up), matching the step_once() contract.
+  /// paused at the same index — mid-burst checkpoints are exact, and
+  /// run_steps(1) is one reference-order step. Must be bracketed by
+  /// begin_run()/end_run(); guest faults propagate with the hook still
+  /// installed (call end_run() to clean up).
   u64 run_steps(u64 n);
 
   /// Select the scheduling policy for subsequent run()/run_steps() calls.
@@ -356,7 +307,7 @@ class Cluster {
   int faulted_core() const { return faulted_core_; }
 
   // ---- Incremental stepping (checkpointing, fault injection) ----
-  // run() is begin_run(); while (step_once()) ...; end_run(); plus budget
+  // run() is begin_run(); run_steps(budget + 1); end_run(); plus budget
   // and halt-reason policy. External drivers use the pieces directly to
   // pause at arbitrary points, snapshot, restore and resume.
 
@@ -364,10 +315,6 @@ class Cluster {
   void begin_run();
   /// Uninstall the hook and clear the active-core latch. Idempotent.
   void end_run();
-  /// Schedule and execute one instruction on the core with the smallest
-  /// local cycle count. Returns false once every core has halted. Only
-  /// valid between begin_run() and end_run().
-  bool step_once();
 
   /// Aggregate per-core cycle stats plus arbiter deltas against the given
   /// baselines (pass 0,0 for cumulative totals). Unlike run(), does not

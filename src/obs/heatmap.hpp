@@ -43,7 +43,7 @@ class BankHeatmap {
   };
 
   /// `banks` and `cores` size the per-window grids; `banks` must match
-  /// the cluster's arbiter (num_cores * banks_per_core).
+  /// the cluster's arbiter (num_cores * cluster::kBanksPerCore).
   BankHeatmap(u32 banks, int cores, const Options& opts);
   BankHeatmap(u32 banks, int cores) : BankHeatmap(banks, cores, Options{}) {}
 

@@ -52,7 +52,6 @@ std::string perf_invariant_violation(const PerfCounters& p) {
 
 Core::Core(mem::Memory& mem, CoreConfig cfg)
     : mem_(mem), cfg_(std::move(cfg)), dotp_(cfg_.clock_gating) {
-  ref_dispatch_ = cfg_.reference_dispatch;
   feature_guard_ =
       static_cast<u16>((cfg_.xpulpv2 ? 0 : iflag::kNeedXpulpV2) |
                        (cfg_.xpulpnn ? 0 : iflag::kNeedXpulpNN) |
@@ -60,15 +59,6 @@ Core::Core(mem::Memory& mem, CoreConfig cfg)
 }
 
 Core::~Core() = default;
-
-void Core::set_superblock(bool on) {
-  cfg_.superblock = on;
-  if (!on) {
-    sb_candidate_ = kNoSbCandidate;
-    sb_candidate_branch_ = 0;
-    sb_fallin_ = kNoSbCandidate;
-  }
-}
 
 void Core::reset(addr_t pc, addr_t code_end) {
   regs_.fill(0);
@@ -255,7 +245,7 @@ void Core::sample_fire() {
 
 bool Core::step() {
   bool alive;
-  if (ref_dispatch_) {
+  if (cfg_.reference_dispatch) {
     alive = step_reference();
   } else {
     alive = trace_ ? step_fast<true>() : step_fast<false>();
@@ -264,8 +254,10 @@ bool Core::step() {
   return alive;
 }
 
+// Forced inline: left to its heuristics, GCC inlines this into the cold
+// traced run loop and calls it out of line from the hot untraced one.
 template <bool Traced>
-bool Core::step_fast() {
+[[gnu::always_inline]] inline bool Core::step_fast() {
   if (halted()) return false;
   const Instr& in = fetch_decode_fast(pc_);
   if constexpr (Traced) {
@@ -375,7 +367,7 @@ void Core::hwloop_backedge(addr_t after) {
         hwl_count_[l] -= 1;
         next_pc_ = hwl_start_[l];
         perf_.hwloop_backedges += 1;
-        if (cfg_.superblock && !ref_dispatch_) {
+        if (cfg_.superblock && !cfg_.reference_dispatch) {
           // Promote on backedge heat like branch loops, so one-shot loops
           // with a few trips never compile a plan.
           sb_note_backedge(0, hwl_start_[l]);
@@ -390,7 +382,7 @@ void Core::hwloop_backedge(addr_t after) {
 }
 
 HaltReason Core::run(u64 max_instructions) {
-  if (ref_dispatch_) {
+  if (cfg_.reference_dispatch) {
     // Legacy loop shape: dynamic trace check inside step_reference and the
     // limit read back from the perf counters every iteration. The sampling
     // deadline compare is unreachable without a sampler (kNoSampleDue).
@@ -405,18 +397,57 @@ HaltReason Core::run(u64 max_instructions) {
     }
     return halt_;
   }
-  if (sampler_) {
-    return trace_ ? run_fast<true, true>(max_instructions)
-                  : run_fast<false, true>(max_instructions);
+  // Like the legacy loop, run() retires at least one instruction, and an
+  // exhausted budget wins the halt reason even when its last instruction
+  // was the ecall.
+  const u64 budget = std::max<u64>(max_instructions, 1);
+  if (run_bounded(budget, kNoSampleDue) >= budget) {
+    halt_ = HaltReason::kInstrLimit;
   }
-  return trace_ ? run_fast<true, false>(max_instructions)
-                : run_fast<false, false>(max_instructions);
+  return halt_;
+}
+
+u64 Core::run_steps(u64 n) { return run_bounded(n, kNoSampleDue); }
+
+u64 Core::run_burst(cycles_t horizon, u64 max_instructions) {
+  // The horizon is published through burst_due_ so fused superblock
+  // bursts stop at the same boundary a per-instruction run would (armed
+  // single-step plus the prefix repair — see sb_execute_impl). The reset
+  // must survive guest faults: a dangling horizon would silently truncate
+  // every later superblock burst.
+  burst_due_ = horizon;
+  try {
+    const u64 executed = run_bounded(max_instructions, horizon);
+    burst_due_ = kNoSampleDue;
+    return executed;
+  } catch (...) {
+    burst_due_ = kNoSampleDue;
+    throw;
+  }
+}
+
+u64 Core::run_bounded(u64 budget, cycles_t horizon) {
+  if (cfg_.reference_dispatch) {
+    u64 executed = 0;
+    for (; executed < budget && perf_.cycles < horizon && !halted();
+         ++executed) {
+      step_reference();
+      if (perf_.cycles >= sample_due_) [[unlikely]] sample_fire();
+    }
+    return executed;
+  }
+  if (sampler_) {
+    return trace_ ? run_loop<true, true>(budget, horizon)
+                  : run_loop<false, true>(budget, horizon);
+  }
+  return trace_ ? run_loop<true, false>(budget, horizon)
+                : run_loop<false, false>(budget, horizon);
 }
 
 template <bool Traced, bool Sampled>
-HaltReason Core::run_fast(u64 max_instructions) {
+u64 Core::run_loop(u64 budget, cycles_t horizon) {
   u64 executed = 0;
-  while (!halted()) {
+  while (executed < budget && perf_.cycles < horizon && !halted()) {
     step_fast<Traced>();
     ++executed;
     if constexpr (Sampled) {
@@ -428,18 +459,19 @@ HaltReason Core::run_fast(u64 max_instructions) {
       // Superblock entry: the step above announced a hot block starting at
       // the next pc (hwloop setup/backedge, hot backward branch). A burst
       // retires whole iterations and never overshoots the remaining
-      // budget, so the kInstrLimit semantics below stay exact. Candidates
-      // are only ever set when cfg_.superblock is on, so the common path
-      // pays one compare. Traced runs never fuse: the per-instruction
-      // hook is the reason to interpret.
+      // budget, and stops at the horizon through burst_due_, so every
+      // bound stays exact. Candidates are only ever set when
+      // cfg_.superblock is on, so the common path pays one compare.
+      // Traced runs never fuse: the per-instruction hook is the reason to
+      // interpret.
       if (sb_candidate_ != kNoSbCandidate) [[unlikely]] {
         const addr_t cand = sb_candidate_;
         const addr_t cand_branch = sb_candidate_branch_;
         sb_candidate_ = kNoSbCandidate;
         sb_candidate_branch_ = 0;
-        if (executed < max_instructions && cand == pc_ && !halted()) {
-          executed +=
-              superblock_enter(cand, cand_branch, max_instructions - executed);
+        if (executed < budget && cand == pc_ && !halted() &&
+            perf_.cycles < horizon) {
+          executed += superblock_enter(cand, cand_branch, budget - executed);
           if constexpr (Sampled) {
             // The burst may have repaired to a boundary that crossed the
             // deadline (sample_flushes); fire there, not an instruction
@@ -449,81 +481,14 @@ HaltReason Core::run_fast(u64 max_instructions) {
         }
       }
     }
-    if (executed >= max_instructions) {
-      halt_ = HaltReason::kInstrLimit;
-      break;
-    }
     if constexpr (Traced) {
-      // The hook detached itself (returned false): finish the run on the
+      // The hook detached itself (returned false): finish on the
       // trace-free loop so the rest of the instructions pay no overhead.
-      if (!trace_) return run_fast<false, Sampled>(max_instructions - executed);
-    }
-  }
-  return halt_;
-}
-
-u64 Core::run_steps(u64 n) {
-  u64 executed = 0;
-  while (executed < n && !halted()) {
-    step();
-    ++executed;
-    if (sb_candidate_ != kNoSbCandidate) {
-      const addr_t cand = sb_candidate_;
-      const addr_t cand_branch = sb_candidate_branch_;
-      sb_candidate_ = kNoSbCandidate;
-      sb_candidate_branch_ = 0;
-      if (!ref_dispatch_ && !trace_ && executed < n && cand == pc_ &&
-          !halted()) {
-        executed += superblock_enter(cand, cand_branch, n - executed);
-        // step() fires samples itself; a burst that repaired to a crossed
-        // deadline needs the same boundary-exact fire here.
-        if (perf_.cycles >= sample_due_) [[unlikely]] sample_fire();
+      if (!trace_) {
+        return executed + run_loop<false, Sampled>(budget - executed, horizon);
       }
     }
   }
-  return executed;
-}
-
-u64 Core::run_burst(cycles_t horizon, u64 max_instructions) {
-  // Bounded burst for the cluster scheduler: full-speed dispatch until the
-  // first instruction boundary at or past `horizon`. The horizon is
-  // published through burst_due_ so fused superblock bursts stop at the
-  // same boundary a per-instruction run would (armed single-step plus the
-  // prefix repair — see sb_execute_impl). The burst_due_ reset must
-  // survive guest faults: a dangling horizon would silently truncate every
-  // later superblock burst.
-  u64 executed = 0;
-  burst_due_ = horizon;
-  try {
-    while (perf_.cycles < horizon && executed < max_instructions &&
-           !halted()) {
-      if (ref_dispatch_) {
-        step_reference();
-      } else if (trace_) [[unlikely]] {
-        step_fast<true>();
-      } else {
-        step_fast<false>();
-      }
-      ++executed;
-      if (perf_.cycles >= sample_due_) [[unlikely]] sample_fire();
-      if (sb_candidate_ != kNoSbCandidate) [[unlikely]] {
-        const addr_t cand = sb_candidate_;
-        const addr_t cand_branch = sb_candidate_branch_;
-        sb_candidate_ = kNoSbCandidate;
-        sb_candidate_branch_ = 0;
-        if (!ref_dispatch_ && !trace_ && executed < max_instructions &&
-            cand == pc_ && !halted() && perf_.cycles < horizon) {
-          executed +=
-              superblock_enter(cand, cand_branch, max_instructions - executed);
-          if (perf_.cycles >= sample_due_) [[unlikely]] sample_fire();
-        }
-      }
-    }
-  } catch (...) {
-    burst_due_ = kNoSampleDue;
-    throw;
-  }
-  burst_due_ = kNoSampleDue;
   return executed;
 }
 
@@ -823,7 +788,7 @@ void Core::exec_branch_jump(const Instr& in) {
     perf_.taken_branches += 1;
     perf_.cycles += timing_.taken_branch_penalty;
     perf_.branch_stall_cycles += timing_.taken_branch_penalty;
-    if (in.imm < 0 && cfg_.superblock && !ref_dispatch_) {
+    if (in.imm < 0 && cfg_.superblock && !cfg_.reference_dispatch) {
       sb_note_backedge(pc_, next_pc_);
     }
   } else {
@@ -1041,7 +1006,7 @@ void Core::exec_hwloop(const Instr& in) {
       hwl_end_[l] = pc_ + static_cast<u32>(in.imm);
       // lp_setupi carries a 5-bit immediate count in the rs1 field.
       hwl_count_[l] = in.op == M::kLpSetup ? reg(in.rs1) : in.rs1;
-      if (cfg_.superblock && !ref_dispatch_ && hwl_count_[l] > 1 &&
+      if (cfg_.superblock && !cfg_.reference_dispatch && hwl_count_[l] > 1 &&
           sb_find(hwl_start_[l]) != nullptr) {
         // The next instruction is the start of a loop that already has a
         // plan: fuse it from iteration one.

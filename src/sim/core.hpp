@@ -398,17 +398,6 @@ class Core {
       std::function<void(const mem::Memory&, addr_t entry, addr_t code_end)>;
   void set_pre_run_gate(PreRunGate g) { pre_run_gate_ = std::move(g); }
 
-  /// Switch between the handler-table fast path and the legacy reference
-  /// switch interpreter at runtime (differential tests flip this).
-  void set_reference_dispatch(bool on) { ref_dispatch_ = on; }
-  bool reference_dispatch() const { return ref_dispatch_; }
-
-  /// Enable/disable superblock execution at runtime (differential tests
-  /// and benches flip this like set_reference_dispatch). Compiled plans
-  /// are kept — disabling only stops new bursts from being entered.
-  void set_superblock(bool on);
-  bool superblock_enabled() const { return cfg_.superblock; }
-
   const SuperblockStats& superblock_stats() const { return sb_stats_; }
   void reset_superblock_stats() { sb_stats_ = SuperblockStats{}; }
 
@@ -462,10 +451,17 @@ class Core {
   /// runs pay zero trace overhead.
   template <bool Traced>
   bool step_fast();
-  /// `Sampled` compiles the sampling-deadline compare into the loop; the
-  /// no-sampler instantiation is byte-identical to the pre-xtel loop.
+  /// The fast-dispatch run loop behind run(), run_steps() and run_burst():
+  /// retire up to `budget` instructions, stopping early on halt or at the
+  /// first boundary whose cycle count reaches `horizon`; returns how many
+  /// retired. Enters superblock bursts when untraced. `Sampled` compiles
+  /// the sampling-deadline compare into the loop, so a core without a
+  /// sampler pays nothing for it.
   template <bool Traced, bool Sampled>
-  HaltReason run_fast(u64 max_instructions);
+  u64 run_loop(u64 budget, cycles_t horizon);
+  /// Pick the run_loop instantiation for the attached hooks (reference
+  /// dispatch steps through step() instead).
+  u64 run_bounded(u64 budget, cycles_t horizon);
 
   /// Advance the sampling deadline past the current cycle count, then
   /// invoke the hook. Out of line: the run loops only pay the compare.
@@ -592,7 +588,6 @@ class Core {
   /// step skips the back-edge comparison entirely outside loops.
   bool hwl_active_ = false;
 
-  bool ref_dispatch_ = false;
   /// iflag:: feature bits *not* provided by this config; decoded flags
   /// ANDed against it replace the per-step require() chains.
   u16 feature_guard_ = 0;

@@ -201,8 +201,7 @@ TEST(Ckpt, ClusterRoundtripCarriesArbiter) {
   const Snapshot snap = capture(cl);
   ASSERT_TRUE(snap.is_cluster());
   EXPECT_EQ(snap.cores.size(), 2u);
-  EXPECT_EQ(snap.arbiter->last_cycle.size(),
-            2u * cl.config().banks_per_core);
+  EXPECT_EQ(snap.arbiter->last_cycle.size(), 2u * cluster::kBanksPerCore);
 
   const Snapshot back = deserialize(serialize(snap));
   ASSERT_TRUE(back.is_cluster());

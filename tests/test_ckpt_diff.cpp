@@ -504,10 +504,12 @@ void expect_cluster_identical(const ClusterFinal& a, const ClusterFinal& b) {
   EXPECT_EQ(a.stats.data_accesses, b.stats.data_accesses);
 }
 
-/// Drive a restored cluster to completion through the stepping API.
+/// Drive a (possibly restored) cluster to completion through run_steps —
+/// under SchedulerMode::kBurst this resumes burst scheduling.
 void finish_cluster(cluster::Cluster& cl) {
+  constexpr u64 kChunk = 1u << 20;
   cl.begin_run();
-  while (cl.step_once()) {
+  while (cl.run_steps(kChunk) == kChunk) {
   }
   cl.end_run();
 }
@@ -528,7 +530,7 @@ TEST(CkptDiff, ClusterMidRunRestoreIntoFreshInstance) {
   cluster::Cluster paused(ccfg);
   paused.load(progs);
   paused.begin_run();
-  for (int i = 0; i < 300; ++i) ASSERT_TRUE(paused.step_once());
+  for (int i = 0; i < 300; ++i) ASSERT_EQ(paused.run_steps(1), 1u);
   const ckpt::Snapshot snap =
       ckpt::deserialize(ckpt::serialize(ckpt::capture(paused)));
   ASSERT_TRUE(snap.is_cluster());
@@ -540,17 +542,6 @@ TEST(CkptDiff, ClusterMidRunRestoreIntoFreshInstance) {
   ckpt::apply(snap, fresh);
   finish_cluster(fresh);
   expect_cluster_identical(base, cluster_final(fresh));
-}
-
-/// Drive a (possibly restored) cluster to completion through run_steps —
-/// under SchedulerMode::kBurst this resumes burst scheduling, unlike the
-/// per-instruction step_once loop.
-void finish_cluster_steps(cluster::Cluster& cl) {
-  constexpr u64 kChunk = 1u << 20;
-  cl.begin_run();
-  while (cl.run_steps(kChunk) == kChunk) {
-  }
-  cl.end_run();
 }
 
 u64 cluster_instructions(const cluster::Cluster& cl) {
@@ -602,13 +593,13 @@ TEST(CkptDiff, ClusterMidBurstSnapshotsRestoreBitIdentical) {
 
     // Rewind the same live, warmed-up instance and replay the tail.
     ckpt::apply(snap, paused);
-    finish_cluster_steps(paused);
+    finish_cluster(paused);
     expect_cluster_identical(base, cluster_final(paused));
 
     // Resume into a fresh burst-scheduled cluster.
     cluster::Cluster fresh(burst_cfg);
     ckpt::apply(snap, fresh);
-    finish_cluster_steps(fresh);
+    finish_cluster(fresh);
     expect_cluster_identical(base, cluster_final(fresh));
 
     // Cross-scheduler: an image taken mid-burst carries no burst-engine
@@ -664,11 +655,11 @@ TEST(CkptDiff, ClusterMidBurstSnapshotsWithSuperblockConv) {
 
   cluster::Cluster fresh(burst_cfg);
   ckpt::apply(snap, fresh);
-  finish_cluster_steps(fresh);
+  finish_cluster(fresh);
   expect_cluster_identical(base, cluster_final(fresh));
 
   ckpt::apply(snap, paused);
-  finish_cluster_steps(paused);
+  finish_cluster(paused);
   expect_cluster_identical(base, cluster_final(paused));
 }
 
@@ -680,10 +671,10 @@ TEST(CkptDiff, ClusterMidRunRestoreIntoLiveInstance) {
   cluster::Cluster cl(ccfg);
   cl.load(progs);
   cl.begin_run();
-  for (int i = 0; i < 120; ++i) ASSERT_TRUE(cl.step_once());
+  for (int i = 0; i < 120; ++i) ASSERT_EQ(cl.run_steps(1), 1u);
   const ckpt::Snapshot snap =
       ckpt::deserialize(ckpt::serialize(ckpt::capture(cl)));
-  while (cl.step_once()) {
+  while (cl.run_steps(1) == 1) {
   }
   cl.end_run();
   const ClusterFinal base = cluster_final(cl);

@@ -4,7 +4,7 @@
 // core, the shared MemStats, the arbiter's conflict/access totals, the
 // final memory image, the observer event sequence, and sampled telemetry —
 // across core counts, both paper conv workloads, and both dispatch modes.
-// Also covers the MinClockHeap pick order, the exact instruction-budget
+// Also covers the scheduler's pick-key order, the exact instruction-budget
 // trap, and the automatic demotion to reference scheduling.
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "cluster/parallel_conv.hpp"
-#include "common/rng.hpp"
 #include "diff_test_util.hpp"
 #include "obs/sampler.hpp"
 #include "xasm/assembler.hpp"
@@ -26,57 +25,16 @@ using kernels::ConvLayerData;
 using kernels::ConvVariant;
 
 // ---------------------------------------------------------------------------
-// MinClockHeap: the O(log N) scheduler pick must reproduce the reference
-// argmin (smallest clock, ties to the lowest core index) exactly.
+// ClockCoreKey: one u64 compare must order picks like the reference
+// scheduler (smallest clock, ties to the lowest core index).
 
-TEST(MinClockHeap, KeyPackingRoundTrips) {
-  const u64 k = MinClockHeap::key(0x123456789abcull, 37);
-  EXPECT_EQ(MinClockHeap::clock_of(k), 0x123456789abcull);
-  EXPECT_EQ(MinClockHeap::core_of(k), 37);
+TEST(ClockCoreKey, PackingRoundTripsAndOrdersLikeThePick) {
+  const u64 k = ClockCoreKey::pack(0x123456789abcull, 37);
+  EXPECT_EQ(ClockCoreKey::clock(k), 0x123456789abcull);
+  EXPECT_EQ(ClockCoreKey::core(k), 37);
   // Key order is lexicographic (clock, core): same clock, lower core wins.
-  EXPECT_LT(MinClockHeap::key(100, 3), MinClockHeap::key(100, 4));
-  EXPECT_LT(MinClockHeap::key(100, 63), MinClockHeap::key(101, 0));
-}
-
-TEST(MinClockHeap, MatchesArgminThroughSchedulerWorkload) {
-  // Drive the heap through the scheduler's exact usage pattern —
-  // update_top after most picks, pop_top on halt — against a naive
-  // first-lowest-index argmin over the same clocks. Small random clock
-  // increments keep ties frequent, which is where the core-index
-  // tie-break matters.
-  for (const int n : {2, 8, 40}) {
-    Rng rng(0x5eedu + static_cast<u64>(n));
-    std::vector<cycles_t> clocks(static_cast<size_t>(n), 0);
-    std::vector<bool> halted(static_cast<size_t>(n), false);
-    MinClockHeap heap;
-    for (int i = 0; i < n; ++i) heap.push(MinClockHeap::key(0, i));
-
-    for (int step = 0; step < 20000 && !heap.empty(); ++step) {
-      int ref_pick = -1;
-      for (int i = 0; i < n; ++i) {
-        if (halted[static_cast<size_t>(i)]) continue;
-        if (ref_pick < 0 ||
-            clocks[static_cast<size_t>(i)] <
-                clocks[static_cast<size_t>(ref_pick)]) {
-          ref_pick = i;
-        }
-      }
-      ASSERT_EQ(MinClockHeap::core_of(heap.top()), ref_pick) << step;
-      ASSERT_EQ(MinClockHeap::clock_of(heap.top()),
-                clocks[static_cast<size_t>(ref_pick)])
-          << step;
-
-      if (rng.uniform(0, 199) == 0) {
-        halted[static_cast<size_t>(ref_pick)] = true;
-        heap.pop_top();
-      } else {
-        clocks[static_cast<size_t>(ref_pick)] +=
-            static_cast<cycles_t>(rng.uniform(0, 3));
-        heap.update_top(MinClockHeap::key(
-            clocks[static_cast<size_t>(ref_pick)], ref_pick));
-      }
-    }
-  }
+  EXPECT_LT(ClockCoreKey::pack(100, 3), ClockCoreKey::pack(100, 4));
+  EXPECT_LT(ClockCoreKey::pack(100, 63), ClockCoreKey::pack(101, 0));
 }
 
 // ---------------------------------------------------------------------------

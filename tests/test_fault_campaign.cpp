@@ -73,6 +73,37 @@ TEST(FaultCampaign, SameSeedSameFingerprint) {
   EXPECT_NE(a.fingerprint(), c.fingerprint());
 }
 
+TEST(FaultCampaign, SuperblockEngineClassifiesEveryFaultAlike) {
+  // Trials advance through run_steps, so with the superblock engine on
+  // the hot loops between injection and checkpoint indices run fused. The
+  // engine is exact, so every record and the fingerprint must match the
+  // interpreted campaign's.
+  CampaignConfig cfg = small_config();
+  cfg.seed = 11;
+  cfg.num_faults = 40;
+  cfg.kinds = {FaultKind::kTcdmBitFlip, FaultKind::kRegisterBitFlip,
+               FaultKind::kStallPerturb, FaultKind::kIsaDegrade};
+  cfg.core.superblock = false;
+  const CampaignReport plain = run_campaign(cfg);
+  cfg.core.superblock = true;
+  const CampaignReport fused = run_campaign(cfg);
+
+  EXPECT_EQ(plain.fused_instructions, 0u);
+  EXPECT_GT(fused.fused_instructions, 0u);
+  EXPECT_EQ(plain.fingerprint(), fused.fingerprint());
+  ASSERT_EQ(plain.records.size(), fused.records.size());
+  for (size_t i = 0; i < plain.records.size(); ++i) {
+    const FaultRecord& a = plain.records[i];
+    const FaultRecord& b = fused.records[i];
+    EXPECT_EQ(a.spec.at_instruction, b.spec.at_instruction) << i;
+    EXPECT_EQ(a.outcome, b.outcome) << i;
+    EXPECT_EQ(a.detector, b.detector) << i;
+    EXPECT_EQ(a.retries_used, b.retries_used) << i;
+    EXPECT_EQ(a.used_fallback, b.used_fallback) << i;
+    EXPECT_EQ(a.note, b.note) << i;
+  }
+}
+
 TEST(FaultCampaign, MixedKindsClassifyByDetector) {
   CampaignConfig cfg = small_config();
   cfg.seed = 11;

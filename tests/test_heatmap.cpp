@@ -25,7 +25,7 @@ TEST(BankHeatmap, TotalsMatchBankArbiterExactly) {
   cluster::ClusterConfig ccfg;
   ccfg.num_cores = 4;
   ccfg.core = sim::CoreConfig::extended();
-  const u32 banks = 4 * ccfg.banks_per_core;
+  const u32 banks = 4 * cluster::kBanksPerCore;
 
   BankHeatmap::Options opts;
   opts.window_cycles = 512;

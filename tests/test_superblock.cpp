@@ -1,5 +1,6 @@
-// Superblock engine unit tests: coverage statistics, runtime toggling,
-// instruction-limit boundary exactness across fused bursts, and
+// Superblock engine unit tests: coverage statistics, instruction-limit
+// boundary exactness across fused bursts, run-loop parity (run, run_steps
+// and run_burst slice one run identically), and
 // differential sweeps over every dot-product mnemonic/format combination —
 // the combinations the fused loop routes through host-SIMD kernels
 // (byte, nibble, crumb, mixed) and the ones that stay on the scalar lane
@@ -7,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "common/rng.hpp"
 #include "diff_test_util.hpp"
 #include "isa/instruction.hpp"
+#include "kernels/conv_layer.hpp"
 #include "mem/memory.hpp"
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
@@ -97,24 +100,6 @@ TEST(Superblock, StatsCountFusedExecution) {
   expect_identical(run_prog(prog, false, false), sb);
 }
 
-TEST(Superblock, RuntimeToggleKeepsEngineCold) {
-  // set_superblock(false) before the run: no burst may be entered, and
-  // the result must match the plain fast path exactly.
-  const xasm::Program prog = hot_hwloop_program();
-  sim::CoreConfig cfg = sim::CoreConfig::extended();
-  cfg.superblock = true;
-  mem::Memory mem;
-  prog.load(mem);
-  mem.write_block(kData, operand_data());
-  sim::Core core(mem, cfg);
-  core.reset(prog.entry(), prog.base() + prog.size_bytes());
-  core.set_superblock(false);
-  core.run(2'000'000);
-  EXPECT_EQ(core.superblock_stats().entries, 0u);
-  EXPECT_EQ(core.superblock_stats().fused_instructions, 0u);
-  expect_identical(run_prog(prog, false, false), final_state_of(core, mem));
-}
-
 TEST(Superblock, InstructionLimitSweepIsBoundaryExact) {
   // Every instruction-limit value must stop the fused engine on exactly
   // the same boundary (state, counters, halt reason) as the reference
@@ -133,6 +118,193 @@ TEST(Superblock, InstructionLimitSweepIsBoundaryExact) {
       EXPECT_EQ(sb.perf.instructions, std::min(limit, total));
     }
     if (::testing::Test::HasFailure()) FAIL() << "limit " << limit;
+  }
+}
+
+TEST(Superblock, BudgetEndingOnTheEcallReportsInstrLimit) {
+  // run(n) whose n-th instruction is the ecall: the ecall retires and the
+  // machine state is the completed run's, but the exhausted budget wins
+  // the halt reason — on every dispatch mode alike.
+  const xasm::Program prog = hot_hwloop_program();
+  const FinalState full = run_prog(prog, true, false);
+  ASSERT_EQ(full.reason, sim::HaltReason::kEcall);
+  for (const auto& [reference, superblock] :
+       {std::pair{true, false}, std::pair{false, false},
+        std::pair{false, true}}) {
+    FinalState at = run_prog(prog, reference, superblock, nullptr,
+                             full.perf.instructions);
+    EXPECT_EQ(at.reason, sim::HaltReason::kInstrLimit);
+    at.reason = full.reason;
+    expect_identical(full, at);
+    if (::testing::Test::HasFailure()) {
+      FAIL() << (reference ? "reference" : superblock ? "superblock" : "fast");
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Run-loop parity: run(), run_steps() and run_burst() share one fast loop,
+// so slicing a superblock run into chunks of instructions or cycle
+// horizons lands on the same machine state, counters and sample series as
+// one uninterrupted run().
+
+struct ConvCase {
+  kernels::ConvKernel kernel;
+  kernels::ConvLayerData data;
+};
+
+/// A 4-bit XpulpNN conv layer: small enough to run a few dozen times, hot
+/// enough that its MatMul loops fuse.
+const ConvCase& hot_conv() {
+  static const ConvCase c = [] {
+    qnn::ConvSpec spec = qnn::ConvSpec::paper_layer(4);
+    spec.in_h = spec.in_w = 4;
+    spec.out_c = 8;
+    return ConvCase{
+        kernels::generate_conv_kernel(spec,
+                                      kernels::ConvVariant::kXpulpNN_HwQ),
+        kernels::ConvLayerData::random(spec, 0x5eed)};
+  }();
+  return c;
+}
+
+/// How a run is sliced: one run(), run_steps(slice) until halt, or
+/// run_burst to successive horizons `slice` cycles past the current clock.
+struct Slicing {
+  enum Kind { kRun, kSteps, kBursts } kind;
+  u64 slice = 0;
+};
+
+constexpr Slicing kSlicings[] = {
+    {Slicing::kSteps, 1},     {Slicing::kSteps, 7},
+    {Slicing::kSteps, 4096},  {Slicing::kBursts, 1},
+    {Slicing::kBursts, 97},   {Slicing::kBursts, 1536},
+};
+
+std::string slicing_name(const Slicing& s) {
+  return (s.kind == Slicing::kRun     ? std::string("run")
+          : s.kind == Slicing::kSteps ? "run_steps " + std::to_string(s.slice)
+                                      : "run_burst " + std::to_string(s.slice));
+}
+
+struct SlicedRun {
+  FinalState state;
+  sim::CoreState core;
+  std::vector<obs::Sample> samples;
+  u64 fused_instructions = 0;
+  bool slices_exact = true;  // every slice stopped where its bound says
+};
+
+/// Run hot_conv() to its ecall with the superblock engine on. A nonzero
+/// `sample_interval` attaches a sampler; a nonzero `trace_for` attaches a
+/// trace hook that detaches itself after that many instructions.
+SlicedRun run_sliced(Slicing how, cycles_t sample_interval = 0,
+                     u64 trace_for = 0) {
+  constexpr u64 kBudget = 600'000'000;
+  const ConvCase& c = hot_conv();
+  sim::CoreConfig cfg = sim::CoreConfig::extended();
+  cfg.superblock = true;
+  mem::Memory mem;
+  c.kernel.program.load(mem);
+  kernels::load_conv_data(c.data, c.kernel.layout, mem);
+  sim::Core core(mem, cfg);
+  core.reset(c.kernel.program.entry(),
+             c.kernel.program.base() + c.kernel.program.size_bytes());
+  std::unique_ptr<obs::Sampler> sampler;
+  if (sample_interval != 0) {
+    obs::Sampler::Options opts;
+    opts.interval_cycles = sample_interval;
+    sampler = std::make_unique<obs::Sampler>(core, opts);
+  }
+  if (trace_for != 0) {
+    core.set_trace([seen = u64{0}, trace_for](addr_t, const isa::Instr&) mutable {
+      return ++seen < trace_for;
+    });
+  }
+
+  SlicedRun r;
+  switch (how.kind) {
+    case Slicing::kRun:
+      r.slices_exact = core.run(kBudget) == sim::HaltReason::kEcall;
+      break;
+    case Slicing::kSteps:
+      while (!core.halted()) {
+        const u64 before = core.perf().instructions;
+        const u64 n = core.run_steps(how.slice);
+        r.slices_exact &= core.perf().instructions - before == n &&
+                          (n == how.slice || core.halted());
+      }
+      break;
+    case Slicing::kBursts:
+      while (!core.halted()) {
+        const cycles_t horizon = core.perf().cycles + how.slice;
+        core.run_burst(horizon, kBudget);
+        r.slices_exact &= core.perf().cycles >= horizon || core.halted();
+      }
+      break;
+  }
+  if (sampler) {
+    sampler->finalize();
+    r.samples = sampler->samples();
+  }
+  r.state = final_state_of(core, mem);
+  r.core = core.save_state();
+  r.fused_instructions = core.superblock_stats().fused_instructions;
+  return r;
+}
+
+void expect_same_run(const SlicedRun& a, const SlicedRun& b) {
+  EXPECT_TRUE(b.slices_exact);
+  expect_identical(a.state, b.state);
+  expect_same_core_state(a.core, b.core);
+  ASSERT_EQ(a.samples.size(), b.samples.size());
+  for (size_t k = 0; k < a.samples.size(); ++k) {
+    EXPECT_EQ(a.samples[k].ts_cycles, b.samples[k].ts_cycles) << "window " << k;
+    test::expect_same_counters(a.samples[k].perf, b.samples[k].perf, "perf");
+    test::expect_same_counters(a.samples[k].mem, b.samples[k].mem, "mem");
+    test::expect_same_counters(a.samples[k].dotp, b.samples[k].dotp, "dotp");
+    if (::testing::Test::HasFailure()) FAIL() << "window " << k;
+  }
+}
+
+TEST(RunLoopParity, SlicedRunsMatchOneRun) {
+  const SlicedRun whole = run_sliced({Slicing::kRun});
+  ASSERT_EQ(whole.state.reason, sim::HaltReason::kEcall);
+  ASSERT_GT(whole.fused_instructions, 0u);
+  for (const Slicing& s : kSlicings) {
+    const SlicedRun sliced = run_sliced(s);
+    expect_same_run(whole, sliced);
+    // Slices long enough to hold an iteration still fuse.
+    if (s.slice >= 97) {
+      EXPECT_GT(sliced.fused_instructions, 0u);
+    }
+    if (::testing::Test::HasFailure()) FAIL() << slicing_name(s);
+  }
+}
+
+TEST(RunLoopParity, SlicedRunsFireTheSameSamples) {
+  constexpr cycles_t kInterval = 211;
+  const SlicedRun whole = run_sliced({Slicing::kRun}, kInterval);
+  ASSERT_GT(whole.samples.size(), 10u);
+  ASSERT_GT(whole.fused_instructions, 0u);
+  for (const Slicing& s : kSlicings) {
+    expect_same_run(whole, run_sliced(s, kInterval));
+    if (::testing::Test::HasFailure()) FAIL() << slicing_name(s);
+  }
+}
+
+TEST(RunLoopParity, TraceHookDetachingMidRunHandsOverToTheFastLoop) {
+  // Traced instructions never fuse; once the hook detaches, the rest of
+  // the run fuses as usual — whichever entry point is stepping.
+  const SlicedRun untraced = run_sliced({Slicing::kRun});
+  const u64 trace_for = untraced.state.perf.instructions / 3;
+  const SlicedRun whole = run_sliced({Slicing::kRun}, 0, trace_for);
+  expect_same_run(untraced, whole);
+  EXPECT_GT(whole.fused_instructions, 0u);
+  EXPECT_LT(whole.fused_instructions, untraced.fused_instructions);
+  for (const Slicing& s : kSlicings) {
+    expect_same_run(whole, run_sliced(s, 0, trace_for));
+    if (::testing::Test::HasFailure()) FAIL() << slicing_name(s);
   }
 }
 

@@ -525,7 +525,7 @@ ClusterPass run_cluster_pass(const Args& args, const kernels::ConvLayerData& dat
   ccfg.num_cores = args.cores;
   ccfg.core = cfg;
   ccfg.scheduler = sched;
-  const u32 banks = static_cast<u32>(args.cores) * ccfg.banks_per_core;
+  const u32 banks = static_cast<u32>(args.cores) * cluster::kBanksPerCore;
 
   obs::BankHeatmap::Options hopts;
   hopts.window_cycles = args.interval;
