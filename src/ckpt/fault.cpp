@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
+#include <string>
 
 #include "common/rng.hpp"
 
@@ -221,7 +223,10 @@ bool run_fallback(const Workload& wl, const CampaignConfig& cfg) {
   }
 }
 
-/// One trial on a freshly loaded `core`: inject, detect, recover.
+/// One trial on a freshly loaded `core`: inject, detect, recover. Every
+/// detected record's note names the detector that fired first (with the
+/// first wrong output element when that was the output check), the
+/// retries used and whether the fallback kernel ran.
 FaultRecord run_trial(sim::Core& core, mem::Memory& mem, const Workload& wl,
                       const ReferenceRun& ref, const CampaignConfig& cfg,
                       const FaultSpec& fs) {
@@ -240,6 +245,19 @@ FaultRecord run_trial(sim::Core& core, mem::Memory& mem, const Workload& wl,
     return rec;
   }
   rec.detector = det;
+  rec.note = std::string("detector ") + detector_name(det);
+  if (det == Detector::kOutputMismatch) {
+    const std::optional<qnn::Mismatch> m = qnn::first_mismatch(
+        kernels::read_conv_output(wl.data.spec, wl.kernel.layout, mem),
+        wl.golden);
+    if (m) rec.note += ": " + m->to_string();
+  }
+  const auto finish = [&rec](FaultOutcome outcome) {
+    rec.outcome = outcome;
+    rec.note += "; retries " + std::to_string(rec.retries_used) +
+                (rec.used_fallback ? "; fallback kernel ran" : "");
+    return rec;
+  };
 
   if (fs.kind == FaultKind::kIsaDegrade) {
     // Restoring a checkpoint cannot undo a hardware degradation; retries
@@ -247,11 +265,9 @@ FaultRecord run_trial(sim::Core& core, mem::Memory& mem, const Workload& wl,
     // instead: fall back to an XpulpV2 kernel variant, if allowed.
     if (cfg.fallback_isa && run_fallback(wl, cfg)) {
       rec.used_fallback = true;
-      rec.outcome = FaultOutcome::kDetectedRecovered;
-    } else {
-      rec.outcome = FaultOutcome::kDetectedUnrecovered;
+      return finish(FaultOutcome::kDetectedRecovered);
     }
-    return rec;
+    return finish(FaultOutcome::kDetectedUnrecovered);
   }
 
   for (int attempt = 1; attempt <= cfg.max_retries; ++attempt) {
@@ -264,13 +280,9 @@ FaultRecord run_trial(sim::Core& core, mem::Memory& mem, const Workload& wl,
     }
     det = execute(core, mem, budget, nullptr, 0, nullptr);
     if (det == Detector::kNone) det = check_end_state(core, mem, wl, ref);
-    if (det == Detector::kNone) {
-      rec.outcome = FaultOutcome::kDetectedRecovered;
-      return rec;
-    }
+    if (det == Detector::kNone) return finish(FaultOutcome::kDetectedRecovered);
   }
-  rec.outcome = FaultOutcome::kDetectedUnrecovered;
-  return rec;
+  return finish(FaultOutcome::kDetectedUnrecovered);
 }
 
 /// Derive trial `i`'s fault from the campaign seed. Every random draw

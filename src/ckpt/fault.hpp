@@ -125,6 +125,8 @@ struct FaultRecord {
   Detector detector = Detector::kNone;
   int retries_used = 0;
   bool used_fallback = false;
+  /// Detected faults only: "detector <name>[: <first wrong output
+  /// element>]; retries <n>[; fallback kernel ran]". Not fingerprinted.
   std::string note;
 };
 

@@ -1,9 +1,13 @@
 #include "qnn/ref_layers.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <initializer_list>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -35,10 +39,41 @@ std::string geometry(const ConvSpec& s) {
          "x" + std::to_string(s.out_w()) + "x" + std::to_string(s.out_c);
 }
 
-/// Staircase thresholds at the quantiles of `accs` (sorted in place).
-Thresholds quantile_thresholds(std::vector<i32>& accs, unsigned q_bits) {
+/// Sorts `v` ascending: an LSD radix sort on the offset keys u32(x - min),
+/// 8 bits per pass, ping-ponging through `tmp` (as long as `v`).
+/// A pass whose digit is the same for every key would keep the order, so
+/// it is skipped; the passes above the top byte of max - min are such
+/// passes.
+/// Accumulators spanning less than 2^16 take at most 2 passes.
+void radix_sort(std::span<i32> v, std::span<i32> tmp) {
+  const size_t n = v.size();
+  if (n < 2) return;
+  const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
+  const u32 base = static_cast<u32>(*lo);
+  const u32 range = static_cast<u32>(*hi) - base;
+  std::span<i32> src = v;
+  std::span<i32> dst = tmp;
+  for (unsigned shift = 0; shift < 32 && (range >> shift) != 0; shift += 8) {
+    const auto digit = [base, shift](i32 x) {
+      return ((static_cast<u32>(x) - base) >> shift) & 0xff;
+    };
+    std::array<u32, 256> start{};
+    for (const i32 x : src) ++start[digit(x)];
+    if (start[digit(src[0])] == n) continue;
+    u32 sum = 0;
+    for (u32& c : start) sum += std::exchange(c, sum);
+    for (const i32 x : src) dst[start[digit(x)]++] = x;
+    std::swap(src, dst);
+  }
+  if (src.data() != v.data()) std::copy(src.begin(), src.end(), v.begin());
+}
+
+/// Staircase thresholds at the quantiles of `accs` (sorted in place,
+/// through `tmp`).
+Thresholds quantile_thresholds(std::span<i32> accs, std::span<i32> tmp,
+                               unsigned q_bits) {
   const int levels = 1 << q_bits;
-  std::sort(accs.begin(), accs.end());
+  radix_sort(accs, tmp);
   std::vector<i16> th(static_cast<size_t>(levels - 1));
   i32 prev = -40000;
   for (int i = 1; i < levels; ++i) {
@@ -52,6 +87,51 @@ Thresholds quantile_thresholds(std::vector<i32>& accs, unsigned q_bits) {
   return Thresholds(q_bits, std::move(th));
 }
 
+/// Operands of the int16 dot loops lie in [-32767, 32767]: -32768 is left
+/// out because -32768 * -32768 twice is the one pair sum a 16-bit
+/// multiply-add (pmaddwd) wraps. range_bits(x) fits in 16 bits exactly
+/// when x is in that range (only then does u32(x) + 32767 land in
+/// [0, 65534] and u32(x) + 32768 in [1, 65535]), so OR-ing it over a
+/// tensor is a branch-free check that vectorizes.
+u32 range_bits(i32 x) {
+  const u32 u = static_cast<u32>(x);
+  return (u + 32767u) | (u + 32768u);
+}
+
+/// Index of the first value of `v` outside the operand range, v.size()
+/// if there is none.
+size_t first_outside(const std::vector<i32>& v) {
+  u32 bits = 0;
+  for (const i32 x : v) bits |= range_bits(x);
+  if (bits <= 0xffff) return v.size();
+  return static_cast<size_t>(
+      std::find_if(v.begin(), v.end(),
+                   [](i32 x) { return range_bits(x) > 0xffff; }) -
+      v.begin());
+}
+
+/// Narrows `n` operands to int16 in one pass; returns whether they all
+/// lie in the operand range.
+bool narrow(const i32* src, size_t n, i16* dst) {
+  u32 bits = 0;
+  for (size_t i = 0; i < n; ++i) {
+    bits |= range_bits(src[i]);
+    dst[i] = static_cast<i16>(src[i]);
+  }
+  return bits <= 0xffff;
+}
+
+[[noreturn]] void throw_operand(const std::string& where, const char* tensor,
+                                i32 value, const char* axes,
+                                std::initializer_list<int> coord) {
+  std::string at;
+  for (const int c : coord) at += (at.empty() ? "" : ", ") + std::to_string(c);
+  throw SimError(where + ": " + tensor + " " + std::to_string(value) +
+                 " at " + axes + " = (" + at +
+                 ") is outside the int16 operand range [-32767, 32767] of "
+                 "the golden model");
+}
+
 }  // namespace
 
 Tensor conv_accumulators(const Tensor& in, const FilterBank& w,
@@ -60,39 +140,66 @@ Tensor conv_accumulators(const Tensor& in, const FilterBank& w,
       w.filter_elems() != s.filter_elems()) {
     throw SimError("tensor shapes do not match " + geometry(s));
   }
+  const auto where = [&] {
+    return layer.empty() ? geometry(s) : std::string(layer);
+  };
+  const size_t in_c = static_cast<size_t>(s.in_c);
+  const size_t fe = static_cast<size_t>(s.filter_elems());
+  if (const size_t i = first_outside(in.data()); i < in.data().size()) {
+    const int px = static_cast<int>(i / in_c);
+    throw_operand(where(), "activation", in.data()[i], "(y, x, c)",
+                  {px / s.in_w, px % s.in_w, static_cast<int>(i % in_c)});
+  }
+  // Filter-major int16 weights, each filter zero-padded to `row` (a
+  // multiple of 8 lanes); the im2col row of an output pixel has the same
+  // padding, so every dot runs whole blocks.
+  const size_t row = (fe + 7) & ~size_t{7};
+  std::vector<i16> wt(row * static_cast<size_t>(s.out_c), 0);
+  for (size_t f = 0; f < static_cast<size_t>(s.out_c); ++f) {
+    if (narrow(&w.data()[f * fe], fe, &wt[f * row])) continue;
+    const size_t i = first_outside(w.data());
+    const int tap = static_cast<int>(i % fe / in_c);
+    throw_operand(where(), "weight", w.data()[i], "(f, ky, kx, c)",
+                  {static_cast<int>(i / fe), tap / s.k_w, tap % s.k_w,
+                   static_cast<int>(i % in_c)});
+  }
+  std::vector<i16> col(row, 0);
   const int oh = s.out_h();
   const int ow = s.out_w();
-  const size_t fe = static_cast<size_t>(s.filter_elems());
   Tensor acc({oh, ow, s.out_c});
   i32* out = acc.data().data();
   for (int oy = 0; oy < oh; ++oy) {
     for (int ox = 0; ox < ow; ++ox, out += s.out_c) {
+      // The im2col row: in_c activations per kernel tap, zero at borders.
+      i16* c = col.data();
       for (int ky = 0; ky < s.k_h; ++ky) {
         const int y = oy * s.stride - s.pad + ky;
-        if (y < 0 || y >= s.in_h) continue;
-        for (int kx = 0; kx < s.k_w; ++kx) {
+        for (int kx = 0; kx < s.k_w; ++kx, c += in_c) {
           const int x = ox * s.stride - s.pad + kx;
-          if (x < 0 || x >= s.in_w) continue;
-          // One kernel tap: in_c contiguous activations against the same
-          // in_c-long slice of every filter.
-          const i32* a = &in.data()[static_cast<size_t>(y * s.in_w + x) *
-                                    static_cast<size_t>(s.in_c)];
-          const i32* f = &w.data()[static_cast<size_t>(ky * s.k_w + kx) *
-                                   static_cast<size_t>(s.in_c)];
-          for (int oc = 0; oc < s.out_c; ++oc, f += fe) {
-            i32 sum = 0;
-            for (int c = 0; c < s.in_c; ++c) sum += a[c] * f[c];
-            out[oc] += sum;
+          if (y < 0 || y >= s.in_h || x < 0 || x >= s.in_w) {
+            std::fill_n(c, in_c, i16{0});
+            continue;
           }
+          const i32* a = &in.data()[static_cast<size_t>(y * s.in_w + x) * in_c];
+          std::transform(a, a + in_c, c,
+                         [](i32 v) { return static_cast<i16>(v); });
         }
+      }
+      const i16* f = wt.data();
+      for (int oc = 0; oc < s.out_c; ++oc, f += row) {
+        i32 sum = 0;
+        for (size_t i = 0; i < row; ++i) {
+          sum += static_cast<i32>(col[i]) * static_cast<i32>(f[i]);
+        }
+        out[oc] = sum;
       }
       if (s.out_bits == 8) continue;
       for (int oc = 0; oc < s.out_c; ++oc) {
         if (out[oc] < -32768 || out[oc] > 32767) {
-          throw SimError((layer.empty() ? geometry(s) : std::string(layer)) +
-                         ": pre-activation " + std::to_string(out[oc]) +
-                         " at (oy, ox, oc) = (" + std::to_string(oy) + ", " +
-                         std::to_string(ox) + ", " + std::to_string(oc) +
+          throw SimError(where() + ": pre-activation " +
+                         std::to_string(out[oc]) + " at (oy, ox, oc) = (" +
+                         std::to_string(oy) + ", " + std::to_string(ox) +
+                         ", " + std::to_string(oc) +
                          ") exceeds the 16-bit range of the quantization "
                          "unit");
         }
@@ -135,18 +242,23 @@ void calibrate(const Tensor& acc, ConvSpec& s, LayerThresholds& th) {
   }
   const int channels = acc.shape().c;
   const int positions = acc.shape().h * acc.shape().w;
+  const bool shared = positions < 2 * (1 << s.out_bits);
+  const size_t n = shared ? acc.data().size() : static_cast<size_t>(positions);
+  // One allocation: the accumulators to sort, then the sort's scratch.
+  std::vector<i32> buf(2 * n);
+  const std::span<i32> accs(buf.data(), n);
+  const std::span<i32> tmp(buf.data() + n, n);
   std::vector<Thresholds> per_channel;
-  if (positions < 2 * (1 << s.out_bits)) {
-    std::vector<i32> all = acc.data();
+  if (shared) {
+    std::copy(acc.data().begin(), acc.data().end(), accs.begin());
     per_channel.assign(static_cast<size_t>(channels),
-                       quantile_thresholds(all, s.out_bits));
+                       quantile_thresholds(accs, tmp, s.out_bits));
   } else {
-    std::vector<i32> accs(static_cast<size_t>(positions));
     for (int oc = 0; oc < channels; ++oc) {
       for (int p = 0; p < positions; ++p) {
         accs[static_cast<size_t>(p)] = acc.flat(p * channels + oc);
       }
-      per_channel.push_back(quantile_thresholds(accs, s.out_bits));
+      per_channel.push_back(quantile_thresholds(accs, tmp, s.out_bits));
     }
   }
   th = LayerThresholds(s.out_bits, std::move(per_channel));

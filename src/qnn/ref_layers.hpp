@@ -75,12 +75,15 @@ struct ConvSpec {
 };
 
 /// 32-bit pre-activations (accumulators) of a whole layer in HWC order
-/// (out_h x out_w x out_c): one host convolution pass with the padding
-/// bounds hoisted per kernel tap. The calibration and the golden output
-/// of a layer both derive from this one pass. Layers with sub-byte outputs
-/// feed the 16-bit quantization unit, so there an accumulator outside
-/// int16 throws SimError naming `layer` (the geometry when empty), the
-/// coordinate (oy, ox, oc) and the value.
+/// (out_h x out_w x out_c): one host convolution pass, an int16 im2col row
+/// per output pixel dotted against an int16 copy of the filters. The
+/// calibration and the golden output of a layer both derive from this one
+/// pass. Every activation and weight must lie in [-32767, 32767]; one
+/// outside throws SimError naming `layer` (the geometry when empty), the
+/// tensor, its coordinate and its value. Layers with sub-byte outputs feed
+/// the 16-bit quantization unit, so there an accumulator outside int16
+/// throws SimError naming `layer`, the first such (oy, ox, oc) in HWC
+/// order and the value.
 Tensor conv_accumulators(const Tensor& in, const FilterBank& w,
                          const ConvSpec& s, std::string_view layer = {});
 

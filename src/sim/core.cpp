@@ -387,23 +387,16 @@ HaltReason Core::run(u64 max_instructions) {
     // limit read back from the perf counters every iteration. The sampling
     // deadline compare is unreachable without a sampler (kNoSampleDue).
     const u64 limit = perf_.instructions + max_instructions;
-    while (!halted()) {
+    while (!halted() && perf_.instructions < limit) {
       step_reference();
       if (perf_.cycles >= sample_due_) [[unlikely]] sample_fire();
-      if (perf_.instructions >= limit) {
-        halt_ = HaltReason::kInstrLimit;
-        break;
-      }
     }
-    return halt_;
+  } else {
+    run_bounded(max_instructions, kNoSampleDue);
   }
-  // Like the legacy loop, run() retires at least one instruction, and an
-  // exhausted budget wins the halt reason even when its last instruction
-  // was the ecall.
-  const u64 budget = std::max<u64>(max_instructions, 1);
-  if (run_bounded(budget, kNoSampleDue) >= budget) {
-    halt_ = HaltReason::kInstrLimit;
-  }
+  // An exhausted budget is the halt reason only when nothing else halted
+  // the core: a run whose last instruction is the ecall reports kEcall.
+  if (!halted()) halt_ = HaltReason::kInstrLimit;
   return halt_;
 }
 

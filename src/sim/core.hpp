@@ -290,7 +290,10 @@ class Core {
   /// Execute one instruction. Returns false once halted.
   bool step();
 
-  /// Run until ecall/ebreak or the instruction limit; returns the reason.
+  /// Run until ecall/ebreak or until `max_instructions` more have retired;
+  /// returns the reason. kInstrLimit means the budget ran out first: a run
+  /// whose last budgeted instruction is the ecall reports kEcall, and
+  /// run(0) retires nothing.
   HaltReason run(u64 max_instructions = 400'000'000);
 
   /// Execute up to `n` instructions (stopping early on halt) and return

@@ -1,10 +1,12 @@
 // One accumulator pass per layer: qnn::conv_accumulators feeds both the
 // calibration (qnn::calibrate) and the golden output (qnn::requantize).
 // Both must reproduce, bit for bit, the per-element reference code they
-// replace. Verbatim copies of that code live below, only in this test.
+// replace, kept verbatim in qnn_oracle.hpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -12,135 +14,10 @@
 #include "common/rng.hpp"
 #include "kernels/conv_layer.hpp"
 #include "qnn/ref_layers.hpp"
+#include "qnn_oracle.hpp"
 
 namespace xpulp::qnn {
 namespace {
-
-// ---- the replaced reference code, verbatim ----
-
-i32 old_conv_accumulate(const Tensor& in, const FilterBank& w,
-                        const ConvSpec& s, int oy, int ox, int oc) {
-  i32 acc = 0;
-  int i = 0;
-  for (int ky = 0; ky < s.k_h; ++ky) {
-    for (int kx = 0; kx < s.k_w; ++kx) {
-      const int y = oy * s.stride - s.pad + ky;
-      const int x = ox * s.stride - s.pad + kx;
-      for (int c = 0; c < s.in_c; ++c, ++i) {
-        if (y >= 0 && y < s.in_h && x >= 0 && x < s.in_w) {
-          acc += in.at(y, x, c) * w.flat(oc, i);
-        }
-      }
-    }
-  }
-  return acc;
-}
-
-Tensor old_conv2d_ref(const Tensor& in, const FilterBank& w,
-                      const LayerThresholds& th, const ConvSpec& s) {
-  Tensor out({s.out_h(), s.out_w(), s.out_c});
-  for (int oy = 0; oy < s.out_h(); ++oy) {
-    for (int ox = 0; ox < s.out_w(); ++ox) {
-      for (int oc = 0; oc < s.out_c; ++oc) {
-        const i32 acc = old_conv_accumulate(in, w, s, oy, ox, oc);
-        out.at(oy, ox, oc) = static_cast<i32>(th.channel(oc).quantize(acc));
-      }
-    }
-  }
-  return out;
-}
-
-Tensor old_conv2d_ref_u8(const Tensor& in, const FilterBank& w,
-                         const ConvSpec& s) {
-  Tensor out({s.out_h(), s.out_w(), s.out_c});
-  for (int oy = 0; oy < s.out_h(); ++oy) {
-    for (int ox = 0; ox < s.out_w(); ++ox) {
-      for (int oc = 0; oc < s.out_c; ++oc) {
-        const i32 acc = old_conv_accumulate(in, w, s, oy, ox, oc);
-        const i32 scaled = acc >> s.requant_shift;
-        out.at(oy, ox, oc) = std::clamp<i32>(scaled, 0, 255);
-      }
-    }
-  }
-  return out;
-}
-
-Tensor old_linear_ref(const Tensor& in, const FilterBank& w,
-                      const LayerThresholds& th) {
-  Tensor out({1, 1, w.count()});
-  for (int f = 0; f < w.count(); ++f) {
-    i32 acc = 0;
-    for (int i = 0; i < w.filter_elems(); ++i) {
-      acc += in.flat(i) * w.flat(f, i);
-    }
-    out.at(0, 0, f) = static_cast<i32>(th.channel(f).quantize(acc));
-  }
-  return out;
-}
-
-/// The network runner's threshold training.
-LayerThresholds old_trained_thresholds(const Tensor& input,
-                                       const FilterBank& weights,
-                                       const ConvSpec& spec) {
-  const int levels = 1 << spec.out_bits;
-  const int positions = spec.out_h() * spec.out_w();
-  auto from_accs = [&](std::vector<i32>& accs) {
-    std::sort(accs.begin(), accs.end());
-    std::vector<i16> th(static_cast<size_t>(levels - 1));
-    i32 prev = -40000;
-    for (int i = 1; i < levels; ++i) {
-      i32 t = accs[std::min(accs.size() - 1,
-                            static_cast<size_t>(i) * accs.size() / levels)];
-      if (t <= prev) t = prev + 1;
-      t = std::clamp<i32>(t, -32768, 32767);
-      th[static_cast<size_t>(i - 1)] = static_cast<i16>(t);
-      prev = t;
-    }
-    return th;
-  };
-
-  std::vector<Thresholds> per_channel;
-  if (positions < 2 * levels) {
-    std::vector<i32> accs;
-    for (int oc = 0; oc < spec.out_c; ++oc) {
-      for (int oy = 0; oy < spec.out_h(); ++oy) {
-        for (int ox = 0; ox < spec.out_w(); ++ox) {
-          accs.push_back(old_conv_accumulate(input, weights, spec, oy, ox, oc));
-        }
-      }
-    }
-    const Thresholds shared(spec.out_bits, from_accs(accs));
-    per_channel.assign(static_cast<size_t>(spec.out_c), shared);
-  } else {
-    for (int oc = 0; oc < spec.out_c; ++oc) {
-      std::vector<i32> accs;
-      for (int oy = 0; oy < spec.out_h(); ++oy) {
-        for (int ox = 0; ox < spec.out_w(); ++ox) {
-          accs.push_back(old_conv_accumulate(input, weights, spec, oy, ox, oc));
-        }
-      }
-      per_channel.emplace_back(spec.out_bits, from_accs(accs));
-    }
-  }
-  return LayerThresholds(spec.out_bits, std::move(per_channel));
-}
-
-/// ConvLayerData::random's 8-bit requantization shift.
-u32 old_requant_shift(const Tensor& input, const FilterBank& weights,
-                      const ConvSpec& spec) {
-  i32 max_acc = 1;
-  for (int oy = 0; oy < spec.out_h(); ++oy) {
-    for (int ox = 0; ox < spec.out_w(); ++ox) {
-      for (int oc = 0; oc < spec.out_c; ++oc) {
-        max_acc = std::max(
-            max_acc, old_conv_accumulate(input, weights, spec, oy, ox, oc));
-      }
-    }
-  }
-  u32 shift = 0;
-  while ((max_acc >> shift) > 255) ++shift;
-  return shift;
-}
 
 // ---- layer shapes ----
 
@@ -258,15 +135,34 @@ TEST(Calibration, RandomLayerDataKeepsItsDraws) {
   }
 }
 
+/// Whether the oracle's accumulators of a sub-byte-output layer leave the
+/// 16-bit range of the quantization unit (the golden pass refuses those).
+bool oracle_over_range(const Tensor& in, const FilterBank& w,
+                       const ConvSpec& s) {
+  if (s.out_bits == 8) return false;
+  for (int oy = 0; oy < s.out_h(); ++oy) {
+    for (int ox = 0; ox < s.out_w(); ++ox) {
+      for (int oc = 0; oc < s.out_c; ++oc) {
+        const i32 a = old_conv_accumulate(in, w, s, oy, ox, oc);
+        if (a < -32768 || a > 32767) return true;
+      }
+    }
+  }
+  return false;
+}
+
 TEST(Calibration, GoldenFromAccumulatorsMatchesOldReference) {
   // Padded, strided and pointwise convs plus linear layers at uniform and
-  // mixed widths, with 8-bit and sub-byte outputs.
+  // mixed widths, with 8-bit and sub-byte outputs; filter lengths that are
+  // not a multiple of the 8-lane dot block (in_c 1, 3, 5, 9), odd out_c,
+  // and the 2048-input linear layer of the net-mixed stack.
   struct Widths {
     unsigned in, w, out;
   };
   const Widths widths[] = {{8, 8, 8}, {4, 4, 4}, {2, 2, 2}, {8, 4, 4},
                            {8, 2, 8}, {4, 2, 2}, {8, 4, 8}, {4, 4, 2}};
   u64 seed = 100;
+  int refused = 0;
   for (const Widths& b : widths) {
     std::vector<ConvSpec> specs = {
         conv(5, 6, 8, 4, b.in, b.w, b.out),
@@ -274,31 +170,58 @@ TEST(Calibration, GoldenFromAccumulatorsMatchesOldReference) {
         conv(7, 7, 8, 4, b.in, b.w, b.out, 3, 1, 2),
         conv(4, 4, 16, 8, b.in, b.w, b.out, 1, 0),
         linear(64, 10, b.in, b.w, b.out),
+        conv(5, 5, 1, 3, b.in, b.w, b.out),
+        conv(6, 4, 3, 5, b.in, b.w, b.out, 3, 1),
+        conv(7, 6, 5, 7, b.in, b.w, b.out, 3, 2, 2),
+        conv(5, 7, 9, 3, b.in, b.w, b.out, 3, 2, 1),
+        conv(9, 8, 3, 1, b.in, b.w, b.out, 5, 2, 2),
+        linear(2048, 16, b.in, b.w, b.out),
     };
     for (const ConvSpec& spec : specs) {
-      const kernels::ConvLayerData d =
-          kernels::ConvLayerData::random(spec, seed++);
+      const Tensor in = random_codes(spec, seed);
+      const FilterBank w = kernels::ConvLayerData::random_weights(spec, seed);
+      ++seed;
+      if (oracle_over_range(in, w, spec)) {
+        // 8-bit codes into a wide filter: the quantization unit cannot
+        // take the layer, and the golden pass must say so.
+        EXPECT_THROW((void)conv_accumulators(in, w, spec), SimError)
+            << name_of(spec);
+        ++refused;
+        continue;
+      }
+      kernels::ConvLayerData d;
+      d.spec = spec;
+      d.input = in;
+      d.weights = w;
+      calibrate(conv_accumulators(in, w, spec), d.spec, d.thresholds);
       const ConvSpec& s = d.spec;
       const Tensor gold = d.golden();
       const bool is_linear = s.in_h == 1 && s.in_w == 1 && s.k_h == 1;
       if (s.out_bits == 8) {
-        const Tensor old = old_conv2d_ref_u8(d.input, d.weights, s);
-        EXPECT_EQ(gold, old) << name_of(s);
-        EXPECT_EQ(conv2d_ref_u8(d.input, d.weights, s), old) << name_of(s);
-      } else if (is_linear) {
-        const Tensor old = old_linear_ref(d.input, d.weights, d.thresholds);
-        EXPECT_EQ(gold, old) << name_of(s);
-        EXPECT_EQ(linear_ref(d.input, d.weights, d.thresholds), old)
+        EXPECT_EQ(s.requant_shift, old_requant_shift(in, w, spec))
             << name_of(s);
+        const Tensor old = old_conv2d_ref_u8(in, w, s);
+        EXPECT_EQ(gold, old) << name_of(s);
+        EXPECT_EQ(conv2d_ref_u8(in, w, s), old) << name_of(s);
+        continue;
+      }
+      EXPECT_EQ(d.thresholds.serialize(),
+                old_trained_thresholds(in, w, spec).serialize())
+          << name_of(s);
+      if (is_linear) {
+        const Tensor old = old_linear_ref(in, w, d.thresholds);
+        EXPECT_EQ(gold, old) << name_of(s);
+        EXPECT_EQ(linear_ref(in, w, d.thresholds), old) << name_of(s);
       } else {
-        const Tensor old =
-            old_conv2d_ref(d.input, d.weights, d.thresholds, s);
+        const Tensor old = old_conv2d_ref(in, w, d.thresholds, s);
         EXPECT_EQ(gold, old) << name_of(s);
-        EXPECT_EQ(conv2d_ref(d.input, d.weights, d.thresholds, s), old)
-            << name_of(s);
+        EXPECT_EQ(conv2d_ref(in, w, d.thresholds, s), old) << name_of(s);
       }
     }
   }
+  // Only the 2048-input linear layer at 8-bit codes x 4-bit weights into a
+  // 4-bit output leaves the 16-bit range.
+  EXPECT_EQ(refused, 1);
 }
 
 TEST(Calibration, OverRangePreActivationThrowsWithCoordinate) {
@@ -320,6 +243,133 @@ TEST(Calibration, OverRangePreActivationThrowsWithCoordinate) {
     EXPECT_NE(msg.find("(0, 0, 0)"), std::string::npos) << msg;
     EXPECT_NE(msg.find("3264000"), std::string::npos) << msg;
     EXPECT_NE(msg.find("conv 4x4x32"), std::string::npos) << msg;
+  }
+}
+
+/// The std::sort quantile rule on one list of accumulators, as the
+/// oracle's threshold training applies it.
+Thresholds sorted_rule(std::vector<i32> accs, unsigned q_bits) {
+  const int levels = 1 << q_bits;
+  std::sort(accs.begin(), accs.end());
+  std::vector<i16> th(static_cast<size_t>(levels - 1));
+  i32 prev = -40000;
+  for (int i = 1; i < levels; ++i) {
+    i32 t = accs[std::min(accs.size() - 1,
+                          static_cast<size_t>(i) * accs.size() / levels)];
+    if (t <= prev) t = prev + 1;
+    t = std::clamp<i32>(t, -32768, 32767);
+    th[static_cast<size_t>(i - 1)] = static_cast<i16>(t);
+    prev = t;
+  }
+  return Thresholds(q_bits, std::move(th));
+}
+
+/// The rule over a whole accumulator tensor: per channel, or shared by all
+/// channels when a channel has fewer than 2 * 2^q_bits positions.
+LayerThresholds sorted_rule(const Tensor& acc, unsigned q_bits) {
+  const Shape sh = acc.shape();
+  const int positions = sh.h * sh.w;
+  if (positions < 2 * (1 << q_bits)) {
+    return LayerThresholds(
+        q_bits, std::vector<Thresholds>(static_cast<size_t>(sh.c),
+                                        sorted_rule(acc.data(), q_bits)));
+  }
+  std::vector<Thresholds> per_channel;
+  for (int oc = 0; oc < sh.c; ++oc) {
+    std::vector<i32> accs;
+    for (int p = 0; p < positions; ++p) {
+      accs.push_back(acc.flat(p * sh.c + oc));
+    }
+    per_channel.push_back(sorted_rule(std::move(accs), q_bits));
+  }
+  return LayerThresholds(q_bits, std::move(per_channel));
+}
+
+TEST(Calibration, QuantilesMatchTheSortRuleOnAdversarialAccumulators) {
+  // calibrate reads its quantiles off a radix sort that skips the passes
+  // whose digit every key shares; each tensor below stresses one way of
+  // getting that wrong.
+  constexpr i32 kMin = std::numeric_limits<i32>::min();
+  constexpr i32 kMax = std::numeric_limits<i32>::max();
+  Rng rng(2024);
+  const auto pick = [&rng](const std::vector<i32>& from) {
+    return from[static_cast<size_t>(rng.uniform(0, static_cast<i32>(from.size()) - 1))];
+  };
+  struct Case {
+    const char* name;
+    std::function<i32(int)> value;
+  };
+  const std::vector<Case> cases = {
+      {"all equal", [](int) { return 7; }},
+      {"all INT32_MIN", [](int) { return kMin; }},
+      {"all INT32_MAX", [](int) { return kMax; }},
+      {"heavy duplicates across bytes",
+       [&](int) {
+         return pick({-70000, -256, -1, 0, 1, 255, 256, 65536, 1 << 24});
+       }},
+      {"extremes and small values",
+       [&](int) { return pick({kMin, kMax, kMin + 1, kMax - 1, -3, 0, 5}); }},
+      {"only the top byte varies",
+       [&](int) { return rng.uniform(-128, 127) * (1 << 24); }},
+      {"only the middle bytes vary",
+       [&](int) { return 0x55 + rng.uniform(0, 65535) * 256; }},
+      {"low and top bytes vary",
+       [&](int) { return rng.uniform(0, 255) + rng.uniform(-128, 127) * (1 << 24); }},
+      {"sub-byte span", [&](int) { return rng.uniform(-3000, 3000); }},
+      {"full span", [&](int) { return static_cast<i32>(rng.next_u64()); }},
+  };
+  // Per-channel shapes and the shared path (positions < 2 * levels).
+  const Shape shapes[] = {{16, 16, 3}, {8, 4, 5}, {1, 1, 37}, {2, 3, 4},
+                          {4, 4, 6}, {1, 1, 1}};
+  for (const unsigned q : {2u, 4u}) {
+    for (const Shape& sh : shapes) {
+      for (const Case& c : cases) {
+        Tensor acc(sh);
+        for (int i = 0; i < acc.elems(); ++i) acc.flat(i) = c.value(i);
+        ConvSpec s;
+        s.out_bits = q;
+        LayerThresholds th;
+        calibrate(acc, s, th);
+        EXPECT_EQ(th.serialize(), sorted_rule(acc, q).serialize())
+            << c.name << ", " << sh.h << "x" << sh.w << "x" << sh.c
+            << ", q " << q;
+      }
+    }
+  }
+}
+
+TEST(Calibration, OperandOutsideInt16IsRefusedByName) {
+  // The golden pass multiplies int16 operands; a code or weight it cannot
+  // represent (or -32768, which a 16-bit multiply-add pair can wrap) is
+  // refused with the tensor, its coordinate and its value.
+  ConvSpec s = conv(4, 5, 6, 3, 8, 8, 8);
+  Tensor in({4, 5, 6});
+  FilterBank w(3, {3, 3, 6});
+  in.at(3, 4, 5) = -32767;
+  w.at(2, 2, 2, 5) = 32767;
+  EXPECT_NO_THROW((void)conv_accumulators(in, w, s, "conv7"));
+
+  in.at(1, 2, 3) = 32768;
+  try {
+    (void)conv_accumulators(in, w, s, "conv7");
+    FAIL() << "activation 32768 was accepted";
+  } catch (const SimError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("conv7: activation 32768 at (y, x, c) = (1, 2, 3)"),
+              std::string::npos)
+        << msg;
+  }
+  in.at(1, 2, 3) = 0;
+  w.at(2, 1, 0, 4) = -32768;
+  try {
+    (void)conv_accumulators(in, w, s);
+    FAIL() << "weight -32768 was accepted";
+  } catch (const SimError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("conv 4x5x6 -> 4x5x3: weight -32768 at (f, ky, kx, c) "
+                       "= (2, 1, 0, 4)"),
+              std::string::npos)
+        << msg;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "ckpt/fault.hpp"
 #include "obs/registry.hpp"
@@ -142,6 +143,40 @@ TEST(FaultCampaign, MixedKindsClassifyByDetector) {
         break;
     }
   }
+}
+
+TEST(FaultCampaign, EveryDetectedRecordExplainsItself) {
+  // The note is the failure explanation the tests above stream: it names
+  // the detector, the retries and the fallback, and a wrong output's
+  // first mismatching element. Masked faults have nothing to explain.
+  CampaignConfig cfg = small_config();
+  cfg.seed = 11;
+  cfg.num_faults = 40;
+  cfg.kinds = {FaultKind::kTcdmBitFlip, FaultKind::kRegisterBitFlip,
+               FaultKind::kStallPerturb, FaultKind::kIsaDegrade};
+  const CampaignReport rep = run_campaign(cfg);
+  int mismatches = 0;
+  for (const FaultRecord& r : rep.records) {
+    if (r.outcome == FaultOutcome::kMasked) {
+      EXPECT_TRUE(r.note.empty()) << r.note;
+      continue;
+    }
+    ASSERT_FALSE(r.note.empty());
+    const std::string detector =
+        std::string("detector ") + detector_name(r.detector);
+    EXPECT_EQ(r.note.rfind(detector, 0), 0u) << r.note;
+    EXPECT_NE(r.note.find("; retries " + std::to_string(r.retries_used)),
+              std::string::npos)
+        << r.note;
+    EXPECT_EQ(r.note.find("fallback kernel ran") != std::string::npos,
+              r.used_fallback)
+        << r.note;
+    if (r.detector == Detector::kOutputMismatch) {
+      EXPECT_NE(r.note.find("golden"), std::string::npos) << r.note;
+      ++mismatches;
+    }
+  }
+  EXPECT_GT(mismatches, 0);
 }
 
 TEST(FaultCampaign, IsaDegradeNeedsFallbackPolicy) {

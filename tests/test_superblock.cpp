@@ -121,21 +121,26 @@ TEST(Superblock, InstructionLimitSweepIsBoundaryExact) {
   }
 }
 
-TEST(Superblock, BudgetEndingOnTheEcallReportsInstrLimit) {
-  // run(n) whose n-th instruction is the ecall: the ecall retires and the
-  // machine state is the completed run's, but the exhausted budget wins
-  // the halt reason — on every dispatch mode alike.
+TEST(Superblock, BudgetEndingOnTheEcallReportsEcall) {
+  // run(n) whose n-th instruction is the ecall completed the program, so
+  // it reports kEcall with the completed run's state; one instruction
+  // less reports kInstrLimit, and run(0) retires nothing — on every
+  // dispatch mode alike.
   const xasm::Program prog = hot_hwloop_program();
   const FinalState full = run_prog(prog, true, false);
   ASSERT_EQ(full.reason, sim::HaltReason::kEcall);
+  const u64 total = full.perf.instructions;
   for (const auto& [reference, superblock] :
        {std::pair{true, false}, std::pair{false, false},
         std::pair{false, true}}) {
-    FinalState at = run_prog(prog, reference, superblock, nullptr,
-                             full.perf.instructions);
-    EXPECT_EQ(at.reason, sim::HaltReason::kInstrLimit);
-    at.reason = full.reason;
-    expect_identical(full, at);
+    expect_identical(full, run_prog(prog, reference, superblock, nullptr, total));
+    const FinalState short_of = run_prog(prog, reference, superblock, nullptr,
+                                         total - 1);
+    EXPECT_EQ(short_of.reason, sim::HaltReason::kInstrLimit);
+    EXPECT_EQ(short_of.perf.instructions, total - 1);
+    const FinalState none = run_prog(prog, reference, superblock, nullptr, 0);
+    EXPECT_EQ(none.reason, sim::HaltReason::kInstrLimit);
+    EXPECT_EQ(none.perf.instructions, 0u);
     if (::testing::Test::HasFailure()) {
       FAIL() << (reference ? "reference" : superblock ? "superblock" : "fast");
     }
