@@ -2,7 +2,10 @@
 // layer of Network::run pays for — qnn::conv_accumulators (one int16
 // im2col dot pass) and qnn::calibrate (radix-sorted quantiles) — plus
 // qnn::requantize, on each conv/linear layer of the qnnbench net-mixed
-// stack. Each layer is timed against two baselines:
+// stack. A last row, "requant" (layers.requantize in the JSON), times
+// qnn::requantize alone over every layer against the per-element
+// Thresholds::quantize loop it replaced.
+// Each layer is timed against two baselines:
 //   - the previous pass: the i32 per-tap accumulators and std::sort
 //     quantiles the int16/radix pass replaced (copied below);
 //   - the oracle: the per-element reference in tests/qnn_oracle.hpp,
@@ -12,7 +15,8 @@
 //
 // Emits BENCH_golden.json (obs::Registry JSON). --min-speedup X exits
 // nonzero when any layer's speedup over the previous pass falls below X
-// (the CI gate); --rounds N sets the rounds (default 15).
+// (the CI gate; the requant row counts as a layer); --rounds N sets the
+// rounds (default 15).
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -106,6 +110,21 @@ void prev_calibrate(const qnn::Tensor& acc, qnn::ConvSpec& s,
     }
   }
   th = qnn::LayerThresholds(s.out_bits, std::move(per_channel));
+}
+
+/// The previous requantize: the out-of-line linear-scan
+/// Thresholds::quantize per element.
+qnn::Tensor prev_requantize(const qnn::Tensor& acc,
+                            const qnn::LayerThresholds& th) {
+  qnn::Tensor out(acc.shape());
+  const int channels = acc.shape().c;
+  for (int i = 0; i < acc.elems(); i += channels) {
+    for (int oc = 0; oc < channels; ++oc) {
+      out.flat(i + oc) =
+          static_cast<i32>(th.channel(oc).quantize(acc.flat(i + oc)));
+    }
+  }
+  return out;
 }
 
 // ---- the three passes over one layer ----
@@ -251,6 +270,54 @@ int main(int argc, char** argv) {
     reg.gauge(p + ".golden_gmac_s", mmac * 1e-3 / t_new);
     reg.flag(p + ".output_ok", ok);
   }
+
+  // requantize alone, over every layer's calibrated accumulators: the
+  // inlined staircase against the per-element quantize it replaced.
+  struct Requant {
+    qnn::Tensor acc;
+    qnn::ConvSpec spec;
+    qnn::LayerThresholds th;
+  };
+  std::vector<Requant> rq;
+  u64 elems = 0;
+  for (const NetLayer& l : layers) {
+    const auto d = kernels::ConvLayerData::random(l.spec, kSeed);
+    Requant r{qnn::conv_accumulators(d.input, d.weights, d.spec), d.spec, {}};
+    qnn::calibrate(r.acc, r.spec, r.th);
+    elems += static_cast<u64>(r.acc.elems());
+    rq.push_back(std::move(r));
+  }
+  double rq_new = 1e30, rq_prev = 1e30;
+  bool rq_ok = true;
+  for (int r = 0; r <= rounds; ++r) {
+    std::vector<qnn::Tensor> now(rq.size()), prev(rq.size());
+    const double tn = seconds_of([&] {
+      for (size_t k = 0; k < rq.size(); ++k) {
+        now[k] = qnn::requantize(rq[k].acc, rq[k].spec, rq[k].th);
+      }
+    });
+    const double tp = seconds_of([&] {
+      for (size_t k = 0; k < rq.size(); ++k) {
+        prev[k] = prev_requantize(rq[k].acc, rq[k].th);
+      }
+    });
+    rq_ok = rq_ok && now == prev;
+    if (r == 0) continue;
+    rq_new = std::min(rq_new, tn);
+    rq_prev = std::min(rq_prev, tp);
+  }
+  all_ok = all_ok && rq_ok;
+  const double rq_speedup = rq_prev / rq_new;
+  min_speedup = std::min(min_speedup, rq_speedup);
+  std::printf("%-8s %8s %10.3f %10.3f %10s %8.2fx %10s %6s\n", "requant",
+              "-", rq_new * 1e3, rq_prev * 1e3, "-", rq_speedup, "-",
+              okstr(rq_ok));
+  reg.counter("layers.requantize.elements", elems);
+  reg.gauge("layers.requantize.golden_s", rq_new);
+  reg.gauge("layers.requantize.previous_s", rq_prev);
+  reg.gauge("layers.requantize.speedup", rq_speedup);
+  reg.flag("layers.requantize.output_ok", rq_ok);
+
   reg.counter("rounds", static_cast<u64>(rounds));
   reg.gauge("min_speedup", min_speedup);
   reg.gauge("required_min_speedup", required_speedup);

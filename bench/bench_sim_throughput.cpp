@@ -8,10 +8,15 @@
 // test_dispatch_diff); this bench quantifies the host speed gained by
 // moving classification work to decode time.
 //
+// Timing: each repetition is timed in thread CPU time (time the host
+// spends running other processes does not count), the modes alternate in
+// rounds, and each row reports the median over rounds of every mode's MIPS
+// and of the per-round paired ratios against the reference, so a round
+// slowed by host contention skews one pair, not the row.
+//
 // Emits BENCH_throughput.json (obs::Registry JSON) next to the binary's
 // working directory.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -104,31 +109,35 @@ void one_rep(const Workload& w, sim::Core& core, mem::Memory& mem,
   core.reset(w.kernel.program.entry(),
              w.kernel.program.base() + w.kernel.program.size_bytes());
   core.reset_perf();
-  const auto t0 = std::chrono::steady_clock::now();
+  const double t0 = thread_seconds();
   core.run();
-  const auto t1 = std::chrono::steady_clock::now();
+  const double t1 = thread_seconds();
   kernels::require_ecall(core);
-  m.host_seconds += std::chrono::duration<double>(t1 - t0).count();
+  m.host_seconds += t1 - t0;
   m.instructions += core.perf().instructions;
 }
 
 struct ModeResults {
-  Measurement ref, fast, superblock;
+  /// Median MIPS over rounds of each mode.
+  double ref_mips = 0, fast_mips = 0, sb_mips = 0;
+  /// Median over rounds of the fast/reference and superblock/reference
+  /// MIPS ratios of the same round.
+  double fast_speedup = 0, sb_speedup = 0;
+  Measurement ref;  // every counted reference repetition
   /// Superblock coverage from one clean repetition (Core::reset clears the
   /// engine stats, so a single rep reports exactly one kernel run).
   sim::SuperblockStats coverage;
   u64 coverage_instructions = 0;
 };
 
-/// Measure the three dispatch modes in alternating *rounds* and report each
-/// mode's best round. Round-level interleaving keeps slow host-clock drift
-/// (thermal, scheduler) from biasing the ratios, each round is long enough
-/// that cross-mode cache/predictor pollution at the switch is amortized
-/// away, and taking the best round discards downward scheduler noise
-/// symmetrically for every mode. The first repetition of every round is a
-/// warm-up and not counted.
-ModeResults measure_modes(const Workload& w, double round_seconds = 0.25,
-                          int rounds = 5) {
+/// Measure the three dispatch modes in alternating *rounds*. Round-level
+/// interleaving keeps slow host drift (thermal, scheduler) from biasing
+/// the ratios, each round is long enough that cross-mode cache/predictor
+/// pollution at the switch is amortized away, and the medians over rounds
+/// discard noisy rounds symmetrically for every mode. The first repetition
+/// of every round is a warm-up and not counted.
+ModeResults measure_modes(const Workload& w, double round_seconds = 0.18,
+                          int rounds = 7) {
   ModeResults out;
   mem::Memory mem;
   // One core per mode (reference, fast, superblock) over the shared
@@ -141,18 +150,30 @@ ModeResults measure_modes(const Workload& w, double round_seconds = 0.25,
     cores[mode] = std::make_unique<sim::Core>(mem, cfg);
   }
 
+  std::vector<double> mips[3], fast_x, sb_x;
   for (int r = 0; r < rounds; ++r) {
+    double round_mips[3] = {};
     for (int mode = 0; mode < 3; ++mode) {
       sim::Core& core = *cores[mode];
       Measurement warm;
       one_rep(w, core, mem, warm);
       Measurement round;
       while (round.host_seconds < round_seconds) one_rep(w, core, mem, round);
-      Measurement& best =
-          mode == 0 ? out.ref : mode == 1 ? out.fast : out.superblock;
-      if (round.mips() > best.mips()) best = round;
+      round_mips[mode] = round.mips();
+      mips[mode].push_back(round.mips());
+      if (mode == 0) {
+        out.ref.instructions += round.instructions;
+        out.ref.host_seconds += round.host_seconds;
+      }
     }
+    fast_x.push_back(round_mips[1] / round_mips[0]);
+    sb_x.push_back(round_mips[2] / round_mips[0]);
   }
+  out.ref_mips = median(mips[0]);
+  out.fast_mips = median(mips[1]);
+  out.sb_mips = median(mips[2]);
+  out.fast_speedup = median(fast_x);
+  out.sb_speedup = median(sb_x);
 
   Measurement cov;
   one_rep(w, *cores[2], mem, cov);
@@ -165,25 +186,25 @@ ModeResults measure_modes(const Workload& w, double round_seconds = 0.25,
 /// far beyond the run length, so it never fires mid-run) must cost < 2%
 /// of the no-observer fast path, and the simulated cost must be
 /// bit-identical with and without the sampler attached. Rounds alternate
-/// detached/idle and each configuration keeps its best round, the same
-/// noise discipline as measure_modes.
+/// detached/idle and the ratio is the median of the per-round ratios, the
+/// same noise discipline as measure_modes.
 struct GuardResult {
-  Measurement detached, idle;
+  double detached_mips = 0, idle_mips = 0;  // medians over rounds
+  double ratio = 0;  // median of per-round idle/detached MIPS
   bool cycles_identical = false;
-  double ratio() const {
-    return detached.mips() > 0 ? idle.mips() / detached.mips() : 0;
-  }
 };
 
 GuardResult measure_sampler_guard(const Workload& w,
-                                  double round_seconds = 0.25,
-                                  int rounds = 3) {
+                                  double round_seconds = 0.18,
+                                  int rounds = 5) {
   GuardResult out;
   mem::Memory mem;
   sim::Core core(mem, w.cfg);
 
   cycles_t detached_cycles = 0, idle_cycles = 0;
+  std::vector<double> mips[2], ratios;
   for (int r = 0; r < rounds; ++r) {
+    double round_mips[2] = {};
     for (int mode = 0; mode < 2; ++mode) {
       std::unique_ptr<obs::Sampler> sampler;
       if (mode == 1) {
@@ -196,11 +217,15 @@ GuardResult measure_sampler_guard(const Workload& w,
       Measurement round;
       while (round.host_seconds < round_seconds) one_rep(w, core, mem, round);
       (mode == 0 ? detached_cycles : idle_cycles) = core.perf().cycles;
-      Measurement& best = mode == 0 ? out.detached : out.idle;
-      if (round.mips() > best.mips()) best = round;
+      round_mips[mode] = round.mips();
+      mips[mode].push_back(round.mips());
       if (sampler) sampler->finalize();
     }
+    ratios.push_back(round_mips[1] / round_mips[0]);
   }
+  out.detached_mips = median(mips[0]);
+  out.idle_mips = median(mips[1]);
+  out.ratio = median(ratios);
   out.cycles_identical = (detached_cycles == idle_cycles);
   return out;
 }
@@ -271,17 +296,10 @@ int main(int argc, char** argv) {
   double min_sb_speedup = 1e30;
   double min_fused = 1;
 
-  const auto add_measurement = [&reg](const std::string& prefix,
-                                      const Measurement& m) {
-    reg.counter(prefix + ".instructions", m.instructions);
-    reg.gauge(prefix + ".host_seconds", m.host_seconds);
-    reg.gauge(prefix + ".mips", m.mips());
-  };
-
   for (const Workload& w : workloads) {
     const ModeResults r = measure_modes(w);
-    const double fast_speedup = r.fast.mips() / r.ref.mips();
-    const double sb_speedup = r.superblock.mips() / r.ref.mips();
+    const double fast_speedup = r.fast_speedup;
+    const double sb_speedup = r.sb_speedup;
     min_fast_speedup = std::min(min_fast_speedup, fast_speedup);
     min_sb_speedup = std::min(min_sb_speedup, sb_speedup);
     const double fused =
@@ -294,16 +312,18 @@ int main(int argc, char** argv) {
     const std::string name = w.platform + "/" + w.variant;
     std::printf("%-32s %10.2f %10.2f %10.2f %10.2f %6.2fx %6.2fx %6.1f%%\n",
                 name.c_str(), static_cast<double>(r.ref.instructions) / 1e6,
-                r.ref.mips(), r.fast.mips(), r.superblock.mips(), fast_speedup,
-                sb_speedup, 100 * fused);
+                r.ref_mips, r.fast_mips, r.sb_mips, fast_speedup, sb_speedup,
+                100 * fused);
 
     const std::string key = "workloads." + w.platform + "_" + w.variant;
     reg.text(key + ".platform", w.platform);
     reg.text(key + ".variant", w.variant);
     reg.counter(key + ".bits", w.bits);
-    add_measurement(key + ".reference", r.ref);
-    add_measurement(key + ".fast", r.fast);
-    add_measurement(key + ".superblock", r.superblock);
+    reg.counter(key + ".reference.instructions", r.ref.instructions);
+    reg.gauge(key + ".reference.host_seconds", r.ref.host_seconds);
+    reg.gauge(key + ".reference.mips", r.ref_mips);
+    reg.gauge(key + ".fast.mips", r.fast_mips);
+    reg.gauge(key + ".superblock.mips", r.sb_mips);
     obs::add_superblock_stats(reg, key + ".superblock.coverage", r.coverage,
                               r.coverage_instructions);
     reg.gauge(key + ".speedup", fast_speedup);
@@ -319,22 +339,22 @@ int main(int argc, char** argv) {
     const GuardResult g = measure_sampler_guard(workloads[1]);
     std::printf("idle-sampler guard: detached %.2f MIPS, idle %.2f MIPS "
                 "(%.1f%% retained, cycles %s)\n",
-                g.detached.mips(), g.idle.mips(), 100 * g.ratio(),
+                g.detached_mips, g.idle_mips, 100 * g.ratio,
                 g.cycles_identical ? "identical" : "DIVERGED");
-    reg.gauge("guard.sampler.detached_mips", g.detached.mips());
-    reg.gauge("guard.sampler.idle_mips", g.idle.mips());
-    reg.gauge("guard.sampler.retained", g.ratio());
+    reg.gauge("guard.sampler.detached_mips", g.detached_mips);
+    reg.gauge("guard.sampler.idle_mips", g.idle_mips);
+    reg.gauge("guard.sampler.retained", g.ratio);
     reg.flag("guard.sampler.cycles_identical", g.cycles_identical);
     if (!g.cycles_identical) {
       std::fprintf(stderr,
                    "FAIL: attaching an idle sampler changed simulated cost\n");
       guard_ok = false;
     }
-    if (g.ratio() < guard_ratio) {
+    if (g.ratio < guard_ratio) {
       std::fprintf(stderr,
                    "FAIL: idle sampler retains %.1f%% of detached throughput "
                    "(< %.1f%%)\n",
-                   100 * g.ratio(), 100 * guard_ratio);
+                   100 * g.ratio, 100 * guard_ratio);
       guard_ok = false;
     }
   }

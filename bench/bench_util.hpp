@@ -3,9 +3,13 @@
 // platform and collect cycles + power + efficiency.
 #pragma once
 
+#include <time.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "armv7e/cmsis_conv.hpp"
 #include "kernels/conv_layer.hpp"
@@ -16,6 +20,21 @@
 namespace xpulp::bench {
 
 inline constexpr u64 kSeed = 7;  // all benches use the same synthetic layer
+
+/// CPU time consumed by the calling thread, in seconds: host-time benches
+/// time with it so that time the host spends on other processes does not
+/// count.
+inline double thread_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+inline double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n == 0 ? 0 : n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
 
 struct PlatformResult {
   std::string platform;

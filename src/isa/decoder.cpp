@@ -1,7 +1,9 @@
 #include "isa/decoder.hpp"
 
 #include <array>
+#include <cstring>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -207,9 +209,42 @@ Instr unpack(const IsaTableEntry& e, u32 raw, addr_t pc) {
   return in;
 }
 
+thread_local DecodeStats t_stats;
+
+/// One slot of the decode memo: a word and its finalized decode, kept as
+/// bytes so the table is zero-initialized thread-local storage (no
+/// constructor, no heap). A zeroed slot holds op kInvalid, never a hit.
+struct MemoSlot {
+  u32 word;
+  unsigned char in[sizeof(Instr)];
+};
+static_assert(sizeof(MemoSlot) * kDecodeMemoSlots <= 128 * 1024);
+static_assert(std::is_trivially_copyable_v<Instr>);
+thread_local MemoSlot t_memo[kDecodeMemoSlots];
+
 }  // namespace
 
 Instr decode(u32 raw, addr_t pc) {
+  // Direct-mapped on the word. A slot is a hit only when it holds a valid
+  // decode of this very word; words that throw never enter it, so an
+  // illegal word throws on every decode, with its own pc.
+  t_stats.calls += 1;
+  MemoSlot& s = t_memo[(raw * 0x9E3779B1u) >> (32 - kDecodeMemoBits)];
+  Instr in;
+  if (s.word == raw) {
+    std::memcpy(&in, s.in, sizeof in);
+    if (in.valid()) return in;
+  }
+  in = decode_uncached(raw, pc);
+  std::memcpy(s.in, &in, sizeof in);
+  s.word = raw;
+  return in;
+}
+
+DecodeStats decode_stats() { return t_stats; }
+
+Instr decode_uncached(u32 raw, addr_t pc) {
+  t_stats.fresh += 1;
   if (is_compressed(raw)) return decode_compressed(static_cast<u16>(raw), pc);
   static const DecodeIndex ix = build_index();
   const DecodeIndex::Slot s = ix.slots[DecodeIndex::slot_of(raw)];

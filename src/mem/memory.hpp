@@ -120,6 +120,12 @@ class Memory {
     std::memcpy(bytes.data(), &data_[a], bytes.size());
   }
 
+  /// Read-only view of `len` guest bytes at `a` (bounds-checked).
+  std::span<const u8> view(addr_t a, u32 len) const {
+    check(a, len, false);
+    return {data_.data() + a, len};
+  }
+
   void fill(addr_t a, u8 value, u32 len) {
     check(a, len, true);
     std::memset(&data_[a], value, len);

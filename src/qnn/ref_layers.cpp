@@ -222,10 +222,18 @@ Tensor requantize(const Tensor& acc, const ConvSpec& s,
   if (th.channels() != channels || th.q_bits() != s.out_bits) {
     throw std::invalid_argument("threshold set does not match layer");
   }
+  // The staircase code is the number of thresholds <= x: one compare per
+  // threshold, summed without branches over the channel's sorted list.
+  const size_t steps = (size_t{1} << s.out_bits) - 1;
+  const i32* a = acc.data().data();
+  i32* o = out.data().data();
   for (int i = 0; i < acc.elems(); i += channels) {
     for (int oc = 0; oc < channels; ++oc) {
-      out.flat(i + oc) =
-          static_cast<i32>(th.channel(oc).quantize(acc.flat(i + oc)));
+      const i16* t = th.channel(oc).sorted().data();
+      const i32 x = a[i + oc];
+      i32 code = 0;
+      for (size_t k = 0; k < steps; ++k) code += x >= t[k];
+      o[i + oc] = code;
     }
   }
   return out;

@@ -56,6 +56,10 @@ Core::Core(mem::Memory& mem, CoreConfig cfg)
       static_cast<u16>((cfg_.xpulpv2 ? 0 : iflag::kNeedXpulpV2) |
                        (cfg_.xpulpnn ? 0 : iflag::kNeedXpulpNN) |
                        (cfg_.hwloops ? 0 : iflag::kNeedHwloops));
+  // Size the plan index once, up front: rehashing it mid-run allocates
+  // while a layer's large buffers are live, which fragmented the heap
+  // (+0.5 MB peak RSS on qnnbench net-mixed).
+  sb_plans_.reserve(kSbHeatSize);
 }
 
 Core::~Core() = default;
@@ -69,24 +73,26 @@ void Core::reset(addr_t pc, addr_t code_end) {
   hwl_start_.fill(0);
   hwl_end_.fill(0);
   hwl_count_.fill(0);
+  hwl_key_.fill(0);
   hwl_active_ = false;
   last_load_rd_ = 0;
   halt_ = HaltReason::kRunning;
   mpc_ = 0;
-  icache_.clear();
-  icache_valid_.clear();
   icache_base_ = pc & ~addr_t{1};
   decode_gen_ += 1;
   sb_clear();
   sb_stats_ = SuperblockStats{};
-  if (code_end > icache_base_ && icache_base_ < mem_.size()) {
-    // Pre-size the decode cache to the program's span so the run loop
-    // never pays a resize, and stores outside it cost a compare or two.
-    const u32 parcels = static_cast<u32>(
-        (std::min<u64>(code_end, mem_.size()) - icache_base_ + 1) >> 1);
-    icache_.resize(parcels);
-    icache_valid_.assign(parcels, 0);
-  }
+  // Pre-size the decode cache to the program's span so the run loop never
+  // pays a resize, and stores outside it cost a compare or two; without a
+  // span it starts empty, at the first fetch. Kept slots are not cleared:
+  // a slot is only read behind its valid bit.
+  const u32 parcels =
+      code_end > icache_base_ && icache_base_ < mem_.size()
+          ? static_cast<u32>(
+                (std::min<u64>(code_end, mem_.size()) - icache_base_ + 1) >> 1)
+          : 0;
+  icache_.resize(parcels);
+  icache_valid_.assign(parcels, 0);
   if (pre_run_gate_ && code_end > pc) {
     pre_run_gate_(mem_, pc, code_end);
   }
@@ -204,6 +210,7 @@ void Core::restore_state(const CoreState& s) {
   hwl_start_ = s.hwl_start;
   hwl_end_ = s.hwl_end;
   hwl_count_ = s.hwl_count;
+  hwl_key_.fill(0);
   update_hwl_active();
   last_load_rd_ = s.last_load_rd;
   last_load_data_ = s.last_load_data;
@@ -368,9 +375,10 @@ void Core::hwloop_backedge(addr_t after) {
         next_pc_ = hwl_start_[l];
         perf_.hwloop_backedges += 1;
         if (cfg_.superblock && !cfg_.reference_dispatch) {
-          // Promote on backedge heat like branch loops, so one-shot loops
-          // with a few trips never compile a plan.
-          sb_note_backedge(0, hwl_start_[l]);
+          // Promote on backedge heat like branch loops, counted per body
+          // shape: a loop with a few trips compiles only when copies of
+          // its body are hot together.
+          sb_note_loop_backedge(l);
         }
       } else {
         hwl_count_[l] = 0;  // final iteration: fall through
@@ -983,9 +991,11 @@ void Core::exec_hwloop(const Instr& in) {
   switch (in.op) {
     case M::kLpStarti:
       hwl_start_[l] = pc_ + static_cast<u32>(in.imm);
+      hwl_key_[l] = 0;
       break;
     case M::kLpEndi:
       hwl_end_[l] = pc_ + static_cast<u32>(in.imm);
+      hwl_key_[l] = 0;
       break;
     case M::kLpCount:
       hwl_count_[l] = reg(in.rs1);
@@ -999,10 +1009,12 @@ void Core::exec_hwloop(const Instr& in) {
       hwl_end_[l] = pc_ + static_cast<u32>(in.imm);
       // lp_setupi carries a 5-bit immediate count in the rs1 field.
       hwl_count_[l] = in.op == M::kLpSetup ? reg(in.rs1) : in.rs1;
+      hwl_key_[l] = 0;
       if (cfg_.superblock && !cfg_.reference_dispatch && hwl_count_[l] > 1 &&
-          sb_find(hwl_start_[l]) != nullptr) {
+          sb_find_loop(l) != nullptr) {
         // The next instruction is the start of a loop that already has a
-        // plan: fuse it from iteration one.
+        // plan, here or (rebased) at another copy of its body: fuse it
+        // from iteration one.
         sb_candidate_ = hwl_start_[l];
         sb_candidate_branch_ = 0;
       }

@@ -172,6 +172,9 @@ std::string perf_invariant_violation(const PerfCounters& p);
 struct SuperblockStats {
   u64 blocks_compiled = 0;
   u64 compile_rejects = 0;   // regions that failed static eligibility
+  /// Hardware-loop plans moved to another copy of their body (the same
+  /// words at a new pc) instead of compiling a plan there.
+  u64 rebases = 0;
   u64 entries = 0;           // fused bursts entered
   /// Of entries, inner hardware loops run from inside a branch plan.
   u64 nested_entries = 0;
@@ -205,6 +208,7 @@ template <typename F, CounterRef<SuperblockStats>... S>
 constexpr void for_each_counter(F&& f, S&&... s) {
   f("blocks_compiled", s.blocks_compiled...);
   f("compile_rejects", s.compile_rejects...);
+  f("rebases", s.rebases...);
   f("entries", s.entries...);
   f("nested_entries", s.nested_entries...);
   f("entry_rejects", s.entry_rejects...);
@@ -525,6 +529,9 @@ class Core {
 
   // ---- Superblock engine (sim/superblock.cpp) ----
 
+  using SbPlanIndex =
+      std::unordered_map<addr_t, std::unique_ptr<SuperblockPlan>>;
+
   /// Compile-if-needed and run a fused burst at `start` with at most
   /// `budget` instructions; returns how many retired (0 = fall back to
   /// the interpreter). `branch_pc` is nonzero for backward-branch
@@ -545,11 +552,28 @@ class Core {
   template <bool Sampled>
   u64 sb_execute_impl(SuperblockPlan& plan, u64 budget, bool nested = false);
   void sb_exit(SuperblockPlan& plan);
-  /// Heat counter for loop backedges: taken backward conditional branches
-  /// (`branch_pc` != 0) and hardware-loop backedges (`branch_pc` == 0).
-  /// Promotes the target to a superblock candidate past the threshold, or
-  /// at once when it already has a plan.
+  /// Heat counter for the taken backward conditional branch at
+  /// `branch_pc`. Promotes the target to a superblock candidate past the
+  /// threshold, or at once when it already has a plan.
   void sb_note_backedge(addr_t branch_pc, addr_t target);
+  /// The same for a backedge of hardware loop `l`, whose heat is keyed by
+  /// its body's shape (sb_loop_key), so every copy of one body shares a
+  /// counter and, once compiled, a plan.
+  void sb_note_loop_backedge(unsigned l);
+  /// Shape key of hardware loop `l`'s body: a hash of its words and
+  /// length, computed once per loop setup and cached in hwl_key_. A body
+  /// holding an auipc also hashes its start pc (its plan is pinned there).
+  u64 sb_loop_key(unsigned l);
+  /// The plan for live hardware loop `l`: its shape's compiled plan when
+  /// that sits at the loop's start or, rebased, can move there (its words
+  /// match this copy of the body), else the plan indexed at the start pc
+  /// (nullptr when there is none).
+  SuperblockPlan* sb_find_loop(unsigned l);
+  /// Move `plan` and its index entry to `start`; returns the plan now
+  /// indexed there (another plan already starting there wins).
+  SuperblockPlan* sb_rebase(SuperblockPlan& plan, addr_t start);
+  /// Erase a plan from the index (and its shape link); returns the next.
+  SbPlanIndex::iterator sb_erase(SbPlanIndex::iterator it);
   void sb_invalidate_range(addr_t a, unsigned size);
   void sb_recompute_extent();
   /// Evict plans whose fused mixed dot ops baked a now-stale mpc selector
@@ -558,6 +582,14 @@ class Core {
   /// Drop every plan, reject record, heat entry and pending candidate
   /// (reset, decode-cache flush, ISA feature change).
   void sb_clear();
+
+  /// The live hardware loop (L0 first) starting at `start`, or -1.
+  int live_loop_at(addr_t start) const {
+    for (unsigned l = 0; l < 2; ++l) {
+      if (hwl_count_[l] > 0 && hwl_start_[l] == start) return static_cast<int>(l);
+    }
+    return -1;
+  }
 
   void update_hwl_active() {
     hwl_active_ = hwl_count_[0] != 0 || hwl_count_[1] != 0;
@@ -578,6 +610,9 @@ class Core {
   std::array<addr_t, 2> hwl_start_{};
   std::array<addr_t, 2> hwl_end_{};
   std::array<u32, 2> hwl_count_{};
+  /// Host-side shape key of each loop's body (sb_loop_key), 0 until
+  /// computed; any change to a loop's bounds resets it.
+  std::array<u64, 2> hwl_key_{};
 
   u8 last_load_rd_ = 0;  // destination of the previous load (0 = none)
   u32 last_load_data_ = 0;
@@ -636,9 +671,19 @@ class Core {
   static constexpr unsigned kSbHeatThreshold = 16;
   static constexpr size_t kSbMaxOps = 128;
 
+  static unsigned heat_slot(u64 key) {
+    return static_cast<unsigned>(key >> 1) & (kSbHeatSize - 1);
+  }
+
   struct SbHeatEntry {
-    addr_t pc = 0;
+    u64 key = 0;  // branch pc, or a hardware loop's shape key
+    /// Hardware loops: the shape's compiled plan, wherever it sits now
+    /// (sb_erase clears the link before the plan is freed).
+    SuperblockPlan* plan = nullptr;
     u16 count = 0;
+    /// The shape failed to compile: never promoted again (the key covers
+    /// the body's words, so patched code hashes to a fresh entry).
+    bool rejected = false;
   };
 
   /// Block start the run loop should try to fuse at the next instruction
@@ -651,7 +696,7 @@ class Core {
   addr_t sb_fallin_ = kNoSbCandidate;
   addr_t sb_fallin_branch_ = 0;
   /// Compiled plans indexed by start pc (at most one plan per start).
-  std::unordered_map<addr_t, std::unique_ptr<SuperblockPlan>> sb_plans_;
+  SbPlanIndex sb_plans_;
   /// Regions that failed static eligibility, so hot-but-uncompilable
   /// loops don't re-walk the block on every backedge. Range-keyed: a
   /// store into the region clears the record (the patched code may now
@@ -661,9 +706,10 @@ class Core {
   SuperblockPlan* sb_active_ = nullptr;  // plan a burst is executing now
   bool sb_active_dirty_ = false;  // live plan was stored into (SMC bail)
   /// Backedge heat, one direct-mapped table per loop kind: [0] branch
-  /// loops keyed by the branch pc, [1] hardware loops by their start pc.
-  /// Separate tables keep the one-shot per-pixel hardware loops (im2col)
-  /// from evicting the counter of a branch loop re-entered between them.
+  /// loops keyed by the branch pc, [1] hardware loops by their body's
+  /// shape key, which also links the shape to its plan. Separate tables
+  /// keep the per-pixel hardware loops (im2col) from evicting the counter
+  /// of a branch loop re-entered between them.
   std::array<std::array<SbHeatEntry, kSbHeatSize>, 2> sb_heat_{};
   SuperblockStats sb_stats_;
 };

@@ -13,6 +13,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
+#include <span>
 
 #include "common/bitops.hpp"
 #include "common/error.hpp"
@@ -359,6 +361,38 @@ bool matches_conv_inner(const SuperblockPlan& p) {
   return true;
 }
 
+/// Recognize the im2col copy body (SbShape::kCopyWords): `p.lw rX, a(rS!)`
+/// then `p.sw rX, b(rD!)`, word accesses with word-multiple immediate
+/// increments, and rX, rS, rD distinct and nonzero, so each iteration
+/// copies one word and moves both pointers by a constant.
+bool matches_copy_words(const SuperblockPlan& p) {
+  if (!p.is_hwloop || p.ops.size() != 2) return false;
+  const SbOp& ld = p.ops[0];
+  const SbOp& st = p.ops[1];
+  for (const SbOp* o : {&ld, &st}) {
+    if (o->kind != SbKind::kMem || o->aux != 4 ||
+        !(o->flags & iflag::kMemPostInc) || (o->flags & iflag::kMemRegOff) ||
+        (o->imm & 3) != 0) {
+      return false;
+    }
+  }
+  return !(ld.flags & iflag::kIsStore) && (st.flags & iflag::kIsStore) &&
+         st.rs2 == ld.rd && ld.rd != 0 && ld.rs1 != 0 && st.rs1 != 0 &&
+         ld.rd != ld.rs1 && ld.rd != st.rs1 && ld.rs1 != st.rs1;
+}
+
+/// `code` holds exactly the words of `p`'s straight-line body.
+bool holds_body(std::span<const u8> code, const SuperblockPlan& p) {
+  size_t o = 0;
+  for (const Instr& in : p.instrs) {
+    u32 w = 0;
+    std::memcpy(&w, &code[o], in.size);
+    if (w != in.raw) return false;
+    o += in.size;
+  }
+  return o == code.size();
+}
+
 /// A .sc operand as a full vector: lane 0's raw bits replicated (lane
 /// extension happens inside host_dot, so this is exactly dotp_lanes<W,
 /// true>).
@@ -383,19 +417,17 @@ bool is_conditional_branch(Mnemonic op) {
 void Core::sb_note_backedge(addr_t branch_pc, addr_t target) {
   // One promotion rule for both loop kinds: kSbHeatThreshold backedges,
   // counted across entries of the loop. Branch loops are keyed by the
-  // branch pc, hardware loops (branch_pc == 0) by their start pc, each in
-  // its own table, so the two kinds never share or evict a counter.
+  // branch pc, hardware loops by their body's shape (sb_note_loop_backedge),
+  // each in its own table, so the two kinds never share or evict a counter.
   // A loop that already has a plan re-enters it directly.
   if (sb_find(target) != nullptr) {
     sb_candidate_ = target;
     sb_candidate_branch_ = branch_pc;
     return;
   }
-  const bool hwloop = branch_pc == 0;
-  const addr_t key = hwloop ? target : branch_pc;
-  SbHeatEntry& e = sb_heat_[hwloop][(key >> 1) & (kSbHeatSize - 1)];
-  if (e.pc != key) {
-    e.pc = key;
+  SbHeatEntry& e = sb_heat_[0][heat_slot(branch_pc)];
+  if (e.key != branch_pc) {
+    e.key = branch_pc;
     e.count = 1;
     return;
   }
@@ -404,6 +436,110 @@ void Core::sb_note_backedge(addr_t branch_pc, addr_t target) {
     sb_candidate_ = target;
     sb_candidate_branch_ = branch_pc;
   }
+}
+
+void Core::sb_note_loop_backedge(unsigned l) {
+  if (sb_find_loop(l) != nullptr) {
+    sb_candidate_ = hwl_start_[l];
+    sb_candidate_branch_ = 0;
+    return;
+  }
+  const u64 key = sb_loop_key(l);
+  SbHeatEntry& e = sb_heat_[1][heat_slot(key)];
+  if (e.key != key) {
+    if (e.plan != nullptr) e.plan->shape_key = 0;  // evicted: unlink
+    e = SbHeatEntry{key, nullptr, 1, false};
+    return;
+  }
+  if (e.rejected) return;
+  if (++e.count >= kSbHeatThreshold) {
+    e.count = 0;
+    sb_candidate_ = hwl_start_[l];
+    sb_candidate_branch_ = 0;
+  }
+}
+
+u64 Core::sb_loop_key(unsigned l) {
+  if (hwl_key_[l] != 0) return hwl_key_[l];
+  const addr_t start = hwl_start_[l];
+  const addr_t end = hwl_end_[l];
+  u64 h = 0xcbf29ce484222325ull;  // FNV-1a over the body's words
+  const auto mix = [&h](u64 v) { h = (h ^ v) * 0x100000001b3ull; };
+  bool pinned = true;
+  if (end > start && end - start <= 4 * kSbMaxOps && (end - start) % 2 == 0 &&
+      end <= mem_.size()) {
+    const std::span<const u8> body = mem_.view(start, end - start);
+    pinned = false;
+    for (size_t o = 0; o < body.size();) {
+      const size_t n = (body[o] & 3u) == 3u && o + 4 <= body.size() ? 4 : 2;
+      u32 w = 0;
+      std::memcpy(&w, &body[o], n);
+      // auipc: its plan bakes the pc into a kConst op.
+      if (n == 4 && (w & 0x7fu) == 0x17u) pinned = true;
+      mix(w);
+      o += n;
+    }
+    mix(body.size());
+  }
+  // A body that cannot roam (or be read) is keyed by its position too.
+  if (pinned) mix(u64{start} << 32 | end);
+  h ^= h >> 29;
+  h *= 0xbf58476d1ce4e5b9ull;
+  h ^= h >> 32;
+  hwl_key_[l] = h | 1;  // 0 marks a key not yet computed
+  return hwl_key_[l];
+}
+
+SuperblockPlan* Core::sb_find_loop(unsigned l) {
+  const addr_t start = hwl_start_[l];
+  const u64 key = sb_loop_key(l);
+  const SbHeatEntry& e = sb_heat_[1][heat_slot(key)];
+  if (e.key == key && e.plan != nullptr) {
+    SuperblockPlan& p = *e.plan;
+    if (p.start == start) return &p;
+    const u32 len = hwl_end_[l] - start;
+    // The words decide, not the hash: this copy must hold the exact body
+    // the plan was compiled from.
+    if (p.roams && &p != sb_active_ && p.end - p.start == len &&
+        static_cast<u64>(start) + len <= mem_.size() &&
+        holds_body(mem_.view(start, len), p)) {
+      return sb_rebase(p, start);
+    }
+  }
+  return sb_find(start);
+}
+
+SuperblockPlan* Core::sb_rebase(SuperblockPlan& plan, addr_t start) {
+  // Re-key the index node in place (no allocation); a plan that already
+  // starts there keeps the slot and this one stays where it was.
+  auto node = sb_plans_.extract(plan.start);
+  node.key() = start;
+  auto ins = sb_plans_.insert(std::move(node));
+  if (!ins.inserted) {
+    ins.node.key() = plan.start;
+    sb_plans_.insert(std::move(ins.node));
+    return ins.position->second.get();
+  }
+  // Shift every pc the plan reports: bail-out, fault, access-hook and
+  // burst-sink pcs all come from start/end/op_pc.
+  const addr_t delta = start - plan.start;
+  plan.start = start;
+  plan.end += delta;
+  for (addr_t& pc : plan.op_pc) pc += delta;
+  // The store filter only needs to cover every plan.
+  sb_lo_ = std::min(sb_lo_, plan.start);
+  sb_hi_ = std::max(sb_hi_, plan.end);
+  sb_stats_.rebases += 1;
+  return &plan;
+}
+
+Core::SbPlanIndex::iterator Core::sb_erase(SbPlanIndex::iterator it) {
+  const SuperblockPlan& p = *it->second;
+  if (p.shape_key != 0) {
+    SbHeatEntry& e = sb_heat_[1][heat_slot(p.shape_key)];
+    if (e.plan == &p) e.plan = nullptr;
+  }
+  return sb_plans_.erase(it);
 }
 
 SuperblockPlan* Core::sb_find(addr_t start) {
@@ -442,7 +578,7 @@ void Core::sb_invalidate_range(addr_t a, unsigned size) {
         p.dead = true;
         ++it;
       } else {
-        it = sb_plans_.erase(it);
+        it = sb_erase(it);
       }
     } else {
       ++it;
@@ -478,7 +614,7 @@ void Core::sb_evict_mixed_plans() {
         p.dead = true;
         ++it;
       } else {
-        it = sb_plans_.erase(it);
+        it = sb_erase(it);
       }
     } else {
       ++it;
@@ -504,13 +640,15 @@ SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
   // equals `start` gives exact bounds; otherwise the heat counter recorded
   // the backward branch that targets `start`.
   addr_t end = branch_pc;  // one past the last *body* byte
-  if (branch_pc == 0) {
-    for (unsigned l = 0; l < 2; ++l) {
-      if (hwl_count_[l] > 0 && hwl_start_[l] == start) {
-        end = hwl_end_[l];
-        break;
-      }
-    }
+  // A hardware loop's shape heat entry links the shape to its plan, or
+  // records that the shape does not compile.
+  SbHeatEntry* shape = nullptr;
+  if (const int l = branch_pc == 0 ? live_loop_at(start) : -1; l >= 0) {
+    end = hwl_end_[l];
+    const u64 key = sb_loop_key(static_cast<unsigned>(l));
+    shape = &sb_heat_[1][heat_slot(key)];
+    if (shape->plan != nullptr) shape->plan->shape_key = 0;  // unlink
+    *shape = SbHeatEntry{key, nullptr, 0, true};
   }
   auto plan = std::make_unique<SuperblockPlan>();
   if (!sb_build(*plan, start, end, branch_pc)) {
@@ -520,6 +658,14 @@ SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
     return nullptr;
   }
   sb_stats_.blocks_compiled += 1;
+  if (shape != nullptr) {
+    shape->plan = plan.get();
+    shape->rejected = false;
+    plan->shape_key = shape->key;
+    plan->roams =
+        std::none_of(plan->ops.begin(), plan->ops.end(),
+                     [](const SbOp& o) { return o.op == Mnemonic::kAuipc; });
+  }
   SuperblockPlan* out = plan.get();
   sb_plans_.emplace(start, std::move(plan));
   if (branch_pc != 0) {
@@ -704,6 +850,7 @@ bool Core::sb_build(SuperblockPlan& plan, addr_t start, addr_t end,
     plan.dotp_region = mixed ? u8{0xff} : dr;
   }
   if (matches_conv_inner(plan)) plan.shape = SbShape::kConvInner;
+  if (matches_copy_words(plan)) plan.shape = SbShape::kCopyWords;
 
   // Worst-case dynamic cycles per iteration in slim memory mode, for the
   // sampled-burst arming check. Conservative per class: a memory op can
@@ -771,7 +918,9 @@ u64 Core::superblock_enter(addr_t start, addr_t branch_pc, u64 budget) {
   // power-model effect the batched loop can't reproduce), and reference
   // dispatch / tracing want the plain interpreters.
   if (!cfg_.superblock || !cfg_.clock_gating) return 0;
-  SuperblockPlan* plan = sb_find(start);
+  const int l = branch_pc == 0 ? live_loop_at(start) : -1;
+  SuperblockPlan* plan = l >= 0 ? sb_find_loop(static_cast<unsigned>(l))
+                                : sb_find(start);
   if (plan == nullptr) {
     for (const auto& r : sb_rejects_) {
       if (r.first == start) return 0;
@@ -785,8 +934,7 @@ u64 Core::superblock_enter(addr_t start, addr_t branch_pc, u64 budget) {
 void Core::sb_exit(SuperblockPlan& plan) {
   sb_active_ = nullptr;
   if (plan.dead) {
-    const addr_t start = plan.start;  // the key must outlive the plan
-    sb_plans_.erase(start);
+    sb_erase(sb_plans_.find(plan.start));
     sb_recompute_extent();
   }
   sb_active_dirty_ = false;
@@ -954,6 +1102,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget, bool nested) {
   // the hoisted dot latches; otherwise the generic op loop serves.
   const bool use_conv =
       plan.shape == SbShape::kConvInner && mem_slim && hoist_dotp;
+  const bool use_copy = plan.shape == SbShape::kCopyWords && mem_slim;
   u8 cx0 = 0, cx1 = 0, cw0 = 0, cw1 = 0;
   bool conv_acc = false;
   ConvLanes conv_l = ConvLanes::k8;
@@ -1033,6 +1182,71 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget, bool nested) {
       }
       bool sample_break = false;
       bool inner_stop = false;  // an inner loop's burst stopped early
+
+      if (use_copy && !armed) {
+        // A run of whole copy iterations in one host loop: the ones left,
+        // or (sampled) the ones that cannot reach the deadline. Every
+        // access of the run must be aligned and in bounds, and no store
+        // may reach cached code or a plan, so nothing in it can stall,
+        // fault or invalidate; otherwise this iteration takes the generic
+        // loop. The only per-access work left is the burst-sink log.
+        u64 k = iters - done;
+        if constexpr (Sampled) {
+          k = std::min(k, (due - 1 - max_dyn - perf_.cycles) / c_iter - done);
+        }
+        const SbOp& ld = ops[0];
+        const SbOp& st = ops[1];
+        const i64 src = regs_[ld.rs1];
+        const i64 dst = regs_[st.rs1];
+        const i64 src_last = src + i64{ld.imm} * static_cast<i64>(k - 1);
+        const i64 dst_last = dst + i64{st.imm} * static_cast<i64>(k - 1);
+        const i64 lo = std::min(dst, dst_last);
+        const i64 hi = std::max(dst, dst_last) + 4;
+        const i64 code_lo = i64{icache_base_} - 2;
+        // A store covers the parcel below it too (a 32-bit instruction
+        // starting there), so keep a parcel clear of the decode cache.
+        const i64 code_hi = i64{icache_base_} + 2 * i64(icache_valid_.size()) + 2;
+        const bool clear =
+            ((src | dst) & 3) == 0 && std::min(src, src_last) >= 0 &&
+            std::max(src, src_last) + 4 <= msize && lo >= 0 && hi <= msize &&
+            (hi <= code_lo || lo >= code_hi) &&
+            (hi <= i64{sb_lo_} || lo >= i64{sb_hi_});
+        if (clear) {
+          u32 s = static_cast<u32>(src);
+          u32 d = static_cast<u32>(dst);
+          u32 v = 0;
+          const cycles_t t0 = iter_start();
+          for (u64 j = 0; j < k; ++j) {
+            if (sink_log) {
+              const cycles_t c = t0 + j * c_iter;
+              const unsigned h = j == 0 ? hz : 0;  // entry hazard, then wrap
+              burst_sink_->push_back({c - h, plan.op_pc[0], s,
+                                      static_cast<u16>(h), 4, 0});
+              burst_sink_->push_back({c + plan.cycle_prefix[1],
+                                      plan.op_pc[1], d,
+                                      static_cast<u16>(st.hazard), 4, 1});
+            }
+            v = mem_.load_unchecked(s, 4);
+            toggles += hamming_distance(lld, v);
+            lld = v;
+            mem_.store_unchecked(d, v, 4);
+            s += static_cast<u32>(ld.imm);
+            d += static_cast<u32>(st.imm);
+          }
+          regs_[ld.rd] = v;
+          regs_[ld.rs1] = s;
+          regs_[st.rs1] = d;
+          retired += n * k;
+          done += k;
+          if (done == iters) {
+            exhausted = done == count_entry;
+            pc_ = exhausted ? plan.end : plan.start;
+            last_load_rd_ = plan.exit_last_load_rd;
+            break;
+          }
+          continue;  // the next iteration is armed
+        }
+      }
 
       size_t completed = n;
       if (use_conv && !armed) {
@@ -1222,6 +1436,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget, bool nested) {
             hwl_end_[o.aux] = body.end;
             hwl_count_[o.aux] =
                 o.op == Mnemonic::kLpSetup ? regs_[o.rs1] : o.rs1;
+            hwl_key_[o.aux] = 0;
             update_hwl_active();
             pc_ = body.start;
             last_load_rd_ = 0;

@@ -55,10 +55,14 @@ enum class SbKind : u8 {
 /// word loads feeding 4 dots over 2 activation x 2 weight words), at any
 /// uniform width (8/4/2-bit) or mixed mpc format; sb_execute runs it
 /// through one macro-op handler that expands each operand word once and
-/// computes all four dot products together.
+/// computes all four dot products together. kCopyWords is the im2col
+/// copy body, a post-increment word load and a post-increment store of
+/// the loaded word, whose runs of iterations sb_execute retires in one
+/// host loop.
 enum class SbShape : u8 {
   kGeneric = 0,
   kConvInner,
+  kCopyWords,
 };
 
 struct SbOp {
@@ -91,6 +95,14 @@ struct SuperblockPlan {
   addr_t start = 0;  // first instruction of the block
   addr_t end = 0;    // one past the last code byte (= bail-out boundary)
   bool is_hwloop = true;
+  /// Hardware-loop plans: the body's shape key (Core::sb_loop_key), whose
+  /// heat entry links to this plan; 0 when no entry does (branch plans,
+  /// and plans whose entry another shape took over).
+  u64 shape_key = 0;
+  /// The plan may roam: another copy of the same words is entered by
+  /// rebasing this plan to it. False pins it to its pc: an auipc bakes the
+  /// pc into a kConst op.
+  bool roams = false;
   /// Invalidated by a store while the fused loop was executing this plan;
   /// evicted at burst exit (the storage can't be freed mid-burst).
   bool dead = false;

@@ -56,12 +56,14 @@ struct RunCapture {
   u64 event_hash = 0;
   u64 events = 0;
   ClusterBurstStats burst;
+  u64 rebases = 0;  // shape-shared plans entered at another copy's pc
 };
 
 void capture_cluster(Cluster& cl, const EventHash& eh, u64 events,
                      RunCapture& out) {
   for (int c = 0; c < cl.num_cores(); ++c) {
     out.perf.push_back(cl.core(c).perf());
+    out.rebases += cl.core(c).superblock_stats().rebases;
   }
   out.mem = cl.memory().stats();
   out.stats = cl.stats_since(0, 0);
@@ -175,6 +177,11 @@ TEST_P(BurstConvDiff, BitIdenticalAcrossSchedulers) {
     for (const auto& p : burst.perf) total_instr += p.instructions;
     EXPECT_GT(burst.burst.burst_instructions, total_instr / 2)
         << "most instructions should retire inside bursts";
+    if (superblock) {
+      // The per-pixel im2col loops run as shape-shared plans rebased to
+      // each copy, so the observer pcs above cover rebased plans too.
+      EXPECT_GT(burst.rebases, 0u);
+    }
     if (cores > 1) {
       // Multi-core paper conv runs have real bank conflicts whose stalls
       // the merge must assign after the fact.

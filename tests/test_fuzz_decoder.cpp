@@ -4,6 +4,9 @@
 // set must execute without tripping internal invariants.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "isa/decoder.hpp"
 #include "isa/disasm.hpp"
@@ -39,6 +42,95 @@ TEST(FuzzDecoder, RandomWordsDecodeOrThrow) {
   // Both outcomes must actually occur over a large sample.
   EXPECT_GT(decoded, 1000);
   EXPECT_GT(rejected, 1000);
+}
+
+void expect_same_decode(const isa::Instr& a, const isa::Instr& b, u32 w) {
+  EXPECT_EQ(a.op, b.op) << std::hex << w;
+  EXPECT_EQ(a.fmt, b.fmt) << std::hex << w;
+  EXPECT_EQ(a.rd, b.rd) << std::hex << w;
+  EXPECT_EQ(a.rs1, b.rs1) << std::hex << w;
+  EXPECT_EQ(a.rs2, b.rs2) << std::hex << w;
+  EXPECT_EQ(a.imm, b.imm) << std::hex << w;
+  EXPECT_EQ(a.imm2, b.imm2) << std::hex << w;
+  EXPECT_EQ(a.raw, b.raw) << std::hex << w;
+  EXPECT_EQ(a.size, b.size) << std::hex << w;
+  EXPECT_EQ(a.flags, b.flags) << std::hex << w;
+  EXPECT_EQ(a.cls, b.cls) << std::hex << w;
+  EXPECT_EQ(a.mem_size, b.mem_size) << std::hex << w;
+}
+
+/// decode() and decode_uncached() agree on `w`: the same fields, or the
+/// same IllegalInstruction naming the pc of this call.
+void expect_memo_matches_fresh(u32 w, addr_t pc) {
+  isa::Instr fresh;
+  try {
+    fresh = isa::decode_uncached(w, pc);
+  } catch (const IllegalInstruction&) {
+    try {
+      isa::decode(w, pc);
+      ADD_FAILURE() << "memoized decode accepted illegal " << std::hex << w;
+    } catch (const IllegalInstruction& e) {
+      EXPECT_EQ(e.pc(), pc) << std::hex << w;
+    }
+    return;
+  }
+  expect_same_decode(isa::decode(w, pc), fresh, w);
+}
+
+TEST(FuzzDecoder, MemoizedDecodeEqualsFreshDecode) {
+  // The fuzz corpus twice over (the second pass is served by the memo
+  // wherever the first left a word in its slot), legal and illegal words,
+  // 32-bit and compressed, each at a new pc.
+  Rng rng(0x3e30);
+  std::vector<u32> corpus(60'000);
+  for (u32& w : corpus) w = rng.next_u32();
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      expect_memo_matches_fresh(corpus[i], static_cast<addr_t>(4 * i + pass));
+      if (::testing::Test::HasFailure()) FAIL() << "pass " << pass;
+    }
+  }
+}
+
+TEST(FuzzDecoder, MemoSlotCollisionsRefillExactly) {
+  // Find legal words that evict `a` from its memo slot (decoding `a` right
+  // after one of them decodes afresh), then alternate them with `a`: every
+  // decode still equals the fresh one, a hit decodes nothing afresh and a
+  // refill after an eviction does.
+  Rng rng(0xc011);
+  const auto legal = [&rng] {
+    for (;;) {
+      const u32 w = rng.next_u32() | 0x3;
+      try {
+        isa::decode_uncached(w, 0);
+        return w;
+      } catch (const IllegalInstruction&) {
+      }
+    }
+  };
+  const u32 a = legal();
+  std::vector<u32> rivals;
+  for (int tries = 0; tries < 400'000 && rivals.size() < 3; ++tries) {
+    const u32 b = legal();
+    if (b == a) continue;
+    isa::decode(a, 0);
+    isa::decode(b, 0);
+    const u64 before = isa::decode_stats().fresh;
+    isa::decode(a, 0);
+    if (isa::decode_stats().fresh != before) rivals.push_back(b);
+  }
+  ASSERT_EQ(rivals.size(), 3u);
+  for (int round = 0; round < 4; ++round) {
+    for (const u32 b : rivals) {
+      expect_memo_matches_fresh(b, 0x200);
+      const u64 f0 = isa::decode_stats().fresh;
+      expect_same_decode(isa::decode(b, 0x204), isa::decode_uncached(b, 0), b);
+      EXPECT_EQ(isa::decode_stats().fresh, f0 + 1) << "hit decoded afresh";
+      const u64 f1 = isa::decode_stats().fresh;
+      expect_same_decode(isa::decode(a, 0x208), isa::decode_uncached(a, 0), a);
+      EXPECT_EQ(isa::decode_stats().fresh, f1 + 2) << "evicted word was hit";
+    }
+  }
 }
 
 TEST(FuzzDecoder, DecodeEncodeDecodeIsStable) {

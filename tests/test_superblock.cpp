@@ -22,6 +22,7 @@
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
 #include "sim/core.hpp"
+#include "soc/streamed_conv.hpp"
 #include "xasm/assembler.hpp"
 
 namespace xpulp {
@@ -579,9 +580,9 @@ TEST(Superblock, CsrWriteInsideHotLoopNeverFuses) {
 // ---- plan cache: heat-gated promotion and the start-pc index ----
 
 TEST(SuperblockPlanCache, OneShotHwloopsCompileNoPlans) {
-  // Many distinct hardware loops, each entered once for a few trips (the
-  // shape of the conv generator's per-pixel im2col loops): none gets hot,
-  // so none compiles, and the result is still bit-identical.
+  // Many hardware loops with distinct bodies (each loads its own offset),
+  // each entered once for a few trips: heat is counted per body shape, so
+  // none gets hot and none compiles, and the result is still bit-identical.
   xasm::Assembler a(0);
   a.li(r::s0, kData);
   a.li(r::a0, 0);
@@ -705,6 +706,311 @@ TEST(SuperblockPlanCache, PublishesMpcEvictions) {
             std::string::npos);
 }
 
+
+// ---- shape-shared plans: one hardware-loop plan per body shape ----
+
+/// Run `prog` over operand_data() and keep the boundary CoreState too.
+std::pair<FinalState, sim::CoreState> run_with_state(
+    const xasm::Program& prog, bool reference, bool superblock,
+    sim::SuperblockStats* stats_out = nullptr, u64 max_instr = 2'000'000) {
+  sim::CoreConfig cfg = sim::CoreConfig::extended();
+  cfg.reference_dispatch = reference;
+  cfg.superblock = superblock;
+  mem::Memory mem;
+  prog.load(mem);
+  mem.write_block(kData, operand_data());
+  sim::Core core(mem, cfg);
+  core.reset(prog.entry(), prog.base() + prog.size_bytes());
+  core.run(max_instr);
+  if (stats_out) *stats_out = core.superblock_stats();
+  return {final_state_of(core, mem), core.save_state()};
+}
+
+/// The im2col copy loop, `p.lw t1,4(s0!); p.sw t1,4(s1!)`, at a pc of its
+/// own with `trips` iterations (the conv generator's per-pixel shape).
+void copy_loop(xasm::Assembler& a, u32 trips) {
+  const xasm::Assembler::Label end = a.new_label();
+  a.lp_setupi(0, trips, end);
+  a.p_lw_post(r::t1, r::s0, 4);
+  a.p_sw_post(r::t1, r::s1, 4);
+  a.bind(end);
+}
+
+/// `copies` copies of the copy loop with trip counts cycling 2..13, each
+/// re-seeding its source pointer, all storing into one output run.
+xasm::Program shared_body_program(int copies) {
+  xasm::Assembler a(0);
+  a.li(r::s1, kData + 0x400);
+  for (int k = 0; k < copies; ++k) {
+    a.li(r::s0, static_cast<i32>(kData + 4 * (k % 7)));
+    copy_loop(a, 2 + static_cast<u32>(k % 12));
+    a.addi(r::a0, r::a0, 1);
+  }
+  a.ecall();
+  return a.finish();
+}
+
+TEST(SuperblockShapePlans, OnePlanEnteredAtManyPcsBitIdentical) {
+  // Heat adds up over the copies of one body, so the shape compiles once
+  // and every later copy enters that plan rebased to its own pc, whatever
+  // its trip count.
+  const xasm::Program prog = shared_body_program(40);
+  sim::SuperblockStats stats;
+  const auto [ref, ref_state] = run_with_state(prog, true, false);
+  const auto [fast, fast_state] = run_with_state(prog, false, false);
+  const auto [sb, sb_state] = run_with_state(prog, false, true, &stats);
+  ASSERT_EQ(ref.reason, sim::HaltReason::kEcall);
+  EXPECT_EQ(stats.blocks_compiled, 1u);
+  EXPECT_GE(stats.rebases, 30u);
+  EXPECT_GE(stats.entries, stats.rebases);
+  EXPECT_EQ(stats.trap_bails + stats.smc_bails, 0u);
+  expect_identical(ref, fast);
+  expect_identical(ref, sb);
+  expect_same_core_state(ref_state, sb_state);
+}
+
+TEST(SuperblockShapePlans, InstructionLimitsInsideRebasedBurstsAreExact) {
+  const xasm::Program prog = shared_body_program(24);
+  const FinalState full = run_prog(prog, true, false);
+  ASSERT_EQ(full.reason, sim::HaltReason::kEcall);
+  for (u64 limit = 1; limit <= full.perf.instructions; limit += 5) {
+    const auto [ref, ref_state] =
+        run_with_state(prog, true, false, nullptr, limit);
+    const auto [sb, sb_state] =
+        run_with_state(prog, false, true, nullptr, limit);
+    expect_identical(ref, sb);
+    expect_same_core_state(ref_state, sb_state);
+    if (::testing::Test::HasFailure()) FAIL() << "limit " << limit;
+  }
+}
+
+/// Ten copies of the copy loop (the plan compiles on the second and roams
+/// to the rest), then two stores: the same word back over the first word
+/// of the copy the plan sits on (evicting it), and a different word over
+/// the first word of copy `B`, which then runs; copies C and D follow.
+xasm::Program smc_shared_body_program() {
+  const auto build = [](addr_t patch_guess, addr_t donor_guess,
+                        addr_t last_guess, addr_t* patch_out,
+                        addr_t* donor_out, addr_t* last_out) {
+    xasm::Assembler a(0);
+    a.li(r::s1, kData + 0x400);
+    for (int k = 0; k < 10; ++k) {
+      a.li(r::s0, kData);
+      if (k == 9) *last_out = a.current_addr() + 4;  // after lp.setupi
+      copy_loop(a, 10);
+    }
+    a.lw(r::t5, r::zero, static_cast<i32>(last_guess));
+    a.sw(r::t5, r::zero, static_cast<i32>(last_guess));
+    a.lw(r::t5, r::zero, static_cast<i32>(donor_guess));
+    a.sw(r::t5, r::zero, static_cast<i32>(patch_guess));
+    for (int k = 0; k < 3; ++k) {
+      a.li(r::s0, kData + 64);
+      if (k == 0) *patch_out = a.current_addr() + 4;
+      copy_loop(a, 10);
+    }
+    a.ecall();
+    *donor_out = a.current_addr();
+    a.p_lw_post(r::t2, r::s0, 4);  // never executed: the patch word
+    return a.finish();
+  };
+  // Two-pass assembly: every address fits the 12-bit immediate, so the
+  // layout is the same on both passes.
+  addr_t patch = 0, donor = 0, last = 0;
+  build(0, 0, 0, &patch, &donor, &last);
+  addr_t p2 = 0, d2 = 0, l2 = 0;
+  const xasm::Program prog = build(patch, donor, last, &p2, &d2, &l2);
+  EXPECT_EQ(p2, patch);
+  EXPECT_EQ(d2, donor);
+  EXPECT_EQ(l2, last);
+  return prog;
+}
+
+TEST(SuperblockShapePlans, StoreIntoOneCopyOfASharedBody) {
+  // Copy B's patched body loads into t2 and stores the stale t1: a plan
+  // that roamed onto it would store the loaded words instead. The store
+  // over the plan's own copy evicts it, so copy C runs interpreted and
+  // copy D recompiles the shape.
+  const xasm::Program prog = smc_shared_body_program();
+  sim::SuperblockStats stats;
+  const auto [ref, ref_state] = run_with_state(prog, true, false);
+  const auto [fast, fast_state] = run_with_state(prog, false, false);
+  const auto [sb, sb_state] = run_with_state(prog, false, true, &stats);
+  ASSERT_EQ(ref.reason, sim::HaltReason::kEcall);
+  EXPECT_EQ(stats.invalidations, 1u);
+  EXPECT_EQ(stats.blocks_compiled, 2u);
+  EXPECT_EQ(stats.rebases, 8u);
+  expect_identical(ref, fast);
+  expect_identical(ref, sb);
+  expect_same_core_state(ref_state, sb_state);
+}
+
+/// Six warm-up copies (the copy shape compiles and roams), then a copy of
+/// 12 words from `src` to `dst`, then a run of 16 `addi a0, a0, 1`.
+/// With `patch_pass`, an outer loop runs the addi run, then the copy, twice,
+/// and the copy's source is 12 `addi a1, a1, 3` words after the ecall, so
+/// the copy patches code the first pass decoded.
+xasm::Program edge_copy_program(addr_t dst, addr_t src, bool patch_pass,
+                                addr_t* run_out, addr_t* donor_out) {
+  xasm::Assembler a(0);
+  for (int k = 0; k < 6; ++k) {
+    a.li(r::s0, static_cast<i32>(kData));
+    a.li(r::s1, static_cast<i32>(kData + 0x400));
+    copy_loop(a, 12);
+  }
+  a.li(r::s5, patch_pass ? 2 : 1);
+  const xasm::Assembler::Label outer = a.here();
+  *run_out = a.current_addr();
+  for (int k = 0; k < 16; ++k) a.addi(r::a0, r::a0, 1);
+  a.li(r::s0, static_cast<i32>(src));
+  a.li(r::s1, static_cast<i32>(dst));
+  copy_loop(a, 12);
+  a.addi(r::s5, r::s5, -1);
+  a.bne(r::s5, r::zero, outer);
+  a.ecall();
+  *donor_out = a.current_addr();
+  for (int k = 0; k < 12; ++k) a.addi(r::a1, r::a1, 3);
+  return a.finish();
+}
+
+TEST(SuperblockShapePlans, CopyRunsStopAtCodeAndMemoryEdges) {
+  // The copy body retires whole runs only when no access can fault and no
+  // store can reach code: a copy that patches code the program already
+  // ran, and one whose source runs off the end of memory, take the op
+  // loop there and stay bit-exact.
+  addr_t run = 0, donor = 0, run2 = 0, donor2 = 0;
+  edge_copy_program(0, 0, true, &run, &donor);
+  const xasm::Program patching =
+      edge_copy_program(run, donor, true, &run2, &donor2);
+  ASSERT_EQ(run2, run);
+  ASSERT_EQ(donor2, donor);
+  sim::SuperblockStats stats;
+  const auto [ref, ref_state] = run_with_state(patching, true, false);
+  const auto [sb, sb_state] = run_with_state(patching, false, true, &stats);
+  ASSERT_EQ(ref.reason, sim::HaltReason::kEcall);
+  EXPECT_EQ(ref.regs[r::a0], 16u + 4u);  // the second pass ran the patch
+  EXPECT_EQ(ref.regs[r::a1], 12u * 3u);
+  EXPECT_GT(stats.rebases, 0u);
+  expect_identical(ref, sb);
+  expect_same_core_state(ref_state, sb_state);
+
+  // Off the end of memory: the last copy's source faults mid-run.
+  constexpr u32 kMem = 0x10000;
+  const xasm::Program off_end =
+      edge_copy_program(kData + 0x800, kMem - 5 * 4, false, &run, &donor);
+  sim::CoreState states[2];
+  for (int mode = 0; mode < 2; ++mode) {
+    sim::CoreConfig cfg = sim::CoreConfig::extended();
+    cfg.reference_dispatch = mode == 0;
+    cfg.superblock = mode == 1;
+    mem::Memory mem(kMem);
+    off_end.load(mem);
+    sim::Core core(mem, cfg);
+    core.reset(off_end.entry(), off_end.base() + off_end.size_bytes());
+    EXPECT_THROW(core.run(2'000'000), MemoryFault);
+    states[mode] = core.save_state();
+    if (mode == 1) {
+      EXPECT_GT(core.superblock_stats().rebases, 0u);
+      EXPECT_EQ(core.superblock_stats().trap_bails, 1u);
+    }
+  }
+  expect_same_core_state(states[0], states[1]);
+}
+
+TEST(SuperblockShapePlans, AuipcBodyIsPinnedToItsPc) {
+  // auipc's value is baked into its plan, so a body holding one is keyed
+  // by its pc: each copy heats and compiles on its own, none roams, and
+  // every copy stores its own pc.
+  xasm::Assembler a(0);
+  a.li(r::s1, kData + 0x400);
+  for (int k = 0; k < 4; ++k) {
+    const xasm::Assembler::Label end = a.new_label();
+    a.lp_setupi(0, 20, end);
+    a.auipc(r::t2, 0);
+    a.p_sw_post(r::t2, r::s1, 4);
+    a.bind(end);
+  }
+  a.ecall();
+  const xasm::Program prog = a.finish();
+  sim::SuperblockStats stats;
+  const auto [ref, ref_state] = run_with_state(prog, true, false);
+  const auto [sb, sb_state] = run_with_state(prog, false, true, &stats);
+  ASSERT_EQ(ref.reason, sim::HaltReason::kEcall);
+  EXPECT_EQ(stats.blocks_compiled, 4u);
+  EXPECT_EQ(stats.rebases, 0u);
+  EXPECT_EQ(stats.fused_iterations, 4u * (20u - 16u));
+  expect_identical(ref, sb);
+  expect_same_core_state(ref_state, sb_state);
+}
+
+TEST(SuperblockShapePlans, FaultInsideRoamedBodyNamesRebasedPcAndRegion) {
+  // A load of the last input pixel faults (through an access hook) inside
+  // one output pixel's im2col copy loop, long after the loop's shape
+  // compiled elsewhere: the fused run repairs to the rebased pc, so the
+  // layer's fault report is the interpreter's, im2col region included.
+  const auto data =
+      kernels::ConvLayerData::random(qnn::ConvSpec::paper_layer(4), 7);
+  const qnn::ConvSpec& spec = data.spec;
+  std::string reports[2];
+  sim::SuperblockStats stats;
+  for (int mode = 0; mode < 2; ++mode) {
+    sim::CoreConfig cfg = sim::CoreConfig::extended();
+    cfg.reference_dispatch = mode == 0;
+    cfg.superblock = mode == 1;
+    try {
+      kernels::run_conv_layer(
+          data, kernels::ConvVariant::kXpulpNN_HwQ, cfg, {},
+          [&](sim::Core& core, const kernels::ConvKernel& k) {
+            const addr_t victim =
+                k.layout.input + static_cast<addr_t>(spec.in_h * spec.in_w -
+                                                     1) *
+                                     static_cast<addr_t>(spec.in_c) *
+                                     spec.in_bits / 8;
+            core.memory().set_access_hook(
+                [victim](addr_t addr, unsigned size, bool store) -> unsigned {
+                  if (addr == victim && !store) {
+                    throw MemoryFault(addr, size, store);
+                  }
+                  return 0;
+                });
+          },
+          [&](sim::Core& core, const kernels::ConvKernel&) {
+            if (mode == 1) stats = core.superblock_stats();
+          });
+      ADD_FAILURE() << "no fault";
+    } catch (const SimError& e) {
+      reports[mode] = e.what();
+    }
+  }
+  EXPECT_NE(reports[0].find("in region im2col"), std::string::npos)
+      << reports[0];
+  EXPECT_EQ(reports[0], reports[1]);
+  EXPECT_EQ(stats.trap_bails, 1u);
+  EXPECT_GT(stats.rebases, 100u);
+}
+
+TEST(SuperblockShapePlans, StreamedPaperLayerRunsAlmostAllFused) {
+  // The 4-bit paper layer streamed in eight 8-channel tiles: every tile
+  // is a fresh program whose per-pixel im2col loops share a handful of
+  // shapes, so nearly every instruction retires fused from few plans.
+  const auto data =
+      kernels::ConvLayerData::random(qnn::ConvSpec::paper_layer(4), 7);
+  sim::CoreConfig cfg = sim::CoreConfig::extended();
+  cfg.superblock = true;
+  u64 instructions = 0, fused = 0, compiled = 0;
+  const auto res = soc::run_conv_streamed(
+      data, kernels::ConvVariant::kXpulpNN_HwQ, cfg, 8, true, 4, nullptr, {},
+      [&](sim::Core& core, const kernels::ConvKernel&) {
+        instructions = core.perf().instructions;  // runs on across tiles
+        fused += core.superblock_stats().fused_instructions;
+        compiled += core.superblock_stats().blocks_compiled;
+      });
+  EXPECT_EQ(res.output, data.golden());
+  EXPECT_EQ(res.tiles, 8);
+  ASSERT_GT(instructions, 0u);
+  EXPECT_GE(static_cast<double>(fused) / static_cast<double>(instructions),
+            0.97);
+  EXPECT_LE(compiled, 32u);
+}
 
 // ---- loop-nest plans: backward-branch loops around hardware loops ----
 
