@@ -34,27 +34,14 @@ MixedResult run_mixed(unsigned in_bits, unsigned w_bits,
   spec.in_bits = in_bits;
   spec.w_bits = w_bits;
   spec.out_bits = 8;  // shift/clip output path; accumulators stay i32
-  const auto data = kernels::ConvLayerData::random(spec, kSeed);
   MixedResult r;
-  const auto res = run_profiled(data, ConvVariant::kXpulpNN_Mixed, cfg,
-                                r.plat.quant_cycles);
-  const auto gold = data.golden();
-  bool ok = true;
-  for (int i = 0; i < gold.elems() && ok; ++i) {
-    ok = gold.flat(i) == res.output.flat(i);
-  }
-  r.plat.platform = cfg.name + "/xpulpnn-mixed";
-  r.plat.bits = in_bits;
-  r.plat.cycles = res.perf.cycles;
-  r.plat.macs = res.macs;
-  r.plat.freq_hz = power::OperatingPoint{}.freq_hz;
-  r.plat.qnt_stall_cycles = res.perf.qnt_stall_cycles;
-  r.plat.output_ok = ok;
+  r.plat = run_riscv(kernels::ConvLayerData::random(spec, kSeed),
+                     ConvVariant::kXpulpNN_Mixed, cfg, {}, true);
   r.sel = kernels::mixed_sel_for(in_bits, w_bits);
   u64 total = 0;
   for (unsigned s = 0; s < isa::kMpcSelCount; ++s) {
-    r.mixed_ops[s] = res.perf.mixed_dotp_ops[s];
-    total += res.perf.mixed_dotp_ops[s];
+    r.mixed_ops[s] = r.plat.perf.mixed_dotp_ops[s];
+    total += r.plat.perf.mixed_dotp_ops[s];
   }
   r.pure = total > 0 && total == r.mixed_ops[r.sel];
   return r;
@@ -77,7 +64,7 @@ int main() {
     r.mixed = run_mixed(r.a, r.w, ext);
     r.uniform = run_riscv(
         r.a, r.a == 8 ? ConvVariant::kXpulpV2_8b : ConvVariant::kXpulpNN_HwQ,
-        ext);
+        ext, {}, true);
   }
 
   std::printf("\n%8s %12s %10s %12s %10s %10s\n", "format", "cycles",

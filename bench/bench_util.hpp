@@ -1,18 +1,22 @@
-// Shared machinery for the table/figure reproduction benches: run the
+// Shared machinery for the benches and tests/test_paper_claims: run the
 // paper's convolution layer (16x16x32 input, 64 3x3x32 filters) on a
-// platform and collect cycles + power + efficiency.
+// platform, golden-check its output and collect cycles + power +
+// efficiency. PaperRuns simulates each configuration at most once.
 #pragma once
 
 #include <time.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <optional>
+#include <deque>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "armv7e/cmsis_conv.hpp"
 #include "kernels/conv_layer.hpp"
+#include "kernels/gp_workload.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "power/power_model.hpp"
@@ -36,85 +40,89 @@ inline double median(std::vector<double> v) {
   return n == 0 ? 0 : n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
+inline double ratio(u64 a, u64 b) {
+  return static_cast<double>(a) / static_cast<double>(b);
+}
+
 struct PlatformResult {
   std::string platform;
   unsigned bits = 0;
   cycles_t cycles = 0;
   u64 macs = 0;
   double freq_hz = 0;
-  double power_mw = 0;
+  double core_mw = 0;   // RISC-V core alone; 0 on the ARM platforms
+  double power_mw = 0;  // RISC-V SoC (activity model) or ARM datasheet
   cycles_t quant_cycles = 0;
-  u64 qnt_stall_cycles = 0;
-  bool output_ok = false;
+  sim::PerfCounters perf;  // RISC-V runs only
+  bool output_ok = false;  // bit-exact vs golden model / GP checksum
+  /// Cycle attribution per kernel region (profiled RISC-V conv runs only).
+  std::shared_ptr<const obs::Profiler> profile;
 
-  double macs_per_cycle() const {
-    return cycles ? static_cast<double>(macs) / static_cast<double>(cycles) : 0;
-  }
+  double macs_per_cycle() const { return cycles ? ratio(macs, cycles) : 0; }
   double runtime_ms() const {
     return static_cast<double>(cycles) / freq_hz * 1e3;
   }
   double gmac_s_w() const {
-    const double macs_per_s = static_cast<double>(macs) * freq_hz /
-                              static_cast<double>(cycles);
-    return macs_per_s / (power_mw * 1e-3) * 1e-9;
+    return power::gmac_per_s_per_w(macs, cycles, power_mw,
+                                   {.freq_hz = freq_hz});
   }
 };
 
-/// run_conv_layer with an obs::Profiler attached through the runner's
-/// hooks; `quant_cycles` receives the cycles attributed to re-quantization
-/// code (the Fig. 6 quantization share).
-inline kernels::ConvRunResult run_profiled(const kernels::ConvLayerData& data,
-                                           kernels::ConvVariant v,
-                                           const sim::CoreConfig& cfg,
-                                           cycles_t& quant_cycles) {
-  std::optional<obs::Profiler> prof;
-  kernels::ConvRunResult res = kernels::run_conv_layer(
-      data, v, cfg, {},
-      [&](sim::Core& core, const kernels::ConvKernel& k) {
-        prof.emplace(core, k.regions, obs::Profiler::Options{.track_pc = false});
-      },
-      [&](sim::Core&, const kernels::ConvKernel&) { prof->finalize(); });
-  quant_cycles = prof->region_cycles("quant");
-  return res;
-}
-
-/// Run the paper layer at `bits` with a RISC-V kernel variant on a core
-/// configuration; fills power from the activity-based model.
-inline PlatformResult run_riscv(unsigned bits, kernels::ConvVariant v,
-                                sim::CoreConfig cfg,
-                                power::OperatingPoint op = {}) {
-  const auto spec = qnn::ConvSpec::paper_layer(bits);
-  const auto data = kernels::ConvLayerData::random(spec, kSeed);
-  PlatformResult r;
-  const auto res = run_profiled(data, v, cfg, r.quant_cycles);
-  const auto gold = data.golden();
-  bool ok = true;
-  for (int i = 0; i < gold.elems() && ok; ++i) {
-    ok = gold.flat(i) == res.output.flat(i);
+/// Run `data` on a RISC-V core, golden-check the output and price the run
+/// with the activity-based power model. `profile` attaches an
+/// obs::Profiler through the runner's hooks (the traced path, about twice
+/// as slow): `quant_cycles` is then its "quant" region, the Fig. 6
+/// quantization share.
+inline PlatformResult run_riscv(const kernels::ConvLayerData& data,
+                                kernels::ConvVariant v,
+                                const sim::CoreConfig& cfg,
+                                const kernels::ConvGenOptions& opts = {},
+                                bool profile = false) {
+  std::shared_ptr<obs::Profiler> prof;
+  kernels::ConvInstrument attach, finalize;
+  if (profile) {
+    attach = [&](sim::Core& core, const kernels::ConvKernel& k) {
+      prof = std::make_shared<obs::Profiler>(
+          core, k.regions, obs::Profiler::Options{.track_pc = false});
+    };
+    finalize = [&](sim::Core&, const kernels::ConvKernel&) {
+      prof->finalize();
+    };
   }
+  const auto res =
+      kernels::run_conv_layer(data, v, cfg, opts, attach, finalize);
   const auto p =
-      power::estimate_power(res.perf, res.activity, res.mem_stats, cfg, op);
+      power::estimate_power(res.perf, res.activity, res.mem_stats, cfg);
+  PlatformResult r;
   r.platform = cfg.name + "/" + kernels::variant_name(v);
-  r.bits = bits;
+  r.bits = data.spec.in_bits;
   r.cycles = res.perf.cycles;
   r.macs = res.macs;
-  r.freq_hz = op.freq_hz;
+  r.freq_hz = power::OperatingPoint{}.freq_hz;
+  r.core_mw = p.core.core_mw();
   r.power_mw = p.soc_mw();
-  r.qnt_stall_cycles = res.perf.qnt_stall_cycles;
-  r.output_ok = ok;
+  if (prof) r.quant_cycles = prof->region_cycles("quant");
+  r.perf = res.perf;
+  r.output_ok = res.output == data.golden();
+  r.profile = std::move(prof);
   return r;
+}
+
+/// Run the paper layer at `bits` on a RISC-V core.
+inline PlatformResult run_riscv(unsigned bits, kernels::ConvVariant v,
+                                const sim::CoreConfig& cfg,
+                                const kernels::ConvGenOptions& opts = {},
+                                bool profile = false) {
+  return run_riscv(
+      kernels::ConvLayerData::random(qnn::ConvSpec::paper_layer(bits), kSeed),
+      v, cfg, opts, profile);
 }
 
 /// Run the paper layer on the ARM Cortex-M models with datasheet power.
 inline PlatformResult run_arm(unsigned bits, armv7e::ArmModel model) {
-  const auto spec = qnn::ConvSpec::paper_layer(bits);
-  const auto data = kernels::ConvLayerData::random(spec, kSeed);
+  const auto data =
+      kernels::ConvLayerData::random(qnn::ConvSpec::paper_layer(bits), kSeed);
   const auto res = armv7e::run_conv_layer_arm(data, model);
-  const auto gold = data.golden();
-  bool ok = true;
-  for (int i = 0; i < gold.elems() && ok; ++i) {
-    ok = gold.flat(i) == res.output.flat(i);
-  }
   const auto plat = (model == armv7e::ArmModel::kCortexM4)
                         ? power::stm32l4_platform()
                         : power::stm32h7_platform();
@@ -125,9 +133,81 @@ inline PlatformResult run_arm(unsigned bits, armv7e::ArmModel model) {
   r.macs = res.macs;
   r.freq_hz = plat.freq_hz;
   r.power_mw = plat.power_mw;
-  r.output_ok = ok;
+  r.output_ok = res.output == data.golden();
   return r;
 }
+
+/// Run the Table III general-purpose application; output_ok checks that it
+/// halted on its ecall with the expected checksum.
+inline PlatformResult run_gp(const sim::CoreConfig& cfg) {
+  const auto w = kernels::make_gp_workload();
+  mem::Memory mem;
+  w.program.load(mem);
+  sim::Core core(mem, cfg);
+  core.reset(w.program.entry());
+  const bool halted = core.run() == sim::HaltReason::kEcall;
+  const auto p = power::estimate_power(core.perf(), core.dotp_unit().activity(),
+                                       mem.stats(), cfg);
+  PlatformResult r;
+  r.platform = cfg.name + "/gp";
+  r.cycles = core.perf().cycles;
+  r.freq_hz = power::OperatingPoint{}.freq_hz;
+  r.core_mw = p.core.core_mw();
+  r.power_mw = p.soc_mw();
+  r.perf = core.perf();
+  r.output_ok = halted && mem.load_u32(w.result_addr) == w.expected_checksum;
+  return r;
+}
+
+/// The extended core without power management (Table III's "no PM").
+inline sim::CoreConfig extended_nopm() {
+  auto c = sim::CoreConfig::extended();
+  c.clock_gating = false;
+  c.name = "xpulpnn-nopm";
+  return c;
+}
+
+/// The paper's runs, keyed by configuration (cores are told apart by
+/// CoreConfig::name): the first request for one simulates it, later
+/// requests return the same result. all() keeps first-request order.
+/// Whether a conv run is profiled is not part of its configuration: the
+/// first request decides.
+class PaperRuns {
+ public:
+  using Entry = std::pair<std::string, PlatformResult>;
+
+  const PlatformResult& conv(unsigned bits, kernels::ConvVariant v,
+                             const sim::CoreConfig& cfg,
+                             const kernels::ConvGenOptions& o = {},
+                             bool profile = false) {
+    const std::string id = cfg.name + "." + kernels::variant_name(v) + "." +
+                           std::to_string(bits) + "b" +
+                           (o.use_hwloops ? "" : "_branch_loop") +
+                           (o.pixel_block == 1 ? "_2x1" : "");
+    return get(id, [&] { return run_riscv(bits, v, cfg, o, profile); });
+  }
+  const PlatformResult& arm(unsigned bits, armv7e::ArmModel m) {
+    const char* plat = m == armv7e::ArmModel::kCortexM4 ? "stm32l4" : "stm32h7";
+    return get(std::string(plat) + "." + std::to_string(bits) + "b",
+               [&] { return run_arm(bits, m); });
+  }
+  const PlatformResult& gp(const sim::CoreConfig& cfg) {
+    return get(cfg.name + ".gp", [&] { return run_gp(cfg); });
+  }
+
+  const std::deque<Entry>& all() const { return runs_; }
+
+ private:
+  template <class Run>
+  const PlatformResult& get(const std::string& id, Run run) {
+    for (const Entry& e : runs_) {
+      if (e.first == id) return e.second;
+    }
+    return runs_.emplace_back(id, run()).second;  // deque: no reallocation
+  }
+
+  std::deque<Entry> runs_;
+};
 
 inline void print_header(const char* title) {
   std::printf("\n================================================================\n");
@@ -148,7 +228,7 @@ inline void add_platform_result(obs::Registry& reg, const std::string& prefix,
   reg.counter(prefix + ".cycles", r.cycles);
   reg.counter(prefix + ".macs", r.macs);
   reg.counter(prefix + ".quant_cycles", r.quant_cycles);
-  reg.counter(prefix + ".qnt_stall_cycles", r.qnt_stall_cycles);
+  reg.counter(prefix + ".qnt_stall_cycles", r.perf.qnt_stall_cycles);
   reg.gauge(prefix + ".macs_per_cycle", r.macs_per_cycle());
   reg.flag(prefix + ".output_ok", r.output_ok);
 }

@@ -2,8 +2,9 @@
 // variant catalogue). The structure follows PULP-NN:
 //
 //   entry:  j main
-//   matmul: the 4x2 matrix-multiplication subroutine — runtime loop over
-//           output-channel pairs, hardware inner loop over the filter,
+//   matmul: the 2x2 matrix-multiplication subroutine (2 filters x 2
+//           pixels, 4 accumulators) — runtime loop over output-channel
+//           pairs, hardware inner loop over the filter,
 //           re-quantization + packed store of 4 outputs per iteration
 //   main:   for every output-pixel pair (specialized at generation time,
 //           baking in the zero-padding pattern): im2col into two column

@@ -306,7 +306,7 @@ ConvRunResult run_conv_layer(const ConvLayerData& data, ConvVariant v,
   require_variant(v, cfg);
   const qnn::ConvSpec& spec = data.spec;
   ConvGenOptions o = opts;
-  if (spec.out_w() % 2 != 0) o.pixel_block = 1;  // 4x2 needs pixel pairs
+  if (spec.out_w() % 2 != 0) o.pixel_block = 1;  // 2x2 needs pixel pairs
   const ConvKernel kernel = generate_conv_kernel(spec, v, 0x40000, o);
 
   mem::Memory mem;

@@ -140,9 +140,9 @@ struct ConvGenOptions {
   /// Use XpulpV2 zero-overhead hardware loops for the dot-product loop;
   /// when false, a decrement-and-branch loop quantifies their benefit.
   bool use_hwloops = true;
-  /// Output pixels computed per matmul pass: 2 = the PULP-NN 4x2 blocking
-  /// (2 filters x 2 pixels), 1 = a 2x1 kernel that reloads weights twice
-  /// as often per output.
+  /// Output pixels computed per matmul pass: 2 = 2x2 blocking (2 filters
+  /// x 2 pixels, 4 accumulators), 1 = a 2x1 kernel that reloads weights
+  /// twice as often per output.
   int pixel_block = 2;
 
   // ---- multi-core partitioning (src/cluster) ----

@@ -1,0 +1,400 @@
+// The bench_paper_pinned test: run bench_paper in a scratch directory, then
+//   1. compare its BENCH_paper.json byte for byte with the committed copy at
+//      the repo root, naming every key whose value moved;
+//   2. check every measured cell of EXPERIMENTS.md's paper sections against
+//      the committed file at the cell's printed precision.
+// A failure in (1) means a modelled number moved: if that is intended,
+// copy the regenerated file over the committed one and name the model
+// change in CHANGES.md. A failure in (2) means the document and the file
+// disagree.
+//
+// Usage: paper_pinned <bench_paper binary> <repo root> <scratch dir>
+#include <cctype>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
+#include <vector>
+
+namespace {
+
+namespace fs = std::filesystem;
+
+std::string read_file(const fs::path& p) {
+  std::ifstream f(p, std::ios::binary);
+  std::stringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
+}
+
+std::string trim(const std::string& s) {
+  const size_t b = s.find_first_not_of(" \t");
+  const size_t e = s.find_last_not_of(" \t\r");
+  return b == std::string::npos ? "" : s.substr(b, e - b + 1);
+}
+
+/// Flatten obs::Registry JSON (two-space indented, one key per line) into
+/// dotted paths -> value text.
+std::map<std::string, std::string> flatten(const std::string& json) {
+  std::map<std::string, std::string> out;
+  std::vector<std::string> path;
+  std::istringstream in(json);
+  for (std::string line; std::getline(in, line);) {
+    line = trim(line);
+    if (line.starts_with("}")) {
+      if (!path.empty()) path.pop_back();
+      continue;
+    }
+    if (!line.starts_with("\"")) continue;
+    const size_t q = line.find("\": ");
+    if (q == std::string::npos) continue;
+    const std::string name = line.substr(1, q - 1);
+    std::string value = line.substr(q + 3);
+    if (value == "{") {
+      path.push_back(name);
+      continue;
+    }
+    if (value.ends_with(",")) value.pop_back();
+    std::string key;
+    for (const auto& p : path) key += p + ".";
+    out[key + name] = value;
+  }
+  return out;
+}
+
+/// Report every key whose value differs between the two files, or that
+/// only one of them has; returns the number reported (at least 1).
+int report_drift(const std::string& committed, const std::string& fresh) {
+  const auto a = flatten(committed), b = flatten(fresh);
+  int n = 0;
+  for (const auto& [k, v] : a) {
+    const auto it = b.find(k);
+    if (it == b.end() || it->second != v) {
+      std::fprintf(stderr,
+                   "BENCH_paper.json: %s: committed %s, regenerated %s\n",
+                   k.c_str(), v.c_str(),
+                   it == b.end() ? "(missing)" : it->second.c_str());
+      ++n;
+    }
+  }
+  for (const auto& [k, v] : b) {
+    if (!a.count(k)) {
+      std::fprintf(stderr,
+                   "BENCH_paper.json: %s: not committed, regenerated %s\n",
+                   k.c_str(), v.c_str());
+      ++n;
+    }
+  }
+  if (n == 0) {
+    std::fprintf(stderr, "BENCH_paper.json: same values, different bytes\n");
+    return 1;
+  }
+  return n;
+}
+
+// ---- EXPERIMENTS.md --------------------------------------------------------
+
+/// One measured table cell: the row's first cell, the column (0 = the row
+/// label) and one BENCH_paper.json key per number in the cell, space
+/// separated; "-" skips a number that is the paper's, "key/1e6" scales.
+/// Every cell of a pinned section's tables needs a pin, except in columns
+/// whose header starts with "paper" (the paper's own figures).
+struct Pin {
+  const char* row;
+  int col;
+  const char* keys;
+};
+
+struct Section {
+  const char* heading;  // "## " heading prefix
+  std::vector<Pin> pins;
+};
+
+const std::vector<Section>& sections() {
+  static const std::vector<Section> s = {
+      {"Table I —",
+       {{"performance", 2, "table1.gop_s.lo table1.gop_s.hi"},
+        {"energy efficiency", 2, "table1.gop_s_w.lo table1.gop_s_w.hi"},
+        {"power budget", 2, "table1.power_mw"}}},
+      {"Table III —",
+       {{"Total", 1, "area.Total.nopm_overhead_pct -"},
+        {"Total", 2, "area.Total.pm_overhead_pct -"},
+        {"dotp-Unit", 1, "area.dotp-Unit.nopm_overhead_pct -"},
+        {"dotp-Unit", 2, "area.dotp-Unit.pm_overhead_pct -"},
+        {"ID Stage", 1, "area.ID_Stage.nopm_overhead_pct -"},
+        {"ID Stage", 2, "area.ID_Stage.pm_overhead_pct -"},
+        {"EX Stage", 1, "area.EX_Stage.nopm_overhead_pct -"},
+        {"EX Stage", 2, "area.EX_Stage.pm_overhead_pct -"},
+        {"LSU", 1, "area.LSU.nopm_overhead_pct -"},
+        {"LSU", 2, "area.LSU.pm_overhead_pct -"},
+        {"core, 8-bit MatMul, RI5CY", 2, "runs.ri5cy.xpulpv2-8b.8b.core_mw"},
+        {"core, 8-bit MatMul, ext+PM", 2,
+         "runs.xpulpnn.xpulpv2-8b.8b.core_mw table3.pm_core_overhead_pct"},
+        {"core, 8-bit MatMul, ext no-PM", 2,
+         "runs.xpulpnn-nopm.xpulpv2-8b.8b.core_mw"},
+        {"SoC, 8-bit MatMul (RI5CY / no-PM / PM)", 2,
+         "runs.ri5cy.xpulpv2-8b.8b.soc_mw "
+         "runs.xpulpnn-nopm.xpulpv2-8b.8b.soc_mw "
+         "runs.xpulpnn.xpulpv2-8b.8b.soc_mw"},
+        {"SoC, 4-bit MatMul (no-PM / PM)", 2,
+         "runs.xpulpnn-nopm.xpulpnn-hwquant.4b.soc_mw "
+         "runs.xpulpnn.xpulpnn-hwquant.4b.soc_mw"},
+        {"SoC, 2-bit MatMul (no-PM / PM)", 2,
+         "runs.xpulpnn-nopm.xpulpnn-hwquant.2b.soc_mw "
+         "runs.xpulpnn.xpulpnn-hwquant.2b.soc_mw"},
+        {"SoC, GP application (RI5CY / no-PM / PM)", 2,
+         "runs.ri5cy.gp.soc_mw runs.xpulpnn-nopm.gp.soc_mw "
+         "runs.xpulpnn.gp.soc_mw"},
+        {"GP no-PM penalty", 2, "table3.gp_nopm_penalty_pct"},
+        {"GP PM penalty", 2, "table3.gp_pm_penalty_pct"}}},
+      {"Fig. 6 —",
+       {{"kernel speedup from pv.qnt, 4-bit", 2, "fig6.speedup_from_qnt.4b"},
+        {"kernel speedup from pv.qnt, 2-bit", 2, "fig6.speedup_from_qnt.2b"},
+        {"quantization share with pv.qnt, 4-bit", 2,
+         "fig6.qnt_share_pct.4b fig6.quant_share_pct.4b_hwq"},
+        {"quantization share with pv.qnt, 2-bit", 2,
+         "fig6.qnt_share_pct.2b fig6.quant_share_pct.2b_hwq"},
+        {"4-bit vs 8-bit cycles", 2, "fig6.scaling_vs_8b.4b"},
+        {"2-bit vs 8-bit cycles", 2, "fig6.scaling_vs_8b.2b"},
+        {"8-bit", 1, "runs.xpulpnn.xpulpv2-8b.8b.cycles/1e6"},
+        {"8-bit", 2, "runs.xpulpnn.xpulpv2-8b.8b.macs_per_cycle"},
+        {"4-bit, pv.qnt", 1, "runs.xpulpnn.xpulpnn-hwquant.4b.cycles/1e6"},
+        {"4-bit, pv.qnt", 2, "runs.xpulpnn.xpulpnn-hwquant.4b.macs_per_cycle"},
+        {"4-bit, software tree", 1,
+         "runs.xpulpnn.xpulpnn-swquant.4b.cycles/1e6"},
+        {"4-bit, software tree", 2,
+         "runs.xpulpnn.xpulpnn-swquant.4b.macs_per_cycle"},
+        {"2-bit, pv.qnt", 1, "runs.xpulpnn.xpulpnn-hwquant.2b.cycles/1e6"},
+        {"2-bit, pv.qnt", 2, "runs.xpulpnn.xpulpnn-hwquant.2b.macs_per_cycle"},
+        {"2-bit, software tree", 1,
+         "runs.xpulpnn.xpulpnn-swquant.2b.cycles/1e6"},
+        {"2-bit, software tree", 2,
+         "runs.xpulpnn.xpulpnn-swquant.2b.macs_per_cycle"}}},
+      {"Fig. 7 —",
+       {{"8-bit", 1, "runs.ri5cy.xpulpv2-8b.8b.gmac_s_w"},
+        {"8-bit", 2, "runs.xpulpnn.xpulpv2-8b.8b.gmac_s_w"},
+        {"8-bit", 3, "fig7.gain.8b -"},
+        {"4-bit", 1, "runs.ri5cy.xpulpv2-subbyte.4b.gmac_s_w"},
+        {"4-bit", 2, "runs.xpulpnn.xpulpnn-hwquant.4b.gmac_s_w"},
+        {"4-bit", 3, "fig7.gain.4b"},
+        {"2-bit", 1, "runs.ri5cy.xpulpv2-subbyte.2b.gmac_s_w"},
+        {"2-bit", 2, "runs.xpulpnn.xpulpnn-hwquant.2b.gmac_s_w"},
+        {"2-bit", 3, "fig7.gain.2b -"}}},
+      {"Fig. 8 —",
+       {{"8", 1, "runs.xpulpnn.xpulpv2-8b.8b.cycles/1e6"},
+        {"8", 2, "runs.ri5cy.xpulpv2-8b.8b.cycles/1e6"},
+        {"8", 3, "runs.stm32l4.8b.cycles/1e6"},
+        {"8", 4, "runs.stm32h7.8b.cycles/1e6"},
+        {"4", 1, "runs.xpulpnn.xpulpnn-hwquant.4b.cycles/1e6"},
+        {"4", 2, "runs.ri5cy.xpulpv2-subbyte.4b.cycles/1e6"},
+        {"4", 3, "runs.stm32l4.4b.cycles/1e6"},
+        {"4", 4, "runs.stm32h7.4b.cycles/1e6"},
+        {"2", 1, "runs.xpulpnn.xpulpnn-hwquant.2b.cycles/1e6"},
+        {"2", 2, "runs.ri5cy.xpulpv2-subbyte.2b.cycles/1e6"},
+        {"2", 3, "runs.stm32l4.2b.cycles/1e6"},
+        {"2", 4, "runs.stm32h7.2b.cycles/1e6"},
+        {"4-bit vs RI5CY", 2, "fig8.speedup.4b.vs_ri5cy"},
+        {"2-bit vs RI5CY", 2, "fig8.speedup.2b.vs_ri5cy"},
+        {"sub-byte vs ARM MCUs", 2,
+         "fig8.speedup.4b.vs_m4 fig8.speedup.2b.vs_m4 "
+         "fig8.speedup.4b.vs_m7 fig8.speedup.2b.vs_m7"}}},
+      {"Fig. 9 —",
+       {{"2-bit, vs STM32L4", 2, "fig9.gain.2b.vs_m4"},
+        {"2-bit, vs STM32H7", 2, "fig9.gain.2b.vs_m7"},
+        {"overall claim", 2, "fig9.gain.2b.vs_m4 fig9.gain.2b.vs_m7"}}},
+      {"Ablations",
+       {{"full (hardware loop, 2×2 blocking — 2 filters × 2 pixels, "
+         "4 accumulators — pv.qnt)",
+         1, "ablation.4b.full"},
+        {"branch loop instead of lp.setup", 1, "ablation.4b.branch_loop"},
+        {"2×1 register blocking instead of 2×2", 1, "ablation.4b.block_2x1"},
+        {"both removed", 1, "ablation.4b.branch_loop_2x1"},
+        {"software-tree quantization instead of pv.qnt", 1,
+         "fig6.speedup_from_qnt.4b"},
+        {"RI5CY baseline kernel, per-element `p.extract/p.insert` unpack", 1,
+         "ablation.baseline_unpack_vs_xpulpnn.extract_insert"},
+        {"RI5CY baseline kernel, `pv.shuffle`+shift unpack", 1,
+         "ablation.baseline_unpack_vs_xpulpnn.shuffle"},
+        {"clock gating off (2-bit kernel)", 1,
+         "ablation.nopm_soc_power_pct.2b"}}},
+  };
+  return s;
+}
+
+std::vector<std::string> split_row(const std::string& line) {
+  std::vector<std::string> cells;
+  std::string cur;
+  for (size_t i = 1; i < line.size(); ++i) {  // skip the leading '|'
+    if (line[i] == '|') {
+      cells.push_back(trim(cur));
+      cur.clear();
+    } else {
+      cur += line[i];
+    }
+  }
+  return cells;
+}
+
+bool is_digit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
+
+/// The numbers printed in a cell: digit runs (with one decimal point) not
+/// glued to a preceding letter, digit or dot ("M4", "pv.qnt" are text).
+std::vector<std::string> numbers(const std::string& cell) {
+  std::vector<std::string> out;
+  for (size_t i = 0; i < cell.size(); ++i) {
+    const unsigned char prev = i ? cell[i - 1] : ' ';
+    if (!is_digit(cell[i]) || std::isalnum(prev) || prev == '.') continue;
+    size_t j = i;
+    while (j < cell.size() && is_digit(cell[j])) ++j;
+    if (j + 1 < cell.size() && cell[j] == '.' && is_digit(cell[j + 1])) {
+      for (++j; j < cell.size() && is_digit(cell[j]);) ++j;
+    }
+    out.push_back(cell.substr(i, j - i));
+    i = j;
+  }
+  return out;
+}
+
+/// Compare one cell number with a key's value at the number's precision;
+/// on a mismatch, `why` says what the file prints.
+bool check_number(const std::map<std::string, std::string>& json,
+                  const std::string& spec, const std::string& shown,
+                  std::string& why) {
+  std::string key = spec;
+  double divisor = 1;
+  if (const size_t slash = spec.find('/'); slash != std::string::npos) {
+    key = spec.substr(0, slash);
+    divisor = std::strtod(spec.c_str() + slash + 1, nullptr);
+  }
+  const auto it = json.find(key);
+  if (it == json.end()) {
+    why = "key " + key + " is not in BENCH_paper.json";
+    return false;
+  }
+  const size_t dot = shown.find('.');
+  const int decimals =
+      dot == std::string::npos ? 0 : static_cast<int>(shown.size() - dot - 1);
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.*f", decimals,
+                std::strtod(it->second.c_str(), nullptr) / divisor);
+  if (shown == buf) return true;
+  why = "shows " + shown + ", " + spec + " = " + it->second + " prints " + buf;
+  return false;
+}
+
+/// Check every table row of every paper section; returns the failure count.
+int check_experiments(const std::string& doc,
+                      const std::map<std::string, std::string>& json) {
+  int failures = 0;
+  const auto fail = [&](const std::string& where, const std::string& what) {
+    std::fprintf(stderr, "EXPERIMENTS.md: %s: %s\n", where.c_str(),
+                 what.c_str());
+    ++failures;
+  };
+  for (const Section& sec : sections()) {
+    const std::string heading = std::string("## ") + sec.heading;
+    std::vector<bool> used(sec.pins.size(), false);
+    bool in_section = false, found = false;
+    std::vector<std::string> header;  // the current table's header cells
+    std::istringstream in(doc);
+    for (std::string line; std::getline(in, line);) {
+      if (line.starts_with("## ")) {
+        in_section = line.starts_with(heading);
+        found = found || in_section;
+      }
+      if (!in_section || !line.starts_with("|")) {
+        header.clear();
+        continue;
+      }
+      const auto cells = split_row(line);
+      if (header.empty()) {
+        header = cells;
+        continue;
+      }
+      if (cells[0].starts_with("---")) continue;
+      for (size_t c = 1; c < cells.size(); ++c) {
+        const std::string column = c < header.size() ? header[c] : "?";
+        if (column.starts_with("paper")) continue;
+        const std::string where = std::string(sec.heading) + " row \"" +
+                                  cells[0] + "\", column \"" + column + "\"";
+        size_t p = 0;
+        while (p < sec.pins.size() &&
+               (cells[0] != sec.pins[p].row ||
+                sec.pins[p].col != static_cast<int>(c))) {
+          ++p;
+        }
+        if (p == sec.pins.size()) {
+          fail(where, "measured cell has no pin in tests/paper_pinned.cpp");
+          continue;
+        }
+        used[p] = true;
+        std::vector<std::string> keys;
+        std::istringstream ks(sec.pins[p].keys);
+        for (std::string k; ks >> k;) keys.push_back(k);
+        const auto shown = numbers(cells[c]);
+        if (shown.size() != keys.size()) {
+          fail(where, "cell \"" + cells[c] + "\" shows " +
+                          std::to_string(shown.size()) + " numbers, pinned " +
+                          std::to_string(keys.size()));
+          continue;
+        }
+        for (size_t k = 0; k < keys.size(); ++k) {
+          std::string why;
+          if (keys[k] != "-" && !check_number(json, keys[k], shown[k], why)) {
+            fail(where, why);
+          }
+        }
+      }
+    }
+    if (!found) fail(sec.heading, "section not found");
+    for (size_t p = 0; p < sec.pins.size(); ++p) {
+      if (!used[p]) {
+        fail(std::string(sec.heading) + " row \"" + sec.pins[p].row + "\"",
+             "pinned cell not found");
+      }
+    }
+  }
+  return failures;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc != 4) {
+    std::fprintf(stderr, "usage: %s <bench_paper> <repo root> <scratch dir>\n",
+                 argv[0]);
+    return 2;
+  }
+  const fs::path bench = fs::absolute(argv[1]);
+  const fs::path root = fs::absolute(argv[2]);
+  const fs::path work = fs::absolute(argv[3]);
+  fs::create_directories(work);
+  fs::remove(work / "BENCH_paper.json");
+  fs::current_path(work);
+  const std::string cmd = "'" + bench.string() + "'";
+  if (std::system(cmd.c_str()) != 0) {
+    std::fprintf(stderr, "bench_paper failed (see its output above)\n");
+    return 1;
+  }
+
+  const std::string committed = read_file(root / "BENCH_paper.json");
+  const std::string fresh = read_file(work / "BENCH_paper.json");
+  int failures = 0;
+  if (committed != fresh) {
+    failures += report_drift(committed, fresh);
+    std::fprintf(stderr,
+                 "BENCH_paper.json: a modelled number moved. If intended, "
+                 "copy %s over the committed file and name the model change "
+                 "in CHANGES.md.\n",
+                 (work / "BENCH_paper.json").c_str());
+  }
+  failures += check_experiments(read_file(root / "EXPERIMENTS.md"),
+                                flatten(committed));
+  if (failures == 0) {
+    std::printf("BENCH_paper.json and EXPERIMENTS.md pinned: ok\n");
+  }
+  return failures == 0 ? 0 : 1;
+}

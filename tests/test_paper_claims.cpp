@@ -5,106 +5,89 @@
 // with room for the model-vs-RTL differences documented there.
 #include <gtest/gtest.h>
 
-#include "armv7e/cmsis_conv.hpp"
+#include "bench_util.hpp"
 #include "cluster/parallel_conv.hpp"
-#include "kernels/conv_layer.hpp"
-#include "power/power_model.hpp"
 
 namespace xpulp {
 namespace {
 
+using bench::PlatformResult;
+using bench::ratio;
 using kernels::ConvLayerData;
 using kernels::ConvVariant;
 
-struct LayerRun {
-  cycles_t cycles;
-  double soc_mw;
-  double gmac_s_w;
-};
-
-LayerRun run(unsigned bits, ConvVariant v, const sim::CoreConfig& cfg) {
-  const auto data = ConvLayerData::random(qnn::ConvSpec::paper_layer(bits), 7);
-  const auto res = kernels::run_conv_layer(data, v, cfg);
-  EXPECT_EQ(res.output, data.golden());
-  const auto p =
-      power::estimate_power(res.perf, res.activity, res.mem_stats, cfg);
-  return {res.perf.cycles, p.soc_mw(),
-          power::gmac_per_s_per_w(res.macs, res.perf.cycles, p.soc_mw())};
+// bench_paper's runs, shared by all claims in this process: each
+// configuration a claim reads is simulated once, on first use.
+bench::PaperRuns& runs() {
+  static bench::PaperRuns r;
+  return r;
 }
 
-// One static evaluation shared by all claims (the layer runs take ~2 s).
-struct Fixture {
-  LayerRun ext8 = run(8, ConvVariant::kXpulpV2_8b, sim::CoreConfig::extended());
-  LayerRun ext4 = run(4, ConvVariant::kXpulpNN_HwQ, sim::CoreConfig::extended());
-  LayerRun ext2 = run(2, ConvVariant::kXpulpNN_HwQ, sim::CoreConfig::extended());
-  LayerRun sw4 = run(4, ConvVariant::kXpulpNN_SwQ, sim::CoreConfig::extended());
-  LayerRun sw2 = run(2, ConvVariant::kXpulpNN_SwQ, sim::CoreConfig::extended());
-  LayerRun base4 = run(4, ConvVariant::kXpulpV2_Sub, sim::CoreConfig::ri5cy());
-  LayerRun base2 = run(2, ConvVariant::kXpulpV2_Sub, sim::CoreConfig::ri5cy());
-};
-
-const Fixture& fx() {
-  static Fixture f;
-  return f;
+const PlatformResult& checked(const PlatformResult& r) {
+  EXPECT_TRUE(r.output_ok) << r.platform << " " << r.bits << "-bit";
+  return r;
 }
 
-double ratio(cycles_t a, cycles_t b) {
-  return static_cast<double>(a) / static_cast<double>(b);
+// The paper's kernels: on the extended core, on the baseline RI5CY and
+// with software-tree quantization on the extended core.
+const PlatformResult& ext(unsigned bits) {
+  return checked(runs().conv(
+      bits, bits == 8 ? ConvVariant::kXpulpV2_8b : ConvVariant::kXpulpNN_HwQ,
+      sim::CoreConfig::extended()));
+}
+const PlatformResult& base(unsigned bits) {
+  return checked(runs().conv(
+      bits, bits == 8 ? ConvVariant::kXpulpV2_8b : ConvVariant::kXpulpV2_Sub,
+      sim::CoreConfig::ri5cy()));
+}
+const PlatformResult& swq(unsigned bits) {
+  return checked(runs().conv(bits, ConvVariant::kXpulpNN_SwQ,
+                             sim::CoreConfig::extended()));
 }
 
 TEST(PaperClaims, SubByteKernelSpeedupVsRi5cy) {
   // Paper: 5.3x (4-bit) and 8.9x (2-bit).
-  EXPECT_NEAR(ratio(fx().base4.cycles, fx().ext4.cycles), 5.3, 0.5);
-  EXPECT_NEAR(ratio(fx().base2.cycles, fx().ext2.cycles), 8.9, 0.9);
+  EXPECT_NEAR(ratio(base(4).cycles, ext(4).cycles), 5.3, 0.5);
+  EXPECT_NEAR(ratio(base(2).cycles, ext(2).cycles), 8.9, 0.9);
 }
 
 TEST(PaperClaims, PvQntKernelSpeedup) {
   // Paper: 1.21x (4-bit) and 1.16x (2-bit).
-  EXPECT_NEAR(ratio(fx().sw4.cycles, fx().ext4.cycles), 1.21, 0.10);
-  EXPECT_NEAR(ratio(fx().sw2.cycles, fx().ext2.cycles), 1.16, 0.08);
+  EXPECT_NEAR(ratio(swq(4).cycles, ext(4).cycles), 1.21, 0.10);
+  EXPECT_NEAR(ratio(swq(2).cycles, ext(2).cycles), 1.16, 0.08);
 }
 
 TEST(PaperClaims, NearLinearSubByteScaling) {
   // Paper Fig. 6: "almost linear" scaling vs the 8-bit kernel.
-  EXPECT_GT(ratio(fx().ext8.cycles, fx().ext4.cycles), 1.6);
-  EXPECT_LE(ratio(fx().ext8.cycles, fx().ext4.cycles), 2.0);
-  EXPECT_GT(ratio(fx().ext8.cycles, fx().ext2.cycles), 3.0);
-  EXPECT_LE(ratio(fx().ext8.cycles, fx().ext2.cycles), 4.0);
+  EXPECT_GT(ratio(ext(8).cycles, ext(4).cycles), 1.6);
+  EXPECT_LE(ratio(ext(8).cycles, ext(4).cycles), 2.0);
+  EXPECT_GT(ratio(ext(8).cycles, ext(2).cycles), 3.0);
+  EXPECT_LE(ratio(ext(8).cycles, ext(2).cycles), 4.0);
 }
 
 TEST(PaperClaims, EnergyEfficiencyGainAndPeak) {
   // Paper: up to 9x vs the baseline, peak 279 GMAC/s/W, 8-bit unchanged.
-  EXPECT_NEAR(fx().ext2.gmac_s_w / fx().base2.gmac_s_w, 9.0, 1.0);
-  EXPECT_NEAR(fx().ext2.gmac_s_w, 279.0, 40.0);
-  const auto base8 = run(8, ConvVariant::kXpulpV2_8b, sim::CoreConfig::ri5cy());
-  EXPECT_NEAR(fx().ext8.gmac_s_w / base8.gmac_s_w, 1.0, 0.05);
+  EXPECT_NEAR(ext(2).gmac_s_w() / base(2).gmac_s_w(), 9.0, 1.0);
+  EXPECT_NEAR(ext(2).gmac_s_w(), 279.0, 40.0);
+  EXPECT_NEAR(ext(8).gmac_s_w() / base(8).gmac_s_w(), 1.0, 0.05);
 }
 
 TEST(PaperClaims, OrderOfMagnitudeVsArmMcus) {
-  const auto data = ConvLayerData::random(qnn::ConvSpec::paper_layer(2), 7);
-  const auto m4 = armv7e::run_conv_layer_arm(data, armv7e::ArmModel::kCortexM4);
-  const auto m7 = armv7e::run_conv_layer_arm(data, armv7e::ArmModel::kCortexM7);
-  EXPECT_EQ(m4.output, data.golden());
+  const auto& m4 = checked(runs().arm(2, armv7e::ArmModel::kCortexM4));
+  const auto& m7 = checked(runs().arm(2, armv7e::ArmModel::kCortexM7));
   // Cycles: ~an order of magnitude vs the M4, severalfold vs the M7.
-  EXPECT_GT(ratio(m4.perf.cycles, fx().ext2.cycles), 8.0);
-  EXPECT_GT(ratio(m7.perf.cycles, fx().ext2.cycles), 4.0);
+  EXPECT_GT(ratio(m4.cycles, ext(2).cycles), 8.0);
+  EXPECT_GT(ratio(m7.cycles, ext(2).cycles), 4.0);
   // Efficiency: two orders of magnitude (paper: 103x / 354x).
-  const auto l4 = power::stm32l4_platform();
-  const auto h7 = power::stm32h7_platform();
-  const double m4_eff = static_cast<double>(m4.macs) * l4.freq_hz /
-                        m4.perf.cycles / (l4.power_mw * 1e-3) * 1e-9;
-  const double m7_eff = static_cast<double>(m7.macs) * h7.freq_hz /
-                        m7.perf.cycles / (h7.power_mw * 1e-3) * 1e-9;
-  EXPECT_GT(fx().ext2.gmac_s_w / m4_eff, 100.0);
-  EXPECT_GT(fx().ext2.gmac_s_w / m7_eff, 250.0);
+  EXPECT_GT(ext(2).gmac_s_w() / m4.gmac_s_w(), 100.0);
+  EXPECT_GT(ext(2).gmac_s_w() / m7.gmac_s_w(), 250.0);
 }
 
 TEST(PaperClaims, AreaAndPowerOverheads) {
   // Paper: 11.1% core area overhead and 5.9% core power overhead (PM).
   const auto t = power::area_table();
   EXPECT_NEAR((t[0].ext_pm_um2 / t[0].ri5cy_um2 - 1) * 100, 11.1, 1.0);
-  const auto base8 = run(8, ConvVariant::kXpulpV2_8b, sim::CoreConfig::ri5cy());
-  EXPECT_NEAR(fx().ext8.soc_mw / base8.soc_mw, 1.018, 0.02);  // SoC: +1.8%
+  EXPECT_NEAR(ext(8).power_mw / base(8).power_mw, 1.018, 0.02);  // SoC: +1.8%
 }
 
 TEST(PaperClaims, ClusterScalesNearLinearly) {
@@ -115,7 +98,7 @@ TEST(PaperClaims, ClusterScalesNearLinearly) {
   const auto par = cluster::run_parallel_conv(
       data, ConvVariant::kXpulpNN_HwQ, cfg);
   EXPECT_EQ(par.output, data.golden());
-  EXPECT_GT(ratio(fx().ext2.cycles, par.stats.makespan), 7.3);
+  EXPECT_GT(ratio(ext(2).cycles, par.stats.makespan), 7.3);
   EXPECT_LT(par.stats.conflict_rate(), 0.10);
 }
 
