@@ -84,7 +84,6 @@ cluster::ClusterStats one_rep(const ClusterWorkload& w,
                               qnn::Tensor* out_output = nullptr) {
   cluster::ClusterConfig cfg;
   cfg.num_cores = w.cores;
-  cfg.core.superblock = true;
   cfg.scheduler = sched;
   cluster::Cluster cl(cfg);
   kernels::load_conv_data(*w.data, w.layout, cl.memory());

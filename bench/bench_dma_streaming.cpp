@@ -104,8 +104,7 @@ int main(int argc, char** argv) {
 
   // Host cost: alternate the two runners so slow drift hits both (the
   // first round is an uncounted warm-up).
-  sim::CoreConfig cfg = sim::CoreConfig::extended();
-  cfg.superblock = true;
+  const sim::CoreConfig cfg = sim::CoreConfig::extended();
   constexpr int kRounds = 15;
   std::vector<double> streamed, resident, ratios;
   bool host_ok = true;

@@ -275,8 +275,9 @@ struct Gen {
     if (is_mixed()) {
       // Virtual mixed dot product: operand widths come from the mpc CSR
       // (written once in the prologue), so the instruction itself is
-      // format-free. Same 4x2 shape as the uniform loop; one activation
-      // word + one grouped weight word per filter per iteration.
+      // format-free. Same 2x2 blocking (pixel_block 2) as the uniform
+      // loop; one activation word + one grouped weight word per filter
+      // per iteration.
       if (two_pixels()) {
         emit_inner_loop([&] {
           a.p_lw_post(r::t0, r::a0, 4);  // w0 (grouped)
@@ -638,7 +639,8 @@ struct Gen {
       throw SimError("pixel_block must be 1 or 2");
     }
     if (two_pixels() && spec.out_w() % 2 != 0) {
-      throw SimError("4x2 blocking requires an even output width");
+      throw SimError("2x2 blocking (pixel_block 2) requires an even output "
+                     "width");
     }
     const int ch_group = out_bits() == 2 ? 4 : 2;
     if (spec.out_c % ch_group != 0) {

@@ -1,7 +1,6 @@
 #include "sim/core.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 
 #include "common/bitops.hpp"
@@ -15,14 +14,6 @@ namespace xpulp::sim {
 using isa::Instr;
 using isa::Mnemonic;
 namespace iflag = isa::iflag;
-
-bool superblock_default() {
-  static const bool enabled = [] {
-    const char* e = std::getenv("XPULP_SUPERBLOCK");
-    return e != nullptr && e[0] != '\0' && !(e[0] == '0' && e[1] == '\0');
-  }();
-  return enabled;
-}
 
 std::string perf_invariant_violation(const PerfCounters& p) {
   const auto diag = [](const char* what, u64 lhs, u64 rhs) {
@@ -390,18 +381,7 @@ void Core::hwloop_backedge(addr_t after) {
 }
 
 HaltReason Core::run(u64 max_instructions) {
-  if (cfg_.reference_dispatch) {
-    // Legacy loop shape: dynamic trace check inside step_reference and the
-    // limit read back from the perf counters every iteration. The sampling
-    // deadline compare is unreachable without a sampler (kNoSampleDue).
-    const u64 limit = perf_.instructions + max_instructions;
-    while (!halted() && perf_.instructions < limit) {
-      step_reference();
-      if (perf_.cycles >= sample_due_) [[unlikely]] sample_fire();
-    }
-  } else {
-    run_bounded(max_instructions, kNoSampleDue);
-  }
+  run_bounded(max_instructions, kNoSampleDue);
   // An exhausted budget is the halt reason only when nothing else halted
   // the core: a run whose last instruction is the ecall reports kEcall.
   if (!halted()) halt_ = HaltReason::kInstrLimit;

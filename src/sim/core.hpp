@@ -28,11 +28,6 @@ namespace xpulp::sim {
 
 struct SuperblockPlan;  // sim/superblock.hpp (host-side compiled blocks)
 
-/// Default of CoreConfig::superblock: false, flipped by the environment
-/// variable XPULP_SUPERBLOCK=1 so CI can rerun whole suites with the
-/// superblock engine active without threading a flag through every driver.
-bool superblock_default();
-
 struct CoreConfig {
   bool xpulpv2 = true;    // hardware loops, post-inc LSU, 8/16-bit SIMD, MAC
   bool xpulpnn = true;    // nibble/crumb SIMD + pv.qnt
@@ -45,12 +40,13 @@ struct CoreConfig {
   /// bench.
   bool reference_dispatch = false;
   /// Trace-compiled superblock execution of hot loop bodies on top of the
-  /// fast path (DESIGN.md §12): bit-identical state and PerfCounters,
-  /// enforced by the three-way differential dispatch test. Requires the
-  /// fast dispatch path and clock gating (the ungated operand-broadcast
-  /// model is inherently per-instruction); the engine simply stays cold
-  /// when either is off.
-  bool superblock = superblock_default();
+  /// fast path (DESIGN.md §12), on by default: bit-identical state and
+  /// PerfCounters, enforced by the three-way differential dispatch test.
+  /// Set false for the plain fast interpreter. Requires the fast dispatch
+  /// path and clock gating (the ungated operand-broadcast model is
+  /// inherently per-instruction); the engine simply stays cold when
+  /// either is off, and while a trace hook is attached.
+  bool superblock = true;
   std::string name = "xpulpnn";
 
   static CoreConfig extended() { return CoreConfig{}; }
@@ -466,8 +462,9 @@ class Core {
   /// sampler pays nothing for it.
   template <bool Traced, bool Sampled>
   u64 run_loop(u64 budget, cycles_t horizon);
-  /// Pick the run_loop instantiation for the attached hooks (reference
-  /// dispatch steps through step() instead).
+  /// The one loop behind run(), run_steps() and run_burst(): reference
+  /// dispatch steps through step_reference(), the fast path picks the
+  /// run_loop instantiation for the attached hooks.
   u64 run_bounded(u64 budget, cycles_t horizon);
 
   /// Advance the sampling deadline past the current cycle count, then

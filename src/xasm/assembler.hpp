@@ -218,13 +218,17 @@ class Assembler {
   /// pv.qnt.{n,c}: q_bits in {4, 2}.
   void pv_qnt(unsigned q_bits, u8 rd, u8 rs1, u8 rs2);
 
+  /// Any instruction without a label operand, fields as given (e.g. one
+  /// built from an isa::canonical_samples() entry).
+  void emit(isa::Instr in) { instrs_.push_back(in); }
+
   // ---- Finalization ----
   u32 instruction_count() const { return static_cast<u32>(instrs_.size()); }
   Program finish();
 
  private:
-  // The text front end emits the instructions it parses from the ISA
-  // table (text_asm.hpp).
+  // The text front end binds the label operands of the instructions it
+  // parses from the ISA table (text_asm.hpp).
   friend Program assemble_text(std::string_view source, addr_t base);
 
   static constexpr i64 kUnbound = -1;
@@ -236,7 +240,6 @@ class Assembler {
     FixKind kind;
   };
 
-  void emit(isa::Instr in) { instrs_.push_back(in); }
   void emit_fixup(isa::Instr in, Label l, FixKind kind) {
     fixups_.push_back({static_cast<u32>(instrs_.size()), l, kind});
     instrs_.push_back(in);

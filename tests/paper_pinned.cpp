@@ -1,11 +1,12 @@
 // The bench_paper_pinned test: run bench_paper in a scratch directory, then
 //   1. compare its BENCH_paper.json byte for byte with the committed copy at
 //      the repo root, naming every key whose value moved;
-//   2. check every measured cell of EXPERIMENTS.md's paper sections against
-//      the committed file at the cell's printed precision.
+//   2. check every measured cell of EXPERIMENTS.md's paper sections and of
+//      README.md's "Reproduction highlights" against the committed file at
+//      the cell's printed precision.
 // A failure in (1) means a modelled number moved: if that is intended,
 // copy the regenerated file over the committed one and name the model
-// change in CHANGES.md. A failure in (2) means the document and the file
+// change in CHANGES.md. A failure in (2) means a document and the file
 // disagree.
 //
 // Usage: paper_pinned <bench_paper binary> <repo root> <scratch dir>
@@ -95,7 +96,7 @@ int report_drift(const std::string& committed, const std::string& fresh) {
   return n;
 }
 
-// ---- EXPERIMENTS.md --------------------------------------------------------
+// ---- EXPERIMENTS.md and README.md -----------------------------------------
 
 /// One measured table cell: the row's first cell, the column (0 = the row
 /// label) and one BENCH_paper.json key per number in the cell, space
@@ -113,7 +114,7 @@ struct Section {
   std::vector<Pin> pins;
 };
 
-const std::vector<Section>& sections() {
+const std::vector<Section>& experiments_sections() {
   static const std::vector<Section> s = {
       {"Table I —",
        {{"performance", 2, "table1.gop_s.lo table1.gop_s.hi"},
@@ -224,6 +225,23 @@ const std::vector<Section>& sections() {
   return s;
 }
 
+const std::vector<Section>& readme_sections() {
+  static const std::vector<Section> s = {
+      {"Reproduction highlights",
+       {{"4-bit kernel 5.3× faster than RI5CY", 1, "fig8.speedup.4b.vs_ri5cy"},
+        {"2-bit kernel 8.9× faster than RI5CY", 1, "fig8.speedup.2b.vs_ri5cy"},
+        {"pv.qnt speeds sub-byte kernels 1.21×/1.16×", 1,
+         "fig6.speedup_from_qnt.4b fig6.speedup_from_qnt.2b"},
+        {"up to 9× energy-efficiency gain vs baseline", 1, "fig7.gain.2b"},
+        {"peak 279 GMAC/s/W", 1, "fig7.peak_gmac_s_w"},
+        {"103×/354× efficiency vs STM32L4/H7 (2-bit)", 1,
+         "fig9.gain.2b.vs_m4 fig9.gain.2b.vs_m7"},
+        {"11.1% core area overhead, 5.9% power overhead (PM)", 1,
+         "area.Total.pm_overhead_pct table3.pm_core_overhead_pct"}}},
+  };
+  return s;
+}
+
 std::vector<std::string> split_row(const std::string& line) {
   std::vector<std::string> cells;
   std::string cur;
@@ -285,16 +303,17 @@ bool check_number(const std::map<std::string, std::string>& json,
   return false;
 }
 
-/// Check every table row of every paper section; returns the failure count.
-int check_experiments(const std::string& doc,
-                      const std::map<std::string, std::string>& json) {
+/// Check every table row of every pinned section of the document `name`;
+/// returns the failure count.
+int check_doc(const char* name, const std::string& doc,
+              const std::vector<Section>& sections,
+              const std::map<std::string, std::string>& json) {
   int failures = 0;
   const auto fail = [&](const std::string& where, const std::string& what) {
-    std::fprintf(stderr, "EXPERIMENTS.md: %s: %s\n", where.c_str(),
-                 what.c_str());
+    std::fprintf(stderr, "%s: %s: %s\n", name, where.c_str(), what.c_str());
     ++failures;
   };
-  for (const Section& sec : sections()) {
+  for (const Section& sec : sections) {
     const std::string heading = std::string("## ") + sec.heading;
     std::vector<bool> used(sec.pins.size(), false);
     bool in_section = false, found = false;
@@ -391,10 +410,13 @@ int main(int argc, char** argv) {
                  "in CHANGES.md.\n",
                  (work / "BENCH_paper.json").c_str());
   }
-  failures += check_experiments(read_file(root / "EXPERIMENTS.md"),
-                                flatten(committed));
+  const auto json = flatten(committed);
+  failures += check_doc("EXPERIMENTS.md", read_file(root / "EXPERIMENTS.md"),
+                        experiments_sections(), json);
+  failures += check_doc("README.md", read_file(root / "README.md"),
+                        readme_sections(), json);
   if (failures == 0) {
-    std::printf("BENCH_paper.json and EXPERIMENTS.md pinned: ok\n");
+    std::printf("BENCH_paper.json, EXPERIMENTS.md and README.md pinned: ok\n");
   }
   return failures == 0 ? 0 : 1;
 }

@@ -33,6 +33,11 @@ using test::run_mode;
 
 constexpr u64 kBudget = 2'000'000;
 
+/// The extended core on the reference interpreter or the plain fast path.
+sim::CoreConfig interp_cfg(bool reference) {
+  return test::interp_config(sim::CoreConfig::extended(), reference);
+}
+
 /// Step `src` for `snap_at` instructions, checkpoint it through the full
 /// binary serialize/deserialize path, restore into a brand-new core and
 /// memory, and run that machine to completion.
@@ -66,8 +71,7 @@ TEST(CkptDiff, RandomProgramsRestoreBitIdentical) {
   for (u64 trial = 0; trial < 10; ++trial) {
     const xasm::Program prog = random_program(0xc4a7d1ff + trial * 331);
     for (const bool reference : {false, true}) {
-      sim::CoreConfig cfg = sim::CoreConfig::extended();
-      cfg.reference_dispatch = reference;
+      const sim::CoreConfig cfg = interp_cfg(reference);
       const FinalState base = run_mode(prog, cfg, reference);
       ASSERT_EQ(base.reason, sim::HaltReason::kEcall) << "trial " << trial;
       ASSERT_GT(base.perf.instructions, 2u);
@@ -93,7 +97,7 @@ TEST(CkptDiff, RandomProgramsRestoreBitIdentical) {
 
 TEST(CkptDiff, BoundarySnapshotIndices) {
   const xasm::Program prog = random_program(0xb0a2d011);
-  const sim::CoreConfig cfg = sim::CoreConfig::extended();
+  const sim::CoreConfig cfg = interp_cfg(false);
   const FinalState base = run_mode(prog, cfg, false);
   ASSERT_EQ(base.reason, sim::HaltReason::kEcall);
 
@@ -116,8 +120,7 @@ TEST(CkptDiff, SnapshotsAreDispatchAgnostic) {
   const u64 snap_at = base.perf.instructions / 2;
 
   for (const bool snap_on_reference : {false, true}) {
-    sim::CoreConfig snap_cfg = sim::CoreConfig::extended();
-    snap_cfg.reference_dispatch = snap_on_reference;
+    const sim::CoreConfig snap_cfg = interp_cfg(snap_on_reference);
     mem::Memory mem;
     prog.load(mem);
     sim::Core core(mem, snap_cfg);
@@ -126,8 +129,7 @@ TEST(CkptDiff, SnapshotsAreDispatchAgnostic) {
     const ckpt::Snapshot snap =
         ckpt::deserialize(ckpt::serialize(ckpt::capture(core, mem)));
 
-    sim::CoreConfig resume_cfg = sim::CoreConfig::extended();
-    resume_cfg.reference_dispatch = !snap_on_reference;
+    const sim::CoreConfig resume_cfg = interp_cfg(!snap_on_reference);
     mem::Memory fresh_mem(mem.size());
     sim::Core fresh(fresh_mem, resume_cfg);
     ckpt::apply(snap, fresh, fresh_mem);
@@ -143,8 +145,7 @@ TEST(CkptDiff, RestoreBelowEntryProgramAtHighBase) {
   // every self-modifying store the program makes around the span.
   const test::BelowEntryProgram p = test::below_entry_program(0x30000, 6000);
   for (const bool reference : {false, true}) {
-    sim::CoreConfig cfg = sim::CoreConfig::extended();
-    cfg.reference_dispatch = reference;
+    const sim::CoreConfig cfg = interp_cfg(reference);
     const FinalState base =
         test::run_from(p.prog, cfg, p.entry, p.code_end, kBudget);
     ASSERT_EQ(base.reason, sim::HaltReason::kEcall);
@@ -194,9 +195,8 @@ xasm::Program rv32im_program() {
 }
 
 TEST(CkptDiff, Rv32imTierRestores) {
-  sim::CoreConfig cfg = sim::CoreConfig::extended();
-  cfg.xpulpv2 = cfg.xpulpnn = cfg.hwloops = false;
-  cfg.name = "rv32im";
+  sim::CoreConfig cfg = test::tier_config(test::Tier::kRv32im);
+  cfg.superblock = false;
   const xasm::Program prog = rv32im_program();
   for (const bool reference : {false, true}) {
     cfg.reference_dispatch = reference;
@@ -211,7 +211,8 @@ TEST(CkptDiff, GpWorkloadXpulpV2TierRestores) {
   // The Table III GP application on the baseline RI5CY config: exercises
   // post-increment addressing state through a checkpoint.
   const auto w = kernels::make_gp_workload(48, 0x13579bdf);
-  const sim::CoreConfig cfg = sim::CoreConfig::ri5cy();
+  sim::CoreConfig cfg = sim::CoreConfig::ri5cy();
+  cfg.superblock = false;
   const FinalState base = run_mode(w.program, cfg, false);
   ASSERT_EQ(base.reason, sim::HaltReason::kEcall);
   for (const u64 frac : {5u, 2u}) {
@@ -267,8 +268,7 @@ TEST(CkptDiff, ConvKernelVariantsRestoreBitIdentical) {
     const auto kernel = kernels::generate_conv_kernel(spec, v);
 
     for (const bool reference : {false, true}) {
-      sim::CoreConfig cfg = sim::CoreConfig::extended();
-      cfg.reference_dispatch = reference;
+      const sim::CoreConfig cfg = interp_cfg(reference);
       const FinalState base = run_conv(kernel, data, cfg, std::nullopt);
       ASSERT_EQ(base.reason, sim::HaltReason::kEcall)
           << kernels::variant_name(v);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -203,9 +204,15 @@ TEST(ConvKernels, ShuffleUnpackBeatsNaiveButNotTheExtension) {
 }
 
 TEST(ConvKernels, GeneratorRejectsBadGeometry) {
-  // Odd output width.
+  // Odd output width: the error names the 2x2 blocking that needs it.
   auto s = spec(4, 5, 5, 16, 8, 3, 0);
-  EXPECT_THROW(generate_conv_kernel(s, ConvVariant::kXpulpNN_HwQ), SimError);
+  try {
+    generate_conv_kernel(s, ConvVariant::kXpulpNN_HwQ);
+    ADD_FAILURE() << "odd output width accepted";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("2x2 blocking"), std::string::npos)
+        << e.what();
+  }
   // Channel block not word-aligned for 4-bit (in_c * 4 % 32 != 0).
   s = spec(4, 6, 6, 4, 8);
   EXPECT_THROW(generate_conv_kernel(s, ConvVariant::kXpulpNN_HwQ), SimError);

@@ -24,79 +24,115 @@ namespace {
 
 using test::expect_identical;
 using test::FinalState;
-using test::random_program;
-using test::run_from;
+using test::ProgramGen;
 using test::run_mode;
-using test::run_mode_superblock;
+using test::run_three_way;
+using test::Tier;
 
-/// Run `prog` from `entry` on the reference, fast (superblock engine per
-/// the XPULP_SUPERBLOCK default) and forced-superblock dispatch paths,
-/// require bit-identical final states and return the reference one.
+/// Run `prog` from `entry` on all three dispatch paths, require
+/// bit-identical final states and a fused superblock leg, and return the
+/// reference leg.
 FinalState expect_modes_agree(const xasm::Program& prog, addr_t entry,
                               addr_t code_end) {
-  sim::CoreConfig ref_cfg = sim::CoreConfig::extended();
-  ref_cfg.reference_dispatch = true;
-  sim::CoreConfig sb_cfg = sim::CoreConfig::extended();
-  sb_cfg.superblock = true;
-  const FinalState ref = run_from(prog, ref_cfg, entry, code_end);
-  expect_identical(
-      ref, run_from(prog, sim::CoreConfig::extended(), entry, code_end));
-  expect_identical(ref, run_from(prog, sb_cfg, entry, code_end));
-  return ref;
+  const test::ThreeWay w =
+      run_three_way(prog, sim::CoreConfig::extended(), entry, code_end);
+  EXPECT_GT(w.sb.sb.fused_instructions, 0u) << "superblock leg never fused";
+  return w.ref;
 }
 
+/// Programs per tier of the three-way fuzz below, and how each one ends:
+/// every fourth in ebreak, every fourth in a loop that walks off the end
+/// of memory.
+constexpr u64 kFuzzPrograms = 16;
+
+ProgramGen::End fuzz_end(u64 trial) {
+  return trial % 4 == 1   ? ProgramGen::End::kEbreak
+         : trial % 4 == 3 ? ProgramGen::End::kOffMemory
+                          : ProgramGen::End::kEcall;
+}
+
+u64 fuzz_seed(Tier t) { return 0xd15b07c4 + static_cast<u64>(t) * 977; }
+
 TEST(DispatchDiff, RandomProgramsBitIdentical) {
-  u64 entries = 0, fused = 0, nested = 0;
-  for (u64 trial = 0; trial < 25; ++trial) {
-    const xasm::Program prog = random_program(0xd15b07c4 + trial * 977);
-    const auto ref = run_mode(prog, sim::CoreConfig::extended(), true);
-    const auto fast = run_mode(prog, sim::CoreConfig::extended(), false);
-    sim::SuperblockStats stats;
-    const auto sb = run_mode_superblock(prog, sim::CoreConfig::extended(),
-                                        2'000'000, &stats);
-    ASSERT_EQ(ref.reason, sim::HaltReason::kEcall) << "trial " << trial;
-    expect_identical(ref, fast);
-    expect_identical(ref, sb);
-    if (::testing::Test::HasFailure()) FAIL() << "diverged at trial " << trial;
-    entries += stats.entries;
-    fused += stats.fused_instructions;
-    nested += stats.nested_entries;
+  // Every tier: programs drawn from the ISA table, on the reference, plain
+  // fast and superblock paths. The superblock leg fuses on every program
+  // (each starts with a hot loop), except on the ungated no-PM core, whose
+  // per-instruction operand broadcast keeps the engine cold.
+  for (const Tier tier : test::kTiers) {
+    ProgramGen gen(fuzz_seed(tier), tier);
+    const bool fuses = gen.config().clock_gating;
+    sim::SuperblockStats total;
+    for (u64 trial = 0; trial < kFuzzPrograms; ++trial) {
+      const ProgramGen::End end = fuzz_end(trial);
+      const test::ThreeWay w = run_three_way(gen.next(0, end), gen.config());
+      if (end == ProgramGen::End::kOffMemory) {
+        EXPECT_NE(w.ref.fault.find("memory fault"), std::string::npos)
+            << w.ref.fault;
+      } else {
+        EXPECT_EQ(w.ref.reason, end == ProgramGen::End::kEbreak
+                                    ? sim::HaltReason::kEbreak
+                                    : sim::HaltReason::kEcall)
+            << w.ref.fault;
+      }
+      if (fuses) {
+        EXPECT_GT(w.sb.sb.fused_instructions, 0u);
+      } else {
+        EXPECT_EQ(w.sb.sb.fused_instructions, 0u);
+      }
+      if (::testing::Test::HasFailure()) {
+        FAIL() << gen.config().name << " diverged at program " << trial;
+      }
+      for_each_counter([](const char*, u64& a, u64 b) { a += b; }, total,
+                       w.sb.sb);
+    }
+    if (!fuses) continue;
+    // The engine's paths beyond plain bursts: hardware loops nested in
+    // branch plans, the MatMul macro-op, bursts ending in a fault.
+    if (gen.config().hwloops) {
+      EXPECT_GT(total.nested_entries, 0u) << gen.config().name;
+    }
+    if (gen.config().xpulpv2) {
+      EXPECT_GT(total.macro_iterations, 0u) << gen.config().name;
+    }
+    EXPECT_GT(total.trap_bails, 0u) << gen.config().name;
   }
-  // The generator's hot and re-entered loops keep the fused engine inside
-  // the differential comparison, including the inner hardware loops of
-  // backward-branch plans.
-  EXPECT_GT(entries, 0u);
-  EXPECT_GT(fused, 0u);
-  EXPECT_GT(nested, 0u);
+}
+
+TEST(DispatchDiff, GeneratorDrawsEveryStraightLineEntry) {
+  // The fuzz programs of each tier draw every table entry legal on that
+  // tier as straight-line code, and nothing the tier lacks.
+  for (const Tier tier : test::kTiers) {
+    ProgramGen gen(fuzz_seed(tier), tier);
+    for (u64 trial = 0; trial < kFuzzPrograms; ++trial) {
+      gen.next(0, fuzz_end(trial));
+    }
+    const std::vector<size_t> eligible =
+        test::straight_line_entries(gen.config());
+    std::vector<bool> want(isa::isa_table().size(), false);
+    for (const size_t i : eligible) want[i] = true;
+    for (size_t i = 0; i < want.size(); ++i) {
+      const isa::IsaTableEntry& e = isa::isa_table()[i];
+      EXPECT_EQ(gen.drawn()[i], want[i])
+          << gen.config().name << ": " << isa::mnemonic_name(e.op)
+          << isa::simd_fmt_suffix(e.fmt);
+    }
+  }
 }
 
 TEST(DispatchDiff, Ri5cyConfigBitIdentical) {
-  // The baseline core rejects XpulpNN ops; both modes must also agree on
-  // *which* instruction faults (feature guard vs require() chains).
-  for (u64 trial = 0; trial < 10; ++trial) {
-    const xasm::Program prog = random_program(0xace0 + trial * 131);
-    sim::CoreConfig cfg = sim::CoreConfig::ri5cy();
-    FinalState ref, fast;
-    bool ref_threw = false, fast_threw = false;
-    addr_t ref_pc = 0, fast_pc = 0;
-    try {
-      ref = run_mode(prog, cfg, true);
-    } catch (const IllegalInstruction& e) {
-      ref_threw = true;
-      ref_pc = e.pc();
+  // XpulpNN programs on the baseline cores: the feature guard of the fast
+  // paths and the reference require() chains must reject the same
+  // instruction with the same state.
+  for (const Tier core : {Tier::kXpulpV2, Tier::kRv32im}) {
+    ProgramGen gen(0xace0 + static_cast<u64>(core), Tier::kXpulpNN);
+    u64 traps = 0;
+    for (u64 trial = 0; trial < 10; ++trial) {
+      const test::ThreeWay w =
+          run_three_way(gen.next(), test::tier_config(core));
+      traps += w.ref.fault.find("illegal instruction") != std::string::npos;
+      if (::testing::Test::HasFailure()) FAIL() << "trial " << trial;
     }
-    try {
-      fast = run_mode(prog, cfg, false);
-    } catch (const IllegalInstruction& e) {
-      fast_threw = true;
-      fast_pc = e.pc();
-    }
-    ASSERT_EQ(ref_threw, fast_threw) << "trial " << trial;
-    if (ref_threw) {
-      EXPECT_EQ(ref_pc, fast_pc) << "trial " << trial;
-    } else {
-      expect_identical(ref, fast);
-    }
+    EXPECT_EQ(traps, 10u);
   }
 }
 
@@ -138,15 +174,17 @@ TEST(DispatchDiff, ConvKernelVariantsBitIdentical) {
     sim::CoreConfig sb_cfg = sim::CoreConfig::extended();
     sb_cfg.superblock = true;
 
-    // Untraced runs; the superblock leg must actually fuse.
+    // Untraced runs; only the superblock leg fuses.
     u64 fused = 0;
+    const auto fused_of = [&](sim::Core& core, const kernels::ConvKernel&) {
+      fused = core.superblock_stats().fused_instructions;
+    };
     const auto ref = kernels::run_conv_layer(data, v, ref_cfg);
-    const auto fast = kernels::run_conv_layer(data, v, fast_cfg);
-    const auto sb = kernels::run_conv_layer(
-        data, v, sb_cfg, {}, {},
-        [&](sim::Core& core, const kernels::ConvKernel&) {
-          fused = core.superblock_stats().fused_instructions;
-        });
+    const auto fast = kernels::run_conv_layer(data, v, fast_cfg, {}, {},
+                                              fused_of);
+    EXPECT_EQ(fused, 0u) << kernels::variant_name(v);
+    const auto sb = kernels::run_conv_layer(data, v, sb_cfg, {}, {},
+                                            fused_of);
     EXPECT_GT(fused, 0u) << kernels::variant_name(v);
 
     // Attributed runs: a profiler attached through the runner's hook sees
@@ -200,6 +238,11 @@ TEST(DispatchDiff, SelfModifyingCodePicksUpPatch) {
     a.beq(xasm::reg::t2, 0, do_patch);
     a.ecall();
     a.bind(do_patch);
+    // A hot loop before the patch, so the superblock leg fuses too.
+    const xasm::Assembler::Label hot_end = a.new_label();
+    a.lp_setupi(0, 20, hot_end);
+    a.addi(xasm::reg::a1, xasm::reg::a1, 1);
+    a.bind(hot_end);
     a.addi(xasm::reg::t2, 0, 1);
     a.sw(xasm::reg::t1, xasm::reg::t0, 0);  // overwrite the target instr
     a.j(target);
@@ -225,17 +268,13 @@ TEST(DispatchDiff, SelfModifyingCodePicksUpPatch) {
   }();
 
   const xasm::Program prog = build(target_addr);
-  for (int mode = 0; mode < 3; ++mode) {
-    const auto s = mode < 2
-                       ? run_mode(prog, sim::CoreConfig::extended(), mode == 0)
-                       : run_mode_superblock(prog, sim::CoreConfig::extended());
-    ASSERT_EQ(s.reason, sim::HaltReason::kEcall);
-    // First pass adds 1, patched second pass adds 100.
-    static const char* kModes[] = {"reference", "fast", "superblock"};
-    EXPECT_EQ(s.regs[10], 101u)
-        << kModes[mode] << " dispatch executed stale decode after "
-        << "self-modifying store";
-  }
+  const FinalState ref = expect_modes_agree(prog, prog.entry(),
+                                            prog.base() + prog.size_bytes());
+  ASSERT_EQ(ref.reason, sim::HaltReason::kEcall);
+  // First pass adds 1, patched second pass adds 100 (and the other modes
+  // agree with the reference).
+  EXPECT_EQ(ref.regs[10], 101u)
+      << "dispatch executed stale decode after self-modifying store";
 }
 
 TEST(DispatchDiff, SelfModifyingStoreIntoHotLoopBody) {
@@ -276,11 +315,10 @@ TEST(DispatchDiff, SelfModifyingStoreIntoHotLoopBody) {
 
   // Iteration 1 adds 1 and patches; iterations 2..30 add 100 each.
   constexpr u32 kExpected = 1 + 29 * 100;
-  const auto ref = run_mode(prog, sim::CoreConfig::extended(), true);
+  const FinalState ref = expect_modes_agree(prog, prog.entry(),
+                                            prog.base() + prog.size_bytes());
   ASSERT_EQ(ref.reason, sim::HaltReason::kEcall);
   ASSERT_EQ(ref.regs[10], kExpected);
-  expect_identical(ref, run_mode(prog, sim::CoreConfig::extended(), false));
-  expect_identical(ref, run_mode_superblock(prog, sim::CoreConfig::extended()));
 
   // The superblock engine must actually have been hit by the store: the
   // hot hwloop compiles, and the self-modifying store evicts the plan.
@@ -320,9 +358,10 @@ TEST(DispatchDiff, DecodeCacheGrowthCoversWidePrograms) {
 TEST(DispatchDiff, RandomProgramsAtHighCodeBase) {
   // The decode cache spans the program, not [0, code_end): random programs
   // placed high in the TCDM, above their data, pre-sized and grow-only.
+  ProgramGen gen(0x41b5, Tier::kXpulpNN);
   for (u64 trial = 0; trial < 6; ++trial) {
     const addr_t base = 0x30000 + static_cast<addr_t>(trial) * 0x2a04;
-    const xasm::Program prog = random_program(0x41b5 + trial * 389, base);
+    const xasm::Program prog = gen.next(base);
     for (const addr_t code_end : {base + prog.size_bytes(), addr_t{0}}) {
       const FinalState ref = expect_modes_agree(prog, prog.entry(), code_end);
       ASSERT_EQ(ref.reason, sim::HaltReason::kEcall) << "trial " << trial;

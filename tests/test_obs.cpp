@@ -335,6 +335,7 @@ TEST(Profiler, ReconcilesOnConvKernelBothDispatchPaths) {
   for (const bool reference : {false, true}) {
     auto cfg = sim::CoreConfig::extended();
     cfg.reference_dispatch = reference;
+    cfg.superblock = false;
     std::optional<Profiler> prof;
     const auto res = run_profiled(data, cfg, prof);
 

@@ -33,8 +33,10 @@ void expect_consistent(const sim::PerfCounters& p, const std::string& what) {
   EXPECT_EQ(p.instructions, sim::perf_class_ops(p)) << what;
 }
 
+/// The reference interpreter or the plain fast path (superblock off).
 sim::CoreConfig with_dispatch(sim::CoreConfig cfg, bool reference) {
   cfg.reference_dispatch = reference;
+  cfg.superblock = false;
   return cfg;
 }
 

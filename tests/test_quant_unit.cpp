@@ -349,9 +349,10 @@ TEST(QuantUnit, MisalignedTreeStallAttribution) {
 TEST(QuantUnit, MisalignedQntIdenticalAcrossDispatchPaths) {
   // The attribution must agree between the predecoded fast path, the
   // traced fast path and the legacy reference dispatch.
-  const auto fast = run_misaligned_qnt(sim::CoreConfig::extended());
-  const auto traced =
-      run_misaligned_qnt(sim::CoreConfig::extended(), /*traced=*/true);
+  sim::CoreConfig fast_cfg = sim::CoreConfig::extended();
+  fast_cfg.superblock = false;
+  const auto fast = run_misaligned_qnt(fast_cfg);
+  const auto traced = run_misaligned_qnt(fast_cfg, /*traced=*/true);
   sim::CoreConfig ref_cfg = sim::CoreConfig::extended();
   ref_cfg.reference_dispatch = true;
   const auto ref = run_misaligned_qnt(ref_cfg);

@@ -96,9 +96,14 @@ TEST(Superblock, StatsCountFusedExecution) {
   EXPECT_EQ(stats.smc_bails, 0u);
   EXPECT_EQ(stats.trap_bails, 0u);
 
-  // And the fused run is bit-identical to both interpreter modes.
-  expect_identical(run_prog(prog, true, false), sb);
-  expect_identical(run_prog(prog, false, false), sb);
+  // And the fused run is bit-identical to both interpreter modes, which
+  // fuse nothing.
+  const FinalState ref = run_prog(prog, true, false);
+  const FinalState fast = run_prog(prog, false, false);
+  expect_identical(ref, sb);
+  expect_identical(fast, sb);
+  EXPECT_EQ(ref.sb.fused_instructions, 0u);
+  EXPECT_EQ(fast.sb.fused_instructions, 0u);
 }
 
 TEST(Superblock, InstructionLimitSweepIsBoundaryExact) {
@@ -134,7 +139,10 @@ TEST(Superblock, BudgetEndingOnTheEcallReportsEcall) {
   for (const auto& [reference, superblock] :
        {std::pair{true, false}, std::pair{false, false},
         std::pair{false, true}}) {
-    expect_identical(full, run_prog(prog, reference, superblock, nullptr, total));
+    const FinalState whole =
+        run_prog(prog, reference, superblock, nullptr, total);
+    expect_identical(full, whole);
+    EXPECT_EQ(whole.sb.fused_instructions > 0, superblock);
     const FinalState short_of = run_prog(prog, reference, superblock, nullptr,
                                          total - 1);
     EXPECT_EQ(short_of.reason, sim::HaltReason::kInstrLimit);

@@ -59,7 +59,7 @@ struct Args {
   unsigned bits = 4;
   ConvVariant variant = ConvVariant::kXpulpNN_HwQ;
   bool ri5cy_core = false;
-  std::string mode = "fast";  // reference | fast | superblock
+  std::string mode = "superblock";  // reference | fast | superblock
   bool hwloops = true;
   bool small = false;
   bool check = true;
@@ -85,7 +85,7 @@ void usage() {
       "(default 4)\n"
       "  --variant V        8b | sub | subshf | swq | hwq (default hwq)\n"
       "  --core C           ri5cy | xpulpnn (default xpulpnn)\n"
-      "  --mode M           reference | fast | superblock (default fast)\n"
+      "  --mode M           reference | fast | superblock (default superblock)\n"
       "  --no-hwloops       generate without hardware loops\n"
       "  --interval N       sample interval in cycles (default 4096)\n"
       "  --top N            mnemonic and hotspot rows to print (default 10)\n"
