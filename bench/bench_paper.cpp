@@ -7,10 +7,18 @@
 // with its checksum, every profiled run's regions with its cycles, and a
 // failure names its run and exits non-zero.
 //
+// Then the extensions beyond the paper, each golden-checked too: the
+// mixed-precision mpc formats (Ottavi et al., arXiv 2010.04073; a run that
+// leaks into another format or runs over 1.05x the uniform kernel at its
+// activation width fails), the paper layer on a 1-16 core cluster
+// (PULP-NN, arXiv 1908.11263) and uDMA weight streaming.
+//
 // Writes BENCH_paper.json: modelled numbers only (no host time), so the
 // file is deterministic. The bench_paper_pinned test compares a fresh copy
 // byte for byte with the one committed at the repo root.
 #include "bench_util.hpp"
+#include "cluster/parallel_conv.hpp"
+#include "soc/streamed_conv.hpp"
 
 using namespace xpulp;
 using namespace xpulp::bench;
@@ -43,6 +51,13 @@ const Ablation kAblations[] = {
     {"neither", "branch_loop_2x1", {false, 1}},
 };
 
+/// The mixed-precision formats (mpc selectors 0-2): activation x weight
+/// bits.
+struct MixedFormat {
+  unsigned in, w;
+};
+constexpr MixedFormat kMixed[] = {{8, 4}, {8, 2}, {4, 2}};
+
 std::string bkey(unsigned bits) { return std::to_string(bits) + "b"; }
 unsigned long long ull(u64 v) { return v; }
 double pct_over(double a, double b) { return (a / b - 1) * 100; }
@@ -72,6 +87,9 @@ void run_matrix(PaperRuns& runs) {
   }
   runs.conv(4, V::kXpulpV2_SubShf, kBase);
   for (const auto& cfg : {kBase, kNopm, kExt}) runs.gp(cfg);
+  for (const MixedFormat m : kMixed) {
+    runs.conv(paper_layer(m.in, m.w), V::kXpulpNN_Mixed, kExt, {}, true);
+  }
 }
 
 /// Print the matrix, check every run and publish its modelled fields under
@@ -413,6 +431,145 @@ void ablations(PaperRuns& runs, obs::Registry& reg) {
                   pct_over(p_np.power_mw, p_pm.power_mw)));
 }
 
+/// Each mixed format against the uniform kernel at its activation width:
+/// the mixed dots pace on activation words, so a mixed layer should cost
+/// about what the uniform one does while reading 2-4x fewer weight bytes.
+/// Returns false if a run's dots leaked into another format or it ran
+/// over 1.05x the uniform kernel's cycles.
+bool mixed(PaperRuns& runs, obs::Registry& reg) {
+  print_header("Mixed precision -- mpc formats vs the uniform kernel");
+  std::printf("\n%8s %12s %9s %12s %9s %s\n", "format", "cycles", "MAC/cyc",
+              "uniform cyc", "ratio", "mixed_dotp_ops [8x4, 8x2, 4x2]");
+  bool all_ok = true;
+  for (const MixedFormat m : kMixed) {
+    const auto& r = runs.conv(paper_layer(m.in, m.w), V::kXpulpNN_Mixed, kExt);
+    const auto& u = runs.conv(m.in, ext_kernel(m.in), kExt);
+    const std::string key =
+        "mixed." + std::to_string(m.in) + "x" + std::to_string(m.w);
+    const u32 sel = kernels::mixed_sel_for(m.in, m.w);
+    const auto& ops = r.perf.mixed_dotp_ops;
+    u64 total = 0;
+    reg.counter(key + ".sel", sel);
+    for (unsigned s = 0; s < isa::kMpcSelCount; ++s) {
+      reg.counter(key + ".mixed_dotp_ops." + std::to_string(s), ops[s]);
+      total += ops[s];
+    }
+    const bool pure = total > 0 && total == ops[sel];
+    reg.flag(key + ".format_pure", pure);
+    const double vs = pin(reg, key + ".cycles_vs_uniform",
+                          ratio(r.cycles, u.cycles));
+    const char* fault = !pure      ? "format impure"
+                        : vs > 1.05 ? "over 1.05x the uniform kernel"
+                                    : nullptr;
+    std::printf("%5ux%-2u %12llu %9.2f %12llu %8.2fx [%llu, %llu, %llu] %s\n",
+                m.in, m.w, ull(r.cycles), r.macs_per_cycle(), ull(u.cycles),
+                vs, ull(ops[0]), ull(ops[1]), ull(ops[2]),
+                fault ? "FAIL" : "ok");
+    if (fault) std::fprintf(stderr, "bench_paper: %s %s\n", key.c_str(), fault);
+    all_ok = all_ok && !fault;
+  }
+  return all_ok;
+}
+
+/// The paper layer row-partitioned over 1-16 extended cores on a shared
+/// banked TCDM (burst scheduling, bit-identical to the reference
+/// scheduler). Returns false if an output differs from the golden model.
+bool cluster_scaling(obs::Registry& reg) {
+  print_header("Cluster scaling -- XpulpNN cores on a shared banked TCDM");
+  bool all_ok = true;
+  for (unsigned b : kWidths) {
+    const auto data =
+        kernels::ConvLayerData::random(qnn::ConvSpec::paper_layer(b), kSeed);
+    const auto gold = data.golden();
+    std::printf("\n%u-bit kernel:\n%7s %12s %9s %9s %11s %14s %7s\n", b,
+                "cores", "makespan", "speedup", "MAC/cyc", "conflicts",
+                "conflict-rate", "check");
+    cycles_t single = 0;
+    for (const int n : {1, 2, 4, 8, 16}) {
+      cluster::ClusterConfig cfg;
+      cfg.num_cores = n;
+      cfg.scheduler = cluster::SchedulerMode::kBurst;
+      const auto res = cluster::run_parallel_conv(data, ext_kernel(b), cfg);
+      const cluster::ClusterStats& s = res.stats;
+      if (n == 1) single = s.makespan;
+      const bool ok = res.output == gold;
+      const std::string key =
+          "cluster.b" + std::to_string(b) + ".c" + std::to_string(n);
+      if (!ok) std::fprintf(stderr, "bench_paper: %s golden-output\n",
+                            key.c_str());
+      all_ok = all_ok && ok;
+      reg.counter(key + ".makespan", s.makespan);
+      reg.counter(key + ".bank_conflicts", s.bank_conflicts);
+      std::printf("%7d %12llu %8.2fx %9.2f %11llu %13.2f%% %7s\n", n,
+                  ull(s.makespan),
+                  pin(reg, key + ".speedup_vs_1core",
+                      ratio(single, s.makespan)),
+                  pin(reg, key + ".macs_per_cycle", res.macs_per_cycle()),
+                  ull(s.bank_conflicts),
+                  pin(reg, key + ".conflict_rate_pct", 100 * s.conflict_rate()),
+                  okstr(ok));
+    }
+  }
+  std::printf("\n(PULP-NN reports near-linear scaling on 8-core clusters;\n");
+  std::printf(" conflicts stay low because the TCDM has 2 banks per core.)\n");
+  return all_ok;
+}
+
+/// 4-bit layers whose weights stay in L2 and stream into TCDM ping-pong
+/// tiles, serial and double-buffered. Returns false if an output differs
+/// from the golden model.
+bool streaming(obs::Registry& reg) {
+  print_header("uDMA weight streaming -- serial vs double-buffered tiles");
+  struct Case {
+    const char* key;
+    const char* name;
+    qnn::ConvSpec spec;
+    int tile;
+    u32 dma_bytes_per_cycle;
+  };
+  // The compute-bound paper layer, then a DMA-bound fully-connected layer
+  // (few MACs per weight byte): the classic double-buffering win.
+  const Case cases[] = {
+      {"conv4b_t8_dma4", "4-bit conv 16x16x32 -> 64ch",
+       qnn::ConvSpec::paper_layer(4), 8, 4},
+      {"fc4b_t32_dma1", "4-bit FC 1024 -> 128",
+       qnn::ConvSpec::linear(1024, 128, 4), 32, 1},
+      {"fc4b_t32_dma4", "4-bit FC 1024 -> 128",
+       qnn::ConvSpec::linear(1024, 128, 4), 32, 4},
+  };
+  bool all_ok = true;
+  for (const Case& c : cases) {
+    const auto data = kernels::ConvLayerData::random(c.spec, kSeed);
+    const auto gold = data.golden();
+    std::printf("\n%s (tile = %d channels, DMA %u B/cycle):\n", c.name, c.tile,
+                c.dma_bytes_per_cycle);
+    std::printf("%14s %12s %12s %12s %10s %7s\n", "scheme", "compute", "dma",
+                "makespan", "hidden", "check");
+    for (const bool dbuf : {false, true}) {
+      const auto res = soc::run_conv_streamed(
+          data, V::kXpulpNN_HwQ, kExt, c.tile, dbuf, c.dma_bytes_per_cycle);
+      const bool ok = res.output == gold;
+      const std::string key = std::string("streaming.") + c.key +
+                              (dbuf ? ".double_buffer" : ".serial");
+      if (!ok) std::fprintf(stderr, "bench_paper: %s golden-output\n",
+                            key.c_str());
+      all_ok = all_ok && ok;
+      reg.counter(key + ".compute_cycles", res.compute_cycles);
+      reg.counter(key + ".dma_cycles", res.dma_cycles);
+      reg.counter(key + ".makespan", res.makespan);
+      const double hidden = 100 * res.overlap_efficiency();
+      if (dbuf) reg.gauge(key + ".hidden_pct", hidden);
+      std::printf("%14s %12llu %12llu %12llu %9.1f%% %7s\n",
+                  dbuf ? "double-buffer" : "serial", ull(res.compute_cycles),
+                  ull(res.dma_cycles), ull(res.makespan), hidden, okstr(ok));
+    }
+  }
+  std::printf("\n(weights stay in L2; the TCDM holds only the ping-pong "
+              "tile\n buffers, so layers larger than the 512 kB L1 stay "
+              "runnable.)\n");
+  return all_ok;
+}
+
 }  // namespace
 
 int main() {
@@ -426,8 +583,13 @@ int main() {
   fig7(runs, reg);
   fig8_fig9(runs, reg);
   ablations(runs, reg);
-  std::printf("\n%zu configurations, each run once; all outputs bit-exact vs "
-              "golden model: %s\n", runs.all().size(), okstr(ok));
+  const bool mixed_ok = mixed(runs, reg);
+  const bool cluster_ok = cluster_scaling(reg);
+  const bool streaming_ok = streaming(reg);
+  const bool all_ok = ok && mixed_ok && cluster_ok && streaming_ok;
+  std::printf("\n%zu configurations, each run once, plus the cluster and "
+              "streaming runs; all outputs bit-exact vs golden model: %s\n",
+              runs.all().size(), okstr(all_ok));
   if (!save_bench_json(reg, "BENCH_paper.json")) return 1;
-  return ok ? 0 : 1;
+  return all_ok ? 0 : 1;
 }

@@ -2,6 +2,7 @@
 // paper's convolution layer (16x16x32 input, 64 3x3x32 filters) on a
 // platform, golden-check its output and collect cycles + power +
 // efficiency. PaperRuns simulates each configuration at most once.
+// interleave() is the one host-time measurement of bench_host.
 #pragma once
 
 #include <time.h>
@@ -9,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -42,6 +44,61 @@ inline double median(std::vector<double> v) {
 
 inline double ratio(u64 a, u64 b) {
   return static_cast<double>(a) / static_cast<double>(b);
+}
+
+/// One leg of an interleaved host-time measurement.
+struct Leg {
+  std::function<void()> setup;  // untimed, before every repetition; optional
+  std::function<u64()> run;     // timed; returns its work (instructions, 1)
+};
+
+/// A leg's medians over the counted rounds.
+struct LegTiming {
+  double rate = 0;     // work per thread-CPU second
+  double seconds = 0;  // seconds per repetition
+  /// Rate over leg 0's rate in the same round: a round slowed by host
+  /// contention skews one pair, not the median.
+  double ratio = 0;
+};
+
+/// Time `legs` in `rounds` alternating rounds of thread CPU time (time the
+/// host spends on other processes does not count). In every round each
+/// leg runs one uncounted warm-up repetition, then repetitions until
+/// `round_seconds` are counted (at least one). Alternating rounds cancel
+/// slow host drift; the medians discard noisy rounds for every leg alike.
+inline std::vector<LegTiming> interleave(const std::vector<Leg>& legs,
+                                         int rounds, double round_seconds) {
+  const auto rep = [](const Leg& leg, double& seconds) {
+    if (leg.setup) leg.setup();
+    const double t0 = thread_seconds();
+    const u64 work = leg.run();
+    seconds += thread_seconds() - t0;
+    return work;
+  };
+  std::vector<LegTiming> out(legs.size());
+  std::vector<std::vector<double>> rates(legs.size()), secs(legs.size()),
+      ratios(legs.size());
+  for (int r = 0; r < rounds; ++r) {
+    for (size_t i = 0; i < legs.size(); ++i) {
+      double warm = 0, seconds = 0;
+      rep(legs[i], warm);
+      u64 work = 0;
+      int reps = 0;
+      do {
+        work += rep(legs[i], seconds);
+        ++reps;
+      } while (seconds < round_seconds);
+      rates[i].push_back(static_cast<double>(work) / seconds);
+      secs[i].push_back(seconds / reps);
+      ratios[i].push_back(rates[i].back() / rates[0].back());
+    }
+  }
+  for (size_t i = 0; i < legs.size(); ++i) {
+    out[i].rate = median(rates[i]);
+    out[i].seconds = median(secs[i]);
+    out[i].ratio = median(ratios[i]);
+  }
+  return out;
 }
 
 struct PlatformResult {
@@ -108,14 +165,15 @@ inline PlatformResult run_riscv(const kernels::ConvLayerData& data,
   return r;
 }
 
-/// Run the paper layer at `bits` on a RISC-V core.
-inline PlatformResult run_riscv(unsigned bits, kernels::ConvVariant v,
-                                const sim::CoreConfig& cfg,
-                                const kernels::ConvGenOptions& opts = {},
-                                bool profile = false) {
-  return run_riscv(
-      kernels::ConvLayerData::random(qnn::ConvSpec::paper_layer(bits), kSeed),
-      v, cfg, opts, profile);
+/// The paper layer with `in_bits` activations and `w_bits` weights; a
+/// mixed pair keeps 8-bit (shift/clip) outputs.
+inline qnn::ConvSpec paper_layer(unsigned in_bits, unsigned w_bits) {
+  qnn::ConvSpec s = qnn::ConvSpec::paper_layer(in_bits);
+  if (w_bits != in_bits) {
+    s.w_bits = w_bits;
+    s.out_bits = 8;
+  }
+  return s;
 }
 
 /// Run the paper layer on the ARM Cortex-M models with datasheet power.
@@ -176,15 +234,28 @@ class PaperRuns {
  public:
   using Entry = std::pair<std::string, PlatformResult>;
 
+  /// `spec` with the bench seed's data; its widths name it "8b" when
+  /// uniform, "8x4" when the weights are narrower.
+  const PlatformResult& conv(const qnn::ConvSpec& spec, kernels::ConvVariant v,
+                             const sim::CoreConfig& cfg,
+                             const kernels::ConvGenOptions& o = {},
+                             bool profile = false) {
+    const std::string width =
+        std::to_string(spec.in_bits) +
+        (spec.w_bits == spec.in_bits ? "b" : "x" + std::to_string(spec.w_bits));
+    const std::string id = cfg.name + "." + kernels::variant_name(v) + "." +
+                           width + (o.use_hwloops ? "" : "_branch_loop") +
+                           (o.pixel_block == 1 ? "_2x1" : "");
+    return get(id, [&] {
+      return run_riscv(kernels::ConvLayerData::random(spec, kSeed), v, cfg, o,
+                       profile);
+    });
+  }
   const PlatformResult& conv(unsigned bits, kernels::ConvVariant v,
                              const sim::CoreConfig& cfg,
                              const kernels::ConvGenOptions& o = {},
                              bool profile = false) {
-    const std::string id = cfg.name + "." + kernels::variant_name(v) + "." +
-                           std::to_string(bits) + "b" +
-                           (o.use_hwloops ? "" : "_branch_loop") +
-                           (o.pixel_block == 1 ? "_2x1" : "");
-    return get(id, [&] { return run_riscv(bits, v, cfg, o, profile); });
+    return conv(qnn::ConvSpec::paper_layer(bits), v, cfg, o, profile);
   }
   const PlatformResult& arm(unsigned bits, armv7e::ArmModel m) {
     const char* plat = m == armv7e::ArmModel::kCortexM4 ? "stm32l4" : "stm32h7";
@@ -217,21 +288,6 @@ inline void print_header(const char* title) {
 }
 
 inline const char* okstr(bool ok) { return ok ? "ok" : "MISMATCH"; }
-
-/// Publish a platform result under `prefix` in the metrics registry, so
-/// benches can emit their tables as Registry JSON instead of hand-rolled
-/// string building.
-inline void add_platform_result(obs::Registry& reg, const std::string& prefix,
-                                const PlatformResult& r) {
-  reg.text(prefix + ".platform", r.platform);
-  reg.counter(prefix + ".bits", r.bits);
-  reg.counter(prefix + ".cycles", r.cycles);
-  reg.counter(prefix + ".macs", r.macs);
-  reg.counter(prefix + ".quant_cycles", r.quant_cycles);
-  reg.counter(prefix + ".qnt_stall_cycles", r.perf.qnt_stall_cycles);
-  reg.gauge(prefix + ".macs_per_cycle", r.macs_per_cycle());
-  reg.flag(prefix + ".output_ok", r.output_ok);
-}
 
 /// Save the registry next to the working directory and report the path.
 inline bool save_bench_json(const obs::Registry& reg, const char* path) {

@@ -59,12 +59,6 @@ step "qnnbench: benchmark self-test" python3 qnnbench/selftest.py
 step "xlint: encoding-space audit + kernel sweep" \
   ./build/tools/xlint --audit --kernels
 
-# Every mpc operand format bit-exact vs golden, counter breakdown pure,
-# cycles pinned to the uniform kernel at the activation width; writes
-# BENCH_mixed.json (gated on all_ok via the exit status).
-step "mixed-precision smoke (virtual-SIMD layers vs golden)" \
-  ./build/bench/bench_mixed_precision
-
 step "xrace: static race sweep" \
   ./build/tools/xrace --static --kernels --json /tmp/xrace-static.json
 step "xrace: shadow-validated parallel conv" \
@@ -81,17 +75,15 @@ step "cluster: burst scheduler differential (2 + 8 cores)" \
   ./build/tests/test_cluster_sched \
   --gtest_filter='*/b8_c2:*/b8_c8:*/b4_c2:*/b4_c8:*/b2_c8:BurstSchedDiff.Budget*:BurstSchedDiff.Sampled*'
 
-cluster_bench_step() {
+# Every host number against the committed BENCH_host.json; bench_host
+# names the section, row and field of a failed gate.
+host_bench_step() {
   cmake --preset release-bench
-  cmake --build --preset release-bench -j "$(nproc)" \
-    --target bench_cluster_scaling
-  local floor
-  floor=$(python3 -c "import json; print(0.5 * json.load(open('BENCH_cluster.json'))['speedup_8core'])")
-  (cd /tmp && "$OLDPWD"/build-bench/bench/bench_cluster_scaling \
-    --min-speedup "$floor")
+  cmake --build --preset release-bench -j "$(nproc)" --target bench_host
+  (cd /tmp && "$OLDPWD"/build-bench/bench/bench_host \
+    --baseline "$OLDPWD"/BENCH_host.json)
 }
-step "cluster: burst speedup floor (half committed baseline)" \
-  cluster_bench_step
+step "bench gates: host numbers vs committed BENCH_host.json" host_bench_step
 
 step "xfault: seeded fault campaign (gated)" \
   ./build/tools/xfault --small --inject 100 --seed 2026 \

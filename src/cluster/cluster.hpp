@@ -285,11 +285,10 @@ class Cluster {
   /// installed (call end_run() to clean up).
   u64 run_steps(u64 n);
 
-  /// Select the scheduling policy for subsequent run()/run_steps() calls.
+  /// The scheduling policy of run()/run_steps() (ClusterConfig::scheduler).
   /// Burst scheduling silently demotes to reference when the loaded
   /// programs read the cycle CSR, a core has a trace hook, or memory has
   /// a contention injector (see ClusterBurstStats::fallback_runs).
-  void set_scheduler(SchedulerMode m) { cfg_.scheduler = m; }
   SchedulerMode scheduler() const { return cfg_.scheduler; }
 
   const ClusterBurstStats& burst_stats() const { return burst_stats_; }

@@ -15,7 +15,7 @@
 //
 // A core with no sampler attached pays nothing: the detached run loops
 // are compiled without the deadline compare (see Core::set_sampler docs;
-// guarded by bench_sim_throughput --guard-sampler).
+// guarded by bench_host's sampler section).
 #pragma once
 
 #include <ostream>

@@ -70,7 +70,6 @@ void Core::reset(addr_t pc, addr_t code_end) {
   halt_ = HaltReason::kRunning;
   mpc_ = 0;
   icache_base_ = pc & ~addr_t{1};
-  decode_gen_ += 1;
   sb_clear();
   sb_stats_ = SuperblockStats{};
   // Pre-size the decode cache to the program's span so the run loop never
@@ -157,7 +156,6 @@ void Core::require(bool cond, const Instr& in) {
 
 void Core::invalidate_decode_cache() {
   std::fill(icache_valid_.begin(), icache_valid_.end(), 0);
-  decode_gen_ += 1;
   sb_stats_.invalidations += sb_plans_.size();
   sb_clear();
 }

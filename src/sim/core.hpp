@@ -341,9 +341,9 @@ class Core {
   /// sample series. Unlike the trace hook it does not keep the superblock
   /// engine cold. Detached cost contract: run() dispatches to a loop
   /// without the deadline compare, so no-sampler runs are bit-identical in
-  /// host cost to a build without the hook (guarded by
-  /// bench_sim_throughput --guard-sampler). Attach/detach only at an
-  /// instruction boundary outside run().
+  /// host cost to a build without the hook (guarded by bench_host's
+  /// sampler section). Attach/detach only at an instruction boundary
+  /// outside run().
   using SampleFn = std::function<void()>;
   void set_sampler(SampleFn fn, cycles_t interval_cycles);
   bool has_sampler() const { return static_cast<bool>(sampler_); }
@@ -402,7 +402,6 @@ class Core {
   void set_pre_run_gate(PreRunGate g) { pre_run_gate_ = std::move(g); }
 
   const SuperblockStats& superblock_stats() const { return sb_stats_; }
-  void reset_superblock_stats() { sb_stats_ = SuperblockStats{}; }
 
   // ---- Snapshot/restore (src/ckpt) ----
 
@@ -416,12 +415,8 @@ class Core {
   void restore_state(const CoreState& s);
 
   /// Drop every cached decode (host-side corruption of instruction memory,
-  /// memory restore). Bumps the decode generation.
+  /// memory restore).
   void invalidate_decode_cache();
-
-  /// Number of whole-cache invalidations (reset/restore/host pokes) this
-  /// core has seen — diagnostic for checkpoint/fault reports.
-  u64 decode_generation() const { return decode_gen_; }
 
   /// Parcels (2-byte slots) the decode cache currently spans: the code
   /// the core has fetched or was reset over, plus growth slack.
@@ -660,7 +655,6 @@ class Core {
   std::vector<isa::Instr> icache_;
   std::vector<u8> icache_valid_;
   addr_t icache_base_ = 0;
-  u64 decode_gen_ = 0;
 
   // ---- Superblock engine state (host-side, never serialized) ----
   static constexpr addr_t kNoSbCandidate = ~addr_t{0};

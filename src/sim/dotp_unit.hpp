@@ -111,7 +111,6 @@ class DotpUnit {
   }
 
   const DotpActivity& activity() const { return activity_; }
-  void reset_activity() { activity_ = DotpActivity{}; }
 
   // Superblock burst support: the fused loop keeps one region's operand
   // latches in host registers for a whole burst and batch-applies the
@@ -135,7 +134,6 @@ class DotpUnit {
     last_b_ = s.last_b;
   }
   bool clock_gating() const { return clock_gating_; }
-  void set_clock_gating(bool on) { clock_gating_ = on; }
 
  private:
   void track(DotpRegion region, u32 a, u32 b);

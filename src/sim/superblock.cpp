@@ -182,16 +182,16 @@ inline i32 host_dot(u32 a, u32 b, u32 sum, bool sa, bool sb) {
 }
 
 /// Pair sums of lane products of two sub-byte operands expanded to bytes,
-/// as eight s16 lanes: pmaddubsw with the operands arranged so its first
-/// (unsigned) one is non-negative — for two signed operands via
-/// |a| * (b with a's sign). Sub-byte products are small enough that its
-/// s16 saturation is unreachable.
+/// as eight s16 lanes: pmaddubsw, whose first (unsigned) operand is `a`
+/// unless both are signed, then |a| * (b with a's sign). Sub-byte products
+/// are small enough that its s16 saturation is unreachable. No dot product
+/// has signed activations with unsigned weights (matches_conv_inner
+/// rejects them).
 template <bool SA, bool SB>
 inline __m128i madd_bytes(__m128i a, __m128i b) {
+  static_assert(SB || !SA, "signed x unsigned dots take the generic loop");
   if constexpr (!SA) {
     return _mm_maddubs_epi16(a, b);
-  } else if constexpr (!SB) {
-    return _mm_maddubs_epi16(b, a);
   } else {
     return _mm_maddubs_epi16(_mm_abs_epi8(a), _mm_sign_epi8(b, a));
   }
@@ -288,13 +288,12 @@ template <unsigned WA, unsigned WB>
   switch (sign) {
     case 0: return conv_block<WA, WB, false, false>(x0, x1, w0, w1);
     case 1: return conv_block<WA, WB, false, true>(x0, x1, w0, w1);
-    case 2: return conv_block<WA, WB, true, false>(x0, x1, w0, w1);
     default: return conv_block<WA, WB, true, true>(x0, x1, w0, w1);
   }
 }
 
-/// conv_block for lane widths `l` and signedness `sign` (2*sa + sb),
-/// dispatched inline: a call through a table of the 24 instantiations
+/// conv_block for lane widths `l` and signedness `sign` (2*sa + sb: 0, 1
+/// or 3), dispatched inline: a call through a table of the instantiations
 /// measured ~5% slower on byte and nibble bodies.
 [[gnu::always_inline]] inline ConvDots conv_block(ConvLanes l, unsigned sign,
                                                   u32 x0, u32 x1, u32 w0,
@@ -309,16 +308,8 @@ template <unsigned WA, unsigned WB>
   }
 }
 
-/// Recognize the 2x2-blocked MatMul inner body (SbShape::kConvInner):
-///   ops[0..3]  post-increment word loads (any registers, any order);
-///   ops[4..7]  four dot products of one uniform format (byte, nibble,
-///              crumb) or one baked mixed selector, over two rs1 words x
-///              two rs2 words, one accumulator each.
-/// The structural requirements are exactly what makes the batched
-/// macro-op handler equivalent to executing the four dots in sequence:
-/// identical format/sign flags, the 2x2 operand pattern, and destination
-/// registers that are distinct and never read as dot operands (loads need
-/// no constraints — the handler sequences them like the generic loop).
+}  // namespace
+
 bool matches_conv_inner(const SuperblockPlan& p) {
   if (!p.is_hwloop || p.ops.size() != 8) return false;
   for (size_t k = 0; k < 4; ++k) {
@@ -344,6 +335,9 @@ bool matches_conv_inner(const SuperblockPlan& p) {
     }
     if ((o.flags & kDotMask) != (d0.flags & kDotMask)) return false;
   }
+  if ((d0.flags & iflag::kDotSignedA) && !(d0.flags & iflag::kDotSignedB)) {
+    return false;  // no conv_block instantiation for signed x unsigned
+  }
   if (p.ops[4].rs1 != p.ops[6].rs1 || p.ops[5].rs1 != p.ops[7].rs1) {
     return false;
   }
@@ -360,6 +354,8 @@ bool matches_conv_inner(const SuperblockPlan& p) {
   }
   return true;
 }
+
+namespace {
 
 /// Recognize the im2col copy body (SbShape::kCopyWords): `p.lw rX, a(rS!)`
 /// then `p.sw rX, b(rD!)`, word accesses with word-multiple immediate

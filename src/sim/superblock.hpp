@@ -163,4 +163,18 @@ struct SuperblockPlan {
   std::vector<SuperblockPlan> inner;
 };
 
+/// Recognize the 2x2-blocked MatMul inner body (SbShape::kConvInner):
+///   ops[0..3]  post-increment word loads (any registers, any order);
+///   ops[4..7]  four dot products of one uniform format (byte, nibble,
+///              crumb) or one baked mixed selector, over two rs1 words x
+///              two rs2 words, one accumulator each, with unsigned or
+///              signed weights (no dot product has signed activations
+///              and unsigned weights; such a body takes the generic loop).
+/// The structural requirements are exactly what makes the batched
+/// macro-op handler equivalent to executing the four dots in sequence:
+/// identical format/sign flags, the 2x2 operand pattern, and destination
+/// registers that are distinct and never read as dot operands (loads need
+/// no constraints — the handler sequences them like the generic loop).
+bool matches_conv_inner(const SuperblockPlan& p);
+
 }  // namespace xpulp::sim

@@ -22,7 +22,6 @@ class Pulpissimo {
 
   mem::Memory& memory() { return *mem_; }
   sim::Core& core() { return *core_; }
-  const power::OperatingPoint& operating_point() const { return op_; }
 
   /// Load a program image and reset the core to its entry point.
   void load(const xasm::Program& prog) {

@@ -1,9 +1,9 @@
 // The bench_paper_pinned test: run bench_paper in a scratch directory, then
 //   1. compare its BENCH_paper.json byte for byte with the committed copy at
 //      the repo root, naming every key whose value moved;
-//   2. check every measured cell of EXPERIMENTS.md's paper sections and of
-//      README.md's "Reproduction highlights" against the committed file at
-//      the cell's printed precision.
+//   2. check every measured cell of EXPERIMENTS.md's paper and extension
+//      sections and of README.md's "Reproduction highlights" against the
+//      committed file at the cell's printed precision.
 // A failure in (1) means a modelled number moved: if that is intended,
 // copy the regenerated file over the committed one and name the model
 // change in CHANGES.md. A failure in (2) means a document and the file
@@ -20,50 +20,19 @@
 #include <string>
 #include <vector>
 
+#include "flat_json.hpp"
+
 namespace {
 
 namespace fs = std::filesystem;
+using xpulp::bench::flatten;
+using xpulp::bench::trim;
 
 std::string read_file(const fs::path& p) {
   std::ifstream f(p, std::ios::binary);
   std::stringstream ss;
   ss << f.rdbuf();
   return ss.str();
-}
-
-std::string trim(const std::string& s) {
-  const size_t b = s.find_first_not_of(" \t");
-  const size_t e = s.find_last_not_of(" \t\r");
-  return b == std::string::npos ? "" : s.substr(b, e - b + 1);
-}
-
-/// Flatten obs::Registry JSON (two-space indented, one key per line) into
-/// dotted paths -> value text.
-std::map<std::string, std::string> flatten(const std::string& json) {
-  std::map<std::string, std::string> out;
-  std::vector<std::string> path;
-  std::istringstream in(json);
-  for (std::string line; std::getline(in, line);) {
-    line = trim(line);
-    if (line.starts_with("}")) {
-      if (!path.empty()) path.pop_back();
-      continue;
-    }
-    if (!line.starts_with("\"")) continue;
-    const size_t q = line.find("\": ");
-    if (q == std::string::npos) continue;
-    const std::string name = line.substr(1, q - 1);
-    std::string value = line.substr(q + 3);
-    if (value == "{") {
-      path.push_back(name);
-      continue;
-    }
-    if (value.ends_with(",")) value.pop_back();
-    std::string key;
-    for (const auto& p : path) key += p + ".";
-    out[key + name] = value;
-  }
-  return out;
 }
 
 /// Report every key whose value differs between the two files, or that
@@ -104,15 +73,50 @@ int report_drift(const std::string& committed, const std::string& fresh) {
 /// Every cell of a pinned section's tables needs a pin, except in columns
 /// whose header starts with "paper" (the paper's own figures).
 struct Pin {
-  const char* row;
+  std::string row;
   int col;
-  const char* keys;
+  std::string keys;
 };
 
 struct Section {
   const char* heading;  // "## " heading prefix
   std::vector<Pin> pins;
 };
+
+/// The cluster table: one row per bit width and core count.
+std::vector<Pin> cluster_pins() {
+  std::vector<Pin> pins;
+  for (const std::string b : {"8", "4", "2"}) {
+    for (const std::string n : {"1", "2", "4", "8", "16"}) {
+      const std::string row =
+          b + "-bit, " + n + (n == "1" ? " core" : " cores");
+      const std::string key = "cluster.b" + b + ".c" + n + ".";
+      const char* fields[] = {"makespan", "speedup_vs_1core", "macs_per_cycle",
+                              "bank_conflicts", "conflict_rate_pct"};
+      for (int c = 0; c < 5; ++c) pins.push_back({row, c + 1, key + fields[c]});
+    }
+  }
+  return pins;
+}
+
+/// The streaming table: one row per layer, tile and DMA rate.
+std::vector<Pin> streaming_pins() {
+  const std::pair<const char*, const char*> rows[] = {
+      {"conv 16×16×32 → 64, 8-channel tiles, DMA 4 B/cycle", "conv4b_t8_dma4"},
+      {"FC 1024 → 128, 32-channel tiles, DMA 1 B/cycle", "fc4b_t32_dma1"},
+      {"FC 1024 → 128, 32-channel tiles, DMA 4 B/cycle", "fc4b_t32_dma4"},
+  };
+  std::vector<Pin> pins;
+  for (const auto& [row, name] : rows) {
+    const std::string key = std::string("streaming.") + name + ".";
+    pins.push_back({row, 1, key + "serial.compute_cycles"});
+    pins.push_back({row, 2, key + "serial.dma_cycles"});
+    pins.push_back({row, 3, key + "serial.makespan"});
+    pins.push_back({row, 4, key + "double_buffer.makespan"});
+    pins.push_back({row, 5, key + "double_buffer.hidden_pct"});
+  }
+  return pins;
+}
 
 const std::vector<Section>& experiments_sections() {
   static const std::vector<Section> s = {
@@ -221,6 +225,21 @@ const std::vector<Section>& experiments_sections() {
          "ablation.baseline_unpack_vs_xpulpnn.shuffle"},
         {"clock gating off (2-bit kernel)", 1,
          "ablation.nopm_soc_power_pct.2b"}}},
+      {"Mixed precision",
+       {{"8×4", 1, "runs.xpulpnn.xpulpnn-mixed.8x4.cycles/1e6"},
+        {"8×4", 2, "runs.xpulpnn.xpulpnn-mixed.8x4.macs_per_cycle"},
+        {"8×4", 3, "runs.xpulpnn.xpulpv2-8b.8b.cycles/1e6"},
+        {"8×4", 4, "mixed.8x4.cycles_vs_uniform"},
+        {"8×2", 1, "runs.xpulpnn.xpulpnn-mixed.8x2.cycles/1e6"},
+        {"8×2", 2, "runs.xpulpnn.xpulpnn-mixed.8x2.macs_per_cycle"},
+        {"8×2", 3, "runs.xpulpnn.xpulpv2-8b.8b.cycles/1e6"},
+        {"8×2", 4, "mixed.8x2.cycles_vs_uniform"},
+        {"4×2", 1, "runs.xpulpnn.xpulpnn-mixed.4x2.cycles/1e6"},
+        {"4×2", 2, "runs.xpulpnn.xpulpnn-mixed.4x2.macs_per_cycle"},
+        {"4×2", 3, "runs.xpulpnn.xpulpnn-hwquant.4b.cycles/1e6"},
+        {"4×2", 4, "mixed.4x2.cycles_vs_uniform"}}},
+      {"Cluster scaling", cluster_pins()},
+      {"µDMA weight streaming", streaming_pins()},
   };
   return s;
 }

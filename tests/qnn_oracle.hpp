@@ -2,7 +2,7 @@
 // (qnn::conv_accumulators, qnn::calibrate, qnn::requantize) replaced, kept
 // verbatim as its oracle: one accumulator per output element, a fresh
 // tap walk per element and std::sort quantiles. test_calibration checks
-// the golden pass against it bit for bit and bench_golden times the pass
+// the golden pass against it bit for bit and bench_host times the pass
 // against it. It shares no arithmetic with the pass or the simulator, so a
 // bug there cannot hide in both. The functions have internal linkage, so an
 // includer that leaves one unused gets a -Wunused-function warning.

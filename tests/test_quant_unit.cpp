@@ -29,7 +29,6 @@ TEST_P(QuantProperty, HardwareWalkEqualsLinearStaircase) {
   const unsigned q = GetParam();
   Rng rng(99 + q);
   mem::Memory mem(4096);
-  sim::QuantUnit unit;
   for (int trial = 0; trial < 200; ++trial) {
     const auto th = qnn::Thresholds::random(rng, q, -3000, 3000);
     write_tree(mem, 256, th);

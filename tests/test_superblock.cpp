@@ -17,11 +17,13 @@
 #include "common/rng.hpp"
 #include "diff_test_util.hpp"
 #include "isa/instruction.hpp"
+#include "isa/isa_table.hpp"
 #include "kernels/conv_layer.hpp"
 #include "mem/memory.hpp"
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
 #include "sim/core.hpp"
+#include "sim/superblock.hpp"
 #include "soc/streamed_conv.hpp"
 #include "xasm/assembler.hpp"
 
@@ -464,6 +466,58 @@ TEST(Superblock, ConvInnerShapeBitIdentical) {
     EXPECT_EQ(ref_act.ops, sb_act.ops) << c.name;
     if (::testing::Test::HasFailure()) FAIL() << c.name;
   }
+}
+
+TEST(Superblock, NoDotHasSignedActivationsWithUnsignedWeights) {
+  // The kConvInner macro-op has no signed x unsigned conv_block: no table
+  // entry may decode to that signedness, and a body that carries it (as a
+  // future mnemonic would) must fall to the generic op loop.
+  int dots = 0;
+  for (const isa::IsaTableEntry& e : isa::isa_table()) {
+    for (isa::Instr in : isa::canonical_samples(e)) {
+      isa::finalize_decode(in);
+      if (!isa::is_dotp(in.op)) continue;
+      ++dots;
+      EXPECT_FALSE(in.has(isa::iflag::kDotSignedA) &&
+                   !in.has(isa::iflag::kDotSignedB))
+          << isa::mnemonic_name(e.op) << isa::simd_fmt_suffix(e.fmt);
+    }
+  }
+  EXPECT_GT(dots, 0);
+
+  // A hand-built 2x2 body: four post-increment word loads, then four
+  // accumulating byte dots over (a0, a1) x (t0, t1) into a4..a7.
+  const auto body = [](u16 sign_flags) {
+    sim::SuperblockPlan p;
+    for (const u8 rd : {r::t0, r::t1, r::t2, r::t3}) {
+      sim::SbOp ld;
+      ld.kind = sim::SbKind::kMem;
+      ld.rd = rd;
+      ld.aux = 4;
+      ld.flags = isa::iflag::kMemPostInc;
+      p.ops.push_back(ld);
+    }
+    const u8 acts[] = {r::t2, r::t3, r::t2, r::t3};
+    const u8 wts[] = {r::t0, r::t0, r::t1, r::t1};
+    const u8 accs[] = {r::a4, r::a5, r::a6, r::a7};
+    for (size_t k = 0; k < 4; ++k) {
+      sim::SbOp dot;
+      dot.kind = sim::SbKind::kDotp;
+      dot.fmt = isa::SimdFmt::kB;
+      dot.rd = accs[k];
+      dot.rs1 = acts[k];
+      dot.rs2 = wts[k];
+      dot.flags = isa::iflag::kDotAccum | sign_flags;
+      p.ops.push_back(dot);
+    }
+    return p;
+  };
+  using isa::iflag::kDotSignedA;
+  using isa::iflag::kDotSignedB;
+  EXPECT_TRUE(sim::matches_conv_inner(body(0)));
+  EXPECT_TRUE(sim::matches_conv_inner(body(kDotSignedB)));
+  EXPECT_TRUE(sim::matches_conv_inner(body(kDotSignedA | kDotSignedB)));
+  EXPECT_FALSE(sim::matches_conv_inner(body(kDotSignedA)));
 }
 
 TEST(Superblock, MixedDotSweepBitIdentical) {
