@@ -15,6 +15,11 @@ using isa::Instr;
 using isa::Mnemonic;
 namespace iflag = isa::iflag;
 
+/// Reset rounds the decode cache's capacity up to a multiple of this many
+/// parcels: programs reset on one core in turn (streamed tiles) differ by
+/// a few parcels. Small, because every core of a cluster pays it in RSS.
+constexpr u32 kIcacheRound = 256;
+
 std::string perf_invariant_violation(const PerfCounters& p) {
   const auto diag = [](const char* what, u64 lhs, u64 rhs) {
     return std::string(what) + ": " + std::to_string(lhs) +
@@ -74,14 +79,23 @@ void Core::reset(addr_t pc, addr_t code_end) {
   sb_stats_ = SuperblockStats{};
   // Pre-size the decode cache to the program's span so the run loop never
   // pays a resize, and stores outside it cost a compare or two; without a
-  // span it starts empty, at the first fetch. Kept slots are not cleared:
-  // a slot is only read behind its valid bit.
+  // span it starts empty, at the first fetch. icache_valid_ bounds the
+  // span; icache_ only grows: a slot is read only behind its valid bit, so
+  // a core reset to a program of about the same size (the next streamed
+  // tile) neither reallocates nor re-initializes its slots. Its capacity
+  // is rounded up (kIcacheRound): the next tile's program may be a few
+  // parcels longer, and growing past an exact capacity would copy the
+  // cache.
   const u32 parcels =
       code_end > icache_base_ && icache_base_ < mem_.size()
           ? static_cast<u32>(
                 (std::min<u64>(code_end, mem_.size()) - icache_base_ + 1) >> 1)
           : 0;
-  icache_.resize(parcels);
+  if (icache_.size() < parcels) {
+    icache_.reserve((parcels + kIcacheRound - 1) / kIcacheRound *
+                    kIcacheRound);
+    icache_.resize(parcels);
+  }
   icache_valid_.assign(parcels, 0);
   if (pre_run_gate_ && code_end > pc) {
     pre_run_gate_(mem_, pc, code_end);
@@ -122,7 +136,7 @@ const Instr& Core::fetch_decode(addr_t pc) {
     const u32 cap = (mem_.size() - icache_base_ + 1) >> 1;
     const u32 new_size =
         std::min(std::max({4096u, parcels * 2, idx + 1}), cap);
-    icache_.resize(new_size);
+    if (icache_.size() < new_size) icache_.resize(new_size);
     icache_valid_.resize(new_size, 0);
   }
   icache_[idx] = isa::decode(raw, pc);

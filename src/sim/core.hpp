@@ -176,9 +176,12 @@ struct SuperblockStats {
   u64 nested_entries = 0;
   u64 entry_rejects = 0;     // guard failures at entry (interpreter ran)
   u64 fused_iterations = 0;  // whole loop iterations retired fused
-  /// Of fused_iterations, those retired by a whole-iteration macro-op
-  /// (SbShape::kConvInner) instead of the generic op loop.
+  /// Of fused_iterations, the 2x2 MatMul ones (SbShape::kConvInner)
+  /// retired in whole runs instead of the generic op loop.
   u64 macro_iterations = 0;
+  /// Hardware-loop runs of a macro-op shape (kConvInner, kCopyWords)
+  /// retired in one host loop, each after one check per access stream.
+  u64 whole_runs = 0;
   u64 fused_instructions = 0;
   u64 smc_bails = 0;   // self-modifying store hit the live block
   u64 trap_bails = 0;  // memory fault repaired to an exact boundary
@@ -210,6 +213,7 @@ constexpr void for_each_counter(F&& f, S&&... s) {
   f("entry_rejects", s.entry_rejects...);
   f("fused_iterations", s.fused_iterations...);
   f("macro_iterations", s.macro_iterations...);
+  f("whole_runs", s.whole_runs...);
   f("fused_instructions", s.fused_instructions...);
   f("smc_bails", s.smc_bails...);
   f("trap_bails", s.trap_bails...);

@@ -266,45 +266,112 @@ ConvDots conv_block(u32 x0, u32 x1, u32 w0, u32 w1) {
 }
 #endif  // XPULP_SB_HOST_SIMD
 
-/// Lane widths of a matched body's dots: uniform formats by element width,
-/// mixed ones by their baked mpc selector.
-enum class ConvLanes : u8 { k8, k4, k2, k8x4, k8x2, k4x2 };
+/// The bytes [lo, hi) that `k` word accesses at first, first + step, ...
+/// touch; `ok` when every one of them is aligned and inside `msize` bytes
+/// of memory. One such check per post-increment stream per run is what
+/// lets a whole run (kCopyWords, kConvInner) use raw host addresses.
+struct WordStream {
+  i64 lo, hi;
+  bool ok;
+};
 
-ConvLanes conv_lanes(const SbOp& d) {
+WordStream word_stream(i64 first, i64 step, u64 k, u32 msize) {
+  const i64 last = first + step * static_cast<i64>(k - 1);
+  const i64 lo = std::min(first, last);
+  const i64 hi = std::max(first, last) + 4;
+  return {lo, hi, ((first | step) & 3) == 0 && lo >= 0 && hi <= msize};
+}
+
+/// A whole run of kConvInner iterations, carried in locals: the four load
+/// streams in op order, the 2x2 operand block and its accumulators, and
+/// the LSU and dot latches.
+struct ConvRun {
+  const u8* mem;  // guest memory; every access of the run is in bounds
+  std::array<u32, 4> addr;  // next address of each load, in op order
+  std::array<u32, 4> step;  // and its advance per iteration
+  std::array<u8, 4> load;   // the load that fills each of x0, x1, w0, w1
+  std::array<u32, 4> v;     // x0, x1, w0, w1
+  std::array<u32, 4> acc;   // dots [x0.w0, x1.w0, x0.w1, x1.w1]
+  bool accumulate;
+  u32 lld;
+  u64 toggles;
+  u32 dla, dlb;
+  u64 dtog;
+};
+
+template <unsigned WA, unsigned WB, bool SA, bool SB>
+void conv_run(ConvRun& r, u64 k) {
+  const u8* const mem = r.mem;
+  const std::array<u32, 4> step = r.step;
+  const std::array<u8, 4> load = r.load;
+  const u32 keep = r.accumulate ? ~0u : 0u;
+  std::array<u32, 4> addr = r.addr;
+  std::array<u32, 4> v = r.v;
+  std::array<u32, 4> acc = r.acc;
+  u32 lld = r.lld, dla = r.dla, dlb = r.dlb;
+  u64 toggles = 0, dtog = 0;
+  for (u64 j = 0; j < k; ++j) {
+    std::array<u32, 4> l;
+    for (unsigned i = 0; i < 4; ++i) {
+      std::memcpy(&l[i], mem + addr[i], 4);
+      addr[i] += step[i];
+    }
+    toggles += hamming_distance(lld, l[0]) + hamming_distance(l[0], l[1]) +
+               hamming_distance(l[1], l[2]) + hamming_distance(l[2], l[3]);
+    lld = l[3];
+    // Each operand read as one word: a wider read spanning two of the
+    // stores to `l` would not be forwarded from them.
+    for (unsigned q = 0; q < 4; ++q) v[q] = l[load[q]];
+    const ConvDots d = conv_block<WA, WB, SA, SB>(v[0], v[1], v[2], v[3]);
+    for (unsigned q = 0; q < 4; ++q) {
+      acc[q] = (acc[q] & keep) + static_cast<u32>(d[q]);
+    }
+    // The dot-latch sequence x0,x1,x0,x1 / w0,w0,w1,w1 folds to four
+    // Hamming distances (two of the b-side steps are zero).
+    dtog += hamming_distance(dla, v[0]) + 3 * hamming_distance(v[0], v[1]) +
+            hamming_distance(dlb, v[2]) + hamming_distance(v[2], v[3]);
+    dla = v[1];
+    dlb = v[3];
+  }
+  r.addr = addr;
+  r.v = v;
+  r.acc = acc;
+  r.lld = lld;
+  r.toggles = toggles;
+  r.dla = dla;
+  r.dlb = dlb;
+  r.dtog = dtog;
+}
+
+using ConvRunFn = void (*)(ConvRun&, u64);
+
+/// conv_run for lane widths WA x WB, by signedness 2*sa + sb (0, 1 or 3).
+template <unsigned WA, unsigned WB>
+ConvRunFn conv_run_signed(unsigned sign) {
+  switch (sign) {
+    case 0: return &conv_run<WA, WB, false, false>;
+    case 1: return &conv_run<WA, WB, false, true>;
+    default: return &conv_run<WA, WB, true, true>;
+  }
+}
+
+/// The conv_run instantiation of a matched body, chosen once per run:
+/// lane widths from the dot's format or baked mpc selector, then its
+/// signedness.
+ConvRunFn conv_run_for(const SbOp& d) {
+  const unsigned sign = (d.flags & iflag::kDotSignedA ? 2u : 0u) +
+                        (d.flags & iflag::kDotSignedB ? 1u : 0u);
   if (d.flags & iflag::kDotMixed) {
-    return static_cast<ConvLanes>(static_cast<unsigned>(ConvLanes::k8x4) +
-                                  static_cast<unsigned>(d.imm));
+    switch (d.imm) {
+      case 0: return conv_run_signed<8, 4>(sign);
+      case 1: return conv_run_signed<8, 2>(sign);
+      default: return conv_run_signed<4, 2>(sign);
+    }
   }
   switch (d.fmt) {
-    case isa::SimdFmt::kB: return ConvLanes::k8;
-    case isa::SimdFmt::kN: return ConvLanes::k4;
-    default: return ConvLanes::k2;
-  }
-}
-
-template <unsigned WA, unsigned WB>
-[[gnu::always_inline]] inline ConvDots conv_block(unsigned sign, u32 x0,
-                                                  u32 x1, u32 w0, u32 w1) {
-  switch (sign) {
-    case 0: return conv_block<WA, WB, false, false>(x0, x1, w0, w1);
-    case 1: return conv_block<WA, WB, false, true>(x0, x1, w0, w1);
-    default: return conv_block<WA, WB, true, true>(x0, x1, w0, w1);
-  }
-}
-
-/// conv_block for lane widths `l` and signedness `sign` (2*sa + sb: 0, 1
-/// or 3), dispatched inline: a call through a table of the instantiations
-/// measured ~5% slower on byte and nibble bodies.
-[[gnu::always_inline]] inline ConvDots conv_block(ConvLanes l, unsigned sign,
-                                                  u32 x0, u32 x1, u32 w0,
-                                                  u32 w1) {
-  switch (l) {
-    case ConvLanes::k8: return conv_block<8, 8>(sign, x0, x1, w0, w1);
-    case ConvLanes::k4: return conv_block<4, 4>(sign, x0, x1, w0, w1);
-    case ConvLanes::k2: return conv_block<2, 2>(sign, x0, x1, w0, w1);
-    case ConvLanes::k8x4: return conv_block<8, 4>(sign, x0, x1, w0, w1);
-    case ConvLanes::k8x2: return conv_block<8, 2>(sign, x0, x1, w0, w1);
-    default: return conv_block<4, 2>(sign, x0, x1, w0, w1);
+    case isa::SimdFmt::kB: return conv_run_signed<8, 8>(sign);
+    case isa::SimdFmt::kN: return conv_run_signed<4, 4>(sign);
+    default: return conv_run_signed<2, 2>(sign);
   }
 }
 
@@ -350,6 +417,24 @@ bool matches_conv_inner(const SuperblockPlan& p) {
     for (size_t j = 4; j < 8; ++j) {
       if (j != k && p.ops[j].rd == rd) return false;
       if (p.ops[j].rs1 == rd || p.ops[j].rs2 == rd) return false;
+    }
+  }
+  // The loads fill exactly the four operands, one each, from four
+  // distinct base registers that no load destination or accumulator
+  // writes: each base then moves by its own increment per iteration, so
+  // every load is an affine stream a whole run checks once.
+  const u8 operands[] = {p.ops[4].rs1, p.ops[5].rs1, p.ops[4].rs2,
+                         p.ops[6].rs2};
+  for (size_t k = 0; k < 4; ++k) {
+    const SbOp& ld = p.ops[k];
+    if (ld.rd == 0 || ld.rs1 == 0 ||
+        std::count(operands, operands + 4, ld.rd) != 1) {
+      return false;
+    }
+    for (size_t j = 0; j < 8; ++j) {
+      if (j != k && p.ops[j].rd == ld.rd) return false;
+      if (p.ops[j].rd == ld.rs1) return false;
+      if (j < 4 && j != k && p.ops[j].rs1 == ld.rs1) return false;
     }
   }
   return true;
@@ -1093,26 +1178,13 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget, bool nested) {
   };
   load_latches();
 
-  // The kConvInner macro-op handler needs the slim memory path (an access
-  // hook or contention injector must observe every access in order) and
-  // the hoisted dot latches; otherwise the generic op loop serves.
-  const bool use_conv =
-      plan.shape == SbShape::kConvInner && mem_slim && hoist_dotp;
-  const bool use_copy = plan.shape == SbShape::kCopyWords && mem_slim;
-  u8 cx0 = 0, cx1 = 0, cw0 = 0, cw1 = 0;
-  bool conv_acc = false;
-  ConvLanes conv_l = ConvLanes::k8;
-  unsigned conv_sign = 0;
-  if (use_conv) {
-    cx0 = ops[4].rs1;
-    cx1 = ops[5].rs1;
-    cw0 = ops[4].rs2;
-    cw1 = ops[6].rs2;
-    conv_acc = (ops[4].flags & iflag::kDotAccum) != 0;
-    conv_l = conv_lanes(ops[4]);
-    conv_sign = (ops[4].flags & iflag::kDotSignedA ? 2u : 0u) +
-                (ops[4].flags & iflag::kDotSignedB ? 1u : 0u);
-  }
+  // Whole runs of the kConvInner and kCopyWords shapes need the slim
+  // memory path (an access hook or contention injector must observe every
+  // access in order) and, for kConvInner, the hoisted dot latches;
+  // otherwise the generic op loop serves.
+  const bool whole =
+      mem_slim && ((plan.shape == SbShape::kConvInner && hoist_dotp) ||
+                   plan.shape == SbShape::kCopyWords);
 
   // The static accounting of completed iterations is applied ONCE at burst
   // exit, scaled by `done` (it is linear in the iteration count); only
@@ -1122,7 +1194,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget, bool nested) {
   // budget, SMC bail, trap — therefore finishes with the batched add
   // before leaving.
   u64 done = 0;      // completed iterations (incl. a final not-taken one)
-  u64 macro_done = 0;  // of which retired by the kConvInner handler
+  u64 macro_done = 0;  // of which kConvInner ones in whole runs
   u64 retired = 0;   // instructions retired by this plan's own ops
   u64 inner_retired = 0;  // and by its inner loops
   size_t i = 0;      // op cursor, read by the trap-repair path
@@ -1139,6 +1211,103 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget, bool nested) {
   };
   const auto leave = [&]() {
     if (!nested) sb_exit(plan);
+  };
+  // Whole runs (one host loop for `k` iterations of either shape; the
+  // caller proved none of them can reach a deadline). Each checks every
+  // access stream of the run once and returns false, touching nothing,
+  // when one is misaligned or leaves memory (or, for the copy, when a
+  // store could reach cached code or a plan): that iteration then takes
+  // the generic op loop, which stalls, faults and invalidates exactly.
+  //
+  // log_run reserves the burst-sink entries of a run at once and writes
+  // the op loop's coordinates: its memory ops are ops [0, m), at
+  // first[i] + j * step[i] in iteration j. Both shapes end in a non-load,
+  // so wrap_hazard is 0 and only the run's first access carries an entry
+  // hazard, `hz`.
+  const auto log_run = [&](u64 k, unsigned hz, size_t m, const u32* first,
+                           const u32* step) {
+    if (!sink_log) return;
+    const size_t at = burst_sink_->size();
+    burst_sink_->resize(at + m * k);
+    BurstAccess* out = burst_sink_->data() + at;
+    const cycles_t t0 = iter_start();
+    for (u64 j = 0; j < k; ++j) {
+      for (size_t i = 0; i < m; ++i) {
+        const SbOp& o = ops[i];
+        *out++ = {t0 + j * c_iter + plan.cycle_prefix[i], plan.op_pc[i],
+                  first[i] + static_cast<u32>(j) * step[i],
+                  static_cast<u16>(o.hazard), 4,
+                  static_cast<u8>((o.flags & iflag::kIsStore) != 0)};
+      }
+    }
+    BurstAccess& e = (*burst_sink_)[at];
+    e.start -= hz;
+    e.cycle_delta = static_cast<u16>(hz);
+  };
+  const auto copy_whole = [&](u64 k, unsigned hz) {
+    const SbOp& ld = ops[0];
+    const SbOp& st = ops[1];
+    const WordStream src = word_stream(regs_[ld.rs1], ld.imm, k, msize);
+    const WordStream dst = word_stream(regs_[st.rs1], st.imm, k, msize);
+    // A store covers the parcel below it too (a 32-bit instruction
+    // starting there), so keep a parcel clear of the decode cache.
+    const i64 code_lo = i64{icache_base_} - 2;
+    const i64 code_hi = i64{icache_base_} + 2 * i64(icache_valid_.size()) + 2;
+    if (!src.ok || !dst.ok || (dst.hi > code_lo && dst.lo < code_hi) ||
+        (dst.hi > i64{sb_lo_} && dst.lo < i64{sb_hi_})) {
+      return false;
+    }
+    const u32 first[] = {regs_[ld.rs1], regs_[st.rs1]};
+    const u32 step[] = {static_cast<u32>(ld.imm), static_cast<u32>(st.imm)};
+    log_run(k, hz, 2, first, step);
+    u32 s = first[0];
+    u32 d = first[1];
+    u32 v = 0;
+    for (u64 j = 0; j < k; ++j) {
+      v = mem_.load_unchecked(s, 4);
+      toggles += hamming_distance(lld, v);
+      lld = v;
+      mem_.store_unchecked(d, v, 4);
+      s += step[0];
+      d += step[1];
+    }
+    regs_[ld.rd] = v;
+    regs_[ld.rs1] = s;
+    regs_[st.rs1] = d;
+    return true;
+  };
+  const auto conv_whole = [&](u64 k, unsigned hz) {
+    ConvRun r{};
+    const u8 operand[] = {ops[4].rs1, ops[5].rs1, ops[4].rs2, ops[6].rs2};
+    for (unsigned i = 0; i < 4; ++i) {
+      const SbOp& o = ops[i];
+      if (!word_stream(regs_[o.rs1], o.imm, k, msize).ok) return false;
+      r.addr[i] = regs_[o.rs1];
+      r.step[i] = static_cast<u32>(o.imm);
+      r.load[std::find(operand, operand + 4, o.rd) - operand] =
+          static_cast<u8>(i);
+    }
+    log_run(k, hz, 4, r.addr.data(), r.step.data());
+    r.mem = mem_.view(0, msize).data();
+    for (unsigned q = 0; q < 4; ++q) r.acc[q] = regs_[ops[4 + q].rd];
+    r.accumulate = (ops[4].flags & iflag::kDotAccum) != 0;
+    r.lld = lld;
+    r.dla = dla;
+    r.dlb = dlb;
+    conv_run_for(ops[4])(r, k);
+    for (unsigned i = 0; i < 4; ++i) regs_[ops[i].rs1] = r.addr[i];
+    for (unsigned q = 0; q < 4; ++q) {
+      regs_[operand[q]] = r.v[q];
+      regs_[ops[4 + q].rd] = r.acc[q];
+    }
+    lld = r.lld;
+    toggles += r.toggles;
+    dla = r.dla;
+    dlb = r.dlb;
+    dtog += r.dtog;
+    dops += 4 * k;
+    macro_done += k;
+    return true;
   };
   try {
     for (;;) {
@@ -1171,7 +1340,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget, bool nested) {
 
       // Armed: this iteration's worst case can reach the deadline, so run
       // the generic loop with per-op boundary checks instead of the
-      // macro-op path (whose intermediate boundaries are not visible).
+      // whole run (whose intermediate boundaries are not visible).
       bool armed = false;
       if constexpr (Sampled) {
         armed = iter_start() + c_iter + max_dyn >= due;
@@ -1179,59 +1348,16 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget, bool nested) {
       bool sample_break = false;
       bool inner_stop = false;  // an inner loop's burst stopped early
 
-      if (use_copy && !armed) {
-        // A run of whole copy iterations in one host loop: the ones left,
-        // or (sampled) the ones that cannot reach the deadline. Every
-        // access of the run must be aligned and in bounds, and no store
-        // may reach cached code or a plan, so nothing in it can stall,
-        // fault or invalidate; otherwise this iteration takes the generic
-        // loop. The only per-access work left is the burst-sink log.
+      if (whole && !armed) {
+        // The iterations left in the run, or (sampled) the ones that
+        // cannot reach the deadline.
         u64 k = iters - done;
         if constexpr (Sampled) {
           k = std::min(k, (due - 1 - max_dyn - perf_.cycles) / c_iter - done);
         }
-        const SbOp& ld = ops[0];
-        const SbOp& st = ops[1];
-        const i64 src = regs_[ld.rs1];
-        const i64 dst = regs_[st.rs1];
-        const i64 src_last = src + i64{ld.imm} * static_cast<i64>(k - 1);
-        const i64 dst_last = dst + i64{st.imm} * static_cast<i64>(k - 1);
-        const i64 lo = std::min(dst, dst_last);
-        const i64 hi = std::max(dst, dst_last) + 4;
-        const i64 code_lo = i64{icache_base_} - 2;
-        // A store covers the parcel below it too (a 32-bit instruction
-        // starting there), so keep a parcel clear of the decode cache.
-        const i64 code_hi = i64{icache_base_} + 2 * i64(icache_valid_.size()) + 2;
-        const bool clear =
-            ((src | dst) & 3) == 0 && std::min(src, src_last) >= 0 &&
-            std::max(src, src_last) + 4 <= msize && lo >= 0 && hi <= msize &&
-            (hi <= code_lo || lo >= code_hi) &&
-            (hi <= i64{sb_lo_} || lo >= i64{sb_hi_});
-        if (clear) {
-          u32 s = static_cast<u32>(src);
-          u32 d = static_cast<u32>(dst);
-          u32 v = 0;
-          const cycles_t t0 = iter_start();
-          for (u64 j = 0; j < k; ++j) {
-            if (sink_log) {
-              const cycles_t c = t0 + j * c_iter;
-              const unsigned h = j == 0 ? hz : 0;  // entry hazard, then wrap
-              burst_sink_->push_back({c - h, plan.op_pc[0], s,
-                                      static_cast<u16>(h), 4, 0});
-              burst_sink_->push_back({c + plan.cycle_prefix[1],
-                                      plan.op_pc[1], d,
-                                      static_cast<u16>(st.hazard), 4, 1});
-            }
-            v = mem_.load_unchecked(s, 4);
-            toggles += hamming_distance(lld, v);
-            lld = v;
-            mem_.store_unchecked(d, v, 4);
-            s += static_cast<u32>(ld.imm);
-            d += static_cast<u32>(st.imm);
-          }
-          regs_[ld.rd] = v;
-          regs_[ld.rs1] = s;
-          regs_[st.rs1] = d;
+        if (plan.shape == SbShape::kConvInner ? conv_whole(k, hz)
+                                              : copy_whole(k, hz)) {
+          sb_stats_.whole_runs += 1;
           retired += n * k;
           done += k;
           if (done == iters) {
@@ -1245,56 +1371,6 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget, bool nested) {
       }
 
       size_t completed = n;
-      if (use_conv && !armed) {
-        // Loads first, sequenced exactly like the generic loop (`i` stays
-        // the op cursor so a faulting load repairs identically).
-        for (i = 0; i < 4; ++i) {
-          const SbOp& o = ops[i];
-          const u32 base = regs_[o.rs1];
-          if (!((base & 3u) == 0 &&
-                static_cast<u64>(base) + 4 <= msize)) [[unlikely]] {
-            if (latch) {
-              hook_pc_ = plan.op_pc[i];
-              hook_start_ = cycle_at(i) - (i == 0 ? hz : 0);
-              hook_cycle_ = hook_start_ + (i == 0 ? hz : o.hazard);
-            }
-            const unsigned stalls = mem_.access_stalls(base, 4, false);
-            if (stalls != 0) {
-              perf_.cycles += stalls;
-              perf_.mem_stall_cycles += stalls;
-            }
-          } else if (sink_log) {
-            burst_sink_->push_back(
-                {cycle_at(i) - (i == 0 ? hz : 0), plan.op_pc[i], base,
-                 static_cast<u16>(i == 0 ? hz : o.hazard), 4, 0});
-          }
-          const u32 v = mem_.load_unchecked(base, 4);
-          toggles += hamming_distance(lld, v);
-          lld = v;
-          set_reg(o.rd, v);
-          set_reg(o.rs1, base + static_cast<u32>(o.imm));
-        }
-        // All four dots as one macro-op over the 2x2 operand block;
-        // nothing past the loads can fault.
-        const u32 x0 = regs_[cx0];
-        const u32 x1 = regs_[cx1];
-        const u32 w0 = regs_[cw0];
-        const u32 w1 = regs_[cw1];
-        const ConvDots d = conv_block(conv_l, conv_sign, x0, x1, w0, w1);
-        for (unsigned k = 0; k < 4; ++k) {
-          const SbOp& o = ops[4 + k];
-          const u32 acc = conv_acc ? regs_[o.rd] : 0;
-          set_reg(o.rd, acc + static_cast<u32>(d[k]));
-        }
-        // The dot-latch sequence x0,x1,x0,x1 / w0,w0,w1,w1 folds to four
-        // Hamming distances (two of the b-side steps are zero).
-        dtog += hamming_distance(dla, x0) + 3 * hamming_distance(x0, x1) +
-                hamming_distance(dlb, w0) + hamming_distance(w0, w1);
-        dla = x1;
-        dlb = w1;
-        dops += 4;
-        macro_done += 1;
-      } else
       for (i = 0; i < n; ++i) {
         const SbOp& o = ops[i];
         switch (o.kind) {

@@ -50,15 +50,14 @@ enum class SbKind : u8 {
   kInnerLoop,
 };
 
-/// Recognized whole-iteration shapes. kConvInner is the 2x2-blocked
-/// MatMul inner body every conv kernel in this repo emits (4 post-inc
-/// word loads feeding 4 dots over 2 activation x 2 weight words), at any
-/// uniform width (8/4/2-bit) or mixed mpc format; sb_execute runs it
-/// through one macro-op handler that expands each operand word once and
-/// computes all four dot products together. kCopyWords is the im2col
-/// copy body, a post-increment word load and a post-increment store of
-/// the loaded word, whose runs of iterations sb_execute retires in one
-/// host loop.
+/// Recognized shapes whose hardware-loop runs sb_execute retires whole,
+/// in one host loop after one check per access stream. kConvInner is the
+/// 2x2-blocked MatMul inner body every conv kernel in this repo emits (4
+/// post-inc word loads feeding 4 dots over 2 activation x 2 weight words),
+/// at any uniform width (8/4/2-bit) or mixed mpc format; each iteration
+/// expands every operand word once and computes all four dot products
+/// together. kCopyWords is the im2col copy body, a post-increment word load
+/// and a post-increment store of the loaded word.
 enum class SbShape : u8 {
   kGeneric = 0,
   kConvInner,
@@ -164,17 +163,18 @@ struct SuperblockPlan {
 };
 
 /// Recognize the 2x2-blocked MatMul inner body (SbShape::kConvInner):
-///   ops[0..3]  post-increment word loads (any registers, any order);
+///   ops[0..3]  post-increment word loads (any order) that fill the four
+///              dot operands, one each, through four distinct nonzero
+///              base registers that no load or dot writes;
 ///   ops[4..7]  four dot products of one uniform format (byte, nibble,
 ///              crumb) or one baked mixed selector, over two rs1 words x
 ///              two rs2 words, one accumulator each, with unsigned or
 ///              signed weights (no dot product has signed activations
 ///              and unsigned weights; such a body takes the generic loop).
-/// The structural requirements are exactly what makes the batched
-/// macro-op handler equivalent to executing the four dots in sequence:
-/// identical format/sign flags, the 2x2 operand pattern, and destination
-/// registers that are distinct and never read as dot operands (loads need
-/// no constraints — the handler sequences them like the generic loop).
+/// The structural requirements are exactly what makes a whole run
+/// equivalent to executing the ops in sequence: identical format/sign
+/// flags, the 2x2 operand pattern, accumulators that are distinct and
+/// never read as dot operands, and loads that are affine streams.
 bool matches_conv_inner(const SuperblockPlan& p);
 
 }  // namespace xpulp::sim

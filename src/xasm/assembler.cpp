@@ -1,6 +1,7 @@
 #include "xasm/assembler.hpp"
 
 #include "common/bitops.hpp"
+#include "isa/decoder.hpp"
 #include "isa/encoding.hpp"
 
 namespace xpulp::xasm {
@@ -20,6 +21,19 @@ Instr Assembler::mk(Mnemonic op, u8 rd, u8 rs1, u8 rs2, i32 imm,
   in.imm2 = imm2;
   return in;
 }
+
+std::vector<u32>& Assembler::spare_words() {
+  thread_local std::vector<u32> spare;
+  return spare;
+}
+
+Assembler::Assembler(addr_t base) : base_(base) {
+  if (base % 4 != 0) throw AsmError("program base must be word-aligned");
+  words_.swap(spare_words());
+  words_.clear();
+}
+
+void Assembler::emit(const Instr& in) { words_.push_back(isa::encode(in)); }
 
 void Assembler::bind(Label l) {
   if (l >= labels_.size()) throw AsmError("unknown label");
@@ -292,14 +306,14 @@ Program Assembler::finish() {
     }
     const i64 target = labels_[f.label];
     const i64 pc = base_ + static_cast<i64>(f.index) * 4;
-    const i64 offset = target - pc;
-    instrs_[f.index].imm = static_cast<i32>(offset);
+    Instr in = isa::decode(words_[f.index], static_cast<addr_t>(pc));
+    in.imm = static_cast<i32>(target - pc);
+    words_[f.index] = isa::encode(in);
   }
-
-  std::vector<u32> words;
-  words.reserve(instrs_.size());
-  for (const Instr& in : instrs_) words.push_back(isa::encode(in));
-  return Program(base_, std::move(words));
+  Program out(base_, std::vector<u32>(words_.begin(), words_.end()));
+  std::vector<u32>& spare = spare_words();
+  if (words_.capacity() > spare.capacity()) words_.swap(spare);
+  return out;
 }
 
 }  // namespace xpulp::xasm

@@ -2,10 +2,13 @@
 //
 // Kernels in this repository are *generated* (the host plays the role of
 // the compiler): a generator calls one method per instruction, uses labels
-// for control flow, and finish() resolves fixups and encodes the binary
-// image. This mirrors how the paper's kernels were produced (C with
+// for control flow, and finish() resolves the label fixups and returns the
+// binary image. This mirrors how the paper's kernels were produced (C with
 // builtins lowering to the new instructions) while keeping the whole
-// toolchain in-repo.
+// toolchain in-repo. Each instruction is encoded as it is emitted, so a
+// program's only buffer is its image (4 bytes per instruction); an
+// instruction with a label operand is decoded and re-encoded with the
+// label's offset at finish().
 //
 // Conventions:
 //   - all emitted instructions are 32-bit (no compressed forms);
@@ -43,9 +46,7 @@ class Assembler {
  public:
   using Label = u32;
 
-  explicit Assembler(addr_t base = 0) : base_(base) {
-    if (base % 4 != 0) throw AsmError("program base must be word-aligned");
-  }
+  explicit Assembler(addr_t base = 0);
 
   // ---- Labels ----
   Label new_label() {
@@ -60,7 +61,7 @@ class Assembler {
     return l;
   }
   addr_t current_addr() const {
-    return base_ + static_cast<u32>(instrs_.size()) * 4;
+    return base_ + static_cast<u32>(words_.size()) * 4;
   }
 
   // ---- RV32I ----
@@ -219,11 +220,14 @@ class Assembler {
   void pv_qnt(unsigned q_bits, u8 rd, u8 rs1, u8 rs2);
 
   /// Any instruction without a label operand, fields as given (e.g. one
-  /// built from an isa::canonical_samples() entry).
-  void emit(isa::Instr in) { instrs_.push_back(in); }
+  /// built from an isa::canonical_samples() entry). By reference: a
+  /// by-value Instr is copied with wide loads of the fields its builder
+  /// just stored one by one, a store-forwarding stall that costs more than
+  /// the encoding.
+  void emit(const isa::Instr& in);
 
   // ---- Finalization ----
-  u32 instruction_count() const { return static_cast<u32>(instrs_.size()); }
+  u32 instruction_count() const { return static_cast<u32>(words_.size()); }
   Program finish();
 
  private:
@@ -241,8 +245,11 @@ class Assembler {
   };
 
   void emit_fixup(isa::Instr in, Label l, FixKind kind) {
-    fixups_.push_back({static_cast<u32>(instrs_.size()), l, kind});
-    instrs_.push_back(in);
+    // Encoded with a zero offset now, re-encoded with the label's at
+    // finish().
+    in.imm = 0;
+    fixups_.push_back({static_cast<u32>(words_.size()), l, kind});
+    emit(in);
   }
   isa::Instr mk(isa::Mnemonic op, u8 rd, u8 rs1, u8 rs2, i32 imm = 0,
                 u8 imm2 = 0) const;
@@ -251,7 +258,12 @@ class Assembler {
   void bitmanip(isa::Mnemonic op, u8 rd, u8 rs1, u32 width, u32 pos);
 
   addr_t base_;
-  std::vector<isa::Instr> instrs_;
+  /// The encoded image so far. Rather than growing a fresh buffer for
+  /// every program, which fragments the heap of a process that generates
+  /// many, each thread's assemblers pass on the largest buffer a finished
+  /// one held (spare_words); finish() returns an exact-size copy.
+  std::vector<u32> words_;
+  static std::vector<u32>& spare_words();
   std::vector<i64> labels_;  // bound byte address or kUnbound
   std::vector<Fixup> fixups_;
   bool finished_ = false;

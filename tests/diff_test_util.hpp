@@ -731,16 +731,21 @@ class ProgramGen {
     }
     const int k = rng_.uniform(20, 28);
     const u32 mis = one_in(2) ? static_cast<u32>(rng_.uniform(1, 3)) : 0;
-    a.li(g::kSrc, static_cast<i32>(off_end ? off_end_start(k, 8) + mis
-                                           : g::kMatA + mis));
-    a.li(g::kDst, static_cast<i32>(g::kMatW + (one_in(3) ? 2 : 0)));
+    // One base per load: activations from kSrc and a5, weights from kDst
+    // and t3, each pair interleaved word by word.
+    const addr_t act = off_end ? off_end_start(k, 8) + mis : g::kMatA + mis;
+    const addr_t wgt = g::kMatW + (one_in(3) ? 2 : 0);
+    a.li(g::kSrc, static_cast<i32>(act));
+    a.li(r::a5, static_cast<i32>(act + 4));
+    a.li(g::kDst, static_cast<i32>(wgt));
+    a.li(r::t3, static_cast<i32>(wgt + 4));
     const Label end = hwloop(a, 0, static_cast<u32>(off_end ? 31 : rng_.uniform(17, 31)));
     const int miss = one_in(3) ? rng_.uniform(1, 4) : 0;
     if (miss == 1 && fmt != isa::SimdFmt::kNone) fmt = isa::SimdFmt::kH;
-    a.p_lw_post(r::t0, g::kSrc, 4);
-    a.p_lw_post(r::t1, g::kSrc, 4);
-    a.p_lw_post(r::t2, g::kDst, 4);
-    a.p_lw_post(r::a0, g::kDst, 4);
+    a.p_lw_post(r::t0, g::kSrc, 8);
+    a.p_lw_post(r::t1, r::a5, 8);
+    a.p_lw_post(r::t2, g::kDst, 8);
+    a.p_lw_post(r::a0, r::t3, 8);
     a.pv_op(op, fmt, r::a1, r::t0, r::t2);
     a.pv_op(op, fmt, r::a2, r::t1, r::t2);
     a.pv_op(op, fmt, r::a3, r::t0, r::a0);

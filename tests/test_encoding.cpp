@@ -160,12 +160,16 @@ TEST_P(RoundTrip, EncodeDecodeIsIdentity) {
   const Instr out = decode(word, /*pc=*/0x100);
   EXPECT_EQ(out.op, in.op) << GetParam().label;
   EXPECT_EQ(out.fmt, in.fmt);
-  if (reads_rs1(in)) EXPECT_EQ(out.rs1, in.rs1);
+  if (reads_rs1(in)) {
+    EXPECT_EQ(out.rs1, in.rs1);
+  }
   if (reads_rs2(in) || reads_rd(in)) {
     // Register fields must survive wherever they are meaningful.
     EXPECT_EQ(out.rs2, in.rs2);
   }
-  if (writes_rd(in) || reads_rd(in)) EXPECT_EQ(out.rd, in.rd);
+  if (writes_rd(in) || reads_rd(in)) {
+    EXPECT_EQ(out.rd, in.rd);
+  }
   EXPECT_EQ(out.imm, in.imm) << GetParam().label;
   EXPECT_EQ(out.imm2, in.imm2) << GetParam().label;
   EXPECT_EQ(out.size, 4u);
@@ -289,9 +293,9 @@ TEST(Encoding, HwLoopIndexRangeCheckedForCounti) {
   // decoded as L = 0, L = 3 as L = 1. Every lp.* form rejects L > 1 alike.
   const auto error_of = [](auto emit) -> std::string {
     xasm::Assembler a(0);
-    emit(a);
-    a.ecall();
     try {
+      emit(a);
+      a.ecall();
       a.finish();
     } catch (const AsmError& e) {
       return e.what();

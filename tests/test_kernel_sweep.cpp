@@ -170,6 +170,74 @@ INSTANTIATE_TEST_SUITE_P(
              "p" + std::to_string(c.pad) + "s" + std::to_string(c.stride);
     });
 
+// ---- whole runs: every paper layer's MatMul iterations retire in whole
+// kConvInner runs; under a sampler only the iterations that could reach a
+// deadline take the generic op loop. ----
+
+struct PaperRunCase {
+  unsigned in_bits, w_bits;
+  ConvVariant variant;
+};
+
+class PaperMatMulRuns : public ::testing::TestWithParam<PaperRunCase> {};
+
+/// Backedges a hardware loop's body takes interpreted before it compiles
+/// (the engine's heat threshold).
+constexpr u64 kHeatIterations = 16;
+
+TEST_P(PaperMatMulRuns, RetireInWholeRuns) {
+  const PaperRunCase& c = GetParam();
+  qnn::ConvSpec spec = qnn::ConvSpec::paper_layer(c.in_bits);
+  spec.w_bits = c.w_bits;
+  spec.out_bits = c.in_bits == c.w_bits ? c.in_bits : 8;
+  const auto data = ConvLayerData::random(spec, 31);
+  // 2x2 blocking: one iteration per two pixels, two filters and one
+  // activation word.
+  const u64 lanes = 32 / c.in_bits;
+  const u64 iterations =
+      static_cast<u64>(spec.out_h() * spec.out_w() / 2) * (spec.out_c / 2) *
+      ((static_cast<u64>(spec.filter_elems()) + lanes - 1) / lanes);
+  for (const cycles_t interval : {cycles_t{0}, cycles_t{997}}) {
+    sim::CoreConfig cfg = sim::CoreConfig::extended();
+    cfg.superblock = true;
+    sim::SuperblockStats sb;
+    u64 samples = 0;
+    const auto res = run_conv_layer(
+        data, c.variant, cfg, {},
+        [&](sim::Core& core, const ConvKernel&) {
+          if (interval != 0) core.set_sampler([&] { ++samples; }, interval);
+        },
+        [&](sim::Core& core, const ConvKernel&) {
+          sb = core.superblock_stats();
+        });
+    EXPECT_EQ(res.output, data.golden());
+    EXPECT_GT(sb.whole_runs, 0u);
+    if (interval == 0) {
+      // All but the iterations interpreted while the body heated up.
+      EXPECT_EQ(sb.macro_iterations, iterations - kHeatIterations);
+    } else {
+      // Each deadline leaves at most the iterations that could reach it
+      // (c_iter 8 plus at most 8 dynamic cycles: two) to the op loop, and
+      // the one the interpreter runs up to the next backedge.
+      ASSERT_GT(samples, 0u);
+      EXPECT_GE(sb.macro_iterations, iterations - kHeatIterations - 3 * samples);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paper, PaperMatMulRuns,
+    ::testing::Values(PaperRunCase{8, 8, ConvVariant::kXpulpV2_8b},
+                      PaperRunCase{4, 4, ConvVariant::kXpulpNN_HwQ},
+                      PaperRunCase{2, 2, ConvVariant::kXpulpNN_HwQ},
+                      PaperRunCase{8, 4, ConvVariant::kXpulpNN_Mixed},
+                      PaperRunCase{8, 2, ConvVariant::kXpulpNN_Mixed},
+                      PaperRunCase{4, 2, ConvVariant::kXpulpNN_Mixed}),
+    [](const ::testing::TestParamInfo<PaperRunCase>& info) {
+      return "a" + std::to_string(info.param.in_bits) + "w" +
+             std::to_string(info.param.w_bits);
+    });
+
 // ---- failure injection: the checking machinery must actually detect
 // corruption (a test of the tests). ----
 

@@ -252,8 +252,9 @@ TEST(Registry, PublishersEmitOneLeafPerSlot) {
   const auto sb = distinct_counters<sim::SuperblockStats>(1);
   Registry s;
   add_superblock_stats(s, "sb", sb);
-  EXPECT_EQ(s.size(), 15u);
+  EXPECT_EQ(s.size(), 16u);
   EXPECT_TRUE(has_row(s, "sb.mpc_evictions", sb.mpc_evictions));
+  EXPECT_TRUE(has_row(s, "sb.whole_runs", sb.whole_runs));
   EXPECT_TRUE(has_row(s, "sb.rebases", sb.rebases));
   EXPECT_TRUE(has_row(s, "sb.nested_entries", sb.nested_entries));
 

@@ -374,12 +374,12 @@ TEST(Superblock, DotVariantSweepBitIdentical) {
 }
 
 TEST(Superblock, ConvInnerShapeBitIdentical) {
-  // The exact 2x2-blocked MatMul inner body the conv generator emits
-  // (4 post-inc word loads + 4 accumulate-dots in the 2x2 operand
-  // pattern): the shape the engine runs as one kConvInner macro-op. Every
-  // uniform width and mixed selector, with every signedness, must reach
-  // the macro-op and stay bit-identical to the reference interpreter —
-  // registers, memory, counters and the dot unit's switching activity.
+  // The 2x2-blocked MatMul inner body the conv generator emits (4 post-inc
+  // word loads, one base each, + 4 accumulate-dots in the 2x2 operand
+  // pattern): the shape the engine runs in whole kConvInner runs. Every uniform width and mixed selector, with every
+  // signedness, must reach them and stay bit-identical to the reference
+  // interpreter — registers, memory, counters and the dot unit's
+  // switching activity.
   using isa::SimdFmt;
   using UniformDot = void (xasm::Assembler::*)(SimdFmt, u8, u8, u8);
   using MixedDot = void (xasm::Assembler::*)(u8, u8, u8);
@@ -429,14 +429,16 @@ TEST(Superblock, ConvInnerShapeBitIdentical) {
     xasm::Assembler a(0);
     if (c.sel >= 0) a.csrrwi(r::zero, isa::kMpcCsr, static_cast<u32>(c.sel));
     a.li(r::s0, kData);
+    a.li(r::s2, kData + 4);
     a.li(r::s1, kData + 0x100);
+    a.li(r::s3, kData + 0x104);
     for (u8 acc : {r::a4, r::a5, r::a6, r::a7}) a.li(acc, 0x1234);
     const xasm::Assembler::Label end = a.new_label();
     a.lp_setupi(0, 24, end);
-    a.p_lw_post(r::t0, r::s1, 4);  // weight channel 0
-    a.p_lw_post(r::t1, r::s1, 4);  // weight channel 1
-    a.p_lw_post(r::t2, r::s0, 4);  // activation pixel 0
-    a.p_lw_post(r::t3, r::s0, 4);  // activation pixel 1
+    a.p_lw_post(r::t0, r::s1, 8);  // weight channel 0
+    a.p_lw_post(r::t1, r::s3, 8);  // weight channel 1
+    a.p_lw_post(r::t2, r::s0, 8);  // activation pixel 0
+    a.p_lw_post(r::t3, r::s2, 8);  // activation pixel 1
     auto dot = [&](u8 rd, u8 x, u8 w) {
       if (c.sel >= 0) {
         (a.*(c.mixed))(rd, x, w);
@@ -459,12 +461,210 @@ TEST(Superblock, ConvInnerShapeBitIdentical) {
     const FinalState sb =
         run_prog(prog, false, true, &stats, 2'000'000, &sb_act);
     ASSERT_EQ(ref.reason, sim::HaltReason::kEcall) << c.name;
+    // Every fused iteration retires in one whole run.
     EXPECT_GT(stats.macro_iterations, 0u) << c.name;
-    EXPECT_LE(stats.macro_iterations, stats.fused_iterations) << c.name;
+    EXPECT_EQ(stats.macro_iterations, stats.fused_iterations) << c.name;
+    EXPECT_EQ(stats.whole_runs, 1u) << c.name;
     expect_identical(ref, sb);
     EXPECT_EQ(ref_act.operand_toggles, sb_act.operand_toggles) << c.name;
     EXPECT_EQ(ref_act.ops, sb_act.ops) << c.name;
     if (::testing::Test::HasFailure()) FAIL() << c.name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Whole MatMul runs: a kConvInner hardware-loop run retires in one host
+// loop after one check per load stream. Every edge of that check, and every
+// bound landing inside a run, must leave the fast interpreter's state.
+
+/// How a 2x2 MatMul body differs from the one the conv generator emits.
+enum class MatMulBody {
+  kGenerated,      // distinct bases a0..a3, operands t0..t3, accs a4..a7
+  kNoAccumulate,   // pv.dotusp: each dot overwrites its destination
+  kBaseIsLoadRd,   // p.lw t2, 4(t2!)
+  kSharedLoadRd,   // two loads into t0
+  kDotWritesBase,  // the last dot accumulates into a3, a load base
+  kLoadRdUnused,   // x1 loaded into s2, the dots read t3
+  kSharedBase,     // w1 loaded through a0, w0's base
+};
+
+/// A hot 2x2 MatMul hardware loop of `trips` nibble iterations: weights
+/// from kData, activations from `act`.
+xasm::Program matmul_program(MatMulBody body, addr_t act, u32 trips = 40) {
+  using isa::SimdFmt;
+  xasm::Assembler a(0);
+  a.li(r::a0, kData);
+  a.li(r::a1, kData + 0x80);
+  a.li(r::a2, static_cast<i32>(act));
+  a.li(r::a3, static_cast<i32>(act + 0x80));
+  for (u8 acc : {r::a4, r::a5, r::a6, r::a7}) a.li(acc, 0x55);
+  a.li(r::s3, static_cast<i32>(trips));
+  const xasm::Assembler::Label end = a.new_label();
+  a.lp_setup(0, r::s3, end);
+  a.p_lw_post(body == MatMulBody::kSharedLoadRd ? r::t1 : r::t0, r::a0, 4);
+  a.p_lw_post(r::t1, body == MatMulBody::kSharedBase ? r::a0 : r::a1, 4);
+  if (body == MatMulBody::kBaseIsLoadRd) {
+    a.p_lw_post(r::t2, r::t2, 4);
+  } else {
+    a.p_lw_post(r::t2, r::a2, 4);
+  }
+  a.p_lw_post(body == MatMulBody::kLoadRdUnused ? r::s2 : r::t3, r::a3, 4);
+  const auto dot = body == MatMulBody::kNoAccumulate
+                       ? &xasm::Assembler::pv_dotusp
+                       : &xasm::Assembler::pv_sdotusp;
+  (a.*dot)(SimdFmt::kN, r::a4, r::t2, r::t0);
+  (a.*dot)(SimdFmt::kN, r::a5, r::t3, r::t0);
+  (a.*dot)(SimdFmt::kN, r::a6, r::t2, r::t1);
+  (a.*dot)(SimdFmt::kN,
+           body == MatMulBody::kDotWritesBase ? r::a3 : r::a7, r::t3, r::t1);
+  a.bind(end);
+  a.ecall();
+  return a.finish();
+}
+
+struct MatMulRun {
+  FinalState state;
+  std::vector<obs::Sample> samples;
+};
+
+/// Run `prog` over operand_data() on the fast interpreter or the
+/// superblock engine, sliced like run_sliced and optionally sampled; a
+/// guest fault ends the run with its message in state.fault.
+MatMulRun run_matmul(const xasm::Program& prog, bool superblock,
+                     Slicing how = {Slicing::kRun},
+                     cycles_t sample_interval = 0) {
+  sim::CoreConfig cfg = sim::CoreConfig::extended();
+  cfg.superblock = superblock;
+  mem::Memory mem;
+  prog.load(mem);
+  mem.write_block(kData, operand_data());
+  sim::Core core(mem, cfg);
+  core.reset(prog.entry(), prog.base() + prog.size_bytes());
+  std::unique_ptr<obs::Sampler> sampler;
+  if (sample_interval != 0) {
+    obs::Sampler::Options opts;
+    opts.interval_cycles = sample_interval;
+    sampler = std::make_unique<obs::Sampler>(core, opts);
+  }
+  std::string fault;
+  try {
+    while (!core.halted()) {
+      if (how.kind == Slicing::kRun) {
+        core.run(2'000'000);
+      } else if (how.kind == Slicing::kSteps) {
+        core.run_steps(how.slice);
+      } else {
+        core.run_burst(core.perf().cycles + how.slice, 2'000'000);
+      }
+    }
+  } catch (const SimError& e) {
+    fault = e.what();
+  }
+  MatMulRun r;
+  if (sampler) {
+    sampler->finalize();
+    r.samples = sampler->samples();
+  }
+  r.state = final_state_of(core, mem);
+  r.state.fault = std::move(fault);
+  return r;
+}
+
+void expect_same_matmul_run(const MatMulRun& fast, const MatMulRun& sb) {
+  expect_identical(fast.state, sb.state);
+  ASSERT_EQ(fast.samples.size(), sb.samples.size());
+  for (size_t k = 0; k < fast.samples.size(); ++k) {
+    EXPECT_EQ(fast.samples[k].ts_cycles, sb.samples[k].ts_cycles) << k;
+    test::expect_same_counters(fast.samples[k].perf, sb.samples[k].perf);
+    test::expect_same_counters(fast.samples[k].mem, sb.samples[k].mem);
+    test::expect_same_counters(fast.samples[k].dotp, sb.samples[k].dotp);
+  }
+}
+
+TEST(WholeMatMulRuns, RetireTheHotLoopInOneRun) {
+  for (const MatMulBody body :
+       {MatMulBody::kGenerated, MatMulBody::kNoAccumulate}) {
+    const xasm::Program prog = matmul_program(body, kData + 0x100);
+    const MatMulRun fast = run_matmul(prog, false);
+    const MatMulRun sb = run_matmul(prog, true);
+    ASSERT_EQ(fast.state.reason, sim::HaltReason::kEcall);
+    expect_same_matmul_run(fast, sb);
+    // The body heats up interpreted, compiles, and its remaining
+    // iterations retire in one whole run.
+    EXPECT_EQ(sb.state.sb.whole_runs, 1u);
+    EXPECT_EQ(sb.state.sb.macro_iterations, sb.state.sb.fused_iterations);
+    EXPECT_EQ(sb.state.sb.macro_iterations, 40u - 16u);
+    if (::testing::Test::HasFailure()) FAIL() << static_cast<int>(body);
+  }
+}
+
+TEST(WholeMatMulRuns, StreamLeavingMemoryFaultsAtItsIteration) {
+  // The x1 stream (act + 0x80) leaves memory at iteration 30 of 40: the
+  // run cannot be proven in bounds, so the op loop retires iterations up
+  // to the fault and repairs it exactly.
+  const addr_t act = mem::Memory::kDefaultSize - 0x80 - 30 * 4;
+  const xasm::Program prog = matmul_program(MatMulBody::kGenerated, act);
+  const MatMulRun fast = run_matmul(prog, false);
+  const MatMulRun sb = run_matmul(prog, true);
+  ASSERT_NE(fast.state.fault.find("memory fault"), std::string::npos)
+      << fast.state.fault;
+  expect_same_matmul_run(fast, sb);
+  EXPECT_EQ(sb.state.sb.trap_bails, 1u);
+  EXPECT_EQ(sb.state.sb.macro_iterations, 0u);
+  EXPECT_GT(sb.state.sb.fused_iterations, 0u);
+}
+
+TEST(WholeMatMulRuns, MisalignedStreamTakesTheOpLoop) {
+  const xasm::Program prog =
+      matmul_program(MatMulBody::kGenerated, kData + 0x102);
+  const MatMulRun fast = run_matmul(prog, false);
+  const MatMulRun sb = run_matmul(prog, true);
+  ASSERT_EQ(fast.state.reason, sim::HaltReason::kEcall);
+  EXPECT_GT(fast.state.perf.mem_stall_cycles, 0u);
+  expect_same_matmul_run(fast, sb);
+  EXPECT_EQ(sb.state.sb.macro_iterations, 0u);
+  EXPECT_GT(sb.state.sb.fused_iterations, 0u);
+}
+
+TEST(WholeMatMulRuns, AliasedRegistersAreNotMatched) {
+  for (const MatMulBody body :
+       {MatMulBody::kBaseIsLoadRd, MatMulBody::kSharedLoadRd,
+        MatMulBody::kDotWritesBase, MatMulBody::kLoadRdUnused,
+        MatMulBody::kSharedBase}) {
+    const xasm::Program prog = matmul_program(body, kData + 0x100);
+    const MatMulRun fast = run_matmul(prog, false);
+    const MatMulRun sb = run_matmul(prog, true);
+    ASSERT_EQ(fast.state.reason, sim::HaltReason::kEcall);
+    expect_same_matmul_run(fast, sb);
+    EXPECT_EQ(sb.state.sb.whole_runs, 0u);
+    EXPECT_GT(sb.state.sb.fused_iterations, 0u);
+    if (::testing::Test::HasFailure()) FAIL() << static_cast<int>(body);
+  }
+}
+
+TEST(WholeMatMulRuns, BudgetsDeadlinesAndHorizonsLandMidRun) {
+  // Instruction budgets (run_steps, as checkpointing slices a run), burst
+  // horizons and sampling deadlines that fall inside a run cap it short
+  // of the bound; the iterations that could reach it take the op loop.
+  const xasm::Program prog =
+      matmul_program(MatMulBody::kGenerated, kData + 0x100, 200);
+  constexpr Slicing kCuts[] = {
+      {Slicing::kRun},       {Slicing::kSteps, 3},  {Slicing::kSteps, 13},
+      {Slicing::kSteps, 97}, {Slicing::kBursts, 5}, {Slicing::kBursts, 61},
+  };
+  for (const cycles_t interval : {cycles_t{0}, cycles_t{37}, cycles_t{211}}) {
+    for (const Slicing& how : kCuts) {
+      const MatMulRun fast = run_matmul(prog, false, how, interval);
+      const MatMulRun sb = run_matmul(prog, true, how, interval);
+      ASSERT_EQ(fast.state.reason, sim::HaltReason::kEcall);
+      expect_same_matmul_run(fast, sb);
+      if (how.slice == 0 || how.slice >= 61) {
+        EXPECT_GT(sb.state.sb.whole_runs, 0u);
+      }
+      if (::testing::Test::HasFailure()) {
+        FAIL() << slicing_name(how) << ", sampled every " << interval;
+      }
+    }
   }
 }
 
@@ -485,14 +685,16 @@ TEST(Superblock, NoDotHasSignedActivationsWithUnsignedWeights) {
   }
   EXPECT_GT(dots, 0);
 
-  // A hand-built 2x2 body: four post-increment word loads, then four
-  // accumulating byte dots over (a0, a1) x (t0, t1) into a4..a7.
+  // A hand-built 2x2 body: four post-increment word loads through a0..a3,
+  // then four accumulating byte dots over (t2, t3) x (t0, t1) into a4..a7.
   const auto body = [](u16 sign_flags) {
     sim::SuperblockPlan p;
+    const u8 bases[] = {r::a0, r::a1, r::a2, r::a3};
     for (const u8 rd : {r::t0, r::t1, r::t2, r::t3}) {
       sim::SbOp ld;
       ld.kind = sim::SbKind::kMem;
       ld.rd = rd;
+      ld.rs1 = bases[p.ops.size()];
       ld.aux = 4;
       ld.flags = isa::iflag::kMemPostInc;
       p.ops.push_back(ld);
