@@ -1,12 +1,16 @@
 #include "sim/core.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
+#include <new>
+#include <type_traits>
 
 #include "common/bitops.hpp"
 #include "common/error.hpp"
 #include "isa/decoder.hpp"
 #include "sim/dotp_lanes.hpp"
+#include "sim/scalar_ops.hpp"
 #include "sim/superblock.hpp"
 
 namespace xpulp::sim {
@@ -55,7 +59,7 @@ Core::Core(mem::Memory& mem, CoreConfig cfg)
   // Size the plan index once, up front: rehashing it mid-run allocates
   // while a layer's large buffers are live, which fragmented the heap
   // (+0.5 MB peak RSS on qnnbench net-mixed).
-  sb_plans_.reserve(kSbHeatSize);
+  sb_at_.reserve(kSbHeatSize);
 }
 
 Core::~Core() = default;
@@ -77,24 +81,25 @@ void Core::reset(addr_t pc, addr_t code_end) {
   icache_base_ = pc & ~addr_t{1};
   sb_clear();
   sb_stats_ = SuperblockStats{};
+  sb_kind_ops_.fill(0);
   // Pre-size the decode cache to the program's span so the run loop never
   // pays a resize, and stores outside it cost a compare or two; without a
   // span it starts empty, at the first fetch. icache_valid_ bounds the
-  // span; icache_ only grows: a slot is read only behind its valid bit, so
-  // a core reset to a program of about the same size (the next streamed
-  // tile) neither reallocates nor re-initializes its slots. Its capacity
-  // is rounded up (kIcacheRound): the next tile's program may be a few
-  // parcels longer, and growing past an exact capacity would copy the
-  // cache.
+  // span; icache_ only grows, and its slots are never initialized (a slot
+  // is read only behind its valid bit), so a core reset to a program of
+  // about the same size (the next streamed tile) neither reallocates nor
+  // touches them. Its capacity is rounded up (kIcacheRound): the next
+  // tile's program may be a few parcels longer, and growing past an exact
+  // capacity would copy the cache.
   const u32 parcels =
       code_end > icache_base_ && icache_base_ < mem_.size()
           ? static_cast<u32>(
                 (std::min<u64>(code_end, mem_.size()) - icache_base_ + 1) >> 1)
           : 0;
-  if (icache_.size() < parcels) {
-    icache_.reserve((parcels + kIcacheRound - 1) / kIcacheRound *
-                    kIcacheRound);
-    icache_.resize(parcels);
+  icache_valid_.clear();  // nothing to carry into a new allocation
+  if (icache_cap_ < parcels) {
+    icache_realloc((parcels + kIcacheRound - 1) / kIcacheRound * kIcacheRound,
+                   0);
   }
   icache_valid_.assign(parcels, 0);
   if (pre_run_gate_ && code_end > pc) {
@@ -126,7 +131,7 @@ const Instr& Core::fetch_decode(addr_t pc) {
     const u32 need = (icache_base_ - (pc & ~addr_t{1})) >> 1;
     const u32 shift =
         std::min(std::max({need, parcels, 4096u}), icache_base_ >> 1);
-    icache_.insert(icache_.begin(), shift, isa::Instr{});
+    icache_realloc(std::max(icache_cap_, parcels + shift), shift);
     icache_valid_.insert(icache_valid_.begin(), shift, u8{0});
     icache_base_ -= shift * 2;
   }
@@ -136,7 +141,7 @@ const Instr& Core::fetch_decode(addr_t pc) {
     const u32 cap = (mem_.size() - icache_base_ + 1) >> 1;
     const u32 new_size =
         std::min(std::max({4096u, parcels * 2, idx + 1}), cap);
-    if (icache_.size() < new_size) icache_.resize(new_size);
+    if (icache_cap_ < new_size) icache_realloc(new_size, 0);
     icache_valid_.resize(new_size, 0);
   }
   icache_[idx] = isa::decode(raw, pc);
@@ -144,7 +149,19 @@ const Instr& Core::fetch_decode(addr_t pc) {
   return icache_[idx];
 }
 
-void Core::icache_invalidate(addr_t a, unsigned size) {
+void Core::icache_realloc(u32 cap, u32 shift) {
+  static_assert(std::is_trivially_copyable_v<isa::Instr>);
+  std::unique_ptr<isa::Instr[], IcacheFree> slots(static_cast<isa::Instr*>(
+      ::operator new(sizeof(isa::Instr) * size_t{cap})));
+  if (!icache_valid_.empty()) {
+    std::memcpy(slots.get() + shift, icache_.get(),
+                sizeof(isa::Instr) * icache_valid_.size());
+  }
+  icache_ = std::move(slots);
+  icache_cap_ = cap;
+}
+
+void Core::icache_invalidate_range(addr_t a, unsigned size) {
   // Superblock coherence rides the same store path: two compares when any
   // plan exists, a slow-path walk only on actual overlap.
   if (!sb_plans_.empty() && static_cast<u64>(a) + size > sb_lo_ &&
@@ -629,20 +646,16 @@ void Core::alu_body(const Instr& in, u32 b) {
   const u32 a = reg(in.rs1);
   u32 r = 0;
   switch (in.op) {
-    case M::kAddi: case M::kAdd: r = a + b; break;
-    case M::kSub: r = a - b; break;
-    case M::kSlti: case M::kSlt:
-      r = (static_cast<i32>(a) < static_cast<i32>(b)) ? 1 : 0;
-      break;
-    case M::kSltiu: case M::kSltu: r = (a < b) ? 1 : 0; break;
-    case M::kXori: case M::kXor: r = a ^ b; break;
-    case M::kOri: case M::kOr: r = a | b; break;
-    case M::kAndi: case M::kAnd: r = a & b; break;
-    case M::kSlli: case M::kSll: r = a << (b & 31); break;
-    case M::kSrli: case M::kSrl: r = a >> (b & 31); break;
-    case M::kSrai: case M::kSra:
-      r = static_cast<u32>(static_cast<i32>(a) >> (b & 31));
-      break;
+    case M::kAddi: case M::kAdd: r = alu<AluFn::kAdd>(a, b); break;
+    case M::kSub: r = alu<AluFn::kSub>(a, b); break;
+    case M::kSlti: case M::kSlt: r = alu<AluFn::kSlt>(a, b); break;
+    case M::kSltiu: case M::kSltu: r = alu<AluFn::kSltu>(a, b); break;
+    case M::kXori: case M::kXor: r = alu<AluFn::kXor>(a, b); break;
+    case M::kOri: case M::kOr: r = alu<AluFn::kOr>(a, b); break;
+    case M::kAndi: case M::kAnd: r = alu<AluFn::kAnd>(a, b); break;
+    case M::kSlli: case M::kSll: r = alu<AluFn::kSll>(a, b); break;
+    case M::kSrli: case M::kSrl: r = alu<AluFn::kSrl>(a, b); break;
+    case M::kSrai: case M::kSra: r = alu<AluFn::kSra>(a, b); break;
     default: break;
   }
   set_reg(in.rd, r);
@@ -897,36 +910,28 @@ void Core::exec_pulp_scalar(const Instr& in) {
   using M = Mnemonic;
   const u32 a = reg(in.rs1);
   const u32 b = reg(in.rs2);
-  const i32 sa = static_cast<i32>(a);
-  const i32 sb = static_cast<i32>(b);
+  // Bit-field immediates: Is3 (pos) in imm, Is2 (width - 1) in imm2.
+  const unsigned width = static_cast<unsigned>(in.imm2) + 1;
+  const unsigned pos = static_cast<unsigned>(in.imm);
   u32 r = 0;
   switch (in.op) {
-    case M::kPAbs: r = static_cast<u32>(sa < 0 ? -sa : sa); break;
-    case M::kPMin: r = static_cast<u32>(sa < sb ? sa : sb); break;
-    case M::kPMinu: r = a < b ? a : b; break;
-    case M::kPMax: r = static_cast<u32>(sa > sb ? sa : sb); break;
-    case M::kPMaxu: r = a > b ? a : b; break;
+    case M::kPAbs: case M::kPMin: case M::kPMinu: case M::kPMax:
+    case M::kPMaxu: case M::kPCnt: case M::kPFf1: case M::kPFl1:
+    case M::kPClb: case M::kPRor:
+      r = pulp_alu(in.op, a, b);
+      break;
     case M::kPExths: r = static_cast<u32>(sign_extend(a, 16)); break;
-    case M::kPExthz: r = a & 0xffffu; break;
+    case M::kPExthz: r = zero_extend(a, 16); break;
     case M::kPExtbs: r = static_cast<u32>(sign_extend(a, 8)); break;
-    case M::kPExtbz: r = a & 0xffu; break;
-    case M::kPCnt: r = popcount32(a); break;
-    case M::kPFf1: r = find_first_one(a); break;
-    case M::kPFl1: r = find_last_one(a); break;
-    case M::kPClb: r = count_leading_redundant_sign(a); break;
-    case M::kPRor: r = rotr32(a, b); break;
-    case M::kPClip: {
-      // p.clip rd, rs1, I: clamp to [-2^(I-1), 2^(I-1)-1] (I==0 acts as 1).
-      const unsigned i = static_cast<unsigned>(in.imm);
-      r = static_cast<u32>(sat_signed(sa, i == 0 ? 1 : i));
+    case M::kPExtbz: r = zero_extend(a, 8); break;
+    // p.clip rd, rs1, I: clamp to [-2^(I-1), 2^(I-1)-1]; p.clipu to
+    // [0, 2^I - 1].
+    case M::kPClip:
+      r = static_cast<u32>(sat_signed(static_cast<i32>(a), clip_width(in.imm)));
       break;
-    }
-    case M::kPClipu: {
-      // p.clipu rd, rs1, I: clamp to [0, 2^I - 1] (I==0 acts as 1).
-      const unsigned i = static_cast<unsigned>(in.imm);
-      r = sat_unsigned(sa, i == 0 ? 1 : i);
+    case M::kPClipu:
+      r = sat_unsigned(static_cast<i32>(a), clip_width(in.imm));
       break;
-    }
     case M::kPMac:
       r = reg(in.rd) + a * b;
       perf_.mul_ops += 1;
@@ -937,39 +942,23 @@ void Core::exec_pulp_scalar(const Instr& in) {
       perf_.mul_ops += 1;
       perf_.mac_ops += 1;
       break;
-    case M::kPExtract: {
-      const unsigned width = static_cast<unsigned>(in.imm2) + 1;
-      const unsigned pos = static_cast<unsigned>(in.imm);
+    case M::kPExtract:
       r = static_cast<u32>(sign_extend(a >> pos, width));
       break;
-    }
-    case M::kPExtractu: {
-      const unsigned width = static_cast<unsigned>(in.imm2) + 1;
-      const unsigned pos = static_cast<unsigned>(in.imm);
-      r = zero_extend(a >> pos, width);
-      break;
-    }
-    case M::kPInsert: {
-      const unsigned width = static_cast<unsigned>(in.imm2) + 1;
-      const unsigned pos = static_cast<unsigned>(in.imm);
+    case M::kPExtractu: r = zero_extend(a >> pos, width); break;
+    case M::kPInsert:
       if (pos + width > 32) throw IllegalInstruction(pc_, in.raw);
       r = insert_bits(reg(in.rd), a, pos, width);
       break;
-    }
-    case M::kPBclr: {
-      const unsigned width = static_cast<unsigned>(in.imm2) + 1;
-      const unsigned pos = static_cast<unsigned>(in.imm);
+    // p.bclr / p.bset: and / or with the field mask.
+    case M::kPBclr:
       if (pos + width > 32) throw IllegalInstruction(pc_, in.raw);
-      r = a & ~(low_mask(width) << pos);
+      r = alu<AluFn::kAnd>(a, ~(low_mask(width) << pos));
       break;
-    }
-    case M::kPBset: {
-      const unsigned width = static_cast<unsigned>(in.imm2) + 1;
-      const unsigned pos = static_cast<unsigned>(in.imm);
+    case M::kPBset:
       if (pos + width > 32) throw IllegalInstruction(pc_, in.raw);
-      r = a | (low_mask(width) << pos);
+      r = alu<AluFn::kOr>(a, low_mask(width) << pos);
       break;
-    }
     default:
       throw IllegalInstruction(pc_, in.raw);
   }
@@ -1106,40 +1095,9 @@ void Core::exec_simd_dotp_fast(const Instr& in) {
 }
 
 void Core::exec_simd_elem(const Instr& in) {
-  using M = Mnemonic;
-  const u32 a = reg(in.rs1);
-  const u32 b = reg(in.rs2);
-  const unsigned lanes = isa::simd_elem_count(in.fmt);
-  const unsigned lane = static_cast<unsigned>(in.imm) & (lanes - 1);
-  u32 r = 0;
-  switch (in.op) {
-    case M::kPvElemExtract:
-      r = static_cast<u32>(simd_extract(a, in.fmt, lane, /*sign=*/true));
-      break;
-    case M::kPvElemExtractu:
-      r = static_cast<u32>(simd_extract(a, in.fmt, lane, /*sign=*/false));
-      break;
-    case M::kPvElemInsert:
-      r = simd_insert(reg(in.rd), in.fmt, lane, a);
-      break;
-    case M::kPvShuffle: {
-      for (unsigned i = 0; i < lanes; ++i) {
-        const unsigned src =
-            static_cast<unsigned>(simd_extract(b, in.fmt, i, false)) &
-            (lanes - 1);
-        r = simd_insert(
-            r, in.fmt, i,
-            static_cast<u32>(simd_extract(a, in.fmt, src, false)));
-      }
-      break;
-    }
-    case M::kPvPackH:
-      r = (a << 16) | (b & 0xffffu);
-      break;
-    default:
-      throw IllegalInstruction(pc_, in.raw);
-  }
-  set_reg(in.rd, r);
+  if (!isa::is_elem_manip(in.op)) throw IllegalInstruction(pc_, in.raw);
+  set_reg(in.rd, simd_elem_op(in.op, in.fmt, in.imm, reg(in.rs1),
+                              reg(in.rs2), reg(in.rd)));
   perf_.simd_alu_ops += 1;
 }
 

@@ -27,6 +27,8 @@
 namespace xpulp::sim {
 
 struct SuperblockPlan;  // sim/superblock.hpp (host-side compiled blocks)
+struct SbLatches;
+enum class SbKind : u8;
 
 struct CoreConfig {
   bool xpulpv2 = true;    // hardware loops, post-inc LSU, 8/16-bit SIMD, MAC
@@ -406,6 +408,10 @@ class Core {
   void set_pre_run_gate(PreRunGate g) { pre_run_gate_ = std::move(g); }
 
   const SuperblockStats& superblock_stats() const { return sb_stats_; }
+  /// Ops compiled into superblock plans so far, by SbKind
+  /// (sim/superblock.hpp), inner-loop bodies included: host-side coverage
+  /// of the fused loop's op kinds, reset with the plans by reset().
+  u64 superblock_ops_compiled(SbKind k) const;
 
   // ---- Snapshot/restore (src/ckpt) ----
 
@@ -520,13 +526,22 @@ class Core {
   /// Decode-cache coherence: drop cached decodes covering a stored-to
   /// range (self-modifying code support). Also evicts (or dirties, when
   /// live) overlapping superblock plans — one invalidation path for both
-  /// caches.
-  void icache_invalidate(addr_t a, unsigned size);
+  /// caches. Inline, a store that misses the decode cache's span (a
+  /// 32-bit instruction one parcel below a store covers it too) and the
+  /// plans' extent costs a few compares.
+  void icache_invalidate(addr_t a, unsigned size) {
+    const u64 lo = a;
+    const u64 hi = lo + size;
+    const u64 parcels = icache_valid_.size();
+    if ((parcels != 0 && hi > icache_base_ &&
+         lo < icache_base_ + 2 * parcels + 2) ||
+        (!sb_plans_.empty() && hi > sb_lo_ && lo < sb_hi_)) {
+      icache_invalidate_range(a, size);
+    }
+  }
+  void icache_invalidate_range(addr_t a, unsigned size);
 
   // ---- Superblock engine (sim/superblock.cpp) ----
-
-  using SbPlanIndex =
-      std::unordered_map<addr_t, std::unique_ptr<SuperblockPlan>>;
 
   /// Compile-if-needed and run a fused burst at `start` with at most
   /// `budget` instructions; returns how many retired (0 = fall back to
@@ -542,6 +557,31 @@ class Core {
   bool sb_build(SuperblockPlan& plan, addr_t start, addr_t end,
                 addr_t branch_pc);
   u64 sb_execute(SuperblockPlan& plan, u64 budget);
+  /// Retire `k` iterations of a kConvInner or kCopyWords plan in one host
+  /// loop, the first starting at cycle `t0` (its entry hazard `hz`
+  /// included), with the latches in `s`; registers, memory and the burst
+  /// sink move, counters do not. False, touching nothing, when an access
+  /// stream is misaligned or leaves memory, or a copy could store into
+  /// cached code or a plan.
+  bool sb_run_whole(const SuperblockPlan& p, u64 k, unsigned hz, cycles_t t0,
+                    SbLatches& s);
+  /// Run hardware loop `l`, whose body is the whole-run shape `p`, to its
+  /// end without a burst: from superblock_enter, or in place from a
+  /// branch plan's kInnerLoop op (`nested`), whose burst lends its LSU
+  /// latch `lld` / `toggles` and passes the true cycle `t0`. Returns the
+  /// instructions retired, 0 (touching nothing) when the run does not
+  /// qualify: a memory mode or entry guard a burst would reject, a budget
+  /// short of the loop's end, a deadline the run could reach, or a
+  /// failed stream check. A nested run charges its cycles and leaves the
+  /// rest of its static accounting to the burst's exit (sb_settle_inner).
+  u64 sb_enter_whole(SuperblockPlan& p, unsigned l, u64 budget, cycles_t t0,
+                     u32& lld, u64& toggles, bool nested);
+  /// Apply the static accounting and stats the in-place runs of `plan`'s
+  /// inner loops deferred: one scaled add per body per burst.
+  void sb_settle_inner(SuperblockPlan& plan);
+  /// Apply whole-run plan `p`'s pending static accounting (its cycles
+  /// too when `with_cycles`; a nested run charged them eagerly) and stats.
+  void sb_settle(SuperblockPlan& p, bool with_cycles);
   /// `Sampled` arms per-iteration/per-op sampling-deadline checks that
   /// repair the burst to an exact boundary via the plan's op prefixes.
   /// `nested` runs an inner loop of the active branch plan.
@@ -565,11 +605,18 @@ class Core {
   /// match this copy of the body), else the plan indexed at the start pc
   /// (nullptr when there is none).
   SuperblockPlan* sb_find_loop(unsigned l);
-  /// Move `plan` and its index entry to `start`; returns the plan now
-  /// indexed there (another plan already starting there wins).
+  /// Move roaming `plan` to `start`; returns the plan now there (a plan
+  /// pinned at `start` wins, and `plan` stays).
   SuperblockPlan* sb_rebase(SuperblockPlan& plan, addr_t start);
-  /// Erase a plan from the index (and its shape link); returns the next.
-  SbPlanIndex::iterator sb_erase(SbPlanIndex::iterator it);
+  /// Drop a heat entry's link to its plan. A roaming plan no entry finds
+  /// any more is pinned at its pc (or freed when another plan is).
+  struct SbHeatEntry;
+  void sb_unlink(SbHeatEntry& e);
+  /// Free a plan: its shape link, pc index entry and storage.
+  void sb_erase(SuperblockPlan& p);
+  /// Evict every plan `hit` selects (a live one is flagged dead instead).
+  template <typename Hit>
+  void sb_evict_if(Hit hit);
   void sb_invalidate_range(addr_t a, unsigned size);
   void sb_recompute_extent();
   /// Evict plans whose fused mixed dot ops baked a now-stale mpc selector
@@ -655,10 +702,19 @@ class Core {
   cycles_t hook_cycle_ = 0;
 
   // Decode cache over the program's code span: slot i holds the decode
-  // at icache_base_ + 2i. The base is always even.
-  std::vector<isa::Instr> icache_;
+  // at icache_base_ + 2i. The base is always even. Slots are allocated but
+  // never constructed: one is written before its valid bit is set and read
+  // only behind it, so a fresh core touches only the slots it decodes.
+  struct IcacheFree {
+    void operator()(isa::Instr* p) const { ::operator delete(p); }
+  };
+  std::unique_ptr<isa::Instr[], IcacheFree> icache_;
+  u32 icache_cap_ = 0;  // allocated slots; icache_valid_.size() are in use
   std::vector<u8> icache_valid_;
   addr_t icache_base_ = 0;
+  /// Move the decode cache into `cap` fresh slots, its current slots
+  /// landing `shift` slots up.
+  void icache_realloc(u32 cap, u32 shift);
 
   // ---- Superblock engine state (host-side, never serialized) ----
   static constexpr addr_t kNoSbCandidate = ~addr_t{0};
@@ -690,8 +746,16 @@ class Core {
   /// makes it the candidate whenever execution reaches its start.
   addr_t sb_fallin_ = kNoSbCandidate;
   addr_t sb_fallin_branch_ = 0;
-  /// Compiled plans indexed by start pc (at most one plan per start).
-  SbPlanIndex sb_plans_;
+  /// Every compiled plan.
+  std::vector<std::unique_ptr<SuperblockPlan>> sb_plans_;
+  /// Plans pinned to their start pc, by that pc (at most one per pc):
+  /// branch plans, and hardware-loop plans that cannot roam. Roaming plans
+  /// are found through their shape's heat entry only, so moving one to
+  /// another copy of its body touches no index.
+  std::unordered_map<addr_t, SuperblockPlan*> sb_at_;
+  /// Ops compiled by SbKind (superblock_ops_compiled); slots past
+  /// SbKind::kCount stay 0.
+  std::array<u64, 48> sb_kind_ops_{};
   /// Regions that failed static eligibility, so hot-but-uncompilable
   /// loops don't re-walk the block on every backedge. Range-keyed: a
   /// store into the region clears the record (the patched code may now

@@ -32,6 +32,36 @@ u32 simd_insert(u32 v, SimdFmt fmt, unsigned i, u32 e) {
   return insert_bits(v, e & low_mask(w), i * w, w);
 }
 
+u32 simd_elem_op(isa::Mnemonic op, SimdFmt fmt, i32 imm, u32 a, u32 b,
+                 u32 d) {
+  using M = isa::Mnemonic;
+  const unsigned lanes = isa::simd_elem_count(fmt);
+  const unsigned lane = static_cast<unsigned>(imm) & (lanes - 1);
+  switch (op) {
+    case M::kPvElemExtract:
+      return static_cast<u32>(simd_extract(a, fmt, lane, /*sign=*/true));
+    case M::kPvElemExtractu:
+      return static_cast<u32>(simd_extract(a, fmt, lane, /*sign=*/false));
+    case M::kPvElemInsert:
+      return simd_insert(d, fmt, lane, a);
+    case M::kPvShuffle: {
+      u32 r = 0;
+      for (unsigned i = 0; i < lanes; ++i) {
+        const unsigned src =
+            static_cast<unsigned>(simd_extract(b, fmt, i, false)) &
+            (lanes - 1);
+        r = simd_insert(r, fmt, i,
+                        static_cast<u32>(simd_extract(a, fmt, src, false)));
+      }
+      return r;
+    }
+    case M::kPvPackH:
+      return (a << 16) | (b & 0xffffu);
+    default:
+      return 0;
+  }
+}
+
 u32 simd_operand_b(u32 rs2, SimdFmt fmt) {
   if (!isa::simd_is_scalar_rep(fmt)) return rs2;
   const unsigned w = isa::simd_elem_bits(fmt);

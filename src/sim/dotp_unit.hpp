@@ -151,6 +151,12 @@ i32 simd_extract(u32 v, isa::SimdFmt fmt, unsigned i, bool sign);
 /// Insert the low bits of `e` as element `i` of `v`.
 u32 simd_insert(u32 v, isa::SimdFmt fmt, unsigned i, u32 e);
 
+/// The element-manipulation ops (isa::is_elem_manip: pv.extract(u),
+/// pv.insert, pv.shuffle, pv.pack.h) on rs1 `a`, rs2 `b` and the old rd
+/// `d`; `imm` selects the lane. Any other mnemonic yields 0.
+u32 simd_elem_op(isa::Mnemonic op, isa::SimdFmt fmt, i32 imm, u32 a, u32 b,
+                 u32 d);
+
 /// Scalar-replication source: for `.sc` formats the scalar is element 0 of
 /// rs2 replicated over all lanes; otherwise rs2 is used as-is.
 u32 simd_operand_b(u32 rs2, isa::SimdFmt fmt);

@@ -30,6 +30,28 @@ struct QuantResult {
   unsigned mem_loads;
 };
 
+/// Eytzinger walk of the two trees of a pv.qnt, the one definition every
+/// path runs: node k has children 2k+1 / 2k+2; going right means "x is >=
+/// threshold", contributing a 1 bit (Fig. 2 of the paper). `load(addr)`
+/// returns the int16 threshold at addr; the address each level of tree t
+/// reads lands in nodes[t][level]. After Q levels a node index is
+/// 2^Q - 1 + code, so the code falls out of the final index. The two walks
+/// are independent; stepping them level by level together lets the host
+/// overlap their load chains.
+template <typename Load>
+void qnt_walk2(Load&& load, const addr_t (&tree)[2], const i16 (&x)[2],
+               unsigned q_bits, u32 (&code)[2], addr_t (&nodes)[2][4]) {
+  u32 idx[2] = {0, 0};
+  for (unsigned level = 0; level < q_bits; ++level) {
+    for (unsigned t = 0; t < 2; ++t) {
+      nodes[t][level] = tree[t] + idx[t] * 2;
+      const i16 th = static_cast<i16>(load(nodes[t][level]));
+      idx[t] = 2 * idx[t] + 1 + (x[t] >= th ? 1u : 0u);
+    }
+  }
+  for (unsigned t = 0; t < 2; ++t) code[t] = idx[t] - ((1u << q_bits) - 1);
+}
+
 class QuantUnit {
  public:
   /// Tree stride in bytes for a Q-bit output: 2^Q int16 slots.
@@ -37,10 +59,37 @@ class QuantUnit {
     return (1u << q_bits) * 2;
   }
 
+  /// One past the last byte the two walks of a pv.qnt with tree base
+  /// `rs2` can read: the deepest node of act1's tree.
+  static constexpr u64 trees_end(addr_t rs2, unsigned q_bits) {
+    return u64{rs2} + 2 * tree_stride_bytes(q_bits) - 2;
+  }
+
+  /// The codes of both activations in rs1 (rd layout: bits [Q-1:0] and
+  /// [16+Q-1:16]), walking act0's tree at rs2 and act1's one stride past
+  /// it; nodes[t][level] is the address tree t reads at that level.
+  template <typename Load>
+  static u32 quantize_pair(Load&& load, u32 rs1, addr_t rs2, unsigned q_bits,
+                           addr_t (&nodes)[2][4]) {
+    const addr_t tree[2] = {rs2, rs2 + tree_stride_bytes(q_bits)};
+    const i16 x[2] = {static_cast<i16>(rs1 & 0xffffu),
+                      static_cast<i16>(rs1 >> 16)};
+    u32 code[2];
+    qnt_walk2(load, tree, x, q_bits, code, nodes);
+    return (code[1] << 16) | code[0];
+  }
+
   /// Execute pv.qnt for `q_bits` in {4, 2}. `rs1` holds act0 in [15:0] and
   /// act1 in [31:16] (each a signed 16-bit value); `rs2` is the address of
   /// act0's threshold tree.
   QuantResult execute(mem::Memory& mem, u32 rs1, addr_t rs2, unsigned q_bits);
+
+  /// execute() for a caller that counts the 2Q threshold loads itself (the
+  /// superblock fused loop batches them with its static accounting): the
+  /// fetches go through Memory::access_stalls, so misalignment, contention
+  /// and the access hook still see each one, in the same order.
+  QuantResult execute_stalls(mem::Memory& mem, u32 rs1, addr_t rs2,
+                             unsigned q_bits);
 
   /// Reference staircase used by tests and by the golden QNN layers:
   /// the quantized code is the number of sorted thresholds <= x.

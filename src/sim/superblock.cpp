@@ -19,6 +19,7 @@
 #include "common/bitops.hpp"
 #include "common/error.hpp"
 #include "sim/dotp_lanes.hpp"
+#include "sim/scalar_ops.hpp"
 
 #if defined(__SSE4_1__)
 #define XPULP_SB_HOST_SIMD 1
@@ -55,20 +56,17 @@ void add_scaled(PerfCounters& dst, const PerfCounters& d, u64 k) {
 
 /// Static per-op accounting, batched into the per-iteration delta (and the
 /// mid-iteration repair, add_prefix). Must mirror the fused op bodies in
-/// sb_execute(): fully-inlined kinds batch their class counter here;
-/// kAluImm/kAluReg/kHandler ops run the existing exec helpers, which charge
-/// class counters and static stalls (mulh latency, qnt compare cycles)
-/// eagerly, so only the base cycle/instruction and intra-block hazard are
-/// batched for them.
+/// sb_execute_impl(): every kind but kHandler batches its class counter,
+/// fixed latency and memory counts here; kHandler ops run the
+/// interpreter's exec helpers, which charge their class counters and
+/// static stalls (mulh latency) eagerly, so only the base
+/// cycle/instruction and intra-block hazard are batched for them.
 void op_static_delta(const SbOp& o, PerfCounters& d, mem::MemStats& m) {
   d.instructions += 1;
   d.cycles += 1 + o.hazard;
   d.load_use_stall_cycles += o.hazard;
   switch (o.kind) {
-    case SbKind::kConst:
-    case SbKind::kAddImm:
-    case SbKind::kInnerLoop:  // the lp.setup; its body accounts eagerly
-      d.scalar_alu_ops += 1;
+    case SbKind::kHandler:
       break;
     case SbKind::kMac:
       d.scalar_alu_ops += 1;
@@ -94,7 +92,22 @@ void op_static_delta(const SbOp& o, PerfCounters& d, mem::MemStats& m) {
         d.mixed_dotp_ops[static_cast<unsigned>(o.imm)] += 1;
       }
       break;
-    default:
+    case SbKind::kSimdAlu:
+    case SbKind::kSimdElem:
+      d.simd_alu_ops += 1;
+      break;
+    case SbKind::kQnt:
+      // The unit's fixed latency (1 + 2Q: the base cycle, then 2Q compare
+      // cycles stalling as qnt stalls) and its 2Q two-byte threshold
+      // loads. Misalignment and contention stalls stay dynamic.
+      d.cycles += 2u * o.aux;
+      d.qnt_stall_cycles += 2u * o.aux;
+      d.qnt_ops += 1;
+      m.loads += 2u * o.aux;
+      m.load_bytes += 4u * o.aux;
+      break;
+    default:  // lui/auipc, the ALU and bit-field kinds, an inner lp.setup
+      d.scalar_alu_ops += 1;
       break;
   }
 }
@@ -482,6 +495,83 @@ constexpr u32 replicate(u32 b) {
   return (b & low_mask(W)) * (~0u / low_mask(W));
 }
 
+/// The op kind of an RV32I ALU mnemonic, immediate or register form.
+SbKind alu_kind(Mnemonic op) {
+  using M = Mnemonic;
+  using K = SbKind;
+  switch (op) {
+    case M::kAddi: return K::kAddImm;
+    case M::kSlti: return K::kSltImm;
+    case M::kSltiu: return K::kSltuImm;
+    case M::kXori: return K::kXorImm;
+    case M::kOri: return K::kOrImm;
+    case M::kAndi: return K::kAndImm;
+    case M::kSlli: return K::kSllImm;
+    case M::kSrli: return K::kSrlImm;
+    case M::kSrai: return K::kSraImm;
+    case M::kAdd: return K::kAdd;
+    case M::kSub: return K::kSub;
+    case M::kSlt: return K::kSlt;
+    case M::kSltu: return K::kSltu;
+    case M::kXor: return K::kXor;
+    case M::kOr: return K::kOr;
+    case M::kAnd: return K::kAnd;
+    case M::kSll: return K::kSll;
+    case M::kSrl: return K::kSrl;
+    case M::kSra: return K::kSra;
+    default: return K::kHandler;
+  }
+}
+
+/// Resolve an XpulpV2 scalar op (ExecClass::kPulpScalar) into `o`: its
+/// kind, and the field position and width or clip width it needs. False
+/// for an illegal bit-field shape: width legality is a static property of
+/// the immediates, so such an op (which traps with its pc) never compiles
+/// and plans stay IllegalInstruction-free.
+bool resolve_pulp_scalar(const Instr& in, SbOp& o) {
+  using M = Mnemonic;
+  const unsigned width = static_cast<unsigned>(in.imm2) + 1;
+  const unsigned pos = static_cast<unsigned>(in.imm);
+  const auto field = [&o](SbKind k, unsigned at, unsigned w) {
+    o.kind = k;
+    o.aux = static_cast<u8>(at);
+    o.imm = static_cast<i32>(w);
+  };
+  switch (in.op) {
+    case M::kPMac:
+    case M::kPMsu:
+      o.kind = SbKind::kMac;
+      o.aux = in.op == M::kPMsu;
+      return true;
+    case M::kPExtract: field(SbKind::kExtract, pos, width); return true;
+    case M::kPExths: field(SbKind::kExtract, 0, 16); return true;
+    case M::kPExtbs: field(SbKind::kExtract, 0, 8); return true;
+    case M::kPExtractu: field(SbKind::kExtractu, pos, width); return true;
+    case M::kPExthz: field(SbKind::kExtractu, 0, 16); return true;
+    case M::kPExtbz: field(SbKind::kExtractu, 0, 8); return true;
+    case M::kPInsert:
+    case M::kPBclr:
+    case M::kPBset:
+      if (pos + width > 32) return false;
+      if (in.op == M::kPInsert) {
+        field(SbKind::kInsert, pos, width);
+      } else {
+        const u32 mask = low_mask(width) << pos;
+        o.kind = in.op == M::kPBclr ? SbKind::kAndImm : SbKind::kOrImm;
+        o.imm = static_cast<i32>(in.op == M::kPBclr ? ~mask : mask);
+      }
+      return true;
+    case M::kPClip:
+    case M::kPClipu:
+      o.kind = in.op == M::kPClip ? SbKind::kClip : SbKind::kClipu;
+      o.imm = static_cast<i32>(clip_width(in.imm));
+      return true;
+    default:
+      o.kind = SbKind::kPulpAlu;
+      return true;
+  }
+}
+
 bool is_conditional_branch(Mnemonic op) {
   using M = Mnemonic;
   switch (op) {
@@ -494,6 +584,12 @@ bool is_conditional_branch(Mnemonic op) {
 }
 
 }  // namespace
+
+u64 Core::superblock_ops_compiled(SbKind k) const {
+  static_assert(static_cast<size_t>(SbKind::kCount) <=
+                std::tuple_size_v<decltype(sb_kind_ops_)>);
+  return sb_kind_ops_[static_cast<size_t>(k)];
+}
 
 void Core::sb_note_backedge(addr_t branch_pc, addr_t target) {
   // One promotion rule for both loop kinds: kSbHeatThreshold backedges,
@@ -528,7 +624,7 @@ void Core::sb_note_loop_backedge(unsigned l) {
   const u64 key = sb_loop_key(l);
   SbHeatEntry& e = sb_heat_[1][heat_slot(key)];
   if (e.key != key) {
-    if (e.plan != nullptr) e.plan->shape_key = 0;  // evicted: unlink
+    sb_unlink(e);  // evicted
     e = SbHeatEntry{key, nullptr, 1, false};
     return;
   }
@@ -591,16 +687,10 @@ SuperblockPlan* Core::sb_find_loop(unsigned l) {
 }
 
 SuperblockPlan* Core::sb_rebase(SuperblockPlan& plan, addr_t start) {
-  // Re-key the index node in place (no allocation); a plan that already
-  // starts there keeps the slot and this one stays where it was.
-  auto node = sb_plans_.extract(plan.start);
-  node.key() = start;
-  auto ins = sb_plans_.insert(std::move(node));
-  if (!ins.inserted) {
-    ins.node.key() = plan.start;
-    sb_plans_.insert(std::move(ins.node));
-    return ins.position->second.get();
-  }
+  // Roaming plans are found through their shape's heat entry, never by
+  // pc, so the move touches no index. A plan pinned at `start` keeps it,
+  // and this one stays where it was.
+  if (SuperblockPlan* pinned = sb_find(start)) return pinned;
   // Shift every pc the plan reports: bail-out, fault, access-hook and
   // burst-sink pcs all come from start/end/op_pc.
   const addr_t delta = start - plan.start;
@@ -614,25 +704,44 @@ SuperblockPlan* Core::sb_rebase(SuperblockPlan& plan, addr_t start) {
   return &plan;
 }
 
-Core::SbPlanIndex::iterator Core::sb_erase(SbPlanIndex::iterator it) {
-  const SuperblockPlan& p = *it->second;
+void Core::sb_unlink(SbHeatEntry& e) {
+  SuperblockPlan* p = e.plan;
+  if (p == nullptr) return;
+  e.plan = nullptr;
+  p->shape_key = 0;
+  if (!p->roams) return;  // pinned plans are indexed by pc already
+  // No heat entry finds it any more: pin it where it stands, or drop it
+  // when another plan is pinned there.
+  p->roams = false;
+  if (!sb_at_.emplace(p->start, p).second) sb_erase(*p);
+}
+
+void Core::sb_erase(SuperblockPlan& p) {
   if (p.shape_key != 0) {
     SbHeatEntry& e = sb_heat_[1][heat_slot(p.shape_key)];
     if (e.plan == &p) e.plan = nullptr;
   }
-  return sb_plans_.erase(it);
+  if (!p.roams) {
+    const auto at = sb_at_.find(p.start);
+    if (at != sb_at_.end() && at->second == &p) sb_at_.erase(at);
+  }
+  const auto it =
+      std::find_if(sb_plans_.begin(), sb_plans_.end(),
+                   [&p](const auto& q) { return q.get() == &p; });
+  std::swap(*it, sb_plans_.back());
+  sb_plans_.pop_back();
 }
 
 SuperblockPlan* Core::sb_find(addr_t start) {
-  const auto it = sb_plans_.find(start);
-  return it != sb_plans_.end() ? it->second.get() : nullptr;
+  const auto it = sb_at_.find(start);
+  return it != sb_at_.end() ? it->second : nullptr;
 }
 
 void Core::sb_recompute_extent() {
   sb_lo_ = ~addr_t{0};
   sb_hi_ = 0;
-  for (const auto& [start, p] : sb_plans_) {
-    sb_lo_ = std::min(sb_lo_, start);
+  for (const auto& p : sb_plans_) {
+    sb_lo_ = std::min(sb_lo_, p->start);
     sb_hi_ = std::max(sb_hi_, p->end);
   }
   if (sb_plans_.empty()) sb_lo_ = sb_hi_ = 0;
@@ -642,29 +751,37 @@ void Core::sb_recompute_extent() {
   }
 }
 
+template <typename Hit>
+void Core::sb_evict_if(Hit hit) {
+  bool changed = false;
+  for (size_t k = 0; k < sb_plans_.size();) {
+    SuperblockPlan& p = *sb_plans_[k];
+    if (!hit(p)) {
+      ++k;
+      continue;
+    }
+    sb_stats_.invalidations += 1;
+    changed = true;
+    if (&p == sb_active_) {
+      // The fused loop is executing this plan right now (self-modifying
+      // store): the storage can't be freed under it. Flag it — the burst
+      // bails at the next op boundary and sb_exit() evicts it.
+      sb_active_dirty_ = true;
+      p.dead = true;
+      ++k;
+    } else {
+      sb_erase(p);  // swaps the last plan into slot k
+    }
+  }
+  if (changed) sb_recompute_extent();
+}
+
 void Core::sb_invalidate_range(addr_t a, unsigned size) {
   const u64 sa = a;
   const u64 se = sa + size;
-  bool changed = false;
-  for (auto it = sb_plans_.begin(); it != sb_plans_.end();) {
-    SuperblockPlan& p = *it->second;
-    if (se > p.start && sa < p.end) {
-      sb_stats_.invalidations += 1;
-      changed = true;
-      if (&p == sb_active_) {
-        // The fused loop is executing this plan right now (self-modifying
-        // store): the storage can't be freed under it. Flag it — the burst
-        // bails at the next op boundary and sb_exit() evicts it.
-        sb_active_dirty_ = true;
-        p.dead = true;
-        ++it;
-      } else {
-        it = sb_erase(it);
-      }
-    } else {
-      ++it;
-    }
-  }
+  sb_evict_if([sa, se](const SuperblockPlan& p) {
+    return se > p.start && sa < p.end;
+  });
   for (auto it = sb_rejects_.begin(); it != sb_rejects_.end();) {
     // The patched region may compile now; forget the rejection.
     if (se > it->first && sa < it->second) {
@@ -673,7 +790,6 @@ void Core::sb_invalidate_range(addr_t a, unsigned size) {
       ++it;
     }
   }
-  if (changed) sb_recompute_extent();
 }
 
 void Core::sb_evict_mixed_plans() {
@@ -681,31 +797,16 @@ void Core::sb_evict_mixed_plans() {
   // restore with a different mpc) invalidates every plan that baked the
   // old selector into its fused dot bodies. CSR ops never compile into a
   // block, so this cannot fire from inside a burst executing the plan —
-  // but restore paths could in principle; mirror sb_invalidate_range's
-  // live-plan handling for safety.
-  bool changed = false;
-  for (auto it = sb_plans_.begin(); it != sb_plans_.end();) {
-    SuperblockPlan& p = *it->second;
-    if (p.uses_mixed) {
-      sb_stats_.invalidations += 1;
-      sb_stats_.mpc_evictions += 1;
-      changed = true;
-      if (&p == sb_active_) {
-        sb_active_dirty_ = true;
-        p.dead = true;
-        ++it;
-      } else {
-        it = sb_erase(it);
-      }
-    } else {
-      ++it;
-    }
-  }
-  if (changed) sb_recompute_extent();
+  // but restore paths could in principle; sb_evict_if handles a live plan
+  // the way a self-modifying store does.
+  const u64 before = sb_stats_.invalidations;
+  sb_evict_if([](const SuperblockPlan& p) { return p.uses_mixed; });
+  sb_stats_.mpc_evictions += sb_stats_.invalidations - before;
 }
 
 void Core::sb_clear() {
   sb_plans_.clear();
+  sb_at_.clear();
   sb_rejects_.clear();
   sb_heat_ = {};
   sb_candidate_ = kNoSbCandidate;
@@ -728,7 +829,7 @@ SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
     end = hwl_end_[l];
     const u64 key = sb_loop_key(static_cast<unsigned>(l));
     shape = &sb_heat_[1][heat_slot(key)];
-    if (shape->plan != nullptr) shape->plan->shape_key = 0;  // unlink
+    sb_unlink(*shape);
     *shape = SbHeatEntry{key, nullptr, 0, true};
   }
   auto plan = std::make_unique<SuperblockPlan>();
@@ -739,6 +840,11 @@ SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
     return nullptr;
   }
   sb_stats_.blocks_compiled += 1;
+  const auto count_kinds = [this](const SuperblockPlan& q) {
+    for (const SbOp& o : q.ops) sb_kind_ops_[static_cast<size_t>(o.kind)] += 1;
+  };
+  count_kinds(*plan);
+  for (const SuperblockPlan& body : plan->inner) count_kinds(body);
   if (shape != nullptr) {
     shape->plan = plan.get();
     shape->rejected = false;
@@ -748,7 +854,8 @@ SuperblockPlan* Core::sb_compile(addr_t start, addr_t branch_pc) {
                      [](const SbOp& o) { return o.op == Mnemonic::kAuipc; });
   }
   SuperblockPlan* out = plan.get();
-  sb_plans_.emplace(start, std::move(plan));
+  sb_plans_.push_back(std::move(plan));
+  if (!out->roams) sb_at_.emplace(start, out);
   if (branch_pc != 0) {
     sb_fallin_ = start;
     sb_fallin_branch_ = branch_pc;
@@ -794,10 +901,8 @@ bool Core::sb_build(SuperblockPlan& plan, addr_t start, addr_t end,
           o.imm = static_cast<i32>(pc + static_cast<u32>(in.imm));
           break;
         case C::kAluImm:
-          o.kind = in.op == Mnemonic::kAddi ? SbKind::kAddImm : SbKind::kAluImm;
-          break;
         case C::kAluReg:
-          o.kind = SbKind::kAluReg;
+          o.kind = alu_kind(in.op);
           break;
         case C::kMem:
           o.kind = SbKind::kMem;
@@ -820,27 +925,19 @@ bool Core::sb_build(SuperblockPlan& plan, addr_t start, addr_t end,
           }
           break;
         case C::kPulpScalar:
-          if (in.op == Mnemonic::kPMac || in.op == Mnemonic::kPMsu) {
-            o.kind = SbKind::kMac;
-            o.aux = in.op == Mnemonic::kPMsu;
-          } else if (in.op == Mnemonic::kPInsert ||
-                     in.op == Mnemonic::kPBclr || in.op == Mnemonic::kPBset) {
-            // Illegal bit-field shapes trap with the faulting pc. Width
-            // legality is a static property of the immediates, so verify
-            // it here and keep compiled blocks IllegalInstruction-free
-            // instead of repairing a stale pc at run time.
-            const unsigned width = static_cast<unsigned>(in.imm2) + 1;
-            const unsigned pos = static_cast<unsigned>(in.imm);
-            if (pos + width > 32) return false;
-            o.kind = SbKind::kHandler;
-          } else {
-            o.kind = SbKind::kHandler;
-          }
+          if (!resolve_pulp_scalar(in, o)) return false;
+          break;
+        case C::kSimdAlu:
+          o.kind = SbKind::kSimdAlu;
+          break;
+        case C::kSimdElem:
+          o.kind = SbKind::kSimdElem;
+          break;
+        case C::kSimdQnt:
+          o.kind = SbKind::kQnt;
+          o.aux = static_cast<u8>(isa::simd_elem_bits(in.fmt));
           break;
         case C::kMulDiv:
-        case C::kSimdAlu:
-        case C::kSimdElem:
-        case C::kSimdQnt:
           o.kind = SbKind::kHandler;
           break;
         case C::kHwloop: {
@@ -934,16 +1031,17 @@ bool Core::sb_build(SuperblockPlan& plan, addr_t start, addr_t end,
   if (matches_copy_words(plan)) plan.shape = SbShape::kCopyWords;
 
   // Worst-case dynamic cycles per iteration in slim memory mode, for the
-  // sampled-burst arming check. Conservative per class: a memory op can
+  // sampled-burst arming check. Conservative per kind: a memory op can
   // pay the misaligned penalty, a divide the maximal significant-bit
-  // latency, a quantization op its threshold walk plus fetch stalls.
+  // latency, a quantization op one misaligned stall per threshold fetch
+  // (its fixed latency is static).
   {
     u64 dyn = 0;
     for (const SbOp& o : plan.ops) {
-      switch (o.cls) {
-        case isa::ExecClass::kMem: dyn += 2; break;
-        case isa::ExecClass::kMulDiv: dyn += 40; break;
-        case isa::ExecClass::kSimdQnt: dyn += 64; break;
+      switch (o.kind) {
+        case SbKind::kMem: dyn += 2; break;
+        case SbKind::kHandler: dyn += 40; break;
+        case SbKind::kQnt: dyn += 2u * o.aux; break;  // one per fetch
         default: break;
       }
     }
@@ -1009,13 +1107,219 @@ u64 Core::superblock_enter(addr_t start, addr_t branch_pc, u64 budget) {
     plan = sb_compile(start, branch_pc);
     if (plan == nullptr) return 0;
   }
+  if (l >= 0 && plan->shape != SbShape::kGeneric) {
+    // A whole-run shape entered from interpreted code (an im2col copy
+    // between the per-pixel glue): retire the loop without a burst.
+    u32 lld = last_load_data_;
+    u64 toggles = 0;
+    if (const u64 r = sb_enter_whole(*plan, static_cast<unsigned>(l), budget,
+                                     perf_.cycles, lld, toggles, false)) {
+      last_load_data_ = lld;
+      perf_.lsu_data_toggles += toggles;
+      return r;
+    }
+  }
   return sb_execute(*plan, budget);
+}
+
+namespace {
+
+/// Reserve the burst-sink entries of a whole run at once and write the op
+/// loop's coordinates: its memory ops are ops [0, m), at first[i] + j *
+/// step[i] in iteration j, which starts at t0 + j * c_iter. Both shapes
+/// end in a non-load, so wrap_hazard is 0 and only the run's first access
+/// carries an entry hazard, `hz` (already in t0).
+void log_run(std::vector<BurstAccess>& sink, const SuperblockPlan& p, u64 k,
+             unsigned hz, cycles_t t0, size_t m, const u32* first,
+             const u32* step) {
+  const size_t at = sink.size();
+  sink.resize(at + m * k);
+  BurstAccess* out = sink.data() + at;
+  const u64 c_iter = p.iter_perf.cycles;
+  for (u64 j = 0; j < k; ++j) {
+    for (size_t i = 0; i < m; ++i) {
+      const SbOp& o = p.ops[i];
+      *out++ = {t0 + j * c_iter + p.cycle_prefix[i], p.op_pc[i],
+                first[i] + static_cast<u32>(j) * step[i],
+                static_cast<u16>(o.hazard), 4,
+                static_cast<u8>((o.flags & iflag::kIsStore) != 0)};
+    }
+  }
+  BurstAccess& e = sink[at];
+  e.start -= hz;
+  e.cycle_delta = static_cast<u16>(hz);
+}
+
+}  // namespace
+
+bool Core::sb_run_whole(const SuperblockPlan& p, u64 k, unsigned hz,
+                        cycles_t t0, SbLatches& s) {
+  const SbOp* const ops = p.ops.data();
+  const u32 msize = mem_.size();
+  if (p.shape == SbShape::kCopyWords) {
+    const SbOp& ld = ops[0];
+    const SbOp& st = ops[1];
+    const WordStream src = word_stream(regs_[ld.rs1], ld.imm, k, msize);
+    const WordStream dst = word_stream(regs_[st.rs1], st.imm, k, msize);
+    // A store covers the parcel below it too (a 32-bit instruction
+    // starting there), so keep a parcel clear of the decode cache.
+    const i64 code_lo = i64{icache_base_} - 2;
+    const i64 code_hi = i64{icache_base_} + 2 * i64(icache_valid_.size()) + 2;
+    if (!src.ok || !dst.ok || (dst.hi > code_lo && dst.lo < code_hi) ||
+        (dst.hi > i64{sb_lo_} && dst.lo < i64{sb_hi_})) {
+      return false;
+    }
+    const u32 first[] = {regs_[ld.rs1], regs_[st.rs1]};
+    const u32 step[] = {static_cast<u32>(ld.imm), static_cast<u32>(st.imm)};
+    if (burst_sink_ != nullptr) log_run(*burst_sink_, p, k, hz, t0, 2, first, step);
+    u32 src_at = first[0];
+    u32 dst_at = first[1];
+    u32 v = 0;
+    u32 lld = s.lld;
+    u64 toggles = 0;
+    for (u64 j = 0; j < k; ++j) {
+      v = mem_.load_unchecked(src_at, 4);
+      toggles += hamming_distance(lld, v);
+      lld = v;
+      mem_.store_unchecked(dst_at, v, 4);
+      src_at += step[0];
+      dst_at += step[1];
+    }
+    regs_[ld.rd] = v;
+    regs_[ld.rs1] = src_at;
+    regs_[st.rs1] = dst_at;
+    s.lld = lld;
+    s.toggles += toggles;
+    return true;
+  }
+  ConvRun r{};
+  const u8 operand[] = {ops[4].rs1, ops[5].rs1, ops[4].rs2, ops[6].rs2};
+  for (unsigned i = 0; i < 4; ++i) {
+    const SbOp& o = ops[i];
+    if (!word_stream(regs_[o.rs1], o.imm, k, msize).ok) return false;
+    r.addr[i] = regs_[o.rs1];
+    r.step[i] = static_cast<u32>(o.imm);
+    r.load[std::find(operand, operand + 4, o.rd) - operand] =
+        static_cast<u8>(i);
+  }
+  if (burst_sink_ != nullptr) {
+    log_run(*burst_sink_, p, k, hz, t0, 4, r.addr.data(), r.step.data());
+  }
+  r.mem = mem_.view(0, msize).data();
+  for (unsigned q = 0; q < 4; ++q) r.acc[q] = regs_[ops[4 + q].rd];
+  r.accumulate = (ops[4].flags & iflag::kDotAccum) != 0;
+  r.lld = s.lld;
+  r.dla = s.dla;
+  r.dlb = s.dlb;
+  conv_run_for(ops[4])(r, k);
+  for (unsigned i = 0; i < 4; ++i) regs_[ops[i].rs1] = r.addr[i];
+  for (unsigned q = 0; q < 4; ++q) {
+    regs_[operand[q]] = r.v[q];
+    regs_[ops[4 + q].rd] = r.acc[q];
+  }
+  s.lld = r.lld;
+  s.toggles += r.toggles;
+  s.dla = r.dla;
+  s.dlb = r.dlb;
+  s.dtog += r.dtog;
+  s.dops += 4 * k;
+  return true;
+}
+
+u64 Core::sb_enter_whole(SuperblockPlan& p, unsigned l, u64 budget,
+                         cycles_t t0, u32& lld, u64& toggles, bool nested) {
+  // The shapes and memory modes sb_execute_impl runs whole (an access
+  // hook without a sink, or a contention injector, must see every access
+  // in order), a run the budget covers to the loop's end, and the entry
+  // guards of a burst.
+  const bool conv = p.shape == SbShape::kConvInner && dotp_.clock_gating();
+  if (!conv && p.shape != SbShape::kCopyWords) return 0;
+  if ((mem_.has_access_hook() && burst_sink_ == nullptr) ||
+      mem_.contention_period() != 0 ||
+      (p.uses_mixed && p.baked_mpc != mpc_)) {
+    return 0;
+  }
+  const u64 n = p.ops.size();
+  const u64 count = hwl_count_[l];
+  if (hwl_start_[l] != p.start || hwl_end_[l] != p.end || count == 0 ||
+      count > budget / n) {
+    return 0;
+  }
+  const unsigned o = 1 - l;
+  if (hwl_count_[o] != 0 &&
+      ((hwl_end_[o] > p.start && hwl_end_[o] < p.end) ||
+       (hwl_end_[o] == p.end && l != 0))) {
+    return 0;
+  }
+  const unsigned hz =
+      last_load_rd_ != 0 && reads_reg(p.ops[0], last_load_rd_)
+          ? timing_.load_use_penalty
+          : 0;
+  // No boundary inside the run is visible: its worst-case end must stay
+  // before the sampling deadline or burst horizon (sb_execute_impl's
+  // arming bound).
+  if (t0 + hz + count * p.iter_perf.cycles + p.max_dyn_iter >=
+      std::min(sample_due_, burst_due_)) {
+    return 0;
+  }
+  const unsigned dr = p.dotp_region;
+  SbLatches s{};
+  s.lld = lld;
+  if (conv) {
+    s.dla = dotp_.latch_a(dr);
+    s.dlb = dotp_.latch_b(dr);
+  }
+  if (!sb_run_whole(p, count, hz, t0 + hz, s)) return 0;
+  perf_.cycles += hz;
+  perf_.load_use_stall_cycles += hz;
+  p.pending_iters += count;
+  p.pending_runs += 1;
+  if (nested) {
+    perf_.cycles += count * p.iter_perf.cycles;
+  } else {
+    sb_settle(p, true);
+  }
+  hwl_count_[l] = 0;
+  update_hwl_active();
+  pc_ = p.end;
+  last_load_rd_ = p.exit_last_load_rd;
+  lld = s.lld;
+  toggles += s.toggles;
+  if (conv) {
+    dotp_.set_latches(dr, s.dla, s.dlb);
+    dotp_.add_activity(dr, s.dtog, s.dops);
+  }
+  return n * count;
+}
+
+void Core::sb_settle(SuperblockPlan& p, bool with_cycles) {
+  const u64 k = p.pending_iters;
+  PerfCounters d = p.iter_perf;
+  if (!with_cycles) d.cycles = 0;
+  add_scaled(perf_, d, k);
+  // Each run's final iteration falls through instead of taking the
+  // backedge.
+  perf_.hwloop_backedges -= p.pending_runs;
+  mem_.add_counts(p.iter_mem, k);
+  sb_stats_.entries += p.pending_runs;
+  sb_stats_.nested_entries += with_cycles ? 0 : p.pending_runs;
+  sb_stats_.whole_runs += p.pending_runs;
+  sb_stats_.fused_iterations += k;
+  if (p.shape == SbShape::kConvInner) sb_stats_.macro_iterations += k;
+  sb_stats_.fused_instructions += p.ops.size() * k;
+  p.pending_iters = p.pending_runs = 0;
+}
+
+void Core::sb_settle_inner(SuperblockPlan& plan) {
+  for (SuperblockPlan& body : plan.inner) {
+    if (body.pending_runs != 0) sb_settle(body, false);
+  }
 }
 
 void Core::sb_exit(SuperblockPlan& plan) {
   sb_active_ = nullptr;
   if (plan.dead) {
-    sb_erase(sb_plans_.find(plan.start));
+    sb_erase(plan);
     sb_recompute_extent();
   }
   sb_active_dirty_ = false;
@@ -1117,6 +1421,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget, bool nested) {
   // no hook and no contention injector, an aligned in-bounds access costs
   // zero stalls and nothing else in access_stalls() can fire.
   const u32 msize = mem_.size();
+  const u8* const host = mem_.view(0, msize).data();
   // A burst sink restores slim eligibility under an access hook: the
   // cluster's burst phase installs a hook that only logs and returns zero
   // stalls, so the slim path's "aligned in-bounds accesses are stall-free"
@@ -1129,7 +1434,8 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget, bool nested) {
       (!mem_.has_access_hook() || sink_log) &&
       mem_.contention_period() == 0;
   // With an access hook installed (cluster runs) the slim path is off, so
-  // every access flows through access_stalls()/the handler's access_cycles.
+  // every access flows through access_stalls() (pv.qnt's threshold
+  // fetches through QuantUnit::execute_stalls).
   // Latch the exact reference coordinates (pc, instruction-start cycle,
   // access cycle) the hook reads via access_pc()/access_start()/
   // access_cycle() — the same cycle-prefix arithmetic as the repair, plus
@@ -1212,103 +1518,6 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget, bool nested) {
   const auto leave = [&]() {
     if (!nested) sb_exit(plan);
   };
-  // Whole runs (one host loop for `k` iterations of either shape; the
-  // caller proved none of them can reach a deadline). Each checks every
-  // access stream of the run once and returns false, touching nothing,
-  // when one is misaligned or leaves memory (or, for the copy, when a
-  // store could reach cached code or a plan): that iteration then takes
-  // the generic op loop, which stalls, faults and invalidates exactly.
-  //
-  // log_run reserves the burst-sink entries of a run at once and writes
-  // the op loop's coordinates: its memory ops are ops [0, m), at
-  // first[i] + j * step[i] in iteration j. Both shapes end in a non-load,
-  // so wrap_hazard is 0 and only the run's first access carries an entry
-  // hazard, `hz`.
-  const auto log_run = [&](u64 k, unsigned hz, size_t m, const u32* first,
-                           const u32* step) {
-    if (!sink_log) return;
-    const size_t at = burst_sink_->size();
-    burst_sink_->resize(at + m * k);
-    BurstAccess* out = burst_sink_->data() + at;
-    const cycles_t t0 = iter_start();
-    for (u64 j = 0; j < k; ++j) {
-      for (size_t i = 0; i < m; ++i) {
-        const SbOp& o = ops[i];
-        *out++ = {t0 + j * c_iter + plan.cycle_prefix[i], plan.op_pc[i],
-                  first[i] + static_cast<u32>(j) * step[i],
-                  static_cast<u16>(o.hazard), 4,
-                  static_cast<u8>((o.flags & iflag::kIsStore) != 0)};
-      }
-    }
-    BurstAccess& e = (*burst_sink_)[at];
-    e.start -= hz;
-    e.cycle_delta = static_cast<u16>(hz);
-  };
-  const auto copy_whole = [&](u64 k, unsigned hz) {
-    const SbOp& ld = ops[0];
-    const SbOp& st = ops[1];
-    const WordStream src = word_stream(regs_[ld.rs1], ld.imm, k, msize);
-    const WordStream dst = word_stream(regs_[st.rs1], st.imm, k, msize);
-    // A store covers the parcel below it too (a 32-bit instruction
-    // starting there), so keep a parcel clear of the decode cache.
-    const i64 code_lo = i64{icache_base_} - 2;
-    const i64 code_hi = i64{icache_base_} + 2 * i64(icache_valid_.size()) + 2;
-    if (!src.ok || !dst.ok || (dst.hi > code_lo && dst.lo < code_hi) ||
-        (dst.hi > i64{sb_lo_} && dst.lo < i64{sb_hi_})) {
-      return false;
-    }
-    const u32 first[] = {regs_[ld.rs1], regs_[st.rs1]};
-    const u32 step[] = {static_cast<u32>(ld.imm), static_cast<u32>(st.imm)};
-    log_run(k, hz, 2, first, step);
-    u32 s = first[0];
-    u32 d = first[1];
-    u32 v = 0;
-    for (u64 j = 0; j < k; ++j) {
-      v = mem_.load_unchecked(s, 4);
-      toggles += hamming_distance(lld, v);
-      lld = v;
-      mem_.store_unchecked(d, v, 4);
-      s += step[0];
-      d += step[1];
-    }
-    regs_[ld.rd] = v;
-    regs_[ld.rs1] = s;
-    regs_[st.rs1] = d;
-    return true;
-  };
-  const auto conv_whole = [&](u64 k, unsigned hz) {
-    ConvRun r{};
-    const u8 operand[] = {ops[4].rs1, ops[5].rs1, ops[4].rs2, ops[6].rs2};
-    for (unsigned i = 0; i < 4; ++i) {
-      const SbOp& o = ops[i];
-      if (!word_stream(regs_[o.rs1], o.imm, k, msize).ok) return false;
-      r.addr[i] = regs_[o.rs1];
-      r.step[i] = static_cast<u32>(o.imm);
-      r.load[std::find(operand, operand + 4, o.rd) - operand] =
-          static_cast<u8>(i);
-    }
-    log_run(k, hz, 4, r.addr.data(), r.step.data());
-    r.mem = mem_.view(0, msize).data();
-    for (unsigned q = 0; q < 4; ++q) r.acc[q] = regs_[ops[4 + q].rd];
-    r.accumulate = (ops[4].flags & iflag::kDotAccum) != 0;
-    r.lld = lld;
-    r.dla = dla;
-    r.dlb = dlb;
-    conv_run_for(ops[4])(r, k);
-    for (unsigned i = 0; i < 4; ++i) regs_[ops[i].rs1] = r.addr[i];
-    for (unsigned q = 0; q < 4; ++q) {
-      regs_[operand[q]] = r.v[q];
-      regs_[ops[4 + q].rd] = r.acc[q];
-    }
-    lld = r.lld;
-    toggles += r.toggles;
-    dla = r.dla;
-    dlb = r.dlb;
-    dtog += r.dtog;
-    dops += 4 * k;
-    macro_done += k;
-    return true;
-  };
   try {
     for (;;) {
       // Per-iteration guards, checked at the block-start boundary: a
@@ -1355,8 +1564,20 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget, bool nested) {
         if constexpr (Sampled) {
           k = std::min(k, (due - 1 - max_dyn - perf_.cycles) / c_iter - done);
         }
-        if (plan.shape == SbShape::kConvInner ? conv_whole(k, hz)
-                                              : copy_whole(k, hz)) {
+        // One host loop for the k iterations, after one check per access
+        // stream: a misaligned stream or one leaving memory (or, for the
+        // copy, a store that could reach cached code or a plan) returns
+        // false, touching nothing, and the op loop below stalls, faults
+        // and invalidates exactly.
+        SbLatches st{lld, 0, dla, dlb, 0, 0};
+        if (sb_run_whole(plan, k, hz, iter_start(), st)) {
+          lld = st.lld;
+          toggles += st.toggles;
+          dla = st.dla;
+          dlb = st.dlb;
+          dtog += st.dtog;
+          dops += st.dops;
+          if (plan.shape == SbShape::kConvInner) macro_done += k;
           sb_stats_.whole_runs += 1;
           retired += n * k;
           done += k;
@@ -1373,22 +1594,107 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget, bool nested) {
       size_t completed = n;
       for (i = 0; i < n; ++i) {
         const SbOp& o = ops[i];
+        const u32 imm = static_cast<u32>(o.imm);
         switch (o.kind) {
           case SbKind::kConst:
             set_reg(o.rd, static_cast<u32>(o.imm));
             break;
-          case SbKind::kAddImm:
-            set_reg(o.rd, regs_[o.rs1] + static_cast<u32>(o.imm));
-            break;
-          case SbKind::kAluImm:
-            alu_body(plan.instrs[i], static_cast<u32>(o.imm));
-            break;
-          case SbKind::kAluReg:
-            alu_body(plan.instrs[i], regs_[o.rs2]);
-            break;
+          case SbKind::kAddImm: set_reg(o.rd, alu<AluFn::kAdd>(regs_[o.rs1], imm)); break;
+          case SbKind::kSltImm: set_reg(o.rd, alu<AluFn::kSlt>(regs_[o.rs1], imm)); break;
+          case SbKind::kSltuImm: set_reg(o.rd, alu<AluFn::kSltu>(regs_[o.rs1], imm)); break;
+          case SbKind::kXorImm: set_reg(o.rd, alu<AluFn::kXor>(regs_[o.rs1], imm)); break;
+          case SbKind::kOrImm: set_reg(o.rd, alu<AluFn::kOr>(regs_[o.rs1], imm)); break;
+          case SbKind::kAndImm: set_reg(o.rd, alu<AluFn::kAnd>(regs_[o.rs1], imm)); break;
+          case SbKind::kSllImm: set_reg(o.rd, alu<AluFn::kSll>(regs_[o.rs1], imm)); break;
+          case SbKind::kSrlImm: set_reg(o.rd, alu<AluFn::kSrl>(regs_[o.rs1], imm)); break;
+          case SbKind::kSraImm: set_reg(o.rd, alu<AluFn::kSra>(regs_[o.rs1], imm)); break;
+          case SbKind::kAdd: set_reg(o.rd, alu<AluFn::kAdd>(regs_[o.rs1], regs_[o.rs2])); break;
+          case SbKind::kSub: set_reg(o.rd, alu<AluFn::kSub>(regs_[o.rs1], regs_[o.rs2])); break;
+          case SbKind::kSlt: set_reg(o.rd, alu<AluFn::kSlt>(regs_[o.rs1], regs_[o.rs2])); break;
+          case SbKind::kSltu: set_reg(o.rd, alu<AluFn::kSltu>(regs_[o.rs1], regs_[o.rs2])); break;
+          case SbKind::kXor: set_reg(o.rd, alu<AluFn::kXor>(regs_[o.rs1], regs_[o.rs2])); break;
+          case SbKind::kOr: set_reg(o.rd, alu<AluFn::kOr>(regs_[o.rs1], regs_[o.rs2])); break;
+          case SbKind::kAnd: set_reg(o.rd, alu<AluFn::kAnd>(regs_[o.rs1], regs_[o.rs2])); break;
+          case SbKind::kSll: set_reg(o.rd, alu<AluFn::kSll>(regs_[o.rs1], regs_[o.rs2])); break;
+          case SbKind::kSrl: set_reg(o.rd, alu<AluFn::kSrl>(regs_[o.rs1], regs_[o.rs2])); break;
+          case SbKind::kSra: set_reg(o.rd, alu<AluFn::kSra>(regs_[o.rs1], regs_[o.rs2])); break;
           case SbKind::kMac: {
             const u32 prod = regs_[o.rs1] * regs_[o.rs2];
             set_reg(o.rd, o.aux ? regs_[o.rd] - prod : regs_[o.rd] + prod);
+            break;
+          }
+          case SbKind::kExtract:
+            set_reg(o.rd, static_cast<u32>(sign_extend(regs_[o.rs1] >> o.aux, imm)));
+            break;
+          case SbKind::kExtractu:
+            set_reg(o.rd, zero_extend(regs_[o.rs1] >> o.aux, imm));
+            break;
+          case SbKind::kInsert:
+            set_reg(o.rd, insert_bits(regs_[o.rd], regs_[o.rs1], o.aux, imm));
+            break;
+          case SbKind::kClip:
+            set_reg(o.rd, static_cast<u32>(sat_signed(static_cast<i32>(regs_[o.rs1]), imm)));
+            break;
+          case SbKind::kClipu:
+            set_reg(o.rd, sat_unsigned(static_cast<i32>(regs_[o.rs1]), imm));
+            break;
+          case SbKind::kPulpAlu:
+            set_reg(o.rd, pulp_alu(o.op, regs_[o.rs1], regs_[o.rs2]));
+            break;
+          case SbKind::kSimdAlu:
+            set_reg(o.rd, dotp_.alu_op(o.op, o.fmt, regs_[o.rs1], regs_[o.rs2]));
+            break;
+          case SbKind::kSimdElem:
+            set_reg(o.rd, simd_elem_op(o.op, o.fmt, o.imm, regs_[o.rs1],
+                                       regs_[o.rs2], regs_[o.rd]));
+            break;
+          case SbKind::kQnt: {
+            // Both trees read from host memory after one alignment and
+            // bounds check of the pair, or, when that fails or an access
+            // must be seen (contention injector, hook without a sink),
+            // QuantUnit's stalls-only path, which walks first — a tree
+            // leaving memory traps before any charge — then accounts each
+            // fetch through access_stalls.
+            const unsigned q = o.aux;
+            const addr_t tree = regs_[o.rs2];
+            u32 r = 0;
+            if (mem_slim && (tree & 1) == 0 &&
+                QuantUnit::trees_end(tree, q) <= msize) [[likely]] {
+              addr_t nodes[2][4];
+              r = QuantUnit::quantize_pair(
+                  [host](addr_t a) {
+                    u16 t;
+                    std::memcpy(&t, host + a, 2);
+                    return t;
+                  },
+                  regs_[o.rs1], tree, q, nodes);
+              if (sink_log) {
+                // QuantUnit's interleaved fetch order, at the
+                // coordinates the access hook would have latched.
+                const cycles_t start = cycle_at(i) - (i == 0 ? hz : 0);
+                const u16 delta = static_cast<u16>(i == 0 ? hz : o.hazard);
+                for (unsigned level = 0; level < q; ++level) {
+                  for (const addr_t a : {nodes[0][level], nodes[1][level]}) {
+                    burst_sink_->push_back(
+                        {start, plan.op_pc[i], a, delta, 2, 0});
+                  }
+                }
+              }
+            } else {
+              if (latch) {
+                hook_pc_ = plan.op_pc[i];
+                hook_start_ = cycle_at(i) - (i == 0 ? hz : 0);
+                hook_cycle_ = hook_start_ + (i == 0 ? hz : o.hazard);
+              }
+              const QuantResult res =
+                  qnt_.execute_stalls(mem_, regs_[o.rs1], tree, q);
+              r = res.rd;
+              if (res.mem_stalls != 0) {
+                perf_.cycles += res.mem_stalls;
+                perf_.mem_stall_cycles += res.mem_stalls;
+              }
+            }
+            set_reg(o.rd, r);
             break;
           }
           case SbKind::kMem: {
@@ -1442,7 +1748,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget, bool nested) {
               // Self-modifying store into this very block: stop at the
               // boundary after the store, before any stale decode runs.
               completed = i + 1;
-              break;
+              goto ops_done;
             }
             break;
           }
@@ -1484,15 +1790,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget, bool nested) {
             set_reg(o.rd, static_cast<u32>(r));
             break;
           }
-          case SbKind::kHandler:
-            // A handler can reach the access hook (pv.qnt threshold
-            // fetches); its accesses all issue at the instruction's start
-            // plus its hazard, before any latency is charged.
-            if (latch) [[unlikely]] {
-              hook_pc_ = plan.op_pc[i];
-              hook_start_ = cycle_at(i) - (i == 0 ? hz : 0);
-              hook_cycle_ = hook_start_ + (i == 0 ? hz : o.hazard);
-            }
+          case SbKind::kHandler:  // mul/div: no memory access
             (this->*kExecTable[static_cast<size_t>(o.cls)])(plan.instrs[i]);
             break;
           case SbKind::kInnerLoop: {
@@ -1519,50 +1817,73 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget, bool nested) {
                 (burst_bound ? sb_stats_.burst_flushes
                              : sb_stats_.sample_flushes) += 1;
                 inner_stop = true;
-                break;
+                goto ops_done;
               }
             }
             if (hwl_count_[o.aux] == 0) {
               // A zero count runs the body once with no live loop: leave
               // that to the interpreter.
               inner_stop = true;
-              break;
+              goto ops_done;
             }
-            flush();
-            lent = done * c_iter + plan.cycle_prefix[i + 1];
-            perf_.cycles += lent;
-            inner_retired += sb_execute_impl<Sampled>(
-                body, budget - retired - inner_retired - per_iter, true);
-            perf_.cycles -= lent;
-            lent = 0;
-            load_latches();
+            const u64 inner_budget = budget - retired - inner_retired - per_iter;
+            // A whole-run body runs in place, with this burst's LSU latch
+            // (its dot latches unless they are this plan's hoisted ones);
+            // any other body, or a run that does not qualify, runs as a
+            // nested burst around a latch flush.
+            u64 ran = 0;
+            if (body.shape != SbShape::kGeneric &&
+                !(hoist_dotp && body.dotp_region == dr)) {
+              u32 in_lld = lld;
+              u64 in_toggles = 0;
+              ran = sb_enter_whole(body, o.aux, inner_budget, cycle_at(i + 1),
+                                   in_lld, in_toggles, true);
+              lld = in_lld;
+              toggles += in_toggles;
+            }
+            if (ran == 0) {
+              flush();
+              lent = done * c_iter + plan.cycle_prefix[i + 1];
+              perf_.cycles += lent;
+              ran = sb_execute_impl<Sampled>(body, inner_budget, true);
+              perf_.cycles -= lent;
+              lent = 0;
+              load_latches();
+            }
+            inner_retired += ran;
             if (pc_ != body.end) {
               // Budget, deadline or an SMC bail stopped it inside the
               // loop: leave this plan right there.
               inner_stop = true;
-            } else if (sb_active_dirty_) [[unlikely]] {
+              goto ops_done;
+            }
+            if (sb_active_dirty_) [[unlikely]] {
               // Its last store hit this plan: stop after the loop.
               completed = i + 1;
-            } else if constexpr (Sampled) {
+              goto ops_done;
+            }
+            if constexpr (Sampled) {
               // The loop's cycles were not in the arming bound.
               armed = armed || iter_start() + c_iter + max_dyn >= due;
             }
             break;
           }
           case SbKind::kBranch:
+          case SbKind::kCount:
             break;  // unreachable: the terminal branch is not in ops
         }
-        if (inner_stop) break;
         if constexpr (Sampled) {
           // Boundary after op i: armed iterations check every one against
-          // the deadline (an SMC bail this op takes precedence — its
-          // boundary is the same and the repair identical).
-          if (armed && completed == n && cycle_at(i + 1) >= due)
-              [[unlikely]] {
+          // the deadline (an op that stops the iteration jumps past this:
+          // an SMC bail takes precedence, its boundary is the same and the
+          // repair identical).
+          if (armed && cycle_at(i + 1) >= due) [[unlikely]] {
             if (i + 1 < n) {
               completed = i + 1;
               sample_break = true;
-            } else if (!plan.is_hwloop) {
+              goto ops_done;
+            }
+            if (!plan.is_hwloop) {
               // Pre-branch boundary: the interpreter samples before
               // executing the branch; bail below instead of branching.
               sample_break = true;
@@ -1572,8 +1893,8 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget, bool nested) {
             // loop after a normal exit) observes with identical state.
           }
         }
-        if (completed != n) break;
       }
+    ops_done:
 
       if (inner_stop) [[unlikely]] {
         // The inner burst left pc, hardware-loop state and last-load
@@ -1703,6 +2024,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget, bool nested) {
     sb_stats_.fused_iterations += done;
     sb_stats_.macro_iterations += macro_done;
     sb_stats_.fused_instructions += retired;
+    sb_settle_inner(plan);
     leave();
     throw;
   }
@@ -1723,6 +2045,7 @@ u64 Core::sb_execute_impl(SuperblockPlan& plan, u64 budget, bool nested) {
   sb_stats_.fused_iterations += done;
   sb_stats_.macro_iterations += macro_done;
   sb_stats_.fused_instructions += retired;
+  sb_settle_inner(plan);
   leave();
   return retired + inner_retired;
 }

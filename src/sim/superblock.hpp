@@ -29,25 +29,41 @@
 
 namespace xpulp::sim {
 
-/// How the fused loop executes one op. Fully-inlined kinds batch their
-/// class counter in the static per-iteration delta; the remaining kinds
-/// call the existing exec helpers, which charge class counters (and any
-/// static stalls such as mulh latency) eagerly.
+/// The operation one op performs: the fused loop dispatches on this alone,
+/// with every operand the op needs resolved when the plan is compiled.
+/// Every kind but kHandler batches its static accounting (class counter,
+/// fixed latency, memory counts) in the per-iteration delta
+/// (op_static_delta); kHandler calls the interpreter's exec helper, which
+/// charges its class counter and latency eagerly.
 enum class SbKind : u8 {
-  kConst,    // lui / auipc: value precomputed at compile time
-  kAddImm,   // addi
-  kAluImm,   // other immediate ALU ops via alu_body
-  kAluReg,   // register ALU ops via alu_body
-  kMac,      // p.mac / p.msu
-  kMem,      // every load/store addressing mode, flags-driven
-  kDotp,     // pv.dotp/sdot families via the dotp_lanes kernel
-  kHandler,  // muldiv / pulp-scalar / simd-alu / simd-elem / pv.qnt
-  kBranch,   // terminal conditional branch (backward-branch plans only)
+  kConst,  // lui / auipc: value precomputed at compile time
+  // RV32I ALU ops, immediate form (b = imm) then register form (b = rs2).
+  kAddImm, kSltImm, kSltuImm, kXorImm, kOrImm, kAndImm, kSllImm, kSrlImm,
+  kSraImm,
+  kAdd, kSub, kSlt, kSltu, kXor, kOr, kAnd, kSll, kSrl, kSra,
+  // XpulpV2 bit-field ops, position in `aux` and width in `imm` (p.exth*
+  // and p.extb* are extracts at position 0; p.bclr and p.bset compile to
+  // kAndImm / kOrImm with their field mask).
+  kExtract,   // p.extract, p.exths, p.extbs
+  kExtractu,  // p.extractu
+  kInsert,    // p.insert
+  kClip,      // p.clip, effective width in imm
+  kClipu,     // p.clipu, effective width in imm
+  kPulpAlu,   // p.abs/min/max/cnt/ff1/fl1/clb/ror via pulp_alu
+  kMac,       // p.mac / p.msu
+  kMem,       // every load/store addressing mode, flags-driven
+  kDotp,      // pv.dotp/sdot families via the dotp_lanes kernel
+  kSimdAlu,   // element-wise SIMD ALU ops via DotpUnit::alu_op
+  kSimdElem,  // pv.extract/insert/shuffle/pack via simd_elem_op
+  kQnt,       // pv.qnt, Q (output bits) in aux
+  kHandler,   // mul/div: the interpreter's handler
+  kBranch,    // terminal conditional branch (backward-branch plans only)
   /// lp.setup/lp.setupi of a counted loop nested in a backward-branch
   /// plan: `imm` indexes SuperblockPlan::inner, `aux` is the loop index,
   /// `rs1` the count register (lp.setup) or immediate count (lp.setupi)
   /// and `rd` the load destination of the loop body's last op.
   kInnerLoop,
+  kCount,
 };
 
 /// Recognized shapes whose hardware-loop runs sb_execute retires whole,
@@ -70,7 +86,8 @@ struct SbOp {
   u8 rs1 = 0;
   u8 rs2 = 0;
   /// kMem: access size in bytes. kDotp: multiplier region (DotpRegion
-  /// numbering). kMac: 1 for p.msu.
+  /// numbering). kMac: 1 for p.msu. kQnt: output bits. Bit-field kinds:
+  /// the field's position.
   u8 aux = 0;
   /// Static load-use stall cycles against the previous op in the block
   /// (op[0]'s hazard against the entry context is dynamic, see
@@ -82,7 +99,7 @@ struct SbOp {
   isa::Mnemonic op{};
   /// Immediate operand; kConst: the precomputed result value; kBranch
   /// p.beqimm/p.bneimm: the sign-extended compare immediate; kInnerLoop:
-  /// the index of its body plan.
+  /// the index of its body plan; bit-field kinds: the field's width.
   i32 imm = 0;
 };
 
@@ -107,7 +124,9 @@ struct SuperblockPlan {
   bool dead = false;
 
   std::vector<SbOp> ops;           // straight-line body, no control flow
-  std::vector<isa::Instr> instrs;  // parallel cold mirror for kHandler ops
+  /// Parallel decode mirror: the kHandler ops' exec argument, and the
+  /// words a roaming plan checks a copy of its body against.
+  std::vector<isa::Instr> instrs;
   /// ops.size()+1 entries: the pc of each op, then the boundary after the
   /// body (hwloop: the loop end; branch plans: the branch pc).
   std::vector<addr_t> op_pc;
@@ -146,7 +165,7 @@ struct SuperblockPlan {
 
   /// Upper bound on the *dynamic* cycles one iteration can add in slim
   /// memory mode (no access hook, no contention injector): misaligned
-  /// access penalties, divide latency, quantization threshold walks. The
+  /// access and threshold-fetch penalties, mul/div latency. The
   /// inner loops of a branch plan are not bounded here: the burst re-arms
   /// after each of them.
   /// Sampled bursts use it to prove an iteration cannot cross the
@@ -160,6 +179,24 @@ struct SuperblockPlan {
   /// here, never indexed in the plan cache: [start, end) covers them, so
   /// invalidation and eviction of this plan drop them too.
   std::vector<SuperblockPlan> inner;
+  /// Inner-loop bodies: the iterations and runs retired in place since
+  /// the owning burst began, whose static accounting (all but the cycles,
+  /// charged with each run) that burst applies once at its exit.
+  u64 pending_iters = 0;
+  u64 pending_runs = 0;
+};
+
+/// The burst-local latches a whole run reads and advances
+/// (Core::sb_run_whole): the LSU data latch and its toggle count, and the
+/// operand latches, toggle count and op count of a kConvInner run's dot
+/// region.
+struct SbLatches {
+  u32 lld = 0;
+  u64 toggles = 0;
+  u32 dla = 0;
+  u32 dlb = 0;
+  u64 dtog = 0;
+  u64 dops = 0;
 };
 
 /// Recognize the 2x2-blocked MatMul inner body (SbShape::kConvInner):

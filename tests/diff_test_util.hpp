@@ -20,6 +20,7 @@
 #include "mem/memory.hpp"
 #include "qnn/thresholds.hpp"
 #include "sim/core.hpp"
+#include "sim/superblock.hpp"
 #include "xasm/assembler.hpp"
 
 namespace xpulp::test {
@@ -37,6 +38,8 @@ struct FinalState {
   /// The superblock engine's coverage counters: host-side, so never
   /// compared between dispatch modes.
   sim::SuperblockStats sb;
+  /// Ops compiled into superblock plans, by sim::SbKind.
+  std::vector<u64> sb_kinds;
 };
 
 /// Snapshot the observable machine state (registers, pc, halt reason, perf
@@ -46,6 +49,10 @@ inline FinalState final_state_of(const sim::Core& core,
                                  const mem::Memory& mem) {
   FinalState s;
   s.sb = core.superblock_stats();
+  for (size_t k = 0; k < static_cast<size_t>(sim::SbKind::kCount); ++k) {
+    s.sb_kinds.push_back(
+        core.superblock_ops_compiled(static_cast<sim::SbKind>(k)));
+  }
   s.reason = core.halt_reason();
   s.pc = core.pc();
   for (unsigned i = 0; i < 32; ++i) s.regs[i] = core.reg(i);

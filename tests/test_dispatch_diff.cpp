@@ -58,6 +58,8 @@ TEST(DispatchDiff, RandomProgramsBitIdentical) {
   // fast and superblock paths. The superblock leg fuses on every program
   // (each starts with a hot loop), except on the ungated no-PM core, whose
   // per-instruction operand broadcast keeps the engine cold.
+  // Ops each fused-loop kind compiled, over every tier.
+  std::vector<u64> kinds(static_cast<size_t>(sim::SbKind::kCount), 0);
   for (const Tier tier : test::kTiers) {
     ProgramGen gen(fuzz_seed(tier), tier);
     const bool fuses = gen.config().clock_gating;
@@ -84,6 +86,7 @@ TEST(DispatchDiff, RandomProgramsBitIdentical) {
       }
       for_each_counter([](const char*, u64& a, u64 b) { a += b; }, total,
                        w.sb.sb);
+      for (size_t k = 0; k < kinds.size(); ++k) kinds[k] += w.sb.sb_kinds[k];
     }
     if (!fuses) continue;
     // The engine's paths beyond plain bursts: hardware loops nested in
@@ -95,6 +98,12 @@ TEST(DispatchDiff, RandomProgramsBitIdentical) {
       EXPECT_GT(total.macro_iterations, 0u) << gen.config().name;
     }
     EXPECT_GT(total.trap_bails, 0u) << gen.config().name;
+  }
+  // Every op kind is reached; the terminal branch of a branch plan is not
+  // one of its ops.
+  for (size_t k = 0; k < kinds.size(); ++k) {
+    if (static_cast<sim::SbKind>(k) == sim::SbKind::kBranch) continue;
+    EXPECT_GT(kinds[k], 0u) << "SbKind " << k;
   }
 }
 

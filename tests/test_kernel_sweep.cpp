@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "kernels/conv_layer.hpp"
+#include "sim/core.hpp"
+#include "sim/superblock.hpp"
 
 namespace xpulp::kernels {
 namespace {
@@ -32,7 +34,8 @@ qnn::ConvSpec to_spec(const SweepCase& c) {
 /// kConvInner macro-op iterations read through the after_run hook: the
 /// generated MatMul body must reach the macro-op, not just the generic
 /// fused loop (a generator change that breaks the matched shape would
-/// still be bit-exact, only slow).
+/// still be bit-exact, only slow). No op of its fused bodies may fall back
+/// to the interpreter's handler.
 u64 superblock_macro_iterations(const ConvLayerData& data, ConvVariant v) {
   sim::CoreConfig cfg = sim::CoreConfig::extended();
   cfg.superblock = true;
@@ -40,6 +43,7 @@ u64 superblock_macro_iterations(const ConvLayerData& data, ConvVariant v) {
   const auto res = run_conv_layer(
       data, v, cfg, {}, {}, [&](sim::Core& core, const ConvKernel&) {
         macro = core.superblock_stats().macro_iterations;
+        EXPECT_EQ(core.superblock_ops_compiled(sim::SbKind::kHandler), 0u);
       });
   EXPECT_EQ(res.output, data.golden());
   return macro;

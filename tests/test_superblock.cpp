@@ -16,6 +16,8 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "diff_test_util.hpp"
+#include "isa/decoder.hpp"
+#include "isa/encoding.hpp"
 #include "isa/instruction.hpp"
 #include "isa/isa_table.hpp"
 #include "kernels/conv_layer.hpp"
@@ -23,6 +25,7 @@
 #include "obs/registry.hpp"
 #include "obs/sampler.hpp"
 #include "sim/core.hpp"
+#include "sim/quant_unit.hpp"
 #include "sim/superblock.hpp"
 #include "soc/streamed_conv.hpp"
 #include "xasm/assembler.hpp"
@@ -1439,6 +1442,284 @@ TEST(SuperblockLoopNest, FaultInsideInnerLoopRepairsExactly) {
   test::expect_same_counters(mem_stats[0], mem_stats[1], "mem");
   EXPECT_GT(stats.nested_entries, 0u);
   EXPECT_EQ(stats.trap_bails, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// One dispatch per op: bit-field, clip and pv.qnt ops resolve their
+// operands at compile time, and whole-run loop bodies nested in a branch
+// plan run in place. Each must leave the interpreters' state, counters and
+// access streams.
+
+u64 kind_ops(const FinalState& s, sim::SbKind k) {
+  return s.sb_kinds[static_cast<size_t>(k)];
+}
+
+TEST(FusedOps, BitFieldOpsAtEveryLegalPosAndWidth) {
+  // Every position and width the encodings allow (p.extract(u), p.insert,
+  // p.bclr and p.bset), the fixed p.exth*/p.extb* fields and every
+  // p.clip/p.clipu bound. Each result feeds a checksum, in hot loop
+  // bodies of at most 60 such ops, fused against the reference.
+  using M = isa::Mnemonic;
+  std::vector<isa::Instr> ops;
+  const auto add = [&ops](M op, i32 imm, u8 imm2) {
+    isa::Instr in;
+    in.op = op;
+    in.rd = r::t1;
+    in.rs1 = r::t0;
+    in.imm = imm;
+    in.imm2 = imm2;
+    // Only the fields the encoding space holds: a field past bit 31 is
+    // reserved for every bit-field op.
+    try {
+      isa::decode(isa::encode(in), 0);
+    } catch (const IllegalInstruction&) {
+      return;
+    }
+    ops.push_back(in);
+  };
+  for (const M op : {M::kPExtract, M::kPExtractu, M::kPInsert, M::kPBclr,
+                     M::kPBset}) {
+    for (u32 pos = 0; pos < 32; ++pos) {
+      for (u32 width = 1; width <= 32; ++width) {
+        add(op, static_cast<i32>(pos), static_cast<u8>(width - 1));
+      }
+    }
+  }
+  for (const M op : {M::kPExths, M::kPExthz, M::kPExtbs, M::kPExtbz}) {
+    add(op, 0, 0);
+  }
+  for (const M op : {M::kPClip, M::kPClipu}) {
+    for (i32 bits = 0; bits < 32; ++bits) add(op, bits, 0);
+  }
+
+  std::vector<u64> kinds(static_cast<size_t>(sim::SbKind::kCount), 0);
+  constexpr size_t kPerBody = 60;
+  for (size_t first = 0; first < ops.size(); first += kPerBody) {
+    xasm::Assembler a(0);
+    a.li(r::s1, kData);
+    a.li(r::t1, 0x5a5a0f0f);
+    const xasm::Assembler::Label end = a.new_label();
+    a.lp_setupi(0, 24, end);
+    a.p_lw_post(r::t0, r::s1, 4);
+    for (size_t k = first; k < std::min(first + kPerBody, ops.size()); ++k) {
+      a.emit(ops[k]);
+      a.add(r::a0, r::a0, r::t1);
+    }
+    a.bind(end);
+    a.ecall();
+    const xasm::Program prog = a.finish();
+    const FinalState ref = run_prog(prog, true, false);
+    const FinalState sb = run_prog(prog, false, true);
+    ASSERT_EQ(ref.reason, sim::HaltReason::kEcall);
+    expect_identical(ref, sb);
+    EXPECT_GT(sb.sb.fused_instructions, 0u);
+    EXPECT_EQ(kind_ops(sb, sim::SbKind::kHandler), 0u);
+    for (size_t k = 0; k < kinds.size(); ++k) kinds[k] += sb.sb_kinds[k];
+    if (::testing::Test::HasFailure()) FAIL() << "ops from " << first;
+  }
+  for (const sim::SbKind k :
+       {sim::SbKind::kExtract, sim::SbKind::kExtractu, sim::SbKind::kInsert,
+        sim::SbKind::kAndImm, sim::SbKind::kOrImm, sim::SbKind::kClip,
+        sim::SbKind::kClipu}) {
+    EXPECT_GT(kinds[static_cast<size_t>(k)], 0u) << static_cast<int>(k);
+  }
+}
+
+/// Where a pv.qnt loop's threshold trees sit.
+enum class QntTrees { kAligned, kMisaligned, kLeavingMemory };
+
+/// A hot loop quantizing a loaded activation pair (the load feeds pv.qnt:
+/// a load-use hazard) and packing the codes as the conv kernels do. Its
+/// trees stay at random operand data, sit one byte off, or walk up by 8
+/// bytes an iteration until act1's root leaves memory at iteration 21.
+xasm::Program qnt_program(unsigned q, QntTrees trees) {
+  const u32 stride = sim::QuantUnit::tree_stride_bytes(q);
+  const addr_t tree =
+      trees == QntTrees::kAligned      ? kData + 0x200
+      : trees == QntTrees::kMisaligned ? kData + 0x201
+                                       : mem::Memory::kDefaultSize - stride -
+                                             2 - 20 * 8;
+  xasm::Assembler a(0);
+  a.li(r::s0, static_cast<i32>(tree));
+  a.li(r::s1, kData);
+  a.li(r::s2, kData + 0x300);
+  a.li(r::s3, 40);
+  const xasm::Assembler::Label end = a.new_label();
+  a.lp_setup(0, r::s3, end);
+  a.p_lw_post(r::t0, r::s1, 4);
+  a.pv_qnt(q, r::t1, r::t0, r::s0);
+  a.p_extractu(r::t2, r::t1, q, 16);
+  a.p_insert(r::t1, r::t2, q, q);
+  a.p_sb_post(r::t1, r::s2, 1);
+  a.addi(r::s0, r::s0, trees == QntTrees::kLeavingMemory ? 8 : 0);
+  a.bind(end);
+  a.ecall();
+  return a.finish();
+}
+
+/// What a run's memory does beside the plain SRAM model.
+enum class MemMode { kPlain, kContention, kHook, kSink };
+
+struct HookedRun {
+  FinalState state;
+  /// Every access the hook saw (kHook, kSink) or the burst sink took
+  /// (kSink), with the coordinates the cluster's burst phase logs.
+  std::vector<sim::BurstAccess> log;
+};
+
+/// Run `prog` over operand_data() on the fast interpreter or the
+/// superblock engine. kHook installs an access hook that logs every access
+/// and stalls every other 8-byte granule; kSink one that only logs, plus a
+/// burst sink into the same log, as the cluster's burst phase does.
+HookedRun run_hooked(const xasm::Program& prog, bool superblock,
+                     MemMode mode) {
+  sim::CoreConfig cfg = sim::CoreConfig::extended();
+  cfg.superblock = superblock;
+  mem::Memory mem;
+  prog.load(mem);
+  mem.write_block(kData, operand_data());
+  sim::Core core(mem, cfg);
+  core.reset(prog.entry(), prog.base() + prog.size_bytes());
+  HookedRun r;
+  if (mode == MemMode::kContention) mem.set_contention_period(3);
+  if (mode == MemMode::kHook || mode == MemMode::kSink) {
+    mem.set_access_hook([&](addr_t a, unsigned size, bool store) -> unsigned {
+      const cycles_t start = core.access_start();
+      r.log.push_back({start, core.access_pc(), a,
+                       static_cast<u16>(core.access_cycle() - start),
+                       static_cast<u8>(size), static_cast<u8>(store)});
+      return mode == MemMode::kHook ? (a >> 3) & 1 : 0;
+    });
+  }
+  if (mode == MemMode::kSink) core.set_burst_sink(&r.log);
+  std::string fault;
+  try {
+    core.run(2'000'000);
+  } catch (const SimError& e) {
+    fault = e.what();
+  }
+  mem.set_access_hook({});
+  r.state = final_state_of(core, mem);
+  r.state.fault = std::move(fault);
+  return r;
+}
+
+void expect_same_log(const std::vector<sim::BurstAccess>& a,
+                     const std::vector<sim::BurstAccess>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t k = 0; k < a.size(); ++k) {
+    EXPECT_EQ(a[k].start, b[k].start) << k;
+    EXPECT_EQ(a[k].pc, b[k].pc) << k;
+    EXPECT_EQ(a[k].addr, b[k].addr) << k;
+    EXPECT_EQ(a[k].cycle_delta, b[k].cycle_delta) << k;
+    EXPECT_EQ(a[k].size, b[k].size) << k;
+    EXPECT_EQ(a[k].is_store, b[k].is_store) << k;
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(FusedOps, QntTreesAndMemoryModesMatchTheInterpreter) {
+  for (const unsigned q : {2u, 4u}) {
+    for (const QntTrees trees : {QntTrees::kAligned, QntTrees::kMisaligned,
+                                 QntTrees::kLeavingMemory}) {
+      const xasm::Program prog = qnt_program(q, trees);
+      for (const MemMode mode : {MemMode::kPlain, MemMode::kContention,
+                                 MemMode::kHook, MemMode::kSink}) {
+        const HookedRun fast = run_hooked(prog, false, mode);
+        const HookedRun sb = run_hooked(prog, true, mode);
+        if (trees == QntTrees::kLeavingMemory) {
+          EXPECT_NE(fast.state.fault.find("memory fault"), std::string::npos)
+              << fast.state.fault;
+          EXPECT_EQ(sb.state.sb.trap_bails, 1u);
+        } else {
+          EXPECT_EQ(fast.state.reason, sim::HaltReason::kEcall);
+        }
+        if (trees == QntTrees::kMisaligned) {
+          EXPECT_GT(fast.state.mem_stats.misaligned_accesses, 0u);
+        }
+        expect_identical(fast.state, sb.state);
+        expect_same_log(fast.log, sb.log);
+        EXPECT_GT(kind_ops(sb.state, sim::SbKind::kQnt), 0u);
+        EXPECT_GT(sb.state.sb.fused_instructions, 0u);
+        if (::testing::Test::HasFailure()) {
+          FAIL() << "q " << q << ", trees " << static_cast<int>(trees)
+                 << ", memory mode " << static_cast<int>(mode);
+        }
+      }
+    }
+  }
+}
+
+/// The shape of the conv kernels' channel-pair loop: a backward-branch
+/// loop of 40 trips around a hardware loop of `trips` iterations, a 2x2
+/// MatMul body or a word copy, then a store of one result. Once the
+/// branch loop compiles, every inner run retires in place.
+xasm::Program nest_program(bool copy, u32 trips = 20) {
+  using isa::SimdFmt;
+  xasm::Assembler a(0);
+  a.li(r::s4, 40);
+  a.li(r::s1, kData + 0x600);
+  a.li(r::s3, static_cast<i32>(trips));
+  const xasm::Assembler::Label top = a.here();
+  a.li(r::a0, kData);
+  a.li(r::a1, copy ? kData + 0x400 : kData + 0x80);
+  if (!copy) {
+    a.li(r::a2, kData + 0x100);
+    a.li(r::a3, kData + 0x180);
+    for (u8 acc : {r::a4, r::a5, r::a6, r::a7}) a.mv(acc, r::zero);
+  }
+  const xasm::Assembler::Label end = a.new_label();
+  a.lp_setup(0, r::s3, end);
+  if (copy) {
+    a.p_lw_post(r::t0, r::a0, 4);
+    a.p_sw_post(r::t0, r::a1, 4);
+  } else {
+    a.p_lw_post(r::t0, r::a0, 4);
+    a.p_lw_post(r::t1, r::a1, 4);
+    a.p_lw_post(r::t2, r::a2, 4);
+    a.p_lw_post(r::t3, r::a3, 4);
+    a.pv_sdotusp(SimdFmt::kN, r::a4, r::t2, r::t0);
+    a.pv_sdotusp(SimdFmt::kN, r::a5, r::t3, r::t0);
+    a.pv_sdotusp(SimdFmt::kN, r::a6, r::t2, r::t1);
+    a.pv_sdotusp(SimdFmt::kN, r::a7, r::t3, r::t1);
+  }
+  a.bind(end);
+  a.srai(r::t4, copy ? r::t0 : r::a4, 3);
+  a.p_sb_post(r::t4, r::s1, 1);
+  a.addi(r::s4, r::s4, -1);
+  a.bne(r::s4, r::zero, top);
+  a.ecall();
+  return a.finish();
+}
+
+TEST(FusedOps, InPlaceRunsMeetBudgetsDeadlinesAndHorizons) {
+  constexpr Slicing kCuts[] = {
+      {Slicing::kRun},        {Slicing::kSteps, 5},  {Slicing::kSteps, 17},
+      {Slicing::kSteps, 131}, {Slicing::kBursts, 7}, {Slicing::kBursts, 89},
+  };
+  for (const bool copy : {false, true}) {
+    const xasm::Program prog = nest_program(copy);
+    for (const cycles_t interval : {cycles_t{0}, cycles_t{43}, cycles_t{307}}) {
+      for (const Slicing& how : kCuts) {
+        const MatMulRun fast = run_matmul(prog, false, how, interval);
+        const MatMulRun sb = run_matmul(prog, true, how, interval);
+        ASSERT_EQ(fast.state.reason, sim::HaltReason::kEcall);
+        expect_same_matmul_run(fast, sb);
+        if (how.kind != Slicing::kSteps || how.slice >= 17) {
+          EXPECT_GT(sb.state.sb.fused_instructions, 0u);
+        }
+        if (how.kind == Slicing::kRun && interval == 0) {
+          // Inner runs entered from the compiled branch loop.
+          EXPECT_GT(sb.state.sb.nested_entries, 0u);
+          EXPECT_GT(sb.state.sb.whole_runs, sb.state.sb.nested_entries / 2);
+        }
+        if (::testing::Test::HasFailure()) {
+          FAIL() << (copy ? "copy" : "matmul") << ", " << slicing_name(how)
+                 << ", sampled every " << interval;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
